@@ -3,8 +3,8 @@
 dagger-stable orders, and norms with per-factor exponents.
 
 Elements are tuples of per-factor components.  Component arithmetic is
-dispatched through small ring descriptors so that matrix code is written
-once.  All arithmetic is exact.
+dispatched through small ring descriptors (the `linalg.Ring` protocol), so
+that the matrix code in `linalg` is written once.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import valuation
-from .linalg import frac, inverse as qinverse, mat, poly_nth_root
+from .linalg import (
+    RationalRing,
+    charpoly,
+    conj_transpose,
+    det,
+    frac,
+    identity,
+    inverse,
+    mat,
+    mat_add,
+    mat_eq,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    poly_nth_root,
+)
 from .quadfield import QuadElem, QuadField
 
 
@@ -23,53 +38,6 @@ class AlgebraError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Ring descriptors
-
-
-class RationalRing:
-    """Q, with the identity involution."""
-
-    dim_q = 1
-
-    def one(self):
-        return Fraction(1)
-
-    def zero(self):
-        return Fraction(0)
-
-    def is_zero(self, x):
-        return x == 0
-
-    def conj(self, x):
-        return x
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError
-        return 1 / x
-
-    def to_qcoords(self, x):
-        return [frac(x)]
-
-    def from_qcoords(self, coords):
-        return coords[0]
-
-    def trace_q(self, x):
-        return frac(x)
-
-    def as_rational(self, x):
-        return frac(x)
-
-    def is_rational(self, x):
-        return True
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("RationalRing")
 
 
 @dataclass(frozen=True)
@@ -206,10 +174,7 @@ class QuaternionRing:
         if isinstance(x, QuatElem):
             return x
         if isinstance(x, (int, Fraction)):
-            if self.center.dim_q == 1:
-                x = frac(x)
-            else:
-                x = self.center.field.from_rational(x)
+            x = self.center.coerce(x)
         return QuatElem(self, (x, self._cz(), self._cz(), self._cz()))
 
     def _cz(self):
@@ -278,112 +243,6 @@ class QuaternionRing:
 
 
 # ---------------------------------------------------------------------------
-# Generic matrices over a ring descriptor
-
-
-def rmat_mul(ring, A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = ring.zero()
-            for t in range(k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def rmat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def rmat_conj_transpose(ring, A):
-    return [[ring.conj(x) for x in col] for col in zip(*A)]
-
-
-def rmat_identity(ring, n):
-    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-
-
-def rmat_add(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def rmat_sub(A, B):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def rmat_scale(c, A):
-    return [[c * x for x in row] for row in A]
-
-
-def rmat_eq(ring, A, B):
-    return all(
-        ring.is_zero(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb)
-    )
-
-
-def rmat_det(ring, A):
-    """Determinant over a commutative ring descriptor with division."""
-    n = len(A)
-    m = [row[:] for row in A]
-    sign = 1
-    acc = ring.one()
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not ring.is_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return ring.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        acc = acc * p
-        pinv = ring.inv(p)
-        for r in range(col + 1, n):
-            if not ring.is_zero(m[r][col]):
-                f = m[r][col] * pinv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    if sign < 0:
-        acc = -acc
-    return acc
-
-
-def rmat_inv(ring, A):
-    """Inverse over a ring descriptor; works for commutative bases and for
-    quaternion bases (by pivoting on invertible entries)."""
-    n = len(A)
-    m = [row[:] + rmat_identity(ring, n)[i] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            x = m[r][col]
-            if not ring.is_zero(x):
-                try:
-                    ring.inv(x)
-                except ZeroDivisionError:
-                    continue
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix not invertible by pivoting")
-        m[col], m[piv] = m[piv], m[col]
-        pinv = ring.inv(m[col][col])
-        m[col] = [pinv * x for x in m[col]]
-        for r in range(n):
-            if r != col and not ring.is_zero(m[r][col]):
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-# ---------------------------------------------------------------------------
 # Simple factors
 
 
@@ -421,13 +280,13 @@ class SimpleFactor:
             if self.involution != "conjugate_transpose":
                 raise AlgebraError("matrix factors use conjugate_transpose involutions")
             if self.z is None:
-                object.__setattr__(self, "z", _freeze(rmat_identity(self.ring, self.matrix_size)))
+                object.__setattr__(self, "z", _freeze(identity(self.matrix_size, self.ring)))
             zm = self.z_matrix()
-            zct = rmat_conj_transpose(self.ring, zm)
+            zct = conj_transpose(zm, self.ring)
             zneg = [[-x for x in row] for row in zm]
-            if not (rmat_eq(self.ring, zct, zm) or rmat_eq(self.ring, zct, zneg)):
+            if not (mat_eq(zct, zm, self.ring) or mat_eq(zct, zneg, self.ring)):
                 raise AlgebraError("conjugator must be symmetric or skew under the base involution")
-            rmat_inv(self.ring, zm)  # must be invertible
+            inverse(zm, self.ring)  # must be invertible
 
     def z_matrix(self):
         return [list(r) for r in self.z] if self.z is not None else None
@@ -436,7 +295,7 @@ class SimpleFactor:
         cached = getattr(self, "_z_id_flag", None)
         if cached is None:
             zm = self.z_matrix()
-            cached = rmat_eq(self.ring, zm, rmat_identity(self.ring, self.matrix_size))
+            cached = mat_eq(zm, identity(self.matrix_size, self.ring), self.ring)
             object.__setattr__(self, "_z_id_flag", cached)
         return cached
 
@@ -444,7 +303,7 @@ class SimpleFactor:
         cached = getattr(self, "_z_pair", None)
         if cached is None:
             zm = self.z_matrix()
-            cached = (zm, rmat_inv(self.ring, zm))
+            cached = (zm, inverse(zm, self.ring))
             object.__setattr__(self, "_z_pair", cached)
         return cached
 
@@ -473,7 +332,7 @@ class SimpleFactor:
 
     def one(self):
         if self.matrix_size:
-            return rmat_identity(self.ring, self.matrix_size)
+            return identity(self.matrix_size, self.ring)
         return self.ring.one()
 
     def zero(self):
@@ -484,22 +343,22 @@ class SimpleFactor:
 
     def add(self, x, y):
         if self.matrix_size:
-            return rmat_add(x, y)
+            return mat_add(x, y)
         return x + y
 
     def sub(self, x, y):
         if self.matrix_size:
-            return rmat_sub(x, y)
+            return mat_sub(x, y)
         return x - y
 
     def mul(self, x, y):
         if self.matrix_size:
-            return rmat_mul(self.ring, x, y)
+            return mat_mul(x, y, self.ring)
         return x * y
 
     def eq(self, x, y):
         if self.matrix_size:
-            return rmat_eq(self.ring, x, y)
+            return mat_eq(x, y, self.ring)
         return self.ring.is_zero(x - y)
 
     def is_zero_elem(self, x):
@@ -509,17 +368,16 @@ class SimpleFactor:
 
     def scale(self, c: Fraction, x):
         if self.matrix_size:
-            cc = _coerce_scalar(self.ring, c)
-            return [[cc * e for e in row] for row in x]
-        return _coerce_scalar_elem(self.ring, c, x)
+            return mat_scale(c, x, self.ring)
+        return self.ring.coerce(c) * x
 
     def involve(self, x):
         if self.matrix_size:
-            xct = rmat_conj_transpose(self.ring, x)
+            xct = conj_transpose(x, self.ring)
             if self._z_is_identity():
                 return xct
             zm, zinv = self._z_cached()
-            return rmat_mul(self.ring, rmat_mul(self.ring, zinv, xct), zm)
+            return mat_mul(mat_mul(zinv, xct, self.ring), zm, self.ring)
         if self.involution == "identity":
             return x
         if self.involution == "conjugation":
@@ -563,7 +421,7 @@ class SimpleFactor:
 
     def inv_elem(self, x):
         if self.matrix_size:
-            return rmat_inv(self.ring, x)
+            return inverse(x, self.ring)
         return self.ring.inv(x)
 
     # --- norms -------------------------------------------------------------
@@ -575,7 +433,7 @@ class SimpleFactor:
             return x
         if isinstance(self.ring, QuaternionRing):
             return self._nrd_quaternion_matrix(x)
-        return rmat_det(self.ring, x)
+        return det(x, self.ring)
 
     def _nrd_quaternion_matrix(self, x):
         """Reduced norm of M_n(B) for a quaternion algebra B, via the
@@ -592,11 +450,10 @@ class SimpleFactor:
             cols.append(self._center_coords(xe))
         # columns are images; build the matrix of left multiplication
         L = [[cols[j][i] for j in range(dimc)] for i in range(dimc)]
-        cp = _ring_charpoly(center, L)
-        red = poly_nth_root(cp, 2 * n, _center_one(center), _center_zero(center))
-        const = red[0]
-        sign = 1 if (2 * n) % 2 == 0 else -1
-        return const if sign == 1 else -const
+        cp = charpoly(L, center)
+        # the constant term of the degree-2n reduced polynomial is
+        # (-1)^{2n} Nrd(x) = Nrd(x)
+        return poly_nth_root(cp, 2 * n, center.one(), center.zero())[0]
 
     def basis_over_center(self):
         """Basis of the factor as a centre-module (matrix units x 1,i,j,k)."""
@@ -634,53 +491,6 @@ class SimpleFactor:
 
 def _freeze(m):
     return tuple(tuple(row) for row in m)
-
-
-def _coerce_scalar(ring, c: Fraction):
-    if isinstance(ring, RationalRing):
-        return frac(c)
-    if isinstance(ring, QuadRing):
-        return ring.field.from_rational(c)
-    if isinstance(ring, QuaternionRing):
-        return ring.coerce(c)
-    raise AlgebraError("unknown ring")
-
-
-def _coerce_scalar_elem(ring, c: Fraction, x):
-    return _coerce_scalar(ring, c) * x
-
-
-def _center_one(center):
-    return center.one() if not isinstance(center, RationalRing) else Fraction(1)
-
-
-def _center_zero(center):
-    return center.zero() if not isinstance(center, RationalRing) else Fraction(0)
-
-
-def _ring_charpoly(center, L):
-    """Faddeev-LeVerrier characteristic polynomial over a commutative ring
-    descriptor (needs division by integers only)."""
-    n = len(L)
-    one, zero = _center_one(center), _center_zero(center)
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-
-    def mmul(A, B):
-        return [
-            [sum((A[i][t] * B[t][j] for t in range(n)), zero) for j in range(n)]
-            for i in range(n)
-        ]
-
-    M = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        M = mmul(L, M)
-        tr = sum((M[i][i] for i in range(n)), zero)
-        c = -(tr / k)
-        coeffs[n - k] = c
-        for i in range(n):
-            M[i][i] = M[i][i] + c
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +694,7 @@ class OrderR:
         rows = [self.algebra.to_qcoords(b) for b in self.basis_elements]
         m = mat(rows)
         try:
-            minv = qinverse(m)
+            minv = inverse(m)
         except ZeroDivisionError:
             raise AlgebraError("order basis is singular") from None
         object.__setattr__(self, "_minv", minv)

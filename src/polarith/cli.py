@@ -14,10 +14,21 @@ import json
 import sys
 from fractions import Fraction
 
+from .algebras import (
+    AlgebraError,
+    AlgebraWithInvolution,
+    NormSpec,
+    OrderR,
+    QuadRing,
+    QuaternionRing,
+    SimpleFactor,
+    _freeze,
+)
 from .degree_bound import (
     BoundInstance,
     DegreeBoundError,
     OracleBudgetError,
+    brute_force_oracle,
     matrix_instance,
     measure_constant,
     quadfield_instance,
@@ -26,13 +37,14 @@ from .degree_bound import (
 )
 from .exact import ExactError, valuation
 from .forms import (
+    EtalePairRing,
     FormError,
     GramForm,
+    PairElem,
     fourth_power_isometric,
     invariants,
     isometric,
 )
-from .algebras import QuadRing, QuaternionRing, RationalRing
 from .lattices_local import (
     LatticeError,
     PadicContext,
@@ -42,12 +54,12 @@ from .lattices_local import (
     scale,
     split_local_solve,
 )
-from .linalg import det, frac, mat
-from .quadfield import QuadField, QuadFieldError, ResourceError
-from .forms import EtalePairRing, PairElem
+from .linalg import RationalRing, det, frac, mat
+from .quadfield import QuadElem, QuadField, QuadFieldError, ResourceError
 from .hecke_classes import (
     HeckeError,
     equivalence_witness,
+    exhaustive_witness_search,
     generate_classes,
     pairwise_matrix,
 )
@@ -113,18 +125,6 @@ def parse_base(doc, where: str):
     raise InputError("schema:bad-base", f"{where}: unknown base type {t!r}")
 
 
-def serialize_base(ring) -> dict:
-    if isinstance(ring, RationalRing):
-        return {"type": "Q"}
-    if isinstance(ring, QuadRing):
-        return {"type": "quadfield", "D": ring.field.D}
-    if isinstance(ring, QuaternionRing):
-        return {"type": "quaternion", "a": _rat_str(ring.a), "b": _rat_str(ring.b)}
-    if isinstance(ring, EtalePairRing):
-        return {"type": "etale-pair"}
-    raise InputError("internal:base", "unserializable base")
-
-
 def parse_form(doc, where: str = "form") -> GramForm:
     if not isinstance(doc, dict):
         raise InputError("schema:bad-form", f"{where}: expected an object")
@@ -145,8 +145,6 @@ def parse_form(doc, where: str = "form") -> GramForm:
         if isinstance(ring, QuadRing):
             if not isinstance(v, list) or len(v) != 2:
                 raise InputError("schema:bad-entry", f"{w}: quadratic entries are [x, y] pairs")
-            from .quadfield import QuadElem
-
             return QuadElem(ring.field, _rat(v[0], w), _rat(v[1], w))
         if isinstance(ring, QuaternionRing):
             if not isinstance(v, list) or len(v) != 4:
@@ -163,18 +161,6 @@ def parse_form(doc, where: str = "form") -> GramForm:
         return GramForm(doc["kind"], ring, gram)
     except FormError as exc:
         raise InputError("invariant:gram", f"{where}: invariant violation: {exc}") from None
-
-
-def serialize_form_entry(ring, x):
-    if isinstance(ring, RationalRing):
-        return _rat_str(x)
-    if isinstance(ring, QuadRing):
-        return [_rat_str(x.x), _rat_str(x.y)]
-    if isinstance(ring, QuaternionRing):
-        return [_rat_str(c) for c in ring.to_qcoords(x)]
-    if isinstance(ring, EtalePairRing):
-        return [_rat_str(x.x), _rat_str(x.y)]
-    raise InputError("internal:base", "unserializable entry")
 
 
 def serialize_invariants(inv) -> dict:
@@ -269,15 +255,6 @@ def _parse_general_algebra(alg, where: str):
     """The full factor-list algebra descriptor: kind tags, structure
     constants, involution tag plus conjugating element, swap pairs and
     gammas."""
-    from .algebras import (
-        AlgebraWithInvolution,
-        NormSpec,
-        OrderR,
-        SimpleFactor,
-        _freeze,
-    )
-    from .quadfield import QuadElem
-
     factors = []
     for i, fd in enumerate(alg.get("factors", [])):
         kind = fd.get("kind")
@@ -308,8 +285,6 @@ def _parse_general_algebra(alg, where: str):
 
 
 def _general_instance(doc, where: str) -> BoundInstance:
-    from .algebras import AlgebraError, OrderR
-
     try:
         A, spec = _parse_general_algebra(doc["algebra"], where)
         basis_doc = doc.get("order_basis")
@@ -391,8 +366,6 @@ def cmd_degree_bound(doc, args):
         "notes": {k: v if isinstance(v, (bool, int, list)) else str(v) for k, v in res.notes.items()},
     }
     if args.norm_cap is not None:
-        from .degree_bound import brute_force_oracle
-
         cap = _rat(args.norm_cap, "--norm-cap")
         oracle = brute_force_oracle(inst, cap)
         payload["oracle"] = {
@@ -433,8 +406,6 @@ def cmd_hecke_classes(doc, args):
         "witnesses": witnesses,
     }
     if args.height:
-        from .hecke_classes import exhaustive_witness_search
-
         confirmed = True
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
+from math import gcd
 
 from sympy import factorint
 
@@ -29,7 +31,6 @@ from .algebras import (
     NormSpec,
     OrderR,
     QuadRing,
-    RationalRing,
     apply_involution,
     matrix_algebra_q,
     matrix_order_z,
@@ -39,8 +40,10 @@ from .algebras import (
     rational_algebra,
 )
 from .exact import valuation
+from .forms import _leading_minors_positive, symmetric_form_q
 from .lattices_local import PadicContext, PadicLattice, maximal_completion
 from .linalg import (
+    RationalRing,
     det,
     frac,
     hnf,
@@ -57,10 +60,13 @@ from .quadfield import (
     QuadElem,
     QuadField,
     class_group,
+    element_prime_valuation,
     fundamental_unit,
+    is_principal,
+    normalize_generator,
     primes_above,
     prime_splitting,
-    sqrt_in_field,
+    sqrt_twists,
     torsion_units,
     unit_group_absorb,
 )
@@ -184,8 +190,6 @@ def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
 
 def _ideal_exponent_data(F: QuadField, q: QuadElem, p: int):
     """Per-prime local data at p: list of (prime ideal, e_i, k_i)."""
-    from .quadfield import element_prime_valuation
-
     kind = prime_splitting(F, p)
     primes = primes_above(F, p)
     out = []
@@ -216,13 +220,10 @@ def _min_t(data) -> tuple[int, list[int]] | None:
     return None
 
 
-_class_group_cache: dict[int, object] = {}
-
-
+@cache
 def _cached_class_group(F: QuadField):
-    if F.D not in _class_group_cache:
-        _class_group_cache[F.D] = class_group(F)
-    return _class_group_cache[F.D]
+    # QuadField hashes and compares by D alone
+    return class_group(F)
 
 
 def solve_commutative(inst: BoundInstance) -> BoundResult:
@@ -320,16 +321,12 @@ def _principalize_with_ramified_twists(ideal_b: QfIdeal, table, F: QuadField):
     """A generator of ideal_b, possibly after multiplying by ramified
     primes (which keeps b^dagger q b rational, scaled by p).  Returns
     ((generator, rational scale), class index) or (None, index)."""
-    from .quadfield import is_principal, normalize_generator
-
     eps = fundamental_unit(F) if F.is_real else None
     g = is_principal(ideal_b, eps)
     if g is not None:
         return (normalize_generator(g), Fraction(1)), 0
     ram = [p for p in factorint(abs(F.disc)).keys()]
     for r in range(1, len(ram) + 1):
-        from itertools import combinations
-
         for combo in combinations(ram, r):
             tw = ideal_b
             scalef = Fraction(1)
@@ -359,28 +356,21 @@ def _absorb_unit_real(F: QuadField, b0: QuadElem, q: QuadElem, u: QuadElem, big_
         return b, big_m * sign
     # odd exponent: try to write eps = z^2 / c with c a (+-) squarefree
     # divisor of the discriminant (the only possible square ideal supports)
-    divisors = [1]
-    for p in factorint(abs(F.disc)).keys():
-        divisors = divisors + [d * p for d in divisors]
-    for c0 in sorted(divisors):
-        for c in (c0, -c0):
-            z = sqrt_in_field(eps * c)
-            if z is None:
-                continue
-            # eps = z^2 / c ; reduce to exponent +-1 then absorb
-            kk = k % 2  # remaining odd part after even absorption
-            b = b0 * eps ** (-((k - kk) // 2))
-            # now value = big_m * sign * eps^kk * (stuff we multiply b by)^2
-            # multiply b by conj(z): value *= conj(z)^2; eps * conj(z)^2 =
-            # (z conj(z))^2 / (c z^2) * eps^2 ... compute directly instead
-            b_try = b * z.conj()
-            val_elem = b_try * b_try * q
-            if val_elem.is_rational():
-                return b_try, val_elem.as_rational()
-            b_try2 = b * z
-            val_elem2 = b_try2 * b_try2 * q
-            if val_elem2.is_rational():
-                return b_try2, val_elem2.as_rational()
+    for c, z in sqrt_twists(eps):
+        # eps = z^2 / c ; reduce to exponent +-1 then absorb
+        kk = k % 2  # remaining odd part after even absorption
+        b = b0 * eps ** (-((k - kk) // 2))
+        # now value = big_m * sign * eps^kk * (stuff we multiply b by)^2
+        # multiply b by conj(z): value *= conj(z)^2; eps * conj(z)^2 =
+        # (z conj(z))^2 / (c z^2) * eps^2 ... compute directly instead
+        b_try = b * z.conj()
+        val_elem = b_try * b_try * q
+        if val_elem.is_rational():
+            return b_try, val_elem.as_rational()
+        b_try2 = b * z
+        val_elem2 = b_try2 * b_try2 * q
+        if val_elem2.is_rational():
+            return b_try2, val_elem2.as_rational()
     return None, None
 
 
@@ -404,9 +394,7 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     gamma = inst.spec.gammas[0]
     q = inst.q[0]
     m = inst.require_similitude()
-    from .forms import symmetric_form_q as _sf
-
-    if not _leading_ok(q):
+    if not _leading_minors_positive(q):
         return _oracle_fallback(inst, "q is not positive definite")
     qinv = inverse(q)
     detq = det(q)
@@ -434,7 +422,7 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     row_lattices = []
     for p in active:
         ctx = PadicContext(p, 12)
-        lam0 = PadicLattice(ctx, mat_scale(m2, qinv), _sf(q))
+        lam0 = PadicLattice(ctx, mat_scale(m2, qinv), symmetric_form_q(q))
         lam = maximal_completion(lam0, valuation(m2, p))
         rows = _rows_of_integer_lattice(lam.basis)
         # pad with p^K Z^n (inside the local lattice) so the other primes
@@ -467,23 +455,8 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     return res
 
 
-def _leading_ok(g) -> bool:
-    n = len(g)
-    a = [row[:] for row in g]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return True
-
-
 def _rows_of_integer_lattice(basis) -> list[list[int]]:
     rows = transpose(basis)
-    den = 1
     for row in rows:
         for x in row:
             if x.denominator != 1:
@@ -584,15 +557,6 @@ def _find_norm_one(g, k) -> list | None:
     return best
 
 
-def _content(xs) -> int:
-    from math import gcd
-
-    c = 0
-    for x in xs:
-        c = gcd(c, int(x))
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Oracle
 
@@ -686,8 +650,6 @@ def _cleared_similitude_result(inst: BoundInstance) -> BoundResult | None:
     (t a)^dagger q (t a) = t^2 m is a nonzero integer and t a is in R."""
     if inst.a is None:
         return None
-    from math import gcd
-
     coords = inst.order.coordinates(inst.a)
     t = 1
     for c in coords:
@@ -805,11 +767,9 @@ def torus_conductor(order: OrderR, x: tuple) -> int:
     coords_one = A.to_qcoords(one)
     coords_x = A.to_qcoords(x)
     coords_x2 = A.to_qcoords(A.mul(x, x))
-    import itertools
-
     pair = None
     nvars = len(coords_one)
-    for i, j in itertools.combinations(range(nvars), 2):
+    for i, j in combinations(range(nvars), 2):
         d = coords_x[i] * coords_one[j] - coords_x[j] * coords_one[i]
         if d != 0:
             alpha = (coords_x2[i] * coords_one[j] - coords_x2[j] * coords_one[i]) / d

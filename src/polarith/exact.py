@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from sympy import factorint, isprime
 
@@ -128,9 +129,20 @@ def square_class(x: Fraction | int) -> SquareClassQ:
     return SquareClassQ(rep)
 
 
-def is_rational_square(x: Fraction | int) -> bool:
+def rational_sqrt(x: Fraction | int) -> Fraction | None:
+    """The positive square root of x when x is a positive rational square,
+    else None."""
     x = Fraction(x)
-    return x != 0 and square_class(x).is_trivial
+    if x <= 0:
+        return None
+    n, d = isqrt(x.numerator), isqrt(x.denominator)
+    if n * n != x.numerator or d * d != x.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def is_rational_square(x: Fraction | int) -> bool:
+    return rational_sqrt(x) is not None
 
 
 def legendre(a: int, p: int) -> int:

@@ -26,17 +26,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .algebras import (
-    QuadRing,
-    QuaternionRing,
-    RationalRing,
-    rmat_conj_transpose,
-    rmat_eq,
-    rmat_identity,
-    rmat_inv,
-    rmat_mul,
-)
+from .algebras import QuadRing, QuaternionRing
 from .exact import (
     LocalPlace,
     SquareClassQ,
@@ -45,7 +37,17 @@ from .exact import (
     square_class,
     support_places,
 )
-from .linalg import frac
+from .linalg import (
+    RationalRing,
+    conj_transpose,
+    frac,
+    identity,
+    inverse,
+    mat_eq,
+    mat_mul,
+    nullspace,
+    transpose,
+)
 from .quadfield import QuadElem, QuadField, is_square_in_field
 
 
@@ -118,6 +120,9 @@ class EtalePairRing:
             raise ZeroDivisionError
         return PairElem(1 / v.x, 1 / v.y)
 
+    def coerce(self, c):
+        return _pair(c)
+
     def to_qcoords(self, v):
         return [v.x, v.y]
 
@@ -154,6 +159,13 @@ def _entry_conj(kind: str, ring, x):
     if kind in ("symmetric", "skew"):
         return x
     return ring.conj(x)
+
+
+def _kind_conj_transpose(kind: str, ring, a: list) -> list:
+    """a^{iota T}, with iota the entrywise involution of the form kind."""
+    if kind in ("symmetric", "skew"):
+        return transpose(a)
+    return conj_transpose(a, ring)
 
 
 @dataclass
@@ -237,13 +249,13 @@ class GramForm:
 
     def transform(self, u: list) -> "GramForm":
         """The form with Gram u^{iota T} G u (u columns = new basis)."""
-        uct = [[self.entry_conj(u[j][i]) for j in range(self.dim)] for i in range(self.dim)]
-        g = rmat_mul(self.ring, rmat_mul(self.ring, uct, self.gram), u)
+        uct = _kind_conj_transpose(self.kind, self.ring, u)
+        g = mat_mul(mat_mul(uct, self.gram, self.ring), u, self.ring)
         return GramForm(self.kind, self.ring, g)
 
     def is_nonsingular(self) -> bool:
         try:
-            rmat_inv(self.ring, [row[:] for row in self.gram])
+            inverse(self.gram, self.ring)
             return True
         except ZeroDivisionError:
             return False
@@ -339,7 +351,7 @@ def diagonalize(f: GramForm) -> tuple[list, list]:
     ring = f.ring
     n = f.dim
     g = [row[:] for row in f.gram]
-    u = rmat_identity(ring, n)
+    u = identity(n, ring)
 
     def col_op(target, source, c):
         # v_target += v_source * c
@@ -411,17 +423,17 @@ class MatrixInvolution:
     z: list
 
     def apply(self, a: list) -> list:
-        act = [[_entry_conj(self.kind, self.ring, a[j][i]) for j in range(self.n)] for i in range(self.n)]
-        zinv = rmat_inv(self.ring, [row[:] for row in self.z])
-        return rmat_mul(self.ring, rmat_mul(self.ring, zinv, act), self.z)
+        act = _kind_conj_transpose(self.kind, self.ring, a)
+        zinv = inverse(self.z, self.ring)
+        return mat_mul(mat_mul(zinv, act, self.ring), self.z, self.ring)
 
     def same_as(self, other: "MatrixInvolution") -> bool:
         """Equality of involutions: conjugators agree up to a central
         involution-fixed scalar."""
         if self.kind != other.kind or self.ring != other.ring or self.n != other.n:
             return False
-        zinv = rmat_inv(self.ring, [row[:] for row in self.z])
-        m = rmat_mul(self.ring, zinv, other.z)
+        zinv = inverse(self.z, self.ring)
+        m = mat_mul(zinv, other.z, self.ring)
         # m must be a central iota-fixed scalar matrix
         diag = m[0][0]
         for i in range(self.n):
@@ -478,11 +490,11 @@ def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
     system: list[list[Fraction]] = []
     for a in basis_elems:
         fa = fn(a)
-        act = [[_entry_conj(kind, ring, a[j][i]) for j in range(n)] for i in range(n)]
+        act = _kind_conj_transpose(kind, ring, a)
         blocks = []
         for zk in z_units:
-            lhs = rmat_mul(ring, zk, fa)
-            rhs = rmat_mul(ring, act, zk)
+            lhs = mat_mul(zk, fa, ring)
+            rhs = mat_mul(act, zk, ring)
             col = []
             for i in range(n):
                 for j in range(n):
@@ -490,37 +502,30 @@ def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
             blocks.append(col)
         for r in range(len(blocks[0])):
             system.append([blocks[k][r] for k in range(unknowns)])
-    from .linalg import nullspace
-
     null = nullspace(system)
     if not null:
         raise FormError("callable is not an adjoint involution of a form")
     for vec in null:
         z = z_from_coords(vec)
-        zct = rmat_conj_transpose_kind(kind, ring, z)
+        zct = _kind_conj_transpose(kind, ring, z)
         sym = [[(z[i][j] + zct[i][j]) / 2 for j in range(n)] for i in range(n)]
         skw = [[(z[i][j] - zct[i][j]) / 2 for j in range(n)] for i in range(n)]
         for cand in (sym, skw):
             if all(ring.is_zero(x) for row in cand for x in row):
                 continue
             try:
-                rmat_inv(ring, [row[:] for row in cand])
+                inverse(cand, ring)
             except ZeroDivisionError:
                 continue
             inv = MatrixInvolution(kind, ring, n, cand)
             ok = True
             for a in basis_elems[: min(len(basis_elems), 8)]:
-                if not rmat_eq(ring, inv.apply(a), fn(a)):
+                if not mat_eq(inv.apply(a), fn(a), ring):
                     ok = False
                     break
             if ok:
                 return inv
     raise FormError("no invertible symmetric or skew conjugator found")
-
-
-def rmat_conj_transpose_kind(kind, ring, a):
-    n = len(a)
-    return [[_entry_conj(kind, ring, a[j][i]) for j in range(n)] for i in range(n)]
 
 
 def is_positive_involution(inv: MatrixInvolution) -> bool:
@@ -549,7 +554,7 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
     big = [[Fraction(0)] * dim for _ in range(dim)]
     for a in range(dim):
         for b in range(dim):
-            prod = rmat_mul(ring, elems[a], dag[b])
+            prod = mat_mul(elems[a], dag[b], ring)
             tr = Fraction(0)
             for i in range(n):
                 tr += ring.trace_q(prod[i][i])
@@ -566,10 +571,10 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
         raise FormError("involution_to_form supports matrix algebras over Q or a quadratic field")
     n = inv.n
     z = [row[:] for row in inv.z]
-    zct = rmat_conj_transpose_kind(inv.kind, ring, z)
-    if rmat_eq(ring, zct, z):
+    zct = _kind_conj_transpose(inv.kind, ring, z)
+    if mat_eq(zct, z, ring):
         kind = inv.kind if inv.kind == "hermitian" else "symmetric"
-    elif rmat_eq(ring, zct, [[-x for x in row] for row in z]):
+    elif mat_eq(zct, [[-x for x in row] for row in z], ring):
         kind = "skew"
     else:
         raise FormError("conjugator is neither symmetric nor skew: inconsistent involution")
@@ -582,13 +587,13 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
     candidates = []
     for i in range(n):
         v = [ring.zero()] * n
-        v[i] = _ring_one(ring)
+        v[i] = ring.one()
         candidates.append(v)
     for i in range(n):
         for j in range(i + 1, n):
             v = [ring.zero()] * n
-            v[i] = _ring_one(ring)
-            v[j] = _ring_one(ring)
+            v[i] = ring.one()
+            v[j] = ring.one()
             candidates.append(v)
     for v0 in candidates:
         s = form.evaluate(v0, v0)
@@ -605,10 +610,6 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
             "internal bug: a positive involution must admit a positive definite form"
         )
     raise FormError("involution is not positive: no positive definite form exists")
-
-
-def _ring_one(ring):
-    return ring.one()
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +826,6 @@ def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
     def pool_for(target):
         if target in pools:
             return pools[target]
-        from itertools import product
-
         out = [cand for cand in product(values, repeat=n) if qform(cand) == target]
         pools[target] = out
         return out
@@ -923,11 +922,9 @@ def etale_pair_witness(f1: GramForm, f2: GramForm):
     n = f1.dim
     a1 = [[f1.gram[i][j].x for j in range(n)] for i in range(n)]
     a2 = [[f2.gram[i][j].x for j in range(n)] for i in range(n)]
-    from .linalg import inverse, mat_mul
-
     u2t = mat_mul(a2, inverse(a1))
     u = [[PairElem(Fraction(int(i == j)), u2t[j][i]) for j in range(n)] for i in range(n)]
-    assert rmat_eq(f1.ring, f1.transform(u).gram, f2.gram)
+    assert mat_eq(f1.transform(u).gram, f2.gram, f1.ring)
     return u
 
 

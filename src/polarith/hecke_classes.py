@@ -20,6 +20,7 @@ from math import gcd
 
 from sympy import factorint, primerange
 
+from .exact import is_rational_square
 from .quadfield import (
     QfIdeal,
     QuadElem,
@@ -31,7 +32,7 @@ from .quadfield import (
     is_totally_positive,
     prime_splitting,
     primes_above,
-    sqrt_in_field,
+    sqrt_twists,
 )
 
 
@@ -73,10 +74,7 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     if q.is_zero() or r.is_zero():
         raise HeckeError("zero element")
     s = q / r
-    nm = s.norm()
-    from .exact import is_rational_square
-
-    if nm <= 0 or not is_rational_square(nm):
+    if not is_rational_square(s.norm()):
         return None
     ideal_s = QfIdeal.principal(s)
     factors = factor_ideal(ideal_s)
@@ -129,29 +127,22 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
         raise HeckeError("internal: unit bookkeeping failed")
     # try to absorb the unit: u0 * w must be a square for a rational w
     # supported on -1 and the ramified primes
-    divisors = [1]
-    for p in factorint(abs(F.disc)).keys():
-        divisors = divisors + [d * p for d in divisors]
-    for d in sorted(divisors):
-        for w in (d, -d):
-            y = sqrt_in_field(u0 * w)
-            if y is None:
-                continue
-            # s * (c0 w) = (x0 y)^2
-            u = x0 * y
-            n = c0 * w
-            # clear denominators: n q = u^2 r with integer n, integral u
-            t = u.x.denominator
-            t = t * u.y.denominator // gcd(t, u.y.denominator)
-            t_n = Fraction(n * t * t)
-            u_int = u * t
-            extra = t_n.denominator
-            u_int = u_int * extra
-            n_int = t_n * extra * extra
-            assert n_int.denominator == 1
-            if rosati_transport_check(q, r, u_int, n_int):
-                return int(n_int), u_int
-            raise HeckeError("internal: witness failed verification")
+    for w, y in sqrt_twists(u0):
+        # s * (c0 w) = (x0 y)^2
+        u = x0 * y
+        n = c0 * w
+        # clear denominators: n q = u^2 r with integer n, integral u
+        t = u.x.denominator
+        t = t * u.y.denominator // gcd(t, u.y.denominator)
+        t_n = Fraction(n * t * t)
+        u_int = u * t
+        extra = t_n.denominator
+        u_int = u_int * extra
+        n_int = t_n * extra * extra
+        assert n_int.denominator == 1
+        if rosati_transport_check(q, r, u_int, n_int):
+            return int(n_int), u_int
+        raise HeckeError("internal: witness failed verification")
     return None
 
 

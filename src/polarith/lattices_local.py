@@ -22,7 +22,7 @@ from itertools import permutations, product
 
 from sympy import isprime
 
-from .exact import legendre, valuation
+from .exact import legendre, rational_sqrt, unit_residue, valuation
 from .forms import GramForm, symmetric_form_q
 from .linalg import (
     Matrix,
@@ -177,8 +177,6 @@ def unimodular_isometric(g1: Matrix, g2: Matrix, p: int) -> bool:
         raise LatticeError("forms must be unimodular (unit determinant)")
     if len(g1) != len(g2):
         return False
-    from .exact import unit_residue
-
     return legendre(unit_residue(d1 * d2, p), p) == 1
 
 
@@ -291,8 +289,6 @@ def _reduce_to_standard(u: Matrix, ctx: PadicContext) -> Matrix:
         units.append(valuation(d, p) == 0)
     if not all(units):
         raise LatticeError("diagonalization produced a non-unit entry")
-    from .exact import unit_residue
-
     mod = p**k
     residues = [unit_residue(d, p, mod) for d in diag]
     cols = [[t[r][c] for r in range(n)] for c in range(n)]
@@ -383,17 +379,6 @@ def _is_scalar_matrix(m: Matrix) -> Fraction | None:
             elif m[i][j] != 0:
                 return None
     return d
-
-
-def _rational_sqrt_or_none(x: Fraction) -> Fraction | None:
-    from math import isqrt
-
-    if x <= 0:
-        return None
-    a, b = isqrt(x.numerator), isqrt(x.denominator)
-    if a * a == x.numerator and b * b == x.denominator:
-        return Fraction(a, b)
-    return None
 
 
 def _cayley_orthogonal_round(h: Matrix, ctx: PadicContext) -> Matrix:
@@ -499,7 +484,7 @@ def split_local_solve(
     qinv = inverse(q)
     if not _mat_p_integral(mat_scale(m_prime, qinv), p):
         raise LatticeError("m' q^{-1} must be p-integral")
-    s = _rational_sqrt_or_none(m_prime / m)
+    s = rational_sqrt(m_prime / m)
     if s is None:
         raise LatticeError(
             "m'/m must be a positive rational square for an exact certificate"

@@ -1,16 +1,21 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra: the one matrix layer of the package.
 
-Matrices are plain lists of lists of Fraction.  Everything here is
-denominator-exact; no floats appear anywhere in the package.
+Matrices are plain lists of rows.  Every matrix operation is written once,
+generic over a ring descriptor (`Ring`): the rationals (`QQ`, the default),
+quadratic fields, quaternion algebras and the etale pair Q x Q.  Integer
+Hermite normal forms, lattice intersection and polynomial roots live here
+too.  Everything is denominator-exact; no floats appear anywhere in the
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
+from typing import Protocol, runtime_checkable
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
 
 def frac(x) -> Fraction:
@@ -21,155 +26,232 @@ def mat(rows) -> Matrix:
     return [[frac(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+# ---------------------------------------------------------------------------
+# Ring descriptors
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return [[Fraction(0)] * m for _ in range(n)]
+@runtime_checkable
+class Ring(Protocol):
+    """The ring methods the matrix layer calls.  Elements support +, -, *
+    and unary minus among themselves and with int and Fraction scalars."""
+
+    def zero(self): ...
+
+    def one(self): ...
+
+    def is_zero(self, x) -> bool: ...
+
+    def conj(self, x): ...
+
+    def inv(self, x):
+        """The two-sided inverse; raises ZeroDivisionError when there is
+        none (zero, or a zero divisor of a split algebra)."""
+
+    def coerce(self, c):
+        """The ring element of an int or Fraction scalar."""
 
 
-def transpose(a: Matrix) -> Matrix:
+class RationalRing:
+    """Q, with the identity involution."""
+
+    dim_q = 1
+
+    def one(self):
+        return Fraction(1)
+
+    def zero(self):
+        return Fraction(0)
+
+    def is_zero(self, x):
+        return x == 0
+
+    def conj(self, x):
+        return x
+
+    def inv(self, x):
+        if x == 0:
+            raise ZeroDivisionError
+        return 1 / x
+
+    def coerce(self, c):
+        return frac(c)
+
+    def to_qcoords(self, x):
+        return [frac(x)]
+
+    def from_qcoords(self, coords):
+        return coords[0]
+
+    def trace_q(self, x):
+        return frac(x)
+
+    def as_rational(self, x):
+        return frac(x)
+
+    def is_rational(self, x):
+        return True
+
+    def __repr__(self):
+        return "Q"
+
+    def __eq__(self, other):
+        return isinstance(other, RationalRing)
+
+    def __hash__(self):
+        return hash("RationalRing")
+
+
+QQ = RationalRing()
+
+
+# ---------------------------------------------------------------------------
+# Matrices over a ring descriptor
+
+
+def identity(n: int, ring: Ring = QQ) -> list:
+    one, zero = ring.one(), ring.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
+def conj_transpose(a: list, ring: Ring) -> list:
+    return [[ring.conj(x) for x in col] for col in zip(*a)]
+
+
+def mat_add(a: list, b: list) -> list:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+def mat_sub(a: list, b: list) -> list:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = frac(c)
+def mat_scale(c, a: list, ring: Ring = QQ) -> list:
+    """The matrix c * a, for c an int, a Fraction or an element of the ring."""
+    c = ring.coerce(c)
     return [[c * x for x in row] for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+def mat_mul(a: list, b: list, ring: Ring = QQ) -> list:
+    zero = ring.zero()
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col), zero) for col in bt] for row in a]
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+def mat_eq(a: list, b: list, ring: Ring = QQ) -> bool:
+    return all(ring.is_zero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+def det(a: list, ring: Ring = QQ):
+    """Determinant over a commutative ring descriptor with division, by
+    forward Gaussian elimination."""
+    is_zero = ring.is_zero
     n = len(a)
     m = [row[:] for row in a]
     sign = 1
-    acc = Fraction(1)
+    acc = ring.one()
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if not is_zero(m[r][col])), None)
         if piv is None:
-            return Fraction(0)
+            return ring.zero()
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
-        p = m[col][col]
-        acc *= p
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / p
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return acc * sign
+        prow = m[col]
+        acc = acc * prow[col]
+        below = [r for r in range(col + 1, n) if not is_zero(m[r][col])]
+        if below:
+            pinv = ring.inv(prow[col])
+            # columns <= col are never read again
+            tail = prow[col + 1 :]
+            for r in below:
+                row = m[r]
+                f = row[col] * pinv
+                row[col + 1 :] = [x - f * y for x, y in zip(row[col + 1 :], tail)]
+    return -acc if sign < 0 else acc
 
 
-def solve(a: Matrix, rhs: Vector) -> Vector:
-    """Solve a x = rhs for square nonsingular a."""
+def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
+    """Gauss-Jordan elimination of m in place on its first ncols columns,
+    returning the pivot columns.  Pivot rows are scaled to a leading one by
+    left multiplication with the pivot's inverse (so non-commutative bases
+    work); a nonzero entry without an inverse (a zero divisor of a split
+    quaternion algebra) is passed over as a pivot."""
+    is_zero = ring.is_zero
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        for rr in range(r, len(m)):
+            if is_zero(m[rr][c]):
+                continue
+            try:
+                pinv = ring.inv(m[rr][c])
+            except ZeroDivisionError:
+                continue
+            break
+        else:
+            continue
+        m[r], m[rr] = m[rr], m[r]
+        prow = m[r] = [pinv * x for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and not is_zero(row[c]):
+                f = row[c]
+                m[i] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def inverse(a: list, ring: Ring = QQ) -> list:
+    """The two-sided inverse; raises ZeroDivisionError when elimination
+    finds no invertible pivot for some column."""
     n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    m = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m = [row + eye for row, eye in zip(a, identity(n, ring))]
+    if len(_row_reduce(m, n, ring)) < n:
+        raise ZeroDivisionError("matrix not invertible by pivoting")
     return [row[n:] for row in m]
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel of a (possibly non-square)."""
+def nullspace(a: list, ring: Ring = QQ) -> list[list]:
+    """Basis of the right kernel of a (possibly non-square) over a field."""
     if not a:
         return []
-    rows = len(a)
     cols = len(a[0])
-    m = [row[:] for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if m[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    m = list(a)  # _row_reduce replaces rows, never edits them
+    pivots = _row_reduce(m, cols, ring)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [ring.zero()] * cols
+        v[fc] = ring.one()
         for i, pc in enumerate(pivots):
             v[pc] = -m[i][fc]
         basis.append(v)
     return basis
 
 
-def is_integral(a: Matrix) -> bool:
-    return all(x.denominator == 1 for row in a for x in row)
+def charpoly(a: list, ring: Ring = QQ) -> list:
+    """Characteristic polynomial of a (monic, coefficients low-to-high) over
+    a commutative ring descriptor, by the Faddeev-LeVerrier recursion (it
+    divides by integers only)."""
+    n = len(a)
+    coeffs = [ring.zero()] * n + [ring.one()]
+    m = identity(n, ring)
+    for k in range(1, n + 1):
+        m = mat_mul(a, m, ring)
+        c = sum((m[i][i] for i in range(n)), ring.zero()) * Fraction(-1, k)
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] = m[i][i] + c
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Integer lattices
 
 
 def denominator_lcm(a: Matrix) -> int:
@@ -251,22 +333,8 @@ def lattice_intersection(bases: list[list[list[int]]], n: int) -> list[list[int]
     return acc
 
 
-def charpoly(a: Matrix) -> list[Fraction]:
-    """Characteristic polynomial of a (monic, coefficients low-to-high)
-    by the Faddeev-LeVerrier recursion."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        tr = sum((m[i][i] for i in range(n)), Fraction(0))
-        c = -tr / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
+# ---------------------------------------------------------------------------
+# Polynomials
 
 
 def poly_mul(p: list, q: list, zero):

@@ -16,8 +16,8 @@ from math import gcd, isqrt
 
 from sympy import factorint, isprime, primerange
 
-from .exact import is_rational_square
-from .linalg import frac, hnf, inverse, mat
+from .exact import rational_sqrt, valuation
+from .linalg import frac, hnf
 
 
 class QuadFieldError(ValueError):
@@ -221,24 +221,7 @@ def is_totally_positive(x: QuadElem) -> bool:
 
 def is_square_in_field(x: QuadElem) -> bool:
     """Exact test for x in F^x2 (or x = 0)."""
-    if x.is_zero():
-        return True
-    if x.is_rational():
-        c = x.as_rational()
-        return is_rational_square(c) or is_rational_square(c * x.field.D)
-    n = x.norm()
-    if n < 0 or not is_rational_square(n):
-        return False
-    n0sq = _rational_sqrt(n)
-    for n0 in (n0sq, -n0sq):
-        tau2 = x.trace() + 2 * n0
-        if tau2 > 0 and is_rational_square(tau2):
-            tau = _rational_sqrt(tau2)
-            if tau != 0:
-                y = (x + n0) / tau
-                if y * y == x:
-                    return True
-    return False
+    return sqrt_in_field(x) is not None
 
 
 def sqrt_in_field(x: QuadElem) -> QuadElem | None:
@@ -247,32 +230,36 @@ def sqrt_in_field(x: QuadElem) -> QuadElem | None:
         return x.field.zero()
     if x.is_rational():
         c = x.as_rational()
-        if is_rational_square(c):
-            return x.field.from_rational(_rational_sqrt(c))
-        if is_rational_square(c * x.field.D):
-            t = _rational_sqrt(c * x.field.D)
+        r = rational_sqrt(c)
+        if r is not None:
+            return x.field.from_rational(r)
+        t = rational_sqrt(c * x.field.D)
+        if t is not None:
             return x.field.sqrtD() * (t / x.field.D)
         return None
-    n = x.norm()
-    if n < 0 or not is_rational_square(n):
+    n0sq = rational_sqrt(x.norm())
+    if n0sq is None:
         return None
-    n0sq = _rational_sqrt(n)
     for n0 in (n0sq, -n0sq):
-        tau2 = x.trace() + 2 * n0
-        if tau2 > 0 and is_rational_square(tau2):
-            tau = _rational_sqrt(tau2)
-            if tau != 0:
-                y = (x + n0) / tau
-                if y * y == x:
-                    return y
+        tau = rational_sqrt(x.trace() + 2 * n0)
+        if tau is not None:
+            y = (x + n0) / tau
+            if y * y == x:
+                return y
     return None
 
 
-def _rational_sqrt(x: Fraction) -> Fraction:
-    n, d = isqrt(x.numerator), isqrt(x.denominator)
-    if n * n != x.numerator or d * d != x.denominator:
-        raise QuadFieldError(f"{x} is not a rational square")
-    return Fraction(n, d)
+def sqrt_twists(x: QuadElem):
+    """Yield (w, y) with y^2 = x * w, for w over the +-squarefree divisors of
+    the discriminant in ascending |w|, +w before -w."""
+    divisors = [1]
+    for p in factorint(abs(x.field.disc)):
+        divisors = divisors + [d * p for d in divisors]
+    for d in sorted(divisors):
+        for w in (d, -d):
+            y = sqrt_in_field(x * w)
+            if y is not None:
+                yield w, y
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +322,8 @@ class QfIdeal:
 
     def is_ideal(self) -> bool:
         """Check closure under multiplication by the maximal order."""
-        b = self.basis_elements()
-        m = mat([[frac(r[0]), frac(r[1])] for r in self.num])
-        minv = inverse(m)
-        for e in b:
-            ew = e * self.field.omega()
-            coords = [ew.x * self.den, ew.y * self.den]
-            sol = [coords[0] * minv[0][0] + coords[1] * minv[1][0],
-                   coords[0] * minv[0][1] + coords[1] * minv[1][1]]
-            if any(c.denominator != 1 for c in sol):
-                return False
-        return True
+        omega = self.field.omega()
+        return all(self.contains(e * omega) for e in self.basis_elements())
 
     def norm(self) -> Fraction:
         d = self.num[0][0] * self.num[1][1] - self.num[0][1] * self.num[1][0]
@@ -380,12 +358,14 @@ class QfIdeal:
         return self.den == 1
 
     def contains(self, e: QuadElem) -> bool:
-        m = mat([[frac(r[0]), frac(r[1])] for r in self.num])
-        minv = inverse(m)
-        coords = [e.x * self.den, e.y * self.den]
-        sol = [coords[0] * minv[0][0] + coords[1] * minv[1][0],
-               coords[0] * minv[0][1] + coords[1] * minv[1][1]]
-        return all(c.denominator == 1 for c in sol)
+        """e in (1/den) (Z (a, b) + Z (0, c)), by integer division against the
+        HNF rows [[a, b], [0, c]]."""
+        (a, b), (_, c) = self.num
+        x, y = e.x * self.den, e.y * self.den
+        if x.denominator != 1 or y.denominator != 1:
+            return False
+        s, r = divmod(x.numerator, a)
+        return r == 0 and (y.numerator - s * b) % c == 0
 
     def as_json_dict(self) -> dict:
         """HNF basis and denominator, integers as strings (exact at any size)."""
@@ -459,9 +439,7 @@ def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
     field = e.field
     kind = prime_splitting(field, p)
     nv_num = e.norm()
-    from .exact import valuation as qval
-
-    vn = qval(nv_num, p)
+    vn = valuation(nv_num, p)
     if kind == "inert":
         assert vn % 2 == 0
         return vn // 2
@@ -477,25 +455,21 @@ def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
 
 
 def qval_den_bound(e: QuadElem, p: int) -> int:
-    from .exact import valuation as qval
-
     b = 0
     for c in (e.x, e.y):
         if c != 0:
-            b = max(b, -qval(c, p) if qval(c, p) < 0 else 0)
+            b = max(b, -valuation(c, p) if valuation(c, p) < 0 else 0)
     return b
 
 
 def x_plus_yr_valuation(e: QuadElem, r: int, p: int) -> int:
-    from .exact import valuation as qval
-
     s = e.x + e.y * r
     if s == 0:
         # x + y*r is only an approximation of the embedding; s = 0 exactly
         # means the true valuation is at least the lift precision, which
         # exceeds v_p(norm): the other conjugate carries the valuation.
-        return qval(e.norm(), p) - x_plus_yr_valuation(e.conj(), r, p)
-    return qval(s, p)
+        return valuation(e.norm(), p) - x_plus_yr_valuation(e.conj(), r, p)
+    return valuation(s, p)
 
 
 def ideal_prime_valuation(ideal: QfIdeal, p: int, which: int = 0) -> int:

@@ -44,9 +44,8 @@ from polarith.lattices_local import (
     split_local_solve,
     unimodular_isometric,
 )
-from polarith.linalg import det, identity, mat, mat_mul, transpose
+from polarith.linalg import RationalRing, det, identity, mat, mat_mul, transpose
 from polarith.quadfield import QuadElem, QuadField
-from polarith.algebras import RationalRing, rmat_mul
 
 QR = RationalRing()
 
@@ -388,8 +387,8 @@ def test_criterion_8_positivity_lemmas():
             b = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
             if det(b) != 0:
                 break
-        q = rmat_mul(QR, b, inv.apply(b))
-        psi_q = GramForm(f.kind, f.ring, rmat_mul(QR, f.gram, q))
+        q = mat_mul(b, inv.apply(b), QR)
+        psi_q = GramForm(f.kind, f.ring, mat_mul(f.gram, q, QR))
         assert is_positive_definite(psi_q), "psi_q must be positive definite"
         done += 1
     assert done == 100

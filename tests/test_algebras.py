@@ -12,7 +12,6 @@ from polarith.algebras import (
     OrderR,
     QuadRing,
     QuaternionRing,
-    RationalRing,
     SimpleFactor,
     apply_involution,
     local_norm,
@@ -25,6 +24,7 @@ from polarith.algebras import (
     quaternion_algebra_q,
     rational_algebra,
 )
+from polarith.linalg import RationalRing
 from polarith.quadfield import QuadField
 
 F5 = QuadField(5)

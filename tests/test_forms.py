@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarith.algebras import QuadRing, QuaternionRing, RationalRing, rmat_eq, rmat_mul
+from polarith.algebras import QuadRing, QuaternionRing
 from polarith.exact import REAL_PLACE, LocalPlace, square_class
 from polarith.forms import (
     EtalePairRing,
@@ -29,6 +29,7 @@ from polarith.forms import (
     symmetric_form_q,
     trace_gram,
 )
+from polarith.linalg import RationalRing, mat_mul
 from polarith.quadfield import QuadField
 
 QR = RationalRing()
@@ -356,8 +357,8 @@ def test_lemma_positive_adjoint_and_psi_q():
 
             if qdet(b) != 0:
                 break
-        q = rmat_mul(QR, b, inv.apply(b))
-        psi_q = GramForm(f.kind, f.ring, rmat_mul(QR, f.gram, q))
+        q = mat_mul(b, inv.apply(b), QR)
+        psi_q = GramForm(f.kind, f.ring, mat_mul(f.gram, q, QR))
         assert is_positive_definite(psi_q)
 
 

@@ -1,0 +1,178 @@
+"""Properties of the one matrix layer (`polarith.linalg`) over every ring
+descriptor the package uses: Q, a real and an imaginary quadratic field, a
+quaternion division algebra, a split quaternion algebra and the etale pair
+Q x Q."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from polarith.algebras import QuadRing, QuaternionRing
+from polarith.forms import EtalePairRing
+from polarith.linalg import (
+    QQ,
+    Ring,
+    charpoly,
+    conj_transpose,
+    det,
+    identity,
+    inverse,
+    mat_eq,
+    mat_mul,
+    nullspace,
+    transpose,
+)
+from polarith.quadfield import QuadField
+
+REAL = QuadRing(QuadField(5))
+IMAG = QuadRing(QuadField(-3))
+QUAT_DIVISION = QuaternionRing(QQ, Fraction(-1), Fraction(-3))
+QUAT_SPLIT = QuaternionRing(QQ, Fraction(1), Fraction(1))
+PAIR = EtalePairRing()
+
+RINGS = {"Q": QQ, "real": REAL, "imag": IMAG, "quat": QUAT_DIVISION, "split": QUAT_SPLIT, "pair": PAIR}
+ALL_RINGS = [pytest.param(ring, id=name) for name, ring in RINGS.items()]
+COMMUTATIVE = [pytest.param(RINGS[name], id=name) for name in ("Q", "real", "imag", "pair")]
+DIVISION = [pytest.param(RINGS[name], id=name) for name in ("Q", "real", "imag", "quat")]
+
+PROPS = settings(max_examples=40, deadline=None)
+
+small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+def elements(ring):
+    return st.lists(small, min_size=ring.dim_q, max_size=ring.dim_q).map(ring.from_qcoords)
+
+
+def matrices(ring, rows, cols):
+    return st.lists(
+        st.lists(elements(ring), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+def square_pairs(ring):
+    """(A, B) square of the same size 1..3."""
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(matrices(ring, n, n), matrices(ring, n, n)))
+
+
+def any_shape(ring):
+    return st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+        lambda rc: matrices(ring, *rc)
+    )
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_every_ring_descriptor_satisfies_the_protocol(ring):
+    assert isinstance(ring, Ring)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@PROPS
+@given(data=st.data())
+def test_inverse_is_two_sided(ring, data):
+    a, _ = data.draw(square_pairs(ring))
+    n = len(a)
+    try:
+        ainv = inverse(a, ring)
+    except ZeroDivisionError:
+        if not isinstance(ring, QuaternionRing):
+            # over a commutative ring a singular pivot search means a
+            # non-unit determinant
+            try:
+                d = det(a, ring)
+            except ZeroDivisionError:
+                return
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(d)
+        return
+    eye = identity(n, ring)
+    assert mat_eq(mat_mul(ainv, a, ring), eye, ring)
+    assert mat_eq(mat_mul(a, ainv, ring), eye, ring)
+
+
+@pytest.mark.parametrize("ring", DIVISION)
+@PROPS
+@given(data=st.data())
+def test_inverse_exists_exactly_for_full_rank(ring, data):
+    a, _ = data.draw(square_pairs(ring))
+    try:
+        inverse(a, ring)
+        invertible = True
+    except ZeroDivisionError:
+        invertible = False
+    assert invertible == (nullspace(a, ring) == [])
+
+
+def test_inverse_passes_over_a_zero_divisor_pivot():
+    """Split quaternions have zero divisors: 1 + i has reduced norm 0 when
+    i^2 = 1, so elimination must pivot on the 1 below it."""
+    r = QUAT_SPLIT
+    z = r.one() + r.i()
+    with pytest.raises(ZeroDivisionError):
+        r.inv(z)
+    a = [[z, r.one()], [r.one(), r.zero()]]
+    expected = [[r.zero(), r.one()], [r.one(), -z]]
+    assert mat_eq(inverse(a, r), expected, r)
+
+
+@pytest.mark.parametrize("ring", COMMUTATIVE)
+@PROPS
+@given(data=st.data())
+def test_det_is_multiplicative(ring, data):
+    a, b = data.draw(square_pairs(ring))
+    try:
+        lhs = det(mat_mul(a, b, ring), ring)
+        rhs = det(a, ring) * det(b, ring)
+    except ZeroDivisionError:
+        # Q x Q has zero divisors: elimination may meet a non-unit pivot
+        assume(ring is not PAIR)
+        raise
+    assert ring.is_zero(lhs - rhs)
+    assert ring.is_zero(det(identity(len(a), ring), ring) - ring.one())
+
+
+@pytest.mark.parametrize("ring", DIVISION)
+@PROPS
+@given(data=st.data())
+def test_nullspace_is_the_kernel_and_rank_plus_nullity_is_n(ring, data):
+    a = data.draw(any_shape(ring))
+    rows, cols = len(a), len(a[0])
+    null = nullspace(a, ring)
+    for v in null:
+        image = mat_mul(a, [[x] for x in v], ring)
+        assert all(ring.is_zero(row[0]) for row in image)
+    # row rank = column rank: the adjoint of an m x n matrix has the same rank
+    null_adj = nullspace(conj_transpose(a, ring), ring)
+    assert cols - len(null) == rows - len(null_adj)
+    assert 0 <= cols - len(null) <= min(rows, cols)
+
+
+@pytest.mark.parametrize("ring", COMMUTATIVE)
+@PROPS
+@given(data=st.data())
+def test_charpoly_constant_term_is_signed_det(ring, data):
+    a, _ = data.draw(square_pairs(ring))
+    n = len(a)
+    cp = charpoly(a, ring)
+    assert len(cp) == n + 1 and ring.is_zero(cp[n] - ring.one())
+    trace = sum((a[i][i] for i in range(n)), ring.zero())
+    assert ring.is_zero(cp[n - 1] + trace)
+    try:
+        d = det(a, ring)
+    except ZeroDivisionError:
+        assume(ring is not PAIR)
+        raise
+    assert ring.is_zero(cp[0] - (d if n % 2 == 0 else -d))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@PROPS
+@given(data=st.data())
+def test_conj_transpose_reverses_products(ring, data):
+    a, b = data.draw(square_pairs(ring))
+    lhs = conj_transpose(mat_mul(a, b, ring), ring)
+    rhs = mat_mul(conj_transpose(b, ring), conj_transpose(a, ring), ring)
+    assert mat_eq(lhs, rhs, ring)
+    assert transpose(transpose(a)) == a
