@@ -457,7 +457,8 @@ class SimpleFactor:
 
     def basis_over_center(self):
         """Basis of the factor as a centre-module (matrix units x 1,i,j,k)."""
-        assert isinstance(self.ring, QuaternionRing)
+        if not isinstance(self.ring, QuaternionRing):
+            raise AlgebraError("internal: basis_over_center needs a quaternion base")
         n = self.matrix_size
         qb = self.ring.basis()
         out = []
@@ -767,7 +768,8 @@ def quaternion_algebra_q(a, b) -> AlgebraWithInvolution:
 
 def maximal_order_quadfield(algebra: AlgebraWithInvolution) -> OrderR:
     f = algebra.factors[0]
-    assert isinstance(f.ring, QuadRing)
+    if not isinstance(f.ring, QuadRing):
+        raise AlgebraError("internal: maximal_order_quadfield needs a quadratic field")
     field = f.ring.field
     return OrderR(algebra, (
         (field.one(),),

@@ -269,6 +269,11 @@ def _parse_general_algebra(alg, where: str):
             factors.append(SimpleFactor(ring, involution="canonical"))
         elif kind == "matrix":
             base = parse_base(fd.get("base", {"type": "Q"}), w + ".base")
+            if isinstance(base, EtalePairRing):
+                raise InputError(
+                    "schema:bad-algebra",
+                    f"{w}: Q x Q is not simple; write it as two factors with swap_pairs",
+                )
             n = int(fd["n"])
             z = fd.get("z")
             zf = _freeze(_matrix(z, w + ".z")) if z is not None else None
@@ -377,13 +382,22 @@ def cmd_degree_bound(doc, args):
     return 0, payload
 
 
+def _prime_cap(doc) -> int:
+    cap = doc.get("prime_cap", 10_000)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
+        raise InputError("schema:bad-field", "prime_cap must be an integer >= 2")
+    return cap
+
+
 def cmd_hecke_classes(doc, args):
     D = doc.get("D")
     count = doc.get("count")
     if not isinstance(D, int) or not isinstance(count, int):
         raise InputError("schema:missing-field", "need integer D and count")
+    if args.height < 0:
+        raise HeckeError("height must be >= 0")
     field = QuadField(D)
-    reps = generate_classes(field, count, prime_cap=doc.get("prime_cap", 10_000))
+    reps = generate_classes(field, count, prime_cap=_prime_cap(doc))
     ser = []
     for r in reps:
         ser.append(
@@ -460,6 +474,7 @@ def validate_only(verb: str, doc) -> list[dict]:
         elif verb == "hecke-classes":
             if not isinstance(doc.get("D"), int) or not isinstance(doc.get("count"), int):
                 raise InputError("schema:missing-field", "need integer D and count")
+            _prime_cap(doc)
             QuadField(doc["D"])
         elif verb == "measure-constant":
             for i, d in enumerate(doc.get("instances", [])):
@@ -507,6 +522,9 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         _emit({"error": {"code": "io:input", "message": str(exc)}}, args)
+        return 1
+    if not isinstance(doc, dict):
+        _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}}, args)
         return 1
 
     if args.verb == "validate":

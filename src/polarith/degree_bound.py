@@ -266,7 +266,8 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
         return res
 
     nq = inst.norm_q()
-    assert nq.denominator == 1
+    if nq.denominator != 1:
+        raise DegreeBoundError("internal: Nm(q) is not an integer")
     support = sorted(factorint(int(nq)).keys())
     factors: list[tuple[QfIdeal, int]] = []
     big_m = Fraction(1)
@@ -398,7 +399,8 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
         return _oracle_fallback(inst, "q is not positive definite")
     qinv = inverse(q)
     detq = det(q)
-    assert detq.denominator == 1
+    if detq.denominator != 1:
+        raise DegreeBoundError("internal: det(q) is not an integer")
     bad = set(factorint(abs(int(detq))).keys())
     bad |= set(factorint(m.numerator * m.denominator).keys())
     bad.discard(1)
@@ -412,7 +414,8 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
         elif valuation(m, p) < 0:
             s *= Fraction(p) ** ((-valuation(m, p) + 1) // 2)
     m2 = m * s * s
-    assert m2.denominator == 1 and m2 > 0
+    if m2.denominator != 1 or m2 <= 0:
+        raise DegreeBoundError("internal: m'' is not a positive integer")
     # at each active odd prime, the maximal completion of m'' q^{-1} Z_p^n
     # is the local solution lattice; complete it to a global integer
     # lattice that is Z_l^n at every other prime, then intersect

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebras import QuadRing, QuaternionRing
 from .exact import (
@@ -606,9 +607,7 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
         if is_positive_definite(rescaled_neg):
             return rescaled_neg
     if is_positive_involution(inv):
-        raise AssertionError(
-            "internal bug: a positive involution must admit a positive definite form"
-        )
+        raise FormError("internal: a positive involution must admit a positive definite form")
     raise FormError("involution is not positive: no positive definite form exists")
 
 
@@ -798,46 +797,60 @@ def isometric(f1: GramForm, f2: GramForm) -> IsometryDecision:
 
 def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
     """Brute-force oracle for rational symmetric forms: a matrix u of entry
-    height <= `height` with u^T G1 u = G2, or None within the bound."""
-    if f1.kind != "symmetric" or not isinstance(f1.ring, RationalRing):
-        raise FormError("witness search is for rational symmetric forms")
+    height <= `height` with u^T G1 u = G2, or None within the bound.
+
+    Every entry num/den with num, den <= height is k/L for L = lcm(1..height),
+    and G1 = G/M for an integer matrix G, so the columns are searched as
+    integer vectors k with k^T G k' = G2 L^2 M."""
+    for f in (f1, f2):
+        if f.kind != "symmetric" or not isinstance(f.ring, RationalRing):
+            raise FormError("witness search is for rational symmetric forms")
     if f1.dim != f2.dim:
         return None
     if height < 1:
         raise FormError("height must be >= 1")
     n = f1.dim
-    g1, g2 = f1.gram, f2.gram
+    if n == 0:
+        return []
+    L = lcm(*range(1, height + 1))
+    M = lcm(*(x.denominator for row in f1.gram for x in row))
+    G = [[int(x * M) for x in row] for row in f1.gram]
+    scaled = [[x * (L * L * M) for x in row] for row in f2.gram]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        return None  # no integer pairing can reach a non-integer target
+    target = [[int(x) for x in row] for row in scaled]
 
-    values = {Fraction(0)}
+    nums = {0}
     for num in range(1, height + 1):
         for den in range(1, height + 1):
-            values.add(Fraction(num, den))
-            values.add(Fraction(-num, den))
-    values = sorted(values, key=lambda v: (abs(v), v < 0))
+            nums.add(num * (L // den))
+            nums.add(-num * (L // den))
+    nums = sorted(nums, key=lambda k: (abs(k), k < 0))
 
-    def qform(v):
-        return sum(v[i] * g1[i][j] * v[j] for i in range(n) for j in range(n))
-
-    def pairing(v, w):
-        return sum(v[i] * g1[i][j] * w[j] for i in range(n) for j in range(n))
-
-    pools: dict[Fraction, list[tuple]] = {}
-
-    def pool_for(target):
-        if target in pools:
-            return pools[target]
-        out = [cand for cand in product(values, repeat=n) if qform(cand) == target]
-        pools[target] = out
-        return out
+    # one pass over all vectors in product order, each kept with G k under
+    # its value; with the head k[:-1] fixed, k^T G k = P + (2B + C z) z is
+    # quadratic in the last entry z
+    pools: dict[int, list[tuple]] = {target[j][j]: [] for j in range(n)}
+    h, C = n - 1, G[-1][-1]
+    for head in product(nums, repeat=h):
+        P = sum(G[a][b] * head[a] * head[b] for a in range(h) for b in range(h))
+        B2 = 2 * sum(G[a][h] * head[a] for a in range(h))
+        for z in nums:
+            pool = pools.get(P + (B2 + C * z) * z)
+            if pool is not None:
+                k = (*head, z)
+                pool.append((k, [sum(g * x for g, x in zip(row, k)) for row in G]))
 
     cols: list[tuple] = []
 
     def backtrack(j):
         if j == n:
             return True
-        for cand in pool_for(g2[j][j]):
-            if all(pairing(cols[i], cand) == g2[i][j] for i in range(j)):
-                cols.append(cand)
+        for k, gk in pools[target[j][j]]:
+            if all(
+                sum(ki * g for ki, g in zip(cols[i], gk)) == target[i][j] for i in range(j)
+            ):
+                cols.append(k)
                 if backtrack(j + 1):
                     return True
                 cols.pop()
@@ -845,7 +858,10 @@ def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
 
     if not backtrack(0):
         return None
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    u = [[Fraction(cols[j][i], L) for j in range(n)] for i in range(n)]
+    if f1.transform(u).gram != f2.gram:
+        raise FormError("internal: integer search returned a non-isometry")
+    return u
 
 
 def skew_standard_witness(f: GramForm) -> list:
@@ -893,7 +909,7 @@ def skew_standard_witness(f: GramForm) -> list:
     j_std = GramForm("skew", RationalRing(), _standard_symplectic(n))
     check = f.transform(s)
     if check.gram != j_std.gram:
-        raise AssertionError("symplectic reduction failed verification")
+        raise FormError("internal: symplectic reduction failed verification")
     return s
 
 
@@ -924,7 +940,8 @@ def etale_pair_witness(f1: GramForm, f2: GramForm):
     a2 = [[f2.gram[i][j].x for j in range(n)] for i in range(n)]
     u2t = mat_mul(a2, inverse(a1))
     u = [[PairElem(Fraction(int(i == j)), u2t[j][i]) for j in range(n)] for i in range(n)]
-    assert mat_eq(f1.transform(u).gram, f2.gram, f1.ring)
+    if not mat_eq(f1.transform(u).gram, f2.gram, f1.ring):
+        raise FormError("internal: etale-pair witness failed verification")
     return u
 
 
@@ -952,10 +969,12 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
         "signatures": [i1.signatures, i2.signatures],
     }
     if f1.kind == "symmetric" and isinstance(f1.ring, RationalRing):
-        assert i1.det_class.is_trivial and i2.det_class.is_trivial, "fourth-power determinant must be a square"
-        assert i1.hasse_minus_places() == [] and i2.hasse_minus_places() == [], (
-            "hasse invariant of a positive definite fourth power must be trivial"
-        )
+        if not (i1.det_class.is_trivial and i2.det_class.is_trivial):
+            raise FormError("internal: fourth-power determinant must be a square")
+        if i1.hasse_minus_places() or i2.hasse_minus_places():
+            raise FormError(
+                "internal: hasse invariant of a positive definite fourth power must be trivial"
+            )
         # independent route: the direct-sum rule with square determinants
         d1, _ = diagonalize(f1.repeat(2))
         det2 = Fraction(1)
@@ -964,16 +983,19 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
         for v in support_places(*(d1 + [det2])):
             s2 = hasse_invariant(d1, v)
             rule = s2 * s2 * hilbert_symbol(det2, det2, v)
-            assert rule == hasse_invariant(d1 + d1, v), "sum rule violated"
+            if rule != hasse_invariant(d1 + d1, v):
+                raise FormError("internal: sum rule violated")
         cert["det_classes"] = [i1.det_class.representative, i2.det_class.representative]
         cert["hasse_trivial"] = True
         cert["sum_rule_checked"] = True
     elif f1.kind == "symmetric":
-        assert is_square_in_field(i1.det_element) and is_square_in_field(i2.det_element)
+        if not (is_square_in_field(i1.det_element) and is_square_in_field(i2.det_element)):
+            raise FormError("internal: fourth-power determinant must be a square")
         cert["det_fourth_power_square"] = True
         cert["hasse_argument"] = "formal: s(psi+psi) doubles and pairs square determinants"
     elif isinstance(f1.ring, QuadRing):
-        assert i1.det_is_norm and i2.det_is_norm, "fourth-power determinant must be a norm"
+        if not (i1.det_is_norm and i2.det_is_norm):
+            raise FormError("internal: fourth-power determinant must be a norm")
         cert["det_is_norm"] = True
     else:
         cert["classified_by"] = "dimension and signature"

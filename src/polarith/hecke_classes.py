@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from sympy import factorint, primerange
 
@@ -73,9 +73,11 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     F = q.field
     if q.is_zero() or r.is_zero():
         raise HeckeError("zero element")
-    s = q / r
-    if not is_rational_square(s.norm()):
+    # Nm(q/r) = Nm(q)/Nm(r) is a square iff Nm(q)*Nm(r) is: most pairs
+    # are rejected here, before any division
+    if not is_rational_square(q.norm() * r.norm()):
         return None
+    s = q / r
     ideal_s = QfIdeal.principal(s)
     factors = factor_ideal(ideal_s)
     # group exponents by rational prime
@@ -132,14 +134,14 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
         u = x0 * y
         n = c0 * w
         # clear denominators: n q = u^2 r with integer n, integral u
-        t = u.x.denominator
-        t = t * u.y.denominator // gcd(t, u.y.denominator)
+        t = lcm(u.x.denominator, u.y.denominator)
         t_n = Fraction(n * t * t)
         u_int = u * t
         extra = t_n.denominator
         u_int = u_int * extra
         n_int = t_n * extra * extra
-        assert n_int.denominator == 1
+        if n_int.denominator != 1:
+            raise HeckeError("internal: witness scale is not an integer")
         if rosati_transport_check(q, r, u_int, n_int):
             return int(n_int), u_int
         raise HeckeError("internal: witness failed verification")
@@ -158,15 +160,32 @@ def exhaustive_witness_search(
 ) -> tuple[Fraction, QuadElem] | None:
     """Independent bounded check: u over integral coordinates with
     |coords| <= height, n = u^2 r / q rational.  Returns the first witness
-    or None; used to confirm negative `equivalent` answers."""
+    or None; used to confirm negative `equivalent` answers.
+
+    Since 1/q = conj(q) / Nm(q) with Nm(q) rational, u^2 r / q is rational
+    iff the w-coordinate of u^2 s vanishes, s = r conj(q).  With s scaled
+    to integer coordinates (c, d) that is one integer test per point."""
+    if height < 0:
+        raise HeckeError("height must be >= 0")
+    if q.is_zero():
+        raise HeckeError("zero element")
     F = q.field
+    s = r * q.conj()
+    if s.is_zero():
+        return None
+    scale = lcm(s.x.denominator, s.y.denominator)
+    c, d = int(s.x * scale), int(s.y * scale)
+    t, nw = F.w_trace, F.w_norm
+    ctd = c + t * d
     for x in range(-height, height + 1):
         for y in range(-height, height + 1):
-            u = QuadElem(F, Fraction(x), Fraction(y))
-            if u.is_zero():
-                continue
-            cand = u * u * r / q
-            if cand.is_rational() and cand.as_rational() != 0:
+            # u^2 = (x^2 - nw y^2) + (2xy + t y^2) w; its product with
+            # c + d w has w-coordinate:
+            if (x * x - nw * y * y) * d + (2 * x * y + t * y * y) * ctd == 0 and (x or y):
+                u = QuadElem(F, Fraction(x), Fraction(y))
+                cand = u * u * r / q
+                if not cand.is_rational() or cand.is_zero():
+                    raise HeckeError("internal: integer witness test disagrees with u^2 r / q")
                 return cand.as_rational(), u
     return None
 

@@ -441,7 +441,8 @@ def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
     nv_num = e.norm()
     vn = valuation(nv_num, p)
     if kind == "inert":
-        assert vn % 2 == 0
+        if vn % 2:
+            raise QuadFieldError("internal: odd norm valuation at an inert prime")
         return vn // 2
     if kind == "ramified":
         return vn
@@ -536,7 +537,8 @@ def fundamental_unit(field: QuadField) -> QuadElem:
     Bl1, Bl2 = b_cur, b_prev
     x = Fraction(Bl1 * (P0 - disc), 2) + Bl2
     u = QuadElem(field, x, Fraction(Bl1))
-    assert u.is_unit(), "continued fraction did not produce a unit"
+    if not u.is_unit():
+        raise QuadFieldError("internal: continued fraction did not produce a unit")
     if u.sign_at(0) < 0:
         u = -u
     if abs_embedding_less_than_one(u):
@@ -618,7 +620,8 @@ def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None
     """An element of the integral ideal with |Nm| = Nm(ideal), or None."""
     field = ideal.field
     N = ideal.norm()
-    assert ideal.is_integral() and N.denominator == 1
+    if not ideal.is_integral() or N.denominator != 1:
+        raise QuadFieldError("internal: generator search needs an integral ideal")
     N = N.numerator
     t, nw = field.w_trace, field.w_norm
 
@@ -643,7 +646,8 @@ def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None
         return None
 
     if field.is_real:
-        assert eps is not None
+        if eps is None:
+            raise QuadFieldError("internal: a real field needs its fundamental unit")
         # bound both embeddings by sqrt(N) * eps (up to unit normalization)
         # |y| <= 2M / sqrt(disc) with M = sqrt(N)*eps_embedding
         # use integer overestimates

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import polarith
-from polarith.cli import main
+from polarith.cli import VERBS, main
 
 
 def run_cli(tmp_path, verb, doc, *extra):
@@ -339,3 +339,50 @@ def test_height_flag_confirms_negatives(tmp_path):
     code, out = run_cli(tmp_path, "hecke-classes", {"D": 5, "count": 3}, "--height", "8")
     assert code == 0
     assert out["negatives_confirmed_at_height"] == {"height": 8, "confirmed": True}
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_negative_height_rejected(tmp_path, count):
+    code, out = run_cli(tmp_path, "hecke-classes", {"D": 5, "count": count}, "--height", "-4")
+    assert code == 1
+    assert out == {"error": {"code": "precondition:HeckeError", "message": "height must be >= 0"}}
+
+
+@pytest.mark.parametrize("verb", [*VERBS, "validate"])
+@pytest.mark.parametrize("doc", [[1, 2], 7, "x", None])
+def test_top_level_value_must_be_object(tmp_path, verb, doc):
+    extra = ("--validate-verb", "classify-form") if verb == "validate" else ()
+    code, out = run_cli(tmp_path, verb, doc, *extra)
+    assert code == 1
+    assert out == {"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}}
+
+
+@pytest.mark.parametrize("cap", ["x", True, 1, "100", 7.5])
+def test_hecke_prime_cap_must_be_integer(tmp_path, cap):
+    doc = {"D": 5, "count": 3, "prime_cap": cap}
+    code, out = run_cli(tmp_path, "hecke-classes", doc)
+    assert code == 1
+    assert out["error"]["code"] == "schema:bad-field"
+    code, out = run_cli(tmp_path, "validate", doc, "--validate-verb", "hecke-classes")
+    assert code == 1
+    assert [e["code"] for e in out["errors"]] == ["schema:bad-field"]
+
+
+def test_matrix_factor_over_etale_pair_rejected(tmp_path):
+    doc = {
+        "instance": {
+            "algebra": {
+                "type": "general",
+                "factors": [{"kind": "matrix", "n": 1, "base": {"type": "etale-pair"}}],
+            },
+            "q": ["1", "1"],
+            "a": ["1", "1"],
+        }
+    }
+    code, out = run_cli(tmp_path, "degree-bound", doc)
+    assert code == 1
+    assert out["error"]["code"] == "schema:bad-algebra"
+    assert "swap_pairs" in out["error"]["message"]
+    code, out = run_cli(tmp_path, "validate", doc, "--validate-verb", "degree-bound")
+    assert code == 1
+    assert [e["code"] for e in out["errors"]] == ["schema:bad-algebra"]

@@ -447,3 +447,97 @@ def test_involution_from_callable_rejects_non_involution():
 
     with pytest.raises(FormError):
         involution_from_callable(not_involution, "symmetric", QR, 2)
+
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+def _reference_isometry_search(f1, f2, height):
+    """`search_isometry_witness` by its definition, in Fraction arithmetic:
+    backtracking over columns, each column drawn from all vectors of
+    entries +-num/den (num, den <= height) with the target value, in
+    increasing height order."""
+    n = f1.dim
+    g1, g2 = f1.gram, f2.gram
+    values = {Fraction(0)}
+    for num in range(1, height + 1):
+        for den in range(1, height + 1):
+            values.add(Fraction(num, den))
+            values.add(Fraction(-num, den))
+    values = sorted(values, key=lambda v: (abs(v), v < 0))
+
+    def pairing(v, w):
+        return sum(v[i] * g1[i][j] * w[j] for i in range(n) for j in range(n))
+
+    pools = {}
+
+    def pool_for(target):
+        if target not in pools:
+            pools[target] = [c for c in product(values, repeat=n) if pairing(c, c) == target]
+        return pools[target]
+
+    cols = []
+
+    def backtrack(j):
+        if j == n:
+            return True
+        for cand in pool_for(g2[j][j]):
+            if all(pairing(cols[i], cand) == g2[i][j] for i in range(j)):
+                cols.append(cand)
+                if backtrack(j + 1):
+                    return True
+                cols.pop()
+        return False
+
+    if not backtrack(0):
+        return None
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+_entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _symmetric_q(draw, n):
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(_entry)
+    return GramForm("symmetric", QR, g)
+
+
+@st.composite
+def _form_pair(draw):
+    n = draw(st.integers(1, 3))
+    f1 = draw(_symmetric_q(n))
+    if draw(st.booleans()):
+        step = st.sampled_from([0, 1, -1, 2, Fraction(-1, 2), Fraction(1, 3)])
+        p = [[Fraction(draw(step)) for _ in range(n)] for _ in range(n)]
+        return f1, f1.transform(p)
+    return f1, draw(_symmetric_q(n))
+
+
+@given(pair=_form_pair(), height=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_isometry_search_matches_reference(pair, height):
+    """The integer search returns exactly what the definition returns,
+    first witness included; f2 is often f1 moved by a small matrix, so
+    hits occur."""
+    f1, f2 = pair
+    w = search_isometry_witness(f1, f2, height)
+    assert w == _reference_isometry_search(f1, f2, height)
+    if w is not None:
+        assert f1.transform(w).gram == f2.gram
+
+
+def test_isometry_search_rejects_other_forms():
+    f = diagonal_form_q([1, 1])
+    skew = GramForm("skew", QR, [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
+    for a, b in ((skew, f), (f, skew)):
+        with pytest.raises(FormError):
+            search_isometry_witness(a, b, 2)
+    with pytest.raises(FormError, match="height"):
+        search_isometry_witness(f, f, 0)

@@ -186,3 +186,58 @@ def test_equivalent_closed_under_construction(zx, zy, n0, qx, qy):
     w = equivalence_witness(q, r)
     n, uu = w
     assert rosati_transport_check(q, r, uu, n)
+
+
+def _reference_witness_search(q, r, height):
+    """`exhaustive_witness_search` by its definition, in QuadElem
+    arithmetic: the first u in x-then-y order with u^2 r / q rational and
+    nonzero."""
+    F = q.field
+    for x in range(-height, height + 1):
+        for y in range(-height, height + 1):
+            u = QuadElem(F, Fraction(x), Fraction(y))
+            if u.is_zero():
+                continue
+            cand = u * u * r / q
+            if cand.is_rational() and cand.as_rational() != 0:
+                return cand.as_rational(), u
+    return None
+
+
+_coord = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@given(
+    D=st.sampled_from([5, 2, 3, 13, -1, -3, -5, -7]),
+    qc=st.tuples(_coord, _coord),
+    rc=st.tuples(_coord, _coord),
+    mode=st.sampled_from(["free", "hit", "zero"]),
+    u0c=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    c=_coord,
+    height=st.integers(0, 6),
+)
+@settings(max_examples=250, deadline=None)
+def test_witness_search_matches_reference(D, qc, rc, mode, u0c, c, height):
+    """The integer kernel returns exactly what the definition returns, first
+    witness included: real and imaginary fields, non-integral q and r,
+    r = 0, and r = q c / u0^2 so that u0 (or an earlier point) is a hit."""
+    F = QuadField(D)
+    q = QuadElem(F, *qc)
+    if q.is_zero():
+        return
+    u0 = QuadElem(F, Fraction(u0c[0]), Fraction(u0c[1]))
+    if mode == "zero":
+        r = F.zero()
+    elif mode == "hit" and not u0.is_zero() and c != 0:
+        r = q * c / (u0 * u0)
+    else:
+        r = QuadElem(F, *rc)
+    assert exhaustive_witness_search(q, r, height) == _reference_witness_search(q, r, height)
+
+
+def test_witness_search_rejects_bad_input():
+    with pytest.raises(HeckeError, match="height must be >= 0"):
+        exhaustive_witness_search(sq5(4, 1), F5.one(), -1)
+    with pytest.raises(HeckeError, match="zero element"):
+        exhaustive_witness_search(F5.zero(), F5.one(), 2)
+    assert exhaustive_witness_search(sq5(4, 1), F5.zero(), 4) is None

@@ -37,3 +37,15 @@ def test_every_top_level_definition_is_used():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and refs[node.name] == 0
     ]
     assert unused == []
+
+
+def test_no_assert_statements():
+    """Checks in src/ raise typed exceptions, because `python -O` strips
+    assert statements."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
