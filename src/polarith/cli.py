@@ -208,11 +208,18 @@ def cmd_fourth_power_check(doc, args):
     return (0 if ok else 1), {"isometric_fourth_powers": ok, "certificate": cert}
 
 
+def _precision(doc, default: int) -> int:
+    precision = doc.get("precision", default)
+    if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
+        raise InputError("schema:bad-field", "precision must be an integer >= 1")
+    return precision
+
+
 def cmd_maximal_lattice(doc, args):
     p = doc.get("p")
     if not isinstance(p, int):
         raise InputError("schema:missing-field", "p must be an integer prime")
-    precision = doc.get("precision", args.precision)
+    precision = _precision(doc, args.precision)
     try:
         ctx = PadicContext(p, precision)
     except LatticeError as exc:
@@ -237,8 +244,7 @@ def cmd_local_solve(doc, args):
     p = doc.get("p")
     if not isinstance(p, int):
         raise InputError("schema:missing-field", "p must be an integer prime")
-    precision = doc.get("precision", args.precision)
-    ctx = PadicContext(p, precision)
+    ctx = PadicContext(p, _precision(doc, args.precision))
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a")
     m_prime = _rat(doc["m_prime"], "m_prime")
@@ -256,9 +262,14 @@ def _parse_general_algebra(alg, where: str):
     constants, involution tag plus conjugating element, swap pairs and
     gammas."""
     factors = []
-    for i, fd in enumerate(alg.get("factors", [])):
-        kind = fd.get("kind")
+    raw = alg.get("factors", [])
+    if not isinstance(raw, list):
+        raise InputError("schema:bad-input", f"{where}.factors: expected a list")
+    for i, fd in enumerate(raw):
         w = f"{where}.factors[{i}]"
+        if not isinstance(fd, dict):
+            raise InputError("schema:bad-input", f"{w}: expected an object")
+        kind = fd.get("kind")
         if kind == "rational":
             factors.append(SimpleFactor(RationalRing()))
         elif kind == "quadfield":
@@ -309,6 +320,8 @@ def _general_instance(doc, where: str) -> BoundInstance:
 
 
 def parse_instance(doc, where: str = "instance") -> BoundInstance:
+    if not isinstance(doc, dict):
+        raise InputError("schema:bad-input", f"{where}: expected an object")
     alg = doc.get("algebra")
     if not isinstance(alg, dict) or "type" not in alg:
         raise InputError("schema:bad-algebra", f"{where}: algebra needs a type")
@@ -463,9 +476,11 @@ def validate_only(verb: str, doc) -> list[dict]:
         elif verb == "maximal-lattice":
             if not isinstance(doc.get("p"), int):
                 raise InputError("schema:missing-field", "p must be an integer")
+            _precision(doc, 1)  # only a value given in the document is checked
             parse_form(doc["form"], "form")
             _matrix(doc["basis"], "basis")
         elif verb == "local-solve":
+            _precision(doc, 1)
             _matrix(doc["q"], "q")
             _matrix(doc["a"], "a")
             _rat(doc["m_prime"], "m_prime")
@@ -477,7 +492,10 @@ def validate_only(verb: str, doc) -> list[dict]:
             _prime_cap(doc)
             QuadField(doc["D"])
         elif verb == "measure-constant":
-            for i, d in enumerate(doc.get("instances", [])):
+            raw = doc.get("instances", [])
+            if not isinstance(raw, list):
+                raise InputError("schema:missing-field", "instances must be a list")
+            for i, d in enumerate(raw):
                 parse_instance(d, f"instances[{i}]")
         else:
             raise InputError("schema:unknown-verb", f"unknown verb {verb!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from sympy import factorint
 
@@ -581,6 +581,7 @@ def brute_force_oracle(
     dim = A.dim_q
     norm_cap = frac(norm_cap)
     canonical = order.basis_matrix_is_identity()
+    forms = _rational_scalar_forms(inst, canonical)
     best: tuple | None = None
     explored = 0
     found_radius = None
@@ -600,12 +601,16 @@ def brute_force_oracle(
                 if best is not None:
                     break
                 raise OracleBudgetError(radius)
+            if any(sum(c * coords[i] * coords[j] for i, j, c in f) for f in forms):
+                continue
             if canonical:
                 b = A.from_qcoords([Fraction(c) for c in coords])
             else:
                 b = order.element_from_coordinates([Fraction(c) for c in coords])
             val = A.is_rational_scalar(A.mul(A.mul(apply_involution(A, b), inst.q), b))
-            if val is None or val == 0 or val.denominator != 1:
+            if val is None:
+                raise DegreeBoundError("internal: integer forms disagree with b^dagger q b")
+            if val == 0 or val.denominator != 1:
                 continue
             nb = norm(A, b, inst.spec)
             if nb > norm_cap:
@@ -630,6 +635,45 @@ def brute_force_oracle(
     )
     verify_result(inst, res)
     return res
+
+
+def _rational_scalar_forms(inst: BoundInstance, canonical: bool) -> list[list[tuple]]:
+    """Integer quadratic forms in the coordinates x of b (in the order
+    basis, or the Q-basis when `canonical`) that all vanish iff
+    b^dagger q b is a rational scalar.
+
+    The involution is Q-linear, so V(x) = to_qcoords(b^dagger q b) =
+    sum_ij x_i x_j T_ij with T_ij = to_qcoords(e_i^dagger q e_j), and V is a
+    rational multiple of u = to_qcoords(1) iff u[k0] V_k - u[k] V_k0 = 0 for
+    every k, k0 the first nonzero coordinate of u.  Each form is a list of
+    (i, j, c), i <= j, with denominators cleared; all-zero forms are
+    dropped."""
+    A = inst.algebra
+    dim = A.dim_q
+    if canonical:
+        basis = [A.from_qcoords([Fraction(int(k == i)) for k in range(dim)]) for i in range(dim)]
+    else:
+        basis = list(inst.order.basis_elements)
+    qe = [A.mul(inst.q, e) for e in basis]
+    t = [[A.to_qcoords(A.mul(apply_involution(A, ei), qej)) for qej in qe] for ei in basis]
+    u = A.to_qcoords(A.one())
+    k0 = next(k for k, c in enumerate(u) if c != 0)
+    forms = []
+    for k in range(dim):
+        if k == k0:
+            continue
+        terms = []
+        for i in range(dim):
+            for j in range(i, dim):
+                c = u[k0] * t[i][j][k] - u[k] * t[i][j][k0]
+                if i != j:
+                    c += u[k0] * t[j][i][k] - u[k] * t[j][i][k0]
+                if c:
+                    terms.append((i, j, c))
+        if terms:
+            den = lcm(*(c.denominator for _, _, c in terms))
+            forms.append([(i, j, int(c * den)) for i, j, c in terms])
+    return forms
 
 
 def _shell(dim: int, radius: int):

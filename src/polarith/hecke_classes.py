@@ -238,5 +238,11 @@ def _make_totally_positive(g: QuadElem, eps: QuadElem) -> QuadElem | None:
 
 
 def pairwise_matrix(reps: list[PolClassRep]) -> list[list[bool]]:
+    """The equivalence matrix.  The relation is reflexive and symmetric, so
+    the diagonal is True and only the pairs i < j are decided."""
     n = len(reps)
-    return [[equivalent(reps[i], reps[j]) for j in range(n)] for i in range(n)]
+    m = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = equivalent(reps[i], reps[j])
+    return m

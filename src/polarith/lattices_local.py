@@ -8,6 +8,15 @@ and the least k >= 1 with p^k v in L; then L + Z_p p^{k-1} v is an index-p
 superlattice of L inside M, and its scale is squeezed between the two equal
 scales.  So some index-p superlattice already witnesses non-maximality.
 
+Each candidate is tested in integers.  The index-p superlattice for a
+projective point v (v_i = 1 its first unit coordinate) replaces basis column
+i by w = Bv/p and keeps every other column, so in its Gram only row and
+column i change: entry (i, j) becomes (G_L v)_j / p and entry (i, i)
+becomes v^T G_L v / p^2, where G_L is the Gram of L.  Both searches ask only
+"scale >= t" with scale(L) >= t already, so the untouched entries pass and,
+writing G_L = G/D with G integral and e = v_p(D), the test is that
+p^(t+1+e) divides (Gv)_j for j != i and p^(t+2+e) divides v^T G v.
+
 Isometry witnesses between unimodular forms are constructed modulo
 p^precision (square-root lifts are truncated), but every certificate that
 the solver returns is re-verified in exact rational arithmetic: the final
@@ -19,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from sympy import isprime
 
@@ -107,20 +117,6 @@ class PadicLattice:
     def equals(self, other: "PadicLattice") -> bool:
         return self.contains(other) and other.contains(self)
 
-    def index_p_superlattices(self):
-        """All index-p superlattices, in lexicographic order of the residue
-        projective point that defines them."""
-        p, n = self.ctx.p, self.dim
-        for v in _projective_points(p, n):
-            i = next(k for k in range(n) if v[k] % p != 0)
-            new_basis = [row[:] for row in self.basis]
-            w = [
-                sum(self.basis[r][k] * v[k] for k in range(n)) / p for r in range(n)
-            ]
-            for r in range(n):
-                new_basis[r][i] = w[r]
-            yield PadicLattice(self.ctx, new_basis, self.form)
-
 
 def _projective_points(p: int, n: int):
     """Representatives of P^{n-1}(F_p), first unit coordinate normalized to
@@ -135,35 +131,58 @@ def scale(L: PadicLattice) -> int:
     return _mat_min_valuation(L.gram(), L.ctx.p)
 
 
+def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
+    """The first index-p superlattice of L, in lexicographic order of the
+    residue projective point that defines it, whose scale is >= t; None if
+    there is none.  Requires scale(L) >= t.  Each candidate is one integer
+    test (module docstring); the winner's scale is re-checked exactly."""
+    p, n = L.ctx.p, L.dim
+    gram = L.gram()
+    den = lcm(*(x.denominator for row in gram for x in row))
+    g = [[int(x * den) for x in row] for row in gram]
+    e = valuation(den, p)
+    row_mod = p ** max(0, t + 1 + e)
+    diag_mod = p ** max(0, t + 2 + e)
+    for v in _projective_points(p, n):
+        i = v.index(1)
+        gv = [sum(g[j][k] * v[k] for k in range(i, n)) for j in range(n)]
+        if any(gv[j] % row_mod for j in range(n) if j != i):
+            continue
+        if sum(v[k] * gv[k] for k in range(i, n)) % diag_mod:
+            continue
+        new_basis = [row[:] for row in L.basis]
+        for r in range(n):
+            new_basis[r][i] = sum(L.basis[r][k] * v[k] for k in range(n)) / p
+        sup = PadicLattice(L.ctx, new_basis, L.form)
+        if scale(sup) < t:
+            raise LatticeError("internal: integer superlattice test disagrees with the Gram")
+        return sup
+    return None
+
+
 def is_maximal(L: PadicLattice) -> bool:
     """No index-p superlattice has the same scale (sufficient by the module
-    docstring argument)."""
-    s = scale(L)
-    for sup in L.index_p_superlattices():
-        if scale(sup) == s:
-            return False
-    return True
+    docstring argument).  A superlattice's scale is at most L's, so "the
+    same" is "at least"."""
+    return _first_superlattice(L, scale(L)) is None
 
 
 def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
     """A maximal lattice containing L among lattices of scale >= the target
     exponent.  Greedy over index-p superlattices in lexicographic order;
     each step strictly decreases the discriminant valuation, so the loop
-    terminates."""
+    terminates.  A degenerate form has no maximal lattice (L grows along
+    its radical without changing the scale), so it is refused."""
+    if det(L.form.gram) == 0:
+        raise LatticeError("the form is degenerate: it has no maximal lattice")
     if scale(L) < target_scale:
         raise LatticeError(
             f"scale {scale(L)} is below the requested target {target_scale}"
         )
     current = L
-    while True:
-        enlarged = None
-        for sup in current.index_p_superlattices():
-            if scale(sup) >= target_scale:
-                enlarged = sup
-                break
-        if enlarged is None:
-            return current
+    while (enlarged := _first_superlattice(current, target_scale)) is not None:
         current = enlarged
+    return current
 
 
 def unimodular_isometric(g1: Matrix, g2: Matrix, p: int) -> bool:

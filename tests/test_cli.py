@@ -386,3 +386,90 @@ def test_matrix_factor_over_etale_pair_rejected(tmp_path):
     code, out = run_cli(tmp_path, "validate", doc, "--validate-verb", "degree-bound")
     assert code == 1
     assert [e["code"] for e in out["errors"]] == ["schema:bad-algebra"]
+
+
+_GENERAL_INT_FACTOR = {"algebra": {"type": "general", "factors": [3]}, "q": [], "a": []}
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("degree-bound", {"instance": 3}),
+        ("degree-bound", {"instance": [1, 2]}),
+        ("degree-bound", {"instance": _GENERAL_INT_FACTOR}),
+        ("degree-bound", {"instance": {**_GENERAL_INT_FACTOR, "algebra": {"type": "general", "factors": 3}}}),
+        ("measure-constant", {"instances": [3]}),
+        ("measure-constant", {"instances": [_GENERAL_INT_FACTOR]}),
+    ],
+)
+def test_nested_value_must_be_object(tmp_path, verb, doc):
+    code, out = run_cli(tmp_path, verb, doc)
+    assert code == 1
+    assert out["error"]["code"] == "schema:bad-input"
+    code, out = run_cli(tmp_path, "validate", doc, "--validate-verb", verb)
+    assert code == 1
+    assert [e["code"] for e in out["errors"]] == ["schema:bad-input"]
+
+
+def test_measure_constant_instances_must_be_list(tmp_path):
+    doc = {"instances": 3}
+    code, out = run_cli(tmp_path, "measure-constant", doc)
+    assert code == 1 and out["error"]["code"] == "schema:missing-field"
+    code, out = run_cli(tmp_path, "validate", doc, "--validate-verb", "measure-constant")
+    assert code == 1 and [e["code"] for e in out["errors"]] == ["schema:missing-field"]
+
+
+_LOCAL_DOCS = {
+    "maximal-lattice": {
+        "p": 3,
+        "form": form_q("symmetric", [["1", "0"], ["0", "9"]]),
+        "basis": [["1", "0"], ["0", "1"]],
+    },
+    "local-solve": {"p": 3, "q": [["1", "0"], ["0", "9"]], "a": [["1", "0"], ["0", "1/3"]], "m_prime": "9"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_LOCAL_DOCS))
+@pytest.mark.parametrize("precision", ["x", True, 0, -2, 2.5, [3]])
+def test_precision_must_be_positive_integer(tmp_path, verb, precision):
+    doc = {**_LOCAL_DOCS[verb], "precision": precision}
+    code, out = run_cli(tmp_path, verb, doc)
+    assert code == 1
+    assert out == {"error": {"code": "schema:bad-field", "message": "precision must be an integer >= 1"}}
+    code, out = run_cli(tmp_path, "validate", doc, "--validate-verb", verb)
+    assert code == 1
+    assert [e["code"] for e in out["errors"]] == ["schema:bad-field"]
+
+
+def test_maximal_lattice_degenerate_form_is_an_error(tmp_path):
+    doc = {**_LOCAL_DOCS["maximal-lattice"], "form": form_q("symmetric", [["1", "0"], ["0", "0"]])}
+    code, out = run_cli(tmp_path, "maximal-lattice", doc)
+    assert code == 1
+    assert out["error"]["code"] == "precondition:LatticeError"
+
+
+@pytest.mark.parametrize("verb", sorted(_LOCAL_DOCS))
+def test_precision_accepts_positive_integer(tmp_path, verb):
+    code, _ = run_cli(tmp_path, verb, {**_LOCAL_DOCS[verb], "precision": 6})
+    assert code == 0
+    code, out = run_cli(tmp_path, "validate", {**_LOCAL_DOCS[verb], "precision": 6}, "--validate-verb", verb)
+    assert code == 0 and out["valid"] is True
+
+
+def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
+    """count 10: 45 pairs are decided while generating the classes and 45
+    for the matrix (i < j only), not 45 + 100."""
+    from polarith import cli, hecke_classes
+
+    real = hecke_classes.equivalence_witness
+    calls = []
+
+    def counting(q, r):
+        calls.append((q, r))
+        return real(q, r)
+
+    monkeypatch.setattr(hecke_classes, "equivalence_witness", counting)
+    monkeypatch.setattr(cli, "equivalence_witness", counting)
+    code, _ = run_cli(tmp_path, "hecke-classes", {"D": 5, "count": 10}, "--height", "0")
+    assert code == 0
+    assert len(calls) == 90

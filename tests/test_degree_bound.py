@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarith.degree_bound import (
     BoundInstance,
+    BoundResult,
     DegreeBoundError,
+    OracleBudgetError,
+    _shell,
     brute_force_oracle,
     identity_form_decomposition,
     matrix_instance,
@@ -18,9 +23,20 @@ from polarith.degree_bound import (
     torus_conductor,
     verify_result,
 )
-from polarith.algebras import apply_involution, norm
+from polarith.algebras import (
+    AlgebraWithInvolution,
+    NormSpec,
+    OrderR,
+    QuadRing,
+    SimpleFactor,
+    apply_involution,
+    matrix_algebra_q,
+    norm,
+    quadfield_algebra,
+    quaternion_algebra_q,
+)
 from polarith.exact import valuation
-from polarith.linalg import identity, mat, mat_mul, transpose
+from polarith.linalg import RationalRing, frac, identity, mat, mat_mul, transpose
 from polarith.quadfield import QuadField, QuadElem, fundamental_unit, is_totally_positive
 
 
@@ -334,3 +350,160 @@ def test_commutative_ramified_twist_path():
     assert res.value == 36 and res.norm_b == 6
     oracle = brute_force_oracle(inst, res.norm_b)
     assert oracle is not None and oracle.norm_b == res.norm_b
+
+
+# ---------------------------------------------------------------------------
+# The integer oracle against its definition
+
+
+def _reference_oracle(inst, norm_cap, max_radius=24, budget=2_000_000, extra_shells=2):
+    """`brute_force_oracle` by its definition: every point builds b and
+    tests b^dagger q b in Fraction arithmetic."""
+    A = inst.algebra
+    order = inst.order
+    dim = A.dim_q
+    norm_cap = frac(norm_cap)
+    canonical = order.basis_matrix_is_identity()
+    best = None
+    explored = 0
+    found_radius = None
+    budget = min(budget, max(20_000, 2_000_000 // (dim * dim)))
+    radius_cap = 1
+    while (2 * (radius_cap + 1) + 1) ** dim <= budget:
+        radius_cap += 1
+    max_radius = min(max_radius, radius_cap)
+    for radius in range(1, max_radius + 1):
+        if found_radius is not None and radius > found_radius + extra_shells:
+            break
+        for coords in _shell(dim, radius):
+            explored += 1
+            if explored > budget:
+                if best is not None:
+                    break
+                raise OracleBudgetError(radius)
+            if canonical:
+                b = A.from_qcoords([Fraction(c) for c in coords])
+            else:
+                b = order.element_from_coordinates([Fraction(c) for c in coords])
+            val = A.is_rational_scalar(A.mul(A.mul(apply_involution(A, b), inst.q), b))
+            if val is None or val == 0 or val.denominator != 1:
+                continue
+            nb = norm(A, b, inst.spec)
+            if nb > norm_cap:
+                continue
+            key = (nb, coords)
+            if best is None or key < best[0]:
+                best = (key, b, int(val))
+                if found_radius is None:
+                    found_radius = radius
+        if explored > budget:
+            break
+    if best is None:
+        return None
+    res = BoundResult(
+        b=best[1], value=best[2], norm_b=best[0][0], norm_q=inst.norm_q(), d=inst.d,
+        method="oracle", notes={"explored": explored},
+    )
+    verify_result(inst, res)
+    return res
+
+
+def _oracle_outcome(oracle, inst, *args):
+    try:
+        res = oracle(inst, *args)
+    except OracleBudgetError as exc:
+        return ("budget", exc.explored)
+    if res is None:
+        return None
+    return res.b, res.value, res.norm_b, res.norm_q, res.method, res.notes
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _oracle_instances(draw, kind):
+    """Oracle-only instances (no similitude a) over M_2(Q) with the order
+    M_2(Z) in a non-identity basis or Z + 2 M_2(Z), with transpose or the
+    swap-conjugated transpose; Q(sqrt D) with its maximal order or Z[sqrt D]
+    under either involution; a definite quaternion algebra with the standard
+    or a non-identity order basis; Q x Q (x Q(sqrt 5)) with swap_pairs.
+    Half the q are c g^dagger g, so that solutions exist."""
+    square = draw(st.booleans())
+    if kind == "m2":
+        z = draw(st.sampled_from([None, [[0, 1], [1, 0]]]))
+        A = matrix_algebra_q(2, z)
+        e11, e12, e21, e22 = A.basis()
+        if draw(st.booleans()):
+            basis = (A.add(e11, e22), e12, A.add(e21, A.scale(Fraction(2), e12)), e22)
+            q = [[draw(_small), draw(_small)], [draw(_small), draw(_small)]]
+        else:
+            basis = (A.one(),) + tuple(A.scale(Fraction(2), e) for e in (e12, e21, e22))
+            c, s = draw(_small), [[2 * draw(_small), 2 * draw(_small)], [0, 2 * draw(_small)]]
+            q = [[c + s[0][0], s[0][1]], [s[1][0], c + s[1][1]]]
+        if z is None:
+            q[1][0] = q[0][1]
+        else:
+            q[1][1] = q[0][0]
+        if square:
+            g = (mat([[draw(_small), draw(_small)], [draw(_small), draw(_small)]]),)
+            q = A.scale(Fraction(draw(_small)), A.mul(apply_involution(A, g), g))[0]
+            if not OrderR(A, basis).contains((q,)):
+                q = mat_mul(mat([[2, 0], [0, 2]]), q)
+        return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (mat(q),), None)
+    if kind == "quadfield":
+        D = draw(st.sampled_from([5, 2, 3, -1, -3, -7, 13]))
+        A = quadfield_algebra(QuadField(D), draw(st.sampled_from(["identity", "conjugation"])))
+        F = A.factors[0].ring.field
+        if draw(st.booleans()):
+            basis = ((F.one(),), (F.omega(),))
+            q = QuadElem(F, Fraction(draw(_small)), Fraction(draw(_small)))
+        else:
+            basis = ((F.one(),), (F.sqrtD(),))
+            q = F.from_rational(draw(_small)) + F.sqrtD() * draw(_small)
+        if square:
+            g = QuadElem(F, Fraction(draw(_small)), Fraction(draw(_small)))
+            q = g * g * draw(_small) * 4
+        if A.factors[0].involution == "conjugation":
+            q = F.from_rational(draw(_small))
+        return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (q,), None)
+    if kind == "quaternion":
+        A = quaternion_algebra_q(-1, -3)
+        one, i, j, k = A.basis()
+        if draw(st.booleans()):
+            basis = (one, i, A.scale(Fraction(1, 2), A.add(one, j)), A.scale(Fraction(1, 2), A.add(i, k)))
+        else:
+            basis = (one, i, j, k)
+        q = A.from_rational(draw(_small))
+        return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), q, None)
+    factors = (SimpleFactor(RationalRing()), SimpleFactor(RationalRing()))
+    F5 = QuadField(5)
+    c = Fraction(draw(_small))
+    q = (c, c)
+    if draw(st.booleans()):
+        factors += (SimpleFactor(QuadRing(F5)),)
+        q += (QuadElem(F5, Fraction(draw(_small)), Fraction(draw(_small))),)
+    A = AlgebraWithInvolution(factors, ((0, 1),))
+    spec = NormSpec(A, (1,) * len(factors))
+    return BoundInstance(A, spec, OrderR(A, tuple(A.basis())), q, None)
+
+
+@pytest.mark.parametrize("kind", ["m2", "quadfield", "quaternion", "pair"])
+@given(
+    data=st.data(),
+    norm_cap=st.sampled_from([1, 4, 16, 100, 10**6]),
+    max_radius=st.integers(1, 3),
+    budget=st.sampled_from([30, 200, 20_000]),
+    extra_shells=st.integers(0, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_oracle_matches_reference(kind, data, norm_cap, max_radius, budget, extra_shells):
+    """The integer oracle returns what the Fraction definition returns: the
+    same b, value, norm, notes (points explored) and budget failures."""
+    inst = data.draw(_oracle_instances(kind))
+    if inst.algebra.dim_q >= 4:
+        max_radius = min(max_radius, 2)
+    args = (Fraction(norm_cap), max_radius, budget, extra_shells)
+    assert _oracle_outcome(brute_force_oracle, inst, *args) == _oracle_outcome(
+        _reference_oracle, inst, *args
+    )

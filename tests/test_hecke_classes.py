@@ -140,6 +140,16 @@ def test_generate_classes_sqrt2():
             assert m[i][j] == (i == j)
 
 
+def test_pairwise_matrix_matches_all_pairs():
+    """Deciding i < j and mirroring gives the matrix of all n^2 pairs, also
+    when some representatives are equivalent."""
+    reps = generate_classes(F5, 4)
+    reps += [PolClassRep(F5, reps[1].q * 4), PolClassRep(F5, reps[2].q * 3)]
+    m = pairwise_matrix(reps)
+    assert m == [[equivalent(a, b) for b in reps] for a in reps]
+    assert m[1][4] and m[4][1] and m[2][5] and not m[4][5]
+
+
 def test_generate_classes_count_one():
     reps = generate_classes(F5, 1)
     assert len(reps) == 1 and (reps[0].q - 1).is_zero()

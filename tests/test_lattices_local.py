@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarith.lattices_local import (
     LatticeError,
@@ -88,6 +91,12 @@ def test_maximal_completion_scale_precondition():
     L = lattice(3, [[1, 0], [0, 1]], diag_form(1, 1))
     with pytest.raises(LatticeError):
         maximal_completion(L, 1)
+
+
+def test_maximal_completion_refuses_degenerate_form():
+    L = lattice(3, [[1, 0], [0, 1]], diag_form(1, 0))
+    with pytest.raises(LatticeError, match="degenerate"):
+        maximal_completion(L, 0)
 
 
 def test_unimodular_isometric_examples():
@@ -380,3 +389,108 @@ def test_unimodular_classification_against_modp_oracle():
                     break
             assert claim == found, (p, d1, d2)
             pairs += 1
+
+
+# ---------------------------------------------------------------------------
+# The integer superlattice scan against its definition
+
+
+def _reference_superlattices(L):
+    """Every index-p superlattice of L as a Fraction lattice, in
+    lexicographic order of the residue projective point that defines it."""
+    p, n = L.ctx.p, L.dim
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - lead - 1):
+            v = (0,) * lead + (1,) + tail
+            i = next(k for k in range(n) if v[k] % p != 0)
+            new_basis = [row[:] for row in L.basis]
+            w = [sum(L.basis[r][k] * v[k] for k in range(n)) / p for r in range(n)]
+            for r in range(n):
+                new_basis[r][i] = w[r]
+            yield PadicLattice(L.ctx, new_basis, L.form)
+
+
+def _reference_is_maximal(L):
+    s = scale(L)
+    for sup in _reference_superlattices(L):
+        if scale(sup) == s:
+            return False
+    return True
+
+
+def _reference_maximal_completion(L, target_scale):
+    if scale(L) < target_scale:
+        raise LatticeError(f"scale {scale(L)} is below the requested target {target_scale}")
+    current = L
+    while True:
+        enlarged = None
+        for sup in _reference_superlattices(current):
+            if scale(sup) >= target_scale:
+                enlarged = sup
+                break
+        if enlarged is None:
+            return current
+        current = enlarged
+
+
+@st.composite
+def _lattices(draw, p):
+    """A lattice in a nondegenerate rational form: Gram entries a p^k / d
+    with d in {1, 2, p} (so the Gram has denominators, p among them), basis
+    columns integral up to a power of p."""
+    n = draw(st.integers(1, 4 if p == 3 else 3))
+    entry = st.builds(
+        lambda a, k, d: Fraction(a * p**k, d),
+        st.integers(-4, 4),
+        st.integers(0, 2),
+        st.sampled_from([1, 2, p]),
+    )
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    if det(g) == 0:
+        g = [[g[i][j] + (p if i == j else 0) for j in range(n)] for i in range(n)]
+    if det(g) == 0:
+        g = identity(n)
+    basis = [[Fraction(draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(n)]
+    if det(basis) == 0:
+        basis = identity(n)
+    shifts = [draw(st.integers(-1, 1)) for _ in range(n)]
+    basis = [[basis[r][c] * Fraction(p) ** shifts[c] for c in range(n)] for r in range(n)]
+    return lattice(p, basis, symmetric_form_q(g))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@given(data=st.data(), drop=st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_superlattice_scan_matches_reference(p, data, drop):
+    """Same answer as the Fraction definition: the same maximality verdict
+    and the same completed basis, for targets at and below the lattice's
+    own scale (negative and positive).  n = 4 only at p = 3, where the
+    Fraction reference stays fast."""
+    L = data.draw(_lattices(p))
+    assert is_maximal(L) == _reference_is_maximal(L)
+    target = scale(L) - drop
+    out = maximal_completion(L, target)
+    ref = _reference_maximal_completion(L, target)
+    assert out.basis == ref.basis
+    assert is_maximal(out)
+
+
+def test_superlattice_scan_fixed_cases():
+    """Hand-picked cases for each branch: a positive target, a negative
+    scale, a Gram with p in its denominators, n = 1 and n = 4 at p = 5."""
+    cases = [
+        (lattice(3, [[3, 0], [0, 3]], diag_form(1, 1)), 2),
+        (lattice(5, [[1, 0], [0, 1]], diag_form(Fraction(1, 5), Fraction(1, 125))), -3),
+        (lattice(7, [[1, 2, 0], [0, 1, 0], [0, 0, 7]], diag_form(Fraction(2, 7), 49, 3)), -1),
+        (lattice(3, [[9]], diag_form(Fraction(1, 2))), 0),
+        (lattice(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], diag_form(1, 9, 27, 81)), 0),
+        (lattice(5, identity(4), diag_form(2, 5, 25, 3)), 0),
+    ]
+    for L, target in cases:
+        assert is_maximal(L) == _reference_is_maximal(L)
+        out = maximal_completion(L, target)
+        assert out.basis == _reference_maximal_completion(L, target).basis
+        assert scale(out) >= target and is_maximal(out) and out.contains(L)
