@@ -84,6 +84,25 @@ def _rat(v, where: str) -> Fraction:
     raise InputError("schema:bad-rational", f"{where}: expected int or fraction string")
 
 
+def _int(v, where: str) -> int:
+    """An integer field: a JSON integer or a decimal string of one."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise InputError("schema:bad-field", f"{where}: expected an integer, got {v!r}")
+
+
+def _coords(v, n: int, where: str) -> list[Fraction]:
+    """The n rational coordinates of an algebra element."""
+    if not isinstance(v, list) or len(v) != n:
+        raise InputError("schema:bad-instance", f"{where}: expected a list of {n} rationals")
+    return [_rat(c, where) for c in v]
+
+
 def _rat_str(x: Fraction) -> str:
     return str(x)
 
@@ -113,8 +132,8 @@ def parse_base(doc, where: str):
         return RationalRing()
     if t == "quadfield":
         try:
-            return QuadRing(QuadField(int(doc["D"])))
-        except (KeyError, QuadFieldError, TypeError) as exc:
+            return QuadRing(QuadField(_int(doc["D"], where + ".D")))
+        except (KeyError, QuadFieldError) as exc:
             raise InputError("schema:bad-field", f"{where}: {exc}") from None
     if t == "quaternion":
         a = _rat(doc.get("a"), where + ".a")
@@ -273,7 +292,7 @@ def _parse_general_algebra(alg, where: str):
         if kind == "rational":
             factors.append(SimpleFactor(RationalRing()))
         elif kind == "quadfield":
-            ring = QuadRing(QuadField(int(fd["D"])))
+            ring = QuadRing(QuadField(_int(fd["D"], w + ".D")))
             factors.append(SimpleFactor(ring, involution=fd.get("involution", "identity")))
         elif kind == "quaternion":
             ring = QuaternionRing(RationalRing(), _rat(fd["a"], w), _rat(fd["b"], w))
@@ -285,7 +304,9 @@ def _parse_general_algebra(alg, where: str):
                     "schema:bad-algebra",
                     f"{w}: Q x Q is not simple; write it as two factors with swap_pairs",
                 )
-            n = int(fd["n"])
+            n = _int(fd["n"], w + ".n")
+            if n < 1:
+                raise InputError("schema:bad-field", f"{w}.n: must be >= 1")
             z = fd.get("z")
             zf = _freeze(_matrix(z, w + ".z")) if z is not None else None
             factors.append(
@@ -293,9 +314,20 @@ def _parse_general_algebra(alg, where: str):
             )
         else:
             raise InputError("schema:bad-algebra", f"{w}: unknown factor kind {kind!r}")
-    swap_pairs = tuple(tuple(p) for p in alg.get("swap_pairs", []))
-    A = AlgebraWithInvolution(tuple(factors), swap_pairs)
-    gammas = tuple(int(g) for g in alg.get("gammas", [1] * len(factors)))
+    swap_pairs = alg.get("swap_pairs", [])
+    if not isinstance(swap_pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2
+        and all(type(i) is int and 0 <= i < len(factors) for i in p)
+        for p in swap_pairs
+    ):
+        raise InputError(
+            "schema:bad-algebra", f"{where}.swap_pairs: expected pairs of factor indices"
+        )
+    A = AlgebraWithInvolution(tuple(factors), tuple(tuple(p) for p in swap_pairs))
+    gammas = alg.get("gammas", [1] * len(factors))
+    if not isinstance(gammas, list):
+        raise InputError("schema:bad-field", f"{where}.gammas: expected a list")
+    gammas = tuple(_int(g, f"{where}.gammas") for g in gammas)
     spec = NormSpec(A, gammas)
     return A, spec
 
@@ -303,17 +335,19 @@ def _parse_general_algebra(alg, where: str):
 def _general_instance(doc, where: str) -> BoundInstance:
     try:
         A, spec = _parse_general_algebra(doc["algebra"], where)
+        n = A.dim_q
         basis_doc = doc.get("order_basis")
         if basis_doc is None:
             basis = tuple(A.basis())
-        else:
+        elif isinstance(basis_doc, list):
             basis = tuple(
-                A.from_qcoords([_rat(c, f"{where}.order_basis") for c in row])
-                for row in basis_doc
+                A.from_qcoords(_coords(row, n, f"{where}.order_basis")) for row in basis_doc
             )
+        else:
+            raise InputError("schema:bad-instance", f"{where}.order_basis: expected a list of rows")
         order = OrderR(A, basis)
-        q = A.from_qcoords([_rat(c, f"{where}.q") for c in doc["q"]])
-        a = A.from_qcoords([_rat(c, f"{where}.a") for c in doc["a"]])
+        q = A.from_qcoords(_coords(doc["q"], n, f"{where}.q"))
+        a = A.from_qcoords(_coords(doc["a"], n, f"{where}.a"))
         return BoundInstance(A, spec, order, q, a)
     except (AlgebraError, QuadFieldError) as exc:
         raise InputError("precondition:algebra", f"{where}: {exc}") from None

@@ -84,6 +84,21 @@ class SquareClassQ:
         return self.representative == 1
 
 
+def _local_data(x, p: int) -> tuple[int, int]:
+    """(v_p(x), residue of the unit part of x mod p, or mod 8 at p = 2) for
+    a nonzero int or Fraction x.  p must already be known to be prime."""
+    n, d = x.numerator, x.denominator
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    m = 8 if p == 2 else p
+    return v, (n if d == 1 else n * pow(d, -1, m)) % m
+
+
 def valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for x a nonzero rational."""
     x = Fraction(x)
@@ -91,16 +106,7 @@ def valuation(x: Fraction | int, p: int) -> int:
         raise ExactError("valuation of zero is undefined")
     if not isprime(p):
         raise ExactError(f"{p} is not prime")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _local_data(x, p)[0]
 
 
 def unit_part(x: Fraction | int, p: int) -> Fraction:
@@ -153,6 +159,23 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _hilbert_local(alpha: int, u: int, beta: int, w: int, p: int) -> int:
+    """sigma(p^alpha u, p^beta w) at a finite prime p, for units u, w given
+    by their residues mod p (mod 8 at p = 2)."""
+    if p == 2:
+        eps_u, eps_w = (u - 1) // 2, (w - 1) // 2
+        e = eps_u * eps_w + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    s = 1
+    if alpha % 2 and beta % 2 and p % 4 == 3:
+        s = -s
+    if beta % 2:
+        s *= legendre(u, p)
+    if alpha % 2:
+        s *= legendre(w, p)
+    return s
+
+
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: LocalPlace) -> int:
     """sigma(a, b) at the place v, by the standard closed formulas."""
     a, b = Fraction(a), Fraction(b)
@@ -160,38 +183,29 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: LocalPlace) -> int:
         raise ExactError("hilbert symbol needs nonzero arguments")
     if v.is_real:
         return -1 if (a < 0 and b < 0) else 1
-    p = v.p
-    alpha, beta = valuation(a, p), valuation(b, p)
-    if p != 2:
-        u = unit_residue(a, p)
-        w = unit_residue(b, p)
-        s = 1
-        if alpha % 2 and beta % 2:
-            s *= legendre(-1, p)
-        if beta % 2:
-            s *= legendre(u, p)
-        if alpha % 2:
-            s *= legendre(w, p)
-        return s
-    u = unit_residue(a, 2, 8)
-    w = unit_residue(b, 2, 8)
-    eps_u = (u - 1) // 2 % 2
-    eps_w = (w - 1) // 2 % 2
-    om_u = (u * u - 1) // 8 % 2
-    om_w = (w * w - 1) // 8 % 2
-    e = eps_u * eps_w + alpha * om_w + beta * om_u
-    return -1 if e % 2 else 1
+    return _hilbert_local(*_local_data(a, v.p), *_local_data(b, v.p), v.p)
 
 
 def hasse_invariant(diag: list[Fraction | int], v: LocalPlace) -> int:
-    """prod_{i<j} sigma(a_i, a_j) at v for a diagonalized form."""
-    entries = [Fraction(x) for x in diag]
-    if any(x == 0 for x in entries):
+    """prod_{i<j} sigma(a_i, a_j) at v for a diagonalized form <a_1, ..., a_n>.
+
+    By bimultiplicativity this is prod_j sigma(a_1 ... a_{j-1}, a_j), so one
+    pass suffices: each entry's valuation and unit residue are taken once,
+    and the prefix a_1 ... a_{j-1} is carried as its valuation sum and
+    residue product.  At the real place it is -1 to the number of pairs of
+    negative entries."""
+    if any(x == 0 for x in diag):
         raise ExactError("singular form: zero diagonal entry")
-    s = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            s *= hilbert_symbol(entries[i], entries[j], v)
+    if v.is_real:
+        k = sum(1 for x in diag if x < 0)
+        return -1 if k * (k - 1) // 2 % 2 else 1
+    p = v.p
+    m = 8 if p == 2 else p
+    s, alpha, u = 1, 0, 1
+    for x in diag:
+        beta, w = _local_data(x, p)
+        s *= _hilbert_local(alpha, u, beta, w, p)
+        alpha, u = alpha + beta, u * w % m
     return s
 
 

@@ -274,12 +274,6 @@ class GramForm:
                 g[n + i][n + j] = other.gram[i][j]
         return GramForm(self.kind, self.ring, g)
 
-    def repeat(self, k: int) -> "GramForm":
-        out = self
-        for _ in range(k - 1):
-            out = out.direct_sum(self)
-        return out
-
     def scale(self, c) -> "GramForm":
         """Multiply the form by a central involution-fixed scalar."""
         return GramForm(self.kind, self.ring, [[c * x for x in row] for row in self.gram])
@@ -401,7 +395,10 @@ def diagonalize(f: GramForm) -> tuple[list, list]:
                 if ring.is_zero(g[k][k]):
                     piv = next(i for i in range(k, n) if not ring.is_zero(g[i][i]))
                     col_swap(k, piv)
-        pivot_inv = ring.inv(g[k][k])
+        try:
+            pivot_inv = ring.inv(g[k][k])
+        except ZeroDivisionError:  # split quaternion algebras have zero divisors
+            raise FormError("cannot diagonalize: a pivot is a zero divisor") from None
         for j in range(k + 1, n):
             if not ring.is_zero(g[k][j]):
                 col_op(j, k, -(pivot_inv * g[k][j]))
@@ -686,16 +683,49 @@ def is_norm(m, F: QuadField) -> bool:
 
 
 def invariants(f: GramForm) -> FormInvariants:
-    """The full invariant vector appropriate to the form's kind and base."""
-    if not f.is_nonsingular():
-        raise FormError("singular forms have no invariants")
+    """The full invariant vector appropriate to the form's kind and base.
+
+    Over Q, a quadratic field or a definite quaternion algebra (division
+    rings) a completed diagonalization proves the form nonsingular.  Skew
+    forms, quaternionic skew-hermitian forms (a split quaternion algebra
+    has zero divisors) and etale-pair forms are tested on the whole
+    matrix."""
     ring = f.ring
-    if f.kind == "skew":
-        if f.dim % 2:
-            raise FormError("nonsingular skew forms have even dimension")
-        return FormInvariants(kind="skew", base="Q", dim=f.dim, complete=True)
-    if f.kind == "symmetric" and isinstance(ring, RationalRing):
-        diag, _ = diagonalize(f)
+    if f.kind in ("skew", "quat-skew-hermitian") or isinstance(ring, EtalePairRing):
+        if not f.is_nonsingular():
+            raise FormError("singular forms have no invariants")
+        if f.kind == "skew":
+            if f.dim % 2:
+                raise FormError("nonsingular skew forms have even dimension")
+            return FormInvariants(kind="skew", base="Q", dim=f.dim, complete=True)
+        if f.kind == "quat-skew-hermitian":
+            diag, _ = diagonalize(f)
+            det = Fraction(1)
+            for x in diag:
+                det *= x.nrd()
+            return FormInvariants(
+                kind="quat-skew-hermitian",
+                base=f"quat({ring.a},{ring.b})",
+                dim=f.dim,
+                det_class=square_class(det),
+                complete=False,
+            )
+        # every nonsingular etale-pair form is isometric to <1, ..., 1>
+        # (etale_pair_witness)
+        diag = [ring.one()] * f.dim
+    else:
+        try:
+            diag, _ = diagonalize(f)
+        except FormError:
+            raise FormError("singular forms have no invariants") from None
+    return _diagonal_invariants(f.kind, ring, diag)
+
+
+def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
+    """The invariants of the nonsingular symmetric or hermitian diagonal
+    form <diag> over `ring`."""
+    dim = len(diag)
+    if kind == "symmetric" and isinstance(ring, RationalRing):
         det = Fraction(1)
         for x in diag:
             det *= x
@@ -705,14 +735,13 @@ def invariants(f: GramForm) -> FormInvariants:
         return FormInvariants(
             kind="symmetric",
             base="Q",
-            dim=f.dim,
+            dim=dim,
             det_class=square_class(det),
             hasse=hasse,
-            signatures=[(pos, f.dim - pos)],
+            signatures=[(pos, dim - pos)],
             complete=True,
         )
-    if f.kind == "symmetric" and isinstance(ring, QuadRing):
-        diag, _ = diagonalize(f)
+    if kind == "symmetric" and isinstance(ring, QuadRing):
         det = ring.one()
         for x in diag:
             det = det * x
@@ -721,13 +750,12 @@ def invariants(f: GramForm) -> FormInvariants:
         return FormInvariants(
             kind="symmetric",
             base=f"Q(sqrt{ring.field.D})",
-            dim=f.dim,
+            dim=dim,
             det_element=det,
-            signatures=[(sig0, f.dim - sig0), (sig1, f.dim - sig1)],
+            signatures=[(sig0, dim - sig0), (sig1, dim - sig1)],
             complete=False,
         )
-    if f.kind == "hermitian" and isinstance(ring, QuadRing):
-        diag, _ = diagonalize(f)
+    if kind == "hermitian" and isinstance(ring, QuadRing):
         dets = [x.as_rational() for x in diag]  # conj-fixed, hence rational
         det = Fraction(1)
         for x in dets:
@@ -736,38 +764,25 @@ def invariants(f: GramForm) -> FormInvariants:
         return FormInvariants(
             kind="hermitian",
             base=f"Q(sqrt{ring.field.D})",
-            dim=f.dim,
+            dim=dim,
             det_element=det,
             det_field=ring.field,
             det_is_norm=is_norm(det, ring.field),
-            signatures=[(pos, f.dim - pos)],
+            signatures=[(pos, dim - pos)],
             complete=True,
         )
-    if f.kind == "hermitian" and isinstance(ring, QuaternionRing):
-        diag, _ = diagonalize(f)
+    if kind == "hermitian" and isinstance(ring, QuaternionRing):
         dets = [ring.as_rational(x) for x in diag]  # canonical-fixed: rational
         pos = sum(1 for x in dets if x > 0)
         return FormInvariants(
             kind="hermitian",
             base=f"quat({ring.a},{ring.b})",
-            dim=f.dim,
-            signatures=[(pos, f.dim - pos)],
+            dim=dim,
+            signatures=[(pos, dim - pos)],
             complete=True,
         )
-    if f.kind == "hermitian" and isinstance(ring, EtalePairRing):
-        return FormInvariants(kind="hermitian", base="QxQ", dim=f.dim, complete=True)
-    if f.kind == "quat-skew-hermitian":
-        diag, _ = diagonalize(f)
-        det = Fraction(1)
-        for x in diag:
-            det *= x.nrd()
-        return FormInvariants(
-            kind="quat-skew-hermitian",
-            base=f"quat({ring.a},{ring.b})",
-            dim=f.dim,
-            det_class=square_class(det),
-            complete=False,
-        )
+    if kind == "hermitian" and isinstance(ring, EtalePairRing):
+        return FormInvariants(kind="hermitian", base="QxQ", dim=dim, complete=True)
     raise FormError("unsupported kind/base")
 
 
@@ -949,20 +964,48 @@ def etale_pair_witness(f1: GramForm, f2: GramForm):
 # The fourth-power verifier
 
 
+def _positive_diagonal(f: GramForm) -> list:
+    """A diagonalization of the symmetric or hermitian form f whose entries
+    are all positive at every real place, which proves f positive definite
+    (as `is_positive_definite` decides it); FormError when there is none."""
+    ring = f.ring
+    # over Q x Q the trace form vanishes on the vectors (v, 0)
+    if not (isinstance(ring, EtalePairRing) and f.dim):
+        try:
+            diag, _ = diagonalize(f)
+        except FormError:  # singular
+            pass
+        else:
+            if all(_is_totally_positive(ring, x) for x in diag):
+                return diag
+    raise FormError("fourth-power check needs positive definite forms")
+
+
+def _is_totally_positive(ring, x) -> bool:
+    """x > 0 at every real place; x is a diagonal entry of a symmetric form
+    over a real quadratic field or else involution-fixed, hence rational."""
+    if isinstance(ring, QuadRing) and ring.field.is_real:
+        return x.sign_at(0) > 0 and x.sign_at(1) > 0
+    return ring.as_rational(x) > 0
+
+
 def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
     """Verify that the 4-fold direct sums of two positive definite forms of
     equal dimension over the same base are isometric, returning the
-    invariant certificate.  A False return signals a bug, not a result."""
+    invariant certificate.  A False return signals a bug, not a result.
+
+    Each form is diagonalized once at its own size; the diagonal of a
+    direct sum is the concatenation of the diagonals, so the invariants of
+    psi^4 come from `diag * 4` and the sum-rule check from `diag * 2`."""
     if f1.kind != f2.kind or f1.ring != f2.ring:
         raise FormError("fourth-power check needs matching kind and base")
     if f1.dim != f2.dim:
         raise FormError("fourth-power check needs equal dimensions")
     if f1.kind in ("skew", "quat-skew-hermitian"):
         raise FormError("positive definiteness requires a hermitian kind")
-    if not is_positive_definite(f1) or not is_positive_definite(f2):
-        raise FormError("fourth-power check needs positive definite forms")
-    q1, q2 = f1.repeat(4), f2.repeat(4)
-    i1, i2 = invariants(q1), invariants(q2)
+    diag1, diag2 = _positive_diagonal(f1), _positive_diagonal(f2)
+    i1 = _diagonal_invariants(f1.kind, f1.ring, diag1 * 4)
+    i2 = _diagonal_invariants(f2.kind, f2.ring, diag2 * 4)
     cert: dict = {
         "dim": i1.dim,
         "kind": f1.kind,
@@ -976,7 +1019,7 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
                 "internal: hasse invariant of a positive definite fourth power must be trivial"
             )
         # independent route: the direct-sum rule with square determinants
-        d1, _ = diagonalize(f1.repeat(2))
+        d1 = diag1 * 2
         det2 = Fraction(1)
         for x in d1:
             det2 *= x

@@ -35,6 +35,8 @@ class Ring(Protocol):
     """The ring methods the matrix layer calls.  Elements support +, -, *
     and unary minus among themselves and with int and Fraction scalars."""
 
+    dim_q: int  # the dimension over Q
+
     def zero(self): ...
 
     def one(self): ...
@@ -49,6 +51,12 @@ class Ring(Protocol):
 
     def coerce(self, c):
         """The ring element of an int or Fraction scalar."""
+
+    def to_qcoords(self, x) -> list:
+        """The dim_q rational coordinates of x."""
+
+    def from_qcoords(self, coords):
+        """The element with the given rational coordinates."""
 
 
 class RationalRing:
@@ -146,8 +154,10 @@ def mat_eq(a: list, b: list, ring: Ring = QQ) -> bool:
 
 
 def det(a: list, ring: Ring = QQ):
-    """Determinant over a commutative ring descriptor with division, by
-    forward Gaussian elimination."""
+    """Determinant over a commutative ring descriptor, by forward Gaussian
+    elimination.  When a pivot has no inverse (a zero divisor of Q x Q), it
+    is (-1)^n times the constant term of `charpoly`, which divides by
+    integers only."""
     is_zero = ring.is_zero
     n = len(a)
     m = [row[:] for row in a]
@@ -164,7 +174,11 @@ def det(a: list, ring: Ring = QQ):
         acc = acc * prow[col]
         below = [r for r in range(col + 1, n) if not is_zero(m[r][col])]
         if below:
-            pinv = ring.inv(prow[col])
+            try:
+                pinv = ring.inv(prow[col])
+            except ZeroDivisionError:
+                c0 = charpoly(a, ring)[0]
+                return -c0 if n % 2 else c0
             # columns <= col are never read again
             tail = prow[col + 1 :]
             for r in below:
@@ -208,13 +222,42 @@ def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
 
 
 def inverse(a: list, ring: Ring = QQ) -> list:
-    """The two-sided inverse; raises ZeroDivisionError when elimination
-    finds no invertible pivot for some column."""
+    """The two-sided inverse; raises ZeroDivisionError when there is none.
+
+    Elimination runs over the ring.  When it finds no invertible pivot for
+    some column of a ring with zero divisors (Q x Q, a split quaternion
+    algebra), the matrix is inverted through its left-regular
+    representation over Q instead."""
     n = len(a)
     m = [row + eye for row, eye in zip(a, identity(n, ring))]
-    if len(_row_reduce(m, n, ring)) < n:
-        raise ZeroDivisionError("matrix not invertible by pivoting")
-    return [row[n:] for row in m]
+    if len(_row_reduce(m, n, ring)) == n:
+        return [row[n:] for row in m]
+    if ring.dim_q == 1:
+        raise ZeroDivisionError("matrix not invertible")
+    return _regular_inverse(a, ring)
+
+
+def _regular_inverse(a: list, ring: Ring) -> list:
+    """The inverse of a in M_n(B) from the matrix over Q of v -> a v on B^n.
+
+    That map is invertible exactly when a is (B is finite-dimensional), and
+    column j of the inverse is the preimage of e_j (the one of B at j)."""
+    n, d = len(a), ring.dim_q
+    units = [ring.from_qcoords([Fraction(int(s == t)) for s in range(d)]) for t in range(d)]
+    big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
+    for i in range(n):
+        for j in range(n):
+            for t, unit in enumerate(units):
+                for s, c in enumerate(ring.to_qcoords(a[i][j] * unit)):
+                    big[i * d + s][j * d + t] = c
+    big_inv = inverse(big)  # over Q; raises ZeroDivisionError when singular
+    one = ring.to_qcoords(ring.one())
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        x = [sum(row[j * d + t] * one[t] for t in range(d)) for row in big_inv]
+        for i in range(n):
+            out[i][j] = ring.from_qcoords(x[i * d : (i + 1) * d])
+    return out
 
 
 def nullspace(a: list, ring: Ring = QQ) -> list[list]:

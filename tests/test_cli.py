@@ -473,3 +473,116 @@ def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, "hecke-classes", {"D": 5, "count": 10}, "--height", "0")
     assert code == 0
     assert len(calls) == 90
+
+
+_GENERAL_SWAP = {
+    "algebra": {
+        "type": "general",
+        "factors": [{"kind": "rational"}, {"kind": "rational"}],
+        "swap_pairs": [[0, 1]],
+        "gammas": [1, 1],
+    },
+    "q": ["2", "2"],
+    "a": ["1", "1"],
+}
+
+
+def _general(algebra=None, **fields):
+    doc = {**_GENERAL_SWAP, **fields}
+    doc["algebra"] = {**_GENERAL_SWAP["algebra"], **(algebra or {})}
+    return {"instance": doc}
+
+
+def _herm_over(D):
+    return {"form": {"kind": "hermitian", "base": {"type": "quadfield", "D": D}, "gram": [[["1", "0"]]]}}
+
+
+@pytest.mark.parametrize(
+    "verb, doc, code",
+    [
+        ("classify-form", _herm_over("1/0"), "schema:bad-field"),
+        ("classify-form", _herm_over("x"), "schema:bad-field"),
+        ("classify-form", _herm_over(2.5), "schema:bad-field"),
+        ("classify-form", _herm_over(True), "schema:bad-field"),
+        ("classify-form", _herm_over([5]), "schema:bad-field"),
+        (
+            "degree-bound",
+            {"instance": {"algebra": {"type": "general", "factors": [{"kind": "quadfield", "D": "x"}]},
+                          "q": [], "a": []}},
+            "schema:bad-field",
+        ),
+        (
+            "degree-bound",
+            {"instance": {"algebra": {"type": "general", "factors": [{"kind": "matrix", "n": "1/2"}]},
+                          "q": [], "a": []}},
+            "schema:bad-field",
+        ),
+        (
+            "degree-bound",
+            {"instance": {"algebra": {"type": "general", "factors": [{"kind": "matrix", "n": -1}]},
+                          "q": ["1"], "a": ["1"]}},
+            "schema:bad-field",
+        ),
+        ("degree-bound", _general({"swap_pairs": [3]}), "schema:bad-algebra"),
+        ("degree-bound", _general({"swap_pairs": 3}), "schema:bad-algebra"),
+        ("degree-bound", _general({"swap_pairs": [[0, 2]]}), "schema:bad-algebra"),
+        ("degree-bound", _general({"swap_pairs": [[0, 1, 1]]}), "schema:bad-algebra"),
+        ("degree-bound", _general({"swap_pairs": [[0, 1.0]]}), "schema:bad-algebra"),
+        ("degree-bound", _general({"gammas": 1}), "schema:bad-field"),
+        ("degree-bound", _general({"gammas": ["x", 1]}), "schema:bad-field"),
+        ("degree-bound", _general(q=5), "schema:bad-instance"),
+        ("degree-bound", _general(a="11"), "schema:bad-instance"),
+        ("degree-bound", _general(q=["2"]), "schema:bad-instance"),
+        ("degree-bound", _general(order_basis=5), "schema:bad-instance"),
+        ("degree-bound", _general(order_basis=[5, 6]), "schema:bad-instance"),
+        ("measure-constant", {"instances": [_general(q=5)["instance"]]}, "schema:bad-instance"),
+    ],
+)
+def test_malformed_scalar_fields_are_schema_errors(tmp_path, verb, doc, code):
+    """Values of the wrong type inside a base or a `general` descriptor
+    answer a schema error with exit 1, under the verb and under `validate`."""
+    rc, out = run_cli(tmp_path, verb, doc)
+    assert rc == 1
+    assert out["error"]["code"] == code
+    rc, out = run_cli(tmp_path, "validate", doc, "--validate-verb", verb)
+    assert rc == 1
+    assert [e["code"] for e in out["errors"]] == [code]
+
+
+@pytest.mark.parametrize("D", [-1, "-1"])
+def test_quadfield_base_accepts_an_integer_or_its_string(tmp_path, D):
+    code, out = run_cli(tmp_path, "classify-form", _herm_over(D))
+    assert code == 0 and out["invariants"]["base"] == "Q(sqrt-1)"
+
+
+def test_forms_pool_is_byte_identical_to_reference(tmp_path):
+    """Every request of the benchmark's `forms` pool, sent through `main`,
+    answers the exit code and the exact bytes recorded in the reference."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    requests = json.loads((data / "forms.inputs.json").read_text())["requests"]
+    reference = json.loads((data / "forms.reference.json").read_text())
+    assert len(requests) == len(reference) == 136
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    mismatched = []
+    for req in requests:
+        inp.write_text(json.dumps(req["input"]))
+        code = main([req["verb"], str(inp), "-o", str(out), *req["args"]])
+        want = reference[req["id"]]
+        if (code, out.read_text()) != (want["exit"], want["stdout"]):
+            mismatched.append(req["id"])
+    assert mismatched == []
+
+
+def test_split_quaternion_zero_divisor_pivot_is_an_error(tmp_path):
+    form = {
+        "kind": "quat-skew-hermitian",
+        "base": {"type": "quaternion", "a": "1", "b": "1"},
+        "gram": [
+            [["0", "-1", "0", "1"], ["1", "-1", "-1", "1"]],
+            [["-1", "-1", "-1", "1"], ["0", "0", "-1", "1"]],
+        ],
+    }
+    for verb, doc in (("classify-form", {"form": form}), ("isometric", {"form1": form, "form2": form})):
+        code, out = run_cli(tmp_path, verb, doc)
+        assert code == 1
+        assert out["error"]["code"] == "precondition:FormError"

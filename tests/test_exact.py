@@ -12,6 +12,7 @@ from polarith.exact import (
     hasse_invariant,
     hilbert_symbol,
     is_rational_square,
+    legendre,
     square_class,
     support_places,
     unit_residue,
@@ -215,3 +216,92 @@ def test_hilbert_rejects_zero():
         hilbert_symbol(0, 3, REAL_PLACE)
     with pytest.raises(ExactError):
         hilbert_symbol(2, 0, LocalPlace.finite(3))
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the Fraction bodies they replaced
+
+
+def _reference_hilbert_symbol(a, b, v: LocalPlace) -> int:
+    """The former Fraction-based body of `hilbert_symbol`."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ExactError("hilbert symbol needs nonzero arguments")
+    if v.is_real:
+        return -1 if (a < 0 and b < 0) else 1
+    p = v.p
+    alpha, beta = valuation(a, p), valuation(b, p)
+    if p != 2:
+        u = unit_residue(a, p)
+        w = unit_residue(b, p)
+        s = 1
+        if alpha % 2 and beta % 2:
+            s *= legendre(-1, p)
+        if beta % 2:
+            s *= legendre(u, p)
+        if alpha % 2:
+            s *= legendre(w, p)
+        return s
+    u = unit_residue(a, 2, 8)
+    w = unit_residue(b, 2, 8)
+    eps_u = (u - 1) // 2 % 2
+    eps_w = (w - 1) // 2 % 2
+    om_u = (u * u - 1) // 8 % 2
+    om_w = (w * w - 1) // 8 % 2
+    e = eps_u * eps_w + alpha * om_w + beta * om_u
+    return -1 if e % 2 else 1
+
+
+def _reference_hasse_invariant(diag, v: LocalPlace) -> int:
+    """The former O(n^2) body of `hasse_invariant`."""
+    entries = [Fraction(x) for x in diag]
+    if any(x == 0 for x in entries):
+        raise ExactError("singular form: zero diagonal entry")
+    s = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            s *= _reference_hilbert_symbol(entries[i], entries[j], v)
+    return s
+
+
+KERNEL_PLACES = [LocalPlace.finite(p) for p in (2, 3, 5, 7, 11)] + [REAL_PLACE]
+
+# sign * unit * prod p^e over the kernel primes, e in [-3, 3]: negative
+# valuations, units of every class mod 8 and mod the odd primes
+structured = st.builds(
+    lambda sign, unit, exps: sign
+    * unit
+    * Fraction(2) ** exps[0]
+    * Fraction(3) ** exps[1]
+    * Fraction(5) ** exps[2]
+    * Fraction(7) ** exps[3]
+    * Fraction(11) ** exps[4],
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, 3, 5, 7, 13, 15, 17, 19, 23, 29, 31, 37]),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+)
+kernel_values = st.one_of(structured, nonzero_small, st.integers(-40, 40).filter(bool))
+
+
+@given(a=kernel_values, b=kernel_values)
+@settings(max_examples=300, deadline=None)
+def test_hilbert_symbol_matches_reference(a, b):
+    for v in KERNEL_PLACES:
+        assert hilbert_symbol(a, b, v) == _reference_hilbert_symbol(a, b, v), (a, b, v)
+
+
+@given(diag=st.lists(kernel_values, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_hasse_invariant_matches_reference(diag):
+    for v in KERNEL_PLACES:
+        assert hasse_invariant(diag, v) == _reference_hasse_invariant(diag, v), (diag, v)
+
+
+def test_hasse_invariant_units_of_every_class_mod_8():
+    """Every pair of odd units and every power of 2 up to 2^3 at p = 2."""
+    v2 = LocalPlace.finite(2)
+    values = [u * Fraction(2) ** e for u in (1, 3, 5, 7, -1, -3, -5, -7) for e in (-3, -1, 0, 1, 2)]
+    for a in values:
+        for b in values:
+            assert hilbert_symbol(a, b, v2) == _reference_hilbert_symbol(a, b, v2)
+            assert hasse_invariant([a, b, a * b], v2) == _reference_hasse_invariant([a, b, a * b], v2)

@@ -11,6 +11,7 @@ from polarith.forms import (
     FormError,
     GramForm,
     MatrixInvolution,
+    _positive_diagonal,
     adjoint_involution,
     diagonal_form_q,
     diagonalize,
@@ -29,7 +30,7 @@ from polarith.forms import (
     symmetric_form_q,
     trace_gram,
 )
-from polarith.linalg import RationalRing, mat_mul
+from polarith.linalg import RationalRing, conj_transpose, mat_mul, transpose
 from polarith.quadfield import QuadField
 
 QR = RationalRing()
@@ -541,3 +542,120 @@ def test_isometry_search_rejects_other_forms():
             search_isometry_witness(a, b, 2)
     with pytest.raises(FormError, match="height"):
         search_isometry_witness(f, f, 0)
+
+
+# ---------------------------------------------------------------------------
+# Positivity read off one diagonalization, over every supported base
+
+BASES = {
+    "Q": ("symmetric", QR),
+    "real": ("symmetric", QuadRing(F5)),
+    "imag": ("hermitian", QuadRing(QuadField(-5))),
+    "quat": ("hermitian", QuaternionRing(QR, Fraction(-1), Fraction(-1))),
+    "pair": ("hermitian", EtalePairRing()),
+}
+BASE_PARAMS = [pytest.param(*BASES[name], id=name) for name in BASES]
+
+
+def _rand_form(rng, kind, ring, n, signs):
+    """U^dagger D U with U a random (possibly singular) matrix over the base
+    and D diagonal with involution-fixed entries of the given signs (0 for
+    a zero entry; over Q(sqrt5) a sign of 2 picks 1 + sqrt5, which is
+    positive at one real place only)."""
+    d = ring.dim_q
+    u = [
+        [ring.from_qcoords([Fraction(rng.randint(-2, 2)) for _ in range(d)]) for _ in range(n)]
+        for _ in range(n)
+    ]
+    for i in range(n):
+        u[i][i] = u[i][i] + ring.coerce(rng.randint(0, 3))
+    diag = []
+    for sign in signs:
+        if sign == 2:
+            diag.append(F5.from_sqrt_coords(1, 1))
+        elif isinstance(ring, QuadRing) and ring.field.is_real and sign > 0:
+            diag.append(F5.from_sqrt_coords(rng.randint(3, 5), rng.choice([-1, 0, 1])))
+        else:
+            diag.append(ring.coerce(sign * rng.randint(1, 4)))
+    dm = [[diag[i] if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    udag = transpose(u) if kind == "symmetric" else conj_transpose(u, ring)
+    return GramForm(kind, ring, mat_mul(mat_mul(udag, dm, ring), u, ring))
+
+
+def _positive_by_diagonal(f) -> bool:
+    try:
+        _positive_diagonal(f)
+    except FormError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind, ring", BASE_PARAMS)
+def test_diagonal_positivity_agrees_with_trace_form(kind, ring):
+    rng = random.Random(2026)
+    seen = set()
+    choices = [1, 1, 1, -1, 0] + ([2] if isinstance(ring, QuadRing) and ring.field.is_real else [])
+    for _ in range(60):
+        n = rng.randint(0, 3)
+        f = _rand_form(rng, kind, ring, n, [rng.choice(choices) for _ in range(n)])
+        positive = is_positive_definite(f)
+        assert _positive_by_diagonal(f) == positive, f.gram
+        seen.add(positive)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("kind, ring", BASE_PARAMS)
+@pytest.mark.parametrize("signs", [[1, 0], [0, 0], [1, -1], [-1, 1], [-1, -1], [-1]], ids=str)
+def test_fourth_power_refuses_singular_indefinite_and_negative(kind, ring, signs):
+    rng = random.Random(7)
+    bad = _rand_form(rng, kind, ring, len(signs), signs)
+    good = GramForm(kind, ring, [[ring.one() if i == j else ring.zero() for j in range(len(signs))]
+                                 for i in range(len(signs))])
+    assert not is_positive_definite(bad)
+    for f1, f2 in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(FormError, match="^fourth-power check needs positive definite forms$"):
+            fourth_power_isometric(f1, f2)
+
+
+@pytest.mark.parametrize("kind, ring", BASE_PARAMS)
+def test_invariants_refuse_singular_forms(kind, ring):
+    """A zero row: the diagonalization (or, over Q x Q, the whole-matrix
+    test) fails, with the same message on every base."""
+    g = _rand_form(random.Random(3), kind, ring, 3, [1, 1, 1]).gram
+    g = [[ring.zero()] * 3] + [[ring.zero()] + row[1:] for row in g[1:]]
+    f = GramForm(kind, ring, g)
+    with pytest.raises(FormError, match="^singular forms have no invariants$"):
+        invariants(f)
+
+
+def test_etale_pair_form_with_zero_divisor_column_is_nonsingular():
+    """Every entry of the first column is a zero divisor of Q x Q, but the
+    form (A, A^T) with det A = 1 is nonsingular."""
+    f = etale_pair_form([[0, 1, 0], [0, 2, 1], [1, 3, 5]])
+    assert all(x.x == 0 or x.y == 0 for x in (row[0] for row in f.gram))
+    assert f.is_nonsingular()
+    assert invariants(f).dim == 3
+    g = etale_pair_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert isometric(f, g)
+    u = etale_pair_witness(f, g)
+    assert f.transform(u).gram == g.gram
+
+
+SPLIT_SKEW_GRAM = [
+    [["0", "-1", "0", "1"], ["1", "-1", "-1", "1"]],
+    [["-1", "-1", "-1", "1"], ["0", "0", "-1", "1"]],
+]
+
+
+def test_split_quaternion_zero_divisor_pivot_is_a_form_error():
+    """Over (1,1/Q) the pure quaternion -i + k has reduced norm 0.  This
+    nonsingular skew-hermitian form has it as its first pivot, so the
+    diagonalization stops with a FormError, not a ZeroDivisionError."""
+    ring = QuaternionRing(QR, Fraction(1), Fraction(1))
+    g = [[ring.from_qcoords([Fraction(c) for c in e]) for e in row] for row in SPLIT_SKEW_GRAM]
+    f = GramForm("quat-skew-hermitian", ring, g)
+    assert f.is_nonsingular()
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(g[0][0])
+    with pytest.raises(FormError, match="pivot is a zero divisor"):
+        invariants(f)
