@@ -286,7 +286,10 @@ class SimpleFactor:
             zneg = [[-x for x in row] for row in zm]
             if not (mat_eq(zct, zm, self.ring) or mat_eq(zct, zneg, self.ring)):
                 raise AlgebraError("conjugator must be symmetric or skew under the base involution")
-            inverse(zm, self.ring)  # must be invertible
+            try:
+                inverse(zm, self.ring)
+            except ZeroDivisionError:
+                raise AlgebraError("conjugator must be invertible") from None
 
     def z_matrix(self):
         return [list(r) for r in self.z] if self.z is not None else None

@@ -107,12 +107,14 @@ def _rat_str(x: Fraction) -> str:
     return str(x)
 
 
-def _matrix(v, where: str):
+def _matrix(v, where: str, n: int | None = None):
+    """A nonempty square matrix of rationals; n x n when `n` is given."""
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise InputError("schema:bad-matrix", f"{where}: expected a list of rows")
-    n = len(v)
-    if any(len(r) != n for r in v):
+    if any(len(r) != len(v) for r in v):
         raise InputError("schema:bad-matrix", f"{where}: matrix must be square")
+    if n is not None and len(v) != n:
+        raise InputError("schema:bad-matrix", f"{where}: expected a {n} x {n} matrix")
     return [[_rat(x, where) for x in row] for row in v]
 
 
@@ -138,7 +140,10 @@ def parse_base(doc, where: str):
     if t == "quaternion":
         a = _rat(doc.get("a"), where + ".a")
         b = _rat(doc.get("b"), where + ".b")
-        return QuaternionRing(RationalRing(), a, b)
+        try:
+            return QuaternionRing(RationalRing(), a, b)
+        except AlgebraError as exc:
+            raise InputError("schema:bad-field", f"{where}: {exc}") from None
     if t == "etale-pair":
         return EtalePairRing()
     raise InputError("schema:bad-base", f"{where}: unknown base type {t!r}")
@@ -203,28 +208,45 @@ def serialize_invariants(inv) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns (exit_code, payload)
+# Verb handlers.  Each parses and checks its whole input first, then returns
+# the computation as a zero-argument callable giving (exit_code, payload):
+# `main` calls it, `validate` drops it.
 
 
 def cmd_classify_form(doc, args):
     f = parse_form(doc.get("form", doc))
-    inv = invariants(f)
-    return 0, {"invariants": serialize_invariants(inv)}
+    return lambda: (0, {"invariants": serialize_invariants(invariants(f))})
+
+
+def _form_pair(doc) -> tuple[GramForm, GramForm]:
+    return parse_form(doc["form1"], "form1"), parse_form(doc["form2"], "form2")
 
 
 def cmd_isometric(doc, args):
-    f1 = parse_form(doc["form1"], "form1")
-    f2 = parse_form(doc["form2"], "form2")
-    dec = isometric(f1, f2)
-    payload = {"isometric": bool(dec), "complete": dec.complete, "reason": dec.reason}
-    return (0 if dec else 2), payload
+    f1, f2 = _form_pair(doc)
+
+    def run():
+        dec = isometric(f1, f2)
+        return (0 if dec else 2), {"isometric": bool(dec), "complete": dec.complete, "reason": dec.reason}
+
+    return run
 
 
 def cmd_fourth_power_check(doc, args):
-    f1 = parse_form(doc["form1"], "form1")
-    f2 = parse_form(doc["form2"], "form2")
-    ok, cert = fourth_power_isometric(f1, f2)
-    return (0 if ok else 1), {"isometric_fourth_powers": ok, "certificate": cert}
+    f1, f2 = _form_pair(doc)
+
+    def run():
+        ok, cert = fourth_power_isometric(f1, f2)
+        return (0 if ok else 1), {"isometric_fourth_powers": ok, "certificate": cert}
+
+    return run
+
+
+def _prime(doc) -> int:
+    p = doc.get("p")
+    if not isinstance(p, int):
+        raise InputError("schema:missing-field", "p must be an integer prime")
+    return p
 
 
 def _precision(doc, default: int) -> int:
@@ -235,9 +257,7 @@ def _precision(doc, default: int) -> int:
 
 
 def cmd_maximal_lattice(doc, args):
-    p = doc.get("p")
-    if not isinstance(p, int):
-        raise InputError("schema:missing-field", "p must be an integer prime")
+    p = _prime(doc)
     precision = _precision(doc, args.precision)
     try:
         ctx = PadicContext(p, precision)
@@ -249,31 +269,35 @@ def cmd_maximal_lattice(doc, args):
     if not isinstance(target, int):
         raise InputError("schema:bad-field", "target_scale must be an integer")
     L = PadicLattice(ctx, basis, form)
-    out = maximal_completion(L, target)
-    return 0, {
-        "basis": _serialize_matrix(out.basis),
-        "gram": _serialize_matrix(out.gram()),
-        "scale": scale(out),
-        "maximal": is_maximal(out),
-        "contains_input": out.contains(L),
-    }
+
+    def run():
+        out = maximal_completion(L, target)
+        return 0, {
+            "basis": _serialize_matrix(out.basis),
+            "gram": _serialize_matrix(out.gram()),
+            "scale": scale(out),
+            "maximal": is_maximal(out),
+            "contains_input": out.contains(L),
+        }
+
+    return run
 
 
 def cmd_local_solve(doc, args):
-    p = doc.get("p")
-    if not isinstance(p, int):
-        raise InputError("schema:missing-field", "p must be an integer prime")
-    ctx = PadicContext(p, _precision(doc, args.precision))
+    ctx = PadicContext(_prime(doc), _precision(doc, args.precision))
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a")
     m_prime = _rat(doc["m_prime"], "m_prime")
-    b = split_local_solve(q, a, m_prime, ctx)
-    vdet = valuation(det(mat(b)), p)
-    return 0, {
-        "b": _serialize_matrix(b),
-        "value": _rat_str(m_prime),
-        "local_norm_exponent_of_det": vdet,
-    }
+
+    def run():
+        b = split_local_solve(q, a, m_prime, ctx)
+        return 0, {
+            "b": _serialize_matrix(b),
+            "value": _rat_str(m_prime),
+            "local_norm_exponent_of_det": valuation(det(mat(b)), ctx.p),
+        }
+
+    return run
 
 
 def _parse_general_algebra(alg, where: str):
@@ -364,7 +388,7 @@ def parse_instance(doc, where: str = "instance") -> BoundInstance:
         return _general_instance(doc, where)
     try:
         if t == "rational":
-            return rational_instance(int(_rat(doc["q"], "q")), _rat(doc.get("a", 1), "a"))
+            return rational_instance(_rat(doc["q"], "q"), _rat(doc.get("a", 1), "a"))
         if t == "quadfield":
             D = alg.get("D")
             if not isinstance(D, int):
@@ -380,9 +404,9 @@ def parse_instance(doc, where: str = "instance") -> BoundInstance:
             )
         if t == "matrix":
             n = alg.get("n")
-            if not isinstance(n, int):
-                raise InputError("schema:bad-field", f"{where}: n must be an integer")
-            return matrix_instance(n, _matrix(doc["q"], "q"), _matrix(doc["a"], "a"),
+            if not isinstance(n, int) or n < 1:
+                raise InputError("schema:bad-field", f"{where}: n must be an integer >= 1")
+            return matrix_instance(n, _matrix(doc["q"], "q", n), _matrix(doc["a"], "a", n),
                                    alg.get("gamma", 1))
     except (KeyError, IndexError, TypeError) as exc:
         raise InputError("schema:bad-instance", f"{where}: {exc}") from None
@@ -406,27 +430,31 @@ def serialize_element(inst: BoundInstance, x) -> object:
 
 def cmd_degree_bound(doc, args):
     inst = parse_instance(doc.get("instance", doc))
-    res = solve(inst)
-    payload = {
-        "b": serialize_element(inst, res.b),
-        "value": res.value,
-        "norm_b": _rat_str(res.norm_b),
-        "norm_q": _rat_str(res.norm_q),
-        "rank_d": res.d,
-        "achieved_ratio_squared": _rat_str(res.achieved_ratio_squared),
-        "method": res.method,
-        "notes": {k: v if isinstance(v, (bool, int, list)) else str(v) for k, v in res.notes.items()},
-    }
-    if args.norm_cap is not None:
-        cap = _rat(args.norm_cap, "--norm-cap")
-        oracle = brute_force_oracle(inst, cap)
-        payload["oracle"] = {
-            "cap": _rat_str(cap),
-            "found": oracle is not None,
-            "norm_b": _rat_str(oracle.norm_b) if oracle else None,
-            "value": oracle.value if oracle else None,
+    cap = None if args.norm_cap is None else _rat(args.norm_cap, "--norm-cap")
+
+    def run():
+        res = solve(inst)
+        payload = {
+            "b": serialize_element(inst, res.b),
+            "value": res.value,
+            "norm_b": _rat_str(res.norm_b),
+            "norm_q": _rat_str(res.norm_q),
+            "rank_d": res.d,
+            "achieved_ratio_squared": _rat_str(res.achieved_ratio_squared),
+            "method": res.method,
+            "notes": {k: v if isinstance(v, (bool, int, list)) else str(v) for k, v in res.notes.items()},
         }
-    return 0, payload
+        if cap is not None:
+            oracle = brute_force_oracle(inst, cap)
+            payload["oracle"] = {
+                "cap": _rat_str(cap),
+                "found": oracle is not None,
+                "norm_b": _rat_str(oracle.norm_b) if oracle else None,
+                "value": oracle.value if oracle else None,
+            }
+        return 0, payload
+
+    return run
 
 
 def _prime_cap(doc) -> int:
@@ -444,37 +472,35 @@ def cmd_hecke_classes(doc, args):
     if args.height < 0:
         raise HeckeError("height must be >= 0")
     field = QuadField(D)
-    reps = generate_classes(field, count, prime_cap=_prime_cap(doc))
-    ser = []
-    for r in reps:
-        ser.append(
-            {
-                "coords": [_rat_str(r.q.x), _rat_str(r.q.y)],
-                "norm": _rat_str(r.q.norm()),
-                "source_prime": r.source_prime,
-            }
-        )
-    matrix_eq = pairwise_matrix(reps)
-    witnesses = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
+    prime_cap = _prime_cap(doc)
+
+    def run():
+        reps = generate_classes(field, count, prime_cap=prime_cap)
+        matrix_eq = pairwise_matrix(reps)
+        pairs = [(i, j) for i in range(len(reps)) for j in range(i + 1, len(reps))]
+        witnesses = []
+        for i, j in pairs:
             if matrix_eq[i][j]:
-                w = equivalence_witness(reps[i].q, reps[j].q)
-                witnesses.append({"i": i, "j": j, "n": w[0], "u": [_rat_str(w[1].x), _rat_str(w[1].y)]})
-    payload = {
-        "representatives": ser,
-        "pairwise_equivalent": matrix_eq,
-        "witnesses": witnesses,
-    }
-    if args.height:
-        confirmed = True
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if not matrix_eq[i][j]:
-                    if exhaustive_witness_search(reps[i].q, reps[j].q, args.height) is not None:
-                        confirmed = False
-        payload["negatives_confirmed_at_height"] = {"height": args.height, "confirmed": confirmed}
-    return 0, payload
+                n, u = equivalence_witness(reps[i].q, reps[j].q)
+                witnesses.append({"i": i, "j": j, "n": n, "u": [_rat_str(u.x), _rat_str(u.y)]})
+        payload = {
+            "representatives": [
+                {"coords": [_rat_str(r.q.x), _rat_str(r.q.y)], "norm": _rat_str(r.q.norm()),
+                 "source_prime": r.source_prime}
+                for r in reps
+            ],
+            "pairwise_equivalent": matrix_eq,
+            "witnesses": witnesses,
+        }
+        if args.height:
+            confirmed = all(
+                exhaustive_witness_search(reps[i].q, reps[j].q, args.height) is None
+                for i, j in pairs if not matrix_eq[i][j]
+            )
+            payload["negatives_confirmed_at_height"] = {"height": args.height, "confirmed": confirmed}
+        return 0, payload
+
+    return run
 
 
 def cmd_measure_constant(doc, args):
@@ -482,8 +508,7 @@ def cmd_measure_constant(doc, args):
     if not isinstance(raw, list) or not raw:
         raise InputError("schema:missing-field", "instances must be a nonempty list")
     instances = [parse_instance(d, f"instances[{i}]") for i, d in enumerate(raw)]
-    report = measure_constant(instances)
-    return 0, report.as_json_dict()
+    return lambda: (0, measure_constant(instances).as_json_dict())
 
 
 VERBS = {
@@ -497,49 +522,23 @@ VERBS = {
     "measure-constant": cmd_measure_constant,
 }
 
+_PRECONDITION = (
+    AlgebraError, DegreeBoundError, ExactError, FormError, HeckeError, LatticeError, QuadFieldError
+)
+_RESOURCE = (ResourceError, OracleBudgetError)
+_MAPPED = (InputError, KeyError, *_PRECONDITION, *_RESOURCE)
 
-def validate_only(verb: str, doc) -> list[dict]:
-    """Schema errors without running the computation."""
-    errors = []
-    try:
-        if verb == "classify-form":
-            parse_form(doc.get("form", doc))
-        elif verb in ("isometric", "fourth-power-check"):
-            parse_form(doc["form1"], "form1")
-            parse_form(doc["form2"], "form2")
-        elif verb == "maximal-lattice":
-            if not isinstance(doc.get("p"), int):
-                raise InputError("schema:missing-field", "p must be an integer")
-            _precision(doc, 1)  # only a value given in the document is checked
-            parse_form(doc["form"], "form")
-            _matrix(doc["basis"], "basis")
-        elif verb == "local-solve":
-            _precision(doc, 1)
-            _matrix(doc["q"], "q")
-            _matrix(doc["a"], "a")
-            _rat(doc["m_prime"], "m_prime")
-        elif verb == "degree-bound":
-            parse_instance(doc.get("instance", doc))
-        elif verb == "hecke-classes":
-            if not isinstance(doc.get("D"), int) or not isinstance(doc.get("count"), int):
-                raise InputError("schema:missing-field", "need integer D and count")
-            _prime_cap(doc)
-            QuadField(doc["D"])
-        elif verb == "measure-constant":
-            raw = doc.get("instances", [])
-            if not isinstance(raw, list):
-                raise InputError("schema:missing-field", "instances must be a list")
-            for i, d in enumerate(raw):
-                parse_instance(d, f"instances[{i}]")
-        else:
-            raise InputError("schema:unknown-verb", f"unknown verb {verb!r}")
-    except InputError as exc:
-        errors.append({"code": exc.code, "message": str(exc)})
-    except KeyError as exc:
-        errors.append({"code": "schema:missing-field", "message": f"missing {exc}"})
-    except (QuadFieldError, FormError, ExactError) as exc:
-        errors.append({"code": "invariant:violation", "message": str(exc)})
-    return errors
+
+def _error(exc: Exception) -> dict:
+    """The `{"code", "message"}` body of a failure, the same under a verb
+    and under `validate`.  `exc` is one of `_MAPPED`."""
+    if isinstance(exc, InputError):
+        return {"code": exc.code, "message": str(exc)}
+    if isinstance(exc, KeyError):
+        return {"code": "schema:missing-field", "message": f"missing {exc}"}
+    if isinstance(exc, _RESOURCE):
+        return {"code": "resource:budget", "message": str(exc)}
+    return {"code": "precondition:" + type(exc).__name__, "message": str(exc)}
 
 
 def _emit(payload: dict, args) -> None:
@@ -579,33 +578,28 @@ def main(argv=None) -> int:
         _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}}, args)
         return 1
 
-    if args.verb == "validate":
-        verb = args.validate_verb or doc.get("verb")
-        if verb is None:
-            _emit({"error": {"code": "schema:missing-field",
-                             "message": "validate needs --validate-verb or a 'verb' field"}}, args)
-            return 1
-        errors = validate_only(verb, doc)
-        _emit({"valid": not errors, "errors": errors}, args)
-        return 0 if not errors else 1
+    if args.verb != "validate":
+        try:
+            code, payload = VERBS[args.verb](doc, args)()
+        except _MAPPED as exc:
+            code, payload = 1, {"error": _error(exc)}
+        _emit(payload, args)
+        return code
 
-    handler = VERBS[args.verb]
+    verb = args.validate_verb or doc.get("verb")
+    if verb is None:
+        _emit({"error": {"code": "schema:missing-field",
+                         "message": "validate needs --validate-verb or a 'verb' field"}}, args)
+        return 1
+    errors = []
     try:
-        code, payload = handler(doc, args)
-    except InputError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, args)
-        return 1
-    except (FormError, LatticeError, DegreeBoundError, HeckeError, QuadFieldError, ExactError) as exc:
-        _emit({"error": {"code": "precondition:" + type(exc).__name__, "message": str(exc)}}, args)
-        return 1
-    except (ResourceError, OracleBudgetError) as exc:
-        _emit({"error": {"code": "resource:budget", "message": str(exc)}}, args)
-        return 1
-    except KeyError as exc:
-        _emit({"error": {"code": "schema:missing-field", "message": f"missing {exc}"}}, args)
-        return 1
-    _emit(payload, args)
-    return code
+        if not isinstance(verb, str) or verb not in VERBS:
+            raise InputError("schema:unknown-verb", f"unknown verb {verb!r}")
+        VERBS[verb](doc, args)  # the parse-and-check step; the computation is dropped
+    except _MAPPED as exc:
+        errors.append(_error(exc))
+    _emit({"valid": not errors, "errors": errors}, args)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

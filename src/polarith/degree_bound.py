@@ -4,7 +4,7 @@ and controlled norm.
 
 Fully implemented routes:
   * commutative quadratic-field case (ideal algorithm: local exponents,
-    principalization through the class group, unit cleanup);
+    principalization, possibly after ramified twists, unit cleanup);
   * split matrix case M_n(Q) with transpose involution (local maximal
     lattices glued over the bad primes, then an exact decomposition of the
     resulting unimodular positive definite Gram as T^T T);
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -56,10 +55,11 @@ from .linalg import (
     transpose,
 )
 from .quadfield import (
+    MAX_CLASS_GROUP_DISC,
     QfIdeal,
     QuadElem,
     QuadField,
-    class_group,
+    ResourceError,
     element_prime_valuation,
     fundamental_unit,
     is_principal,
@@ -170,7 +170,7 @@ def quadfield_instance(D: int, q_coords, a_coords, involution: str = "identity")
     return BoundInstance(A, spec, order, q, a)
 
 
-def rational_instance(q: int, a=1) -> BoundInstance:
+def rational_instance(q: int | Fraction, a=1) -> BoundInstance:
     A = rational_algebra()
     spec = NormSpec(A, (1,))
     order = OrderR(A, (A.one(),))
@@ -218,12 +218,6 @@ def _min_t(data) -> tuple[int, list[int]] | None:
         if ok:
             return t, betas
     return None
-
-
-@cache
-def _cached_class_group(F: QuadField):
-    # QuadField hashes and compares by D alone
-    return class_group(F)
 
 
 def solve_commutative(inst: BoundInstance) -> BoundResult:
@@ -285,8 +279,9 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     for pr, e in factors:
         ideal_b = ideal_b * pr**e
 
-    table = _cached_class_group(F)
-    gen, _idx = _principalize_with_ramified_twists(ideal_b, table, F)
+    if abs(F.disc) > MAX_CLASS_GROUP_DISC:
+        raise ResourceError(f"|disc| = {abs(F.disc)} exceeds the desk-scale bound")
+    gen = _principalize_with_ramified_twists(ideal_b, F)
     notes = {
         "ideal_norm": str(ideal_b.norm()),
         "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
@@ -318,14 +313,14 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     return res
 
 
-def _principalize_with_ramified_twists(ideal_b: QfIdeal, table, F: QuadField):
+def _principalize_with_ramified_twists(ideal_b: QfIdeal, F: QuadField):
     """A generator of ideal_b, possibly after multiplying by ramified
     primes (which keeps b^dagger q b rational, scaled by p).  Returns
-    ((generator, rational scale), class index) or (None, index)."""
+    (generator, rational scale), or None."""
     eps = fundamental_unit(F) if F.is_real else None
     g = is_principal(ideal_b, eps)
     if g is not None:
-        return (normalize_generator(g), Fraction(1)), 0
+        return normalize_generator(g), Fraction(1)
     ram = [p for p in factorint(abs(F.disc)).keys()]
     for r in range(1, len(ram) + 1):
         for combo in combinations(ram, r):
@@ -336,8 +331,8 @@ def _principalize_with_ramified_twists(ideal_b: QfIdeal, table, F: QuadField):
                 scalef *= p
             g = is_principal(tw, eps)
             if g is not None:
-                return (normalize_generator(g), scalef), 0
-    return None, -1
+                return normalize_generator(g), scalef
+    return None
 
 
 def _absorb_unit_real(F: QuadField, b0: QuadElem, q: QuadElem, u: QuadElem, big_m: Fraction):

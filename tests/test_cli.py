@@ -586,3 +586,58 @@ def test_split_quaternion_zero_divisor_pivot_is_an_error(tmp_path):
         code, out = run_cli(tmp_path, verb, doc)
         assert code == 1
         assert out["error"]["code"] == "precondition:FormError"
+
+
+def _rational(q):
+    return {"instance": {"algebra": {"type": "rational"}, "q": q, "a": 1}}
+
+
+def _matrix_instance(n, q):
+    return {"instance": {"algebra": {"type": "matrix", "n": n}, "q": q, "a": q}}
+
+
+@pytest.mark.parametrize(
+    "verb, doc, code",
+    [
+        ("local-solve", {k: v for k, v in _LOCAL_DOCS["local-solve"].items() if k != "p"},
+         "schema:missing-field"),
+        ("local-solve", {**_LOCAL_DOCS["local-solve"], "p": "3"}, "schema:missing-field"),
+        ("measure-constant", {}, "schema:missing-field"),
+        ("measure-constant", {"instances": []}, "schema:missing-field"),
+        ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "target_scale": "x"}, "schema:bad-field"),
+        ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "p": 4}, "precondition:p"),
+        ("hecke-classes", {"D": 4, "count": 1}, "precondition:QuadFieldError"),
+        ("degree-bound", _rational("3/2"), "precondition:instance"),
+        ("degree-bound", _matrix_instance(-1, [["1"]]), "schema:bad-field"),
+        ("degree-bound", _matrix_instance(2, [["1"]]), "schema:bad-matrix"),
+        ("classify-form", {"form": {"kind": "hermitian", "base": {"type": "quaternion", "a": "0", "b": "-1"},
+                                    "gram": [[["1", "0", "0", "0"]]]}}, "schema:bad-field"),
+        (
+            "degree-bound",
+            {"instance": {"algebra": {"type": "general", "factors": [{"kind": "matrix", "n": 1, "z": [["0"]]}]},
+                          "q": ["1"], "a": ["1"]}},
+            "precondition:algebra",
+        ),
+    ],
+)
+def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
+    """`validate` answers exactly the error body the verb answers."""
+    rc, out = run_cli(tmp_path, verb, doc)
+    assert rc == 1
+    assert out["error"]["code"] == code
+    rc, checked = run_cli(tmp_path, "validate", doc, "--validate-verb", verb)
+    assert rc == 1
+    assert checked == {"valid": False, "errors": [out["error"]]}
+
+
+def test_pool_inputs_validate(tmp_path):
+    """Every request of the benchmark pools passes `validate` with its
+    verb and flags."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    rejected = []
+    for path in sorted(data.glob("*.inputs.json")):
+        for req in json.loads(path.read_text())["requests"]:
+            rc, out = run_cli(tmp_path, "validate", req["input"], "--validate-verb", req["verb"], *req["args"])
+            if (rc, out) != (0, {"valid": True, "errors": []}):
+                rejected.append(req["id"])
+    assert rejected == []
