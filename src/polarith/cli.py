@@ -242,27 +242,23 @@ def cmd_fourth_power_check(doc, args):
     return run
 
 
-def _prime(doc) -> int:
+def _padic_context(doc, args) -> PadicContext:
+    """The `p` and `precision` fields; a p the context refuses (2, or not
+    prime) is `precondition:p`."""
     p = doc.get("p")
     if not isinstance(p, int):
         raise InputError("schema:missing-field", "p must be an integer prime")
-    return p
-
-
-def _precision(doc, default: int) -> int:
-    precision = doc.get("precision", default)
+    precision = doc.get("precision", args.precision)
     if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
         raise InputError("schema:bad-field", "precision must be an integer >= 1")
-    return precision
+    try:
+        return PadicContext(p, precision)
+    except LatticeError as exc:
+        raise InputError("precondition:p", str(exc)) from None
 
 
 def cmd_maximal_lattice(doc, args):
-    p = _prime(doc)
-    precision = _precision(doc, args.precision)
-    try:
-        ctx = PadicContext(p, precision)
-    except LatticeError as exc:
-        raise InputError("precondition:p", str(exc)) from None
+    ctx = _padic_context(doc, args)
     form = parse_form(doc["form"], "form")
     basis = _matrix(doc["basis"], "basis")
     target = doc.get("target_scale", 0)
@@ -284,7 +280,7 @@ def cmd_maximal_lattice(doc, args):
 
 
 def cmd_local_solve(doc, args):
-    ctx = PadicContext(_prime(doc), _precision(doc, args.precision))
+    ctx = _padic_context(doc, args)
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a")
     m_prime = _rat(doc["m_prime"], "m_prime")
@@ -394,14 +390,8 @@ def parse_instance(doc, where: str = "instance") -> BoundInstance:
             if not isinstance(D, int):
                 raise InputError("schema:bad-field", f"{where}: D must be an integer")
             involution = alg.get("involution", "identity")
-            q = doc["q"]
-            a = doc["a"]
-            return quadfield_instance(
-                D,
-                (_rat(q[0], "q"), _rat(q[1], "q")),
-                (_rat(a[0], "a"), _rat(a[1], "a")),
-                involution,
-            )
+            q, a = doc["q"], doc["a"]
+            return quadfield_instance(D, _coords(q, 2, "q"), _coords(a, 2, "a"), involution)
         if t == "matrix":
             n = alg.get("n")
             if not isinstance(n, int) or n < 1:

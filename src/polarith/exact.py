@@ -159,6 +159,16 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def lift_root(t: int, n: int, r: int, p: int, k: int) -> int:
+    """Hensel lift of a simple root r of x^2 - t x + n modulo p to a root
+    modulo p^k, by Newton's method with the precision doubling each step."""
+    mod = p
+    while mod < p**k:
+        mod = min(mod * mod, p**k)
+        r = (r - (r * r - t * r + n) * pow(2 * r - t, -1, mod)) % mod
+    return r
+
+
 def _hilbert_local(alpha: int, u: int, beta: int, w: int, p: int) -> int:
     """sigma(p^alpha u, p^beta w) at a finite prime p, for units u, w given
     by their residues mod p (mod 8 at p = 2)."""

@@ -339,14 +339,29 @@ def is_positive_definite(f: GramForm) -> bool:
 # Diagonalization
 
 
-def diagonalize(f: GramForm) -> tuple[list, list]:
-    """(diag, u) with u^{iota T} G u diagonal.  Not defined for skew kinds."""
+def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
+    """(diag, u) with u^{iota T} G u = diag, each entry of diag a pivot
+    that `unit_inverse` accepted.  Not defined for skew kinds.
+
+    `unit_inverse(x)` is x^{-1} when x may be a pivot and None otherwise;
+    by default the inverse in the base ring, so zero and the zero divisors
+    of a split quaternion algebra are refused.  At step k the pivot is the
+    first unit on the diagonal from k; when there is none, the first
+    v_i += v_j * lam (i != j, lam over the Q-basis of the base) that makes
+    the (i, i) entry a unit.  FormError when neither exists."""
     if f.kind == "skew":
         raise FormError("skew forms do not diagonalize")
     ring = f.ring
     n = f.dim
     g = [row[:] for row in f.gram]
     u = identity(n, ring)
+    if unit_inverse is None:
+
+        def unit_inverse(x):
+            try:
+                return ring.inv(x)
+            except ZeroDivisionError:
+                return None
 
     def col_op(target, source, c):
         # v_target += v_source * c
@@ -366,39 +381,30 @@ def diagonalize(f: GramForm) -> tuple[list, list]:
             u[r][i], u[r][j] = u[r][j], u[r][i]
 
     base_units = [ring.from_qcoords([Fraction(int(t == s)) for t in range(ring.dim_q)]) for s in range(ring.dim_q)]
+
+    def pivot(k):
+        """(i, inverse of the new (i, i) entry), after the column operation
+        that makes it a unit when the diagonal from k has none."""
+        for i in range(k, n):
+            inv = unit_inverse(g[i][i])
+            if inv is not None:
+                return i, inv
+        for i in range(k, n):
+            for j in range(k, n):
+                if i == j:
+                    continue
+                for lam in base_units:
+                    lam_c = _entry_conj(f.kind, ring, lam)
+                    inv = unit_inverse(g[i][i] + lam_c * g[j][i] + g[i][j] * lam + lam_c * g[j][j] * lam)
+                    if inv is not None:
+                        col_op(i, j, lam)
+                        return i, inv
+        raise FormError("cannot diagonalize: no unit pivot")
+
     for k in range(n):
-        if ring.is_zero(g[k][k]):
-            piv = None
-            for i in range(k, n):
-                if not ring.is_zero(g[i][i]):
-                    piv = i
-                    break
-            if piv is not None:
-                col_swap(k, piv)
-            else:
-                found = False
-                for i in range(k, n):
-                    for j in range(k, n):
-                        if i != j and not ring.is_zero(g[i][j]):
-                            for lam in base_units:
-                                probe = _entry_conj(f.kind, ring, lam) * g[j][i] + g[i][j] * lam
-                                if not ring.is_zero(probe):
-                                    col_op(i, j, lam)
-                                    found = True
-                                    break
-                            if found:
-                                break
-                    if found:
-                        break
-                if not found:
-                    raise FormError("singular form: cannot diagonalize")
-                if ring.is_zero(g[k][k]):
-                    piv = next(i for i in range(k, n) if not ring.is_zero(g[i][i]))
-                    col_swap(k, piv)
-        try:
-            pivot_inv = ring.inv(g[k][k])
-        except ZeroDivisionError:  # split quaternion algebras have zero divisors
-            raise FormError("cannot diagonalize: a pivot is a zero divisor") from None
+        i, pivot_inv = pivot(k)
+        if i != k:
+            col_swap(k, i)
         for j in range(k + 1, n):
             if not ring.is_zero(g[k][j]):
                 col_op(j, k, -(pivot_inv * g[k][j]))
@@ -687,9 +693,9 @@ def invariants(f: GramForm) -> FormInvariants:
 
     Over Q, a quadratic field or a definite quaternion algebra (division
     rings) a completed diagonalization proves the form nonsingular.  Skew
-    forms, quaternionic skew-hermitian forms (a split quaternion algebra
-    has zero divisors) and etale-pair forms are tested on the whole
-    matrix."""
+    forms, quaternionic skew-hermitian forms (over a split quaternion
+    algebra a failed search for a unit pivot proves nothing) and
+    etale-pair forms are tested on the whole matrix."""
     ring = f.ring
     if f.kind in ("skew", "quat-skew-hermitian") or isinstance(ring, EtalePairRing):
         if not f.is_nonsingular():

@@ -32,8 +32,8 @@ from math import lcm
 
 from sympy import isprime
 
-from .exact import legendre, rational_sqrt, unit_residue, valuation
-from .forms import GramForm, symmetric_form_q
+from .exact import legendre, lift_root, rational_sqrt, unit_residue, valuation
+from .forms import FormError, GramForm, diagonalize, symmetric_form_q
 from .linalg import (
     Matrix,
     det,
@@ -206,68 +206,10 @@ def unimodular_isometric(g1: Matrix, g2: Matrix, p: int) -> bool:
 def _sqrt_mod_pk(u: int, p: int, k: int) -> int:
     """Square root of a unit square u modulo p^k (canonical choice: the
     smaller residue mod p, then Hensel)."""
-    r = None
     for x in range(1, p):
         if (x * x - u) % p == 0:
-            r = min(x, p - x)
-            break
-    if r is None:
-        raise LatticeError("not a quadratic residue")
-    mod = p
-    while mod < p**k:
-        mod = min(mod * mod, p**k)
-        r = (r + u * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    return r % (p**k)
-
-
-def _p_adic_diagonalize_unimodular(g: Matrix, ctx: PadicContext):
-    """(diag, t) with t^T g t = diag, t p-integral with unit determinant,
-    for a p-unimodular symmetric g.  Exact rational arithmetic."""
-    p = ctx.p
-    n = len(g)
-    a = [row[:] for row in g]
-    t = identity(n)
-
-    def col_op(target, source, c):
-        for r in range(n):
-            a[r][target] += a[r][source] * c
-        for r in range(n):
-            a[target][r] += c * a[source][r]
-        for r in range(n):
-            t[r][target] += t[r][source] * c
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][i] != 0 and valuation(a[i][i], p) == 0:
-                piv = i
-                break
-        if piv is None:
-            found = False
-            for i in range(k, n):
-                for j in range(k, n):
-                    if i != j and a[i][j] != 0 and valuation(a[i][j], p) == 0:
-                        col_op(i, j, Fraction(1))
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                raise LatticeError("form is not unimodular at p")
-            piv = next(i for i in range(k, n) if a[i][i] != 0 and valuation(a[i][i], p) == 0)
-        if piv != k:
-            col_swap(k, piv)
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                col_op(j, k, -a[k][j] / a[k][k])
-    return [a[i][i] for i in range(n)], t
+            return lift_root(0, -u, min(x, p - x), p, k)
+    raise LatticeError("not a quadratic residue")
 
 
 def unimodular_congruence_witness(u1: Matrix, u2: Matrix, ctx: PadicContext) -> Matrix:
@@ -302,12 +244,12 @@ def _reduce_to_standard(u: Matrix, ctx: PadicContext) -> Matrix:
     is 1 or the canonical non-residue."""
     p, k = ctx.p, ctx.precision
     n = len(u)
-    diag, t = _p_adic_diagonalize_unimodular(u, ctx)
-    units = []
-    for d in diag:
-        units.append(valuation(d, p) == 0)
-    if not all(units):
-        raise LatticeError("diagonalization produced a non-unit entry")
+    try:
+        diag, t = diagonalize(
+            symmetric_form_q(u), lambda x: 1 / x if x and valuation(x, p) == 0 else None
+        )
+    except FormError:
+        raise LatticeError("form is not unimodular at p") from None
     mod = p**k
     residues = [unit_residue(d, p, mod) for d in diag]
     cols = [[t[r][c] for r in range(n)] for c in range(n)]

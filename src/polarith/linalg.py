@@ -190,26 +190,20 @@ def det(a: list, ring: Ring = QQ):
 
 def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
     """Gauss-Jordan elimination of m in place on its first ncols columns,
-    returning the pivot columns.  Pivot rows are scaled to a leading one by
-    left multiplication with the pivot's inverse (so non-commutative bases
-    work); a nonzero entry without an inverse (a zero divisor of a split
-    quaternion algebra) is passed over as a pivot."""
+    returning the pivot columns.  The pivot is the first nonzero entry of
+    its column; pivot rows are scaled to a leading one by left
+    multiplication with its inverse (so non-commutative bases work), and
+    `ring.inv` raises ZeroDivisionError on a zero divisor."""
     is_zero = ring.is_zero
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == len(m):
             break
-        for rr in range(r, len(m)):
-            if is_zero(m[rr][c]):
-                continue
-            try:
-                pinv = ring.inv(m[rr][c])
-            except ZeroDivisionError:
-                continue
-            break
-        else:
+        rr = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
+        if rr is None:
             continue
+        pinv = ring.inv(m[rr][c])
         m[r], m[rr] = m[rr], m[r]
         prow = m[r] = [pinv * x for x in m[r]]
         for i, row in enumerate(m):
@@ -224,17 +218,18 @@ def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
 def inverse(a: list, ring: Ring = QQ) -> list:
     """The two-sided inverse; raises ZeroDivisionError when there is none.
 
-    Elimination runs over the ring.  When it finds no invertible pivot for
-    some column of a ring with zero divisors (Q x Q, a split quaternion
-    algebra), the matrix is inverted through its left-regular
-    representation over Q instead."""
+    Elimination runs over the ring.  When a pivot is a zero divisor (of
+    Q x Q or a split quaternion algebra), the matrix is inverted through
+    its left-regular representation over Q instead."""
     n = len(a)
     m = [row + eye for row, eye in zip(a, identity(n, ring))]
-    if len(_row_reduce(m, n, ring)) == n:
-        return [row[n:] for row in m]
-    if ring.dim_q == 1:
+    try:
+        rank = len(_row_reduce(m, n, ring))
+    except ZeroDivisionError:
+        return _regular_inverse(a, ring)
+    if rank < n:
         raise ZeroDivisionError("matrix not invertible")
-    return _regular_inverse(a, ring)
+    return [row[n:] for row in m]
 
 
 def _regular_inverse(a: list, ring: Ring) -> list:

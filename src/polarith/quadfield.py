@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 from sympy import factorint, isprime, primerange
 
-from .exact import rational_sqrt, valuation
+from .exact import lift_root, rational_sqrt, valuation
 from .linalg import frac, hnf
 
 
@@ -418,19 +418,6 @@ def primes_above(field: QuadField, p: int) -> list[QfIdeal]:
     return out
 
 
-def _lift_root(field: QuadField, p: int, r0: int, k: int) -> int:
-    """Hensel lift of the simple root r0 of minpoly(w) mod p to mod p^k."""
-    t, nw = field.w_trace, field.w_norm
-    r = r0
-    mod = p
-    while mod < p**k:
-        mod = min(mod * mod, p**k)
-        f = (r * r - t * r + nw) % mod
-        fp = (2 * r - t) % mod
-        r = (r - f * pow(fp, -1, mod)) % mod
-    return r
-
-
 def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
     """v_P(e) for the prime(s) P above p; `which` selects the split prime
     (ordered as in primes_above)."""
@@ -450,7 +437,7 @@ def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
     t, nw = field.w_trace, field.w_norm
     roots = sorted({r for r in range(p) if (r * r - t * r + nw) % p == 0})
     prec = max(vn, 0) + 2 * qval_den_bound(e, p) + 4
-    r = _lift_root(field, p, roots[which], prec)
+    r = lift_root(t, nw, roots[which], p, prec)
     val = x_plus_yr_valuation(e, r, p)
     return val
 

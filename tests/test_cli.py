@@ -555,13 +555,14 @@ def test_quadfield_base_accepts_an_integer_or_its_string(tmp_path, D):
     assert code == 0 and out["invariants"]["base"] == "Q(sqrt-1)"
 
 
-def test_forms_pool_is_byte_identical_to_reference(tmp_path):
-    """Every request of the benchmark's `forms` pool, sent through `main`,
+@pytest.mark.parametrize("pool", ["forms", "hecke"])
+def test_pool_is_byte_identical_to_reference(tmp_path, pool):
+    """Every request of a byte-exact benchmark pool, sent through `main`,
     answers the exit code and the exact bytes recorded in the reference."""
     data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-    requests = json.loads((data / "forms.inputs.json").read_text())["requests"]
-    reference = json.loads((data / "forms.reference.json").read_text())
-    assert len(requests) == len(reference) == 136
+    requests = json.loads((data / f"{pool}.inputs.json").read_text())["requests"]
+    reference = json.loads((data / f"{pool}.reference.json").read_text())
+    assert len(requests) == len(reference) == {"forms": 136, "hecke": 20}[pool]
     inp, out = tmp_path / "in.json", tmp_path / "out.json"
     mismatched = []
     for req in requests:
@@ -573,7 +574,10 @@ def test_forms_pool_is_byte_identical_to_reference(tmp_path):
     assert mismatched == []
 
 
-def test_split_quaternion_zero_divisor_pivot_is_an_error(tmp_path):
+def test_split_quaternion_skew_form_classifies(tmp_path):
+    """The (0, 0) entry of this nonsingular form over (1,1/Q) is a zero
+    divisor; the diagonalization pivots on a unit instead, so both verbs
+    answer."""
     form = {
         "kind": "quat-skew-hermitian",
         "base": {"type": "quaternion", "a": "1", "b": "1"},
@@ -582,10 +586,13 @@ def test_split_quaternion_zero_divisor_pivot_is_an_error(tmp_path):
             [["-1", "-1", "-1", "1"], ["0", "0", "-1", "1"]],
         ],
     }
-    for verb, doc in (("classify-form", {"form": form}), ("isometric", {"form1": form, "form2": form})):
-        code, out = run_cli(tmp_path, verb, doc)
-        assert code == 1
-        assert out["error"]["code"] == "precondition:FormError"
+    code, out = run_cli(tmp_path, "classify-form", {"form": form})
+    assert code == 0
+    assert out["invariants"] == {"base": "quat(1,1)", "complete": False, "det_square_class": -2,
+                                 "dim": 2, "kind": "quat-skew-hermitian"}
+    code, out = run_cli(tmp_path, "isometric", {"form1": form, "form2": form})
+    assert code == 0
+    assert out == {"complete": False, "isometric": True, "reason": "invariants agree"}
 
 
 def _rational(q):
@@ -618,6 +625,10 @@ def _matrix_instance(n, q):
                           "q": ["1"], "a": ["1"]}},
             "precondition:algebra",
         ),
+        ("local-solve", {**_LOCAL_DOCS["local-solve"], "p": 4}, "precondition:p"),
+        ("local-solve", {**_LOCAL_DOCS["local-solve"], "p": 2}, "precondition:p"),
+        ("degree-bound", {"instance": {"algebra": {"type": "quadfield", "D": 5}, "q": ["1"], "a": ["1", "0"]}},
+         "schema:bad-instance"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):

@@ -13,6 +13,7 @@ from polarith.exact import (
     hilbert_symbol,
     is_rational_square,
     legendre,
+    lift_root,
     square_class,
     support_places,
     unit_residue,
@@ -305,3 +306,20 @@ def test_hasse_invariant_units_of_every_class_mod_8():
         for b in values:
             assert hilbert_symbol(a, b, v2) == _reference_hilbert_symbol(a, b, v2)
             assert hasse_invariant([a, b, a * b], v2) == _reference_hasse_invariant([a, b, a * b], v2)
+
+
+@pytest.mark.parametrize("t, n", [(0, -2), (0, 1), (1, -1), (1, 1), (3, 5), (-1, -5)])
+def test_lift_root_is_a_root_mod_pk(t, n):
+    """Each simple root r0 mod p of x^2 - t x + n lifts to the root mod p^k
+    that reduces to r0."""
+    lifted = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        for r0 in range(p):
+            if (r0 * r0 - t * r0 + n) % p or (2 * r0 - t) % p == 0:
+                continue
+            for k in range(1, 9):
+                r = lift_root(t, n, r0, p, k)
+                assert 0 <= r < p**k and r % p == r0
+                assert (r * r - t * r + n) % p**k == 0
+            lifted += 1
+    assert lifted >= 8

@@ -30,7 +30,7 @@ from polarith.forms import (
     symmetric_form_q,
     trace_gram,
 )
-from polarith.linalg import RationalRing, conj_transpose, mat_mul, transpose
+from polarith.linalg import RationalRing, conj_transpose, det, mat_mul, transpose
 from polarith.quadfield import QuadField
 
 QR = RationalRing()
@@ -647,15 +647,75 @@ SPLIT_SKEW_GRAM = [
 ]
 
 
-def test_split_quaternion_zero_divisor_pivot_is_a_form_error():
-    """Over (1,1/Q) the pure quaternion -i + k has reduced norm 0.  This
-    nonsingular skew-hermitian form has it as its first pivot, so the
-    diagonalization stops with a FormError, not a ZeroDivisionError."""
-    ring = QuaternionRing(QR, Fraction(1), Fraction(1))
-    g = [[ring.from_qcoords([Fraction(c) for c in e]) for e in row] for row in SPLIT_SKEW_GRAM]
-    f = GramForm("quat-skew-hermitian", ring, g)
+SPLIT = QuaternionRing(QR, Fraction(1), Fraction(1))
+
+# (1,1/Q) = M_2(Q): i -> diag(1, -1), j -> [[0, 1], [1, 0]], k = ij
+_SPLIT_M2 = [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]]
+
+
+def _m2(x):
+    """The 2 x 2 rational matrix of a quaternion over (1,1/Q)."""
+    return [[sum(c * b[r][s] for c, b in zip(x.coords, _SPLIT_M2)) for s in range(2)] for r in range(2)]
+
+
+def _nrd_through_m2(g):
+    """Nrd of a matrix over (1,1/Q): the determinant of its image in M_2n(Q)."""
+    n = len(g)
+    big = [[_m2(g[i // 2][j // 2])[i % 2][j % 2] for j in range(2 * n)] for i in range(2 * n)]
+    return det(big)
+
+
+def test_split_quaternions_embed_in_m2():
+    basis = [SPLIT.one(), SPLIT.i(), SPLIT.j(), SPLIT.k()]
+    for x in basis:
+        for y in basis:
+            assert _m2(x * y) == mat_mul(_m2(x), _m2(y))
+        assert det(_m2(x)) == x.nrd()
+
+
+def _check_unit_diagonalization(f):
+    """diagonalize(f) has unit pivots, u^{iota T} G u is exactly the
+    diagonal, and the det class is the square class of Nrd(G)."""
+    diag, u = diagonalize(f)
+    assert all(x.nrd() != 0 for x in diag)
+    zero = SPLIT.zero()
+    d = [[diag[i] if i == j else zero for j in range(f.dim)] for i in range(f.dim)]
+    assert f.transform(u).gram == d
+    assert invariants(f).det_class == square_class(_nrd_through_m2(f.gram))
+
+
+def test_split_quaternion_form_diagonalizes_with_unit_pivots():
+    """Over (1,1/Q) the pure quaternion -i + k has reduced norm 0.  It is
+    the (0, 0) entry of this nonsingular skew-hermitian form, so the pivot
+    is the unit below it on the diagonal."""
+    g = [[SPLIT.from_qcoords([Fraction(c) for c in e]) for e in row] for row in SPLIT_SKEW_GRAM]
+    f = GramForm("quat-skew-hermitian", SPLIT, g)
     assert f.is_nonsingular()
     with pytest.raises(ZeroDivisionError):
-        ring.inv(g[0][0])
-    with pytest.raises(FormError, match="pivot is a zero divisor"):
-        invariants(f)
+        SPLIT.inv(g[0][0])
+    _check_unit_diagonalization(f)
+
+
+def test_split_quaternion_skew_forms_get_invariants():
+    """Seeded skew-hermitian forms over (1,1/Q), dimension 1-3, entries in
+    {-1, 0, 1}: every nonsingular one is diagonalized with unit pivots and
+    gets the det class of Nrd(G), computed through M_2(Q); every singular
+    one has Nrd(G) = 0."""
+    rng = random.Random(8)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = SPLIT.from_qcoords([Fraction(0)] + [Fraction(rng.choice((-1, 0, 1))) for _ in range(3)])
+            for j in range(i + 1, n):
+                g[i][j] = SPLIT.from_qcoords([Fraction(rng.choice((-1, 0, 1))) for _ in range(4)])
+                g[j][i] = -g[i][j].conj()
+        f = GramForm("quat-skew-hermitian", SPLIT, g)
+        nonsingular = f.is_nonsingular()
+        seen[nonsingular] += 1
+        if nonsingular:
+            _check_unit_diagonalization(f)
+        else:
+            assert _nrd_through_m2(g) == 0
+    assert min(seen.values()) > 10

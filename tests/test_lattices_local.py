@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from polarith.lattices_local import (
     LatticeError,
     PadicContext,
     PadicLattice,
+    _reduce_to_standard,
     is_maximal,
     maximal_completion,
     scale,
@@ -19,7 +21,7 @@ from polarith.lattices_local import (
     unit_case_parity,
 )
 from polarith.exact import valuation
-from polarith.forms import symmetric_form_q
+from polarith.forms import diagonalize, symmetric_form_q
 from polarith.linalg import det, identity, mat, mat_mul, mat_scale, transpose
 
 
@@ -494,3 +496,126 @@ def test_superlattice_scan_fixed_cases():
         out = maximal_completion(L, target)
         assert out.basis == _reference_maximal_completion(L, target).basis
         assert scale(out) >= target and is_maximal(out) and out.contains(L)
+
+
+# ---------------------------------------------------------------------------
+# The shared unit-pivot diagonalization against the p-adic body it replaced
+
+
+def _reference_p_adic_diagonalize(g, ctx):
+    """(diag, t) with t^T g t = diag, t p-integral with unit determinant,
+    for a p-unimodular symmetric g.  Exact rational arithmetic."""
+    p = ctx.p
+    n = len(g)
+    a = [row[:] for row in g]
+    t = identity(n)
+
+    def col_op(target, source, c):
+        for r in range(n):
+            a[r][target] += a[r][source] * c
+        for r in range(n):
+            a[target][r] += c * a[source][r]
+        for r in range(n):
+            t[r][target] += t[r][source] * c
+
+    def col_swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if a[i][i] != 0 and valuation(a[i][i], p) == 0:
+                piv = i
+                break
+        if piv is None:
+            found = False
+            for i in range(k, n):
+                for j in range(k, n):
+                    if i != j and a[i][j] != 0 and valuation(a[i][j], p) == 0:
+                        col_op(i, j, Fraction(1))
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
+                raise LatticeError("form is not unimodular at p")
+            piv = next(i for i in range(k, n) if a[i][i] != 0 and valuation(a[i][i], p) == 0)
+        if piv != k:
+            col_swap(k, piv)
+        for j in range(k + 1, n):
+            if a[k][j] != 0:
+                col_op(j, k, -a[k][j] / a[k][k])
+    return [a[i][i] for i in range(n)], t
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatticeError as exc:
+        return str(exc)
+
+
+def _diagonalization_in_reduce(g, ctx):
+    """The (diag, t) that `_reduce_to_standard` takes from the shared
+    diagonalization for g, or the message of its refusal."""
+    seen = []
+
+    def spy(*args):
+        seen.append(diagonalize(*args))
+        return seen[-1]
+
+    with mock.patch("polarith.lattices_local.diagonalize", spy):
+        refusal = _outcome(_reduce_to_standard, g, ctx)
+    return seen[0] if seen else refusal
+
+
+@st.composite
+def _p_integral_symmetric(draw, p):
+    """Symmetric n x n, n = 1-4, entries a / d with d in {1, 2}; the
+    diagonal is multiplied by p in about half the draws, so that no
+    diagonal entry is a unit and the pivot comes from a column operation.
+    Many draws are not unimodular."""
+    n = draw(st.integers(1, 4))
+    diag_scale = draw(st.sampled_from([1, p]))
+    entry = st.builds(Fraction, st.integers(-2 * p, 2 * p), st.sampled_from([1, 2]))
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(entry) * diag_scale
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(entry)
+    return g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_unit_pivot_diagonalization_matches_reference(p, data):
+    """Same (diag, t), or the same refusal, as the p-adic body that
+    `lattices_local` carried before it called `forms.diagonalize`."""
+    g = data.draw(_p_integral_symmetric(p))
+    ctx = PadicContext(p, 6)
+    ref = _outcome(_reference_p_adic_diagonalize, g, ctx)
+    assert _diagonalization_in_reduce(g, ctx) == ref
+    if isinstance(ref, tuple):
+        n = len(g)
+        diag, t = ref
+        assert mat_mul(mat_mul(transpose(t), g), t) == [
+            [diag[i] if i == j else 0 for j in range(n)] for i in range(n)
+        ]
+
+
+def test_non_integral_unit_determinant_is_refused():
+    """[[1/3, 1], [1, 6]] has determinant 1 but is not 3-integral.  No
+    diagonal entry is a 3-adic unit, and v_0 += v_1 makes the (0, 0) entry
+    25/3, not a unit either: the shared diagonalization refuses, where the
+    old body ended in StopIteration."""
+    g = mat([[Fraction(1, 3), 1], [1, 6]])
+    ctx = PadicContext(3)
+    with pytest.raises(StopIteration):
+        _reference_p_adic_diagonalize(g, ctx)
+    with pytest.raises(LatticeError, match="^form is not unimodular at p$"):
+        unimodular_congruence_witness(g, identity(2), ctx)

@@ -103,7 +103,8 @@ def test_inverse_exists_exactly_for_full_rank(ring, data):
 
 def test_inverse_passes_over_a_zero_divisor_pivot():
     """Split quaternions have zero divisors: 1 + i has reduced norm 0 when
-    i^2 = 1, so elimination must pivot on the 1 below it."""
+    i^2 = 1.  It is the first pivot, so the inverse comes from the
+    left-regular representation over Q."""
     r = QUAT_SPLIT
     z = r.one() + r.i()
     with pytest.raises(ZeroDivisionError):
