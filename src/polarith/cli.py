@@ -84,16 +84,19 @@ def _rat(v, where: str) -> Fraction:
     raise InputError("schema:bad-rational", f"{where}: expected int or fraction string")
 
 
-def _int(v, where: str) -> int:
-    """An integer field: a JSON integer or a decimal string of one."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
+def _int(v, where: str, least: int | None = None) -> int:
+    """An integer field: a JSON integer or a decimal string of one, at
+    least `least` when that is given."""
     if isinstance(v, str):
         try:
-            return int(v)
+            v = int(v)
         except ValueError:
             pass
-    raise InputError("schema:bad-field", f"{where}: expected an integer, got {v!r}")
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError("schema:bad-field", f"{where}: expected an integer, got {v!r}")
+    if least is not None and v < least:
+        raise InputError("schema:bad-field", f"{where}: must be >= {least}")
+    return v
 
 
 def _coords(v, n: int, where: str) -> list[Fraction]:
@@ -126,6 +129,27 @@ def _serialize_matrix(m) -> list:
 # Form (de)serialization
 
 
+def _quadfield(doc: dict, where: str) -> QuadField:
+    """Q(sqrt D) for the field `D` of the object `doc` at `where`: the one
+    reader of D, in a form base, an algebra, an instance and hecke-classes."""
+    if "D" not in doc:
+        raise InputError("schema:missing-field", f"{where}: missing 'D'")
+    try:
+        return QuadField(_int(doc["D"], where + ".D"))
+    except QuadFieldError as exc:
+        raise InputError("schema:bad-field", f"{where}: {exc}") from None
+
+
+def _quaternion(doc: dict, where: str) -> QuaternionRing:
+    """(a, b / Q) for the fields `a` and `b` of the object `doc` at `where`."""
+    a = _rat(doc.get("a"), where + ".a")
+    b = _rat(doc.get("b"), where + ".b")
+    try:
+        return QuaternionRing(RationalRing(), a, b)
+    except AlgebraError as exc:
+        raise InputError("schema:bad-field", f"{where}: {exc}") from None
+
+
 def parse_base(doc, where: str):
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("schema:bad-base", f"{where}: base needs a 'type'")
@@ -133,17 +157,9 @@ def parse_base(doc, where: str):
     if t == "Q":
         return RationalRing()
     if t == "quadfield":
-        try:
-            return QuadRing(QuadField(_int(doc["D"], where + ".D")))
-        except (KeyError, QuadFieldError) as exc:
-            raise InputError("schema:bad-field", f"{where}: {exc}") from None
+        return QuadRing(_quadfield(doc, where))
     if t == "quaternion":
-        a = _rat(doc.get("a"), where + ".a")
-        b = _rat(doc.get("b"), where + ".b")
-        try:
-            return QuaternionRing(RationalRing(), a, b)
-        except AlgebraError as exc:
-            raise InputError("schema:bad-field", f"{where}: {exc}") from None
+        return _quaternion(doc, where)
     if t == "etale-pair":
         return EtalePairRing()
     raise InputError("schema:bad-base", f"{where}: unknown base type {t!r}")
@@ -312,11 +328,10 @@ def _parse_general_algebra(alg, where: str):
         if kind == "rational":
             factors.append(SimpleFactor(RationalRing()))
         elif kind == "quadfield":
-            ring = QuadRing(QuadField(_int(fd["D"], w + ".D")))
+            ring = QuadRing(_quadfield(fd, w))
             factors.append(SimpleFactor(ring, involution=fd.get("involution", "identity")))
         elif kind == "quaternion":
-            ring = QuaternionRing(RationalRing(), _rat(fd["a"], w), _rat(fd["b"], w))
-            factors.append(SimpleFactor(ring, involution="canonical"))
+            factors.append(SimpleFactor(_quaternion(fd, w), involution="canonical"))
         elif kind == "matrix":
             base = parse_base(fd.get("base", {"type": "Q"}), w + ".base")
             if isinstance(base, EtalePairRing):
@@ -324,9 +339,7 @@ def _parse_general_algebra(alg, where: str):
                     "schema:bad-algebra",
                     f"{w}: Q x Q is not simple; write it as two factors with swap_pairs",
                 )
-            n = _int(fd["n"], w + ".n")
-            if n < 1:
-                raise InputError("schema:bad-field", f"{w}.n: must be >= 1")
+            n = _int(fd["n"], w + ".n", least=1)
             z = fd.get("z")
             zf = _freeze(_matrix(z, w + ".z")) if z is not None else None
             factors.append(
@@ -347,7 +360,7 @@ def _parse_general_algebra(alg, where: str):
     gammas = alg.get("gammas", [1] * len(factors))
     if not isinstance(gammas, list):
         raise InputError("schema:bad-field", f"{where}.gammas: expected a list")
-    gammas = tuple(_int(g, f"{where}.gammas") for g in gammas)
+    gammas = tuple(_int(g, f"{where}.gammas", least=1) for g in gammas)
     spec = NormSpec(A, gammas)
     return A, spec
 
@@ -386,18 +399,14 @@ def parse_instance(doc, where: str = "instance") -> BoundInstance:
         if t == "rational":
             return rational_instance(_rat(doc["q"], "q"), _rat(doc.get("a", 1), "a"))
         if t == "quadfield":
-            D = alg.get("D")
-            if not isinstance(D, int):
-                raise InputError("schema:bad-field", f"{where}: D must be an integer")
+            F = _quadfield(alg, where)
             involution = alg.get("involution", "identity")
             q, a = doc["q"], doc["a"]
-            return quadfield_instance(D, _coords(q, 2, "q"), _coords(a, 2, "a"), involution)
+            return quadfield_instance(F, _coords(q, 2, "q"), _coords(a, 2, "a"), involution)
         if t == "matrix":
-            n = alg.get("n")
-            if not isinstance(n, int) or n < 1:
-                raise InputError("schema:bad-field", f"{where}: n must be an integer >= 1")
-            return matrix_instance(n, _matrix(doc["q"], "q", n), _matrix(doc["a"], "a", n),
-                                   alg.get("gamma", 1))
+            n = _int(alg.get("n"), where + ".n", least=1)
+            gamma = _int(alg.get("gamma", 1), where + ".gamma", least=1)
+            return matrix_instance(n, _matrix(doc["q"], "q", n), _matrix(doc["a"], "a", n), gamma)
     except (KeyError, IndexError, TypeError) as exc:
         raise InputError("schema:bad-instance", f"{where}: {exc}") from None
     except (QuadFieldError, DegreeBoundError) as exc:
@@ -455,13 +464,10 @@ def _prime_cap(doc) -> int:
 
 
 def cmd_hecke_classes(doc, args):
-    D = doc.get("D")
-    count = doc.get("count")
-    if not isinstance(D, int) or not isinstance(count, int):
-        raise InputError("schema:missing-field", "need integer D and count")
+    field = _quadfield(doc, "hecke-classes")
+    count = _int(doc["count"], "count")
     if args.height < 0:
         raise HeckeError("height must be >= 0")
-    field = QuadField(D)
     prime_cap = _prime_cap(doc)
 
     def run():

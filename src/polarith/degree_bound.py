@@ -39,7 +39,7 @@ from .algebras import (
     rational_algebra,
 )
 from .exact import valuation
-from .forms import _leading_minors_positive, symmetric_form_q
+from .forms import is_positive_definite, symmetric_form_q
 from .lattices_local import PadicContext, PadicLattice, maximal_completion
 from .linalg import (
     RationalRing,
@@ -160,8 +160,8 @@ def verify_result(inst: BoundInstance, res: BoundResult) -> None:
 # Instance constructors
 
 
-def quadfield_instance(D: int, q_coords, a_coords, involution: str = "identity") -> BoundInstance:
-    F = QuadField(D)
+def quadfield_instance(D: int | QuadField, q_coords, a_coords, involution: str = "identity") -> BoundInstance:
+    F = D if isinstance(D, QuadField) else QuadField(D)
     A = quadfield_algebra(F, involution)
     spec = NormSpec(A, (1,))
     order = maximal_order_quadfield(A)
@@ -390,7 +390,8 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     gamma = inst.spec.gammas[0]
     q = inst.q[0]
     m = inst.require_similitude()
-    if not _leading_minors_positive(q):
+    qform = symmetric_form_q(q)
+    if not is_positive_definite(qform):
         return _oracle_fallback(inst, "q is not positive definite")
     qinv = inverse(q)
     detq = det(q)
@@ -420,7 +421,7 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     row_lattices = []
     for p in active:
         ctx = PadicContext(p, 12)
-        lam0 = PadicLattice(ctx, mat_scale(m2, qinv), symmetric_form_q(q))
+        lam0 = PadicLattice(ctx, mat_scale(m2, qinv), qform)
         lam = maximal_completion(lam0, valuation(m2, p))
         rows = _rows_of_integer_lattice(lam.basis)
         # pad with p^K Z^n (inside the local lattice) so the other primes

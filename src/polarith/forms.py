@@ -49,7 +49,7 @@ from .linalg import (
     nullspace,
     transpose,
 )
-from .quadfield import QuadElem, QuadField, is_square_in_field
+from .quadfield import QuadElem, QuadField, is_square_in_field, is_totally_positive
 
 
 class FormError(ValueError):
@@ -293,46 +293,33 @@ def diagonal_form_q(diag, kind: str = "symmetric") -> GramForm:
 # Positivity
 
 
-def trace_gram(f: GramForm) -> list[list[Fraction]]:
-    """The rational Gram matrix of Tr(psi(v, v); D) on the Q-vector space
-    underlying the module, via the regular representation of the base."""
-    ring = f.ring
-    d = ring.dim_q
-    n = f.dim
-    basis = [ring.from_qcoords([Fraction(int(i == t)) for i in range(d)]) for t in range(d)]
-    big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
-    for i in range(n):
-        for j in range(n):
-            gij = f.gram[i][j]
-            for s in range(d):
-                for u in range(d):
-                    val = f.entry_conj(basis[s]) * gij * basis[u]
-                    big[i * d + s][j * d + u] = ring.trace_q(val)
-    return big
-
-
-def _leading_minors_positive(m: list[list[Fraction]]) -> bool:
-    """Sylvester test by exact LDL pivots."""
-    n = len(m)
-    a = [row[:] for row in m]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                fct = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= fct * a[k][j]
-    return True
-
-
 def is_positive_definite(f: GramForm) -> bool:
-    """Positivity of the trace form Tr(psi(v, v); D).  Skew kinds return
-    False with a warning: their trace form vanishes identically."""
+    """Positivity of the trace form Tr(psi(v, v); D), read off one
+    diagonalization (`_positive_diagonal`).  Skew kinds return False with a
+    warning: their trace form vanishes identically."""
     if f.kind in ("skew", "quat-skew-hermitian"):
         warnings.warn("a skew-Hermitian form can never be positive definite", stacklevel=2)
         return False
-    return _leading_minors_positive(trace_gram(f))
+    return _positive_diagonal(f) is not None
+
+
+def _positive_diagonal(f: GramForm) -> list | None:
+    """A diagonalization of the symmetric or hermitian form f whose entries
+    are all positive at every real place, or None when there is none.  By
+    the law of inertia it exists exactly when f is positive definite."""
+    ring = f.ring
+    # over Q x Q the trace form vanishes on the vectors (v, 0)
+    if isinstance(ring, EtalePairRing) and f.dim:
+        return None
+    try:
+        diag, _ = diagonalize(f)
+    except FormError:  # singular
+        return None
+    if isinstance(ring, QuadRing) and ring.field.is_real:
+        positive = all(is_totally_positive(x) for x in diag)
+    else:  # involution-fixed entries, hence rational
+        positive = all(ring.as_rational(x) > 0 for x in diag)
+    return diag if positive else None
 
 
 # ---------------------------------------------------------------------------
@@ -461,42 +448,35 @@ def adjoint_involution(f: GramForm) -> MatrixInvolution:
     return MatrixInvolution(f.kind, f.ring, f.dim, [row[:] for row in f.gram])
 
 
+def _matrix_from_qcoords(ring, n: int, coords) -> list:
+    """The n x n matrix over `ring` whose entries, row by row, have the
+    Q-coordinates `coords`, ring.dim_q of them per entry."""
+    d = ring.dim_q
+    return [
+        [ring.from_qcoords(coords[(i * n + j) * d : (i * n + j + 1) * d]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _matrix_units(ring, n: int) -> list:
+    """The Q-basis of M_n(base) in the coordinate order of
+    `_matrix_from_qcoords`: E_ij times each Q-basis element of the base."""
+    k = n * n * ring.dim_q
+    return [_matrix_from_qcoords(ring, n, [Fraction(int(s == t)) for s in range(k)]) for t in range(k)]
+
+
 def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
     """Recover the conjugator z of an involution given as a callable, by
     solving the linear system z * fn(a) = a^{iota T} * z over the matrix
     units."""
-    d = ring.dim_q
-    unknowns = n * n * d
-
-    def z_from_coords(coords):
-        m = []
-        idx = 0
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(ring.from_qcoords([coords[idx + t] for t in range(d)]))
-                idx += d
-            m.append(row)
-        return m
-
-    basis_elems = []
-    for i in range(n):
-        for j in range(n):
-            for t in range(d):
-                e = [[ring.zero()] * n for _ in range(n)]
-                e[i][j] = ring.from_qcoords([Fraction(int(s == t)) for s in range(d)])
-                basis_elems.append(e)
-    z_units = []
-    for k in range(unknowns):
-        coords = [Fraction(0)] * unknowns
-        coords[k] = Fraction(1)
-        z_units.append(z_from_coords(coords))
+    units = _matrix_units(ring, n)
+    unknowns = len(units)
     system: list[list[Fraction]] = []
-    for a in basis_elems:
+    for a in units:
         fa = fn(a)
         act = _kind_conj_transpose(kind, ring, a)
         blocks = []
-        for zk in z_units:
+        for zk in units:
             lhs = mat_mul(zk, fa, ring)
             rhs = mat_mul(act, zk, ring)
             col = []
@@ -510,7 +490,7 @@ def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
     if not null:
         raise FormError("callable is not an adjoint involution of a form")
     for vec in null:
-        z = z_from_coords(vec)
+        z = _matrix_from_qcoords(ring, n, vec)
         zct = _kind_conj_transpose(kind, ring, z)
         sym = [[(z[i][j] + zct[i][j]) / 2 for j in range(n)] for i in range(n)]
         skw = [[(z[i][j] - zct[i][j]) / 2 for j in range(n)] for i in range(n)]
@@ -523,7 +503,7 @@ def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
                 continue
             inv = MatrixInvolution(kind, ring, n, cand)
             ok = True
-            for a in basis_elems[: min(len(basis_elems), 8)]:
+            for a in units[:8]:
                 if not mat_eq(inv.apply(a), fn(a), ring):
                     ok = False
                     break
@@ -537,23 +517,8 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
     positive definite."""
     ring = inv.ring
     n = inv.n
-    d = ring.dim_q
-    dim = n * n * d
-
-    def basis_elem(k):
-        coords = [Fraction(0)] * (n * n * d)
-        coords[k] = Fraction(1)
-        m = []
-        idx = 0
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(ring.from_qcoords([coords[idx + t] for t in range(d)]))
-                idx += d
-            m.append(row)
-        return m
-
-    elems = [basis_elem(k) for k in range(dim)]
+    elems = _matrix_units(ring, n)
+    dim = len(elems)
     dag = [inv.apply(e) for e in elems]
     big = [[Fraction(0)] * dim for _ in range(dim)]
     for a in range(dim):
@@ -564,7 +529,7 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
                 tr += ring.trace_q(prod[i][i])
             big[a][b] = tr
     sym = [[(big[a][b] + big[b][a]) / 2 for b in range(dim)] for a in range(dim)]
-    return _leading_minors_positive(sym)
+    return is_positive_definite(GramForm("symmetric", RationalRing(), sym))
 
 
 def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
@@ -691,31 +656,19 @@ def is_norm(m, F: QuadField) -> bool:
 def invariants(f: GramForm) -> FormInvariants:
     """The full invariant vector appropriate to the form's kind and base.
 
-    Over Q, a quadratic field or a definite quaternion algebra (division
-    rings) a completed diagonalization proves the form nonsingular.  Skew
-    forms, quaternionic skew-hermitian forms (over a split quaternion
-    algebra a failed search for a unit pivot proves nothing) and
-    etale-pair forms are tested on the whole matrix."""
+    A completed diagonalization (unit pivots) proves the form nonsingular.
+    When the pivot search fails, a quaternionic skew-hermitian form is
+    tested on the whole matrix: over a split quaternion algebra the failed
+    search alone proves nothing.  Skew and etale-pair forms are tested on
+    the whole matrix."""
     ring = f.ring
-    if f.kind in ("skew", "quat-skew-hermitian") or isinstance(ring, EtalePairRing):
+    if f.kind == "skew" or isinstance(ring, EtalePairRing):
         if not f.is_nonsingular():
             raise FormError("singular forms have no invariants")
         if f.kind == "skew":
             if f.dim % 2:
                 raise FormError("nonsingular skew forms have even dimension")
             return FormInvariants(kind="skew", base="Q", dim=f.dim, complete=True)
-        if f.kind == "quat-skew-hermitian":
-            diag, _ = diagonalize(f)
-            det = Fraction(1)
-            for x in diag:
-                det *= x.nrd()
-            return FormInvariants(
-                kind="quat-skew-hermitian",
-                base=f"quat({ring.a},{ring.b})",
-                dim=f.dim,
-                det_class=square_class(det),
-                complete=False,
-            )
         # every nonsingular etale-pair form is isometric to <1, ..., 1>
         # (etale_pair_witness)
         diag = [ring.one()] * f.dim
@@ -723,14 +676,27 @@ def invariants(f: GramForm) -> FormInvariants:
         try:
             diag, _ = diagonalize(f)
         except FormError:
+            if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
+                raise
             raise FormError("singular forms have no invariants") from None
     return _diagonal_invariants(f.kind, ring, diag)
 
 
 def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
-    """The invariants of the nonsingular symmetric or hermitian diagonal
-    form <diag> over `ring`."""
+    """The invariants of the nonsingular diagonal form <diag> of the given
+    (non-skew) kind over `ring`."""
     dim = len(diag)
+    if kind == "quat-skew-hermitian":
+        det = Fraction(1)
+        for x in diag:
+            det *= x.nrd()
+        return FormInvariants(
+            kind="quat-skew-hermitian",
+            base=f"quat({ring.a},{ring.b})",
+            dim=dim,
+            det_class=square_class(det),
+            complete=False,
+        )
     if kind == "symmetric" and isinstance(ring, RationalRing):
         det = Fraction(1)
         for x in diag:
@@ -970,31 +936,6 @@ def etale_pair_witness(f1: GramForm, f2: GramForm):
 # The fourth-power verifier
 
 
-def _positive_diagonal(f: GramForm) -> list:
-    """A diagonalization of the symmetric or hermitian form f whose entries
-    are all positive at every real place, which proves f positive definite
-    (as `is_positive_definite` decides it); FormError when there is none."""
-    ring = f.ring
-    # over Q x Q the trace form vanishes on the vectors (v, 0)
-    if not (isinstance(ring, EtalePairRing) and f.dim):
-        try:
-            diag, _ = diagonalize(f)
-        except FormError:  # singular
-            pass
-        else:
-            if all(_is_totally_positive(ring, x) for x in diag):
-                return diag
-    raise FormError("fourth-power check needs positive definite forms")
-
-
-def _is_totally_positive(ring, x) -> bool:
-    """x > 0 at every real place; x is a diagonal entry of a symmetric form
-    over a real quadratic field or else involution-fixed, hence rational."""
-    if isinstance(ring, QuadRing) and ring.field.is_real:
-        return x.sign_at(0) > 0 and x.sign_at(1) > 0
-    return ring.as_rational(x) > 0
-
-
 def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
     """Verify that the 4-fold direct sums of two positive definite forms of
     equal dimension over the same base are isometric, returning the
@@ -1010,6 +951,8 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
     if f1.kind in ("skew", "quat-skew-hermitian"):
         raise FormError("positive definiteness requires a hermitian kind")
     diag1, diag2 = _positive_diagonal(f1), _positive_diagonal(f2)
+    if diag1 is None or diag2 is None:
+        raise FormError("fourth-power check needs positive definite forms")
     i1 = _diagonal_invariants(f1.kind, f1.ring, diag1 * 4)
     i2 = _diagonal_invariants(f2.kind, f2.ring, diag2 * 4)
     cert: dict = {

@@ -187,13 +187,15 @@ def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
 
 def unimodular_isometric(g1: Matrix, g2: Matrix, p: int) -> bool:
     """Classification of unimodular symmetric forms over Z_p, p odd: equal
-    dimension and determinant ratio a square unit."""
+    dimension and determinant ratio a square unit.  Each Gram must be
+    p-integral with a unit determinant."""
     if p == 2 or not isprime(p):
         raise LatticeError("p must be an odd prime")
     g1, g2 = mat(g1), mat(g2)
     d1, d2 = det(g1), det(g2)
-    if d1 == 0 or d2 == 0 or valuation(d1, p) != 0 or valuation(d2, p) != 0:
-        raise LatticeError("forms must be unimodular (unit determinant)")
+    for g, d in ((g1, d1), (g2, d2)):
+        if d == 0 or valuation(d, p) != 0 or not _mat_p_integral(g, p):
+            raise LatticeError("forms must be unimodular (p-integral, unit determinant)")
     if len(g1) != len(g2):
         return False
     return legendre(unit_residue(d1 * d2, p), p) == 1

@@ -555,6 +555,19 @@ def test_quadfield_base_accepts_an_integer_or_its_string(tmp_path, D):
     assert code == 0 and out["invariants"]["base"] == "Q(sqrt-1)"
 
 
+@pytest.mark.parametrize("site", range(4))
+def test_quadfield_D_is_read_alike_everywhere(tmp_path, site):
+    """D = 5 and "5" give the same answer, and D = 4 and "x" the same error
+    code, wherever a quadratic field is named."""
+    verb, doc = _quadfield_sites(5)[site]
+    code, out = run_cli(tmp_path, verb, doc)
+    assert code == 0
+    assert run_cli(tmp_path, verb, _quadfield_sites("5")[site][1]) == (code, out)
+    for D in (4, "x", True):
+        code, out = run_cli(tmp_path, verb, _quadfield_sites(D)[site][1])
+        assert code == 1 and out["error"]["code"] == "schema:bad-field", (D, out)
+
+
 @pytest.mark.parametrize("pool", ["forms", "hecke"])
 def test_pool_is_byte_identical_to_reference(tmp_path, pool):
     """Every request of a byte-exact benchmark pool, sent through `main`,
@@ -599,8 +612,25 @@ def _rational(q):
     return {"instance": {"algebra": {"type": "rational"}, "q": q, "a": 1}}
 
 
-def _matrix_instance(n, q):
-    return {"instance": {"algebra": {"type": "matrix", "n": n}, "q": q, "a": q}}
+def _matrix_instance(n, q, **algebra):
+    return {"instance": {"algebra": {"type": "matrix", "n": n, **algebra}, "q": q, "a": q}}
+
+
+def _quadfield_sites(D):
+    """The four places that name a quadratic field by its D, as
+    (verb, doc): a form base, a `general` factor, a `quadfield` instance
+    and hecke-classes."""
+    return [
+        ("classify-form", {"form": {"kind": "symmetric", "base": {"type": "quadfield", "D": D},
+                                    "gram": [[["1", "0"]]]}}),
+        ("degree-bound", {"instance": {"algebra": {"type": "general", "factors": [{"kind": "quadfield", "D": D}]},
+                                       "q": ["1", "0"], "a": ["1", "0"]}}),
+        ("degree-bound", {"instance": {"algebra": {"type": "quadfield", "D": D}, "q": ["1", "0"], "a": ["1", "0"]}}),
+        ("hecke-classes", {"D": D, "count": 2}),
+    ]
+
+
+_TWO = [["2", "0"], ["0", "2"]]
 
 
 @pytest.mark.parametrize(
@@ -613,7 +643,7 @@ def _matrix_instance(n, q):
         ("measure-constant", {"instances": []}, "schema:missing-field"),
         ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "target_scale": "x"}, "schema:bad-field"),
         ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "p": 4}, "precondition:p"),
-        ("hecke-classes", {"D": 4, "count": 1}, "precondition:QuadFieldError"),
+        ("hecke-classes", {"D": 4, "count": 1}, "schema:bad-field"),
         ("degree-bound", _rational("3/2"), "precondition:instance"),
         ("degree-bound", _matrix_instance(-1, [["1"]]), "schema:bad-field"),
         ("degree-bound", _matrix_instance(2, [["1"]]), "schema:bad-matrix"),
@@ -629,6 +659,20 @@ def _matrix_instance(n, q):
         ("local-solve", {**_LOCAL_DOCS["local-solve"], "p": 2}, "precondition:p"),
         ("degree-bound", {"instance": {"algebra": {"type": "quadfield", "D": 5}, "q": ["1"], "a": ["1", "0"]}},
          "schema:bad-instance"),
+        ("degree-bound", _matrix_instance(2, _TWO, gamma=1.5), "schema:bad-field"),
+        ("degree-bound", _matrix_instance(2, _TWO, gamma=True), "schema:bad-field"),
+        ("degree-bound", _matrix_instance(2, _TWO, gamma="x"), "schema:bad-field"),
+        ("degree-bound", _matrix_instance(2, _TWO, gamma=0), "schema:bad-field"),
+        ("degree-bound", _matrix_instance(True, [["1"]]), "schema:bad-field"),
+        *[(verb, doc, "schema:bad-field") for verb, doc in _quadfield_sites(4)[1:3]],
+        (
+            "degree-bound",
+            {"instance": {"algebra": {"type": "general", "factors": [{"kind": "quaternion", "a": "0", "b": "-1"}]},
+                          "q": ["1", "0", "0", "0"], "a": ["1", "0", "0", "0"]}},
+            "schema:bad-field",
+        ),
+        ("hecke-classes", {"D": 5, "count": True}, "schema:bad-field"),
+        ("degree-bound", _general({"gammas": [0, 1]}), "schema:bad-field"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):

@@ -173,6 +173,14 @@ def test_split_matrix_scalar_q():
     assert res.norm_b == 1
 
 
+def test_split_matrix_negative_definite_q_falls_back():
+    minus_one = [[-x for x in row] for row in identity(2)]
+    res = solve_split_matrix(matrix_instance(2, minus_one, identity(2)))
+    assert res.method == "oracle-fallback"
+    assert res.notes["fallback_reason"] == "q is not positive definite"
+    assert res.value == -1
+
+
 def test_split_matrix_verified_random():
     rng = random.Random(77)
     done = 0

@@ -11,7 +11,6 @@ from polarith.forms import (
     FormError,
     GramForm,
     MatrixInvolution,
-    _positive_diagonal,
     adjoint_involution,
     diagonal_form_q,
     diagonalize,
@@ -28,7 +27,6 @@ from polarith.forms import (
     search_isometry_witness,
     skew_standard_witness,
     symmetric_form_q,
-    trace_gram,
 )
 from polarith.linalg import RationalRing, conj_transpose, det, mat_mul, transpose
 from polarith.quadfield import QuadField
@@ -582,12 +580,43 @@ def _rand_form(rng, kind, ring, n, signs):
     return GramForm(kind, ring, mat_mul(mat_mul(udag, dm, ring), u, ring))
 
 
-def _positive_by_diagonal(f) -> bool:
-    try:
-        _positive_diagonal(f)
-    except FormError:
-        return False
+def _reference_trace_gram(f):
+    """The rational Gram matrix of Tr(psi(v, v); D) on the Q-vector space
+    underlying the module, via the regular representation of the base."""
+    ring = f.ring
+    d = ring.dim_q
+    n = f.dim
+    basis = [ring.from_qcoords([Fraction(int(i == t)) for i in range(d)]) for t in range(d)]
+    big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
+    for i in range(n):
+        for j in range(n):
+            gij = f.gram[i][j]
+            for s in range(d):
+                for u in range(d):
+                    val = f.entry_conj(basis[s]) * gij * basis[u]
+                    big[i * d + s][j * d + u] = ring.trace_q(val)
+    return big
+
+
+def _reference_leading_minors_positive(m):
+    """Sylvester test by exact LDL pivots."""
+    n = len(m)
+    a = [row[:] for row in m]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                fct = a[i][k] / a[k][k]
+                for j in range(k, n):
+                    a[i][j] -= fct * a[k][j]
     return True
+
+
+def _reference_trace_form_positive(f) -> bool:
+    """Positivity as `is_positive_definite` decided it before it read the
+    answer off one diagonalization: the Sylvester test on the trace form."""
+    return _reference_leading_minors_positive(_reference_trace_gram(f))
 
 
 @pytest.mark.parametrize("kind, ring", BASE_PARAMS)
@@ -598,8 +627,8 @@ def test_diagonal_positivity_agrees_with_trace_form(kind, ring):
     for _ in range(60):
         n = rng.randint(0, 3)
         f = _rand_form(rng, kind, ring, n, [rng.choice(choices) for _ in range(n)])
-        positive = is_positive_definite(f)
-        assert _positive_by_diagonal(f) == positive, f.gram
+        positive = _reference_trace_form_positive(f)
+        assert is_positive_definite(f) == positive, f.gram
         seen.add(positive)
     assert seen == {True, False}
 

@@ -612,10 +612,18 @@ def test_non_integral_unit_determinant_is_refused():
     """[[1/3, 1], [1, 6]] has determinant 1 but is not 3-integral.  No
     diagonal entry is a 3-adic unit, and v_0 += v_1 makes the (0, 0) entry
     25/3, not a unit either: the shared diagonalization refuses, where the
-    old body ended in StopIteration."""
+    old body ended in StopIteration.  `unimodular_isometric` refuses the
+    matrix before that, instead of calling it unimodular from its
+    determinant."""
     g = mat([[Fraction(1, 3), 1], [1, 6]])
     ctx = PadicContext(3)
     with pytest.raises(StopIteration):
         _reference_p_adic_diagonalize(g, ctx)
     with pytest.raises(LatticeError, match="^form is not unimodular at p$"):
-        unimodular_congruence_witness(g, identity(2), ctx)
+        _reduce_to_standard(g, ctx)
+    unimodular = r"^forms must be unimodular \(p-integral, unit determinant\)$"
+    for pair in ((g, identity(2)), (identity(2), g)):
+        with pytest.raises(LatticeError, match=unimodular):
+            unimodular_isometric(*pair, 3)
+        with pytest.raises(LatticeError, match=unimodular):
+            unimodular_congruence_witness(*pair, ctx)
