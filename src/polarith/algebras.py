@@ -24,10 +24,14 @@ from .linalg import (
     mat,
     mat_add,
     mat_eq,
+    mat_from_qcoords,
     mat_mul,
     mat_scale,
     mat_sub,
+    mat_to_qcoords,
     poly_nth_root,
+    qbasis,
+    scalar_of,
 )
 from .quadfield import QuadElem, QuadField
 
@@ -391,36 +395,13 @@ class SimpleFactor:
 
     def to_qcoords(self, x) -> list[Fraction]:
         if self.matrix_size:
-            out = []
-            for row in x:
-                for e in row:
-                    out.extend(self.ring.to_qcoords(e))
-            return out
+            return mat_to_qcoords(x, self.ring)
         return self.ring.to_qcoords(x)
 
     def from_qcoords(self, coords):
         if self.matrix_size:
-            n = self.matrix_size
-            d = self.ring.dim_q
-            rows = []
-            idx = 0
-            for _ in range(n):
-                row = []
-                for _ in range(n):
-                    row.append(self.ring.from_qcoords(list(coords[idx : idx + d])))
-                    idx += d
-                rows.append(row)
-            return rows
+            return mat_from_qcoords(coords, self.matrix_size, self.ring)
         return self.ring.from_qcoords(list(coords))
-
-    def basis(self):
-        out = []
-        dim = self.dim_q
-        for i in range(dim):
-            coords = [Fraction(0)] * dim
-            coords[i] = Fraction(1)
-            out.append(self.from_qcoords(coords))
-        return out
 
     def inv_elem(self, x):
         if self.matrix_size:
@@ -587,39 +568,15 @@ class AlgebraWithInvolution:
         c = None
         for f, a in zip(self.factors, x):
             if f.matrix_size:
-                n = f.matrix_size
-                diag = a[0][0]
-                for i in range(n):
-                    for j in range(n):
-                        if i == j:
-                            if not f.ring.is_zero(a[i][j] - diag):
-                                return None
-                        elif not f.ring.is_zero(a[i][j]):
-                            return None
-                if not f.ring.is_rational(diag):
-                    return None
-                cc = f.ring.as_rational(diag)
-            else:
-                if isinstance(f.ring, RationalRing):
-                    cc = frac(a)
-                else:
-                    if not f.ring.is_rational(a):
-                        return None
-                    cc = f.ring.as_rational(a)
+                a = scalar_of(a, f.ring)
+            if a is None or not f.ring.is_rational(a):
+                return None
+            cc = f.ring.as_rational(a)
             if c is None:
                 c = cc
             elif c != cc:
                 return None
         return c
-
-    def basis(self):
-        out = []
-        for idx, f in enumerate(self.factors):
-            for e in f.basis():
-                comp = list(self.zero())
-                comp[idx] = e
-                out.append(tuple(comp))
-        return out
 
     def __repr__(self):
         return " x ".join(repr(f) for f in self.factors)
@@ -714,8 +671,7 @@ class OrderR:
 
     def basis_matrix_is_identity(self) -> bool:
         rows = [self.algebra.to_qcoords(b) for b in self.basis_elements]
-        n = len(rows)
-        return all(rows[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+        return rows == identity(len(rows))
 
     def coordinates(self, x) -> list[Fraction]:
         coords = self.algebra.to_qcoords(x)
@@ -781,4 +737,4 @@ def maximal_order_quadfield(algebra: AlgebraWithInvolution) -> OrderR:
 
 
 def matrix_order_z(algebra: AlgebraWithInvolution) -> OrderR:
-    return OrderR(algebra, tuple(algebra.basis()))
+    return OrderR(algebra, tuple(qbasis(algebra)))

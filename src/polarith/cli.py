@@ -40,7 +40,6 @@ from .forms import (
     EtalePairRing,
     FormError,
     GramForm,
-    PairElem,
     fourth_power_isometric,
     invariants,
     isometric,
@@ -54,8 +53,8 @@ from .lattices_local import (
     scale,
     split_local_solve,
 )
-from .linalg import RationalRing, det, frac, mat
-from .quadfield import QuadElem, QuadField, QuadFieldError, ResourceError
+from .linalg import RationalRing, det, frac, mat, qbasis
+from .quadfield import QuadField, QuadFieldError, ResourceError
 from .hecke_classes import (
     HeckeError,
     equivalence_witness,
@@ -86,16 +85,15 @@ def _rat(v, where: str) -> Fraction:
 
 def _int(v, where: str, least: int | None = None) -> int:
     """An integer field: a JSON integer or a decimal string of one, at
-    least `least` when that is given."""
+    least `least` when that is given; `schema:bad-field` otherwise."""
     if isinstance(v, str):
         try:
             v = int(v)
         except ValueError:
             pass
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InputError("schema:bad-field", f"{where}: expected an integer, got {v!r}")
-    if least is not None and v < least:
-        raise InputError("schema:bad-field", f"{where}: must be >= {least}")
+    if not isinstance(v, int) or isinstance(v, bool) or (least is not None and v < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError("schema:bad-field", f"{where} must be an integer{bound}")
     return v
 
 
@@ -180,21 +178,14 @@ def parse_form(doc, where: str = "form") -> GramForm:
         raise InputError("schema:bad-matrix", f"{where}.gram: must be square")
 
     def entry(v, w):
+        """A rational over Q, else the list of the entry's Q-coordinates."""
         if isinstance(ring, RationalRing):
             return _rat(v, w)
-        if isinstance(ring, QuadRing):
-            if not isinstance(v, list) or len(v) != 2:
-                raise InputError("schema:bad-entry", f"{w}: quadratic entries are [x, y] pairs")
-            return QuadElem(ring.field, _rat(v[0], w), _rat(v[1], w))
-        if isinstance(ring, QuaternionRing):
-            if not isinstance(v, list) or len(v) != 4:
-                raise InputError("schema:bad-entry", f"{w}: quaternion entries are 4-tuples")
-            return ring.from_qcoords([_rat(x, w) for x in v])
-        if isinstance(ring, EtalePairRing):
-            if not isinstance(v, list) or len(v) != 2:
-                raise InputError("schema:bad-entry", f"{w}: pair entries are [x, y]")
-            return PairElem(_rat(v[0], w), _rat(v[1], w))
-        raise InputError("schema:bad-base", f"{w}: unsupported base")
+        if not isinstance(v, list) or len(v) != ring.dim_q:
+            raise InputError(
+                "schema:bad-entry", f"{w}: entries over {ring!r} are lists of {ring.dim_q} rationals"
+            )
+        return ring.from_qcoords([_rat(x, w) for x in v])
 
     gram = [[entry(rows[i][j], f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)]
     try:
@@ -261,12 +252,10 @@ def cmd_fourth_power_check(doc, args):
 def _padic_context(doc, args) -> PadicContext:
     """The `p` and `precision` fields; a p the context refuses (2, or not
     prime) is `precondition:p`."""
-    p = doc.get("p")
-    if not isinstance(p, int):
+    if "p" not in doc:
         raise InputError("schema:missing-field", "p must be an integer prime")
-    precision = doc.get("precision", args.precision)
-    if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
-        raise InputError("schema:bad-field", "precision must be an integer >= 1")
+    p = _int(doc["p"], "p")
+    precision = _int(doc.get("precision", args.precision), "precision", least=1)
     try:
         return PadicContext(p, precision)
     except LatticeError as exc:
@@ -277,9 +266,7 @@ def cmd_maximal_lattice(doc, args):
     ctx = _padic_context(doc, args)
     form = parse_form(doc["form"], "form")
     basis = _matrix(doc["basis"], "basis")
-    target = doc.get("target_scale", 0)
-    if not isinstance(target, int):
-        raise InputError("schema:bad-field", "target_scale must be an integer")
+    target = _int(doc.get("target_scale", 0), "target_scale")
     L = PadicLattice(ctx, basis, form)
 
     def run():
@@ -371,7 +358,7 @@ def _general_instance(doc, where: str) -> BoundInstance:
         n = A.dim_q
         basis_doc = doc.get("order_basis")
         if basis_doc is None:
-            basis = tuple(A.basis())
+            basis = tuple(qbasis(A))
         elif isinstance(basis_doc, list):
             basis = tuple(
                 A.from_qcoords(_coords(row, n, f"{where}.order_basis")) for row in basis_doc
@@ -411,6 +398,8 @@ def parse_instance(doc, where: str = "instance") -> BoundInstance:
         raise InputError("schema:bad-instance", f"{where}: {exc}") from None
     except (QuadFieldError, DegreeBoundError) as exc:
         raise InputError("precondition:instance", f"{where}: {exc}") from None
+    except AlgebraError as exc:
+        raise InputError("precondition:algebra", f"{where}: {exc}") from None
     raise InputError("schema:bad-algebra", f"{where}: unknown algebra type {t!r}")
 
 
@@ -419,11 +408,8 @@ def serialize_element(inst: BoundInstance, x) -> object:
         f0 = inst.algebra.factors[0]
         if f0.matrix_size:
             return _serialize_matrix(x[0])
-        comp = x[0]
-        if isinstance(comp, Fraction):
-            return _rat_str(comp)
-        if hasattr(comp, "x"):
-            return [_rat_str(comp.x), _rat_str(comp.y)]
+        if isinstance(x[0], Fraction):
+            return _rat_str(x[0])
     return [_rat_str(c) for c in inst.algebra.to_qcoords(x)]
 
 
@@ -456,19 +442,14 @@ def cmd_degree_bound(doc, args):
     return run
 
 
-def _prime_cap(doc) -> int:
-    cap = doc.get("prime_cap", 10_000)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
-        raise InputError("schema:bad-field", "prime_cap must be an integer >= 2")
-    return cap
-
-
 def cmd_hecke_classes(doc, args):
     field = _quadfield(doc, "hecke-classes")
-    count = _int(doc["count"], "count")
+    count = _int(doc["count"], "count", least=1)
     if args.height < 0:
         raise HeckeError("height must be >= 0")
-    prime_cap = _prime_cap(doc)
+    prime_cap = _int(doc.get("prime_cap", 10_000), "prime_cap", least=2)
+    if not field.is_real:
+        raise HeckeError("the construction needs a real quadratic field")
 
     def run():
         reps = generate_classes(field, count, prime_cap=prime_cap)

@@ -525,7 +525,7 @@ def identity_form_decomposition(u) -> list | None:
         return [x_orig] + rest
 
     g0 = [[int(x) for x in row] for row in u]
-    cols = rec(g0, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    cols = rec(g0, identity(n))
     if cols is None:
         return None
     v = [[cols[c][r] for c in range(n)] for r in range(n)]
@@ -577,7 +577,7 @@ def brute_force_oracle(
     dim = A.dim_q
     norm_cap = frac(norm_cap)
     canonical = order.basis_matrix_is_identity()
-    forms = _rational_scalar_forms(inst, canonical)
+    forms = _rational_scalar_forms(inst)
     best: tuple | None = None
     explored = 0
     found_radius = None
@@ -633,10 +633,9 @@ def brute_force_oracle(
     return res
 
 
-def _rational_scalar_forms(inst: BoundInstance, canonical: bool) -> list[list[tuple]]:
-    """Integer quadratic forms in the coordinates x of b (in the order
-    basis, or the Q-basis when `canonical`) that all vanish iff
-    b^dagger q b is a rational scalar.
+def _rational_scalar_forms(inst: BoundInstance) -> list[list[tuple]]:
+    """Integer quadratic forms in the coordinates x of b in the order basis
+    that all vanish iff b^dagger q b is a rational scalar.
 
     The involution is Q-linear, so V(x) = to_qcoords(b^dagger q b) =
     sum_ij x_i x_j T_ij with T_ij = to_qcoords(e_i^dagger q e_j), and V is a
@@ -646,10 +645,7 @@ def _rational_scalar_forms(inst: BoundInstance, canonical: bool) -> list[list[tu
     dropped."""
     A = inst.algebra
     dim = A.dim_q
-    if canonical:
-        basis = [A.from_qcoords([Fraction(int(k == i)) for k in range(dim)]) for i in range(dim)]
-    else:
-        basis = list(inst.order.basis_elements)
+    basis = inst.order.basis_elements
     qe = [A.mul(inst.q, e) for e in basis]
     t = [[A.to_qcoords(A.mul(apply_involution(A, ei), qej)) for qej in qe] for ei in basis]
     u = A.to_qcoords(A.one())

@@ -45,8 +45,13 @@ from .linalg import (
     identity,
     inverse,
     mat_eq,
+    mat_from_qcoords,
     mat_mul,
+    mat_sub,
+    mat_to_qcoords,
     nullspace,
+    qbasis,
+    scalar_of,
     transpose,
 )
 from .quadfield import QuadElem, QuadField, is_square_in_field, is_totally_positive
@@ -367,8 +372,6 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
         for r in range(n):
             u[r][i], u[r][j] = u[r][j], u[r][i]
 
-    base_units = [ring.from_qcoords([Fraction(int(t == s)) for t in range(ring.dim_q)]) for s in range(ring.dim_q)]
-
     def pivot(k):
         """(i, inverse of the new (i, i) entry), after the column operation
         that makes it a unit when the diagonal from k has none."""
@@ -380,7 +383,7 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
             for j in range(k, n):
                 if i == j:
                     continue
-                for lam in base_units:
+                for lam in qbasis(ring):
                     lam_c = _entry_conj(f.kind, ring, lam)
                     inv = unit_inverse(g[i][i] + lam_c * g[j][i] + g[i][j] * lam + lam_c * g[j][j] * lam)
                     if inv is not None:
@@ -424,21 +427,11 @@ class MatrixInvolution:
         if self.kind != other.kind or self.ring != other.ring or self.n != other.n:
             return False
         zinv = inverse(self.z, self.ring)
-        m = mat_mul(zinv, other.z, self.ring)
-        # m must be a central iota-fixed scalar matrix
-        diag = m[0][0]
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    if not self.ring.is_zero(m[i][j] - diag):
-                        return False
-                elif not self.ring.is_zero(m[i][j]):
-                    return False
-        if isinstance(self.ring, QuaternionRing):
-            if not self.ring.is_rational(diag):
-                return False
-        fixed = _entry_conj(self.kind, self.ring, diag)
-        return self.ring.is_zero(fixed - diag)
+        # z^{-1} z' must be a central iota-fixed scalar matrix
+        c = scalar_of(mat_mul(zinv, other.z, self.ring), self.ring)
+        if c is None or (isinstance(self.ring, QuaternionRing) and not self.ring.is_rational(c)):
+            return False
+        return self.ring.is_zero(_entry_conj(self.kind, self.ring, c) - c)
 
 
 def adjoint_involution(f: GramForm) -> MatrixInvolution:
@@ -448,49 +441,27 @@ def adjoint_involution(f: GramForm) -> MatrixInvolution:
     return MatrixInvolution(f.kind, f.ring, f.dim, [row[:] for row in f.gram])
 
 
-def _matrix_from_qcoords(ring, n: int, coords) -> list:
-    """The n x n matrix over `ring` whose entries, row by row, have the
-    Q-coordinates `coords`, ring.dim_q of them per entry."""
-    d = ring.dim_q
-    return [
-        [ring.from_qcoords(coords[(i * n + j) * d : (i * n + j + 1) * d]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _matrix_units(ring, n: int) -> list:
-    """The Q-basis of M_n(base) in the coordinate order of
-    `_matrix_from_qcoords`: E_ij times each Q-basis element of the base."""
-    k = n * n * ring.dim_q
-    return [_matrix_from_qcoords(ring, n, [Fraction(int(s == t)) for s in range(k)]) for t in range(k)]
-
-
 def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
     """Recover the conjugator z of an involution given as a callable, by
     solving the linear system z * fn(a) = a^{iota T} * z over the matrix
     units."""
-    units = _matrix_units(ring, n)
+    units = qbasis(ring, n)
     unknowns = len(units)
     system: list[list[Fraction]] = []
     for a in units:
         fa = fn(a)
         act = _kind_conj_transpose(kind, ring, a)
-        blocks = []
-        for zk in units:
-            lhs = mat_mul(zk, fa, ring)
-            rhs = mat_mul(act, zk, ring)
-            col = []
-            for i in range(n):
-                for j in range(n):
-                    col.extend(ring.to_qcoords(lhs[i][j] - rhs[i][j]))
-            blocks.append(col)
+        blocks = [
+            mat_to_qcoords(mat_sub(mat_mul(zk, fa, ring), mat_mul(act, zk, ring)), ring)
+            for zk in units
+        ]
         for r in range(len(blocks[0])):
             system.append([blocks[k][r] for k in range(unknowns)])
     null = nullspace(system)
     if not null:
         raise FormError("callable is not an adjoint involution of a form")
     for vec in null:
-        z = _matrix_from_qcoords(ring, n, vec)
+        z = mat_from_qcoords(vec, n, ring)
         zct = _kind_conj_transpose(kind, ring, z)
         sym = [[(z[i][j] + zct[i][j]) / 2 for j in range(n)] for i in range(n)]
         skw = [[(z[i][j] - zct[i][j]) / 2 for j in range(n)] for i in range(n)]
@@ -517,7 +488,7 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
     positive definite."""
     ring = inv.ring
     n = inv.n
-    elems = _matrix_units(ring, n)
+    elems = qbasis(ring, n)
     dim = len(elems)
     dag = [inv.apply(e) for e in elems]
     big = [[Fraction(0)] * dim for _ in range(dim)]
@@ -861,12 +832,11 @@ def skew_standard_witness(f: GramForm) -> list:
         raise FormError("singular skew form")
     n = f.dim
     g = [row[:] for row in f.gram]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
     def pairing(v, w):
         return sum(v[i] * f.gram[i][j] * w[j] for i in range(n) for j in range(n))
 
-    remaining = [basis[i] for i in range(n)]
+    remaining = identity(n)
     pairs = []
     while remaining:
         e = remaining.pop(0)

@@ -45,6 +45,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_sub,
+    scalar_of,
     transpose,
 )
 
@@ -299,49 +300,21 @@ def _canonical_nonresidue(p: int) -> int:
 
 
 def _represent_one(u: int, v: int, p: int, k: int) -> tuple[int, int]:
-    """(x, y) with u x^2 + v y^2 = 1 mod p^k, x or y a unit (Hensel)."""
+    """(x, y) with u x^2 + v y^2 = 1 mod p^k, x or y a unit: the first x
+    mod p with (1 - u x^2) / v a square mod p, and the unit coordinate
+    lifted by `_sqrt_mod_pk` (x itself when y = 0 mod p)."""
     mod = p**k
-    x0 = y0 = None
     for x in range(p):
-        rem = (1 - u * x * x) % p
-        # v y^2 = rem mod p
-        target = rem * pow(v, -1, p) % p
-        for y in range(p):
-            if (y * y - target) % p == 0:
-                x0, y0 = x, y
-                break
-        if x0 is not None:
-            break
-    if x0 is None:
-        raise LatticeError("binary unit form fails to represent 1 mod p")
-    x, y = x0, y0
-    mod_cur = p
-    while mod_cur < mod:
-        mod_cur = min(mod_cur * mod_cur, mod)
-        rem = (1 - u * x * x - v * y * y) % mod_cur
-        if y % p != 0:
-            # adjust y: f(y) = v y^2 - c
-            y = (y + rem * pow(2 * v * y, -1, mod_cur)) % mod_cur
-        else:
-            x = (x + rem * pow(2 * u * x, -1, mod_cur)) % mod_cur
-    return x % mod, y % mod
+        target = (1 - u * x * x) * pow(v, -1, mod) % mod
+        if target % p == 0:
+            return _sqrt_mod_pk(pow(u, -1, mod), p, k), 0
+        if legendre(target, p) == 1:
+            return x, _sqrt_mod_pk(target, p, k)
+    raise LatticeError("binary unit form fails to represent 1 mod p")
 
 
 # ---------------------------------------------------------------------------
 # The split-case solver
-
-
-def _is_scalar_matrix(m: Matrix) -> Fraction | None:
-    n = len(m)
-    d = m[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if m[i][j] != d:
-                    return None
-            elif m[i][j] != 0:
-                return None
-    return d
 
 
 def _cayley_orthogonal_round(h: Matrix, ctx: PadicContext) -> Matrix:
@@ -441,7 +414,7 @@ def split_local_solve(
     if m_prime == 0 or valuation(m_prime, p) < 0:
         raise LatticeError("m' must be a nonzero p-adic integer")
     aqa = mat_mul(mat_mul(transpose(a), q), a)
-    m = _is_scalar_matrix(aqa)
+    m = scalar_of(aqa)
     if m is None or m == 0:
         raise LatticeError("a^T q a must be a nonzero rational scalar")
     qinv = inverse(q)
@@ -482,7 +455,7 @@ def split_local_solve(
             hstar = _cayley_orthogonal_round(h, cur_ctx)
             b = mat_mul(b0, hstar)
             check = mat_mul(mat_mul(transpose(b), q), b)
-            if _is_scalar_matrix(check) == m_prime and _mat_p_integral(b, p):
+            if scalar_of(check) == m_prime and _mat_p_integral(b, p):
                 return b
         except LatticeError:
             pass
@@ -502,7 +475,7 @@ def unit_case_parity(q: Matrix, a: Matrix, ctx: PadicContext):
     if dq == 0 or valuation(dq, p) != 0 or not _mat_p_integral(q, p):
         raise LatticeError("q must be unimodular")
     aqa = mat_mul(mat_mul(transpose(a), q), a)
-    m = _is_scalar_matrix(aqa)
+    m = scalar_of(aqa)
     if m is None or m == 0:
         raise LatticeError("a^T q a must be a nonzero rational scalar")
     if valuation(m, p) % 2 == 0:

@@ -238,7 +238,7 @@ def _regular_inverse(a: list, ring: Ring) -> list:
     That map is invertible exactly when a is (B is finite-dimensional), and
     column j of the inverse is the preimage of e_j (the one of B at j)."""
     n, d = len(a), ring.dim_q
-    units = [ring.from_qcoords([Fraction(int(s == t)) for s in range(d)]) for t in range(d)]
+    units = qbasis(ring)
     big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
     for i in range(n):
         for j in range(n):
@@ -253,6 +253,46 @@ def _regular_inverse(a: list, ring: Ring) -> list:
         for i in range(n):
             out[i][j] = ring.from_qcoords(x[i * d : (i + 1) * d])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Q-coordinates: the one layout of elements and matrices as rational vectors
+
+
+def qbasis(ring, n: int | None = None) -> list:
+    """The Q-basis of `ring`, anything with `dim_q` and `from_qcoords` (a
+    ring descriptor, a simple factor, an algebra): element t has the unit
+    vector e_t as its coordinates.  With n, the Q-basis of M_n(ring) in the
+    layout of `mat_from_qcoords`."""
+    if n is None:
+        return [ring.from_qcoords(e) for e in identity(ring.dim_q)]
+    return [mat_from_qcoords(e, n, ring) for e in identity(n * n * ring.dim_q)]
+
+
+def mat_to_qcoords(a: list, ring: Ring = QQ) -> list:
+    """The Q-coordinates of a matrix over `ring`: those of each entry, row
+    by row."""
+    return [c for row in a for x in row for c in ring.to_qcoords(x)]
+
+
+def mat_from_qcoords(coords, n: int, ring: Ring = QQ) -> list:
+    """The n x n matrix over `ring` with the Q-coordinates `coords`."""
+    d = ring.dim_q
+    return [
+        [ring.from_qcoords(coords[(i * n + j) * d : (i * n + j + 1) * d]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def scalar_of(a: list, ring: Ring = QQ):
+    """c when the square matrix a is c * I over `ring`, None otherwise."""
+    c = a[0][0]
+    is_zero = ring.is_zero
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if not is_zero(x - c if i == j else x):
+                return None
+    return c
 
 
 def nullspace(a: list, ring: Ring = QQ) -> list[list]:

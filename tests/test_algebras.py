@@ -24,7 +24,7 @@ from polarith.algebras import (
     quaternion_algebra_q,
     rational_algebra,
 )
-from polarith.linalg import RationalRing
+from polarith.linalg import RationalRing, identity, qbasis
 from polarith.quadfield import QuadField
 
 F5 = QuadField(5)
@@ -216,6 +216,35 @@ def test_swap_pair_norm_compat():
     x = (Fraction(3), Fraction(5))
     assert norm(A, x, spec) == 15**2
     assert apply_involution(A, x) == (Fraction(5), Fraction(3))
+
+
+def _coordinate_spaces():
+    """Everything that has Q-coordinates, by name: ring descriptors, simple
+    factors and algebras."""
+    quat = QuaternionRing(RationalRing(), Fraction(-1), Fraction(-3))
+    m2 = SimpleFactor(QuadRing(F5), matrix_size=2, involution="conjugate_transpose")
+    return {
+        "Q": rational_algebra(),
+        "quadfield": quadfield_algebra(F5),
+        "quaternion": quaternion_algebra_q(-1, -3),
+        "QxQ": AlgebraWithInvolution(
+            (SimpleFactor(RationalRing()), SimpleFactor(RationalRing())), ((0, 1),)
+        ),
+        "matrix": matrix_algebra_q(2),
+        "two-factor": AlgebraWithInvolution((m2, SimpleFactor(quat, involution="canonical"))),
+        "quaternion-ring": quat,
+        "matrix-factor": m2,
+    }
+
+
+@pytest.mark.parametrize("name", list(_coordinate_spaces()))
+def test_qbasis_round_trips_through_qcoords(name):
+    """qbasis(A)[t] has the unit vector e_t as its coordinates, and
+    from_qcoords inverts to_qcoords on it."""
+    A = _coordinate_spaces()[name]
+    basis = qbasis(A)
+    assert [A.to_qcoords(e) for e in basis] == identity(A.dim_q)
+    assert [A.from_qcoords(A.to_qcoords(e)) for e in basis] == basis
 
 
 def test_rational_scalar_detection():

@@ -357,7 +357,7 @@ def test_top_level_value_must_be_object(tmp_path, verb, doc):
     assert out == {"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}}
 
 
-@pytest.mark.parametrize("cap", ["x", True, 1, "100", 7.5])
+@pytest.mark.parametrize("cap", ["x", True, 1, "3/2", 7.5])
 def test_hecke_prime_cap_must_be_integer(tmp_path, cap):
     doc = {"D": 5, "count": 3, "prime_cap": cap}
     code, out = run_cli(tmp_path, "hecke-classes", doc)
@@ -638,7 +638,7 @@ _TWO = [["2", "0"], ["0", "2"]]
     [
         ("local-solve", {k: v for k, v in _LOCAL_DOCS["local-solve"].items() if k != "p"},
          "schema:missing-field"),
-        ("local-solve", {**_LOCAL_DOCS["local-solve"], "p": "3"}, "schema:missing-field"),
+        ("local-solve", {**_LOCAL_DOCS["local-solve"], "p": "x"}, "schema:bad-field"),
         ("measure-constant", {}, "schema:missing-field"),
         ("measure-constant", {"instances": []}, "schema:missing-field"),
         ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "target_scale": "x"}, "schema:bad-field"),
@@ -673,6 +673,8 @@ _TWO = [["2", "0"], ["0", "2"]]
         ),
         ("hecke-classes", {"D": 5, "count": True}, "schema:bad-field"),
         ("degree-bound", _general({"gammas": [0, 1]}), "schema:bad-field"),
+        ("hecke-classes", {"D": -5, "count": 1}, "precondition:HeckeError"),
+        ("hecke-classes", {"D": 5, "count": 0}, "schema:bad-field"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
@@ -683,6 +685,74 @@ def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
     rc, checked = run_cli(tmp_path, "validate", doc, "--validate-verb", verb)
     assert rc == 1
     assert checked == {"valid": False, "errors": [out["error"]]}
+
+
+@pytest.mark.parametrize(
+    "verb, field, value",
+    [
+        ("local-solve", "p", 3),
+        ("maximal-lattice", "p", 3),
+        ("local-solve", "precision", 6),
+        ("maximal-lattice", "target_scale", 0),
+        ("hecke-classes", "prime_cap", 100),
+    ],
+)
+def test_integer_fields_accept_decimal_strings(tmp_path, verb, field, value):
+    """An integer field given as a decimal string answers what the integer
+    answers, under the verb and under `validate`."""
+    doc = _LOCAL_DOCS.get(verb, {"D": 5, "count": 3})
+    as_int = run_cli(tmp_path, verb, {**doc, field: value})
+    assert as_int[0] == 0
+    assert run_cli(tmp_path, verb, {**doc, field: str(value)}) == as_int
+    rc, out = run_cli(tmp_path, "validate", {**doc, field: str(value)}, "--validate-verb", verb)
+    assert (rc, out) == (0, {"valid": True, "errors": []})
+
+
+@pytest.mark.parametrize("tag", ["bogus", 3, [1]])
+def test_bad_involution_tag_is_one_code(tmp_path, tag):
+    """A quadratic field's involution tag outside the known ones answers the
+    same `precondition:algebra` body in a `quadfield` instance and in a
+    `general` factor, under the verb and under `validate`."""
+    coords = {"q": ["1", "0"], "a": ["1", "0"]}
+    docs = [
+        {"instance": {"algebra": {"type": "quadfield", "D": 5, "involution": tag}, **coords}},
+        {"instance": {"algebra": {"type": "general",
+                                  "factors": [{"kind": "quadfield", "D": 5, "involution": tag}]},
+                      **coords}},
+    ]
+    want = {"error": {"code": "precondition:algebra", "message": f"instance: unknown involution {tag}"}}
+    for doc in docs:
+        assert run_cli(tmp_path, "degree-bound", doc) == (1, want)
+        rc, out = run_cli(tmp_path, "validate", doc, "--validate-verb", "degree-bound")
+        assert (rc, out) == (1, {"valid": False, "errors": [want["error"]]})
+
+
+def test_solve_pool_matches_reference(tmp_path):
+    """Every solve-pool request but the slowest answers the exit code, and a
+    degree-bound request the method, norm_b and oracle count, recorded in
+    the reference.  Left out, at seconds each: oracles that explored more
+    than 10,000 points and the n = 4 maximal lattices at p = 7 and 11."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    requests = json.loads((data / "solve.inputs.json").read_text())["requests"]
+    reference = json.loads((data / "solve.reference.json").read_text())
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    sent, mismatched = 0, []
+    for req in requests:
+        want = reference[req["id"]]
+        if want.get("explored", 0) > 10_000 or req["stratum"] in ("maximal-n4-p7", "maximal-n4-p11"):
+            continue
+        sent += 1
+        inp.write_text(json.dumps(req["input"]))
+        got = {"exit": main([req["verb"], str(inp), "-o", str(out), *req["args"]])}
+        if req["verb"] == "degree-bound":
+            res = json.loads(out.read_text())
+            got.update(method=res.get("method"), norm_b=res.get("norm_b"))
+            if "explored" in res.get("notes", {}):
+                got["explored"] = res["notes"]["explored"]
+        if got != want:
+            mismatched.append(req["id"])
+    assert sent == 88
+    assert mismatched == []
 
 
 def test_pool_inputs_validate(tmp_path):

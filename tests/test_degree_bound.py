@@ -36,7 +36,7 @@ from polarith.algebras import (
     quaternion_algebra_q,
 )
 from polarith.exact import valuation
-from polarith.linalg import RationalRing, frac, identity, mat, mat_mul, transpose
+from polarith.linalg import RationalRing, frac, identity, mat, mat_mul, qbasis, transpose
 from polarith.quadfield import QuadField, QuadElem, fundamental_unit, is_totally_positive
 
 
@@ -441,7 +441,7 @@ def _oracle_instances(draw, kind):
     if kind == "m2":
         z = draw(st.sampled_from([None, [[0, 1], [1, 0]]]))
         A = matrix_algebra_q(2, z)
-        e11, e12, e21, e22 = A.basis()
+        e11, e12, e21, e22 = qbasis(A)
         if draw(st.booleans()):
             basis = (A.add(e11, e22), e12, A.add(e21, A.scale(Fraction(2), e12)), e22)
             q = [[draw(_small), draw(_small)], [draw(_small), draw(_small)]]
@@ -477,7 +477,7 @@ def _oracle_instances(draw, kind):
         return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (q,), None)
     if kind == "quaternion":
         A = quaternion_algebra_q(-1, -3)
-        one, i, j, k = A.basis()
+        one, i, j, k = qbasis(A)
         if draw(st.booleans()):
             basis = (one, i, A.scale(Fraction(1, 2), A.add(one, j)), A.scale(Fraction(1, 2), A.add(i, k)))
         else:
@@ -493,7 +493,7 @@ def _oracle_instances(draw, kind):
         q += (QuadElem(F5, Fraction(draw(_small)), Fraction(draw(_small))),)
     A = AlgebraWithInvolution(factors, ((0, 1),))
     spec = NormSpec(A, (1,) * len(factors))
-    return BoundInstance(A, spec, OrderR(A, tuple(A.basis())), q, None)
+    return BoundInstance(A, spec, OrderR(A, tuple(qbasis(A))), q, None)
 
 
 @pytest.mark.parametrize("kind", ["m2", "quadfield", "quaternion", "pair"])

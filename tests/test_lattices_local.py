@@ -12,6 +12,7 @@ from polarith.lattices_local import (
     PadicContext,
     PadicLattice,
     _reduce_to_standard,
+    _represent_one,
     is_maximal,
     maximal_completion,
     scale,
@@ -627,3 +628,20 @@ def test_non_integral_unit_determinant_is_refused():
             unimodular_isometric(*pair, 3)
         with pytest.raises(LatticeError, match=unimodular):
             unimodular_congruence_witness(*pair, ctx)
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 11, 13, 31, 59]),
+    k=st.sampled_from([1, 2, 3, 5, 12]),
+    u=st.integers(1, 10**9),
+    v=st.integers(1, 10**9),
+)
+@settings(max_examples=300, deadline=None)
+def test_represent_one_solves_the_binary_unit_form(p, k, u, v):
+    """u x^2 + v y^2 = 1 mod p^k, with x or y a unit, for units u and v."""
+    if u % p == 0 or v % p == 0:
+        u, v = u * p + 1, v * p + 1
+    mod = p**k
+    x, y = _represent_one(u % mod, v % mod, p, k)
+    assert (u * x * x + v * y * y - 1) % mod == 0
+    assert x % p or y % p

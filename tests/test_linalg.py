@@ -20,8 +20,12 @@ from polarith.linalg import (
     identity,
     inverse,
     mat_eq,
+    mat_from_qcoords,
     mat_mul,
+    mat_to_qcoords,
     nullspace,
+    qbasis,
+    scalar_of,
     transpose,
 )
 from polarith.quadfield import QuadField
@@ -194,3 +198,48 @@ def test_conj_transpose_reverses_products(ring, data):
     rhs = mat_mul(conj_transpose(b, ring), conj_transpose(a, ring), ring)
     assert mat_eq(lhs, rhs, ring)
     assert transpose(transpose(a)) == a
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@PROPS
+@given(data=st.data())
+def test_matrix_qcoords_round_trip(ring, data):
+    a = data.draw(st.integers(1, 3).flatmap(lambda n: matrices(ring, n, n)))
+    coords = mat_to_qcoords(a, ring)
+    assert len(coords) == len(a) ** 2 * ring.dim_q
+    assert mat_eq(mat_from_qcoords(coords, len(a), ring), a, ring)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@pytest.mark.parametrize("n", [None, 1, 2])
+def test_qbasis_has_the_unit_vectors_as_coordinates(ring, n):
+    if n is None:
+        coords = [ring.to_qcoords(e) for e in qbasis(ring)]
+    else:
+        coords = [mat_to_qcoords(e, ring) for e in qbasis(ring, n)]
+    assert coords == identity(len(coords)) and len(coords) == (n or 1) ** 2 * ring.dim_q
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@PROPS
+@given(data=st.data())
+def test_scalar_of_agrees_with_its_definition(ring, data):
+    """scalar_of(a) is c exactly when a = c * I, and None when a is no
+    scalar matrix; scalar matrices, random ones and scalar matrices with
+    one entry changed are drawn."""
+    n = data.draw(st.integers(1, 3))
+    c = data.draw(elements(ring))
+    shape = data.draw(st.sampled_from(["scalar", "random", "changed"]))
+    if shape == "random":
+        a = data.draw(matrices(ring, n, n))
+    else:
+        a = [[c if i == j else ring.zero() for j in range(n)] for i in range(n)]
+        if shape == "changed":
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            a[i][j] = a[i][j] + data.draw(elements(ring))
+    got = scalar_of(a, ring)
+    scalar = [[a[0][0] if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    if mat_eq(a, scalar, ring):
+        assert got is not None and ring.is_zero(got - a[0][0])
+    else:
+        assert got is None
