@@ -48,6 +48,8 @@ from .lattices_local import (
     LatticeError,
     PadicContext,
     PadicLattice,
+    check_completion,
+    check_local_solve,
     is_maximal,
     maximal_completion,
     scale,
@@ -268,6 +270,7 @@ def cmd_maximal_lattice(doc, args):
     basis = _matrix(doc["basis"], "basis")
     target = _int(doc.get("target_scale", 0), "target_scale")
     L = PadicLattice(ctx, basis, form)
+    check_completion(L, target)
 
     def run():
         out = maximal_completion(L, target)
@@ -287,6 +290,7 @@ def cmd_local_solve(doc, args):
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a")
     m_prime = _rat(doc["m_prime"], "m_prime")
+    check_local_solve(q, a, m_prime, ctx.p)
 
     def run():
         b = split_local_solve(q, a, m_prime, ctx)

@@ -17,6 +17,22 @@ becomes v^T G_L v / p^2, where G_L is the Gram of L.  Both searches ask only
 writing G_L = G/D with G integral and e = v_p(D), the test is that
 p^(t+1+e) divides (Gv)_j for j != i and p^(t+2+e) divides v^T G v.
 
+Only points of a kernel can pass.  Let s = t + e.  When s >= 0, G' = G/p^s
+is integral (scale(L) >= t), and the row test asks (G'v)_j = 0 mod p for
+j != i.  Then v^T G v = (Gv)_i + sum over j > i of v_j (Gv)_j, so the
+diagonal test forces (G'v)_i = 0 mod p too: v lies in the kernel of G'
+mod p.  When s < 0, the row modulus is 1 and every point passes the row
+test: that is the kernel of the zero matrix.  The scan therefore walks the
+projective points of that kernel only.  With a basis of the kernel in
+reduced row echelon form, the points with lead index c_m (the pivot of row
+m) are row m plus the combinations of the later rows, and their
+lexicographic order is that of the coefficient vectors, because each later
+row's coefficient is the point's coordinate at that row's pivot.  So the
+scan visits the winning candidates in the order of the full scan over
+P^{n-1}(F_p) and picks the same superlattice.  The winner's Gram is carried
+(only row and column i change), and the completed lattice's Gram is
+checked once against B^T F B.
+
 Isometry witnesses between unimodular forms are constructed modulo
 p^precision (square-root lifts are truncated), but every certificate that
 the solver returns is re-verified in exact rational arithmetic: the final
@@ -25,7 +41,7 @@ b of split_local_solve satisfies b^T q b = m' * I as an identity in Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -40,6 +56,7 @@ from .linalg import (
     frac,
     identity,
     inverse,
+    kernel_mod_p,
     mat,
     mat_add,
     mat_mul,
@@ -88,11 +105,15 @@ def _mat_p_integral(m: Matrix, p: int) -> bool:
 @dataclass
 class PadicLattice:
     """Columns of `basis` span the lattice over Z_p; `form` is a symmetric
-    rational Gram form read p-adically."""
+    rational Gram form read p-adically.  The Gram B^T F B is computed once,
+    unless `carried_gram` hands it over (the superlattice scan builds its
+    winner's Gram from its integer test; `maximal_completion` re-checks the
+    Gram of the lattice it returns)."""
 
     ctx: PadicContext
     basis: Matrix
     form: GramForm
+    carried_gram: Matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = mat(self.basis)
@@ -102,13 +123,18 @@ class PadicLattice:
             raise LatticeError("form and basis dimensions differ")
         if self.form.kind != "symmetric":
             raise LatticeError("p-adic lattices are implemented for symmetric forms")
+        if self.carried_gram is None:
+            self.carried_gram = self.exact_gram()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def gram(self) -> Matrix:
+    def exact_gram(self) -> Matrix:
         return mat_mul(mat_mul(transpose(self.basis), self.form.gram), self.basis)
+
+    def gram(self) -> Matrix:
+        return self.carried_gram
 
     def contains(self, other: "PadicLattice") -> bool:
         """other subseteq self, p-locally."""
@@ -119,42 +145,56 @@ class PadicLattice:
         return self.contains(other) and other.contains(self)
 
 
-def _projective_points(p: int, n: int):
-    """Representatives of P^{n-1}(F_p), first unit coordinate normalized to
-    one, in lexicographic order."""
-    for lead in range(n):
-        for tail in product(range(p), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def scale(L: PadicLattice) -> int:
     """Exponent s with scale ideal p^s: min valuation over the Gram."""
     return _mat_min_valuation(L.gram(), L.ctx.p)
 
 
+def _kernel_points(rows: list[list[int]], p: int):
+    """The points of P(span of `rows`) over F_p, each with its first nonzero
+    coordinate one, in lexicographic order.  `rows` is a basis in reduced
+    row echelon form: row m plus each combination of the later rows, in
+    `product` order, is that order (module docstring)."""
+    for m, lead in enumerate(rows):
+        later = rows[m + 1 :]
+        for coeffs in product(range(p), repeat=len(later)):
+            yield tuple(
+                (x + sum(c * row[j] for c, row in zip(coeffs, later))) % p
+                for j, x in enumerate(lead)
+            )
+
+
 def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
     """The first index-p superlattice of L, in lexicographic order of the
     residue projective point that defines it, whose scale is >= t; None if
-    there is none.  Requires scale(L) >= t.  Each candidate is one integer
-    test (module docstring); the winner's scale is re-checked exactly."""
+    there is none.  Requires scale(L) >= t.  Only points of the kernel of
+    G' mod p can win (module docstring); each is one integer test, and the
+    winner carries its Gram, whose scale is re-checked."""
     p, n = L.ctx.p, L.dim
     gram = L.gram()
     den = lcm(*(x.denominator for row in gram for x in row))
     g = [[int(x * den) for x in row] for row in gram]
     e = valuation(den, p)
-    row_mod = p ** max(0, t + 1 + e)
-    diag_mod = p ** max(0, t + 2 + e)
-    for v in _projective_points(p, n):
+    s = t + e
+    row_mod = p ** max(0, s + 1)
+    diag_mod = p ** max(0, s + 2)
+    # G' = G / p^s mod p; every point passes the row test when s < 0
+    g_mod_p = [[x // p**s % p if s >= 0 else 0 for x in row] for row in g]
+    for v in _kernel_points(kernel_mod_p(g_mod_p, p), p):
         i = v.index(1)
         gv = [sum(g[j][k] * v[k] for k in range(i, n)) for j in range(n)]
         if any(gv[j] % row_mod for j in range(n) if j != i):
             continue
-        if sum(v[k] * gv[k] for k in range(i, n)) % diag_mod:
+        vgv = sum(v[k] * gv[k] for k in range(i, n))
+        if vgv % diag_mod:
             continue
         new_basis = [row[:] for row in L.basis]
+        new_gram = [row[:] for row in gram]
         for r in range(n):
             new_basis[r][i] = sum(L.basis[r][k] * v[k] for k in range(n)) / p
-        sup = PadicLattice(L.ctx, new_basis, L.form)
+            new_gram[r][i] = new_gram[i][r] = Fraction(gv[r], p * den)
+        new_gram[i][i] = Fraction(vgv, p * p * den)
+        sup = PadicLattice(L.ctx, new_basis, L.form, new_gram)
         if scale(sup) < t:
             raise LatticeError("internal: integer superlattice test disagrees with the Gram")
         return sup
@@ -168,21 +208,30 @@ def is_maximal(L: PadicLattice) -> bool:
     return _first_superlattice(L, scale(L)) is None
 
 
-def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
-    """A maximal lattice containing L among lattices of scale >= the target
-    exponent.  Greedy over index-p superlattices in lexicographic order;
-    each step strictly decreases the discriminant valuation, so the loop
-    terminates.  A degenerate form has no maximal lattice (L grows along
-    its radical without changing the scale), so it is refused."""
+def check_completion(L: PadicLattice, target_scale: int) -> None:
+    """The preconditions of `maximal_completion`.  A degenerate form has no
+    maximal lattice (L grows along its radical without changing the
+    scale), so it is refused; so is a target above the scale of L."""
     if det(L.form.gram) == 0:
         raise LatticeError("the form is degenerate: it has no maximal lattice")
     if scale(L) < target_scale:
         raise LatticeError(
             f"scale {scale(L)} is below the requested target {target_scale}"
         )
+
+
+def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
+    """A maximal lattice containing L among lattices of scale >= the target
+    exponent.  Greedy over index-p superlattices in lexicographic order;
+    each step strictly decreases the discriminant valuation, so the loop
+    terminates.  The Gram carried through the steps is checked once against
+    B^T F B of the lattice returned."""
+    check_completion(L, target_scale)
     current = L
     while (enlarged := _first_superlattice(current, target_scale)) is not None:
         current = enlarged
+    if current.gram() != current.exact_gram():
+        raise LatticeError("internal: the carried Gram disagrees with B^T F B")
     return current
 
 
@@ -383,38 +432,19 @@ def _perm_sign(perm) -> int:
     return s
 
 
-def split_local_solve(
-    q: Matrix, a: Matrix, m_prime: Fraction | int, ctx: PadicContext
-) -> Matrix:
-    """b with p-integral entries and b^T q b = m' * I exactly.
-
-    Preconditions: q integral symmetric nonsingular; a^T q a = m * I for a
-    rational scalar m; m' q^{-1} p-integral; m'/m a rational square.  The
-    last condition strengthens the p-adic-square hypothesis of the local
-    theory: it is what makes an exact rational certificate possible, and it
-    holds for every instance the global solver generates.
-
-    Construction: scale a to b0 = sqrt(m'/m) a (exact Gram m' * I); when b0
-    is not p-integral, transport it onto the maximal completion of
-    m' q^{-1} Z_p^n by a finite-precision unimodular isometry and round the
-    correction to an exact orthogonal matrix through the Cayley transform.
-    """
-    p = ctx.p
-    q = mat(q)
-    a = mat(a)
-    m_prime = frac(m_prime)
-    n = len(q)
+def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[Matrix, Fraction]:
+    """The preconditions of `split_local_solve`, in order, for rational
+    matrices q, a and a rational m'; returns q^{-1} and sqrt(m'/m), which
+    the solver goes on with."""
     if q != transpose(q):
         raise LatticeError("q must be symmetric")
     if not _mat_p_integral(q, p):
         raise LatticeError("q must be p-integral")
-    dq = det(q)
-    if dq == 0:
+    if det(q) == 0:
         raise LatticeError("q must be nonsingular")
     if m_prime == 0 or valuation(m_prime, p) < 0:
         raise LatticeError("m' must be a nonzero p-adic integer")
-    aqa = mat_mul(mat_mul(transpose(a), q), a)
-    m = scalar_of(aqa)
+    m = scalar_of(mat_mul(mat_mul(transpose(a), q), a))
     if m is None or m == 0:
         raise LatticeError("a^T q a must be a nonzero rational scalar")
     qinv = inverse(q)
@@ -425,6 +455,30 @@ def split_local_solve(
         raise LatticeError(
             "m'/m must be a positive rational square for an exact certificate"
         )
+    return qinv, s
+
+
+def split_local_solve(
+    q: Matrix, a: Matrix, m_prime: Fraction | int, ctx: PadicContext
+) -> Matrix:
+    """b with p-integral entries and b^T q b = m' * I exactly.
+
+    Preconditions (`check_local_solve`): q integral symmetric nonsingular;
+    a^T q a = m * I for a rational scalar m; m' q^{-1} p-integral; m'/m a
+    rational square.  The last condition strengthens the p-adic-square
+    hypothesis of the local theory: it is what makes an exact rational
+    certificate possible, and it holds for every instance the global
+    solver generates.
+
+    Construction: scale a to b0 = sqrt(m'/m) a (exact Gram m' * I); when b0
+    is not p-integral, transport it onto the maximal completion of
+    m' q^{-1} Z_p^n by a finite-precision unimodular isometry and round the
+    correction to an exact orthogonal matrix through the Cayley transform.
+    """
+    p = ctx.p
+    q, a, m_prime = mat(q), mat(a), frac(m_prime)
+    n = len(q)
+    qinv, s = check_local_solve(q, a, m_prime, p)
     b0 = mat_scale(s, a)
     if _mat_p_integral(b0, p):
         return b0
@@ -434,7 +488,7 @@ def split_local_solve(
     lam0 = PadicLattice(ctx, mat_scale(m_prime, qinv), form)
     lam_max = maximal_completion(lam0, target)
     bprime = lam_max.basis
-    uprime = mat_scale(1 / m_prime, mat_mul(mat_mul(transpose(bprime), q), bprime))
+    uprime = mat_scale(1 / m_prime, lam_max.gram())
     if _mat_min_valuation(uprime, p) < 0 or valuation(det(uprime), p) != 0:
         raise LatticeError("maximal completion did not reach a unimodular Gram")
 

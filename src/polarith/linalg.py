@@ -112,6 +112,27 @@ class RationalRing:
 QQ = RationalRing()
 
 
+class _ResidueField:
+    """F_p on int representatives: the part of the ring protocol that
+    `_row_reduce` and `nullspace` call.  Products and differences stay plain
+    ints (Z -> F_p is a ring map), so read results modulo p."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def is_zero(self, x):
+        return x % self.p == 0
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+
 # ---------------------------------------------------------------------------
 # Matrices over a ring descriptor
 
@@ -310,6 +331,15 @@ def nullspace(a: list, ring: Ring = QQ) -> list[list]:
             v[pc] = -m[i][fc]
         basis.append(v)
     return basis
+
+
+def kernel_mod_p(a: list[list[int]], p: int) -> list[list[int]]:
+    """The right kernel of the integer matrix a over F_p (p prime), as the
+    rows of a matrix in reduced row echelon form with entries in range(p)."""
+    field = _ResidueField(p)
+    rows = nullspace(a, field)
+    _row_reduce(rows, len(a[0]) if a else 0, field)
+    return [[x % p for x in row] for row in rows]
 
 
 def charpoly(a: list, ring: Ring = QQ) -> list:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -675,6 +676,21 @@ _TWO = [["2", "0"], ["0", "2"]]
         ("degree-bound", _general({"gammas": [0, 1]}), "schema:bad-field"),
         ("hecke-classes", {"D": -5, "count": 1}, "precondition:HeckeError"),
         ("hecke-classes", {"D": 5, "count": 0}, "schema:bad-field"),
+        ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "form": form_q("symmetric", [["1", "1"], ["1", "1"]])},
+         "precondition:LatticeError"),
+        ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "target_scale": 2}, "precondition:LatticeError"),
+        *[
+            ("local-solve", {**_LOCAL_DOCS["local-solve"], **change}, "precondition:LatticeError")
+            for change in (
+                {"q": [["1", "1"], ["0", "9"]]},
+                {"q": [["1", "0"], ["0", "1/3"]]},
+                {"q": [["1", "0"], ["0", "0"]]},
+                {"m_prime": "1/3"},
+                {"a": [["1", "0"], ["0", "1"]]},
+                {"m_prime": "3"},
+                {"m_prime": "18"},
+            )
+        ],
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
@@ -753,6 +769,26 @@ def test_solve_pool_matches_reference(tmp_path):
             mismatched.append(req["id"])
     assert sent == 88
     assert mismatched == []
+
+
+def test_lattice_pool_responses_are_pinned(tmp_path):
+    """Every maximal-lattice and local-solve request of the solve pool, the
+    n = 4 lattices at p = 7 and 11 included, answers the exit code and the
+    sha256 of the output bytes in `data/solve_lattice_sha256.json`,
+    recorded when the superlattice scan still tested every projective
+    point.  A scan that picks another maximal lattice fails here."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    requests = json.loads((data / "solve.inputs.json").read_text())["requests"]
+    pinned = json.loads((Path(__file__).parent / "data" / "solve_lattice_sha256.json").read_text())
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    got = {}
+    for req in requests:
+        if req["verb"] in ("maximal-lattice", "local-solve"):
+            inp.write_text(json.dumps(req["input"]))
+            code = main([req["verb"], str(inp), "-o", str(out), *req["args"]])
+            got[req["id"]] = {"exit": code, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+    assert len(got) == 32
+    assert got == pinned
 
 
 def test_pool_inputs_validate(tmp_path):

@@ -4,13 +4,15 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarith.lattices_local import (
     LatticeError,
     PadicContext,
     PadicLattice,
+    _first_superlattice,
+    _kernel_points,
     _reduce_to_standard,
     _represent_one,
     is_maximal,
@@ -23,7 +25,7 @@ from polarith.lattices_local import (
 )
 from polarith.exact import valuation
 from polarith.forms import diagonalize, symmetric_form_q
-from polarith.linalg import det, identity, mat, mat_mul, mat_scale, transpose
+from polarith.linalg import det, identity, kernel_mod_p, mat, mat_mul, mat_scale, transpose
 
 
 def diag_form(*entries):
@@ -398,19 +400,30 @@ def test_unimodular_classification_against_modp_oracle():
 # The integer superlattice scan against its definition
 
 
+def _reference_projective_points(p, n):
+    """Representatives of P^{n-1}(F_p), first unit coordinate normalized to
+    one, in lexicographic order: every point the scan visited before it
+    visited only the kernel of G' mod p."""
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
 def _reference_superlattices(L):
     """Every index-p superlattice of L as a Fraction lattice, in
     lexicographic order of the residue projective point that defines it."""
     p, n = L.ctx.p, L.dim
-    for lead in range(n):
-        for tail in product(range(p), repeat=n - lead - 1):
-            v = (0,) * lead + (1,) + tail
-            i = next(k for k in range(n) if v[k] % p != 0)
-            new_basis = [row[:] for row in L.basis]
-            w = [sum(L.basis[r][k] * v[k] for k in range(n)) / p for r in range(n)]
-            for r in range(n):
-                new_basis[r][i] = w[r]
-            yield PadicLattice(L.ctx, new_basis, L.form)
+    for v in _reference_projective_points(p, n):
+        i = next(k for k in range(n) if v[k] % p != 0)
+        new_basis = [row[:] for row in L.basis]
+        w = [sum(L.basis[r][k] * v[k] for k in range(n)) / p for r in range(n)]
+        for r in range(n):
+            new_basis[r][i] = w[r]
+        yield PadicLattice(L.ctx, new_basis, L.form)
+
+
+def _reference_first_superlattice(L, t):
+    return next((sup for sup in _reference_superlattices(L) if scale(sup) >= t), None)
 
 
 def _reference_is_maximal(L):
@@ -425,15 +438,9 @@ def _reference_maximal_completion(L, target_scale):
     if scale(L) < target_scale:
         raise LatticeError(f"scale {scale(L)} is below the requested target {target_scale}")
     current = L
-    while True:
-        enlarged = None
-        for sup in _reference_superlattices(current):
-            if scale(sup) >= target_scale:
-                enlarged = sup
-                break
-        if enlarged is None:
-            return current
+    while (enlarged := _reference_first_superlattice(current, target_scale)) is not None:
         current = enlarged
+    return current
 
 
 @st.composite
@@ -483,7 +490,10 @@ def test_superlattice_scan_matches_reference(p, data, drop):
 
 def test_superlattice_scan_fixed_cases():
     """Hand-picked cases for each branch: a positive target, a negative
-    scale, a Gram with p in its denominators, n = 1 and n = 4 at p = 5."""
+    scale, a Gram with p in its denominators, n = 1, n = 4 at p = 5, and
+    s = t + v_p(den) < 0, where every projective point passes the row test.
+    The first step, with its carried Gram, and the whole completion match
+    the Fraction definition."""
     cases = [
         (lattice(3, [[3, 0], [0, 3]], diag_form(1, 1)), 2),
         (lattice(5, [[1, 0], [0, 1]], diag_form(Fraction(1, 5), Fraction(1, 125))), -3),
@@ -491,12 +501,94 @@ def test_superlattice_scan_fixed_cases():
         (lattice(3, [[9]], diag_form(Fraction(1, 2))), 0),
         (lattice(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], diag_form(1, 9, 27, 81)), 0),
         (lattice(5, identity(4), diag_form(2, 5, 25, 3)), 0),
+        (lattice(3, identity(2), diag_form(1, 1)), -1),  # e = 0, s = -1
+        (lattice(3, identity(2), diag_form(Fraction(1, 3), 1)), -3),  # e = 1, s = -2
+        (lattice(5, identity(3), diag_form(Fraction(2, 5), 5, 25)), -2),  # e = 1, s = -1
+        (lattice(5, [[1]], diag_form(25)), 0),
+        (lattice(3, [[1]], diag_form(2)), 0),
+        (lattice(3, [[1]], diag_form(2)), -1),
+        (lattice(7, [[Fraction(1, 7)]], diag_form(Fraction(3, 2))), -4),
     ]
     for L, target in cases:
+        got, want = _first_superlattice(L, target), _reference_first_superlattice(L, target)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.basis == want.basis and got.gram() == want.gram()
         assert is_maximal(L) == _reference_is_maximal(L)
         out = maximal_completion(L, target)
         assert out.basis == _reference_maximal_completion(L, target).basis
         assert scale(out) >= target and is_maximal(out) and out.contains(L)
+
+
+@st.composite
+def _symmetric_of_low_rank(draw, p, n, rank):
+    """A symmetric integer n x n matrix Y^T D Y + p Z with Y of r rows, so
+    of rank at most r mod p.  `rank` "zero" forces r = 0 (the matrix is 0
+    mod p), "corank-2" forces r = n - 2 (a kernel of dimension >= 2),
+    "any" draws r from 0..n."""
+    r = draw(st.integers(0, n)) if rank == "any" else {"zero": 0, "corank-2": max(n - 2, 0)}[rank]
+    small = st.integers(-p, p)
+    y = [[draw(small) for _ in range(n)] for _ in range(r)]
+    d = [draw(small) for _ in range(r)]
+    g = [[sum(y[k][i] * d[k] * y[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] += p * draw(small)
+            g[j][i] = g[i][j]
+    return g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("rank", ["zero", "corank-2", "any"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_kernel_points_are_the_filtered_projective_points(p, rank, data):
+    """The kernel enumerator yields exactly the projective points that
+    G' kills mod p, in the order of the full projective scan."""
+    n = data.draw(st.integers(2 if rank == "corank-2" else 1, 4))
+    g = data.draw(_symmetric_of_low_rank(p, n, rank))
+    kernel = kernel_mod_p(g, p)
+    assert len(kernel) >= {"zero": n, "corank-2": 2, "any": 0}[rank]
+    want = [
+        v for v in _reference_projective_points(p, n)
+        if all(sum(x * c for x, c in zip(row, v)) % p == 0 for row in g)
+    ]
+    assert list(_kernel_points(kernel, p)) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@given(data=st.data(), drop=st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_first_superlattice_matches_projective_scan(p, data, drop):
+    """The scan over the kernel picks the same superlattice as the Fraction
+    definition over every projective point, and carries its exact Gram.
+    The Gram is M p^k / d with M of low rank mod p, so G' mod p has a
+    kernel of dimension >= 2 in many draws; a target below the scale
+    (drop >= 1) makes G' = 0 mod p, and a drop above scale(L) + e, with e
+    the p-part of the Gram's denominator, makes s < 0."""
+    n = data.draw(st.integers(1, 4 if p == 3 else 3))
+    m = data.draw(_symmetric_of_low_rank(p, n, data.draw(st.sampled_from(["zero", "corank-2", "any"]))))
+    if det(m) == 0:
+        m = [[x + (p if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    assume(det(m) != 0)
+    c = Fraction(p) ** data.draw(st.integers(-1, 1)) / data.draw(st.sampled_from([1, 2, p]))
+    L = lattice(p, identity(n), symmetric_form_q([[x * c for x in row] for row in m]))
+    t = scale(L) - drop
+    got, want = _first_superlattice(L, t), _reference_first_superlattice(L, t)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.basis == want.basis
+        assert got.gram() == want.gram() == got.exact_gram()
+
+
+def test_kernel_points_fixed_cases():
+    """n = 1, a unit and a zero matrix mod p, and the zero matrix that
+    stands for s < 0: every point, in order."""
+    assert list(_kernel_points(kernel_mod_p([[0]], 5), 5)) == [(1,)]
+    assert list(_kernel_points(kernel_mod_p([[3]], 3), 3)) == [(1,)]
+    assert list(_kernel_points(kernel_mod_p([[2]], 3), 3)) == []
+    assert list(_kernel_points(kernel_mod_p([[0, 0], [0, 0]], 3), 3)) == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    assert list(_kernel_points(kernel_mod_p([[1, 2], [2, 4]], 5), 5)) == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------
