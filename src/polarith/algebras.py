@@ -149,9 +149,6 @@ class QuatElem:
     def nrd(self):
         return (self * self.conj()).coords[0]
 
-    def trd(self):
-        return self.coords[0] * 2
-
     def __repr__(self):
         return f"QuatElem{self.coords}"
 
@@ -367,11 +364,6 @@ class SimpleFactor:
         if self.matrix_size:
             return mat_eq(x, y, self.ring)
         return self.ring.is_zero(x - y)
-
-    def is_zero_elem(self, x):
-        if self.matrix_size:
-            return all(self.ring.is_zero(e) for row in x for e in row)
-        return self.ring.is_zero(x)
 
     def scale(self, c: Fraction, x):
         if self.matrix_size:
@@ -718,11 +710,6 @@ def matrix_algebra_q(n: int, z=None) -> AlgebraWithInvolution:
     return AlgebraWithInvolution(
         (SimpleFactor(RationalRing(), matrix_size=n, involution="conjugate_transpose", z=zt),)
     )
-
-
-def quaternion_algebra_q(a, b) -> AlgebraWithInvolution:
-    ring = QuaternionRing(RationalRing(), frac(a), frac(b))
-    return AlgebraWithInvolution((SimpleFactor(ring, involution="canonical"),))
 
 
 def maximal_order_quadfield(algebra: AlgebraWithInvolution) -> OrderR:

@@ -29,6 +29,7 @@ from .degree_bound import (
     DegreeBoundError,
     OracleBudgetError,
     brute_force_oracle,
+    check_measure_constant,
     matrix_instance,
     measure_constant,
     quadfield_instance,
@@ -288,7 +289,7 @@ def cmd_maximal_lattice(doc, args):
 def cmd_local_solve(doc, args):
     ctx = _padic_context(doc, args)
     q = _matrix(doc["q"], "q")
-    a = _matrix(doc["a"], "a")
+    a = _matrix(doc["a"], "a", len(q))
     m_prime = _rat(doc["m_prime"], "m_prime")
     check_local_solve(q, a, m_prime, ctx.p)
 
@@ -489,6 +490,7 @@ def cmd_measure_constant(doc, args):
     if not isinstance(raw, list) or not raw:
         raise InputError("schema:missing-field", "instances must be a nonempty list")
     instances = [parse_instance(d, f"instances[{i}]") for i, d in enumerate(raw)]
+    check_measure_constant(instances)
     return lambda: (0, measure_constant(instances).as_json_dict())
 
 

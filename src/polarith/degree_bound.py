@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from sympy import factorint
 
@@ -55,7 +55,6 @@ from .linalg import (
     transpose,
 )
 from .quadfield import (
-    MAX_CLASS_GROUP_DISC,
     QfIdeal,
     QuadElem,
     QuadField,
@@ -74,6 +73,12 @@ from .quadfield import (
 
 class DegreeBoundError(ValueError):
     pass
+
+
+# Desk-scale cap on |disc(F)| for the `is_principal` search of the ideal
+# algorithm (its loop grows with sqrt(Nm) and, over a real field, with the
+# fundamental unit).
+MAX_PRINCIPAL_SEARCH_DISC = 10**6
 
 
 class OracleBudgetError(RuntimeError):
@@ -136,9 +141,6 @@ class BoundResult:
         """c^2 = Nm(b)^2 / Nm(q)^{2d-1}, exact (avoids the half-integer
         exponent)."""
         return self.norm_b**2 / self.norm_q ** (2 * self.d - 1)
-
-    def bound_rhs_squared(self) -> Fraction:
-        return self.achieved_ratio_squared * self.norm_q ** (2 * self.d - 1)
 
 
 def verify_result(inst: BoundInstance, res: BoundResult) -> None:
@@ -279,7 +281,7 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     for pr, e in factors:
         ideal_b = ideal_b * pr**e
 
-    if abs(F.disc) > MAX_CLASS_GROUP_DISC:
+    if abs(F.disc) > MAX_PRINCIPAL_SEARCH_DISC:
         raise ResourceError(f"|disc| = {abs(F.disc)} exceeds the desk-scale bound")
     gen = _principalize_with_ramified_twists(ideal_b, F)
     notes = {
@@ -756,18 +758,24 @@ class ConstantReport:
         }
 
 
+def check_measure_constant(instances: list[BoundInstance]) -> None:
+    """The precondition of `measure_constant`: a nonempty batch sharing one
+    (R, dagger, Nm)."""
+    if not instances:
+        raise DegreeBoundError("empty batch")
+    ref = (instances[0].algebra, instances[0].spec.gammas)
+    if any((inst.algebra, inst.spec.gammas) != ref for inst in instances):
+        raise DegreeBoundError("instances must share (R, dagger, Nm)")
+
+
 def measure_constant(instances: list[BoundInstance]) -> ConstantReport:
     """Run solver and oracle on a shared-(R, dagger, Nm) batch; the maximal
     achieved ratio is the empirical constant (reported squared to stay in
     exact arithmetic)."""
-    if not instances:
-        raise DegreeBoundError("empty batch")
-    ref = (instances[0].algebra, instances[0].spec.gammas)
+    check_measure_constant(instances)
     entries = []
     cmax = Fraction(0)
     for inst in instances:
-        if (inst.algebra, inst.spec.gammas) != ref:
-            raise DegreeBoundError("instances must share (R, dagger, Nm)")
         res = solve(inst)
         try:
             oracle = brute_force_oracle(inst, res.norm_b)
@@ -826,20 +834,11 @@ def torus_conductor(order: OrderR, x: tuple) -> int:
     dzx = int(alpha * alpha + 4 * beta)  # disc of Z[x] for x^2 = alpha x + beta
     if dzx == 0:
         raise DegreeBoundError("degenerate (non-etale) subalgebra")
-    f = 1
+    # disc(Z[x]) = f^2 d_K with d_K the discriminant of the maximal order of
+    # L (1 when L = Q x Q), read off the squarefree part of disc(Z[x])
+    s = -1 if dzx < 0 else 1
     for pr, e in factorint(abs(dzx)).items():
-        f *= pr ** (e // 2)
-    while f > 1:
-        rem = dzx // (f * f) if dzx % (f * f) == 0 else None
-        if rem is not None and rem % 4 in (0, 1):
-            break
-        f = _shrink_square_divisor(f, dzx)
-    return f
-
-
-def _shrink_square_divisor(f: int, dzx: int) -> int:
-    for pr in sorted(factorint(f).keys(), reverse=True):
-        cand = f // pr
-        if dzx % (cand * cand) == 0:
-            return cand
-    return 1
+        if e % 2:
+            s *= pr
+    d_k = s if s % 4 == 1 else 4 * s
+    return isqrt(dzx // d_k)

@@ -39,10 +39,6 @@ class LocalPlace:
     def finite(cls, p: int) -> "LocalPlace":
         return cls(p)
 
-    @classmethod
-    def real(cls) -> "LocalPlace":
-        return cls(None)
-
     @property
     def is_real(self) -> bool:
         return self.p is None

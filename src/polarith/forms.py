@@ -45,11 +45,7 @@ from .linalg import (
     identity,
     inverse,
     mat_eq,
-    mat_from_qcoords,
     mat_mul,
-    mat_sub,
-    mat_to_qcoords,
-    nullspace,
     qbasis,
     scalar_of,
     transpose,
@@ -288,12 +284,6 @@ def symmetric_form_q(entries) -> GramForm:
     return GramForm("symmetric", RationalRing(), [[frac(x) for x in row] for row in entries])
 
 
-def diagonal_form_q(diag, kind: str = "symmetric") -> GramForm:
-    n = len(diag)
-    g = [[frac(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    return GramForm(kind, RationalRing(), g)
-
-
 # ---------------------------------------------------------------------------
 # Positivity
 
@@ -439,48 +429,6 @@ def adjoint_involution(f: GramForm) -> MatrixInvolution:
     if not f.is_nonsingular():
         raise FormError("singular form has no adjoint involution")
     return MatrixInvolution(f.kind, f.ring, f.dim, [row[:] for row in f.gram])
-
-
-def involution_from_callable(fn, kind: str, ring, n: int) -> MatrixInvolution:
-    """Recover the conjugator z of an involution given as a callable, by
-    solving the linear system z * fn(a) = a^{iota T} * z over the matrix
-    units."""
-    units = qbasis(ring, n)
-    unknowns = len(units)
-    system: list[list[Fraction]] = []
-    for a in units:
-        fa = fn(a)
-        act = _kind_conj_transpose(kind, ring, a)
-        blocks = [
-            mat_to_qcoords(mat_sub(mat_mul(zk, fa, ring), mat_mul(act, zk, ring)), ring)
-            for zk in units
-        ]
-        for r in range(len(blocks[0])):
-            system.append([blocks[k][r] for k in range(unknowns)])
-    null = nullspace(system)
-    if not null:
-        raise FormError("callable is not an adjoint involution of a form")
-    for vec in null:
-        z = mat_from_qcoords(vec, n, ring)
-        zct = _kind_conj_transpose(kind, ring, z)
-        sym = [[(z[i][j] + zct[i][j]) / 2 for j in range(n)] for i in range(n)]
-        skw = [[(z[i][j] - zct[i][j]) / 2 for j in range(n)] for i in range(n)]
-        for cand in (sym, skw):
-            if all(ring.is_zero(x) for row in cand for x in row):
-                continue
-            try:
-                inverse(cand, ring)
-            except ZeroDivisionError:
-                continue
-            inv = MatrixInvolution(kind, ring, n, cand)
-            ok = True
-            for a in units[:8]:
-                if not mat_eq(inv.apply(a), fn(a), ring):
-                    ok = False
-                    break
-            if ok:
-                return inv
-    raise FormError("no invertible symmetric or skew conjugator found")
 
 
 def is_positive_involution(inv: MatrixInvolution) -> bool:
@@ -876,14 +824,6 @@ def _standard_symplectic(n):
         g[2 * k][2 * k + 1] = Fraction(1)
         g[2 * k + 1][2 * k] = Fraction(-1)
     return g
-
-
-def etale_pair_form(a_matrix) -> GramForm:
-    """The etale-pair hermitian form whose first component matrix is A (the
-    hermitian condition forces the second component to be A^T)."""
-    n = len(a_matrix)
-    g = [[PairElem(frac(a_matrix[i][j]), frac(a_matrix[j][i])) for j in range(n)] for i in range(n)]
-    return GramForm("hermitian", EtalePairRing(), g)
 
 
 def etale_pair_witness(f1: GramForm, f2: GramForm):

@@ -86,10 +86,6 @@ class PadicContext:
         if self.precision < 1:
             raise LatticeError("precision must be positive")
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
 
 def _mat_min_valuation(m: Matrix, p: int) -> int:
     vals = [valuation(x, p) for row in m for x in row if x != 0]

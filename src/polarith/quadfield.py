@@ -1,5 +1,5 @@
 """Real and imaginary quadratic fields: maximal orders, fractional ideals
-with prime factorization, desk-scale class groups, units, total positivity.
+with prime factorization, principality, units, total positivity.
 
 Elements are stored in the canonical integral basis (1, w) with
 w = (disc + sqrt(disc)) / 2, so the maximal order is exactly the set of
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from sympy import factorint, isprime, primerange
+from sympy import factorint, isprime
 
 from .exact import lift_root, rational_sqrt, valuation
 from .linalg import frac, hnf
@@ -26,9 +26,6 @@ class QuadFieldError(ValueError):
 
 class ResourceError(RuntimeError):
     pass
-
-
-MAX_CLASS_GROUP_DISC = 10**6
 
 
 def _squarefree(n: int) -> bool:
@@ -320,11 +317,6 @@ class QfIdeal:
             for r in self.num
         ]
 
-    def is_ideal(self) -> bool:
-        """Check closure under multiplication by the maximal order."""
-        omega = self.field.omega()
-        return all(self.contains(e * omega) for e in self.basis_elements())
-
     def norm(self) -> Fraction:
         d = self.num[0][0] * self.num[1][1] - self.num[0][1] * self.num[1][0]
         return Fraction(abs(d), self.den * self.den)
@@ -366,20 +358,6 @@ class QfIdeal:
             return False
         s, r = divmod(x.numerator, a)
         return r == 0 and (y.numerator - s * b) % c == 0
-
-    def as_json_dict(self) -> dict:
-        """HNF basis and denominator, integers as strings (exact at any size)."""
-        return {
-            "D": self.field.D,
-            "hnf": [[str(x) for x in row] for row in self.num],
-            "den": str(self.den),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "QfIdeal":
-        field = QuadField(int(doc["D"]))
-        rows = [[int(x) for x in row] for row in doc["hnf"]]
-        return cls.from_rows(field, rows, int(doc["den"]))
 
     def __repr__(self):
         return f"Ideal({self.num}, den={self.den} | D={self.field.D})"
@@ -582,25 +560,7 @@ def unit_group_absorb(field: QuadField, u: QuadElem) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Class group
-
-
-@dataclass(frozen=True)
-class ClassGroupTable:
-    field: QuadField
-    representatives: tuple[QfIdeal, ...]
-
-    @property
-    def h(self) -> int:
-        return len(self.representatives)
-
-
-def minkowski_bound(field: QuadField) -> int:
-    d = abs(field.disc)
-    if field.is_real:
-        return isqrt(d) // 2 + 1
-    # (2/pi) sqrt(d) < 0.6367 sqrt(d); ceil with a safe rational bound 2/3
-    return (2 * isqrt(d)) // 3 + 1
+# Principality
 
 
 def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
@@ -665,55 +625,6 @@ def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None
     if g is None:
         return None
     return g / den
-
-
-def class_group(field: QuadField) -> ClassGroupTable:
-    """Complete class-group table by enumeration below the Minkowski bound.
-
-    Desk scale only: |disc| <= 10^6.
-    """
-    if abs(field.disc) > MAX_CLASS_GROUP_DISC:
-        raise ResourceError(f"|disc| = {abs(field.disc)} exceeds the desk-scale bound")
-    mb = minkowski_bound(field)
-    eps = fundamental_unit(field) if field.is_real else None
-    gen_primes: list[QfIdeal] = []
-    for p in primerange(2, mb + 1):
-        for pr in primes_above(field, p):
-            if pr.norm() <= mb:
-                gen_primes.append(pr)
-    # close the set of ideals of norm <= mb under products
-    ideals = {QfIdeal.unit_ideal(field)}
-    frontier = list(ideals)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for pr in gen_primes:
-                j = i * pr
-                if j.norm() <= mb and j not in ideals:
-                    ideals.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    reps: list[QfIdeal] = []
-    for i in sorted(ideals, key=lambda j: (j.norm(), j.num)):
-        if not any(is_principal(i * r.inv(), eps) is not None for r in reps):
-            reps.append(i)
-    return ClassGroupTable(field, tuple(reps))
-
-
-def principalize(ideal: QfIdeal, table: ClassGroupTable) -> tuple[QuadElem | None, int]:
-    """(generator, 0) when the class is trivial; otherwise (None, index of
-    the class representative in the table)."""
-    field = ideal.field
-    eps = fundamental_unit(field) if field.is_real else None
-    g = is_principal(ideal, eps)
-    if g is not None:
-        return normalize_generator(g), 0
-    for idx, rep in enumerate(table.representatives):
-        if idx == 0:
-            continue
-        if is_principal(ideal * rep.inv(), eps) is not None:
-            return None, idx
-    raise QuadFieldError("class not matched by the table")  # incomplete table
 
 
 def normalize_generator(g: QuadElem) -> QuadElem:

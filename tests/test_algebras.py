@@ -21,13 +21,18 @@ from polarith.algebras import (
     norm,
     norm_times_inverse,
     quadfield_algebra,
-    quaternion_algebra_q,
     rational_algebra,
 )
 from polarith.linalg import RationalRing, identity, qbasis
 from polarith.quadfield import QuadField
 
 F5 = QuadField(5)
+
+
+def quaternion_algebra_q(a, b) -> AlgebraWithInvolution:
+    """(a, b / Q) with its canonical involution."""
+    ring = QuaternionRing(RationalRing(), Fraction(a), Fraction(b))
+    return AlgebraWithInvolution((SimpleFactor(ring, involution="canonical"),))
 
 
 def test_quaternion_canonical_involution():

@@ -238,15 +238,16 @@ def test_general_algebra_quaternion(tmp_path):
     assert out["value"] == 3
 
 
-def test_ideal_json_roundtrip():
-    from polarith.quadfield import QfIdeal, QuadField, primes_above
-
-    F = QuadField(5)
-    pr = primes_above(F, 11)[0]
-    doc = pr.as_json_dict()
-    assert doc["D"] == 5 and doc["den"] == "1"
-    back = QfIdeal.from_json_dict(doc)
-    assert back == pr
+def test_degree_bound_desk_scale_bound(tmp_path):
+    """The ideal algorithm refuses a field beyond the desk-scale bound on
+    |disc| with a stated limit, not an unbounded principality search."""
+    doc = {"instance": {"algebra": {"type": "quadfield", "D": 1000003}, "q": ["1", "0"], "a": ["1", "0"]}}
+    code, out = run_cli(tmp_path, "degree-bound", doc)
+    assert code == 1
+    assert out["error"] == {
+        "code": "resource:budget",
+        "message": "|disc| = 4000012 exceeds the desk-scale bound",
+    }
 
 
 def _run_child(tmp_path, launcher, verb, doc):
@@ -691,6 +692,14 @@ _TWO = [["2", "0"], ["0", "2"]]
                 {"m_prime": "18"},
             )
         ],
+        ("local-solve", {"p": 3, "q": [["1", "0"], ["0", "1"]], "a": [["1"]], "m_prime": "1"},
+         "schema:bad-matrix"),
+        (
+            "measure-constant",
+            {"instances": [{"algebra": {"type": "quadfield", "D": D}, "q": ["1", "0"], "a": ["1", "0"]}
+                           for D in (5, 13)]},
+            "precondition:DegreeBoundError",
+        ),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):

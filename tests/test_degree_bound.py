@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from polarith.degree_bound import (
     BoundInstance,
@@ -28,12 +29,12 @@ from polarith.algebras import (
     NormSpec,
     OrderR,
     QuadRing,
+    QuaternionRing,
     SimpleFactor,
     apply_involution,
     matrix_algebra_q,
     norm,
     quadfield_algebra,
-    quaternion_algebra_q,
 )
 from polarith.exact import valuation
 from polarith.linalg import RationalRing, frac, identity, mat, mat_mul, qbasis, transpose
@@ -313,6 +314,31 @@ def test_torus_conductor_lemma_random():
                 assert inst.order.contains((cx,)), (m, k, c)
 
 
+def _fundamental_discriminant(d: int) -> int:
+    """The discriminant of the maximal order of Q[t]/(t^2 - d) (1 when d is
+    a square, the split case Q x Q)."""
+    s = -1 if d < 0 else 1
+    for p, e in factorint(abs(d)).items():
+        s *= p ** (e % 2)
+    return s if s % 4 == 1 else 4 * s
+
+
+def test_torus_conductor_matches_discriminant_factorization():
+    """disc Z[x] = f^2 d_K for every nonzero discriminant |d| <= 2000,
+    with x the companion matrix of t^2 - (d mod 2) t - (d - d mod 2)/4."""
+    order = matrix_instance(2, identity(2), identity(2)).order
+    # x^2 = 27: x/3 squares to 3 I but is not integral, so f = 3 (a shrink
+    # that dropped the largest odd prime before the 2 answered 1)
+    assert torus_conductor(order, (mat([[0, 27], [1, 0]]),)) == 3
+    for d in range(-2000, 2001):
+        if d == 0 or d % 4 not in (0, 1):
+            continue
+        alpha = d % 2
+        x = mat([[0, (d - alpha) // 4], [1, alpha]])
+        f = torus_conductor(order, (x,))
+        assert f * f * _fundamental_discriminant(d) == d, d
+
+
 def test_split_matrix_two_active_primes():
     """q = diag(1, 225): primes 3 and 5 both active; the glue must intersect
     two local lattices."""
@@ -476,7 +502,8 @@ def _oracle_instances(draw, kind):
             q = F.from_rational(draw(_small))
         return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (q,), None)
     if kind == "quaternion":
-        A = quaternion_algebra_q(-1, -3)
+        ring = QuaternionRing(RationalRing(), Fraction(-1), Fraction(-3))
+        A = AlgebraWithInvolution((SimpleFactor(ring, involution="canonical"),))
         one, i, j, k = qbasis(A)
         if draw(st.booleans()):
             basis = (one, i, A.scale(Fraction(1, 2), A.add(one, j)), A.scale(Fraction(1, 2), A.add(i, k)))

@@ -11,14 +11,12 @@ from polarith.forms import (
     FormError,
     GramForm,
     MatrixInvolution,
+    PairElem,
     adjoint_involution,
-    diagonal_form_q,
     diagonalize,
-    etale_pair_form,
     etale_pair_witness,
     fourth_power_isometric,
     invariants,
-    involution_from_callable,
     involution_to_form,
     is_norm,
     is_positive_definite,
@@ -28,12 +26,27 @@ from polarith.forms import (
     skew_standard_witness,
     symmetric_form_q,
 )
-from polarith.linalg import RationalRing, conj_transpose, det, mat_mul, transpose
+from polarith.linalg import RationalRing, conj_transpose, det, frac, mat_mul, transpose
 from polarith.quadfield import QuadField
 
 QR = RationalRing()
 F5 = QuadField(5)
 Fi = QuadField(-1)
+
+
+def diagonal_form_q(diag, kind: str = "symmetric") -> GramForm:
+    """<d_1, ..., d_n> over Q."""
+    n = len(diag)
+    g = [[frac(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return GramForm(kind, QR, g)
+
+
+def etale_pair_form(a_matrix) -> GramForm:
+    """The etale-pair hermitian form whose first component matrix is A (the
+    hermitian condition forces the second component to be A^T)."""
+    n = len(a_matrix)
+    g = [[PairElem(frac(a_matrix[i][j]), frac(a_matrix[j][i])) for j in range(n)] for i in range(n)]
+    return GramForm("hermitian", EtalePairRing(), g)
 
 
 def rand_pos_def(rng, n, bound=5):
@@ -142,13 +155,6 @@ def test_involution_to_form_roundtrip_random():
         inv = adjoint_involution(f)
         g = involution_to_form(inv, want_positive=True)
         assert adjoint_involution(g).same_as(inv)
-
-
-def test_involution_from_callable():
-    z = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    reference = MatrixInvolution("symmetric", QR, 2, z)
-    recovered = involution_from_callable(reference.apply, "symmetric", QR, 2)
-    assert recovered.same_as(reference)
 
 
 def test_involution_to_form_symplectic_rejects_positive():
@@ -437,15 +443,6 @@ def test_isometric_never_false_with_witness_dim4():
         w = search_isometry_witness(f1, f2, 3)
         if w is not None:
             assert isometric(f1, f2)
-
-
-def test_involution_from_callable_rejects_non_involution():
-    def not_involution(a):
-        # transpose then scale: not an involution of the algebra
-        return [[2 * a[j][i] for j in range(2)] for i in range(2)]
-
-    with pytest.raises(FormError):
-        involution_from_callable(not_involution, "symmetric", QR, 2)
 
 
 from itertools import product

@@ -2,41 +2,100 @@
 
 import ast
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polarith"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# Top-level definitions that no verb, script or acceptance criterion
+# reaches, kept because each is the executable form of a paper lemma or the
+# witness behind a complete-invariants claim.  README.md lists the same
+# names under "Library API beyond the CLI".
+LIBRARY_API = {
+    "local_norm",
+    "norm_times_inverse",
+    "torus_conductor",
+    "involution_to_form",
+    "skew_standard_witness",
+    "etale_pair_witness",
+    "unit_case_parity",
+}
 
 
-def _name_references() -> Counter:
-    """How often each identifier occurs in src/, scripts/ and tests/ as code
-    (not in comments or strings), leaving out the name a `def` or `class`
-    statement defines."""
+def _sources(*tops: str) -> list[Path]:
+    return [path for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+
+
+def _name_references(paths) -> Counter:
+    """How often each identifier occurs in `paths` as code (not in comments
+    or strings), leaving out the name a `def` or `class` statement
+    defines."""
     refs: Counter = Counter()
-    for top in ("src", "scripts", "tests"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            prev = None
-            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-                if tok.type == tokenize.NAME:
-                    if prev not in ("def", "class"):
-                        refs[tok.string] += 1
-                    prev = tok.string
-                elif tok.type not in (tokenize.NL, tokenize.COMMENT):
-                    prev = None
+    for path in paths:
+        prev = None
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME:
+                if prev not in ("def", "class"):
+                    refs[tok.string] += 1
+                prev = tok.string
+            elif tok.type not in (tokenize.NL, tokenize.COMMENT):
+                prev = None
     return refs
 
 
+def _top_level_definitions():
+    """(module file name, node) for each top-level `def` and `class` in src/."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.name, node
+
+
 def test_every_top_level_definition_is_used():
-    refs = _name_references()
+    refs = _name_references(_sources("src", "scripts", "tests"))
+    unused = [f"{name}:{node.name}" for name, node in _top_level_definitions() if refs[node.name] == 0]
+    assert unused == []
+
+
+def test_every_method_is_used():
+    """A method (dunders aside) is reached as an attribute, `x.name`, so a
+    name read nowhere as one marks dead code even when the same word
+    occurs elsewhere as a variable or a parameter."""
+    attrs = Counter(
+        node.attr
+        for path in _sources("src", "scripts", "tests")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    )
     unused = [
-        f"{path.name}:{node.name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and refs[node.name] == 0
+        f"{name}:{cls.name}.{node.name}"
+        for name, cls in _top_level_definitions()
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and attrs[node.name] == 0
     ]
     assert unused == []
+
+
+def test_code_only_tests_reach_is_listed_library_api():
+    """A top-level definition that src/, scripts/ and the acceptance gate
+    never reference, but other tests do, must have a listed purpose."""
+    program = _name_references(_sources("src", "scripts") + [ACCEPTANCE])
+    tests = _name_references([p for p in _sources("tests") if p != ACCEPTANCE])
+    test_only = {
+        node.name for _, node in _top_level_definitions() if program[node.name] == 0 and tests[node.name]
+    }
+    assert test_only == LIBRARY_API
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library API beyond the CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\* `(\w+)`", section, re.M)) == LIBRARY_API
 
 
 def test_no_assert_statements():
