@@ -58,13 +58,7 @@ from .lattices_local import (
 )
 from .linalg import RationalRing, det, frac, mat, qbasis
 from .quadfield import QuadField, QuadFieldError, ResourceError
-from .hecke_classes import (
-    HeckeError,
-    equivalence_witness,
-    exhaustive_witness_search,
-    generate_classes,
-    pairwise_matrix,
-)
+from .hecke_classes import HeckeError, exhaustive_witness_search, generate_classes
 
 
 class InputError(ValueError):
@@ -457,27 +451,23 @@ def cmd_hecke_classes(doc, args):
         raise HeckeError("the construction needs a real quadratic field")
 
     def run():
+        # generate_classes decided every pair inequivalent: the matrix is the
+        # identity and no pair has a witness
         reps = generate_classes(field, count, prime_cap=prime_cap)
-        matrix_eq = pairwise_matrix(reps)
-        pairs = [(i, j) for i in range(len(reps)) for j in range(i + 1, len(reps))]
-        witnesses = []
-        for i, j in pairs:
-            if matrix_eq[i][j]:
-                n, u = equivalence_witness(reps[i].q, reps[j].q)
-                witnesses.append({"i": i, "j": j, "n": n, "u": [_rat_str(u.x), _rat_str(u.y)]})
+        n = len(reps)
         payload = {
             "representatives": [
                 {"coords": [_rat_str(r.q.x), _rat_str(r.q.y)], "norm": _rat_str(r.q.norm()),
                  "source_prime": r.source_prime}
                 for r in reps
             ],
-            "pairwise_equivalent": matrix_eq,
-            "witnesses": witnesses,
+            "pairwise_equivalent": [[i == j for j in range(n)] for i in range(n)],
+            "witnesses": [],
         }
         if args.height:
             confirmed = all(
                 exhaustive_witness_search(reps[i].q, reps[j].q, args.height) is None
-                for i, j in pairs if not matrix_eq[i][j]
+                for i in range(n) for j in range(i + 1, n)
             )
             payload["negatives_confirmed_at_height"] = {"height": args.height, "confirmed": confirmed}
         return 0, payload

@@ -10,6 +10,10 @@ principal, and the leftover unit must be a square up to a rational factor
 supported on the ramified primes.  A positive answer always carries an
 exact witness (n, u) with n q = u^2 r; a negative answer can be
 cross-checked by the exhaustive bounded witness search below.
+
+`generate_classes` keeps a representative only once it is decided
+inequivalent to every earlier one, so each pair of its classes is decided
+once, there, and their equivalence matrix is the identity by construction.
 """
 
 from __future__ import annotations
@@ -163,25 +167,31 @@ def exhaustive_witness_search(
     or None; used to confirm negative `equivalent` answers.
 
     Since 1/q = conj(q) / Nm(q) with Nm(q) rational, u^2 r / q is rational
-    iff the w-coordinate of u^2 s vanishes, s = r conj(q).  With s scaled
-    to integer coordinates (c, d) that is one integer test per point."""
+    iff the w-coordinate of u^2 s vanishes, s = r conj(q).  Scaling q and r
+    to integer coordinates scales s to c + d w by a positive integer, and
+    for u = x + y w that w-coordinate is the binary form
+    d x^2 + 2 (c + t d) x y + (t (c + t d) - nw d) y^2: one integer test per
+    point."""
     if height < 0:
         raise HeckeError("height must be >= 0")
     if q.is_zero():
         raise HeckeError("zero element")
     F = q.field
-    s = r * q.conj()
-    if s.is_zero():
-        return None
-    scale = lcm(s.x.denominator, s.y.denominator)
-    c, d = int(s.x * scale), int(s.y * scale)
     t, nw = F.w_trace, F.w_norm
+    qa, qb = _integer_coords(q)
+    ra, rb = _integer_coords(r)
+    # s = r * conj(q), conj(qa + qb w) = (qa + t qb) - qb w
+    qc = qa + t * qb
+    c = ra * qc + rb * qb * nw
+    d = rb * qc - ra * qb - rb * qb * t
+    if c == 0 and d == 0:
+        return None
     ctd = c + t * d
+    xy_coef, yy_coef = 2 * ctd, t * ctd - nw * d
     for x in range(-height, height + 1):
+        xx_term, xy_x = d * x * x, xy_coef * x
         for y in range(-height, height + 1):
-            # u^2 = (x^2 - nw y^2) + (2xy + t y^2) w; its product with
-            # c + d w has w-coordinate:
-            if (x * x - nw * y * y) * d + (2 * x * y + t * y * y) * ctd == 0 and (x or y):
+            if xx_term + (xy_x + yy_coef * y) * y == 0 and (x or y):
                 u = QuadElem(F, Fraction(x), Fraction(y))
                 cand = u * u * r / q
                 if not cand.is_rational() or cand.is_zero():
@@ -190,12 +200,20 @@ def exhaustive_witness_search(
     return None
 
 
+def _integer_coords(e: QuadElem) -> tuple[int, int]:
+    """The coordinates of m e for the least positive integer m that makes
+    them integers."""
+    m = lcm(e.x.denominator, e.y.denominator)
+    return e.x.numerator * (m // e.x.denominator), e.y.numerator * (m // e.y.denominator)
+
+
 def generate_classes(
     field: QuadField, count: int, prime_cap: int = 10_000
 ) -> list[PolClassRep]:
     """`count` pairwise-inequivalent totally positive representatives:
     the class of 1, then one class per split rational prime with a
-    principal, totally-positive-adjustable prime above it."""
+    principal, totally-positive-adjustable prime above it, kept only if
+    `equivalent` rejects it against every earlier representative."""
     if count < 1:
         raise HeckeError("count must be >= 1")
     if not field.is_real:
@@ -230,19 +248,12 @@ def generate_classes(
 def _make_totally_positive(g: QuadElem, eps: QuadElem) -> QuadElem | None:
     """Adjust a generator by -1 and the fundamental unit to make it totally
     positive; None when the signature pattern is unreachable (norm +1
-    units)."""
-    for cand in (g, -g, g * eps, -(g * eps)):
-        if cand.sign_at(0) > 0 and cand.sign_at(1) > 0:
-            return cand if cand.is_integral() else None
-    return None
-
-
-def pairwise_matrix(reps: list[PolClassRep]) -> list[list[bool]]:
-    """The equivalence matrix.  The relation is reflexive and symmetric, so
-    the diagonal is True and only the pairs i < j are decided."""
-    n = len(reps)
-    m = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = m[j][i] = equivalent(reps[i], reps[j])
-    return m
+    units).  The first totally positive one of g, -g, g eps, -g eps: -1
+    flips both signs, so one of +-g is totally positive iff Nm(g) > 0, and
+    g eps is formed only when it is not."""
+    cand = g if g.norm() > 0 else g * eps
+    if cand.norm() < 0:
+        return None
+    if not is_totally_positive(cand):
+        cand = -cand
+    return cand if cand.is_integral() else None

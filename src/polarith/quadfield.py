@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from sympy import factorint, isprime
 
-from .exact import lift_root, rational_sqrt, valuation
+from .exact import legendre, lift_root, rational_sqrt, valuation
 from .linalg import frac, hnf
 
 
@@ -42,7 +43,9 @@ class QuadField:
         if self.D in (0, 1) or not _squarefree(self.D):
             raise QuadFieldError(f"D = {self.D} must be squarefree and != 0, 1")
 
-    @property
+    # disc, w_trace and w_norm are read by every element operation: each is
+    # computed once per field
+    @cached_property
     def disc(self) -> int:
         return self.D if self.D % 4 == 1 else 4 * self.D
 
@@ -51,11 +54,11 @@ class QuadField:
         return self.D > 0
 
     # minimal polynomial of w is x^2 - disc*x + (disc^2 - disc)/4
-    @property
+    @cached_property
     def w_trace(self) -> int:
         return self.disc
 
-    @property
+    @cached_property
     def w_norm(self) -> int:
         return (self.disc * self.disc - self.disc) // 4
 
@@ -133,7 +136,12 @@ class QuadElem:
         return QuadElem(self.field, self.x + self.y * self.field.w_trace, -self.y)
 
     def norm(self) -> Fraction:
-        return self.x * self.x + self.x * self.y * self.field.w_trace + self.y * self.y * self.field.w_norm
+        x, y, F = self.x, self.y, self.field
+        if x.denominator == 1 and y.denominator == 1:
+            # integral: the same formula in int, one Fraction at the end
+            a, b = x.numerator, y.numerator
+            return Fraction(a * a + a * b * F.w_trace + b * b * F.w_norm)
+        return x * x + x * y * F.w_trace + y * y * F.w_norm
 
     def trace(self) -> Fraction:
         return 2 * self.x + self.y * self.field.w_trace
@@ -208,12 +216,14 @@ class QuadElem:
 
 
 def is_totally_positive(x: QuadElem) -> bool:
-    """True iff both real embeddings of x are positive (real fields)."""
+    """True iff both real embeddings of x are positive (real fields): the
+    embeddings have the same sign iff Nm(x) > 0, and then that sign is the
+    sign of Tr(x)."""
     if not x.field.is_real:
         raise QuadFieldError("total positivity is about real fields")
     if x.is_zero():
         raise QuadFieldError("zero is not totally positive")
-    return x.sign_at(0) > 0 and x.sign_at(1) > 0
+    return x.norm() > 0 and x.trace() > 0
 
 
 def is_square_in_field(x: QuadElem) -> bool:
@@ -364,36 +374,37 @@ class QfIdeal:
 
 
 def prime_splitting(field: QuadField, p: int) -> str:
-    """'split', 'inert' or 'ramified', decided by the minimal polynomial of
-    w modulo p (equivalently the Kronecker symbol of the discriminant)."""
+    """'split', 'inert' or 'ramified': the Kronecker symbol (disc | p).  The
+    minimal polynomial x^2 - disc x + nw of w has discriminant disc, so for
+    odd p it has two roots mod p iff disc is a nonzero square mod p.  At
+    p = 2 with disc odd it is x^2 + x + nw mod 2, nw = disc (disc - 1) / 4,
+    which has roots iff nw is even, that is iff disc = 1 mod 8."""
     if not isprime(p):
         raise QuadFieldError(f"{p} is not prime")
-    if field.disc % p == 0:
+    disc = field.disc
+    if disc % p == 0:
         return "ramified"
+    if p == 2:
+        return "split" if disc % 8 == 1 else "inert"
+    return "split" if legendre(disc, p) == 1 else "inert"
+
+
+def _roots_mod_p(field: QuadField, p: int) -> list[int]:
+    """The distinct roots mod p, ascending, of the minimal polynomial
+    x^2 - t x + nw of w, for a p that is split or ramified: the scan stops
+    at the smallest root r, and the other is t - r (the roots sum to t)."""
     t, nw = field.w_trace, field.w_norm
-    roots = [r for r in range(p) if (r * r - t * r + nw) % p == 0]
-    if not roots:
-        return "inert"
-    return "split" if len(set(roots)) == 2 else "ramified"
+    r = next(r for r in range(p) if (r * r - t * r + nw) % p == 0)
+    return sorted({r, (t - r) % p})
 
 
 def primes_above(field: QuadField, p: int) -> list[QfIdeal]:
     """The prime ideals above p, deterministically ordered (split primes by
     increasing root of the minimal polynomial of w mod p)."""
-    kind = prime_splitting(field, p)
-    if kind == "inert":
+    if prime_splitting(field, p) == "inert":
         return [QfIdeal.from_rows(field, [[p, 0], [0, p]], 1)]
-    t, nw = field.w_trace, field.w_norm
-    roots = sorted({r for r in range(p) if (r * r - t * r + nw) % p == 0})
-    if kind == "ramified" and not roots:
-        raise QuadFieldError("no root for ramified prime")  # cannot happen
-    out = []
-    for r in roots:
-        # ideal (p, w - r)
-        out.append(QfIdeal.from_rows(field, [[p, 0], [-r, 1]], 1))
-    if kind == "ramified":
-        return out[:1]
-    return out
+    # ideals (p, w - r); a ramified p has one root
+    return [QfIdeal.from_rows(field, [[p, 0], [-r, 1]], 1) for r in _roots_mod_p(field, p)]
 
 
 def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
@@ -412,10 +423,8 @@ def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
     if kind == "ramified":
         return vn
     # split: v_P(x + y*w) = v_p(x + y*r) with r the lifted root
-    t, nw = field.w_trace, field.w_norm
-    roots = sorted({r for r in range(p) if (r * r - t * r + nw) % p == 0})
     prec = max(vn, 0) + 2 * qval_den_bound(e, p) + 4
-    r = lift_root(t, nw, roots[which], p, prec)
+    r = lift_root(field.w_trace, field.w_norm, _roots_mod_p(field, p)[which], p, prec)
     val = x_plus_yr_valuation(e, r, p)
     return val
 
@@ -563,6 +572,10 @@ def unit_group_absorb(field: QuadField, u: QuadElem) -> tuple[int, int]:
 # Principality
 
 
+# the most values of |y| the generator search scans before it gives up
+MAX_GENERATOR_SEARCH_Y = 10**5
+
+
 def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
     """An element of the integral ideal with |Nm| = Nm(ideal), or None."""
     field = ideal.field
@@ -605,12 +618,18 @@ def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None
     else:
         ymax = 2 * isqrt(N // max(1, abs(field.disc) // 4)) + 2
         targets = (N,)
-    for y in range(0, ymax + 1):
+    # a generator often has a small |y| even when ymax is astronomical (a
+    # huge fundamental unit), so the cap counts the |y| scanned
+    for y in range(min(ymax, MAX_GENERATOR_SEARCH_Y) + 1):
         for yy in ((y,) if y == 0 else (y, -y)):
             for target in targets:
                 g = try_xy(yy, target)
                 if g is not None:
                     return g
+    if ymax > MAX_GENERATOR_SEARCH_Y:
+        raise ResourceError(
+            f"principality search stopped after |y| = {MAX_GENERATOR_SEARCH_Y} without a generator"
+        )
     return None
 
 

@@ -459,9 +459,9 @@ def test_precision_accepts_positive_integer(tmp_path, verb):
 
 
 def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
-    """count 10: 45 pairs are decided while generating the classes and 45
-    for the matrix (i < j only), not 45 + 100."""
-    from polarith import cli, hecke_classes
+    """count 10: the 45 pairs are decided while generating the classes and
+    not again for the matrix, which is the identity by construction."""
+    from polarith import hecke_classes
 
     real = hecke_classes.equivalence_witness
     calls = []
@@ -471,10 +471,22 @@ def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
         return real(q, r)
 
     monkeypatch.setattr(hecke_classes, "equivalence_witness", counting)
-    monkeypatch.setattr(cli, "equivalence_witness", counting)
     code, _ = run_cli(tmp_path, "hecke-classes", {"D": 5, "count": 10}, "--height", "0")
     assert code == 0
-    assert len(calls) == 90
+    assert len(calls) == 45
+
+
+def test_hecke_classes_principality_search_limit(tmp_path):
+    """D = 22841030009 has a fundamental unit of about 2 * 10^5 bits, so the
+    generator search's bound on |y| is astronomical: it stops at its stated
+    limit with a `resource:budget` body, not a traceback or an endless
+    loop."""
+    code, out = run_cli(tmp_path, "hecke-classes", {"D": 22841030009, "count": 2})
+    assert code == 1
+    assert out["error"] == {
+        "code": "resource:budget",
+        "message": "principality search stopped after |y| = 100000 without a generator",
+    }
 
 
 _GENERAL_SWAP = {

@@ -9,7 +9,6 @@ from polarith.hecke_classes import (
     equivalent,
     exhaustive_witness_search,
     generate_classes,
-    pairwise_matrix,
     rosati_transport_check,
 )
 from polarith.quadfield import QuadElem, QuadField, fundamental_unit, is_totally_positive
@@ -125,29 +124,28 @@ def test_generate_classes_sqrt5():
     # the examples from the construction: classes of 4+sqrt5 and (9+sqrt5)/2
     assert equivalent(reps[1].q, sq5(4, 1))
     assert equivalent(reps[2].q, sq5(Fraction(9, 2), Fraction(1, 2)))
-    m = pairwise_matrix(reps)
     for i in range(3):
         for j in range(3):
-            assert m[i][j] == (i == j)
+            assert equivalent(reps[i], reps[j]) == (i == j)
 
 
 def test_generate_classes_sqrt2():
     reps = generate_classes(F2, 3)
     assert [r.source_prime for r in reps] == [None, 7, 17]
-    m = pairwise_matrix(reps)
     for i in range(3):
         for j in range(3):
-            assert m[i][j] == (i == j)
+            assert equivalent(reps[i], reps[j]) == (i == j)
 
 
-def test_pairwise_matrix_matches_all_pairs():
-    """Deciding i < j and mirroring gives the matrix of all n^2 pairs, also
-    when some representatives are equivalent."""
+def test_equivalent_is_symmetric_on_representatives():
+    """`equivalent` answers each pair the same in both orders, also when
+    some representatives are equivalent."""
     reps = generate_classes(F5, 4)
     reps += [PolClassRep(F5, reps[1].q * 4), PolClassRep(F5, reps[2].q * 3)]
-    m = pairwise_matrix(reps)
-    assert m == [[equivalent(a, b) for b in reps] for a in reps]
-    assert m[1][4] and m[4][1] and m[2][5] and not m[4][5]
+    m = [[equivalent(a, b) for b in reps] for a in reps]
+    assert all(m[i][j] == m[j][i] for i in range(6) for j in range(6))
+    assert m[1][4] and m[4][1] and m[2][5] and m[5][2]
+    assert not m[4][5] and not m[5][4]
 
 
 def test_generate_classes_count_one():

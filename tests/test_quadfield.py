@@ -89,6 +89,56 @@ def test_norm_multiplicative(xs):
     assert a.norm() * b.norm() == (a * b).norm()
 
 
+_REAL_D = st.sampled_from([2, 3, 5, 10, 13, 15])
+# integral coordinates half the time, so both paths of norm() are drawn
+_QCOORD = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+
+
+@given(D=_REAL_D, x=_QCOORD, y=_QCOORD)
+@settings(max_examples=300, deadline=None)
+def test_norm_matches_fraction_formula(D, x, y):
+    """norm() is x^2 + x y t + y^2 nw, a Fraction, integral or not."""
+    F = QuadField(D)
+    n = QuadElem(F, x, y).norm()
+    assert type(n) is Fraction
+    assert n == x * x + x * y * F.w_trace + y * y * F.w_norm
+
+
+@given(D=_REAL_D, x=_QCOORD, y=_QCOORD)
+@settings(max_examples=300, deadline=None)
+def test_totally_positive_matches_embedding_signs(D, x, y):
+    """Total positivity read off the norm and the trace agrees with the
+    signs of the two real embeddings."""
+    e = QuadElem(QuadField(D), x, y)
+    if e.is_zero():
+        return
+    assert is_totally_positive(e) == (e.sign_at(0) > 0 and e.sign_at(1) > 0)
+
+
+@pytest.mark.parametrize("D", [-7, -5, -1, 2, 3, 5, 10, 13])
+def test_prime_splitting_matches_root_count(D):
+    """The Kronecker-symbol answer agrees with the definition by the roots
+    of w's minimal polynomial mod p for every p < 2000, and primes_above
+    builds (p, w - r) for the same roots."""
+    F = QuadField(D)
+    t, nw = F.w_trace, F.w_norm
+    for p in primerange(2, 2000):
+        roots = [r for r in range(p) if (r * r - t * r + nw) % p == 0]
+        if F.disc % p == 0:
+            kind = "ramified"
+        else:
+            kind = {0: "inert", 1: "ramified", 2: "split"}[len(roots)]
+        assert prime_splitting(F, p) == kind
+        expected = (
+            [QfIdeal.from_rows(F, [[p, 0], [0, p]], 1)] if kind == "inert"
+            else [QfIdeal.from_rows(F, [[p, 0], [-r, 1]], 1) for r in roots]
+        )
+        assert primes_above(F, p) == expected
+
+
 def test_sign_at_embeddings():
     e = elem(F5, 1, 1)  # 1 + sqrt5: embeddings 1+2.23, 1-2.23
     assert e.sign_at(0) == 1
