@@ -59,12 +59,10 @@ from .quadfield import (
     QuadElem,
     QuadField,
     ResourceError,
-    element_prime_valuation,
     fundamental_unit,
-    is_principal,
     normalize_generator,
-    primes_above,
-    prime_splitting,
+    prime_exponents,
+    principalize_with_ramified_twists,
     sqrt_twists,
     torsion_units,
     unit_group_absorb,
@@ -190,28 +188,18 @@ def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
 # Commutative solver
 
 
-def _ideal_exponent_data(F: QuadField, q: QuadElem, p: int):
-    """Per-prime local data at p: list of (prime ideal, e_i, k_i)."""
-    kind = prime_splitting(F, p)
-    primes = primes_above(F, p)
-    out = []
-    for which, pr in enumerate(primes):
-        e = 2 if kind == "ramified" else 1
-        k = element_prime_valuation(q, p, which)
-        out.append((pr, e, k))
-    return out
-
-
-def _min_t(data) -> tuple[int, list[int]] | None:
-    """Minimal t >= ceil(k_i/e_i) with all beta_i = (t e_i - k_i)/2 integral
-    and nonnegative; None when the parity constraints are infeasible."""
+def _min_t(e: int, ks: list[int]) -> tuple[int, list[int]] | None:
+    """Minimal t >= ceil(k_i/e) with all beta_i = (t e - k_i)/2 integral
+    and nonnegative, for the exponents k_i of q at the primes above p and
+    their ramification index e; None when the parity constraints are
+    infeasible."""
     lo = 0
-    for _, e, k in data:
+    for k in ks:
         lo = max(lo, -(-k // e))
     for t in (lo, lo + 1):
         betas = []
         ok = True
-        for _, e, k in data:
+        for k in ks:
             num = t * e - k
             if num < 0 or num % 2:
                 ok = False
@@ -264,17 +252,15 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     nq = inst.norm_q()
     if nq.denominator != 1:
         raise DegreeBoundError("internal: Nm(q) is not an integer")
-    support = sorted(factorint(int(nq)).keys())
     factors: list[tuple[QfIdeal, int]] = []
     big_m = Fraction(1)
-    for p in support:
-        data = _ideal_exponent_data(F, q, p)
-        sol = _min_t(data)
+    for p, kind, exps in prime_exponents(q):
+        sol = _min_t(2 if kind == "ramified" else 1, [k for _, k in exps])
         if sol is None:
             return _oracle_fallback(inst, f"local exponent equations infeasible at p={p}")
         t, betas = sol
         big_m *= Fraction(p) ** t
-        for (pr, _, _), beta in zip(data, betas):
+        for (pr, _), beta in zip(exps, betas):
             if beta:
                 factors.append((pr, beta))
     ideal_b = QfIdeal.unit_ideal(F)
@@ -283,15 +269,18 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
 
     if abs(F.disc) > MAX_PRINCIPAL_SEARCH_DISC:
         raise ResourceError(f"|disc| = {abs(F.disc)} exceeds the desk-scale bound")
-    gen = _principalize_with_ramified_twists(ideal_b, F)
+    # a generator of ideal_b, possibly after multiplying by ramified primes
+    # (which keeps b^dagger q b rational, scaled by their product)
+    gen = principalize_with_ramified_twists(ideal_b)
     notes = {
         "ideal_norm": str(ideal_b.norm()),
         "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
     }
     if gen is None:
         return _oracle_fallback(inst, "ideal class not principalizable at desk scale")
-    b0, extra_rational = gen
-    big_m *= extra_rational
+    b0, twist = gen
+    b0 = normalize_generator(b0)
+    big_m *= twist
 
     # value-side unit cleanup
     value_elem = b0 * b0 * q  # identity involution
@@ -313,28 +302,6 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     )
     verify_result(inst, res)
     return res
-
-
-def _principalize_with_ramified_twists(ideal_b: QfIdeal, F: QuadField):
-    """A generator of ideal_b, possibly after multiplying by ramified
-    primes (which keeps b^dagger q b rational, scaled by p).  Returns
-    (generator, rational scale), or None."""
-    eps = fundamental_unit(F) if F.is_real else None
-    g = is_principal(ideal_b, eps)
-    if g is not None:
-        return normalize_generator(g), Fraction(1)
-    ram = [p for p in factorint(abs(F.disc)).keys()]
-    for r in range(1, len(ram) + 1):
-        for combo in combinations(ram, r):
-            tw = ideal_b
-            scalef = Fraction(1)
-            for p in combo:
-                tw = tw * primes_above(F, p)[0]
-                scalef *= p
-            g = is_principal(tw, eps)
-            if g is not None:
-                return normalize_generator(g), scalef
-    return None
 
 
 def _absorb_unit_real(F: QuadField, b0: QuadElem, q: QuadElem, u: QuadElem, big_m: Fraction):

@@ -3,12 +3,14 @@ abelian surfaces with real multiplication: totally positive elements of the
 maximal order of a real quadratic field, modulo the equivalence
 q ~ r  iff  q/r lies in Q^x * F^x2.
 
-The equivalence test is a genuine decision procedure, not a search: the
-ideal of q/r is analyzed prime by prime (ramified exponents must be even,
-split-pair exponents congruent mod 2), the square-root ideal must be
-principal, and the leftover unit must be a square up to a rational factor
-supported on the ramified primes.  A positive answer always carries an
-exact witness (n, u) with n q = u^2 r; a negative answer can be
+The equivalence test is a genuine decision procedure, not a search:
+Nm(q/r) must be a rational square, which makes every ramified exponent of
+the ideal of q/r even and the two exponents at each split prime congruent
+mod 2; the square-root ideal must be principal up to ramified twists
+(`quadfield.principalize_with_ramified_twists`, the step the degree-bound
+solver uses too), and the leftover unit must be a square up to a rational
+factor supported on -1 and the ramified primes.  A positive answer always
+carries an exact witness (n, u) with n q = u^2 r; a negative answer can be
 cross-checked by the exhaustive bounded witness search below.
 
 `generate_classes` keeps a representative only once it is decided
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from sympy import factorint, primerange
+from sympy import primerange
 
 from .exact import is_rational_square
 from .quadfield import (
@@ -30,12 +32,13 @@ from .quadfield import (
     QuadElem,
     QuadField,
     ResourceError,
-    factor_ideal,
     fundamental_unit,
     is_principal,
     is_totally_positive,
+    prime_exponents,
     prime_splitting,
     primes_above,
+    principalize_with_ramified_twists,
     sqrt_twists,
 )
 
@@ -70,8 +73,8 @@ def rosati_transport_check(q: QuadElem, r: QuadElem, u: QuadElem, n) -> bool:
 
 
 def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None:
-    """(n, u) with n q = u^2 r and n a positive... nonzero integer, u
-    integral, when q/r is in Q^x F^x2; None otherwise."""
+    """(n, u) with n q = u^2 r, n a nonzero integer and u integral, when
+    q/r is in Q^x F^x2; None otherwise."""
     if q.field != r.field:
         raise HeckeError("elements of different fields")
     F = q.field
@@ -82,52 +85,26 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     if not is_rational_square(q.norm() * r.norm()):
         return None
     s = q / r
-    ideal_s = QfIdeal.principal(s)
-    factors = factor_ideal(ideal_s)
-    # group exponents by rational prime
-    by_p: dict[int, list[tuple[QfIdeal, int]]] = {}
-    for pr, e in factors:
-        nrm = pr.norm()
-        p = int(min(factorint(int(nrm)).keys())) if nrm > 1 else None
-        by_p.setdefault(p, []).append((pr, e))
+    # v_p(Nm s) is even at every p: a ramified exponent is even and the two
+    # exponents at a split p agree mod 2, so the square root of (s c0) is an
+    # ideal once c0 takes each p with an odd inert or split exponent
     c0 = Fraction(1)
-    sqrt_exponents: list[tuple[QfIdeal, int]] = []
-    for p, entries in sorted(by_p.items()):
-        kind = prime_splitting(F, p)
-        if kind == "ramified":
-            (pr, e), = entries
-            if e % 2:
-                return None
-            sqrt_exponents.append((pr, e // 2))
-        elif kind == "inert":
-            (pr, e), = entries
-            # v_P(c) = v_p(c): fix parity through c0
-            if e % 2:
-                c0 *= p
-                sqrt_exponents.append((pr, (e + 1) // 2))
-            else:
-                sqrt_exponents.append((pr, e // 2))
-        else:  # split
-            prs = primes_above(F, p)
-            emap = {0: 0, 1: 0}
-            for pr, e in entries:
-                emap[prs.index(pr)] = e
-            if (emap[0] - emap[1]) % 2:
-                return None
-            if emap[0] % 2:
-                c0 *= p
-                sqrt_exponents.append((prs[0], (emap[0] + 1) // 2))
-                sqrt_exponents.append((prs[1], (emap[1] + 1) // 2))
-            else:
-                sqrt_exponents.append((prs[0], emap[0] // 2))
-                sqrt_exponents.append((prs[1], emap[1] // 2))
     ideal_c = QfIdeal.unit_ideal(F)
-    for pr, e in sqrt_exponents:
-        if e:
-            ideal_c = ideal_c * pr**e
-    x0 = is_principal(ideal_c)
-    if x0 is None:
+    for p, _, exps in prime_exponents(s):
+        odd = exps[0][1] % 2
+        c0 *= p**odd
+        for pr, e in exps:
+            ideal_c = ideal_c * pr ** ((e + odd) // 2)
+    if ideal_c * ideal_c != QfIdeal.principal(s * c0):
+        raise HeckeError("internal: the square-root ideal does not square to (s c0)")
+    # s n = u^2 with n rational makes (u) the square-root ideal times
+    # ramified primes and a rational: with no principal twist, s is not in
+    # Q^x F^x2
+    gen = principalize_with_ramified_twists(ideal_c)
+    if gen is None:
         return None
+    x0, twist = gen
+    c0 *= twist
     u0 = s * c0 / (x0 * x0)
     if not u0.is_unit():
         raise HeckeError("internal: unit bookkeeping failed")

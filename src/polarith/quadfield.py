@@ -1,5 +1,6 @@
-"""Real and imaginary quadratic fields: maximal orders, fractional ideals
-with prime factorization, principality, units, total positivity.
+"""Real and imaginary quadratic fields: maximal orders, fractional ideals,
+the prime exponents of an element, principality (up to ramified twists),
+units, total positivity.
 
 Elements are stored in the canonical integral basis (1, w) with
 w = (disc + sqrt(disc)) / 2, so the maximal order is exactly the set of
@@ -13,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, lcm, prod
 
 from sympy import factorint, isprime
+from sympy.ntheory import sqrt_mod
 
 from .exact import legendre, lift_root, rational_sqrt, valuation
 from .linalg import frac, hnf
@@ -391,11 +394,14 @@ def prime_splitting(field: QuadField, p: int) -> str:
 
 def _roots_mod_p(field: QuadField, p: int) -> list[int]:
     """The distinct roots mod p, ascending, of the minimal polynomial
-    x^2 - t x + nw of w, for a p that is split or ramified: the scan stops
-    at the smallest root r, and the other is t - r (the roots sum to t)."""
+    x^2 - t x + nw of w, for a p that is split or ramified: (t +- s) / 2
+    for a square root s of its discriminant disc mod an odd p, a scan of
+    {0, 1} at p = 2."""
     t, nw = field.w_trace, field.w_norm
-    r = next(r for r in range(p) if (r * r - t * r + nw) % p == 0)
-    return sorted({r, (t - r) % p})
+    if p == 2:
+        return [r for r in range(2) if (r * r - t * r + nw) % 2 == 0]
+    s, half = sqrt_mod(field.disc, p), (p + 1) // 2
+    return sorted({(t + s) * half % p, (t - s) * half % p})
 
 
 def primes_above(field: QuadField, p: int) -> list[QfIdeal]:
@@ -407,76 +413,41 @@ def primes_above(field: QuadField, p: int) -> list[QfIdeal]:
     return [QfIdeal.from_rows(field, [[p, 0], [-r, 1]], 1) for r in _roots_mod_p(field, p)]
 
 
-def element_prime_valuation(e: QuadElem, p: int, which: int = 0) -> int:
-    """v_P(e) for the prime(s) P above p; `which` selects the split prime
-    (ordered as in primes_above)."""
+def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int]]]]:
+    """The factorization of the fractional ideal (e): for each rational p
+    with some v_P(e) != 0, ascending, (p, kind, [(P, v_P(e)) for P in
+    primes_above(field, p)]).  Such a p divides Nm(e) or the denominator of
+    e.  An inert or ramified exponent is read off v_p(Nm e); at a split p,
+    v_P(x + y w) = v_p(x + y r) for the root r of the minimal polynomial of
+    w that P = (p, w - r) lifts, and v_P + v_P' = v_p(Nm e) is checked."""
     if e.is_zero():
         raise QuadFieldError("valuation of zero")
     field = e.field
-    kind = prime_splitting(field, p)
-    nv_num = e.norm()
-    vn = valuation(nv_num, p)
-    if kind == "inert":
-        if vn % 2:
-            raise QuadFieldError("internal: odd norm valuation at an inert prime")
-        return vn // 2
-    if kind == "ramified":
-        return vn
-    # split: v_P(x + y*w) = v_p(x + y*r) with r the lifted root
-    prec = max(vn, 0) + 2 * qval_den_bound(e, p) + 4
-    r = lift_root(field.w_trace, field.w_norm, _roots_mod_p(field, p)[which], p, prec)
-    val = x_plus_yr_valuation(e, r, p)
-    return val
-
-
-def qval_den_bound(e: QuadElem, p: int) -> int:
-    b = 0
-    for c in (e.x, e.y):
-        if c != 0:
-            b = max(b, -valuation(c, p) if valuation(c, p) < 0 else 0)
-    return b
-
-
-def x_plus_yr_valuation(e: QuadElem, r: int, p: int) -> int:
-    s = e.x + e.y * r
-    if s == 0:
-        # x + y*r is only an approximation of the embedding; s = 0 exactly
-        # means the true valuation is at least the lift precision, which
-        # exceeds v_p(norm): the other conjugate carries the valuation.
-        return valuation(e.norm(), p) - x_plus_yr_valuation(e.conj(), r, p)
-    return valuation(s, p)
-
-
-def ideal_prime_valuation(ideal: QfIdeal, p: int, which: int = 0) -> int:
-    vals = [element_prime_valuation(e, p, which) for e in ideal.basis_elements() if not e.is_zero()]
-    return min(vals)
-
-
-def factor_ideal(x: QfIdeal) -> list[tuple[QfIdeal, int]]:
-    """Prime factorization of a fractional ideal.  The product of the
-    returned prime powers equals x exactly (verified)."""
-    field = x.field
-    n = x.norm()
-    if n == 0:
-        raise QuadFieldError("zero ideal")
-    # support: primes of the integral part's norm and of the denominator
-    # (the norm of x itself can hide cancelling conjugate factors)
-    det_num = abs(x.num[0][0] * x.num[1][1] - x.num[0][1] * x.num[1][0])
-    support = sorted(set(factorint(det_num).keys()) | set(factorint(x.den).keys()))
-    factors: list[tuple[QfIdeal, int]] = []
-    for p in support:
-        primes = primes_above(field, p)
-        for which, pr in enumerate(primes):
-            v = ideal_prime_valuation(x, p, which)
-            if v != 0:
-                factors.append((pr, v))
-    # verification round-trip
-    acc = QfIdeal.unit_ideal(field)
-    for pr, e in factors:
-        acc = acc * pr**e
-    if acc != x:
-        raise QuadFieldError("factorization verification failed")
-    return factors
+    n = e.norm()
+    den = factorint(lcm(e.x.denominator, e.y.denominator))
+    out = []
+    for p in sorted(set(factorint(abs(n.numerator))) | set(den)):
+        kind = prime_splitting(field, p)
+        vn = valuation(n, p)
+        if kind == "inert":
+            if vn % 2:
+                raise QuadFieldError("internal: odd norm valuation at an inert prime")
+            vals = [vn // 2]
+        elif kind == "ramified":
+            vals = [vn]
+        else:
+            # v_P(e) lies in [-v_p(den), vn + v_p(den)] and v_p(y) >= -v_p(den):
+            # at this precision x + y r has the valuation of the P-adic image
+            prec = max(vn, 0) + 2 * den.get(p, 0) + 4
+            t, nw = field.w_trace, field.w_norm
+            s = [e.x + e.y * lift_root(t, nw, r, p, prec) for r in _roots_mod_p(field, p)]
+            # s = 0 exactly: the other prime carries the norm's valuation
+            vals = [valuation(si, p) if si else vn - valuation(s[1 - i], p) for i, si in enumerate(s)]
+            if vals[0] + vals[1] != vn:
+                raise QuadFieldError("internal: split valuations do not add up to v_p(Nm)")
+        if any(vals):
+            out.append((p, kind, list(zip(primes_above(field, p), vals))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +609,31 @@ def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None
     field = ideal.field
     if field.is_real and eps is None:
         eps = fundamental_unit(field)
-    den = ideal.den
-    integral = QfIdeal.from_rows(field, [list(r) for r in ideal.num], 1)
-    g = _generator_in_ideal(integral, eps)
+    # num is already in row HNF: (1/den) num with the denominator dropped
+    g = _generator_in_ideal(QfIdeal(field, ideal.num, 1), eps)
     if g is None:
         return None
-    return g / den
+    return g / ideal.den
+
+
+def principalize_with_ramified_twists(ideal: QfIdeal) -> tuple[QuadElem, int] | None:
+    """(g, c) with g a generator of ideal * P_1 ... P_k for ramified primes
+    P_i above p_i, c = p_1 ... p_k, trying no twist first, then the subsets
+    of ramified primes by size; None when none of them is principal.  Since
+    P_i^2 = (p_i), squaring the twisted ideal only scales its square by the
+    rational c."""
+    field = ideal.field
+    eps = fundamental_unit(field) if field.is_real else None
+    ram = list(factorint(abs(field.disc)))
+    for k in range(len(ram) + 1):
+        for combo in combinations(ram, k):
+            twisted = ideal
+            for p in combo:
+                twisted = twisted * primes_above(field, p)[0]
+            g = is_principal(twisted, eps)
+            if g is not None:
+                return g, prod(combo)
+    return None
 
 
 def normalize_generator(g: QuadElem) -> QuadElem:

@@ -823,3 +823,23 @@ def test_pool_inputs_validate(tmp_path):
             if (rc, out) != (0, {"valid": True, "errors": []}):
                 rejected.append(req["id"])
     assert rejected == []
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("hecke_separation.py", ["10", "--count", "6", "--confirm-height", "4"]),
+        ("measure_constants.py", ["--fields", "5", "10", "--count", "4", "--matrix"]),
+    ],
+)
+def test_experiment_script_runs(script, args):
+    """The scripts under scripts/ import the library directly; each runs to
+    a clean exit on a small input."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), *args],
+        capture_output=True, cwd=root, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr + proc.stdout

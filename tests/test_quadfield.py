@@ -1,27 +1,27 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympy import primerange
+from sympy import factorint, primerange
 
 from polarith.quadfield import (
     QfIdeal,
     QuadElem,
     QuadField,
     QuadFieldError,
-    element_prime_valuation,
-    factor_ideal,
     fundamental_unit,
     is_principal,
     is_square_in_field,
     is_totally_positive,
     normalize_generator,
+    prime_exponents,
     prime_splitting,
     primes_above,
+    principalize_with_ramified_twists,
     sqrt_in_field,
     unit_group_absorb,
 )
@@ -173,9 +173,9 @@ def test_prime_splitting():
     assert prime_splitting(F2, 7) == "split"
 
 
-def test_factor_ideal_split_11():
-    I = QfIdeal.principal(F5.from_rational(11))
-    fac = factor_ideal(I)
+def test_prime_exponents_split_11():
+    ((p, kind, fac),) = prime_exponents(F5.from_rational(11))
+    assert (p, kind) == (11, "split")
     assert len(fac) == 2
     assert all(e == 1 for _, e in fac)
     p1, p2 = fac[0][0], fac[1][0]
@@ -187,21 +187,59 @@ def test_factor_ideal_split_11():
     assert p1.contains(elem(F5, 4, 1)) or p2.contains(elem(F5, 4, 1))
 
 
-def test_factor_ideal_unit_and_ramified():
-    assert factor_ideal(QfIdeal.unit_ideal(F5)) == []
-    I5 = QfIdeal.principal(F5.from_rational(5))
-    fac = factor_ideal(I5)
+def test_prime_exponents_unit_and_ramified():
+    assert prime_exponents(F5.one()) == []
+    ((p, kind, fac),) = prime_exponents(F5.from_rational(5))
+    assert (p, kind) == (5, "ramified")
     assert len(fac) == 1
     pr, e = fac[0]
     assert e == 2 and pr.norm() == 5
     assert pr.contains(F5.sqrtD())
 
 
-def test_factor_ideal_fractional_roundtrip():
+def test_prime_exponents_fractional_roundtrip():
     x = elem(F5, Fraction(7, 3), Fraction(1, 2))
-    I = QfIdeal.principal(x)
-    fac = factor_ideal(I)  # verification happens inside
+    fac = [f for _, _, prs in prime_exponents(x) for f in prs]
+    acc = QfIdeal.unit_ideal(F5)
+    for pr, e in fac:
+        acc = acc * pr**e
+    assert acc == QfIdeal.principal(x)
     assert any(e < 0 for _, e in fac)
+
+
+def _reference_valuation(P, a):
+    """v_P(a) for a nonzero integral a, by its definition: the largest k
+    with a in P^k."""
+    k, Pk = 0, P
+    while Pk.contains(a):
+        k, Pk = k + 1, Pk * P
+    return k
+
+
+# 2 splits in Q(sqrt(-7)) and Q(sqrt(17)), is inert in Q(sqrt(5)) and
+# Q(sqrt(13)) and ramifies in the others
+@given(
+    D=st.sampled_from([-7, -5, -1, 2, 3, 5, 10, 13, 15, 17]),
+    x=st.fractions(min_value=-60, max_value=60, max_denominator=12),
+    y=st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_prime_exponents_match_ideal_membership(D, x, y):
+    """`prime_exponents` agrees with v_P(a/d) = v_P(a) - v_P(d), each read
+    off membership in powers of P, for a = d e integral: no lifted root."""
+    F = QuadField(D)
+    e = QuadElem(F, x, y)
+    if e.is_zero():
+        return
+    d = lcm(x.denominator, y.denominator)
+    a = e * d
+    expected = []
+    for p in sorted(factorint(abs(int(a.norm())) * d)):
+        prs = primes_above(F, p)
+        vals = [_reference_valuation(P, a) - _reference_valuation(P, F.from_rational(d)) for P in prs]
+        if any(vals):
+            expected.append((p, prime_splitting(F, p), list(zip(prs, vals))))
+    assert prime_exponents(e) == expected
 
 
 @given(
@@ -335,14 +373,27 @@ def test_ideal_equality_and_hnf_canonical():
     assert I1 == QfIdeal.from_generators([a, a * F5.omega()])
 
 
-def test_element_prime_valuation_split():
+def test_prime_exponents_split():
     # 11 = (4+sqrt5)(4-sqrt5)
     e = elem(F5, 4, 1)
-    v0 = element_prime_valuation(e, 11, 0)
-    v1 = element_prime_valuation(e, 11, 1)
+    ((p, _, fac),) = prime_exponents(e)
+    v0, v1 = (v for _, v in fac)
     assert sorted([v0, v1]) == [0, 1]
-    assert element_prime_valuation(F5.from_rational(11), 11, 0) == 1
-    assert element_prime_valuation(F5.from_rational(11), 11, 1) == 1
+    ((_, _, fac11),) = prime_exponents(F5.from_rational(11))
+    assert [v for _, v in fac11] == [1, 1]
+
+
+def test_principalize_with_ramified_twists():
+    """The prime above 2 in Q(sqrt(10)) (class number 2) is not principal;
+    its twist by itself is (2)."""
+    F10 = QuadField(10)
+    P2 = primes_above(F10, 2)[0]
+    assert is_principal(P2) is None
+    g, c = principalize_with_ramified_twists(P2)
+    assert c == 2 and QfIdeal.principal(g) == P2 * P2
+    I = QfIdeal.principal(elem(F5, Fraction(7, 3), Fraction(1, 2)))
+    g, c = principalize_with_ramified_twists(I)
+    assert c == 1 and QfIdeal.principal(g) == I
 
 
 def test_real_class_group_nontrivial():
