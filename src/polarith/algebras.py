@@ -2,6 +2,11 @@
 (Q, quadratic field, quaternion algebra, matrix algebras over these),
 dagger-stable orders, and norms with per-factor exponents.
 
+A factor's norm is |Nm_{F/Q}(Nrd x)| over its centre F.  Over a field
+base Nrd is the determinant; over a quaternion base the norm is read off
+the determinant over Q of v -> x v (`linalg.regular_matrix`), which is
+Nm_{F/Q}(Nrd x)^2.
+
 Elements are tuples of per-factor components.  Component arithmetic is
 dispatched through small ring descriptors (the `linalg.Ring` protocol), so
 that the matrix code in `linalg` is written once.  All arithmetic is exact.
@@ -12,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import valuation
+from .exact import rational_sqrt, valuation
 from .linalg import (
     RationalRing,
-    charpoly,
     conj_transpose,
     det,
     frac,
@@ -29,8 +33,8 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_to_qcoords,
-    poly_nth_root,
     qbasis,
+    regular_matrix,
     scalar_of,
 )
 from .quadfield import QuadElem, QuadField
@@ -236,9 +240,6 @@ class QuaternionRing:
             raise AlgebraError(f"{x} is not a rational scalar")
         return self.center.as_rational(x.coords[0])
 
-    def basis(self):
-        return [self.one(), self.i(), self.j(), self.k()]
-
     def __repr__(self):
         return f"({self.a},{self.b} / {self.center})"
 
@@ -401,64 +402,16 @@ class SimpleFactor:
         return self.ring.inv(x)
 
     # --- norms -------------------------------------------------------------
-    def nrd(self, x):
-        """Reduced norm, valued in the centre."""
-        if self.matrix_size == 0:
-            if isinstance(self.ring, QuaternionRing):
-                return x.nrd()
-            return x
+    def abs_norm(self, x) -> Fraction:
+        """|Nm_{F/Q}(Nrd x)|, F the centre (see the module docstring)."""
         if isinstance(self.ring, QuaternionRing):
-            return self._nrd_quaternion_matrix(x)
-        return det(x, self.ring)
-
-    def _nrd_quaternion_matrix(self, x):
-        """Reduced norm of M_n(B) for a quaternion algebra B, via the
-        characteristic polynomial of left multiplication on the factor as a
-        centre-module: that polynomial is the (2n)-th power of the reduced
-        characteristic polynomial."""
-        center = self.center_ring
-        n = self.matrix_size
-        dimc = 4 * n * n
-        basis = self.basis_over_center()
-        cols = []
-        for e in basis:
-            xe = self.mul(x, e)
-            cols.append(self._center_coords(xe))
-        # columns are images; build the matrix of left multiplication
-        L = [[cols[j][i] for j in range(dimc)] for i in range(dimc)]
-        cp = charpoly(L, center)
-        # the constant term of the degree-2n reduced polynomial is
-        # (-1)^{2n} Nrd(x) = Nrd(x)
-        return poly_nth_root(cp, 2 * n, center.one(), center.zero())[0]
-
-    def basis_over_center(self):
-        """Basis of the factor as a centre-module (matrix units x 1,i,j,k)."""
-        if not isinstance(self.ring, QuaternionRing):
-            raise AlgebraError("internal: basis_over_center needs a quaternion base")
-        n = self.matrix_size
-        qb = self.ring.basis()
-        out = []
-        for i in range(n):
-            for j in range(n):
-                for q in qb:
-                    m = self.zero()
-                    m[i][j] = q
-                    out.append(m)
-        return out
-
-    def _center_coords(self, x):
-        """Coordinates of a quaternion-matrix element over the centre."""
-        out = []
-        for row in x:
-            for e in row:
-                out.extend(e.coords)
-        return out
-
-    def center_norm_to_q(self, c) -> Fraction:
-        """Nm_{F/Q} of a centre element."""
-        if isinstance(self.center_ring, QuadRing):
-            return c.norm()
-        return frac(c)
+            sq = det(regular_matrix(x if self.matrix_size else [[x]], self.ring))
+            root = rational_sqrt(sq) if sq else sq
+            if root is None:
+                raise AlgebraError(f"internal: regular determinant {sq} is not a square")
+            return root
+        nrd = det(x, self.ring) if self.matrix_size else x
+        return abs(nrd.norm() if isinstance(self.ring, QuadRing) else frac(nrd))
 
     def __repr__(self):
         if self.matrix_size:
@@ -613,9 +566,7 @@ def norm(algebra: AlgebraWithInvolution, x, spec: NormSpec) -> Fraction:
         raise AlgebraError("norm spec belongs to a different algebra")
     out = Fraction(1)
     for f, a, g in zip(algebra.factors, x, spec.gammas):
-        nr = f.nrd(a)
-        q = f.center_norm_to_q(nr)
-        out *= abs(q) ** g
+        out *= f.abs_norm(a) ** g
     return out
 
 
@@ -623,8 +574,7 @@ def local_norm(algebra: AlgebraWithInvolution, x, p: int, spec: NormSpec) -> Fra
     """Nm_{E_p}(x) = prod_i |Nm(Nrd(x_i))|_p^{-gamma_i}, a power of p."""
     out = Fraction(1)
     for f, a, g in zip(algebra.factors, x, spec.gammas):
-        nr = f.nrd(a)
-        q = f.center_norm_to_q(nr)
+        q = f.abs_norm(a)
         if q == 0:
             raise AlgebraError("local norm of a non-invertible element")
         out *= Fraction(p) ** (g * valuation(q, p))

@@ -41,12 +41,14 @@ from .exact import (
 from .linalg import (
     RationalRing,
     conj_transpose,
+    det,
     frac,
     identity,
     inverse,
     mat_eq,
     mat_mul,
     qbasis,
+    regular_matrix,
     scalar_of,
     transpose,
 )
@@ -256,11 +258,8 @@ class GramForm:
         return GramForm(self.kind, self.ring, g)
 
     def is_nonsingular(self) -> bool:
-        try:
-            inverse(self.gram, self.ring)
-            return True
-        except ZeroDivisionError:
-            return False
+        """det over Q of v -> G v is nonzero; exact over zero divisors too."""
+        return det(regular_matrix(self.gram, self.ring)) != 0
 
     def direct_sum(self, other: "GramForm") -> "GramForm":
         if self.kind != other.kind or self.ring != other.ring:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import lcm, prod
 
 from sympy import isprime
 
@@ -392,23 +392,24 @@ def _cayley_orthogonal_round(h: Matrix, ctx: PadicContext) -> Matrix:
 
 
 def _det_one_signed_permutations(n: int):
-    """Signed permutation matrices of determinant +1, deterministic order,
-    identity first."""
-    out = []
-    for perm in permutations(range(n)):
-        sign_perm = _perm_sign(perm)
-        for signs in product((1, -1), repeat=n):
-            s = sign_perm
-            for x in signs:
-                s *= x
-            if s != 1:
+    """Signed permutation matrices of determinant +1, identity first: by
+    the number k of columns that differ from the identity's, and for each k
+    in permutation-then-sign order.  Yielded lazily: there are n! 2^(n-1)
+    of them, and the caller usually stops at one of the first few."""
+    for k in range(n + 1):
+        for perm in permutations(range(n)):
+            if sum(pi != i for i, pi in enumerate(perm)) > k:
                 continue
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for i, pi in enumerate(perm):
-                m[pi][i] = Fraction(signs[i])
-            out.append(m)
-    out.sort(key=lambda m: sum(abs(m[i][j] - (1 if i == j else 0)) for i in range(n) for j in range(n)))
-    return out
+            sign_perm = _perm_sign(perm)
+            for signs in product((1, -1), repeat=n):
+                if sign_perm * prod(signs) != 1:
+                    continue
+                if sum(pi != i or s < 0 for i, (pi, s) in enumerate(zip(perm, signs))) != k:
+                    continue
+                m = [[Fraction(0)] * n for _ in range(n)]
+                for i, pi in enumerate(perm):
+                    m[pi][i] = Fraction(signs[i])
+                yield m
 
 
 def _perm_sign(perm) -> int:

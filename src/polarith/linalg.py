@@ -2,10 +2,11 @@
 
 Matrices are plain lists of rows.  Every matrix operation is written once,
 generic over a ring descriptor (`Ring`): the rationals (`QQ`, the default),
-quadratic fields, quaternion algebras and the etale pair Q x Q.  Integer
-Hermite normal forms, lattice intersection and polynomial roots live here
-too.  Everything is denominator-exact; no floats appear anywhere in the
-package.
+quadratic fields, quaternion algebras and the etale pair Q x Q.  The
+matrix over Q of v -> a v (`regular_matrix`) inverts a past zero-divisor
+pivots, and its determinant decides nonsingularity and quaternion norms.
+Integer Hermite normal forms and lattice intersection live here too.
+Everything is denominator-exact; no floats appear anywhere in the package.
 """
 
 from __future__ import annotations
@@ -253,11 +254,15 @@ def inverse(a: list, ring: Ring = QQ) -> list:
     return [row[n:] for row in m]
 
 
-def _regular_inverse(a: list, ring: Ring) -> list:
-    """The inverse of a in M_n(B) from the matrix over Q of v -> a v on B^n.
+def regular_matrix(a: list, ring: Ring) -> Matrix:
+    """The matrix over Q of v -> a v on B^n, for a in M_n(B) and B = ring,
+    in Q-coordinates (block (i, j) is x -> a[i][j] x on B).
 
-    That map is invertible exactly when a is (B is finite-dimensional), and
-    column j of the inverse is the preimage of e_j (the one of B at j)."""
+    Its determinant is 0 exactly when a has no inverse (B is
+    finite-dimensional), also over zero divisors.  Over a quaternion
+    algebra B with centre F it is Nm_{F/Q}(Nrd a)^2: M_n(B) is n copies of
+    B^n, and its norm over F is Nrd^{2n} (Reiner, Maximal Orders, section
+    9)."""
     n, d = len(a), ring.dim_q
     units = qbasis(ring)
     big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
@@ -266,7 +271,14 @@ def _regular_inverse(a: list, ring: Ring) -> list:
             for t, unit in enumerate(units):
                 for s, c in enumerate(ring.to_qcoords(a[i][j] * unit)):
                     big[i * d + s][j * d + t] = c
-    big_inv = inverse(big)  # over Q; raises ZeroDivisionError when singular
+    return big
+
+
+def _regular_inverse(a: list, ring: Ring) -> list:
+    """The inverse of a in M_n(B) through `regular_matrix`: column j of the
+    inverse is the preimage of e_j (the one of B at j)."""
+    n, d = len(a), ring.dim_q
+    big_inv = inverse(regular_matrix(a, ring))  # over Q; raises ZeroDivisionError when singular
     one = ring.to_qcoords(ring.one())
     out = [[None] * n for _ in range(n)]
     for j in range(n):
@@ -439,41 +451,3 @@ def lattice_intersection(bases: list[list[list[int]]], n: int) -> list[list[int]
             raise ValueError("intersection is not integral")
         acc = hnf([[int(x) for x in row] for row in inter])
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Polynomials
-
-
-def poly_mul(p: list, q: list, zero):
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def poly_nth_root(q: list, m: int, one, zero) -> list:
-    """Monic m-th root of the monic polynomial q (coefficients low-to-high).
-
-    Raises ValueError if q is not an exact m-th power.
-    """
-    deg_q = len(q) - 1
-    if deg_q % m:
-        raise ValueError("degree not divisible")
-    deg = deg_q // m
-    p = [zero] * deg + [one]
-    for j in range(1, deg + 1):
-        cur = p
-        acc = [one]
-        for _ in range(m):
-            acc = poly_mul(acc, cur, zero)
-        target_idx = m * deg - j
-        delta = q[target_idx] - acc[target_idx]
-        p[deg - j] = delta / m
-    acc = [one]
-    for _ in range(m):
-        acc = poly_mul(acc, p, zero)
-    if len(acc) != len(q) or any(acc[i] != q[i] for i in range(len(q))):
-        raise ValueError("polynomial is not an exact m-th power")
-    return p

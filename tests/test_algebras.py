@@ -169,18 +169,86 @@ def test_local_global_norm_factorization(coords):
 
 
 def test_quaternion_matrix_reduced_norm():
-    # M_1 of a quaternion algebra: Nrd(matrix [x]) must equal Nrd(x)
+    # M_1 of a quaternion algebra: |Nrd(matrix [x])| must equal Nrd(x)
     ring = QuaternionRing(RationalRing(), Fraction(-1), Fraction(-1))
     f = SimpleFactor(ring, matrix_size=1, involution="conjugate_transpose")
     i = ring.i()
-    assert f.nrd([[i]]) == 1
+    assert f.abs_norm([[i]]) == 1
     x = ring.coerce(2) + i
-    assert f.nrd([[x]]) == x.nrd() == 5
+    assert f.abs_norm([[x]]) == x.nrd() == 5
     # M_2: diag(x, y) has Nrd = Nrd(x) Nrd(y)
     f2 = SimpleFactor(ring, matrix_size=2, involution="conjugate_transpose")
     y = ring.j() + ring.coerce(1)
     m = [[x, ring.zero()], [ring.zero(), y]]
-    assert f2.nrd(m) == x.nrd() * y.nrd()
+    assert f2.abs_norm(m) == x.nrd() * y.nrd()
+
+
+QUATERNION_BASES = {
+    "Q(-1,-1)": QuaternionRing(RationalRing(), Fraction(-1), Fraction(-1)),
+    "Q(1,1)": QuaternionRing(RationalRing(), Fraction(1), Fraction(1)),
+    "Q(2,5)": QuaternionRing(RationalRing(), Fraction(2), Fraction(5)),
+    "F5(-1,-1)": QuaternionRing(QuadRing(F5), F5.from_rational(-1), F5.from_rational(-1)),
+    "F5(-1,3)": QuaternionRing(QuadRing(F5), F5.from_rational(-1), F5.from_rational(3)),
+    "F5(1,1)": QuaternionRing(QuadRing(F5), F5.from_rational(1), F5.from_rational(1)),
+}
+
+
+def _abs_center_norm(c) -> Fraction:
+    """|Nm_{F/Q}(c)| for c in the centre Q or Q(sqrt5)."""
+    return abs(c.norm() if hasattr(c, "norm") else Fraction(c))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize("name", list(QUATERNION_BASES))
+def test_quaternion_base_norm_seeded(name, size):
+    """Seeded elements of B, M_1(B) and M_2(B) over definite and split
+    quaternion algebras B with centre Q or Q(sqrt5): the norm is
+    multiplicative, a triangular matrix's norm is the product of
+    |Nm(nrd)| over its diagonal, and the norm is 0 exactly when the
+    element has no inverse."""
+    ring = QUATERNION_BASES[name]
+    involution = "conjugate_transpose" if size else "canonical"
+    f = SimpleFactor(ring, matrix_size=size, involution=involution)
+    A = AlgebraWithInvolution((f,))
+    spec = NormSpec(A, (1,))
+    rng = random.Random(size * 100 + list(QUATERNION_BASES).index(name))
+    n = max(size, 1)
+
+    def quat():
+        return ring.from_qcoords([Fraction(rng.randint(-1, 1)) for _ in range(ring.dim_q)])
+
+    def draw():
+        if not size:
+            return quat()
+        m = [[quat() for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            lam = quat()  # row 1 a left multiple of row 0: singular
+            m[1] = [lam * e for e in m[0]]
+        return m
+
+    zeros = 0
+    for _ in range(12):
+        x, y = (draw(),), (draw(),)
+        nx = norm(A, x, spec)
+        assert norm(A, A.mul(x, y), spec) == nx * norm(A, y, spec)
+        try:
+            A.inv(x)
+            invertible = True
+        except ZeroDivisionError:
+            invertible = False
+        assert (nx == 0) == (not invertible)
+        zeros += nx == 0
+        diag = [quat() for _ in range(n)]
+        if size:
+            t = [[diag[i] if i == j else (quat() if i < j else ring.zero()) for j in range(n)] for i in range(n)]
+        else:
+            t = diag[0]
+        expected = Fraction(1)
+        for d in diag:
+            expected *= _abs_center_norm(d.nrd())
+        assert norm(A, (t,), spec) == expected
+    if "(1,1)" in name or size == 2:
+        assert zeros > 0
 
 
 def test_quaternion_norm_spec():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,22 @@ def test_local_solve(tmp_path):
     code, out = run_cli(tmp_path, "local-solve", doc)
     assert code == 0
     assert out["b"] == [["3", "0"], ["0", "1"]]
+
+
+def test_local_solve_block_rotations_n6(tmp_path):
+    """Three rotation blocks [[3/5, 4/5], [-4/5, 3/5]] at p = 5: the Cayley
+    rounding tries signed permutations lazily, so n = 6 answers at once."""
+    n = 6
+    a = [["0"] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1] = "3/5", "4/5", "-4/5", "3/5"
+    q = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    code, out = run_cli(tmp_path, "local-solve", {"p": 5, "q": q, "a": a, "m_prime": 1})
+    assert code == 0
+    b = [[Fraction(x) for x in row] for row in out["b"]]
+    assert [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [int(i == j) for j in range(n)] for i in range(n)
+    ]
 
 
 def test_degree_bound_quadfield(tmp_path):

@@ -26,7 +26,7 @@ from polarith.forms import (
     skew_standard_witness,
     symmetric_form_q,
 )
-from polarith.linalg import RationalRing, conj_transpose, det, frac, mat_mul, transpose
+from polarith.linalg import RationalRing, conj_transpose, det, frac, inverse, mat_mul, transpose
 from polarith.quadfield import QuadField
 
 QR = RationalRing()
@@ -665,6 +665,32 @@ def test_etale_pair_form_with_zero_divisor_column_is_nonsingular():
     assert isometric(f, g)
     u = etale_pair_witness(f, g)
     assert f.transform(u).gram == g.gram
+
+
+def test_nonsingular_agrees_with_inverse_on_skew_and_pair_forms():
+    """Seeded skew forms over Q and etale-pair forms, dimension 1-4,
+    entries in {-1, 0, 1} (some with a repeated row): `is_nonsingular` holds
+    exactly when the Gram has an inverse."""
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        a = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            a[1] = a[0][:]
+        if rng.random() < 0.5:
+            g = [[Fraction(a[i][j] - a[j][i]) for j in range(n)] for i in range(n)]
+            f = GramForm("skew", QR, g)
+        else:
+            f = etale_pair_form(a)
+        try:
+            inverse(f.gram, f.ring)
+            invertible = True
+        except ZeroDivisionError:
+            invertible = False
+        assert f.is_nonsingular() == invertible
+        seen[invertible] += 1
+    assert min(seen.values()) > 20
 
 
 SPLIT_SKEW_GRAM = [

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
@@ -11,6 +11,7 @@ from polarith.lattices_local import (
     LatticeError,
     PadicContext,
     PadicLattice,
+    _det_one_signed_permutations,
     _first_superlattice,
     _kernel_points,
     _reduce_to_standard,
@@ -232,6 +233,26 @@ def test_split_local_solve_nontrivial_transport():
     for row in b:
         for x in row:
             assert x == 0 or valuation(x, 3) >= 0
+
+
+def _reference_signed_permutations(n):
+    """Every determinant-one signed permutation matrix, then a stable sort
+    by the entrywise distance from the identity."""
+    out = []
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i, pi in enumerate(perm):
+                m[pi][i] = Fraction(signs[i])
+            if det(m) == 1:
+                out.append(m)
+    out.sort(key=lambda m: sum(abs(m[i][j] - (i == j)) for i in range(n) for j in range(n)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_signed_permutations_in_sorted_order(n):
+    assert list(_det_one_signed_permutations(n)) == _reference_signed_permutations(n)
 
 
 def test_split_local_solve_rejects_nonsquare_ratio():
