@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exact import rational_sqrt, valuation
 from .linalg import (
@@ -215,10 +216,7 @@ class QuaternionRing:
         return QuatElem(self, tuple(c * ninv for c in xc.coords))
 
     def to_qcoords(self, x):
-        out = []
-        for c in x.coords:
-            out.extend(self.center.to_qcoords(c))
-        return out
+        return [q for c in x.coords for q in self.center.to_qcoords(c)]
 
     def from_qcoords(self, coords):
         d = self.center.dim_q
@@ -492,10 +490,7 @@ class AlgebraWithInvolution:
         return tuple(out)
 
     def to_qcoords(self, x) -> list[Fraction]:
-        out = []
-        for f, a in zip(self.factors, x):
-            out.extend(f.to_qcoords(a))
-        return out
+        return [c for f, a in zip(self.factors, x) for c in f.to_qcoords(a)]
 
     def from_qcoords(self, coords):
         out = []
@@ -564,10 +559,8 @@ def norm(algebra: AlgebraWithInvolution, x, spec: NormSpec) -> Fraction:
     """Nm_E(x) = prod_i |Nm_{F_i/Q}(Nrd(x_i))|^{gamma_i}."""
     if spec.algebra is not algebra and spec.algebra != algebra:
         raise AlgebraError("norm spec belongs to a different algebra")
-    out = Fraction(1)
-    for f, a, g in zip(algebra.factors, x, spec.gammas):
-        out *= f.abs_norm(a) ** g
-    return out
+    parts = zip(algebra.factors, x, spec.gammas)
+    return prod((f.abs_norm(a) ** g for f, a, g in parts), start=Fraction(1))
 
 
 def local_norm(algebra: AlgebraWithInvolution, x, p: int, spec: NormSpec) -> Fraction:

@@ -51,10 +51,10 @@ from .lattices_local import (
     PadicLattice,
     check_completion,
     check_local_solve,
+    complete_after_check,
     is_maximal,
-    maximal_completion,
     scale,
-    split_local_solve,
+    solve_after_check,
 )
 from .linalg import RationalRing, det, frac, mat, qbasis
 from .quadfield import QuadField, QuadFieldError, ResourceError
@@ -101,10 +101,6 @@ def _coords(v, n: int, where: str) -> list[Fraction]:
     return [_rat(c, where) for c in v]
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _matrix(v, where: str, n: int | None = None):
     """A nonempty square matrix of rationals; n x n when `n` is given."""
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
@@ -117,7 +113,7 @@ def _matrix(v, where: str, n: int | None = None):
 
 
 def _serialize_matrix(m) -> list:
-    return [[_rat_str(x) for x in row] for row in m]
+    return [[str(x) for x in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +193,9 @@ def serialize_invariants(inv) -> dict:
         out["det_square_class"] = inv.det_class.representative
     if inv.det_element is not None:
         if hasattr(inv.det_element, "x"):
-            out["det_element"] = [_rat_str(inv.det_element.x), _rat_str(inv.det_element.y)]
+            out["det_element"] = [str(inv.det_element.x), str(inv.det_element.y)]
         else:
-            out["det_element"] = _rat_str(frac(inv.det_element))
+            out["det_element"] = str(frac(inv.det_element))
     if inv.det_is_norm is not None:
         out["det_is_norm"] = inv.det_is_norm
     if inv.hasse is not None:
@@ -268,7 +264,7 @@ def cmd_maximal_lattice(doc, args):
     check_completion(L, target)
 
     def run():
-        out = maximal_completion(L, target)
+        out = complete_after_check(L, target)
         return 0, {
             "basis": _serialize_matrix(out.basis),
             "gram": _serialize_matrix(out.gram()),
@@ -285,13 +281,13 @@ def cmd_local_solve(doc, args):
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a", len(q))
     m_prime = _rat(doc["m_prime"], "m_prime")
-    check_local_solve(q, a, m_prime, ctx.p)
+    qinv, s = check_local_solve(q, a, m_prime, ctx.p)
 
     def run():
-        b = split_local_solve(q, a, m_prime, ctx)
+        b = solve_after_check(q, a, m_prime, ctx, qinv, s)
         return 0, {
             "b": _serialize_matrix(b),
-            "value": _rat_str(m_prime),
+            "value": str(m_prime),
             "local_norm_exponent_of_det": valuation(det(mat(b)), ctx.p),
         }
 
@@ -408,8 +404,8 @@ def serialize_element(inst: BoundInstance, x) -> object:
         if f0.matrix_size:
             return _serialize_matrix(x[0])
         if isinstance(x[0], Fraction):
-            return _rat_str(x[0])
-    return [_rat_str(c) for c in inst.algebra.to_qcoords(x)]
+            return str(x[0])
+    return [str(c) for c in inst.algebra.to_qcoords(x)]
 
 
 def cmd_degree_bound(doc, args):
@@ -421,19 +417,19 @@ def cmd_degree_bound(doc, args):
         payload = {
             "b": serialize_element(inst, res.b),
             "value": res.value,
-            "norm_b": _rat_str(res.norm_b),
-            "norm_q": _rat_str(res.norm_q),
+            "norm_b": str(res.norm_b),
+            "norm_q": str(res.norm_q),
             "rank_d": res.d,
-            "achieved_ratio_squared": _rat_str(res.achieved_ratio_squared),
+            "achieved_ratio_squared": str(res.achieved_ratio_squared),
             "method": res.method,
             "notes": {k: v if isinstance(v, (bool, int, list)) else str(v) for k, v in res.notes.items()},
         }
         if cap is not None:
             oracle = brute_force_oracle(inst, cap)
             payload["oracle"] = {
-                "cap": _rat_str(cap),
+                "cap": str(cap),
                 "found": oracle is not None,
-                "norm_b": _rat_str(oracle.norm_b) if oracle else None,
+                "norm_b": str(oracle.norm_b) if oracle else None,
                 "value": oracle.value if oracle else None,
             }
         return 0, payload
@@ -457,7 +453,7 @@ def cmd_hecke_classes(doc, args):
         n = len(reps)
         payload = {
             "representatives": [
-                {"coords": [_rat_str(r.q.x), _rat_str(r.q.y)], "norm": _rat_str(r.q.norm()),
+                {"coords": [str(r.q.x), str(r.q.y)], "norm": str(r.q.norm()),
                  "source_prime": r.source_prime}
                 for r in reps
             ],
@@ -523,20 +519,23 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
+# built once: each `parse_args` call returns a fresh namespace
+_PARSER = argparse.ArgumentParser(
+    prog="polarith",
+    description="Exact form classification, p-adic lattices, and bounded-norm solvers",
+)
+_PARSER.add_argument("verb", choices=list(VERBS) + ["validate"])
+_PARSER.add_argument("input", nargs="?", help="input JSON file ('-' for stdin)")
+_PARSER.add_argument("--validate-verb", help="verb whose schema `validate` checks")
+_PARSER.add_argument("-o", "--output", default="-")
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--precision", type=int, default=12)
+_PARSER.add_argument("--norm-cap", default=None)
+_PARSER.add_argument("--height", type=int, default=3)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="polarith",
-        description="Exact form classification, p-adic lattices, and bounded-norm solvers",
-    )
-    parser.add_argument("verb", choices=list(VERBS) + ["validate"])
-    parser.add_argument("input", nargs="?", help="input JSON file ('-' for stdin)")
-    parser.add_argument("--validate-verb", help="verb whose schema `validate` checks")
-    parser.add_argument("-o", "--output", default="-")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision", type=int, default=12)
-    parser.add_argument("--norm-cap", default=None)
-    parser.add_argument("--height", type=int, default=3)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.input in (None, "-"):

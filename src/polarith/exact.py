@@ -219,7 +219,7 @@ def support_places(*values: Fraction | int) -> list[LocalPlace]:
     """Finite primes dividing any value's numerator or denominator, plus 2,
     plus the real place.  Hilbert symbols of the values are +1 elsewhere."""
     primes = {2}
-    for x in values:
+    for x in set(values):
         x = Fraction(x)
         if x == 0:
             raise ExactError("support of zero")

@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .algebras import QuadRing, QuaternionRing
 from .exact import (
@@ -192,8 +192,9 @@ class GramForm:
             raise FormError("gram matrix must be square")
         self._validate_base()
         sign = -1 if self.kind in ("skew", "quat-skew-hermitian") else 1
+        # the condition at (j, i) is the involution of the one at (i, j)
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 lhs = _entry_conj(self.kind, self.ring, self.gram[j][i])
                 rhs = self.gram[i][j] if sign == 1 else -self.gram[i][j]
                 if not self.ring.is_zero(lhs - rhs):
@@ -329,10 +330,17 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
     of a split quaternion algebra are refused.  At step k the pivot is the
     first unit on the diagonal from k; when there is none, the first
     v_i += v_j * lam (i != j, lam over the Q-basis of the base) that makes
-    the (i, i) entry a unit.  FormError when neither exists."""
+    the (i, i) entry a unit.  FormError when neither exists.
+
+    Step k adds v_k c_j to v_j, c_j = -(pivot^{-1} g_kj), for each j > k
+    with g_kj != 0.  Only the trailing block g[k+1:][k+1:] is read after
+    step k, and the operations add g_rk c_j to its entries: their row
+    halves add iota(c_r) (g_kj + g_kk c_j) = 0 there.  So only that block
+    is updated; row and column k keep their old entries."""
     if f.kind == "skew":
         raise FormError("skew forms do not diagonalize")
     ring = f.ring
+    is_zero = ring.is_zero
     n = f.dim
     g = [row[:] for row in f.gram]
     u = identity(n, ring)
@@ -344,15 +352,13 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
             except ZeroDivisionError:
                 return None
 
-    def col_op(target, source, c):
-        # v_target += v_source * c
-        for r in range(n):
-            g[r][target] = g[r][target] + g[r][source] * c
-        for r in range(n):
-            gr = _entry_conj(f.kind, ring, c)
-            g[target][r] = g[target][r] + gr * g[source][r]
-        for r in range(n):
-            u[r][target] = u[r][target] + u[r][source] * c
+    def add_cols(rows, source, cs):
+        # v_j += v_source * c for each (j, c) in cs, on `rows`
+        for row in rows:
+            x = row[source]
+            if not is_zero(x):
+                for j, c in cs:
+                    row[j] = row[j] + x * c
 
     def col_swap(i, j):
         for r in range(n):
@@ -375,8 +381,11 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
                 for lam in qbasis(ring):
                     lam_c = _entry_conj(f.kind, ring, lam)
                     inv = unit_inverse(g[i][i] + lam_c * g[j][i] + g[i][j] * lam + lam_c * g[j][j] * lam)
-                    if inv is not None:
-                        col_op(i, j, lam)
+                    if inv is not None:  # v_i += v_j * lam, on g[k:][k:] and u
+                        add_cols(g[k:], j, [(i, lam)])
+                        for r in range(k, n):
+                            g[i][r] = g[i][r] + lam_c * g[j][r]
+                        add_cols(u, j, [(i, lam)])
                         return i, inv
         raise FormError("cannot diagonalize: no unit pivot")
 
@@ -384,9 +393,9 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
         i, pivot_inv = pivot(k)
         if i != k:
             col_swap(k, i)
-        for j in range(k + 1, n):
-            if not ring.is_zero(g[k][j]):
-                col_op(j, k, -(pivot_inv * g[k][j]))
+        cs = [(j, -(pivot_inv * g[k][j])) for j in range(k + 1, n) if not is_zero(g[k][j])]
+        add_cols(g[k + 1 :], k, cs)
+        add_cols(u, k, cs)
     diag = [g[i][i] for i in range(n)]
     return diag, u
 
@@ -441,11 +450,8 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
     big = [[Fraction(0)] * dim for _ in range(dim)]
     for a in range(dim):
         for b in range(dim):
-            prod = mat_mul(elems[a], dag[b], ring)
-            tr = Fraction(0)
-            for i in range(n):
-                tr += ring.trace_q(prod[i][i])
-            big[a][b] = tr
+            ab = mat_mul(elems[a], dag[b], ring)
+            big[a][b] = sum((ring.trace_q(ab[i][i]) for i in range(n)), Fraction(0))
     sym = [[(big[a][b] + big[b][a]) / 2 for b in range(dim)] for a in range(dim)]
     return is_positive_definite(GramForm("symmetric", RationalRing(), sym))
 
@@ -471,18 +477,9 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
     if kind == "skew":
         raise FormError("symplectic-type involutions admit no positive definite form")
     # find v0 with phi(v0, v0) != 0 and rescale by its inverse
-    candidates = []
-    for i in range(n):
-        v = [ring.zero()] * n
-        v[i] = ring.one()
-        candidates.append(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [ring.zero()] * n
-            v[i] = ring.one()
-            v[j] = ring.one()
-            candidates.append(v)
-    for v0 in candidates:
+    e = identity(n, ring)
+    pairs = [[x + y for x, y in zip(e[i], e[j])] for i in range(n) for j in range(i + 1, n)]
+    for v0 in e + pairs:
         s = form.evaluate(v0, v0)
         if ring.is_zero(s):
             continue
@@ -605,51 +602,39 @@ def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
     (non-skew) kind over `ring`."""
     dim = len(diag)
     if kind == "quat-skew-hermitian":
-        det = Fraction(1)
-        for x in diag:
-            det *= x.nrd()
         return FormInvariants(
             kind="quat-skew-hermitian",
             base=f"quat({ring.a},{ring.b})",
             dim=dim,
-            det_class=square_class(det),
+            det_class=square_class(prod((x.nrd() for x in diag), start=Fraction(1))),
             complete=False,
         )
     if kind == "symmetric" and isinstance(ring, RationalRing):
-        det = Fraction(1)
-        for x in diag:
-            det *= x
-        places = support_places(*diag)
-        hasse = {v: hasse_invariant(diag, v) for v in places}
+        hasse = {v: hasse_invariant(diag, v) for v in support_places(*diag)}
         pos = sum(1 for x in diag if x > 0)
         return FormInvariants(
             kind="symmetric",
             base="Q",
             dim=dim,
-            det_class=square_class(det),
+            det_class=square_class(prod(diag, start=Fraction(1))),
             hasse=hasse,
             signatures=[(pos, dim - pos)],
             complete=True,
         )
     if kind == "symmetric" and isinstance(ring, QuadRing):
-        det = ring.one()
-        for x in diag:
-            det = det * x
         sig0 = sum(1 for x in diag if x.sign_at(0) > 0)
         sig1 = sum(1 for x in diag if x.sign_at(1) > 0)
         return FormInvariants(
             kind="symmetric",
             base=f"Q(sqrt{ring.field.D})",
             dim=dim,
-            det_element=det,
+            det_element=prod(diag, start=ring.one()),
             signatures=[(sig0, dim - sig0), (sig1, dim - sig1)],
             complete=False,
         )
     if kind == "hermitian" and isinstance(ring, QuadRing):
         dets = [x.as_rational() for x in diag]  # conj-fixed, hence rational
-        det = Fraction(1)
-        for x in dets:
-            det *= x
+        det = prod(dets, start=Fraction(1))
         pos = sum(1 for x in dets if x > 0)
         return FormInvariants(
             kind="hermitian",
@@ -878,9 +863,7 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
             )
         # independent route: the direct-sum rule with square determinants
         d1 = diag1 * 2
-        det2 = Fraction(1)
-        for x in d1:
-            det2 *= x
+        det2 = prod(d1, start=Fraction(1))
         for v in support_places(*(d1 + [det2])):
             s2 = hasse_invariant(d1, v)
             rule = s2 * s2 * hilbert_symbol(det2, det2, v)

@@ -37,8 +37,9 @@ from .quadfield import (
     is_totally_positive,
     prime_exponents,
     prime_splitting,
-    primes_above,
+    prime_above,
     principalize_with_ramified_twists,
+    roots_mod_p,
     sqrt_twists,
 )
 
@@ -204,7 +205,7 @@ def generate_classes(
         last_p = p
         if prime_splitting(field, p) != "split":
             continue
-        pr = primes_above(field, p)[0]
+        pr = prime_above(field, p, roots_mod_p(field, p)[0])
         g = is_principal(pr, eps)
         if g is None:
             continue

@@ -223,6 +223,11 @@ def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
     terminates.  The Gram carried through the steps is checked once against
     B^T F B of the lattice returned."""
     check_completion(L, target_scale)
+    return complete_after_check(L, target_scale)
+
+
+def complete_after_check(L: PadicLattice, target_scale: int) -> PadicLattice:
+    """`maximal_completion` for arguments that `check_completion` passed."""
     current = L
     while (enlarged := _first_superlattice(current, target_scale)) is not None:
         current = enlarged
@@ -472,10 +477,18 @@ def split_local_solve(
     m' q^{-1} Z_p^n by a finite-precision unimodular isometry and round the
     correction to an exact orthogonal matrix through the Cayley transform.
     """
-    p = ctx.p
     q, a, m_prime = mat(q), mat(a), frac(m_prime)
+    qinv, s = check_local_solve(q, a, m_prime, ctx.p)
+    return solve_after_check(q, a, m_prime, ctx, qinv, s)
+
+
+def solve_after_check(
+    q: Matrix, a: Matrix, m_prime: Fraction, ctx: PadicContext, qinv: Matrix, s: Fraction
+) -> Matrix:
+    """`split_local_solve` for rational arguments that `check_local_solve`
+    passed, returning (qinv, s)."""
+    p = ctx.p
     n = len(q)
-    qinv, s = check_local_solve(q, a, m_prime, p)
     b0 = mat_scale(s, a)
     if _mat_p_integral(b0, p):
         return b0
@@ -483,7 +496,8 @@ def split_local_solve(
     target = valuation(m_prime, p)
     form = symmetric_form_q(q)
     lam0 = PadicLattice(ctx, mat_scale(m_prime, qinv), form)
-    lam_max = maximal_completion(lam0, target)
+    # check_completion holds: det q != 0, scale = v(m') + min v(m' q^-1) >= target
+    lam_max = complete_after_check(lam0, target)
     bprime = lam_max.basis
     uprime = mat_scale(1 / m_prime, lam_max.gram())
     if _mat_min_valuation(uprime, p) < 0 or valuation(det(uprime), p) != 0:

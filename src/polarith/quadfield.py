@@ -392,7 +392,7 @@ def prime_splitting(field: QuadField, p: int) -> str:
     return "split" if legendre(disc, p) == 1 else "inert"
 
 
-def _roots_mod_p(field: QuadField, p: int) -> list[int]:
+def roots_mod_p(field: QuadField, p: int) -> list[int]:
     """The distinct roots mod p, ascending, of the minimal polynomial
     x^2 - t x + nw of w, for a p that is split or ramified: (t +- s) / 2
     for a square root s of its discriminant disc mod an odd p, a scan of
@@ -404,13 +404,19 @@ def _roots_mod_p(field: QuadField, p: int) -> list[int]:
     return sorted({(t + s) * half % p, (t - s) * half % p})
 
 
+def prime_above(field: QuadField, p: int, r: int) -> QfIdeal:
+    """The prime ideal (p, w - r) above a split or ramified p, for a root r
+    of the minimal polynomial of w mod p."""
+    return QfIdeal.from_rows(field, [[p, 0], [-r, 1]], 1)
+
+
 def primes_above(field: QuadField, p: int) -> list[QfIdeal]:
     """The prime ideals above p, deterministically ordered (split primes by
     increasing root of the minimal polynomial of w mod p)."""
     if prime_splitting(field, p) == "inert":
         return [QfIdeal.from_rows(field, [[p, 0], [0, p]], 1)]
-    # ideals (p, w - r); a ramified p has one root
-    return [QfIdeal.from_rows(field, [[p, 0], [-r, 1]], 1) for r in _roots_mod_p(field, p)]
+    # a ramified p has one root
+    return [prime_above(field, p, r) for r in roots_mod_p(field, p)]
 
 
 def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int]]]]:
@@ -440,7 +446,7 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
             # at this precision x + y r has the valuation of the P-adic image
             prec = max(vn, 0) + 2 * den.get(p, 0) + 4
             t, nw = field.w_trace, field.w_norm
-            s = [e.x + e.y * lift_root(t, nw, r, p, prec) for r in _roots_mod_p(field, p)]
+            s = [e.x + e.y * lift_root(t, nw, r, p, prec) for r in roots_mod_p(field, p)]
             # s = 0 exactly: the other prime carries the norm's valuation
             vals = [valuation(si, p) if si else vn - valuation(s[1 - i], p) for i, si in enumerate(s)]
             if vals[0] + vals[1] != vn:

@@ -860,3 +860,53 @@ def test_experiment_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize(
+    "kind, base, gram, lower",
+    [
+        pytest.param("symmetric", {"type": "Q"}, [["1", "2"], ["2", "5"]], "3", id="symmetric"),
+        pytest.param(
+            "hermitian",
+            {"type": "quadfield", "D": -1},
+            [[["1", "0"], ["1", "2"]], [["-7", "-2"], ["3", "0"]]],
+            ["1", "-2"],
+            id="hermitian",
+        ),
+        pytest.param(
+            "quat-skew-hermitian",
+            {"type": "quaternion", "a": "-1", "b": "-1"},
+            [[["0", "1", "0", "0"], ["1", "1", "0", "0"]], [["-1", "1", "0", "0"], ["0", "0", "1", "0"]]],
+            ["-1", "1", "0", "1"],
+            id="quat-skew-hermitian",
+        ),
+    ],
+)
+def test_gram_broken_in_one_lower_entry_is_refused(tmp_path, kind, base, gram, lower):
+    """The kind is checked on the upper triangle only, where the condition
+    at (i, j) is the involution of the one at (j, i): a Gram of the kind
+    classifies, and the same Gram with its (1, 0) entry changed alone is
+    `invariant:gram`."""
+    form = {"kind": kind, "base": base, "gram": gram}
+    code, out = run_cli(tmp_path, "classify-form", {"form": form})
+    assert code == 0 and out["invariants"]["kind"] == kind
+    broken = {**form, "gram": [gram[0], [lower, gram[1][1]]]}
+    code, out = run_cli(tmp_path, "classify-form", {"form": broken})
+    assert code == 1 and out["error"]["code"] == "invariant:gram"
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once; each call still reads its own flags: a
+    call with `-o file --height 0` and then one with neither write where
+    and what each asked for."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps({"D": 5, "count": 2}))
+    assert main(["hecke-classes", str(inp), "-o", str(out), "--height", "0"]) == 0
+    first = json.loads(out.read_text())
+    assert "negatives_confirmed_at_height" not in first
+    capsys.readouterr()
+    assert main(["hecke-classes", str(inp)]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["negatives_confirmed_at_height"] == {"height": 3, "confirmed": True}
+    assert {k: v for k, v in second.items() if k != "negatives_confirmed_at_height"} == first
+    assert json.loads(out.read_text()) == first

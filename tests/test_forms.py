@@ -26,7 +26,18 @@ from polarith.forms import (
     skew_standard_witness,
     symmetric_form_q,
 )
-from polarith.linalg import RationalRing, conj_transpose, det, frac, inverse, mat_mul, transpose
+from polarith.exact import valuation
+from polarith.linalg import (
+    RationalRing,
+    conj_transpose,
+    det,
+    frac,
+    identity,
+    inverse,
+    mat_mul,
+    qbasis,
+    transpose,
+)
 from polarith.quadfield import QuadField
 
 QR = RationalRing()
@@ -447,7 +458,7 @@ def test_isometric_never_false_with_witness_dim4():
 
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 
@@ -771,3 +782,169 @@ def test_split_quaternion_skew_forms_get_invariants():
         else:
             assert _nrd_through_m2(g) == 0
     assert min(seen.values()) > 10
+
+
+# ---------------------------------------------------------------------------
+# The Schur-complement elimination against the whole-column one
+
+
+def _reference_diagonalize(f, unit_inverse=None):
+    """The elimination `diagonalize` replaced: every column operation is
+    applied to a whole column and a whole row of G and to a whole column
+    of u, so rows and columns before k are zeroed as it goes."""
+    ring, n = f.ring, f.dim
+    g = [row[:] for row in f.gram]
+    u = identity(n, ring)
+    if unit_inverse is None:
+
+        def unit_inverse(x):
+            try:
+                return ring.inv(x)
+            except ZeroDivisionError:
+                return None
+
+    def col_op(target, source, c):
+        for r in range(n):
+            g[r][target] = g[r][target] + g[r][source] * c
+        for r in range(n):
+            g[target][r] = g[target][r] + f.entry_conj(c) * g[source][r]
+        for r in range(n):
+            u[r][target] = u[r][target] + u[r][source] * c
+
+    def pivot(k):
+        for i in range(k, n):
+            inv = unit_inverse(g[i][i])
+            if inv is not None:
+                return i, inv
+        for i in range(k, n):
+            for j in range(k, n):
+                if i == j:
+                    continue
+                for lam in qbasis(ring):
+                    lam_c = f.entry_conj(lam)
+                    inv = unit_inverse(g[i][i] + lam_c * g[j][i] + g[i][j] * lam + lam_c * g[j][j] * lam)
+                    if inv is not None:
+                        col_op(i, j, lam)
+                        return i, inv
+        raise FormError("cannot diagonalize: no unit pivot")
+
+    for k in range(n):
+        i, pivot_inv = pivot(k)
+        if i != k:
+            for r in range(n):
+                g[r][k], g[r][i] = g[r][i], g[r][k]
+            g[k], g[i] = g[i], g[k]
+            for r in range(n):
+                u[r][k], u[r][i] = u[r][i], u[r][k]
+        for j in range(k + 1, n):
+            if not ring.is_zero(g[k][j]):
+                col_op(j, k, -(pivot_inv * g[k][j]))
+    return [g[i][i] for i in range(n)], u
+
+
+def _p_adic_unit_inverse(p):
+    """The pivot rule of `lattices_local._reduce_to_standard`: x^{-1} for
+    a p-adic unit x."""
+    return lambda x: 1 / x if x and valuation(x, p) == 0 else None
+
+
+# (kind, ring, largest dimension, pivot rule), one per base the elimination sees
+DIAGONALIZE_CASES = {
+    "Q": ("symmetric", QR, 8, None),
+    "Q(sqrt5)": ("symmetric", QuadRing(F5), 4, None),
+    "Q(sqrt-1)": ("hermitian", QuadRing(Fi), 4, None),
+    "Q(sqrt-5)": ("hermitian", QuadRing(QuadField(-5)), 4, None),
+    "(-1,-1/Q)": ("hermitian", QuaternionRing(QR, Fraction(-1), Fraction(-1)), 3, None),
+    "(1,1/Q) skew": ("quat-skew-hermitian", QuaternionRing(QR, Fraction(1), Fraction(1)), 3, None),
+    "Q 3-adic": ("symmetric", QR, 6, 3),
+    "Q 5-adic": ("symmetric", QR, 6, 5),
+}
+
+_coord = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(3, 5)])
+# p-integral, with units and non-units at p = 3 and 5
+_p_adic_coord = st.sampled_from([0, 1, -1, 2, 3, 5, -6, 10])
+
+
+@st.composite
+def _diagonalize_case(draw):
+    """(form, unit_inverse): the Gram's upper triangle drawn freely, its
+    diagonal involution-fixed (pure quaternions for the skew kind).  The
+    diagonal is drawn whole, with some entries zero, or all zero, so the
+    v_i += v_j lam pivot search runs.  Q is drawn twice as often as the
+    other bases, for its dimensions up to 8."""
+    name = draw(st.sampled_from(["Q", *sorted(DIAGONALIZE_CASES)]))
+    kind, ring, top, p = DIAGONALIZE_CASES[name]
+    n = draw(st.integers(1, top))
+    zeros = draw(st.sampled_from(["none", "some", "all"]))
+    coord = _coord if p is None else _p_adic_coord
+
+    def element():
+        return ring.from_qcoords([Fraction(draw(coord)) for _ in range(ring.dim_q)])
+
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        if zeros == "all" or (zeros == "some" and draw(st.booleans())):
+            g[i][i] = ring.zero()
+        elif kind == "quat-skew-hermitian":
+            g[i][i] = ring.from_qcoords([Fraction(0)] + [Fraction(draw(_coord)) for _ in range(3)])
+        elif kind == "hermitian":
+            g[i][i] = ring.coerce(Fraction(draw(coord)))
+        else:
+            g[i][i] = element()
+        for j in range(i + 1, n):
+            g[i][j] = element()
+            conj = g[i][j] if kind == "symmetric" else ring.conj(g[i][j])
+            g[j][i] = -conj if kind == "quat-skew-hermitian" else conj
+    f = GramForm(kind, ring, g)
+    return f, None if p is None else _p_adic_unit_inverse(p)
+
+
+def _diagonalize_outcome(fn, f, unit_inverse):
+    try:
+        return fn(f, unit_inverse)
+    except FormError as exc:
+        return "FormError", str(exc)
+
+
+@seed(20161)
+@given(case=_diagonalize_case())
+@settings(max_examples=400, deadline=None)
+def test_diagonalize_matches_reference(case):
+    """`diagonalize` returns the diag and u of the whole-column elimination
+    entry for entry, or refuses where it refuses, over every base and
+    pivot rule it serves."""
+    f, unit_inverse = case
+    got = _diagonalize_outcome(diagonalize, f, unit_inverse)
+    assert got == _diagonalize_outcome(_reference_diagonalize, f, unit_inverse)
+    if got[0] != "FormError":
+        diag, u = got
+        n, zero = f.dim, f.ring.zero()
+        assert f.transform(u).gram == [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "gram, kind, ring, unit_inverse",
+    [
+        pytest.param([[0, 1], [1, 0]], "symmetric", QR, None, id="Q-hyperbolic-plane"),
+        pytest.param([[0, 1, 2], [1, 0, 3], [2, 3, 0]], "symmetric", QR, None, id="Q-zero-diagonal"),
+        pytest.param([[3, 1], [1, 3]], "symmetric", QR, _p_adic_unit_inverse(3), id="3-adic-lam"),
+        pytest.param(SPLIT_SKEW_GRAM, "quat-skew-hermitian", SPLIT, None, id="split-zero-divisor"),
+    ],
+)
+def test_diagonalize_matches_reference_on_pivot_searches(gram, kind, ring, unit_inverse):
+    """Forms whose first diagonal entry is no pivot: a hyperbolic plane and
+    a zero diagonal (the v_i += v_j lam search), a 3-adic non-unit
+    diagonal, and a zero-divisor (0, 0) entry over (1,1/Q)."""
+    if ring is QR:
+        g = [[Fraction(x) for x in row] for row in gram]
+    else:
+        g = [[ring.from_qcoords([Fraction(c) for c in e]) for e in row] for row in gram]
+    f = GramForm(kind, ring, g)
+    if unit_inverse is None:
+        with pytest.raises(ZeroDivisionError):
+            ring.inv(g[0][0])
+    else:
+        assert unit_inverse(g[0][0]) is None
+    got = _diagonalize_outcome(diagonalize, f, unit_inverse)
+    assert got[0] != "FormError"
+    assert got == _diagonalize_outcome(_reference_diagonalize, f, unit_inverse)
