@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .exact import rational_sqrt, valuation
 from .linalg import (
@@ -34,6 +35,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_to_qcoords,
+    numerators,
     qbasis,
     regular_matrix,
     scalar_of,
@@ -578,7 +580,9 @@ def local_norm(algebra: AlgebraWithInvolution, x, p: int, spec: NormSpec) -> Fra
 class OrderR:
     """A dagger-stable order, given by a Z-basis.  Closure under
     multiplication, stability under the involution, presence of 1 and full
-    rank are verified at construction."""
+    rank are verified at construction.  The inverse basis matrix is kept as
+    integer numerators over one denominator, so membership is a
+    divisibility test on integers."""
 
     algebra: AlgebraWithInvolution
     basis_elements: tuple
@@ -588,12 +592,12 @@ class OrderR:
         if len(self.basis_elements) != n:
             raise AlgebraError("order basis must have full rank")
         rows = [self.algebra.to_qcoords(b) for b in self.basis_elements]
-        m = mat(rows)
         try:
-            minv = inverse(m)
+            minv = inverse(rows)
         except ZeroDivisionError:
             raise AlgebraError("order basis is singular") from None
-        object.__setattr__(self, "_minv", minv)
+        num, den = numerators(minv)
+        object.__setattr__(self, "_minv", (list(zip(*num)), den))
         if not self.contains(self.algebra.one()):
             raise AlgebraError("order must contain 1")
         for b in self.basis_elements:
@@ -605,17 +609,23 @@ class OrderR:
                     raise AlgebraError("order is not closed under multiplication")
 
     def basis_matrix_is_identity(self) -> bool:
-        rows = [self.algebra.to_qcoords(b) for b in self.basis_elements]
-        return rows == identity(len(rows))
+        cols, den = self._minv
+        return den == 1 and cols == [tuple(row) for row in identity(len(cols))]
+
+    def _scaled_coordinates(self, x) -> tuple[list[int], int]:
+        """(s, t) with coordinates(x) = s / t: the integer numerators of x's
+        Q-coordinates times those of the inverse basis matrix."""
+        (c,), cd = numerators([self.algebra.to_qcoords(x)])
+        cols, den = self._minv
+        return [sum(map(mul, c, col)) for col in cols], cd * den
 
     def coordinates(self, x) -> list[Fraction]:
-        coords = self.algebra.to_qcoords(x)
-        minv = self._minv
-        n = len(coords)
-        return [sum((coords[i] * minv[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+        s, t = self._scaled_coordinates(x)
+        return [Fraction(v, t) for v in s]
 
     def contains(self, x) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(x))
+        s, t = self._scaled_coordinates(x)
+        return all(v % t == 0 for v in s)
 
     def element_from_coordinates(self, coords):
         acc = self.algebra.zero()

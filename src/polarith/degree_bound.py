@@ -610,8 +610,9 @@ def _rational_scalar_forms(inst: BoundInstance) -> list[list[tuple]]:
     sum_ij x_i x_j T_ij with T_ij = to_qcoords(e_i^dagger q e_j), and V is a
     rational multiple of u = to_qcoords(1) iff u[k0] V_k - u[k] V_k0 = 0 for
     every k, k0 the first nonzero coordinate of u.  Each form is a list of
-    (i, j, c), i <= j, with denominators cleared; all-zero forms are
-    dropped."""
+    (i, j, c), i <= j, with denominators cleared; all-zero forms and
+    repeats (b^T q b is symmetric in M_n(Q) under the transpose, so
+    coordinates (k, l) and (l, k) give one form) are dropped."""
     A = inst.algebra
     dim = A.dim_q
     basis = inst.order.basis_elements
@@ -633,7 +634,9 @@ def _rational_scalar_forms(inst: BoundInstance) -> list[list[tuple]]:
                     terms.append((i, j, c))
         if terms:
             den = lcm(*(c.denominator for _, _, c in terms))
-            forms.append([(i, j, int(c * den)) for i, j, c in terms])
+            form = [(i, j, int(c * den)) for i, j, c in terms]
+            if form not in forms:
+                forms.append(form)
     return forms
 
 

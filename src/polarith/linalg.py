@@ -2,7 +2,10 @@
 
 Matrices are plain lists of rows.  Every matrix operation is written once,
 generic over a ring descriptor (`Ring`): the rationals (`QQ`, the default),
-quadratic fields, quaternion algebras and the etale pair Q x Q.  The
+quadratic fields, quaternion algebras and the etale pair Q x Q.  Over Q
+alone, `mat_mul`, `det` and `inverse` run on integer numerators over one
+denominator (`numerators`): an integer product, and fraction-free (Bareiss)
+elimination; the other rings take the generic path.  The
 matrix over Q of v -> a v (`regular_matrix`) inverts a past zero-divisor
 pivots, and its determinant decides nonsingularity and quaternion norms.
 Integer Hermite normal forms and lattice intersection live here too.
@@ -12,7 +15,7 @@ Everything is denominator-exact; no floats appear anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 from typing import Protocol, runtime_checkable
 
@@ -25,6 +28,13 @@ def frac(x) -> Fraction:
 
 def mat(rows) -> Matrix:
     return [[frac(x) for x in row] for row in rows]
+
+
+def numerators(a: list) -> tuple[list[list[int]], int]:
+    """(N, d) with a = N / d: N an integer matrix and d the least positive
+    common denominator of the int and Fraction entries of a."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +176,12 @@ def mat_scale(c, a: list, ring: Ring = QQ) -> list:
 
 
 def mat_mul(a: list, b: list, ring: Ring = QQ) -> list:
+    if type(ring) is RationalRing:
+        na, da = numerators(a)
+        nb, db = numerators(b)
+        d = da * db
+        bt = list(zip(*nb))
+        return [[Fraction(sum(map(mul, row, col)), d) for col in bt] for row in na]
     zero = ring.zero()
     bt = list(zip(*b))
     return [[sum(map(mul, row, col), zero) for col in bt] for row in a]
@@ -177,11 +193,15 @@ def mat_eq(a: list, b: list, ring: Ring = QQ) -> bool:
 
 def det(a: list, ring: Ring = QQ):
     """Determinant over a commutative ring descriptor, by forward Gaussian
-    elimination.  When a pivot has no inverse (a zero divisor of Q x Q), it
+    elimination (over Q, fraction-free on integer numerators).  When a pivot has no inverse (a zero divisor of Q x Q), it
     is (-1)^n times the constant term of `charpoly`, which divides by
     integers only."""
-    is_zero = ring.is_zero
     n = len(a)
+    if type(ring) is RationalRing:
+        m, d = numerators(a)
+        pivot, sign = _bareiss(m, n, jordan=False)
+        return Fraction(sign * pivot, d**n)
+    is_zero = ring.is_zero
     m = [row[:] for row in a]
     sign = 1
     acc = ring.one()
@@ -208,6 +228,36 @@ def det(a: list, ring: Ring = QQ):
                 f = row[col] * pinv
                 row[col + 1 :] = [x - f * y for x, y in zip(row[col + 1 :], tail)]
     return -acc if sign < 0 else acc
+
+
+def _bareiss(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int]:
+    """Fraction-free elimination of the integer rows m in place on their
+    first n columns (n rows), as (last pivot, sign): their product is the
+    determinant of that n x n block, and the last pivot is 0 when it is
+    singular.  Each step k updates row i (below k; every row but k when
+    `jordan`) to (p_k m_i - m_ik m_k) / p_(k-1) on the columns after k.
+    By Sylvester's identity the entries stay minors of order k + 1 of the
+    row-permuted m (Bareiss, Math. Comp. 22, 1968), so every division is
+    exact.  Gauss-Jordan on [N | I] thus ends at [p I | p N^-1]; columns
+    up to k are stale afterwards and never read again."""
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, sign
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        prow = m[k]
+        pk = prow[k]
+        tail = prow[k + 1 :]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pk
+    return prev, sign
 
 
 def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
@@ -240,10 +290,19 @@ def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
 def inverse(a: list, ring: Ring = QQ) -> list:
     """The two-sided inverse; raises ZeroDivisionError when there is none.
 
-    Elimination runs over the ring.  When a pivot is a zero divisor (of
+    Elimination runs over the ring (over Q, fraction-free Gauss-Jordan on
+    integer numerators).  When a pivot is a zero divisor (of
     Q x Q or a split quaternion algebra), the matrix is inverted through
     its left-regular representation over Q instead."""
     n = len(a)
+    if type(ring) is RationalRing:
+        num, d = numerators(a)
+        m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
+        pivot, _ = _bareiss(m, n, jordan=True)
+        if pivot == 0:
+            raise ZeroDivisionError("matrix not invertible")
+        # a^-1 = d N^-1 = d (p N^-1) / p
+        return [[Fraction(d * x, pivot) for x in row[n:]] for row in m]
     m = [row + eye for row, eye in zip(a, identity(n, ring))]
     try:
         rank = len(_row_reduce(m, n, ring))
@@ -374,14 +433,6 @@ def charpoly(a: list, ring: Ring = QQ) -> list:
 # Integer lattices
 
 
-def denominator_lcm(a: Matrix) -> int:
-    d = 1
-    for row in a:
-        for x in row:
-            d = d * x.denominator // gcd(d, x.denominator)
-    return d
-
-
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form (upper echelon, positive pivots, entries
     above a pivot reduced into [0, pivot)).  Zero rows are dropped."""
@@ -428,26 +479,18 @@ def lattice_intersection(bases: list[list[list[int]]], n: int) -> list[list[int]
     over Q and rescaled to integer matrices.
     """
 
-    def dual_rows(b: list[list[int]]) -> Matrix:
-        binv = inverse(mat(b))
-        return transpose(binv)
+    def dual_rows(b: list) -> Matrix:
+        return transpose(inverse(b))
 
     acc = bases[0]
     for nxt in bases[1:]:
-        d1 = dual_rows(acc)
-        d2 = dual_rows(nxt)
-        scale = 1
-        for rows in (d1, d2):
-            scale_l = denominator_lcm(rows)
-            scale = scale * scale_l // gcd(scale, scale_l)
-        stacked = [[int(x * scale) for x in row] for row in d1 + d2]
+        stacked, scale = numerators(dual_rows(acc) + dual_rows(nxt))
         summed = hnf(stacked)
         if len(summed) != n:
             raise ValueError("lattices do not span")
         dsum = [[Fraction(x, scale) for x in row] for row in summed]
-        inter = dual_rows(dsum)
-        den = denominator_lcm(inter)
+        inter, den = numerators(dual_rows(dsum))
         if den != 1:
             raise ValueError("intersection is not integral")
-        acc = hnf([[int(x) for x in row] for row in inter])
+        acc = hnf(inter)
     return acc

@@ -23,7 +23,7 @@ from polarith.algebras import (
     quadfield_algebra,
     rational_algebra,
 )
-from polarith.linalg import RationalRing, identity, qbasis
+from polarith.linalg import RationalRing, identity, inverse, mat_mul, qbasis
 from polarith.quadfield import QuadField
 
 F5 = QuadField(5)
@@ -275,6 +275,97 @@ def test_order_membership():
     order = maximal_order_quadfield(A)
     assert order.contains((F5.omega(),))
     assert not order.contains((F5.omega() / 2,))
+
+
+def _reference_coordinates(rows, v):
+    """The c with sum_i c_i rows_i = v, by Gauss-Jordan over Fraction on the
+    transposed system."""
+    n = len(rows)
+    m = [[Fraction(rows[i][j]) for i in range(n)] + [Fraction(v[j])] for j in range(n)]
+    for k in range(n):
+        piv = next(r for r in range(k, n) if m[r][k] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return [row[n] for row in m]
+
+
+def _unit(i, j, c=1):
+    """c e_ij in M_2(Q), as an element of `matrix_algebra_q(2)`."""
+    return ([[Fraction(c * (r == i and k == j)) for k in range(2)] for r in range(2)],)
+
+
+def _random_gl2z(rng):
+    g = [[1, 0], [0, 1]]
+    for _ in range(4):
+        t = rng.randint(-3, 3)
+        g = [[g[1][0] + t * g[0][0], g[1][1] + t * g[0][1]], g[0]]
+    return g
+
+
+def _orders_off_the_identity(rng):
+    """Orders whose basis matrix is not the identity: Z[omega] over
+    Q(sqrt 5) (D = 1 mod 4) and Z[sqrt 5] (its inverse basis matrix has
+    denominator 2), each in a basis moved by a random GL_2(Z) matrix; M_2(Z)
+    in the basis g e_ij g^-1 for a random g in GL_2(Z); and Z + 2 M_2(Z),
+    whose inverse basis matrix has denominator 2."""
+    Af = quadfield_algebra(F5)
+    w, one = F5.omega(), F5.one()
+    for pair in ((one, w), (one, w * 2 - one)):
+        g = _random_gl2z(rng)
+        yield "Z[omega]" if pair[1] == w else "Z[sqrt5]", OrderR(
+            Af, tuple((pair[0] * Fraction(r[0]) + pair[1] * Fraction(r[1]),) for r in g)
+        )
+    Am = matrix_algebra_q(2)
+    g = [[Fraction(x) for x in row] for row in _random_gl2z(rng)]
+    ginv = inverse(g)
+    conj = tuple((mat_mul(mat_mul(g, e[0]), ginv),) for e in qbasis(Am))
+    yield "g M_2(Z) g^-1", OrderR(Am, conj)
+    yield "Z + 2 M_2(Z)", OrderR(Am, (Am.one(), _unit(0, 1, 2), _unit(1, 0, 2), _unit(1, 1, 2)))
+
+
+def test_order_coordinates_and_membership_match_a_fraction_reference():
+    """coordinates(x) and contains(x) agree with solving for x in the basis
+    over Fraction, for random elements of the algebra and of the order
+    (some scaled by 1/2 or 1/3)."""
+    rng = random.Random(17)
+    for _ in range(5):
+        for name, order in _orders_off_the_identity(rng):
+            A = order.algebra
+            rows = [A.to_qcoords(b) for b in order.basis_elements]
+            assert not order.basis_matrix_is_identity(), name
+            for _ in range(20):
+                if rng.random() < 0.5:
+                    x = A.from_qcoords([Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4])) for _ in rows])
+                else:
+                    x = order.element_from_coordinates([rng.randint(-5, 5) for _ in rows])
+                    x = A.scale(Fraction(1, rng.choice([1, 1, 2, 3])), x)
+                expected = _reference_coordinates(rows, A.to_qcoords(x))
+                got = order.coordinates(x)
+                assert got == expected and all(type(c) is Fraction for c in got), name
+                assert order.contains(x) == all(c.denominator == 1 for c in expected), name
+    assert matrix_order_z(matrix_algebra_q(2)).basis_matrix_is_identity()
+    assert maximal_order_quadfield(quadfield_algebra(F5)).basis_matrix_is_identity()
+
+
+def test_non_orders_are_refused_with_their_reason():
+    Am = matrix_algebra_q(2)
+    eye, e = Am.one(), _unit
+    cases = [
+        ((eye, e(0, 1), e(1, 0)), "order basis must have full rank"),
+        ((eye, e(0, 1), e(0, 1, 2), e(1, 1)), "order basis is singular"),
+        ((Am.scale(2, eye), e(0, 1), e(1, 0), e(1, 1)), "order must contain 1"),
+        # an order (lower-left entry even), but not transpose-stable
+        ((eye, e(0, 1), e(1, 0, 2), e(1, 1)), "order is not dagger-stable"),
+        # transpose-stable with 1, but (e01 + e10) e11 = e01 is missing
+        ((eye, Am.add(e(0, 1), e(1, 0)), e(1, 1), e(0, 1, 2)), "order is not closed under multiplication"),
+    ]
+    for basis, reason in cases:
+        with pytest.raises(AlgebraError, match=f"^{reason}$"):
+            OrderR(Am, basis)
 
 
 def test_swap_pair_norm_compat():

@@ -11,6 +11,7 @@ from polarith.degree_bound import (
     BoundResult,
     DegreeBoundError,
     OracleBudgetError,
+    _rational_scalar_forms,
     _shell,
     brute_force_oracle,
     identity_form_decomposition,
@@ -119,6 +120,21 @@ def test_oracle_finds_minimum():
     assert res is not None
     assert res.norm_b == 1
     assert res.method == "oracle"
+
+
+def test_rational_scalar_forms_are_distinct():
+    """Under the transpose, b^T q b is symmetric for symmetric q, so the
+    coordinates (0, 1) and (1, 0) of M_2(Q) give one form, kept once: the
+    off-diagonal entry and the difference of the diagonal entries."""
+    A = matrix_algebra_q(2)
+    inst = BoundInstance(A, NormSpec(A, (1,)), OrderR(A, tuple(qbasis(A))), (mat([[2, 1], [1, 3]]),), None)
+    forms = _rational_scalar_forms(inst)
+    assert len(forms) == 2 and forms[0] != forms[1]
+    for x in _shell(4, 2):
+        b = (mat([[x[0], x[1]], [x[2], x[3]]]),)
+        btqb = mat_mul(mat_mul(transpose(b[0]), inst.q[0]), b[0])
+        scalar = btqb[0][1] == 0 and btqb[0][0] == btqb[1][1]
+        assert scalar == (not any(sum(c * x[i] * x[j] for i, j, c in f) for f in forms))
 
 
 def test_oracle_none_when_obstructed():

@@ -6,8 +6,9 @@ Q x Q."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from sympy import primefactors
 
 from polarith.algebras import QuadRing, QuaternionRing
 from polarith.forms import EtalePairRing, PairElem
@@ -24,6 +25,7 @@ from polarith.linalg import (
     mat_mul,
     mat_to_qcoords,
     nullspace,
+    numerators,
     qbasis,
     scalar_of,
     transpose,
@@ -243,3 +245,134 @@ def test_scalar_of_agrees_with_its_definition(ring, data):
         assert got is not None and ring.is_zero(got - a[0][0])
     else:
         assert got is None
+
+
+# ---------------------------------------------------------------------------
+# The Q kernels on integer numerators against plain Fraction arithmetic
+
+
+def _reference_mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _reference_det(a):
+    """Forward Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n, acc = len(m), Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            acc = -acc
+        acc *= m[k][k]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return acc
+
+
+def _reference_inverse(a):
+    """Gauss-Jordan elimination of [a | I] over Fraction."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix not invertible")
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return [row[n:] for row in m]
+
+
+# ints and Fractions mixed, zero often, denominators up to 12
+_q_entry = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+def _q_matrix(draw, rows, cols):
+    return [[draw(_q_entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _q_product(draw):
+    """(a, b) of shapes r x k and k x c, each of r, k, c in 0-6."""
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return _q_matrix(draw, r, k), _q_matrix(draw, k, c)
+
+
+@st.composite
+def _q_square(draw):
+    """n x n for n = 0-7, drawn free, with a zero row, or with one row a
+    rational combination of two others (so singular)."""
+    n = draw(st.integers(0, 7))
+    a = _q_matrix(draw, n, n)
+    shape = draw(st.sampled_from(["free", "free", "zero-row", "dependent"]))
+    if shape == "zero-row" and n:
+        a[draw(st.integers(0, n - 1))] = [draw(st.sampled_from([0, Fraction(0)])) for _ in range(n)]
+    elif shape == "dependent" and n >= 2:
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c, e = draw(_q_entry), draw(_q_entry)
+        if j != i and k != i:
+            a[i] = [c * x + e * y for x, y in zip(a[j], a[k])]
+    return a
+
+
+def _all_fractions(m):
+    return all(type(x) is Fraction for row in m for x in row)
+
+
+@seed(17)
+@settings(max_examples=300, deadline=None)
+@given(ab=_q_product())
+def test_q_mat_mul_matches_reference(ab):
+    """Rectangular products, zero rows and mixed int/Fraction entries; every
+    entry of the product is a Fraction, so its str() is what it was."""
+    a, b = ab
+    got, expected = mat_mul(a, b), _reference_mat_mul(a, b)
+    assert got == expected and _all_fractions(got)
+    assert [[str(x) for x in row] for row in got] == [[str(x) for x in row] for row in expected]
+
+
+@seed(18)
+@settings(max_examples=300, deadline=None)
+@given(a=_q_square())
+def test_q_det_matches_reference(a):
+    got = det(a)
+    assert got == _reference_det(a) and type(got) is Fraction
+
+
+@seed(19)
+@settings(max_examples=300, deadline=None)
+@given(a=_q_square())
+def test_q_inverse_matches_reference(a):
+    """Equal to Fraction Gauss-Jordan entry for entry, or refused with the
+    same ZeroDivisionError, exactly when the determinant is 0."""
+    try:
+        expected = _reference_inverse(a)
+    except ZeroDivisionError:
+        assert det(a) == 0
+        with pytest.raises(ZeroDivisionError, match="^matrix not invertible$"):
+            inverse(a)
+        return
+    got = inverse(a)
+    assert got == expected and _all_fractions(got)
+
+
+@seed(20)
+@settings(max_examples=100, deadline=None)
+@given(a=_q_square())
+def test_numerators_clears_the_least_denominator(a):
+    num, d = numerators(a)
+    assert all(type(x) is int for row in num for x in row) and d >= 1
+    assert [[Fraction(x, d) for x in row] for row in num] == a
+    # no smaller positive denominator would do: d / p fails for each prime p | d
+    for p in primefactors(d):
+        assert any((d // p * Fraction(x)).denominator != 1 for row in a for x in row)
