@@ -2,10 +2,11 @@
 (Q, quadratic field, quaternion algebra, matrix algebras over these),
 dagger-stable orders, and norms with per-factor exponents.
 
-A factor's norm is |Nm_{F/Q}(Nrd x)| over its centre F.  Over a field
-base Nrd is the determinant; over a quaternion base the norm is read off
-the determinant over Q of v -> x v (`linalg.regular_matrix`), which is
-Nm_{F/Q}(Nrd x)^2.
+A factor's norm is |Nm_{F/Q}(Nrd x)| over its centre F: |x| on Q,
+|Nm_{F/Q}(x)| on a quadratic field and |det x| on M_n(Q).  Every other
+factor reads it off the determinant over Q of v -> x v
+(`linalg.regular_matrix`), which is Nm_{F/Q}(Nrd x) on M_n of a quadratic
+field and Nm_{F/Q}(Nrd x)^2 over a quaternion base.
 
 Elements are tuples of per-factor components.  Component arithmetic is
 dispatched through small ring descriptors (the `linalg.Ring` protocol), so
@@ -404,14 +405,18 @@ class SimpleFactor:
     # --- norms -------------------------------------------------------------
     def abs_norm(self, x) -> Fraction:
         """|Nm_{F/Q}(Nrd x)|, F the centre (see the module docstring)."""
-        if isinstance(self.ring, QuaternionRing):
-            sq = det(regular_matrix(x if self.matrix_size else [[x]], self.ring))
-            root = rational_sqrt(sq) if sq else sq
-            if root is None:
-                raise AlgebraError(f"internal: regular determinant {sq} is not a square")
-            return root
-        nrd = det(x, self.ring) if self.matrix_size else x
-        return abs(nrd.norm() if isinstance(self.ring, QuadRing) else frac(nrd))
+        quaternion = isinstance(self.ring, QuaternionRing)
+        if not (self.matrix_size or quaternion):
+            return abs(x.norm() if isinstance(self.ring, QuadRing) else frac(x))
+        if isinstance(self.ring, RationalRing):
+            return abs(det(x))
+        reg = det(regular_matrix(x if self.matrix_size else [[x]], self.ring))
+        if not quaternion:
+            return abs(reg)
+        root = rational_sqrt(reg) if reg else reg
+        if root is None:
+            raise AlgebraError(f"internal: regular determinant {reg} is not a square")
+        return root
 
     def __repr__(self):
         if self.matrix_size:

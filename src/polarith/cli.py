@@ -56,7 +56,7 @@ from .lattices_local import (
     scale,
     solve_after_check,
 )
-from .linalg import RationalRing, det, frac, mat, qbasis
+from .linalg import QQ, RationalRing, det, frac, mat, qbasis
 from .quadfield import QuadField, QuadFieldError, ResourceError
 from .hecke_classes import HeckeError, exhaustive_witness_search, generate_classes
 
@@ -101,15 +101,28 @@ def _coords(v, n: int, where: str) -> list[Fraction]:
     return [_rat(c, where) for c in v]
 
 
-def _matrix(v, where: str, n: int | None = None):
-    """A nonempty square matrix of rationals; n x n when `n` is given."""
+def _entry(v, ring, where: str):
+    """A matrix entry over `ring`: a rational over Q, else the list of the
+    entry's Q-coordinates."""
+    if isinstance(ring, RationalRing):
+        return _rat(v, where)
+    if not isinstance(v, list) or len(v) != ring.dim_q:
+        raise InputError(
+            "schema:bad-entry", f"{where}: entries over {ring!r} are lists of {ring.dim_q} rationals"
+        )
+    return ring.from_qcoords([_rat(x, where) for x in v])
+
+
+def _matrix(v, where: str, n: int | None = None, ring=QQ):
+    """A nonempty square matrix over `ring` (of rationals by default); n x n
+    when `n` is given."""
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise InputError("schema:bad-matrix", f"{where}: expected a list of rows")
     if any(len(r) != len(v) for r in v):
         raise InputError("schema:bad-matrix", f"{where}: matrix must be square")
     if n is not None and len(v) != n:
         raise InputError("schema:bad-matrix", f"{where}: expected a {n} x {n} matrix")
-    return [[_rat(x, where) for x in row] for row in v]
+    return [[_entry(x, ring, where) for x in row] for row in v]
 
 
 def _serialize_matrix(m) -> list:
@@ -169,18 +182,9 @@ def parse_form(doc, where: str = "form") -> GramForm:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("schema:bad-matrix", f"{where}.gram: must be square")
-
-    def entry(v, w):
-        """A rational over Q, else the list of the entry's Q-coordinates."""
-        if isinstance(ring, RationalRing):
-            return _rat(v, w)
-        if not isinstance(v, list) or len(v) != ring.dim_q:
-            raise InputError(
-                "schema:bad-entry", f"{w}: entries over {ring!r} are lists of {ring.dim_q} rationals"
-            )
-        return ring.from_qcoords([_rat(x, w) for x in v])
-
-    gram = [[entry(rows[i][j], f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)]
+    gram = [
+        [_entry(rows[i][j], ring, f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)
+    ]
     try:
         return GramForm(doc["kind"], ring, gram)
     except FormError as exc:
@@ -323,7 +327,7 @@ def _parse_general_algebra(alg, where: str):
                 )
             n = _int(fd["n"], w + ".n", least=1)
             z = fd.get("z")
-            zf = _freeze(_matrix(z, w + ".z")) if z is not None else None
+            zf = _freeze(_matrix(z, w + ".z", n, base)) if z is not None else None
             factors.append(
                 SimpleFactor(base, matrix_size=n, involution="conjugate_transpose", z=zf)
             )
@@ -401,7 +405,7 @@ def parse_instance(doc, where: str = "instance") -> BoundInstance:
 def serialize_element(inst: BoundInstance, x) -> object:
     if len(inst.algebra.factors) == 1:
         f0 = inst.algebra.factors[0]
-        if f0.matrix_size:
+        if f0.matrix_size and isinstance(f0.ring, RationalRing):
             return _serialize_matrix(x[0])
         if isinstance(x[0], Fraction):
             return str(x[0])

@@ -1,15 +1,17 @@
 """Exact linear algebra: the one matrix layer of the package.
 
-Matrices are plain lists of rows.  Every matrix operation is written once,
-generic over a ring descriptor (`Ring`): the rationals (`QQ`, the default),
-quadratic fields, quaternion algebras and the etale pair Q x Q.  Over Q
-alone, `mat_mul`, `det` and `inverse` run on integer numerators over one
-denominator (`numerators`): an integer product, and fraction-free (Bareiss)
-elimination; the other rings take the generic path.  The
-matrix over Q of v -> a v (`regular_matrix`) inverts a past zero-divisor
-pivots, and its determinant decides nonsingularity and quaternion norms.
-Integer Hermite normal forms and lattice intersection live here too.
-Everything is denominator-exact; no floats appear anywhere in the package.
+Matrices are plain lists of rows.  Products, transposes and the
+Q-coordinate layout are written once, generic over a ring descriptor
+(`Ring`): the rationals (`QQ`, the default), quadratic fields, quaternion
+algebras and the etale pair Q x Q.  Elimination runs in two places only:
+over Q, on integer numerators over one denominator (`numerators`), by
+fraction-free (Bareiss) elimination for `det` and `inverse`; and over F_p,
+for `kernel_mod_p`.  Every other ring reaches the Q kernels through its
+regular representation, the matrix over Q of v -> a v (`regular_matrix`):
+`inverse` inverts that matrix, and its determinant decides nonsingularity
+and gives norms.  Integer Hermite normal forms and lattice intersection
+live here too.  Everything is denominator-exact; no floats appear anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ def numerators(a: list) -> tuple[list[list[int]], int]:
 
 @runtime_checkable
 class Ring(Protocol):
-    """The ring methods the matrix layer calls.  Elements support +, -, *
-    and unary minus among themselves and with int and Fraction scalars."""
+    """The ring methods the package calls on a ring descriptor.  Elements
+    support +, -, * and unary minus among themselves and with int and
+    Fraction scalars.  The matrix layer never divides in the ring: `inv` is
+    for the callers that pivot on single entries (`forms.diagonalize`,
+    `forms.involution_to_form`, `algebras.SimpleFactor`)."""
 
     dim_q: int  # the dimension over Q
 
@@ -123,27 +128,6 @@ class RationalRing:
 QQ = RationalRing()
 
 
-class _ResidueField:
-    """F_p on int representatives: the part of the ring protocol that
-    `_row_reduce` and `nullspace` call.  Products and differences stay plain
-    ints (Z -> F_p is a ring map), so read results modulo p."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def is_zero(self, x):
-        return x % self.p == 0
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-
 # ---------------------------------------------------------------------------
 # Matrices over a ring descriptor
 
@@ -191,43 +175,14 @@ def mat_eq(a: list, b: list, ring: Ring = QQ) -> bool:
     return all(ring.is_zero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def det(a: list, ring: Ring = QQ):
-    """Determinant over a commutative ring descriptor, by forward Gaussian
-    elimination (over Q, fraction-free on integer numerators).  When a pivot has no inverse (a zero divisor of Q x Q), it
-    is (-1)^n times the constant term of `charpoly`, which divides by
-    integers only."""
+def det(a: list) -> Fraction:
+    """The determinant of a rational matrix, by fraction-free (Bareiss)
+    elimination on its integer numerators.  A matrix over another ring has
+    det(regular_matrix(a, ring)) over Q instead."""
     n = len(a)
-    if type(ring) is RationalRing:
-        m, d = numerators(a)
-        pivot, sign = _bareiss(m, n, jordan=False)
-        return Fraction(sign * pivot, d**n)
-    is_zero = ring.is_zero
-    m = [row[:] for row in a]
-    sign = 1
-    acc = ring.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not is_zero(m[r][col])), None)
-        if piv is None:
-            return ring.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        prow = m[col]
-        acc = acc * prow[col]
-        below = [r for r in range(col + 1, n) if not is_zero(m[r][col])]
-        if below:
-            try:
-                pinv = ring.inv(prow[col])
-            except ZeroDivisionError:
-                c0 = charpoly(a, ring)[0]
-                return -c0 if n % 2 else c0
-            # columns <= col are never read again
-            tail = prow[col + 1 :]
-            for r in below:
-                row = m[r]
-                f = row[col] * pinv
-                row[col + 1 :] = [x - f * y for x, y in zip(row[col + 1 :], tail)]
-    return -acc if sign < 0 else acc
+    m, d = numerators(a)
+    pivot, sign = _bareiss(m, n, jordan=False)
+    return Fraction(sign * pivot, d**n)
 
 
 def _bareiss(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int]:
@@ -260,57 +215,30 @@ def _bareiss(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int]:
     return prev, sign
 
 
-def _row_reduce(m: list, ncols: int, ring: Ring) -> list[int]:
-    """Gauss-Jordan elimination of m in place on its first ncols columns,
-    returning the pivot columns.  The pivot is the first nonzero entry of
-    its column; pivot rows are scaled to a leading one by left
-    multiplication with its inverse (so non-commutative bases work), and
-    `ring.inv` raises ZeroDivisionError on a zero divisor."""
-    is_zero = ring.is_zero
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        rr = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
-        if rr is None:
-            continue
-        pinv = ring.inv(m[rr][c])
-        m[r], m[rr] = m[rr], m[r]
-        prow = m[r] = [pinv * x for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and not is_zero(row[c]):
-                f = row[c]
-                m[i] = [x - f * y for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def inverse(a: list, ring: Ring = QQ) -> list:
     """The two-sided inverse; raises ZeroDivisionError when there is none.
 
-    Elimination runs over the ring (over Q, fraction-free Gauss-Jordan on
-    integer numerators).  When a pivot is a zero divisor (of
-    Q x Q or a split quaternion algebra), the matrix is inverted through
-    its left-regular representation over Q instead."""
+    Over Q, fraction-free Gauss-Jordan on integer numerators.  Over any
+    other ring B, through `regular_matrix`: column j of the inverse is the
+    preimage of e_j (the one of B at j), also past zero divisors."""
     n = len(a)
-    if type(ring) is RationalRing:
-        num, d = numerators(a)
-        m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
-        pivot, _ = _bareiss(m, n, jordan=True)
-        if pivot == 0:
-            raise ZeroDivisionError("matrix not invertible")
-        # a^-1 = d N^-1 = d (p N^-1) / p
-        return [[Fraction(d * x, pivot) for x in row[n:]] for row in m]
-    m = [row + eye for row, eye in zip(a, identity(n, ring))]
-    try:
-        rank = len(_row_reduce(m, n, ring))
-    except ZeroDivisionError:
-        return _regular_inverse(a, ring)
-    if rank < n:
+    if type(ring) is not RationalRing:
+        d = ring.dim_q
+        big_inv = inverse(regular_matrix(a, ring))  # raises when a is singular
+        one = ring.to_qcoords(ring.one())
+        out = [[None] * n for _ in range(n)]
+        for j in range(n):
+            x = [sum(row[j * d + t] * one[t] for t in range(d)) for row in big_inv]
+            for i in range(n):
+                out[i][j] = ring.from_qcoords(x[i * d : (i + 1) * d])
+        return out
+    num, d = numerators(a)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
+    pivot, _ = _bareiss(m, n, jordan=True)
+    if pivot == 0:
         raise ZeroDivisionError("matrix not invertible")
-    return [row[n:] for row in m]
+    # a^-1 = d N^-1 = d (p N^-1) / p
+    return [[Fraction(d * x, pivot) for x in row[n:]] for row in m]
 
 
 def regular_matrix(a: list, ring: Ring) -> Matrix:
@@ -318,8 +246,9 @@ def regular_matrix(a: list, ring: Ring) -> Matrix:
     in Q-coordinates (block (i, j) is x -> a[i][j] x on B).
 
     Its determinant is 0 exactly when a has no inverse (B is
-    finite-dimensional), also over zero divisors.  Over a quaternion
-    algebra B with centre F it is Nm_{F/Q}(Nrd a)^2: M_n(B) is n copies of
+    finite-dimensional), also over zero divisors.  Over a quadratic field
+    B = F it is Nm_{F/Q}(det_F a); over a quaternion algebra B with centre
+    F it is Nm_{F/Q}(Nrd a)^2: M_n(B) is n copies of
     B^n, and its norm over F is Nrd^{2n} (Reiner, Maximal Orders, section
     9)."""
     n, d = len(a), ring.dim_q
@@ -331,20 +260,6 @@ def regular_matrix(a: list, ring: Ring) -> Matrix:
                 for s, c in enumerate(ring.to_qcoords(a[i][j] * unit)):
                     big[i * d + s][j * d + t] = c
     return big
-
-
-def _regular_inverse(a: list, ring: Ring) -> list:
-    """The inverse of a in M_n(B) through `regular_matrix`: column j of the
-    inverse is the preimage of e_j (the one of B at j)."""
-    n, d = len(a), ring.dim_q
-    big_inv = inverse(regular_matrix(a, ring))  # over Q; raises ZeroDivisionError when singular
-    one = ring.to_qcoords(ring.one())
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        x = [sum(row[j * d + t] * one[t] for t in range(d)) for row in big_inv]
-        for i in range(n):
-            out[i][j] = ring.from_qcoords(x[i * d : (i + 1) * d])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,46 +302,43 @@ def scalar_of(a: list, ring: Ring = QQ):
     return c
 
 
-def nullspace(a: list, ring: Ring = QQ) -> list[list]:
-    """Basis of the right kernel of a (possibly non-square) over a field."""
-    if not a:
-        return []
-    cols = len(a[0])
-    m = list(a)  # _row_reduce replaces rows, never edits them
-    pivots = _row_reduce(m, cols, ring)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [ring.zero()] * cols
-        v[fc] = ring.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
+def _rref_mod_p(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form over F_p of the
+    integer matrix m, with entries in range(p), and their pivot columns."""
+    m = [[x % p for x in row] for row in m]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        pinv = pow(m[piv][c], -1, p)
+        prow = [x * pinv % p for x in m[piv]]
+        m[piv] = m[r]  # a no-op when piv == r: the scaled row is set next
+        m[r] = prow
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                m[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
 
 
 def kernel_mod_p(a: list[list[int]], p: int) -> list[list[int]]:
     """The right kernel of the integer matrix a over F_p (p prime), as the
     rows of a matrix in reduced row echelon form with entries in range(p)."""
-    field = _ResidueField(p)
-    rows = nullspace(a, field)
-    _row_reduce(rows, len(a[0]) if a else 0, field)
-    return [[x % p for x in row] for row in rows]
-
-
-def charpoly(a: list, ring: Ring = QQ) -> list:
-    """Characteristic polynomial of a (monic, coefficients low-to-high) over
-    a commutative ring descriptor, by the Faddeev-LeVerrier recursion (it
-    divides by integers only)."""
-    n = len(a)
-    coeffs = [ring.zero()] * n + [ring.one()]
-    m = identity(n, ring)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m, ring)
-        c = sum((m[i][i] for i in range(n)), ring.zero()) * Fraction(-1, k)
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] = m[i][i] + c
-    return coeffs
+    if not a:
+        return []
+    cols = len(a[0])
+    rows, pivots = _rref_mod_p(a, p)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return _rref_mod_p(basis, p)[0]
 
 
 # ---------------------------------------------------------------------------

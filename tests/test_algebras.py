@@ -193,36 +193,44 @@ QUATERNION_BASES = {
 }
 
 
+FIELD_BASES = {"F5": QuadRing(F5), "F-3": QuadRing(QuadField(-3))}
+
+
 def _abs_center_norm(c) -> Fraction:
-    """|Nm_{F/Q}(c)| for c in the centre Q or Q(sqrt5)."""
+    """|Nm_{F/Q}(c)| for c in the centre Q, Q(sqrt5) or Q(sqrt-3)."""
     return abs(c.norm() if hasattr(c, "norm") else Fraction(c))
 
 
-@pytest.mark.parametrize("size", [0, 1, 2])
-@pytest.mark.parametrize("name", list(QUATERNION_BASES))
+@pytest.mark.parametrize(
+    "name, size",
+    [(name, size) for name in QUATERNION_BASES for size in (0, 1, 2)]
+    + [(name, size) for name in FIELD_BASES for size in (1, 2)],
+)
 def test_quaternion_base_norm_seeded(name, size):
     """Seeded elements of B, M_1(B) and M_2(B) over definite and split
-    quaternion algebras B with centre Q or Q(sqrt5): the norm is
-    multiplicative, a triangular matrix's norm is the product of
-    |Nm(nrd)| over its diagonal, and the norm is 0 exactly when the
-    element has no inverse."""
-    ring = QUATERNION_BASES[name]
+    quaternion algebras B with centre Q or Q(sqrt5), and of M_1(F) and
+    M_2(F) over F = Q(sqrt5) and Q(sqrt-3): the norm is multiplicative, a
+    triangular matrix's norm is the product of |Nm(nrd)| (|Nm(x)| over F)
+    over its diagonal, and the norm is 0 exactly when the element has no
+    inverse."""
+    bases = {**QUATERNION_BASES, **FIELD_BASES}
+    ring = bases[name]
     involution = "conjugate_transpose" if size else "canonical"
     f = SimpleFactor(ring, matrix_size=size, involution=involution)
     A = AlgebraWithInvolution((f,))
     spec = NormSpec(A, (1,))
-    rng = random.Random(size * 100 + list(QUATERNION_BASES).index(name))
+    rng = random.Random(size * 100 + list(bases).index(name))
     n = max(size, 1)
 
-    def quat():
+    def elem():
         return ring.from_qcoords([Fraction(rng.randint(-1, 1)) for _ in range(ring.dim_q)])
 
     def draw():
         if not size:
-            return quat()
-        m = [[quat() for _ in range(n)] for _ in range(n)]
+            return elem()
+        m = [[elem() for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.25:
-            lam = quat()  # row 1 a left multiple of row 0: singular
+            lam = elem()  # row 1 a left multiple of row 0: singular
             m[1] = [lam * e for e in m[0]]
         return m
 
@@ -238,14 +246,14 @@ def test_quaternion_base_norm_seeded(name, size):
             invertible = False
         assert (nx == 0) == (not invertible)
         zeros += nx == 0
-        diag = [quat() for _ in range(n)]
+        diag = [elem() for _ in range(n)]
         if size:
-            t = [[diag[i] if i == j else (quat() if i < j else ring.zero()) for j in range(n)] for i in range(n)]
+            t = [[diag[i] if i == j else (elem() if i < j else ring.zero()) for j in range(n)] for i in range(n)]
         else:
             t = diag[0]
         expected = Fraction(1)
         for d in diag:
-            expected *= _abs_center_norm(d.nrd())
+            expected *= _abs_center_norm(d.nrd() if name in QUATERNION_BASES else d)
         assert norm(A, (t,), spec) == expected
     if "(1,1)" in name or size == 2:
         assert zeros > 0

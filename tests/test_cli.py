@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import polarith
-from polarith.cli import VERBS, main
+from polarith.cli import VERBS, main, parse_instance, serialize_element
 
 
 def run_cli(tmp_path, verb, doc, *extra):
@@ -661,6 +661,15 @@ def _quadfield_sites(D):
     ]
 
 
+def _matrix_factor(base, n, z):
+    """A `general` algebra of one matrix factor M_n(base) with conjugator z,
+    q = a = 1."""
+    dim = {"Q": 1, "quadfield": 2, "quaternion": 4}[base["type"]]
+    one = [str(int(k == 0 and i == j)) for i in range(n) for j in range(n) for k in range(dim)]
+    factor = {"kind": "matrix", "n": n, "base": base, "z": z}
+    return {"instance": {"algebra": {"type": "general", "factors": [factor]}, "q": one, "a": one}}
+
+
 _TWO = [["2", "0"], ["0", "2"]]
 
 
@@ -729,6 +738,10 @@ _TWO = [["2", "0"], ["0", "2"]]
                            for D in (5, 13)]},
             "precondition:DegreeBoundError",
         ),
+        ("degree-bound", _matrix_factor({"type": "quadfield", "D": 5}, 1, [["1"]]), "schema:bad-entry"),
+        ("degree-bound", _matrix_factor({"type": "quaternion", "a": -1, "b": -1}, 1, [["1"]]),
+         "schema:bad-entry"),
+        ("degree-bound", _matrix_factor({"type": "Q"}, 2, [["1"]]), "schema:bad-matrix"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
@@ -779,6 +792,32 @@ def test_bad_involution_tag_is_one_code(tmp_path, tag):
         assert run_cli(tmp_path, "degree-bound", doc) == (1, want)
         rc, out = run_cli(tmp_path, "validate", doc, "--validate-verb", "degree-bound")
         assert (rc, out) == (1, {"valid": False, "errors": [want["error"]]})
+
+
+def test_matrix_factor_over_a_field_serializes_flat_coordinates(tmp_path):
+    """M_1(Q(sqrt5)) with its conjugator written as Q-coordinates answers,
+    and b is the flat list of its rational coordinates."""
+    doc = _matrix_factor({"type": "quadfield", "D": 5}, 1, [[["1", "0"]]])
+    code, out = run_cli(tmp_path, "degree-bound", doc)
+    assert code == 0
+    assert len(out["b"]) == 2 and [str(Fraction(c)) for c in out["b"]] == out["b"]
+    assert run_cli(tmp_path, "validate", doc, "--validate-verb", "degree-bound") == (
+        0, {"valid": True, "errors": []}
+    )
+
+
+@pytest.mark.parametrize(
+    "base, dim",
+    [({"type": "Q"}, 1), ({"type": "quadfield", "D": -3}, 2), ({"type": "quaternion", "a": -1, "b": -3}, 4)],
+)
+def test_matrix_factor_element_is_serialized_as_rationals(base, dim):
+    """One matrix factor over Q serializes as a matrix of rationals, over
+    any other base as the flat list of its Q-coordinates."""
+    inst = parse_instance(_matrix_factor(base, 2, None)["instance"])
+    x = (inst.algebra.factors[0].from_qcoords([Fraction(k, 3) for k in range(4 * dim)]),)
+    want = [str(Fraction(k, 3)) for k in range(4 * dim)]
+    got = serialize_element(inst, x)
+    assert got == (want if dim > 1 else [want[:2], want[2:]])
 
 
 def test_solve_pool_matches_reference(tmp_path):
