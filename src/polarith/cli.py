@@ -58,7 +58,12 @@ from .lattices_local import (
 )
 from .linalg import QQ, RationalRing, det, frac, mat, qbasis
 from .quadfield import QuadField, QuadFieldError, ResourceError
-from .hecke_classes import HeckeError, exhaustive_witness_search, generate_classes
+from .hecke_classes import (
+    HeckeError,
+    check_confirmation_budget,
+    exhaustive_witness_search,
+    generate_classes,
+)
 
 
 class InputError(ValueError):
@@ -449,6 +454,7 @@ def cmd_hecke_classes(doc, args):
     prime_cap = _int(doc.get("prime_cap", 10_000), "prime_cap", least=2)
     if not field.is_real:
         raise HeckeError("the construction needs a real quadratic field")
+    check_confirmation_budget(count, args.height)
 
     def run():
         # generate_classes decided every pair inequivalent: the matrix is the

@@ -133,12 +133,13 @@ def square_class(x: Fraction | int) -> SquareClassQ:
 
 def rational_sqrt(x: Fraction | int) -> Fraction | None:
     """The positive square root of x when x is a positive rational square,
-    else None."""
-    x = Fraction(x)
-    if x <= 0:
+    else None.  Reads x in lowest terms as int numerator and denominator,
+    and builds a Fraction only for a root."""
+    num, den = x.as_integer_ratio()
+    if num <= 0:
         return None
-    n, d = isqrt(x.numerator), isqrt(x.denominator)
-    if n * n != x.numerator or d * d != x.denominator:
+    n, d = isqrt(num), isqrt(den)
+    if n * n != num or d * d != den:
         return None
     return Fraction(n, d)
 
@@ -153,6 +154,37 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         raise ExactError("legendre symbol needs a unit")
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_mod_p(a: int, p: int) -> int:
+    """The square root x of a modulo the prime p with x <= p - x, by
+    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  Raises ExactError when
+    a is not a square mod p."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ExactError(f"{a} is not a square mod {p}")
+    # p - 1 = 2^e q with q odd; y = n^q for a non-square n generates the
+    # 2-Sylow subgroup of (Z/p)^x
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) != p - 1:
+        n += 1
+    y, r = pow(n, q, p), e
+    x = pow(a, (q - 1) // 2, p)
+    b, x = a * x * x % p, a * x % p
+    # invariant: x^2 = a b, and b has order dividing 2^(r-1)
+    while b != 1:
+        m, b2 = 1, b * b % p
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return min(x, p - x)
 
 
 def lift_root(t: int, n: int, r: int, p: int, k: int) -> int:

@@ -82,8 +82,9 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     if q.is_zero() or r.is_zero():
         raise HeckeError("zero element")
     # Nm(q/r) = Nm(q)/Nm(r) is a square iff Nm(q)*Nm(r) is: most pairs
-    # are rejected here, before any division
-    if not is_rational_square(q.norm() * r.norm()):
+    # are rejected here, before any division, in int: scaling q by m scales
+    # Nm(q) by m^2, so integer coordinates keep the square test
+    if not is_rational_square(F.norm_form(*_integer_coords(q)) * F.norm_form(*_integer_coords(r))):
         return None
     s = q / r
     # v_p(Nm s) is even at every p: a ramified exponent is even and the two
@@ -178,6 +179,23 @@ def exhaustive_witness_search(
     return None
 
 
+# the most points `exhaustive_witness_search` may test for one hecke-classes
+# request: (2 height + 1)^2 per pair, about 2 s of search at the limit
+MAX_CONFIRMATION_POINTS = 10**7
+
+
+def check_confirmation_budget(count: int, height: int) -> None:
+    """Refuse, before any search, a negative confirmation of the
+    count (count - 1) / 2 pairs of `count` classes at `height` that would
+    test more than MAX_CONFIRMATION_POINTS points."""
+    points = count * (count - 1) // 2 * (2 * height + 1) ** 2 if height else 0
+    if points > MAX_CONFIRMATION_POINTS:
+        raise ResourceError(
+            f"confirming {count} classes at height {height} tests {points} points, "
+            f"above the limit of {MAX_CONFIRMATION_POINTS} points"
+        )
+
+
 def _integer_coords(e: QuadElem) -> tuple[int, int]:
     """The coordinates of m e for the least positive integer m that makes
     them integers."""
@@ -224,14 +242,22 @@ def generate_classes(
 
 
 def _make_totally_positive(g: QuadElem, eps: QuadElem) -> QuadElem | None:
-    """Adjust a generator by -1 and the fundamental unit to make it totally
-    positive; None when the signature pattern is unreachable (norm +1
-    units).  The first totally positive one of g, -g, g eps, -g eps: -1
-    flips both signs, so one of +-g is totally positive iff Nm(g) > 0, and
-    g eps is formed only when it is not."""
-    cand = g if g.norm() > 0 else g * eps
-    if cand.norm() < 0:
+    """Adjust a nonzero generator by -1 and the fundamental unit to make it
+    totally positive; None when the signature pattern is unreachable (norm
+    +1 units) or g is not integral.  The first totally positive one of g,
+    -g, g eps, -g eps, in integer coordinates: -1 flips both signs, so one
+    of +-g is totally positive iff Nm(g) > 0, and then it is the one with a
+    positive trace; g eps is formed only when Nm(g) < 0."""
+    if not g.is_integral():
         return None
-    if not is_totally_positive(cand):
-        cand = -cand
-    return cand if cand.is_integral() else None
+    F = g.field
+    t, nw = F.w_trace, F.w_norm
+    x, y = g.x.numerator, g.y.numerator
+    if F.norm_form(x, y) < 0:
+        ex, ey = eps.x.numerator, eps.y.numerator
+        x, y = x * ex - y * ey * nw, x * ey + y * ex + y * ey * t
+        if F.norm_form(x, y) < 0:
+            return None
+    if 2 * x + t * y < 0:
+        x, y = -x, -y
+    return QuadElem(F, Fraction(x), Fraction(y))

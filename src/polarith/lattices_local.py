@@ -48,7 +48,7 @@ from math import lcm, prod
 
 from sympy import isprime
 
-from .exact import legendre, lift_root, rational_sqrt, unit_residue, valuation
+from .exact import ExactError, legendre, lift_root, rational_sqrt, sqrt_mod_p, unit_residue, valuation
 from .forms import FormError, GramForm, diagonalize, symmetric_form_q
 from .linalg import (
     Matrix,
@@ -259,10 +259,13 @@ def unimodular_isometric(g1: Matrix, g2: Matrix, p: int) -> bool:
 def _sqrt_mod_pk(u: int, p: int, k: int) -> int:
     """Square root of a unit square u modulo p^k (canonical choice: the
     smaller residue mod p, then Hensel)."""
-    for x in range(1, p):
-        if (x * x - u) % p == 0:
-            return lift_root(0, -u, min(x, p - x), p, k)
-    raise LatticeError("not a quadratic residue")
+    if u % p == 0:
+        raise LatticeError("not a quadratic residue")
+    try:
+        x = sqrt_mod_p(u, p)
+    except ExactError as e:
+        raise LatticeError("not a quadratic residue") from e
+    return lift_root(0, -u, x, p, k)
 
 
 def unimodular_congruence_witness(u1: Matrix, u2: Matrix, ctx: PadicContext) -> Matrix:

@@ -7,6 +7,12 @@ w = (disc + sqrt(disc)) / 2, so the maximal order is exactly the set of
 elements with integer coordinates.  Ideals are stored as a 2x2 integer
 row-HNF basis over a positive denominator; equality is normalized basis
 equality, which makes ideals hashable and suitable for golden tests.
+
+A prime ideal (p, w - r) is written in row HNF in closed form, for a root
+r of w's minimal polynomial mod p taken from a square root mod p
+(`exact.sqrt_mod_p`).  The principality search runs on integers: it
+solves the norm equation in int, tests membership against the HNF rows,
+and builds a QuadElem only for the generator it returns.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from sympy import factorint, isprime
-from sympy.ntheory import sqrt_mod
 
-from .exact import legendre, lift_root, rational_sqrt, valuation
+from .exact import legendre, lift_root, rational_sqrt, sqrt_mod_p, valuation
 from .linalg import frac, hnf
 
 
@@ -64,6 +69,10 @@ class QuadField:
     @cached_property
     def w_norm(self) -> int:
         return (self.disc * self.disc - self.disc) // 4
+
+    def norm_form(self, x: int, y: int) -> int:
+        """Nm(x + y w) for integers x, y: x^2 + t x y + nw y^2."""
+        return x * x + self.w_trace * x * y + self.w_norm * y * y
 
     def one(self) -> "QuadElem":
         return QuadElem(self, Fraction(1), Fraction(0))
@@ -142,8 +151,7 @@ class QuadElem:
         x, y, F = self.x, self.y, self.field
         if x.denominator == 1 and y.denominator == 1:
             # integral: the same formula in int, one Fraction at the end
-            a, b = x.numerator, y.numerator
-            return Fraction(a * a + a * b * F.w_trace + b * b * F.w_norm)
+            return Fraction(F.norm_form(x.numerator, y.numerator))
         return x * x + x * y * F.w_trace + y * y * F.w_norm
 
     def trace(self) -> Fraction:
@@ -400,14 +408,18 @@ def roots_mod_p(field: QuadField, p: int) -> list[int]:
     t, nw = field.w_trace, field.w_norm
     if p == 2:
         return [r for r in range(2) if (r * r - t * r + nw) % 2 == 0]
-    s, half = sqrt_mod(field.disc, p), (p + 1) // 2
+    s, half = sqrt_mod_p(field.disc, p), (p + 1) // 2
     return sorted({(t + s) * half % p, (t - s) * half % p})
 
 
 def prime_above(field: QuadField, p: int, r: int) -> QfIdeal:
     """The prime ideal (p, w - r) above a split or ramified p, for a root r
-    of the minimal polynomial of w mod p."""
-    return QfIdeal.from_rows(field, [[p, 0], [-r, 1]], 1)
+    of the minimal polynomial of w mod p, in row HNF without an elimination:
+    it has index p and holds -r^-1 (w - r) = 1 - r^-1 w mod p, so its rows
+    are [[1, -r^-1 mod p], [0, p]]; when r = 0 mod p they are [[p, 0], [0, 1]]."""
+    if r % p == 0:
+        return QfIdeal(field, ((p, 0), (0, 1)), 1)
+    return QfIdeal(field, ((1, -pow(r, -1, p) % p), (0, p)), 1)
 
 
 def primes_above(field: QuadField, p: int) -> list[QfIdeal]:
@@ -554,55 +566,48 @@ MAX_GENERATOR_SEARCH_Y = 10**5
 
 
 def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
-    """An element of the integral ideal with |Nm| = Nm(ideal), or None."""
+    """An element of the integral ideal with |Nm| = Nm(ideal), or None.
+
+    Runs in int: the first x + y w with x^2 + t x y + nw y^2 = +-N, for
+    y = 0, 1, 2, ... (+N before -N, the larger root x first), that lies in
+    the span of the HNF rows [[a, b], [0, c]].  No y < 0 is tried: the
+    ideal is closed under negation and (-x, -y) solves the equation iff
+    (x, y) does, so y < 0 has a solution in the ideal only when -y has."""
     field = ideal.field
-    N = ideal.norm()
-    if not ideal.is_integral() or N.denominator != 1:
+    if not ideal.is_integral():
         raise QuadFieldError("internal: generator search needs an integral ideal")
-    N = N.numerator
-    t, nw = field.w_trace, field.w_norm
-
-    def try_xy(y: int, target: int) -> QuadElem | None:
-        # x^2 + t*x*y + nw*y^2 = target, solve for integer x
-        A = 1
-        B = t * y
-        C = nw * y * y - target
-        disc_q = B * B - 4 * A * C
-        if disc_q < 0:
-            return None
-        r = isqrt(disc_q)
-        if r * r != disc_q:
-            return None
-        for sgn in (1, -1):
-            num = -B + sgn * r
-            if num % 2 == 0:
-                x = num // 2
-                cand = QuadElem(field, Fraction(x), Fraction(y))
-                if ideal.contains(cand):
-                    return cand
-        return None
-
+    (a, b), (_, c) = ideal.num
+    N = a * c
+    t, nw, disc = field.w_trace, field.w_norm, field.disc
     if field.is_real:
         if eps is None:
             raise QuadFieldError("internal: a real field needs its fundamental unit")
-        # bound both embeddings by sqrt(N) * eps (up to unit normalization)
-        # |y| <= 2M / sqrt(disc) with M = sqrt(N)*eps_embedding
-        # use integer overestimates
-        eps_num = (2 * eps.x + eps.y * field.disc + eps.y * (isqrt(field.disc) + 1)) / 2
-        M = (isqrt(N) + 1) * (eps_num + 1)
-        ymax = int(2 * M) // isqrt(field.disc) + 1
+        # bound both embeddings by sqrt(N) * eps (up to unit normalization):
+        # |y| <= 2M / sqrt(disc) with M = (isqrt(N) + 1) (eps_0 + 1) and the
+        # integer overestimate 2 eps_0 <= 2 ex + ey (disc + isqrt(disc) + 1)
+        ex, ey = eps.x.numerator, eps.y.numerator
+        two_m = (isqrt(N) + 1) * (2 * ex + ey * (disc + isqrt(disc) + 1) + 2)
+        ymax = two_m // isqrt(disc) + 1
         targets = (N, -N)
     else:
-        ymax = 2 * isqrt(N // max(1, abs(field.disc) // 4)) + 2
+        ymax = 2 * isqrt(N // max(1, abs(disc) // 4)) + 2
         targets = (N,)
     # a generator often has a small |y| even when ymax is astronomical (a
     # huge fundamental unit), so the cap counts the |y| scanned
     for y in range(min(ymax, MAX_GENERATOR_SEARCH_Y) + 1):
-        for yy in ((y,) if y == 0 else (y, -y)):
-            for target in targets:
-                g = try_xy(yy, target)
-                if g is not None:
-                    return g
+        ty, nyy = t * y, nw * y * y
+        for target in targets:
+            # x^2 + ty x + (nyy - target) = 0; r = ty mod 2 as r^2 = ty^2
+            # mod 4, so both roots (-ty +- r) / 2 are integers
+            d = ty * ty - 4 * (nyy - target)
+            if d < 0:
+                continue
+            r = isqrt(d)
+            if r * r != d:
+                continue
+            for x in ((r - ty) // 2, (-r - ty) // 2):
+                if x % a == 0 and (y - x // a * b) % c == 0:
+                    return QuadElem(field, Fraction(x), Fraction(y))
     if ymax > MAX_GENERATOR_SEARCH_Y:
         raise ResourceError(
             f"principality search stopped after |y| = {MAX_GENERATOR_SEARCH_Y} without a generator"

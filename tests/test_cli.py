@@ -506,6 +506,42 @@ def test_hecke_classes_principality_search_limit(tmp_path):
     }
 
 
+def _over_budget(count, height, points):
+    return {"code": "resource:budget",
+            "message": f"confirming {count} classes at height {height} tests {points} points, "
+                       "above the limit of 10000000 points"}
+
+
+@pytest.mark.parametrize(
+    "doc, height, want",
+    [
+        ({"D": 5, "count": 2}, 1581, _over_budget(2, 1581, 3163**2)),
+        ({"D": 5, "count": 2}, 20000, _over_budget(2, 20000, 40001**2)),
+        ({"D": 5, "count": 700}, 3, _over_budget(700, 3, 244650 * 49)),
+        ({"D": -5, "count": 2}, 2000,
+         {"code": "precondition:HeckeError", "message": "the construction needs a real quadratic field"}),
+        ({"D": 5, "count": 2, "prime_cap": 1}, 2000,
+         {"code": "schema:bad-field", "message": "prime_cap must be an integer >= 2"}),
+    ],
+    ids=["count2-h1581", "count2-h20000", "count700-h3", "imaginary-h2000", "bad-prime-cap-h2000"],
+)
+def test_hecke_confirmation_points_budget(tmp_path, doc, height, want):
+    """A negative confirmation of more than 10^7 points is refused in the
+    parse step, by the verb and by `validate` alike, with a message that
+    names the limit: {"D": 5, "count": 2} at --height 20000 would search
+    for about 300 s.  The budget applies only to an otherwise well-formed
+    request: an imaginary field or a bad prime_cap keeps its own error."""
+    flags = ("--height", str(height))
+    assert run_cli(tmp_path, "hecke-classes", doc, *flags) == (1, {"error": want})
+    assert run_cli(tmp_path, "validate", doc, "--validate-verb", "hecke-classes", *flags) == (
+        1, {"valid": False, "errors": [want]}
+    )
+    # one step below the limit validates
+    rc, out = run_cli(tmp_path, "validate", {"D": 5, "count": 2}, "--validate-verb", "hecke-classes",
+                      "--height", "1580")
+    assert (rc, out) == (0, {"valid": True, "errors": []})
+
+
 _GENERAL_SWAP = {
     "algebra": {
         "type": "general",
@@ -742,6 +778,7 @@ _TWO = [["2", "0"], ["0", "2"]]
         ("degree-bound", _matrix_factor({"type": "quaternion", "a": -1, "b": -1}, 1, [["1"]]),
          "schema:bad-entry"),
         ("degree-bound", _matrix_factor({"type": "Q"}, 2, [["1"]]), "schema:bad-matrix"),
+        ("hecke-classes", {"D": 5, "count": 700}, "resource:budget"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):

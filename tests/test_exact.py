@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from sympy import isprime, primerange
 
 from polarith.exact import (
     ExactError,
@@ -14,6 +15,7 @@ from polarith.exact import (
     is_rational_square,
     legendre,
     lift_root,
+    sqrt_mod_p,
     square_class,
     support_places,
     unit_residue,
@@ -323,3 +325,40 @@ def test_lift_root_is_a_root_mod_pk(t, n):
                 assert (r * r - t * r + n) % p**k == 0
             lifted += 1
     assert lifted >= 8
+
+
+def test_sqrt_mod_p_every_square_below_500():
+    """For every odd prime p < 500, each square mod p gets its least square
+    root, min(x, p - x), also when written as a larger or negative
+    representative, and each non-square is refused."""
+    for p in primerange(3, 500):
+        least = {}
+        for x in range(p):
+            least.setdefault(x * x % p, x)
+        for a in range(p):
+            if a in least:
+                assert sqrt_mod_p(a, p) == sqrt_mod_p(a + 5 * p, p) == sqrt_mod_p(a - p, p) == least[a]
+            else:
+                with pytest.raises(ExactError, match="is not a square mod"):
+                    sqrt_mod_p(a, p)
+
+
+# p = 1 mod 8 with 2^16, 2^23, 2^27 and 2^32 dividing p - 1: the
+# Tonelli-Shanks loop runs up to that many rounds
+_LARGE_PRIMES = [65537, 998244353, 2013265921, 2**64 - 2**32 + 1]
+
+
+@seed(1519)
+@given(p=st.sampled_from(_LARGE_PRIMES), x=st.integers(1, 2**80))
+@settings(max_examples=200, deadline=None)
+def test_sqrt_mod_p_large_primes(p, x):
+    assert isprime(p) and p % 8 == 1
+    if x % p == 0:
+        return
+    a = x * x % p
+    r = sqrt_mod_p(a, p)
+    assert r * r % p == a and r <= p - r and r in (x % p, -x % p)
+    # a times a non-square is a non-square
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    with pytest.raises(ExactError):
+        sqrt_mod_p(a * n, p)

@@ -6,6 +6,7 @@ import pytest
 from polarith.hecke_classes import (
     HeckeError,
     PolClassRep,
+    _make_totally_positive,
     equivalence_witness,
     equivalent,
     exhaustive_witness_search,
@@ -172,7 +173,7 @@ def test_exhaustive_search_agrees_on_positive():
     assert (q * n - u * u * r).is_zero()
 
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 
@@ -295,3 +296,37 @@ def test_witness_search_rejects_bad_input():
     with pytest.raises(HeckeError, match="zero element"):
         exhaustive_witness_search(F5.zero(), F5.one(), 2)
     assert exhaustive_witness_search(sq5(4, 1), F5.zero(), 4) is None
+
+
+def _reference_make_totally_positive(g, eps):
+    """`_make_totally_positive` as it was, in QuadElem arithmetic."""
+    cand = g if g.norm() > 0 else g * eps
+    if cand.norm() < 0:
+        return None
+    if not is_totally_positive(cand):
+        cand = -cand
+    return cand if cand.is_integral() else None
+
+
+@seed(1923)
+@given(
+    D=st.sampled_from([2, 3, 5, 6, 7, 10, 13, 15, 21, 34, 79]),
+    gc=st.tuples(_coord, _coord),
+    unit_power=st.integers(-2, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_make_totally_positive_matches_reference(D, gc, unit_power):
+    """The integer adjustment returns the reference's element or None, for
+    integral and non-integral generators of either norm sign, over fields
+    whose fundamental unit has norm -1 (2, 5, 10, 13) or +1 (3, 6, 7, 15,
+    21, 34, 79)."""
+    F = QuadField(D)
+    eps = fundamental_unit(F)
+    g = QuadElem(F, *gc) * eps**unit_power
+    if g.is_zero():
+        return
+    got = _make_totally_positive(g, eps)
+    assert got == _reference_make_totally_positive(g, eps)
+    if got is not None:
+        assert got.is_integral() and is_totally_positive(got)
+

@@ -16,6 +16,7 @@ from polarith.lattices_local import (
     _kernel_points,
     _reduce_to_standard,
     _represent_one,
+    _sqrt_mod_pk,
     is_maximal,
     maximal_completion,
     scale,
@@ -24,7 +25,7 @@ from polarith.lattices_local import (
     unimodular_isometric,
     unit_case_parity,
 )
-from polarith.exact import valuation
+from polarith.exact import lift_root, valuation
 from polarith.forms import diagonalize, symmetric_form_q
 from polarith.linalg import det, identity, kernel_mod_p, mat, mat_mul, mat_scale, transpose
 
@@ -758,3 +759,29 @@ def test_represent_one_solves_the_binary_unit_form(p, k, u, v):
     x, y = _represent_one(u % mod, v % mod, p, k)
     assert (u * x * x + v * y * y - 1) % mod == 0
     assert x % p or y % p
+
+
+def _reference_sqrt_mod_pk(u, p, k):
+    """`_sqrt_mod_pk` as it was: scan the residues for a root mod p, lift
+    min(x, p - x)."""
+    for x in range(1, p):
+        if (x * x - u) % p == 0:
+            return lift_root(0, -u, min(x, p - x), p, k)
+    raise LatticeError("not a quadratic residue")
+
+
+def test_sqrt_mod_pk_matches_residue_scan():
+    """Every residue u mod p^2 for the odd primes p < 60, lifted to p^k for
+    k = 1..4: the same root as the residue scan, or the same refusal of a
+    non-square or a non-unit."""
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        for u in range(p * p):
+            for k in range(1, 5):
+                try:
+                    want = _reference_sqrt_mod_pk(u, p, k)
+                except LatticeError as exc:
+                    with pytest.raises(LatticeError, match=str(exc)):
+                        _sqrt_mod_pk(u, p, k)
+                else:
+                    assert _sqrt_mod_pk(u, p, k) == want
+

@@ -3,25 +3,30 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sympy import factorint, primerange
 
+import polarith.quadfield as qf
 from polarith.quadfield import (
     QfIdeal,
     QuadElem,
     QuadField,
     QuadFieldError,
+    ResourceError,
+    _generator_in_ideal,
     fundamental_unit,
     is_principal,
     is_square_in_field,
     is_totally_positive,
     normalize_generator,
+    prime_above,
     prime_exponents,
     prime_splitting,
     primes_above,
     principalize_with_ramified_twists,
+    roots_mod_p,
     sqrt_in_field,
     unit_group_absorb,
 )
@@ -436,3 +441,165 @@ def test_square_detection_roundtrip(x, y):
 )
 def test_class_number_table(D, h):
     assert _reference_class_number(QuadField(D)) == h
+
+
+# real and imaginary fields, of class number 1 and above
+_PRIME_IDEAL_DS = [-23, -15, -7, -5, -3, -1, 2, 3, 5, 10, 13, 15, 79]
+
+
+def _brute_force_roots(F, p):
+    t, nw = F.w_trace, F.w_norm
+    return [r for r in range(p) if (r * r - t * r + nw) % p == 0]
+
+
+@pytest.mark.parametrize("D", _PRIME_IDEAL_DS)
+def test_roots_mod_p_and_prime_above_match_brute_force(D):
+    """For every split or ramified p < 2000, `roots_mod_p` is the ascending
+    list of roots of w's minimal polynomial mod p found by trying every
+    residue, and `prime_above`'s closed-form HNF is the HNF that
+    `QfIdeal.from_rows` computes for (p, w - r), at every root r."""
+    F = QuadField(D)
+    kinds = set()
+    for p in primerange(2, 2000):
+        roots = _brute_force_roots(F, p)
+        if not roots:
+            continue
+        kinds.add(prime_splitting(F, p))
+        assert roots_mod_p(F, p) == roots
+        for r in roots:
+            assert prime_above(F, p, r) == QfIdeal.from_rows(F, [[p, 0], [-r, 1]], 1)
+    assert kinds == {"split", "ramified"}
+
+
+def _reference_generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
+    """`_generator_in_ideal` as it was in Fraction arithmetic, y before -y:
+    an element of the integral ideal with |Nm| = Nm(ideal), or None."""
+    field = ideal.field
+    N = ideal.norm()
+    if not ideal.is_integral() or N.denominator != 1:
+        raise QuadFieldError("internal: generator search needs an integral ideal")
+    N = N.numerator
+    t, nw = field.w_trace, field.w_norm
+
+    def try_xy(y: int, target: int) -> QuadElem | None:
+        # x^2 + t*x*y + nw*y^2 = target, solve for integer x
+        A = 1
+        B = t * y
+        C = nw * y * y - target
+        disc_q = B * B - 4 * A * C
+        if disc_q < 0:
+            return None
+        r = isqrt(disc_q)
+        if r * r != disc_q:
+            return None
+        for sgn in (1, -1):
+            num = -B + sgn * r
+            if num % 2 == 0:
+                x = num // 2
+                cand = QuadElem(field, Fraction(x), Fraction(y))
+                if ideal.contains(cand):
+                    return cand
+        return None
+
+    if field.is_real:
+        if eps is None:
+            raise QuadFieldError("internal: a real field needs its fundamental unit")
+        eps_num = (2 * eps.x + eps.y * field.disc + eps.y * (isqrt(field.disc) + 1)) / 2
+        M = (isqrt(N) + 1) * (eps_num + 1)
+        ymax = int(2 * M) // isqrt(field.disc) + 1
+        targets = (N, -N)
+    else:
+        ymax = 2 * isqrt(N // max(1, abs(field.disc) // 4)) + 2
+        targets = (N,)
+    cap = qf.MAX_GENERATOR_SEARCH_Y
+    for y in range(min(ymax, cap) + 1):
+        for yy in ((y,) if y == 0 else (y, -y)):
+            for target in targets:
+                g = try_xy(yy, target)
+                if g is not None:
+                    return g
+    if ymax > cap:
+        raise ResourceError(f"principality search stopped after |y| = {cap} without a generator")
+    return None
+
+
+def _reference_is_principal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
+    g = _reference_generator_in_ideal(QfIdeal(ideal.field, ideal.num, 1), eps)
+    return None if g is None else g / ideal.den
+
+
+def _outcome(fn, *args):
+    """What a call answers: its value, or the type and message it raises."""
+    try:
+        return fn(*args)
+    except (QuadFieldError, ResourceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _prime_ideals(D):
+    """(p, w - r) for every split or ramified p < 60 and every root r, built
+    by the general HNF."""
+    F = QuadField(D)
+    return [
+        QfIdeal.from_rows(F, [[p, 0], [-r, 1]], 1)
+        for p in primerange(2, 60)
+        for r in _brute_force_roots(F, p)
+    ]
+
+
+_PRIMES_OF = {D: _prime_ideals(D) for D in _PRIME_IDEAL_DS}
+_EPS_OF = {D: fundamental_unit(QuadField(D)) if D > 0 else None for D in _PRIME_IDEAL_DS}
+
+
+@seed(1917)
+@given(
+    D=st.sampled_from(_PRIME_IDEAL_DS),
+    kind=st.sampled_from(["prime", "product", "principal"]),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    xy=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    den=st.integers(1, 6),
+)
+@settings(max_examples=400, deadline=None)
+def test_generator_search_matches_reference(D, kind, picks, xy, den):
+    """The integer generator search returns the element, None or the error
+    of the Fraction search, over real and imaginary fields: prime ideals,
+    products of two or three of them, and principal ideals; `is_principal`
+    agrees on the same ideals scaled by 1/den."""
+    F, primes, eps = QuadField(D), _PRIMES_OF[D], _EPS_OF[D]
+    if kind == "principal":
+        g = QuadElem(F, Fraction(xy[0]), Fraction(xy[1]))
+        if g.is_zero():
+            return
+        ideal = QfIdeal.principal(g)
+    else:
+        ideal = primes[picks[0] % len(primes)]
+        for i in picks[1:] if kind == "product" else []:
+            ideal = ideal * primes[i % len(primes)]
+    got = _outcome(_generator_in_ideal, ideal, eps)
+    assert got == _outcome(_reference_generator_in_ideal, ideal, eps)
+    if kind == "principal":
+        assert isinstance(got, QuadElem) and QfIdeal.principal(got) == ideal
+    fractional = ideal * Fraction(1, den)
+    assert _outcome(is_principal, fractional, eps) == _outcome(_reference_is_principal, fractional, eps)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5])
+def test_generator_search_limit_matches_reference(monkeypatch, cap):
+    """Under a small |y| cap the integer search stops where the Fraction
+    search stops, with the same ResourceError message, and finds the same
+    generators below it; the errors of a fractional ideal and of a real
+    field without its unit are the reference's too."""
+    monkeypatch.setattr(qf, "MAX_GENERATOR_SEARCH_Y", cap)
+    outcomes = []
+    for D in _PRIME_IDEAL_DS:
+        for ideal in _PRIMES_OF[D][:8]:
+            for I in (ideal, ideal * ideal):
+                got = _outcome(_generator_in_ideal, I, _EPS_OF[D])
+                assert got == _outcome(_reference_generator_in_ideal, I, _EPS_OF[D])
+                outcomes.append(type(got))
+    if cap < 5:
+        assert tuple in outcomes and QuadElem in outcomes
+    half = QfIdeal.unit_ideal(F5) * Fraction(1, 2)
+    for I, eps in ((half, fundamental_unit(F5)), (QfIdeal.unit_ideal(F5), None)):
+        got = _outcome(_generator_in_ideal, I, eps)
+        assert got[0] == "QuadFieldError" and got == _outcome(_reference_generator_in_ideal, I, eps)

@@ -108,3 +108,29 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_sympy_imports_are_the_traced_names():
+    """src/ takes from sympy only the functions that perfbench/spans.py
+    wraps (`SYMPY_NAMES`), under their own names, so every sympy call
+    shows up in the per-layer tracing."""
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SYMPY_NAMES"]
+    )
+    assert set(traced) == {"factorint", "isprime", "primerange"}
+    escaped = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                escaped += [f"{path.name}:{a.name}" for a in node.names if a.name.split(".")[0] == "sympy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+                escaped += [
+                    f"{path.name}:{node.module}.{a.name}"
+                    for a in node.names
+                    if a.name not in traced or a.asname not in (None, a.name)
+                ]
+    assert escaped == []
+
