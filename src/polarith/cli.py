@@ -78,6 +78,10 @@ def _rat(v, where: str) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        # "1e200000" would build a 200,001-digit integer; without exponents
+        # every parsed integer is bounded by the length of the string
+        if "e" in v or "E" in v:
+            raise InputError("schema:bad-rational", f"{where}: {v!r} (exponent notation is not accepted)")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:

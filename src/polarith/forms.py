@@ -47,6 +47,7 @@ from .linalg import (
     inverse,
     mat_eq,
     mat_mul,
+    numerators,
     qbasis,
     regular_matrix,
     scalar_of,
@@ -307,7 +308,7 @@ def _positive_diagonal(f: GramForm) -> list | None:
     if isinstance(ring, EtalePairRing) and f.dim:
         return None
     try:
-        diag, _ = diagonalize(f)
+        diag = diagonal(f)
     except FormError:  # singular
         return None
     if isinstance(ring, QuadRing) and ring.field.is_real:
@@ -321,6 +322,48 @@ def _positive_diagonal(f: GramForm) -> list | None:
 # Diagonalization
 
 
+def diagonal(f: GramForm) -> list:
+    """The diagonal of `diagonalize(f)`, with no transform built.
+
+    Over Q, a symmetric fraction-free elimination on the integer numerators
+    (N, d) of the Gram matrix, with the pivot rule of `diagonalize`: the
+    first nonzero diagonal entry from k, or else v_i += v_j for the first
+    i != j with m_ij != 0.  Step k updates the trailing block to
+    m_rc = (p_k m_rc - m_rk m_kc) / p_(k-1), p_k the pivot of step k and
+    p_(-1) = 1; the block stays p_(k-1) times the Schur complement of N
+    (Sylvester's identity, as in `linalg._bareiss`), so every division is
+    exact and entry k of the diagonal is p_k / (p_(k-1) d)."""
+    if f.kind == "skew":
+        raise FormError("skew forms do not diagonalize")
+    if type(f.ring) is not RationalRing:
+        return _eliminate(f, None, [])
+    m, d = numerators(f.gram)
+    n = len(m)
+    diag, prev = [], 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if m[i][i]), None)
+        if i is None:
+            i, j = next(((i, j) for i in range(k, n) for j in range(k, n) if i != j and m[i][j]), (None, None))
+            if i is None:
+                raise FormError("cannot diagonalize: no unit pivot")
+            for r in range(k, n):
+                m[r][i] += m[r][j]
+            for r in range(k, n):
+                m[i][r] += m[j][r]
+        if i != k:
+            for row in m:
+                row[k], row[i] = row[i], row[k]
+            m[k], m[i] = m[i], m[k]
+        pk = m[k][k]
+        diag.append(Fraction(pk, prev * d))
+        tail = m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            x = row[k]
+            row[k + 1 :] = [(pk * y - x * z) // prev for y, z in zip(row[k + 1 :], tail)]
+        prev = pk
+    return diag
+
+
 def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
     """(diag, u) with u^{iota T} G u = diag, each entry of diag a pivot
     that `unit_inverse` accepted.  Not defined for skew kinds.
@@ -330,20 +373,26 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
     of a split quaternion algebra are refused.  At step k the pivot is the
     first unit on the diagonal from k; when there is none, the first
     v_i += v_j * lam (i != j, lam over the Q-basis of the base) that makes
-    the (i, i) entry a unit.  FormError when neither exists.
+    the (i, i) entry a unit.  FormError when neither exists."""
+    if f.kind == "skew":
+        raise FormError("skew forms do not diagonalize")
+    u = identity(f.dim, f.ring)
+    return _eliminate(f, unit_inverse, u), u
+
+
+def _eliminate(f: GramForm, unit_inverse, u) -> list:
+    """The diagonal of `diagonalize`, applying its column operations to
+    the rows of u in place; u = [] builds no transform.
 
     Step k adds v_k c_j to v_j, c_j = -(pivot^{-1} g_kj), for each j > k
     with g_kj != 0.  Only the trailing block g[k+1:][k+1:] is read after
     step k, and the operations add g_rk c_j to its entries: their row
     halves add iota(c_r) (g_kj + g_kk c_j) = 0 there.  So only that block
     is updated; row and column k keep their old entries."""
-    if f.kind == "skew":
-        raise FormError("skew forms do not diagonalize")
     ring = f.ring
     is_zero = ring.is_zero
     n = f.dim
     g = [row[:] for row in f.gram]
-    u = identity(n, ring)
     if unit_inverse is None:
 
         def unit_inverse(x):
@@ -364,8 +413,8 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
         for r in range(n):
             g[r][i], g[r][j] = g[r][j], g[r][i]
         g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
 
     def pivot(k):
         """(i, inverse of the new (i, i) entry), after the column operation
@@ -396,8 +445,7 @@ def diagonalize(f: GramForm, unit_inverse=None) -> tuple[list, list]:
         cs = [(j, -(pivot_inv * g[k][j])) for j in range(k + 1, n) if not is_zero(g[k][j])]
         add_cols(g[k + 1 :], k, cs)
         add_cols(u, k, cs)
-    diag = [g[i][i] for i in range(n)]
-    return diag, u
+    return [g[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +637,7 @@ def invariants(f: GramForm) -> FormInvariants:
         diag = [ring.one()] * f.dim
     else:
         try:
-            diag, _ = diagonalize(f)
+            diag = diagonal(f)
         except FormError:
             if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
                 raise

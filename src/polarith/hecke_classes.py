@@ -35,8 +35,8 @@ from .quadfield import (
     fundamental_unit,
     is_principal,
     is_totally_positive,
+    kronecker_splitting,
     prime_exponents,
-    prime_splitting,
     prime_above,
     principalize_with_ramified_twists,
     roots_mod_p,
@@ -221,7 +221,7 @@ def generate_classes(
     last_p = None
     for p in primerange(2, prime_cap):
         last_p = p
-        if prime_splitting(field, p) != "split":
+        if kronecker_splitting(field, p) != "split":  # primerange yields primes
             continue
         pr = prime_above(field, p, roots_mod_p(field, p)[0])
         g = is_principal(pr, eps)

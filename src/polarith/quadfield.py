@@ -385,13 +385,20 @@ class QfIdeal:
 
 
 def prime_splitting(field: QuadField, p: int) -> str:
-    """'split', 'inert' or 'ramified': the Kronecker symbol (disc | p).  The
-    minimal polynomial x^2 - disc x + nw of w has discriminant disc, so for
-    odd p it has two roots mod p iff disc is a nonzero square mod p.  At
-    p = 2 with disc odd it is x^2 + x + nw mod 2, nw = disc (disc - 1) / 4,
-    which has roots iff nw is even, that is iff disc = 1 mod 8."""
+    """'split', 'inert' or 'ramified' for the prime p; QuadFieldError when
+    p is not prime."""
     if not isprime(p):
         raise QuadFieldError(f"{p} is not prime")
+    return kronecker_splitting(field, p)
+
+
+def kronecker_splitting(field: QuadField, p: int) -> str:
+    """`prime_splitting` for a p the caller knows to be prime: the
+    Kronecker symbol (disc | p).  The minimal polynomial x^2 - disc x + nw
+    of w has discriminant disc, so for odd p it has two roots mod p iff
+    disc is a nonzero square mod p.  At p = 2 with disc odd it is
+    x^2 + x + nw mod 2, nw = disc (disc - 1) / 4, which has roots iff nw
+    is even, that is iff disc = 1 mod 8."""
     disc = field.disc
     if disc % p == 0:
         return "ramified"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -779,6 +780,7 @@ _TWO = [["2", "0"], ["0", "2"]]
          "schema:bad-entry"),
         ("degree-bound", _matrix_factor({"type": "Q"}, 2, [["1"]]), "schema:bad-matrix"),
         ("hecke-classes", {"D": 5, "count": 700}, "resource:budget"),
+        ("classify-form", {"form": form_q("symmetric", [["1e200000"]])}, "schema:bad-rational"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
@@ -789,6 +791,18 @@ def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
     rc, checked = run_cli(tmp_path, "validate", doc, "--validate-verb", verb)
     assert rc == 1
     assert checked == {"valid": False, "errors": [out["error"]]}
+
+
+@pytest.mark.parametrize("entry", ["1e200000", "2.5E20000", "-1e-200000"])
+def test_exponent_rational_is_refused_at_once(tmp_path, entry):
+    """A rational in exponent notation is refused before `Fraction` builds
+    its power of ten: "1e200000" is a 200,001-digit integer."""
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "classify-form", {"form": form_q("symmetric", [[entry]])})
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out["error"] == {"code": "schema:bad-rational",
+                            "message": f"form.gram[0][0]: {entry!r} (exponent notation is not accepted)"}
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from polarith.forms import (
     MatrixInvolution,
     PairElem,
     adjoint_involution,
+    diagonal,
     diagonalize,
     etale_pair_witness,
     fourth_power_isometric,
@@ -920,6 +921,40 @@ def test_diagonalize_matches_reference(case):
         diag, u = got
         n, zero = f.dim, f.ring.zero()
         assert f.transform(u).gram == [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
+
+
+_large_entry = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+)
+
+
+@st.composite
+def _large_rational_form(draw):
+    """A symmetric form over Q of dimension 1-8 with denominators up to
+    10^6, so that the integer elimination scales by a large common
+    denominator and divides large minors; some or all of the diagonal is
+    zero, as in `_diagonalize_case`."""
+    n = draw(st.integers(1, 8))
+    zeros = draw(st.sampled_from(["none", "some", "all"]))
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if not (zeros == "all" or (zeros == "some" and draw(st.booleans()))):
+            g[i][i] = draw(_large_entry)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(_large_entry)
+    return GramForm("symmetric", QR, g)
+
+
+@seed(20201)
+@given(f=st.one_of(_diagonalize_case().map(lambda case: case[0]), _large_rational_form()))
+@settings(max_examples=400, deadline=None)
+def test_diagonal_matches_reference(f):
+    """`diagonal` (the integer elimination over Q, the elimination without
+    u elsewhere) returns the diag of the whole-column elimination under
+    the default pivot rule, or refuses with its message."""
+    got = _diagonalize_outcome(lambda f, _: diagonal(f), f, None)
+    want = _diagonalize_outcome(_reference_diagonalize, f, None)
+    assert got == (want if want[0] == "FormError" else want[0])
 
 
 @pytest.mark.parametrize(

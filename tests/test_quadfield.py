@@ -20,6 +20,7 @@ from polarith.quadfield import (
     is_principal,
     is_square_in_field,
     is_totally_positive,
+    kronecker_splitting,
     normalize_generator,
     prime_above,
     prime_exponents,
@@ -136,7 +137,7 @@ def test_prime_splitting_matches_root_count(D):
             kind = "ramified"
         else:
             kind = {0: "inert", 1: "ramified", 2: "split"}[len(roots)]
-        assert prime_splitting(F, p) == kind
+        assert prime_splitting(F, p) == kronecker_splitting(F, p) == kind
         expected = (
             [QfIdeal.from_rows(F, [[p, 0], [0, p]], 1)] if kind == "inert"
             else [QfIdeal.from_rows(F, [[p, 0], [-r, 1]], 1) for r in roots]
@@ -176,6 +177,10 @@ def test_prime_splitting():
     assert prime_splitting(QuadField(17), 2) == "split"
     assert prime_splitting(F2, 2) == "ramified"
     assert prime_splitting(F2, 7) == "split"
+    # kronecker_splitting is the form without this check
+    for n in (1, 4, 15):
+        with pytest.raises(QuadFieldError, match="is not prime"):
+            prime_splitting(F5, n)
 
 
 def test_prime_exponents_split_11():
