@@ -524,17 +524,25 @@ def _error(exc: Exception) -> dict:
     return {"code": "precondition:" + type(exc).__name__, "message": str(exc)}
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, output: str) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
+    if output and output != "-":
+        with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise `schema:bad-flag` instead of
+    exiting 2, the code of a computed negative."""
+
+    def error(self, message):
+        raise InputError("schema:bad-flag", message)
+
+
 # built once: each `parse_args` call returns a fresh namespace
-_PARSER = argparse.ArgumentParser(
+_PARSER = _Parser(
     prog="polarith",
     description="Exact form classification, p-adic lattices, and bounded-norm solvers",
 )
@@ -549,7 +557,11 @@ _PARSER.add_argument("--height", type=int, default=3)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except InputError as exc:
+        _emit({"error": _error(exc)}, "-")
+        return 1
 
     try:
         if args.input in (None, "-"):
@@ -558,10 +570,11 @@ def main(argv=None) -> int:
             with open(args.input) as fh:
                 doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": {"code": "io:input", "message": str(exc)}}, args)
+        _emit({"error": {"code": "io:input", "message": str(exc)}}, args.output)
         return 1
     if not isinstance(doc, dict):
-        _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}}, args)
+        _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}},
+              args.output)
         return 1
 
     if args.verb != "validate":
@@ -569,13 +582,13 @@ def main(argv=None) -> int:
             code, payload = VERBS[args.verb](doc, args)()
         except _MAPPED as exc:
             code, payload = 1, {"error": _error(exc)}
-        _emit(payload, args)
+        _emit(payload, args.output)
         return code
 
     verb = args.validate_verb or doc.get("verb")
     if verb is None:
         _emit({"error": {"code": "schema:missing-field",
-                         "message": "validate needs --validate-verb or a 'verb' field"}}, args)
+                         "message": "validate needs --validate-verb or a 'verb' field"}}, args.output)
         return 1
     errors = []
     try:
@@ -584,7 +597,7 @@ def main(argv=None) -> int:
         VERBS[verb](doc, args)  # the parse-and-check step; the computation is dropped
     except _MAPPED as exc:
         errors.append(_error(exc))
-    _emit({"valid": not errors, "errors": errors}, args)
+    _emit({"valid": not errors, "errors": errors}, args.output)
     return 1 if errors else 0
 
 

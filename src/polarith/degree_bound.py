@@ -6,8 +6,11 @@ Fully implemented routes:
   * commutative quadratic-field case (ideal algorithm: local exponents,
     principalization, possibly after ramified twists, unit cleanup);
   * split matrix case M_n(Q) with transpose involution (local maximal
-    lattices glued over the bad primes, then an exact decomposition of the
-    resulting unimodular positive definite Gram as T^T T);
+    lattices glued over the bad primes, then the resulting unimodular
+    positive definite Gram u written as T^T T: u is in the class of I_n
+    exactly when a complete enumeration finds n pairs of norm-1 vectors,
+    so a Gram with an E8 summand, possible for n >= 8, is a certified
+    fallback);
   * a universal brute-force oracle over coordinate boxes.
 
 The achieved constant c = Nm(b) / Nm(q)^{d - 1/2} is reported, never
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from sympy import factorint
 
@@ -38,7 +41,7 @@ from .algebras import (
     quadfield_algebra,
     rational_algebra,
 )
-from .exact import valuation
+from .exact import square_class, valuation
 from .forms import is_positive_definite, symmetric_form_q
 from .lattices_local import PadicContext, PadicLattice, maximal_completion
 from .linalg import (
@@ -52,6 +55,7 @@ from .linalg import (
     mat,
     mat_mul,
     mat_scale,
+    numerators,
     transpose,
 )
 from .quadfield import (
@@ -346,9 +350,11 @@ def _absorb_unit_real(F: QuadField, b0: QuadElem, q: QuadElem, u: QuadElem, big_
 def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     """M_n(Q) with the transpose involution and R = M_n(Z): glue the local
     maximal-lattice solutions over the bad primes into one integer lattice,
-    then split the resulting unimodular positive definite Gram as T^T T
-    (class number of I_n is 1 for n <= 8).  Positive definite q only;
-    everything else routes to the oracle."""
+    then split the resulting unimodular positive definite Gram u as T^T T,
+    which exists exactly when u has n pairs of norm-1 vectors (see
+    `identity_form_decomposition`; for n >= 8 an E8 summand can leave
+    fewer, and that fallback reason is then a proof).  Positive definite q
+    only; everything else routes to the oracle."""
     A = inst.algebra
     f0 = A.factors[0]
     if not (isinstance(f0.ring, RationalRing) and f0.matrix_size):
@@ -433,96 +439,99 @@ def _rows_of_integer_lattice(basis) -> list[list[int]]:
 
 
 def identity_form_decomposition(u) -> list | None:
-    """T in GL_n(Z) with u = T^T T for a positive definite unimodular
-    integral Gram in the class of I_n: greedy reduction, then recursive
-    norm-1 splitting along integral orthogonal projections.  None when the
-    search finds no norm-1 vector (the Gram is not in the I_n class, or it
-    is too skew for the bounded search)."""
+    """T in GL_n(Z) with u = T^T T for a positive definite integral Gram u,
+    or None exactly when u is not in the class of I_n.
+
+    Two distinct norm-1 vectors x != -y of an integral lattice are
+    orthogonal (Cauchy-Schwarz gives |x^T u y| < 1), so u is in the class
+    of I_n iff it has n pairs +-x of norm-1 vectors, and then the matrix v
+    with one x of each pair as columns has v^T u v = I_n, i.e. T = v^-1.
+    The pairs are listed completely: LLL reduction (Lenstra, Lenstra and
+    Lovasz 1982), then Fincke-Pohst enumeration on the reduced basis's
+    exact Gram-Schmidt data (Cohen, GTM 138, 2.6-2.7).  The columns of v
+    each have a positive first nonzero entry and stand in decreasing
+    lexicographic order, so u = I_n gives T = I_n."""
     n = len(u)
-
-    def greedy_reduce(g, emb):
-        changed = True
-        guard = 0
-        while changed and guard < 10**4:
-            changed = False
-            guard += 1
-            k = len(g)
-            for i in range(k):
-                for j in range(k):
-                    if i == j or g[j][j] == 0:
-                        continue
-                    c = -round(Fraction(g[i][j], g[j][j]))
-                    if c and g[i][i] + 2 * c * g[i][j] + c * c * g[j][j] < g[i][i]:
-                        for r in range(n):
-                            emb[r][i] += c * emb[r][j]
-                        for r in range(k):
-                            g[r][i] += c * g[r][j]
-                        for r in range(k):
-                            g[i][r] += c * g[j][r]
-                        changed = True
-        return g, emb
-
-    def rec(g, emb):
-        k = len(g)
-        if k == 0:
-            return []
-        g, emb = greedy_reduce(g, emb)
-        x = _find_norm_one(g, k)
-        if x is None:
+    # u = L D L^T over Q: mu below the diagonal of L, r the diagonal of D
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    r = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (Fraction(u[i][j]) - sum(mu[i][k] * mu[j][k] * r[k] for k in range(j))) / r[j]
+        r[i] = Fraction(u[i][i]) - sum(mu[i][k] ** 2 * r[k] for k in range(i))
+        if r[i] <= 0:
             return None
-        x_orig = [sum(emb[r][i] * x[i] for i in range(k)) for r in range(n)]
-        pair = [sum(g[i][j] * x[j] for j in range(k)) for i in range(k)]
-        rows = [
-            [(1 if t == i else 0) - pair[i] * x[t] for t in range(k)] for i in range(k)
-        ]
-        comp = hnf([[int(v) for v in row] for row in rows])
-        if len(comp) != k - 1:
-            return None
-        new_g = [
-            [
-                sum(v[i] * g[i][j] * w[j] for i in range(k) for j in range(k))
-                for w in comp
-            ]
-            for v in comp
-        ]
-        new_emb = [
-            [sum(emb[r][t] * v[t] for t in range(k)) for v in comp] for r in range(n)
-        ]
-        rest = rec(new_g, new_emb)
-        if rest is None:
-            return None
-        return [x_orig] + rest
-
-    g0 = [[int(x) for x in row] for row in u]
-    cols = rec(g0, identity(n))
-    if cols is None:
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    _lll(mu, r, basis)
+    cols = []
+    for x in _norm_one_vectors(mu, r):
+        col = [sum(x[i] * basis[i][c] for i in range(n)) for c in range(n)]
+        if next(v for v in col if v) > 0:
+            cols.append(col)
+    if len(cols) != n:
         return None
-    v = [[cols[c][r] for c in range(n)] for r in range(n)]
-    # columns of v are u-orthonormal: v^T u v = I, so u = (v^{-1})^T v^{-1}
-    t = inverse(mat(v))
+    t = inverse(transpose(mat(sorted(cols, reverse=True))))
     if mat_mul(transpose(t), t) != mat(u):
         return None
     return t
 
 
-def _find_norm_one(g, k) -> list | None:
-    """An integer vector of norm 1 for a reduced positive definite Gram, by
-    bounded enumeration (box from the diagonal)."""
-    if k == 0:
-        return None
-    if any(g[i][i] == 1 for i in range(k)):
-        i = next(i for i in range(k) if g[i][i] == 1)
-        return [1 if t == i else 0 for t in range(k)]
-    bound = 3
-    best = None
-    for cand in product(range(-bound, bound + 1), repeat=k):
-        if all(c == 0 for c in cand):
+def _lll(mu, r, basis) -> None:
+    """LLL-reduce the rows of `basis` in place (delta = 3/4), with their
+    Gram-Schmidt coefficients mu and squared lengths r (Cohen, GTM 138,
+    Alg. 2.6.3, every mu known from the start)."""
+    n = len(r)
+
+    def size_reduce(k, l):
+        q = round(mu[k][l])
+        if q:
+            basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
+            mu[k][l] -= q
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if r[k] >= (Fraction(3, 4) - m * m) * r[k - 1]:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
             continue
-        val = sum(cand[i] * g[i][j] * cand[j] for i in range(k) for j in range(k))
-        if val == 1:
-            best = list(cand)
-            break
-    return best
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+        b = r[k] + m * m * r[k - 1]
+        mu[k][k - 1] = m * r[k - 1] / b
+        r[k - 1], r[k] = b, r[k - 1] * r[k] / b
+        for row in mu[k + 1 :]:
+            t = row[k]
+            row[k] = row[k - 1] - m * t
+            row[k - 1] = t + mu[k][k - 1] * row[k]
+        k = max(k - 1, 1)
+
+
+def _norm_one_vectors(mu, r) -> list:
+    """Every nonzero integer x with sum_j r_j (x_j + sum_{i>j} mu_ij x_i)^2
+    <= 1, which for an integral Gram L D L^T is norm exactly 1.  With x_i
+    fixed for i > j, the admissible x_j form an interval around
+    c = -sum_{i>j} mu_ij x_i, walked outward from round(c) (Fincke-Pohst)."""
+    n = len(r)
+    x = [0] * n
+
+    def walk(j, room):
+        if j < 0:
+            if any(x):
+                yield list(x)
+            return
+        c = -sum(mu[i][j] * x[i] for i in range(j + 1, n))
+        for v, step in ((round(c), 1), (round(c) - 1, -1)):
+            while (left := room - r[j] * (v - c) ** 2) >= 0:
+                x[j] = v
+                yield from walk(j - 1, left)
+                v += step
+
+    return list(walk(n - 1, Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +670,7 @@ def _cleared_similitude_result(inst: BoundInstance) -> BoundResult | None:
     (t a)^dagger q (t a) = t^2 m is a nonzero integer and t a is in R."""
     if inst.a is None:
         return None
-    coords = inst.order.coordinates(inst.a)
-    t = 1
-    for c in coords:
-        t = t * c.denominator // gcd(t, c.denominator)
+    t = numerators([inst.order.coordinates(inst.a)])[1]
     A = inst.algebra
     b = A.scale(Fraction(t), inst.a)
     val = inst.m * t * t
@@ -806,9 +812,6 @@ def torus_conductor(order: OrderR, x: tuple) -> int:
         raise DegreeBoundError("degenerate (non-etale) subalgebra")
     # disc(Z[x]) = f^2 d_K with d_K the discriminant of the maximal order of
     # L (1 when L = Q x Q), read off the squarefree part of disc(Z[x])
-    s = -1 if dzx < 0 else 1
-    for pr, e in factorint(abs(dzx)).items():
-        if e % 2:
-            s *= pr
+    s = square_class(dzx).representative
     d_k = s if s % 4 == 1 else 4 * s
     return isqrt(dzx // d_k)

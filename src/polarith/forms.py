@@ -751,8 +751,7 @@ def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
     if n == 0:
         return []
     L = lcm(*range(1, height + 1))
-    M = lcm(*(x.denominator for row in f1.gram for x in row))
-    G = [[int(x * M) for x in row] for row in f1.gram]
+    G, M = numerators(f1.gram)
     scaled = [[x * (L * L * M) for x in row] for row in f2.gram]
     if any(x.denominator != 1 for row in scaled for x in row):
         return None  # no integer pairing can reach a non-integer target

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm, prod
 
 from sympy import isprime
 
@@ -62,6 +61,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_sub,
+    numerators,
     scalar_of,
     transpose,
 )
@@ -168,8 +168,7 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
     winner carries its Gram, whose scale is re-checked."""
     p, n = L.ctx.p, L.dim
     gram = L.gram()
-    den = lcm(*(x.denominator for row in gram for x in row))
-    g = [[int(x * den) for x in row] for row in gram]
+    g, den = numerators(gram)
     e = valuation(den, p)
     s = t + e
     row_mod = p ** max(0, s + 1)
@@ -408,33 +407,14 @@ def _det_one_signed_permutations(n: int):
         for perm in permutations(range(n)):
             if sum(pi != i for i, pi in enumerate(perm)) > k:
                 continue
-            sign_perm = _perm_sign(perm)
             for signs in product((1, -1), repeat=n):
-                if sign_perm * prod(signs) != 1:
-                    continue
                 if sum(pi != i or s < 0 for i, (pi, s) in enumerate(zip(perm, signs))) != k:
                     continue
                 m = [[Fraction(0)] * n for _ in range(n)]
                 for i, pi in enumerate(perm):
                     m[pi][i] = Fraction(signs[i])
-                yield m
-
-
-def _perm_sign(perm) -> int:
-    s = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            s = -s
-    return s
+                if det(m) == 1:
+                    yield m
 
 
 def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[Matrix, Fraction]:

@@ -26,7 +26,7 @@ from math import gcd, isqrt, lcm, prod
 from sympy import factorint, isprime
 
 from .exact import legendre, lift_root, rational_sqrt, sqrt_mod_p, valuation
-from .linalg import frac, hnf
+from .linalg import frac, hnf, numerators
 
 
 class QuadFieldError(ValueError):
@@ -317,11 +317,7 @@ class QfIdeal:
         for g in gens:
             closure.append(g)
             closure.append(g * field.omega())
-        den = 1
-        for g in closure:
-            for c in (g.x, g.y):
-                den = den * c.denominator // gcd(den, c.denominator)
-        rows = [[int(g.x * den), int(g.y * den)] for g in closure]
+        rows, den = numerators([[g.x, g.y] for g in closure])
         return cls.from_rows(field, rows, den)
 
     @classmethod

@@ -47,6 +47,21 @@ def test_isometric_negative_exit_2(tmp_path):
     assert "det_class mismatch" in out["reason"]
 
 
+@pytest.mark.parametrize("verb", [*VERBS, "validate"])
+def test_bad_flag_answers_schema_error(tmp_path, capsys, verb):
+    """A command-line usage error answers exit 1 with a JSON body on
+    stdout, not argparse's exit 2, which means a computed negative."""
+    inp = tmp_path / "in.json"
+    inp.write_text("{}")
+    for flags, word in ((["--height", "abc"], "abc"), (["--bogus"], "--bogus")):
+        assert main([verb, str(inp), *flags]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "schema:bad-flag" and word in err["message"]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: polarith")
+
+
 def test_isometric_positive(tmp_path):
     doc = {
         "form1": form_q("symmetric", [["1", "0"], ["0", "1"]]),

@@ -1,8 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
@@ -38,7 +39,7 @@ from polarith.algebras import (
     quadfield_algebra,
 )
 from polarith.exact import valuation
-from polarith.linalg import RationalRing, frac, identity, mat, mat_mul, qbasis, transpose
+from polarith.linalg import RationalRing, det, frac, identity, inverse, mat, mat_mul, qbasis, transpose
 from polarith.quadfield import QuadField, QuadElem, fundamental_unit, is_totally_positive
 
 
@@ -235,16 +236,91 @@ def test_split_matrix_verified_random():
     assert done >= 10
 
 
+# the Gram of the E8 root lattice: even, unimodular, positive definite
+_E8 = [
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, -1],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, 0],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, -1, 0, 0, 0, 0, 2],
+]
+
+
+def _check_decomposition(u, t):
+    """t^T t = u, and the columns of t^-1 follow the stated order rule: a
+    positive first nonzero entry each, in decreasing lexicographic order."""
+    assert t is not None and mat_mul(transpose(t), t) == u
+    cols = transpose(inverse(t))
+    assert all(x.denominator == 1 for col in cols for x in col)
+    assert all(next(x for x in col if x) > 0 for col in cols)
+    assert cols == sorted(cols, reverse=True)
+
+
 def test_identity_form_decomposition():
-    u = mat([[2, 1], [1, 1]])
+    for u in ([[2, 1], [1, 1]], [[5, 2], [2, 1]]):
+        _check_decomposition(mat(u), identity_form_decomposition(mat(u)))
+    assert identity_form_decomposition(identity(4)) == identity(4)
+    # E8 has no norm-1 vector and I_1 + E8 only one pair: neither is in
+    # the class of I_n, and None is then a proof
+    assert det(mat(_E8)) == 1
+    assert identity_form_decomposition(mat(_E8)) is None
+    i1_e8 = [[1] + [0] * 8] + [[0] + row for row in _E8]
+    assert identity_form_decomposition(mat(i1_e8)) is None
+    # not positive definite
+    assert identity_form_decomposition(mat([[0, 1], [1, 0]])) is None
+    assert identity_form_decomposition(mat([[1, 0], [0, -1]])) is None
+
+
+def _column_operation_gram(n, steps, seed):
+    """u = T^T T for T = I_n after `steps` column operations b_i += c b_j
+    (i != j, c in {-2, -1, 1, 2}) drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in t:
+            row[i] += c * row[j]
+    return mat(mat_mul(transpose(mat(t)), mat(t)))
+
+
+# draws on which the earlier greedy reduction and {-3..3}^k box search
+# answered None (n = 5, 6) or ran past 10 s (n = 8)
+_SKEWED_DRAWS = [(5, 60, 32), (5, 60, 59)]
+_SKEWED_DRAWS += [(6, 60, s) for s in (10, 11, 27, 28, 41, 42, 51, 54)]
+_SKEWED_DRAWS += [(8, 30, s) for s in (7, 10, 15, 29)]
+
+
+@pytest.mark.parametrize("n, steps, seed", _SKEWED_DRAWS)
+def test_identity_form_decomposition_skewed_draws(n, steps, seed):
+    u = _column_operation_gram(n, steps, seed)
+    start = time.perf_counter()
     t = identity_form_decomposition(u)
-    assert t is not None
-    assert mat_mul(transpose(t), t) == u
-    # a non-I_n-genus unimodular form: none exists in dim 2 pos def det 1
-    # except I_2 itself, so use a known equivalent one
-    u2 = mat([[5, 2], [2, 1]])
-    t2 = identity_form_decomposition(u2)
-    assert t2 is not None and mat_mul(transpose(t2), t2) == u2
+    assert time.perf_counter() - start < 1.0
+    _check_decomposition(u, t)
+
+
+@seed(2111)
+@given(
+    n=st.integers(1, 8),
+    ops=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([-2, -1, 1, 2])), max_size=40),
+    signs=st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_identity_form_decomposition_random_t(n, ops, signs):
+    """u = T^T T for T in GL_n(Z) (column operations and sign changes) is
+    always decomposed, whatever the order of the operations."""
+    t = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i != j:
+            for row in t:
+                row[i] += c * row[j]
+    u = mat(mat_mul(transpose(mat(t)), mat(t)))
+    _check_decomposition(u, identity_form_decomposition(u))
 
 
 def test_measure_constant_batch():

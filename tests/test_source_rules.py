@@ -1,6 +1,7 @@
 """Rules on the source tree itself."""
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -61,10 +62,18 @@ def test_every_top_level_definition_is_used():
     assert unused == []
 
 
+def _overrides_external_hook(module: str, cls: str, method: str) -> bool:
+    """Whether `method` overrides a method of a base class from outside the
+    package (such as argparse's `error`), which that base's own code calls."""
+    obj = getattr(importlib.import_module(f"polarith.{module[:-3]}"), cls)
+    return any(method in vars(base) for base in obj.__mro__[1:] if not base.__module__.startswith("polarith"))
+
+
 def test_every_method_is_used():
     """A method (dunders aside) is reached as an attribute, `x.name`, so a
     name read nowhere as one marks dead code even when the same word
-    occurs elsewhere as a variable or a parameter."""
+    occurs elsewhere as a variable or a parameter.  An override of an
+    outside base class's hook is reached through that base."""
     attrs = Counter(
         node.attr
         for path in _sources("src", "scripts", "tests")
@@ -79,6 +88,7 @@ def test_every_method_is_used():
         if isinstance(node, ast.FunctionDef)
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and attrs[node.name] == 0
+        and not _overrides_external_hook(name, cls.name, node.name)
     ]
     assert unused == []
 
@@ -134,3 +144,47 @@ def test_sympy_imports_are_the_traced_names():
                 ]
     assert escaped == []
 
+
+
+# Every integer literal >= 10^4 in src/ (10**k with k >= 4 included) is a
+# search cap or budget; each sits at one of these (module, site) pairs,
+# where the site is the top-level function or the module-level constant.
+LARGE_LITERAL_SITES = {
+    ("cli.py", "cmd_hecke_classes"),  # the --height prime cap
+    ("hecke_classes.py", "generate_classes"),  # the prime cap
+    ("hecke_classes.py", "MAX_CONFIRMATION_POINTS"),
+    ("degree_bound.py", "MAX_PRINCIPAL_SEARCH_DISC"),
+    ("degree_bound.py", "brute_force_oracle"),  # the oracle budget
+    ("quadfield.py", "fundamental_unit"),  # the continued-fraction guard
+    ("quadfield.py", "unit_group_absorb"),  # the exponent guard
+    ("quadfield.py", "MAX_GENERATOR_SEARCH_Y"),
+}
+
+
+def _is_large_literal(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value >= 10**4
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and all(isinstance(side, ast.Constant) and type(side.value) is int for side in (node.left, node.right))
+        and node.left.value == 10
+        and node.right.value >= 4
+    )
+
+
+def test_large_literals_sit_at_listed_caps():
+    """A new hidden cap (a large loop guard, a box size) has to be listed
+    here, so the inventory of the package's search limits stays complete."""
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                site = top.name
+            elif isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+                site = top.targets[0].id
+            else:
+                site = f"line {top.lineno}"
+            if any(_is_large_literal(node) for node in ast.walk(top)):
+                sites.add((path.name, site))
+    assert sites == LARGE_LITERAL_SITES
