@@ -524,13 +524,20 @@ def _error(exc: Exception) -> dict:
     return {"code": "precondition:" + type(exc).__name__, "message": str(exc)}
 
 
-def _emit(payload: dict, output: str) -> None:
+def _emit(payload: dict, output: str, code: int) -> int:
+    """Write `payload` to the `output` path ('-' for stdout) and return the
+    exit code `code`; a path that cannot be written answers `io:output` on
+    stdout with exit 1 instead."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _emit({"error": {"code": "io:output", "message": str(exc)}}, "-", 1)
     else:
         sys.stdout.write(text)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -560,8 +567,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except InputError as exc:
-        _emit({"error": _error(exc)}, "-")
-        return 1
+        return _emit({"error": _error(exc)}, "-", 1)
 
     try:
         if args.input in (None, "-"):
@@ -570,26 +576,23 @@ def main(argv=None) -> int:
             with open(args.input) as fh:
                 doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": {"code": "io:input", "message": str(exc)}}, args.output)
-        return 1
+        return _emit({"error": {"code": "io:input", "message": str(exc)}}, args.output, 1)
     if not isinstance(doc, dict):
-        _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}},
-              args.output)
-        return 1
+        return _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}},
+                     args.output, 1)
 
     if args.verb != "validate":
         try:
             code, payload = VERBS[args.verb](doc, args)()
         except _MAPPED as exc:
             code, payload = 1, {"error": _error(exc)}
-        _emit(payload, args.output)
-        return code
+        return _emit(payload, args.output, code)
 
     verb = args.validate_verb or doc.get("verb")
     if verb is None:
-        _emit({"error": {"code": "schema:missing-field",
-                         "message": "validate needs --validate-verb or a 'verb' field"}}, args.output)
-        return 1
+        return _emit({"error": {"code": "schema:missing-field",
+                                "message": "validate needs --validate-verb or a 'verb' field"}},
+                     args.output, 1)
     errors = []
     try:
         if not isinstance(verb, str) or verb not in VERBS:
@@ -597,8 +600,7 @@ def main(argv=None) -> int:
         VERBS[verb](doc, args)  # the parse-and-check step; the computation is dropped
     except _MAPPED as exc:
         errors.append(_error(exc))
-    _emit({"valid": not errors, "errors": errors}, args.output)
-    return 1 if errors else 0
+    return _emit({"valid": not errors, "errors": errors}, args.output, 1 if errors else 0)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,11 @@ and controlled norm.
 
 Fully implemented routes:
   * commutative quadratic-field case (ideal algorithm: local exponents,
-    principalization, possibly after ramified twists, unit cleanup);
+    principalization, possibly after ramified twists, then the leftover
+    unit u of b0^2 q = M u absorbed by the first twist w of
+    `quadfield.sqrt_twists` with u w a square, as the Hecke decision
+    absorbs its unit; over an imaginary field a root of unity t with
+    u t^2 rational);
   * split matrix case M_n(Q) with transpose involution (local maximal
     lattices glued over the bad primes, then the resulting unimodular
     positive definite Gram u written as T^T T: u is in the class of I_n
@@ -63,13 +67,10 @@ from .quadfield import (
     QuadElem,
     QuadField,
     ResourceError,
-    fundamental_unit,
-    normalize_generator,
     prime_exponents,
     principalize_with_ramified_twists,
     sqrt_twists,
     torsion_units,
-    unit_group_absorb,
 )
 
 
@@ -283,7 +284,6 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     if gen is None:
         return _oracle_fallback(inst, "ideal class not principalizable at desk scale")
     b0, twist = gen
-    b0 = normalize_generator(b0)
     big_m *= twist
 
     # value-side unit cleanup
@@ -292,9 +292,9 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     if not u.is_unit():
         # content mismatch can only come from the ramified twist bookkeeping
         return _oracle_fallback(inst, "unit bookkeeping failed")
-    b_elem, value = _absorb_unit_real(F, b0, q, u, big_m)
+    b_elem, value = _absorb_unit(F, b0, u, big_m)
     if b_elem is None:
-        return _oracle_fallback(inst, "fundamental unit is not in Q*F^2: cleanup impossible")
+        return _oracle_fallback(inst, "no root of unity t makes the leftover unit u t^2 rational")
     res = BoundResult(
         b=(b_elem,),
         value=int(value),
@@ -308,39 +308,23 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     return res
 
 
-def _absorb_unit_real(F: QuadField, b0: QuadElem, q: QuadElem, u: QuadElem, big_m: Fraction):
-    """Remove the unit from b0^2 q = big_m * u by unit multiplications:
-    returns (b, value) with value = b^2 q in Q, or (None, None)."""
+def _absorb_unit(F: QuadField, b0: QuadElem, u: QuadElem, big_m: Fraction):
+    """Remove the unit u from b0^2 q = big_m * u: returns (b, value) with
+    value = b^2 q in Q, or (None, None) over an imaginary field whose roots
+    of unity cannot make u rational.  Over a real field, y^2 = u w for the
+    first twist w of `sqrt_twists` gives Nm(y)^2 = w^2, so b = b0 conj(y)
+    has b^2 q = big_m u conj(y)^2 = big_m w; b^2 q fixes |Nm b|, and the
+    ascending |w| makes it the least.  Such a w exists: q lies in Q^x F^x2,
+    so (y)^2 = (w) and every odd prime of w ramifies."""
     if not F.is_real:
         for t in torsion_units(F):
             cand = u * t * t
             if cand.is_rational():
-                b = b0 * t
-                return b, big_m * cand.as_rational()
+                return b0 * t, big_m * cand.as_rational()
         return None, None
-    sign, k = unit_group_absorb(F, u)
-    eps = fundamental_unit(F)
-    if k % 2 == 0:
-        b = b0 * eps ** (-(k // 2))
-        return b, big_m * sign
-    # odd exponent: try to write eps = z^2 / c with c a (+-) squarefree
-    # divisor of the discriminant (the only possible square ideal supports)
-    for c, z in sqrt_twists(eps):
-        # eps = z^2 / c ; reduce to exponent +-1 then absorb
-        kk = k % 2  # remaining odd part after even absorption
-        b = b0 * eps ** (-((k - kk) // 2))
-        # now value = big_m * sign * eps^kk * (stuff we multiply b by)^2
-        # multiply b by conj(z): value *= conj(z)^2; eps * conj(z)^2 =
-        # (z conj(z))^2 / (c z^2) * eps^2 ... compute directly instead
-        b_try = b * z.conj()
-        val_elem = b_try * b_try * q
-        if val_elem.is_rational():
-            return b_try, val_elem.as_rational()
-        b_try2 = b * z
-        val_elem2 = b_try2 * b_try2 * q
-        if val_elem2.is_rational():
-            return b_try2, val_elem2.as_rational()
-    return None, None
+    for w, y in sqrt_twists(u):
+        return b0 * y.conj(), big_m * w
+    raise DegreeBoundError("internal: no ramified twist makes the leftover unit a square")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ The equivalence test is a genuine decision procedure, not a search:
 Nm(q/r) must be a rational square, which makes every ramified exponent of
 the ideal of q/r even and the two exponents at each split prime congruent
 mod 2; the square-root ideal must be principal up to ramified twists
-(`quadfield.principalize_with_ramified_twists`, the step the degree-bound
-solver uses too), and the leftover unit must be a square up to a rational
-factor supported on -1 and the ramified primes.  A positive answer always
+(`quadfield.principalize_with_ramified_twists`), and the leftover unit
+must be a square up to a rational factor supported on -1 and the ramified
+primes (`quadfield.sqrt_twists`).  The degree-bound solver shares both
+steps: the square-root ideal and the unit step.  A positive answer always
 carries an exact witness (n, u) with n q = u^2 r; a negative answer can be
 cross-checked by the exhaustive bounded witness search below.
 

@@ -57,6 +57,12 @@ class QuadField:
     def disc(self) -> int:
         return self.D if self.D % 4 == 1 else 4 * self.D
 
+    # the ramified primes, ascending: the twists of `sqrt_twists` and
+    # `principalize_with_ramified_twists`
+    @cached_property
+    def ramified_primes(self) -> tuple[int, ...]:
+        return tuple(sorted(factorint(abs(self.disc))))
+
     @property
     def is_real(self) -> bool:
         return self.D > 0
@@ -271,7 +277,7 @@ def sqrt_twists(x: QuadElem):
     """Yield (w, y) with y^2 = x * w, for w over the +-squarefree divisors of
     the discriminant in ascending |w|, +w before -w."""
     divisors = [1]
-    for p in factorint(abs(x.field.disc)):
+    for p in x.field.ramified_primes:
         divisors = divisors + [d * p for d in divisors]
     for d in sorted(divisors):
         for w in (d, -d):
@@ -507,19 +513,10 @@ def fundamental_unit(field: QuadField) -> QuadElem:
         raise QuadFieldError("internal: continued fraction did not produce a unit")
     if u.sign_at(0) < 0:
         u = -u
-    if abs_embedding_less_than_one(u):
+    # u is positive at sigma_0 now: it is < 1 there iff u - 1 is negative
+    if (u - 1).sign_at(0) < 0:
         u = u.inv()
     return u
-
-
-def abs_embedding_less_than_one(u: QuadElem) -> bool:
-    """|sigma_0(u)| < 1, exactly."""
-    d = u - 1
-    dn = u + 1
-    s_pos = (u.sign_at(0) > 0)
-    if s_pos:
-        return d.sign_at(0) < 0
-    return dn.sign_at(0) > 0
 
 
 def torsion_units(field: QuadField) -> list[QuadElem]:
@@ -535,29 +532,6 @@ def torsion_units(field: QuadField) -> list[QuadElem]:
         z = (field.one() + field.sqrtD()) / 2
         return [z**k for k in range(6)]
     return [one, -one]
-
-
-def unit_group_absorb(field: QuadField, u: QuadElem) -> tuple[int, int]:
-    """Write the unit u as (+-1) * eps^k for the fundamental unit eps of a
-    real field; returns (sign, k)."""
-    if not u.is_unit():
-        raise QuadFieldError(f"{u} is not a unit")
-    eps = fundamental_unit(field)
-    k = 0
-    v = u if u.sign_at(0) > 0 else -u
-    sign = 1 if u.sign_at(0) > 0 else -1
-    guard = 0
-    while not (v - 1).is_zero():
-        if abs_embedding_less_than_one(v):
-            v = v * eps
-            k -= 1
-        else:
-            v = v * eps.inv()
-            k += 1
-        guard += 1
-        if guard > 10**5:
-            raise ResourceError("unit absorption did not terminate")
-    return sign, k
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +612,7 @@ def principalize_with_ramified_twists(ideal: QfIdeal) -> tuple[QuadElem, int] | 
     rational c."""
     field = ideal.field
     eps = fundamental_unit(field) if field.is_real else None
-    ram = list(factorint(abs(field.disc)))
+    ram = field.ramified_primes
     for k in range(len(ram) + 1):
         for combo in combinations(ram, k):
             twisted = ideal
@@ -648,30 +622,3 @@ def principalize_with_ramified_twists(ideal: QfIdeal) -> tuple[QuadElem, int] | 
             if g is not None:
                 return g, prod(combo)
     return None
-
-
-def normalize_generator(g: QuadElem) -> QuadElem:
-    """Deterministic generator of (g): balance the archimedean embeddings by
-    fundamental-unit powers (real case) and fix a sign convention."""
-    field = g.field
-    if not field.is_real:
-        cands = [g * t for t in torsion_units(field)]
-        return min(cands, key=lambda e: (e.x, e.y))
-    eps = fundamental_unit(field)
-
-    def height(e: QuadElem) -> Fraction:
-        # max(|sigma_0|, |sigma_1|)^2 proxy: x-coordinate blowup is monotone
-        return max(abs(2 * e.x + e.y * field.disc), abs(e.y) * field.disc)
-
-    cur = g
-    while True:
-        up, down = cur * eps, cur * eps.inv()
-        if height(up) < height(cur):
-            cur = up
-        elif height(down) < height(cur):
-            cur = down
-        else:
-            break
-    cands = [cur, -cur, cur * eps, -cur * eps]
-    pos = [c for c in cands if c.sign_at(0) > 0]
-    return min(pos, key=lambda e: (height(e), e.x, e.y))

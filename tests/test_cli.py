@@ -62,6 +62,19 @@ def test_bad_flag_answers_schema_error(tmp_path, capsys, verb):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: polarith")
 
 
+@pytest.mark.parametrize("verb", [*VERBS, "validate"])
+def test_unwritable_output_answers_io_error(tmp_path, capsys, verb):
+    """An -o path that cannot be opened answers exit 1 with an `io:output`
+    body on stdout, whatever the verb would have answered."""
+    inp, out = tmp_path / "in.json", tmp_path / "missing" / "out.json"
+    for doc in ({}, {"form": form_q("symmetric", [["1"]])}):
+        inp.write_text(json.dumps(doc))
+        assert main([verb, str(inp), "-o", str(out), "--validate-verb", "classify-form"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "io:output" and "out.json" in err["message"]
+    assert not out.parent.exists()
+
+
 def test_isometric_positive(tmp_path):
     doc = {
         "form1": form_q("symmetric", [["1", "0"], ["0", "1"]]),

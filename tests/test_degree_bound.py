@@ -478,6 +478,45 @@ def test_commutative_ramified_twist_path():
     assert oracle is not None and oracle.norm_b == res.norm_b
 
 
+def test_commutative_odd_unit_exponent_twist():
+    """q = 2 + sqrt 3 is the fundamental unit of Q(sqrt 3), of norm +1, so
+    the leftover unit is q itself, an odd power of it: only the twist
+    w = 2 of 2 q = (1 + sqrt 3)^2 absorbs it, with b = 1 - sqrt 3."""
+    inst = quadfield_instance(3, (-4, 1), (7, -1))
+    res = solve_commutative(inst)
+    verify_result(inst, res)
+    assert res.method == "ideal-algorithm"
+    assert res.value == 2 and res.norm_b == 2
+
+
+@seed(2212)
+@given(
+    D=st.sampled_from([2, 3, 5, 6, 7, 10, 13, 15]),
+    z=st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda c: c != (0, 0)),
+    s=st.integers(-10, 10).filter(bool),
+)
+@settings(max_examples=40, deadline=None)
+def test_commutative_answer_ignores_unit_squares(D, z, s):
+    """q = s conj(z)^2 with a = z, and the same instance moved by a unit
+    square, q eps^2k with a eps^-k: every one takes the ideal algorithm,
+    and b^2 q fixes |Nm b| and |value| across k.  The fields with
+    Nm(eps) = +1 (D = 3, 6, 7, 15) leave units that only a ramified twist
+    absorbs."""
+    F = QuadField(D)
+    eps = fundamental_unit(F)
+    a = QuadElem(F, Fraction(z[0]), Fraction(z[1]))
+    q = a.conj() * a.conj() * s
+    answers = set()
+    for k in range(-3, 4):
+        qk, ak = q * eps ** (2 * k), a * eps ** (-k)
+        inst = quadfield_instance(F, (qk.x, qk.y), (ak.x, ak.y))
+        res = solve_commutative(inst)
+        verify_result(inst, res)
+        assert res.method == "ideal-algorithm"
+        answers.add((res.norm_b, abs(res.value)))
+    assert len(answers) == 1
+
+
 # ---------------------------------------------------------------------------
 # The integer oracle against its definition
 

@@ -120,6 +120,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_every_import_is_read():
+    """Each name a src/ module imports is read in that module, so a helper
+    that loses its last caller does not live on as a stale import."""
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line}:{name}" for name, line in imported.items() if name not in read]
+    assert unread == []
+
+
 def test_sympy_imports_are_the_traced_names():
     """src/ takes from sympy only the functions that perfbench/spans.py
     wraps (`SYMPY_NAMES`), under their own names, so every sympy call
@@ -156,7 +173,6 @@ LARGE_LITERAL_SITES = {
     ("degree_bound.py", "MAX_PRINCIPAL_SEARCH_DISC"),
     ("degree_bound.py", "brute_force_oracle"),  # the oracle budget
     ("quadfield.py", "fundamental_unit"),  # the continued-fraction guard
-    ("quadfield.py", "unit_group_absorb"),  # the exponent guard
     ("quadfield.py", "MAX_GENERATOR_SEARCH_Y"),
 }
 
