@@ -1,6 +1,6 @@
 import sys
 
-from polarith.cli import main
+from .cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,8 +30,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 
-from sympy import factorint
-
 from .algebras import (
     AlgebraWithInvolution,
     NormSpec,
@@ -45,7 +43,7 @@ from .algebras import (
     quadfield_algebra,
     rational_algebra,
 )
-from .exact import square_class, valuation
+from .exact import factorint, square_class, valuation
 from .forms import is_positive_definite, symmetric_form_q
 from .lattices_local import PadicContext, PadicLattice, maximal_completion
 from .linalg import (

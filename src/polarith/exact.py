@@ -1,5 +1,5 @@
-"""Exact rational invariants: p-adic valuations, square classes, Hilbert
-symbols and Hasse invariants over Q.
+"""Exact rational invariants: primes and factoring, p-adic valuations,
+square classes, Hilbert symbols and Hasse invariants over Q.
 
 Conventions
 -----------
@@ -14,15 +14,230 @@ Conventions
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-
-from sympy import factorint, isprime
+from itertools import compress, count
+from math import gcd, isqrt, prod
 
 
 class ExactError(ValueError):
     pass
+
+
+class ResourceError(RuntimeError):
+    pass
+
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), flags))
+
+
+# the primes below 2^10: the trial divisors of `factorint`, and through their
+# product `isprime`'s answer below 2^20
+SMALL_PRIMES = _primes_below(1 << 10)
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_SMALL_PRIMORIAL = prod(SMALL_PRIMES)
+
+# (psi_k, k): Miller-Rabin on the first k primes as bases proves every n <
+# psi_k prime or composite (Jaeschke, Math. Comp. 61, 1993; Sorenson and
+# Webster, Math. Comp. 86, 2017).  psi_7 = psi_8 and psi_9 = psi_10 = psi_11,
+# so k = 8, 10 and 11 are left out, and psi_1 = 2047 too, since `isprime`
+# answers every n < 2^20 before it reads the table.  Each psi_k is itself a
+# strong pseudoprime to the first k bases, so no bound can be raised.
+MILLER_RABIN_BOUNDS = (
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n > a passes the strong (Miller-Rabin) test to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of the odd non-square n with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D|n) = -1, P = 1
+    and Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35, 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False
+    for D in count(5, 2):
+        D = D if D % 4 == 1 else -D
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # U_k, V_k, Q^k mod n for k the leading bits of d; halving mod the odd n
+    # adds n to an odd value first
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U, V = (U + n * (U & 1)) // 2, (V + n * (V & 1)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime.  Below 2^20 the primes below 2^10
+    decide; up to 3.3 * 10^24, Miller-Rabin on as many bases as
+    MILLER_RABIN_BOUNDS proves enough; above, BPSW (base-2 Miller-Rabin and
+    a strong Lucas test), which has no known counterexample."""
+    if n < 1 << 10:
+        return n in _SMALL_PRIME_SET
+    if gcd(n, _SMALL_PRIMORIAL) != 1:
+        return False
+    if n < 1 << 20:
+        return True
+    for bound, k in MILLER_RABIN_BOUNDS:
+        if n < bound:
+            return all(_strong_probable_prime(n, a) for a in SMALL_PRIMES[:k])
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def primerange(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p < hi, ascending, as a lazy generator: read
+    off SMALL_PRIMES below 2^10 and through `isprime` above, so a caller
+    that stops early pays nothing for an unbounded hi."""
+    yield from SMALL_PRIMES[bisect_left(SMALL_PRIMES, lo) : bisect_left(SMALL_PRIMES, hi)]
+    yield from filter(isprime, range(max(lo, 1 << 10), hi))
+
+
+# the most iterations of x -> x^2 + c that `factorint` spends on Pollard-Brent
+# rho per call (2^20): enough for a cofactor with two prime factors of 35
+# bits, about a second on a 168-bit cofactor
+MAX_RHO_STEPS = 1_048_576
+
+
+def _pollard_brent(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite n, and what is left of `steps`
+    iterations.  Brent's cycle search on x -> x^2 + c (Brent, BIT 20, 1980;
+    Cohen, GTM 138, 8.5), with the gcds batched 128 iterations at a time and
+    the last batch replayed one iteration at a time when it overshoots."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * r  # r to move y, at most r more against x
+            if steps < 0:
+                raise ResourceError(
+                    f"factoring {n} stopped at the limit of {MAX_RHO_STEPS} Pollard rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, steps
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with m = r^k for the least prime k, if m has no prime factor
+    below 2^10 and is a perfect power; else None.  Such an r exceeds 2^10,
+    so 10 k < m.bit_length()."""
+    for k in SMALL_PRIMES:
+        if 10 * k >= m.bit_length():
+            return None
+        # Newton's method for floor(m^(1/k)), from above
+        x = 1 << -(-m.bit_length() // k)
+        while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+            x = y
+        if x**k == m:
+            return x, k
+    return None
+
+
+def factorint(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e for an integer n >= 1, the primes ascending.
+    Trial division by the primes below 2^10; a composite cofactor that is a
+    perfect power r^k is factored as r, and any other is split by
+    Pollard-Brent rho, at most MAX_RHO_STEPS iterations per call, past
+    which ResourceError."""
+    if n < 1:
+        raise ExactError(f"cannot factor {n}")
+    factors = {}
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            factors[p] = e
+    # what is left has no prime factor below 2^10, so below 2^20 it is prime
+    # `rest` holds (m, e): m^e is still to be factored
+    large, rest, steps = {}, [(n, 1)] if n > 1 else [], MAX_RHO_STEPS
+    while rest:
+        m, e = rest.pop()
+        if m < 1 << 20 or isprime(m):
+            large[m] = large.get(m, 0) + e
+        elif power := _perfect_power(m):
+            rest.append((power[0], e * power[1]))
+        else:
+            d, steps = _pollard_brent(m, steps)
+            rest += [(d, e), (m // d, e)]
+    factors.update(sorted(large.items()))
+    return factors
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from sympy import primerange
-
-from .exact import is_rational_square
+from .exact import is_rational_square, primerange
 from .quadfield import (
     QfIdeal,
     QuadElem,

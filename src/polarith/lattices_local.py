@@ -45,9 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-from sympy import isprime
-
-from .exact import ExactError, legendre, lift_root, rational_sqrt, sqrt_mod_p, unit_residue, valuation
+from .exact import ExactError, isprime, legendre, lift_root, rational_sqrt, sqrt_mod_p, unit_residue, valuation
 from .forms import FormError, GramForm, diagonalize, symmetric_form_q
 from .linalg import (
     Matrix,

@@ -23,17 +23,11 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
-from sympy import factorint, isprime
-
-from .exact import legendre, lift_root, rational_sqrt, sqrt_mod_p, valuation
+from .exact import ResourceError, factorint, isprime, legendre, lift_root, rational_sqrt, sqrt_mod_p, valuation
 from .linalg import frac, hnf, numerators
 
 
 class QuadFieldError(ValueError):
-    pass
-
-
-class ResourceError(RuntimeError):
     pass
 
 

@@ -571,6 +571,45 @@ def test_hecke_confirmation_points_budget(tmp_path, doc, height, want):
     assert (rc, out) == (0, {"valid": True, "errors": []})
 
 
+# nextprime(10^25) * nextprime(3 * 10^25): both prime factors lie far past
+# the reach of factorint's rho budget
+_SEMIPRIME = 10000000000000000000000013 * 30000000000000000000000067
+_FACTORING_BUDGET = {
+    "code": "resource:budget",
+    "message": f"factoring {_SEMIPRIME} stopped at the limit of 1048576 Pollard rho steps",
+}
+
+
+@pytest.mark.parametrize(
+    "verb, doc, flags, want",
+    [
+        ("classify-form", {"form": form_q("symmetric", [[str(_SEMIPRIME)]])}, (), {"error": _FACTORING_BUDGET}),
+        ("hecke-classes", {"D": _SEMIPRIME, "count": 2}, (), {"error": _FACTORING_BUDGET}),
+        ("validate", {"D": _SEMIPRIME, "count": 2}, ("--validate-verb", "hecke-classes"),
+         {"valid": False, "errors": [_FACTORING_BUDGET]}),
+    ],
+    ids=["classify-form", "hecke-classes", "validate-hecke-classes"],
+)
+def test_factoring_stops_at_its_budget(tmp_path, verb, doc, flags, want):
+    """An integer that factoring cannot split within its budget answers
+    `resource:budget` fast, where it once ran for minutes."""
+    start = time.perf_counter()
+    assert run_cli(tmp_path, verb, doc, *flags) == (1, want)
+    assert time.perf_counter() - start < 10
+
+
+def test_prime_power_entry_is_classified(tmp_path):
+    """p^3 for p = nextprime(2^50) is a perfect power, which factoring
+    takes apart by its root, where rho would need about 2^25 steps: <p^3>
+    has the invariants of <p>."""
+    p = 1125899906842679
+    start = time.perf_counter()
+    cube = run_cli(tmp_path, "classify-form", {"form": form_q("symmetric", [[str(p**3)]])})
+    assert time.perf_counter() - start < 10
+    assert cube == run_cli(tmp_path, "classify-form", {"form": form_q("symmetric", [[str(p)]])})
+    assert cube[0] == 0 and cube[1]["invariants"]["det_square_class"] == p
+
+
 _GENERAL_SWAP = {
     "algebra": {
         "type": "general",

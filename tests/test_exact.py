@@ -1,10 +1,15 @@
 import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from sympy import isprime, primerange
+from sympy import factorint, isprime, nextprime, primerange
+from sympy.ntheory.primetest import is_strong_lucas_prp, mr
+
+from polarith import exact
 
 from polarith.exact import (
     ExactError,
@@ -362,3 +367,164 @@ def test_sqrt_mod_p_large_primes(p, x):
     n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
     with pytest.raises(ExactError):
         sqrt_mod_p(a * n, p)
+
+
+# -- isprime, primerange and factorint, against sympy as the reference -------
+
+
+def _sympy_factorint(n: int) -> dict[int, int]:
+    return dict(sorted(factorint(n).items()))
+
+
+def test_isprime_and_factorint_agree_with_sympy_below_20000():
+    for n in range(20000):
+        assert exact.isprime(n) == isprime(n), n
+        if n:
+            assert list(exact.factorint(n).items()) == list(_sympy_factorint(n).items()), n
+    with pytest.raises(ExactError):
+        exact.factorint(0)
+
+
+def test_isprime_agrees_with_sympy_on_2_to_90_bits():
+    """Random n, and the products of two primes just above 2^10, the least
+    composites that no prime below 2^10 divides."""
+    assert not any(exact.isprime(p * q) for p in primerange(1024, 1200) for q in primerange(p, 1200))
+    rng = random.Random(2301)
+    for bits in range(2, 91):
+        for _ in range(60):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            assert exact.isprime(n) == isprime(n), n
+            assert exact.isprime(n | 1) == isprime(n | 1), n | 1
+
+
+def test_factorint_agrees_with_sympy_on_2_to_64_bits():
+    """Random integers, whose second-largest prime factor stays within the
+    rho budget at 64 bits."""
+    rng = random.Random(2302)
+    for bits in range(2, 65):
+        for _ in range(12):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            assert list(exact.factorint(n).items()) == list(_sympy_factorint(n).items()), n
+
+
+def test_factorint_of_products_of_primes_up_to_35_bits():
+    """Up to 90 bits, built from random primes of 11-35 bits (rho's share),
+    small primes and prime powers, including squares and cubes of large
+    primes."""
+    rng = random.Random(2303)
+    for _ in range(40):
+        n = rng.choice([1, 2, 12, 3**5 * 1009])
+        while n.bit_length() < 55:
+            p = nextprime(rng.getrandbits(rng.randrange(11, 36)))
+            n *= p ** rng.choice([1, 1, 1, 2, 3])
+        assert list(exact.factorint(n).items()) == list(_sympy_factorint(n).items()), n
+    for _ in range(6):
+        p, q = (nextprime(rng.getrandbits(35) | 1 << 34) for _ in range(2))
+        assert exact.factorint(p * q) == dict(sorted({p: 1, q: 1}.items()))
+    p = nextprime(2**44)
+    assert exact.factorint(p**2) == {p: 2}
+
+
+def test_factorint_of_perfect_powers(monkeypatch):
+    """A perfect-power cofactor is split by its root, not by rho, which
+    would need about sqrt(p) steps on p^k; a composite root is factored
+    once, with its exponent.  A prime power spends no rho step at all."""
+    p, q, r = nextprime(2**50), nextprime(2**30), nextprime(2**31)
+    prime_powers = [p**2, p**3, p**6, q**5, q**7 * 12, 1031**2, 1031**3, 1031**7, nextprime(2**200) ** 2]
+    for n in prime_powers + [1031**7 * nextprime(2**40), (q * r) ** 3, (q * r) ** 2 * 5**4]:
+        assert list(exact.factorint(n).items()) == list(_sympy_factorint(n).items()), n
+    monkeypatch.setattr(exact, "MAX_RHO_STEPS", 0)
+    for n in prime_powers:
+        assert list(exact.factorint(n).items()) == list(_sympy_factorint(n).items()), n
+
+
+def test_factorint_stops_at_the_rho_budget(monkeypatch):
+    p, q = nextprime(2**30), nextprime(2**31)
+    assert exact.factorint(p * q) == {p: 1, q: 1}
+    monkeypatch.setattr(exact, "MAX_RHO_STEPS", 1000)
+    with pytest.raises(exact.ResourceError, match=f"factoring {p * q} stopped at the limit of 1000 Pollard rho steps"):
+        exact.factorint(6 * p * q)
+    # trial division and a prime cofactor spend no rho steps
+    assert exact.factorint(6 * p) == {2: 1, 3: 1, p: 1}
+
+
+def _chernick(k: int) -> list[int] | None:
+    """The factors of (6k + 1)(12k + 1)(18k + 1), a Carmichael number when
+    all three are prime; else None."""
+    factors = [6 * k + 1, 12 * k + 1, 18 * k + 1]
+    return factors if all(map(isprime, factors)) else None
+
+
+def test_carmichael_numbers_are_composite():
+    """Listed ones, and Chernick's with k of 10-28 bits, up to 95 bits: the
+    largest lie above the Miller-Rabin table, in the BPSW branch."""
+    small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633,
+             62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545]
+    cases = [factorint(n) for n in small]
+    rng = random.Random(2304)
+    for bits in (10, 16, 22, 28, 28):
+        while len(cases) < len(small) + 3 * (bits // 6):
+            factors = _chernick(rng.getrandbits(bits))
+            if factors:
+                cases.append(dict.fromkeys(factors, 1))
+    assert max(prod(c) for c in cases) > MILLER_RABIN_LAST_BOUND
+    for case in cases:
+        n = prod(p**e for p, e in case.items())
+        # Korselt: squarefree, and p - 1 divides n - 1 for each prime p | n
+        assert all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in case.items()), n
+        assert not exact.isprime(n), n
+
+
+MILLER_RABIN_LAST_BOUND = 3317044064679887385961981
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+     318665857834031151167461, MILLER_RABIN_LAST_BOUND],
+)
+def test_each_tier_bound_is_composite(psi):
+    """Each bound of the Miller-Rabin table is a strong pseudoprime to the
+    bases its tier covers, so it is the least n that needs the next tier."""
+    k = dict(exact.MILLER_RABIN_BOUNDS)[psi]
+    assert mr(psi, exact.SMALL_PRIMES[:k]) and not isprime(psi)
+    assert not exact.isprime(psi)
+
+
+def test_bpsw_above_the_table():
+    """Products of two primes near 2^45 lie above the table's last bound and
+    take the BPSW branch, as do primes of 82-100 bits."""
+    rng = random.Random(2305)
+    for _ in range(40):
+        p, q = (nextprime(rng.getrandbits(45) | 1 << 44) for _ in range(2))
+        assert p * q > MILLER_RABIN_LAST_BOUND and not exact.isprime(p * q)
+        r = nextprime(rng.getrandbits(rng.randrange(82, 101)) | 1 << 81)
+        assert exact.isprime(r)
+
+
+def test_strong_lucas_test_agrees_with_sympy():
+    """Including strong Lucas pseudoprimes, which the test calls prime."""
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    assert all(exact._strong_lucas_probable_prime(n) for n in pseudoprimes)
+    rng = random.Random(2306)
+    odd = [rng.getrandbits(rng.randrange(8, 120)) | 1 for _ in range(600)]
+    for n in pseudoprimes + [n for n in odd if n > 5 and not is_rational_square(n)]:
+        assert exact._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+def test_primerange_agrees_with_sympy():
+    rng = random.Random(2307)
+    ranges = [(0, 0), (5, 3), (0, 2), (2, 2), (-10, 3), (2, 3), (1023, 1025), (4000, 4200)]
+    for _ in range(40):
+        lo = rng.choice([rng.randrange(-5, 3000), rng.randrange(10**6), rng.randrange(10**6), rng.randrange(10**12)])
+        ranges.append((lo, lo + rng.randrange(-20, 20000)))
+    ranges += [(2**40 - 3000, 2**40 + 3000), (10**30, 10**30 + 400)]
+    for lo, hi in ranges:
+        assert list(exact.primerange(lo, hi)) == list(primerange(lo, hi)), (lo, hi)
+
+
+def test_primerange_is_lazy():
+    start = time.perf_counter()
+    assert next(exact.primerange(2, 10**30)) == 2
+    assert next(exact.primerange(10**6, 10**40)) == 1000003
+    assert time.perf_counter() - start < 0.5

@@ -4,6 +4,7 @@ import ast
 import importlib
 import io
 import re
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -162,6 +163,21 @@ def test_sympy_imports_are_the_traced_names():
     assert escaped == []
 
 
+def test_src_imports_only_the_standard_library():
+    """Every import in src/ is relative or names a standard-library module,
+    so starting the CLI loads no third-party package."""
+    outside = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
 
 # Every integer literal >= 10^4 in src/ (10**k with k >= 4 included) is a
 # search cap or budget; each sits at one of these (module, site) pairs,
@@ -174,6 +190,8 @@ LARGE_LITERAL_SITES = {
     ("degree_bound.py", "brute_force_oracle"),  # the oracle budget
     ("quadfield.py", "fundamental_unit"),  # the continued-fraction guard
     ("quadfield.py", "MAX_GENERATOR_SEARCH_Y"),
+    ("exact.py", "MILLER_RABIN_BOUNDS"),  # proven bounds, not a cap
+    ("exact.py", "MAX_RHO_STEPS"),  # the factorint budget
 }
 
 
