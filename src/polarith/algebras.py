@@ -9,8 +9,11 @@ factor reads it off the determinant over Q of v -> x v
 field and Nm_{F/Q}(Nrd x)^2 over a quaternion base.
 
 Elements are tuples of per-factor components.  Component arithmetic is
-dispatched through small ring descriptors (the `linalg.Ring` protocol), so
-that the matrix code in `linalg` is written once.  All arithmetic is exact.
+dispatched through ring descriptors (the `linalg.Ring` protocol), so that
+the matrix code in `linalg` is written once: `linalg.QQ`, a
+`quadfield.QuadField` itself, and `QuaternionRing` over either.  x^dagger
+is `AlgebraWithInvolution.involve`, and the rational c with x = c * 1 is
+`linalg.rational_of(x, algebra)`.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from .linalg import (
     numerators,
     qbasis,
     regular_matrix,
-    scalar_of,
 )
-from .quadfield import QuadElem, QuadField
+from .quadfield import QuadField
 
 
 class AlgebraError(ValueError):
@@ -50,55 +52,6 @@ class AlgebraError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Ring descriptors
-
-
-@dataclass(frozen=True)
-class QuadRing:
-    """A quadratic field as a ring descriptor.  `conj` is field conjugation;
-    callers that need the identity involution (symmetric forms over F) say
-    so at the form level, not here."""
-
-    field: QuadField
-
-    dim_q = 2
-
-    def one(self):
-        return self.field.one()
-
-    def zero(self):
-        return self.field.zero()
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def conj(self, x):
-        return x.conj()
-
-    def inv(self, x):
-        return x.inv()
-
-    def to_qcoords(self, x):
-        return [x.x, x.y]
-
-    def from_qcoords(self, coords):
-        return QuadElem(self.field, coords[0], coords[1])
-
-    def trace_q(self, x):
-        return x.trace()
-
-    def as_rational(self, x):
-        return x.as_rational()
-
-    def is_rational(self, x):
-        return x.is_rational()
-
-    def coerce(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.field.from_rational(c)
-        return c
-
-    def __repr__(self):
-        return f"Q(sqrt({self.field.D}))"
 
 
 @dataclass(frozen=True)
@@ -167,7 +120,7 @@ class QuaternionRing:
 
     `conj` is the canonical involution."""
 
-    center: object  # RationalRing or QuadRing
+    center: object  # RationalRing or QuadField
     a: object
     b: object
 
@@ -226,21 +179,6 @@ class QuaternionRing:
         comps = tuple(self.center.from_qcoords(list(coords[i * d : (i + 1) * d])) for i in range(4))
         return QuatElem(self, comps)
 
-    def trace_q(self, x):
-        # left multiplication on the algebra has trace 4*c0 over the centre
-        return self.center.trace_q(x.coords[0]) * 4
-
-    def is_rational(self, x):
-        return (
-            all(self.center.is_zero(c) for c in x.coords[1:])
-            and self.center.is_rational(x.coords[0])
-        )
-
-    def as_rational(self, x):
-        if not self.is_rational(x):
-            raise AlgebraError(f"{x} is not a rational scalar")
-        return self.center.as_rational(x.coords[0])
-
     def __repr__(self):
         return f"({self.a},{self.b} / {self.center})"
 
@@ -273,7 +211,7 @@ class SimpleFactor:
         if self.matrix_size == 0:
             if self.involution == "identity" and isinstance(self.ring, QuaternionRing):
                 raise AlgebraError("identity is not an involution of a quaternion algebra")
-            if self.involution == "conjugation" and not isinstance(self.ring, QuadRing):
+            if self.involution == "conjugation" and not isinstance(self.ring, QuadField):
                 raise AlgebraError("conjugation needs a quadratic field")
             if self.involution == "canonical" and not isinstance(self.ring, QuaternionRing):
                 raise AlgebraError("canonical involution needs a quaternion algebra")
@@ -407,7 +345,7 @@ class SimpleFactor:
         """|Nm_{F/Q}(Nrd x)|, F the centre (see the module docstring)."""
         quaternion = isinstance(self.ring, QuaternionRing)
         if not (self.matrix_size or quaternion):
-            return abs(x.norm() if isinstance(self.ring, QuadRing) else frac(x))
+            return abs(x.norm() if isinstance(self.ring, QuadField) else frac(x))
         if isinstance(self.ring, RationalRing):
             return abs(det(x))
         reg = det(regular_matrix(x if self.matrix_size else [[x]], self.ring))
@@ -445,7 +383,7 @@ class AlgebraWithInvolution:
             seen.update((i, j))
             fi, fj = self.factors[i], self.factors[j]
             if fi.matrix_size or fj.matrix_size or not isinstance(
-                fi.ring, (RationalRing, QuadRing)
+                fi.ring, (RationalRing, QuadField)
             ):
                 raise AlgebraError("swap pairs are supported for etale (field) factors")
             if type(fi.ring) is not type(fj.ring):
@@ -510,38 +448,16 @@ class AlgebraWithInvolution:
     def from_rational(self, c: Fraction):
         return self.scale(frac(c), self.one())
 
-    def is_rational_scalar(self, x) -> Fraction | None:
-        """The rational c with x = c * 1, or None."""
-        c = None
-        for f, a in zip(self.factors, x):
-            if f.matrix_size:
-                a = scalar_of(a, f.ring)
-            if a is None or not f.ring.is_rational(a):
-                return None
-            cc = f.ring.as_rational(a)
-            if c is None:
-                c = cc
-            elif c != cc:
-                return None
-        return c
-
     def __repr__(self):
         return " x ".join(repr(f) for f in self.factors)
 
 
-def apply_involution(algebra: AlgebraWithInvolution, x):
-    """x -> x^dagger.  Anti-multiplicative of order 2 (tested)."""
-    return algebra.involve(x)
-
-
 @dataclass(frozen=True)
 class NormSpec:
-    """Exponents gamma_i per factor and the rank d of the norm.  A declared
-    rank, when given, is checked against the one the gammas force."""
+    """Exponents gamma_i per factor and the rank d of the norm they force."""
 
     algebra: AlgebraWithInvolution
     gammas: tuple[int, ...]
-    declared_rank: int | None = None
 
     def __post_init__(self):
         if len(self.gammas) != len(self.algebra.factors):
@@ -551,11 +467,6 @@ class NormSpec:
         for i, j in self.algebra.swap_pairs:
             if self.gammas[i] != self.gammas[j]:
                 raise AlgebraError("dagger-compatibility requires equal gammas on swapped factors")
-        if self.declared_rank is not None and self.declared_rank != self.rank_d:
-            raise AlgebraError(
-                f"declared rank {self.declared_rank} != "
-                f"{self.rank_d} forced by the gammas"
-            )
 
     @property
     def rank_d(self) -> int:
@@ -660,7 +571,7 @@ def rational_algebra() -> AlgebraWithInvolution:
 
 
 def quadfield_algebra(field: QuadField, involution: str = "identity") -> AlgebraWithInvolution:
-    return AlgebraWithInvolution((SimpleFactor(QuadRing(field), involution=involution),))
+    return AlgebraWithInvolution((SimpleFactor(field, involution=involution),))
 
 
 def matrix_algebra_q(n: int, z=None) -> AlgebraWithInvolution:
@@ -672,9 +583,9 @@ def matrix_algebra_q(n: int, z=None) -> AlgebraWithInvolution:
 
 def maximal_order_quadfield(algebra: AlgebraWithInvolution) -> OrderR:
     f = algebra.factors[0]
-    if not isinstance(f.ring, QuadRing):
+    field = f.ring
+    if not isinstance(field, QuadField):
         raise AlgebraError("internal: maximal_order_quadfield needs a quadratic field")
-    field = f.ring.field
     return OrderR(algebra, (
         (field.one(),),
         (field.omega(),),

@@ -19,7 +19,6 @@ from .algebras import (
     AlgebraWithInvolution,
     NormSpec,
     OrderR,
-    QuadRing,
     QuaternionRing,
     SimpleFactor,
     _freeze,
@@ -170,7 +169,7 @@ def parse_base(doc, where: str):
     if t == "Q":
         return RationalRing()
     if t == "quadfield":
-        return QuadRing(_quadfield(doc, where))
+        return _quadfield(doc, where)
     if t == "quaternion":
         return _quaternion(doc, where)
     if t == "etale-pair":
@@ -323,8 +322,8 @@ def _parse_general_algebra(alg, where: str):
         if kind == "rational":
             factors.append(SimpleFactor(RationalRing()))
         elif kind == "quadfield":
-            ring = QuadRing(_quadfield(fd, w))
-            factors.append(SimpleFactor(ring, involution=fd.get("involution", "identity")))
+            involution = fd.get("involution", "identity")
+            factors.append(SimpleFactor(_quadfield(fd, w), involution=involution))
         elif kind == "quaternion":
             factors.append(SimpleFactor(_quaternion(fd, w), involution="canonical"))
         elif kind == "matrix":

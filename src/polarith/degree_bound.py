@@ -8,13 +8,16 @@ Fully implemented routes:
     unit u of b0^2 q = M u absorbed by the first twist w of
     `quadfield.sqrt_twists` with u w a square, as the Hecke decision
     absorbs its unit; over an imaginary field a root of unity t with
-    u t^2 rational);
+    u t^2 rational).  Its real fallbacks to the oracle are a non-maximal
+    order and an imaginary leftover unit that no root of unity absorbs;
+    the exponent, principalization and unit steps cannot fail on a valid
+    instance, and raise internal errors if they do;
   * split matrix case M_n(Q) with transpose involution (local maximal
-    lattices glued over the bad primes, then the resulting unimodular
-    positive definite Gram u written as T^T T: u is in the class of I_n
-    exactly when a complete enumeration finds n pairs of norm-1 vectors,
-    so a Gram with an E8 summand, possible for n >= 8, is a certified
-    fallback);
+    lattices glued over the bad primes by Chinese remaindering, then the
+    resulting unimodular positive definite Gram u written as T^T T: u is
+    in the class of I_n exactly when a complete enumeration finds n pairs
+    of norm-1 vectors, so a Gram with an E8 summand, possible for n >= 8,
+    is a certified fallback);
   * a universal brute-force oracle over coordinate boxes.
 
 The achieved constant c = Nm(b) / Nm(q)^{d - 1/2} is reported, never
@@ -28,14 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .algebras import (
     AlgebraWithInvolution,
     NormSpec,
     OrderR,
-    QuadRing,
-    apply_involution,
     matrix_algebra_q,
     matrix_order_z,
     maximal_order_quadfield,
@@ -53,11 +54,11 @@ from .linalg import (
     hnf,
     identity,
     inverse,
-    lattice_intersection,
     mat,
     mat_mul,
     mat_scale,
     numerators,
+    rational_of,
     transpose,
 )
 from .quadfield import (
@@ -102,14 +103,14 @@ class BoundInstance:
 
     def __post_init__(self):
         A = self.algebra
-        if not A.eq(apply_involution(A, self.q), self.q):
+        if not A.eq(A.involve(self.q), self.q):
             raise DegreeBoundError("q must be symmetric under the involution")
         if not self.order.contains(self.q):
             raise DegreeBoundError("q must lie in the order")
         if self.a is None:
             self.m = None
             return
-        m = A.is_rational_scalar(A.mul(A.mul(apply_involution(A, self.a), self.q), self.a))
+        m = rational_of(A.mul(A.mul(A.involve(self.a), self.q), self.a), A)
         if m is None or m == 0:
             raise DegreeBoundError("a^dagger q a must be a nonzero rational scalar")
         self.m = m
@@ -150,7 +151,7 @@ def verify_result(inst: BoundInstance, res: BoundResult) -> None:
     A = inst.algebra
     if not inst.order.contains(res.b):
         raise DegreeBoundError("result b is not in the order")
-    val = A.is_rational_scalar(A.mul(A.mul(apply_involution(A, res.b), inst.q), res.b))
+    val = rational_of(A.mul(A.mul(A.involve(res.b), inst.q), res.b), A)
     if val is None or val == 0 or val.denominator != 1:
         raise DegreeBoundError("b^dagger q b is not a nonzero rational integer")
     if val != res.value:
@@ -191,31 +192,23 @@ def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
 # Commutative solver
 
 
-def _min_t(e: int, ks: list[int]) -> tuple[int, list[int]] | None:
-    """Minimal t >= ceil(k_i/e) with all beta_i = (t e - k_i)/2 integral
-    and nonnegative, for the exponents k_i of q at the primes above p and
-    their ramification index e; None when the parity constraints are
-    infeasible."""
-    lo = 0
-    for k in ks:
-        lo = max(lo, -(-k // e))
-    for t in (lo, lo + 1):
-        betas = []
-        ok = True
-        for k in ks:
-            num = t * e - k
-            if num < 0 or num % 2:
-                ok = False
-                break
-            betas.append(num // 2)
-        if ok:
-            return t, betas
-    return None
-
-
 def solve_commutative(inst: BoundInstance) -> BoundResult:
-    """The ideal algorithm over a quadratic field (or Q).  Falls back to the
-    oracle, with a note, when the ideal class cannot be principalized."""
+    """The ideal algorithm over a quadratic field (or Q).
+
+    Over a maximal order with the identity involution, q = m / a^2 lies in
+    Q^x F^x2, so (q) = (r) J^2 for a rational r and an ideal J.  Hence
+    (1) the exponents k_i of q at the primes above a split p share a
+    parity and a ramified exponent is even, so the least t with
+    t e >= k_i (e the ramification index) makes every beta_i =
+    (t e - k_i) / 2 an integer, the exponent of ideal_b; (2)
+    ideal_b^2 = (M / q), M the product of the p^t, makes (ideal_b / (a))^2
+    the rational ideal (M / m), so ideal_b is principal up to ramified
+    twists (`principalize_with_ramified_twists`); (3) b0 then generates an
+    ideal whose square is (M' / q), M' = M times the twist, so b0^2 q / M'
+    is exactly a unit.  Each of these failing raises an internal error.
+    The oracle answers instead only for a non-maximal order and when no
+    root of unity absorbs the leftover unit of an imaginary field; the
+    principality search may stop at its budget (ResourceError)."""
     inst.require_similitude()
     A = inst.algebra
     f0 = A.factors[0]
@@ -231,9 +224,9 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
         )
         verify_result(inst, res)
         return res
-    if not isinstance(f0.ring, QuadRing) or f0.matrix_size:
+    F = f0.ring
+    if not isinstance(F, QuadField) or f0.matrix_size:
         raise DegreeBoundError("commutative solver needs a quadratic field algebra")
-    F = f0.ring.field
     if not inst.order.contains((F.omega(),)):
         return _oracle_fallback(inst, "non-maximal order: ideal algorithm unavailable")
     q = inst.q[0]
@@ -258,14 +251,12 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     factors: list[tuple[QfIdeal, int]] = []
     big_m = Fraction(1)
     for p, kind, exps in prime_exponents(q):
-        sol = _min_t(2 if kind == "ramified" else 1, [k for _, k in exps])
-        if sol is None:
-            return _oracle_fallback(inst, f"local exponent equations infeasible at p={p}")
-        t, betas = sol
+        e = 2 if kind == "ramified" else 1
+        t = max(-(-k // e) for _, k in exps)
+        if any((t * e - k) % 2 for _, k in exps):
+            raise DegreeBoundError(f"internal: the exponents of q at p = {p} leave t e - k odd")
         big_m *= Fraction(p) ** t
-        for (pr, _), beta in zip(exps, betas):
-            if beta:
-                factors.append((pr, beta))
+        factors += [(pr, (t * e - k) // 2) for pr, k in exps if t * e > k]
     ideal_b = QfIdeal.unit_ideal(F)
     for pr, e in factors:
         ideal_b = ideal_b * pr**e
@@ -280,7 +271,7 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
         "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
     }
     if gen is None:
-        return _oracle_fallback(inst, "ideal class not principalizable at desk scale")
+        raise DegreeBoundError("internal: no ramified twist makes ideal_b principal")
     b0, twist = gen
     big_m *= twist
 
@@ -288,8 +279,7 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     value_elem = b0 * b0 * q  # identity involution
     u = value_elem / big_m
     if not u.is_unit():
-        # content mismatch can only come from the ramified twist bookkeeping
-        return _oracle_fallback(inst, "unit bookkeeping failed")
+        raise DegreeBoundError("internal: b0^2 q / M is not a unit")
     b_elem, value = _absorb_unit(F, b0, u, big_m)
     if b_elem is None:
         return _oracle_fallback(inst, "no root of unity t makes the leftover unit u t^2 rational")
@@ -370,26 +360,25 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     if m2.denominator != 1 or m2 <= 0:
         raise DegreeBoundError("internal: m'' is not a positive integer")
     # at each active odd prime, the maximal completion of m'' q^{-1} Z_p^n
-    # is the local solution lattice; complete it to a global integer
-    # lattice that is Z_l^n at every other prime, then intersect
+    # is the local solution lattice; its integer rows span L_p, of index p^K
+    # in Z^n at p.  L_p + p^K Z^n is L_p at p and Z^n at every other prime,
+    # so the glued lattice, the intersection of these, is by Chinese
+    # remaindering the sum of the e_p (L_p + p^K Z^n), e_p the product of
+    # the other primes' p^K; every e_p p^K Z^n is E Z^n, E = prod p^K
     active = sorted(
         p for p in bad if p != 2 and (valuation(m2, p) > 0 or valuation(detq, p) != 0)
     )
-    row_lattices = []
+    local = []
     for p in active:
         ctx = PadicContext(p, 12)
         lam0 = PadicLattice(ctx, mat_scale(m2, qinv), qform)
         lam = maximal_completion(lam0, valuation(m2, p))
-        rows = _rows_of_integer_lattice(lam.basis)
-        # pad with p^K Z^n (inside the local lattice) so the other primes
-        # see the full Z^n
-        kexp = valuation(det(lam.basis), p)
-        pad = [[p**kexp if i == j else 0 for j in range(n)] for i in range(n)]
-        row_lattices.append(hnf(rows + pad))
-    if row_lattices:
-        glued = lattice_intersection(row_lattices, n) if len(row_lattices) > 1 else row_lattices[0]
-    else:
-        glued = [[int(x) for x in row] for row in identity(n)]
+        local.append((p ** valuation(det(lam.basis), p), _rows_of_integer_lattice(lam.basis)))
+    big_e = prod(pk for pk, _ in local)
+    glued = hnf(
+        [[big_e * (i == j) for j in range(n)] for i in range(n)]
+        + [[big_e // pk * x for x in row] for pk, rows in local for row in rows]
+    )
     bstar = transpose(mat(glued))
     u = mat_scale(1 / m2, mat_mul(mat_mul(transpose(bstar), q), bstar))
     if not all(x.denominator == 1 for row in u for x in row) or abs(det(u)) != 1:
@@ -563,7 +552,7 @@ def brute_force_oracle(
                 b = A.from_qcoords([Fraction(c) for c in coords])
             else:
                 b = order.element_from_coordinates([Fraction(c) for c in coords])
-            val = A.is_rational_scalar(A.mul(A.mul(apply_involution(A, b), inst.q), b))
+            val = rational_of(A.mul(A.mul(A.involve(b), inst.q), b), A)
             if val is None:
                 raise DegreeBoundError("internal: integer forms disagree with b^dagger q b")
             if val == 0 or val.denominator != 1:
@@ -608,7 +597,7 @@ def _rational_scalar_forms(inst: BoundInstance) -> list[list[tuple]]:
     dim = A.dim_q
     basis = inst.order.basis_elements
     qe = [A.mul(inst.q, e) for e in basis]
-    t = [[A.to_qcoords(A.mul(apply_involution(A, ei), qej)) for qej in qe] for ei in basis]
+    t = [[A.to_qcoords(A.mul(A.involve(ei), qej)) for qej in qe] for ei in basis]
     u = A.to_qcoords(A.one())
     k0 = next(k for k, c in enumerate(u) if c != 0)
     forms = []
@@ -692,7 +681,7 @@ def solve(inst: BoundInstance) -> BoundResult:
     algebras to the lattice glue, everything else to the oracle."""
     f0 = inst.algebra.factors[0]
     if len(inst.algebra.factors) == 1 and not f0.matrix_size and isinstance(
-        f0.ring, (RationalRing, QuadRing)
+        f0.ring, (RationalRing, QuadField)
     ):
         return solve_commutative(inst)
     if len(inst.algebra.factors) == 1 and f0.matrix_size and isinstance(f0.ring, RationalRing):

@@ -371,6 +371,15 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p, by Euler's
+    criterion from 2 upward."""
+    for n in range(2, p):
+        if pow(n, (p - 1) // 2, p) == p - 1:
+            return n
+    raise ExactError(f"no quadratic non-residue mod {p}")
+
+
 def sqrt_mod_p(a: int, p: int) -> int:
     """The square root x of a modulo the prime p with x <= p - x, by
     Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  Raises ExactError when
@@ -385,10 +394,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
     q, e = p - 1, 0
     while q % 2 == 0:
         q, e = q // 2, e + 1
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
-    y, r = pow(n, q, p), e
+    y, r = pow(least_nonresidue(p), q, p), e
     x = pow(a, (q - 1) // 2, p)
     b, x = a * x * x % p, a * x % p
     # invariant: x^2 = a b, and b has order dividing 2^(r-1)

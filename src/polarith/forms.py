@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from .algebras import QuadRing, QuaternionRing
+from .algebras import QuaternionRing
 from .exact import (
     LocalPlace,
     SquareClassQ,
@@ -49,6 +49,7 @@ from .linalg import (
     mat_mul,
     numerators,
     qbasis,
+    rational_of,
     regular_matrix,
     scalar_of,
     transpose,
@@ -134,17 +135,6 @@ class EtalePairRing:
     def from_qcoords(self, coords):
         return PairElem(coords[0], coords[1])
 
-    def trace_q(self, v):
-        return v.x + v.y
-
-    def is_rational(self, v):
-        return v.x == v.y
-
-    def as_rational(self, v):
-        if not self.is_rational(v):
-            raise FormError("not a scalar of the pair ring")
-        return v.x
-
     def __eq__(self, other):
         return isinstance(other, EtalePairRing)
 
@@ -206,7 +196,7 @@ class GramForm:
         if self.kind == "symmetric":
             if isinstance(r, RationalRing):
                 return
-            if isinstance(r, QuadRing) and r.field.is_real:
+            if isinstance(r, QuadField) and r.is_real:
                 return
             raise FormError("symmetric forms live over Q or a real quadratic field")
         if self.kind == "skew":
@@ -214,8 +204,8 @@ class GramForm:
                 return
             raise FormError("skew forms live over Q")
         if self.kind == "hermitian":
-            if isinstance(r, QuadRing):
-                if r.field.is_real:
+            if isinstance(r, QuadField):
+                if r.is_real:
                     raise FormError(
                         "hermitian forms with conjugation need an imaginary "
                         "quadratic field (the CM case); real quadratic bases "
@@ -225,7 +215,7 @@ class GramForm:
             if isinstance(r, QuaternionRing):
                 if not isinstance(r.center, RationalRing):
                     raise FormError("quaternion bases are supported over Q")
-                if not (r.center.as_rational(r.a) < 0 and r.center.as_rational(r.b) < 0):
+                if not (r.a < 0 and r.b < 0):
                     raise FormError(
                         "hermitian forms over a quaternion base need a "
                         "definite algebra (canonical involution positive)"
@@ -311,10 +301,10 @@ def _positive_diagonal(f: GramForm) -> list | None:
         diag = diagonal(f)
     except FormError:  # singular
         return None
-    if isinstance(ring, QuadRing) and ring.field.is_real:
+    if isinstance(ring, QuadField) and ring.is_real:
         positive = all(is_totally_positive(x) for x in diag)
     else:  # involution-fixed entries, hence rational
-        positive = all(ring.as_rational(x) > 0 for x in diag)
+        positive = all(rational_of(x, ring) > 0 for x in diag)
     return diag if positive else None
 
 
@@ -475,7 +465,7 @@ class MatrixInvolution:
         zinv = inverse(self.z, self.ring)
         # z^{-1} z' must be a central iota-fixed scalar matrix
         c = scalar_of(mat_mul(zinv, other.z, self.ring), self.ring)
-        if c is None or (isinstance(self.ring, QuaternionRing) and not self.ring.is_rational(c)):
+        if c is None or (isinstance(self.ring, QuaternionRing) and rational_of(c, self.ring) is None):
             return False
         return self.ring.is_zero(_entry_conj(self.kind, self.ring, c) - c)
 
@@ -489,7 +479,8 @@ def adjoint_involution(f: GramForm) -> MatrixInvolution:
 
 def is_positive_involution(inv: MatrixInvolution) -> bool:
     """Exact test: the trace form x -> Tr(x x^dagger) on M_n(base) is
-    positive definite."""
+    positive definite, Tr the trace over Q of v -> x x^dagger v on base^n,
+    that is of `regular_matrix`."""
     ring = inv.ring
     n = inv.n
     elems = qbasis(ring, n)
@@ -499,7 +490,7 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
     for a in range(dim):
         for b in range(dim):
             ab = mat_mul(elems[a], dag[b], ring)
-            big[a][b] = sum((ring.trace_q(ab[i][i]) for i in range(n)), Fraction(0))
+            big[a][b] = sum((row[t] for t, row in enumerate(regular_matrix(ab, ring))), Fraction(0))
     sym = [[(big[a][b] + big[b][a]) / 2 for b in range(dim)] for a in range(dim)]
     return is_positive_definite(GramForm("symmetric", RationalRing(), sym))
 
@@ -508,7 +499,7 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
     """A Gram form whose adjoint involution is `inv`; positive definite when
     `want_positive` (implements the phi(v0, v0)-rescaling construction)."""
     ring = inv.ring
-    if not isinstance(ring, (RationalRing, QuadRing)):
+    if not isinstance(ring, (RationalRing, QuadField)):
         raise FormError("involution_to_form supports matrix algebras over Q or a quadratic field")
     n = inv.n
     z = [row[:] for row in inv.z]
@@ -669,33 +660,33 @@ def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
             signatures=[(pos, dim - pos)],
             complete=True,
         )
-    if kind == "symmetric" and isinstance(ring, QuadRing):
+    if kind == "symmetric" and isinstance(ring, QuadField):
         sig0 = sum(1 for x in diag if x.sign_at(0) > 0)
         sig1 = sum(1 for x in diag if x.sign_at(1) > 0)
         return FormInvariants(
             kind="symmetric",
-            base=f"Q(sqrt{ring.field.D})",
+            base=f"Q(sqrt{ring.D})",
             dim=dim,
             det_element=prod(diag, start=ring.one()),
             signatures=[(sig0, dim - sig0), (sig1, dim - sig1)],
             complete=False,
         )
-    if kind == "hermitian" and isinstance(ring, QuadRing):
+    if kind == "hermitian" and isinstance(ring, QuadField):
         dets = [x.as_rational() for x in diag]  # conj-fixed, hence rational
         det = prod(dets, start=Fraction(1))
         pos = sum(1 for x in dets if x > 0)
         return FormInvariants(
             kind="hermitian",
-            base=f"Q(sqrt{ring.field.D})",
+            base=f"Q(sqrt{ring.D})",
             dim=dim,
             det_element=det,
-            det_field=ring.field,
-            det_is_norm=is_norm(det, ring.field),
+            det_field=ring,
+            det_is_norm=is_norm(det, ring),
             signatures=[(pos, dim - pos)],
             complete=True,
         )
     if kind == "hermitian" and isinstance(ring, QuaternionRing):
-        dets = [ring.as_rational(x) for x in diag]  # canonical-fixed: rational
+        dets = [rational_of(x, ring) for x in diag]  # canonical-fixed: rational
         pos = sum(1 for x in dets if x > 0)
         return FormInvariants(
             kind="hermitian",
@@ -924,7 +915,7 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
             raise FormError("internal: fourth-power determinant must be a square")
         cert["det_fourth_power_square"] = True
         cert["hasse_argument"] = "formal: s(psi+psi) doubles and pairs square determinants"
-    elif isinstance(f1.ring, QuadRing):
+    elif isinstance(f1.ring, QuadField):
         if not (i1.det_is_norm and i2.det_is_norm):
             raise FormError("internal: fourth-power determinant must be a norm")
         cert["det_is_norm"] = True

@@ -45,7 +45,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-from .exact import ExactError, isprime, legendre, lift_root, rational_sqrt, sqrt_mod_p, unit_residue, valuation
+from .exact import (
+    ExactError,
+    isprime,
+    least_nonresidue,
+    legendre,
+    lift_root,
+    rational_sqrt,
+    sqrt_mod_p,
+    unit_residue,
+    valuation,
+)
 from .forms import FormError, GramForm, diagonalize, symmetric_form_q
 from .linalg import (
     Matrix,
@@ -332,7 +342,7 @@ def _reduce_to_standard(u: Matrix, ctx: PadicContext) -> Matrix:
         # move the leftover non-residue to the last slot, normalized to the
         # canonical non-residue
         idx = nonresidues[0]
-        nu = _canonical_nonresidue(p)
+        nu = least_nonresidue(p)
         ratio = residues[idx] * pow(nu, -1, mod) % mod
         s = _sqrt_mod_pk(ratio, p, k)
         inv_s = Fraction(pow(s, -1, mod))
@@ -340,13 +350,6 @@ def _reduce_to_standard(u: Matrix, ctx: PadicContext) -> Matrix:
         cols.append(cols.pop(idx))
     t_out = [[cols[c][r] for c in range(n)] for r in range(n)]
     return _entries_mod_pk(t_out, p, k)
-
-
-def _canonical_nonresidue(p: int) -> int:
-    for x in range(2, p):
-        if legendre(x, p) == -1:
-            return x
-    raise LatticeError("no non-residue found")
 
 
 def _represent_one(u: int, v: int, p: int, k: int) -> tuple[int, int]:

@@ -2,16 +2,20 @@
 
 Matrices are plain lists of rows.  Products, transposes and the
 Q-coordinate layout are written once, generic over a ring descriptor
-(`Ring`): the rationals (`QQ`, the default), quadratic fields, quaternion
-algebras and the etale pair Q x Q.  Elimination runs in two places only:
+(`Ring`): the rationals (`QQ`, the default), a quadratic field (its
+`quadfield.QuadField`), quaternion algebras (`algebras.QuaternionRing`)
+and the etale pair Q x Q (`forms.EtalePairRing`).  What follows from the
+Q-coordinates is read off them once, not written per descriptor: whether
+an element is a rational c times 1 (`rational_of`), and its trace over Q
+(the trace of `regular_matrix`).  Elimination runs in two places only:
 over Q, on integer numerators over one denominator (`numerators`), by
 fraction-free (Bareiss) elimination for `det` and `inverse`; and over F_p,
 for `kernel_mod_p`.  Every other ring reaches the Q kernels through its
 regular representation, the matrix over Q of v -> a v (`regular_matrix`):
 `inverse` inverts that matrix, and its determinant decides nonsingularity
-and gives norms.  Integer Hermite normal forms and lattice intersection
-live here too.  Everything is denominator-exact; no floats appear anywhere
-in the package.
+and gives norms.  Integer Hermite normal forms live here too.
+Everything is denominator-exact; no floats appear anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ def numerators(a: list) -> tuple[list[list[int]], int]:
 
 @runtime_checkable
 class Ring(Protocol):
-    """The ring methods the package calls on a ring descriptor.  Elements
-    support +, -, * and unary minus among themselves and with int and
-    Fraction scalars.  The matrix layer never divides in the ring: `inv` is
-    for the callers that pivot on single entries (`forms.diagonalize`,
-    `forms.involution_to_form`, `algebras.SimpleFactor`)."""
+    """Every ring member the package calls on a ring descriptor; each
+    descriptor implements them all.  Elements support +, -, * and unary
+    minus among themselves and with int and Fraction scalars.  The matrix
+    layer never divides in the ring: `inv` is for the callers that pivot
+    on single entries (`forms.diagonalize`, `forms.involution_to_form`,
+    `algebras.SimpleFactor`)."""
 
     dim_q: int  # the dimension over Q
 
@@ -105,15 +110,6 @@ class RationalRing:
 
     def from_qcoords(self, coords):
         return coords[0]
-
-    def trace_q(self, x):
-        return frac(x)
-
-    def as_rational(self, x):
-        return frac(x)
-
-    def is_rational(self, x):
-        return True
 
     def __repr__(self):
         return "Q"
@@ -302,6 +298,22 @@ def scalar_of(a: list, ring: Ring = QQ):
     return c
 
 
+def rational_of(x, ring: Ring = QQ) -> Fraction | None:
+    """The rational c with x = c * 1 in `ring`, None otherwise: the 1 x 1
+    sibling of `scalar_of`, read off the Q-coordinates, as x = c * 1
+    exactly when they are c times those of 1.  Anything with `one` and
+    `to_qcoords` will do (an algebra too); over Q, x itself."""
+    if type(ring) is RationalRing:
+        return frac(x)
+    c = None
+    for v, u in zip(ring.to_qcoords(x), ring.to_qcoords(ring.one())):
+        if c is None and u:
+            c = v / u
+        elif v != (c * u if u else 0):
+            return None
+    return c
+
+
 def _rref_mod_p(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of the reduced row echelon form over F_p of the
     integer matrix m, with entries in range(p), and their pivot columns."""
@@ -382,27 +394,3 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
             if r == nrows:
                 break
     return [row for row in m[:r] if any(row)]
-
-
-def lattice_intersection(bases: list[list[list[int]]], n: int) -> list[list[int]]:
-    """Intersection of full-rank integer lattices in Z^n given by row bases.
-
-    Uses duality: (L1 cap L2)* = L1* + L2*, with duals computed exactly
-    over Q and rescaled to integer matrices.
-    """
-
-    def dual_rows(b: list) -> Matrix:
-        return transpose(inverse(b))
-
-    acc = bases[0]
-    for nxt in bases[1:]:
-        stacked, scale = numerators(dual_rows(acc) + dual_rows(nxt))
-        summed = hnf(stacked)
-        if len(summed) != n:
-            raise ValueError("lattices do not span")
-        dsum = [[Fraction(x, scale) for x in row] for row in summed]
-        inter, den = numerators(dual_rows(dsum))
-        if den != 1:
-            raise ValueError("intersection is not integral")
-        acc = hnf(inter)
-    return acc

@@ -37,9 +37,13 @@ def _squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QuadField:
-    """Q(sqrt(D)) for a squarefree integer D != 0, 1."""
+    """Q(sqrt(D)) for a squarefree integer D != 0, 1, and its ring
+    descriptor (`linalg.Ring`): `conj` is field conjugation, so symmetric
+    forms over F say at the form level that they use the identity."""
 
     D: int
+
+    dim_q = 2
 
     def __post_init__(self):
         if self.D in (0, 1) or not _squarefree(self.D):
@@ -95,6 +99,24 @@ class QuadField:
     def from_sqrt_coords(self, s, t) -> "QuadElem":
         """The element s + t*sqrt(D)."""
         return self.from_rational(s) + self.sqrtD() * frac(t)
+
+    def is_zero(self, x: "QuadElem") -> bool:
+        return x.is_zero()
+
+    def conj(self, x: "QuadElem") -> "QuadElem":
+        return x.conj()
+
+    def inv(self, x: "QuadElem") -> "QuadElem":
+        return x.inv()
+
+    def coerce(self, c) -> "QuadElem":
+        return self.from_rational(c) if isinstance(c, (int, Fraction)) else c
+
+    def to_qcoords(self, x: "QuadElem") -> list[Fraction]:
+        return [x.x, x.y]
+
+    def from_qcoords(self, coords) -> "QuadElem":
+        return QuadElem(self, coords[0], coords[1])
 
     def __repr__(self):
         return f"Q(sqrt({self.D}))"

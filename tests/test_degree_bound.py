@@ -1,6 +1,8 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -30,16 +32,14 @@ from polarith.algebras import (
     AlgebraWithInvolution,
     NormSpec,
     OrderR,
-    QuadRing,
     QuaternionRing,
     SimpleFactor,
-    apply_involution,
     matrix_algebra_q,
     norm,
     quadfield_algebra,
 )
 from polarith.exact import valuation
-from polarith.linalg import RationalRing, det, frac, identity, inverse, mat, mat_mul, qbasis, transpose
+from polarith.linalg import RationalRing, det, frac, identity, inverse, mat, mat_mul, qbasis, rational_of, transpose
 from polarith.quadfield import QuadField, QuadElem, fundamental_unit, is_totally_positive
 
 
@@ -517,6 +517,40 @@ def test_commutative_answer_ignores_unit_squares(D, z, s):
     assert len(answers) == 1
 
 
+def test_ideal_algorithm_never_reaches_its_internal_errors():
+    """Seeded valid instances q = c g^2, a = g^-1, over every squarefree D in
+    [-40, 60): q lies in Q^x F^x2, so by the argument of `solve_commutative`
+    its exponent, principalization and unit steps always succeed.  Every
+    instance takes the ideal algorithm, except that the oracle answers the
+    leftover units that no root of unity of Q(i) or Q(sqrt -3) absorbs."""
+    rng = random.Random(2024)
+    fields = [
+        D for D in range(-40, 60) if D not in (0, 1) and max(factorint(abs(D)).values(), default=1) == 1
+    ]
+    routes = Counter()
+    for D in fields:
+        F = QuadField(D)
+        for _ in range(6):
+            x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            g = QuadElem(F, x, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+            h = g * g
+            den = lcm(h.x.denominator, h.y.denominator)
+            content = gcd(int(h.x * den), int(h.y * den))
+            q = h * Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 3, 5, 7]) * den, content)
+            a = g.inv()
+            inst = quadfield_instance(F, (q.x, q.y), (a.x, a.y))
+            res = solve_commutative(inst)
+            verify_result(inst, res)
+            reason = res.notes.get("fallback_reason")
+            if reason is not None:
+                assert D in (-1, -3) and reason.startswith("no root of unity"), (D, q, reason)
+            else:
+                assert res.method == "ideal-algorithm", (D, q, res.method)
+            routes[res.method] += 1
+    assert sum(routes.values()) == 6 * len(fields) >= 300
+    assert routes["ideal-algorithm"] >= 360
+
+
 # ---------------------------------------------------------------------------
 # The integer oracle against its definition
 
@@ -550,7 +584,7 @@ def _reference_oracle(inst, norm_cap, max_radius=24, budget=2_000_000, extra_she
                 b = A.from_qcoords([Fraction(c) for c in coords])
             else:
                 b = order.element_from_coordinates([Fraction(c) for c in coords])
-            val = A.is_rational_scalar(A.mul(A.mul(apply_involution(A, b), inst.q), b))
+            val = rational_of(A.mul(A.mul(A.involve(b), inst.q), b), A)
             if val is None or val == 0 or val.denominator != 1:
                 continue
             nb = norm(A, b, inst.spec)
@@ -612,14 +646,14 @@ def _oracle_instances(draw, kind):
             q[1][1] = q[0][0]
         if square:
             g = (mat([[draw(_small), draw(_small)], [draw(_small), draw(_small)]]),)
-            q = A.scale(Fraction(draw(_small)), A.mul(apply_involution(A, g), g))[0]
+            q = A.scale(Fraction(draw(_small)), A.mul(A.involve(g), g))[0]
             if not OrderR(A, basis).contains((q,)):
                 q = mat_mul(mat([[2, 0], [0, 2]]), q)
         return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (mat(q),), None)
     if kind == "quadfield":
         D = draw(st.sampled_from([5, 2, 3, -1, -3, -7, 13]))
         A = quadfield_algebra(QuadField(D), draw(st.sampled_from(["identity", "conjugation"])))
-        F = A.factors[0].ring.field
+        F = A.factors[0].ring
         if draw(st.booleans()):
             basis = ((F.one(),), (F.omega(),))
             q = QuadElem(F, Fraction(draw(_small)), Fraction(draw(_small)))
@@ -647,7 +681,7 @@ def _oracle_instances(draw, kind):
     c = Fraction(draw(_small))
     q = (c, c)
     if draw(st.booleans()):
-        factors += (SimpleFactor(QuadRing(F5)),)
+        factors += (SimpleFactor(F5),)
         q += (QuadElem(F5, Fraction(draw(_small)), Fraction(draw(_small))),)
     A = AlgebraWithInvolution(factors, ((0, 1),))
     spec = NormSpec(A, (1,) * len(factors))

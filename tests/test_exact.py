@@ -18,6 +18,7 @@ from polarith.exact import (
     hasse_invariant,
     hilbert_symbol,
     is_rational_square,
+    least_nonresidue,
     legendre,
     lift_root,
     sqrt_mod_p,
@@ -346,6 +347,16 @@ def test_sqrt_mod_p_every_square_below_500():
             else:
                 with pytest.raises(ExactError, match="is not a square mod"):
                     sqrt_mod_p(a, p)
+
+
+def test_least_nonresidue_below_5000():
+    """The least non-square mod each odd prime p < 5000, against the squares
+    listed mod p; p = 2, which has none, is refused."""
+    for p in primerange(3, 5000):
+        squares = {x * x % p for x in range(p)}
+        assert least_nonresidue(p) == next(n for n in range(2, p) if n not in squares)
+    with pytest.raises(ExactError, match="no quadratic non-residue"):
+        least_nonresidue(2)
 
 
 # p = 1 mod 8 with 2^16, 2^23, 2^27 and 2^32 dividing p - 1: the

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarith.algebras import QuadRing, QuaternionRing
+from polarith.algebras import QuaternionRing
 from polarith.exact import REAL_PLACE, LocalPlace, square_class
 from polarith.forms import (
     EtalePairRing,
@@ -89,7 +89,7 @@ def test_positive_definite_skew_warns_false():
 
 
 def test_positive_definite_over_real_quadratic():
-    ring = QuadRing(F5)
+    ring = F5
     # <q> with q = 3 + sqrt5 totally positive
     q = F5.from_sqrt_coords(3, 1)
     f = GramForm("symmetric", ring, [[q]])
@@ -103,7 +103,7 @@ def test_gram_validation():
     with pytest.raises(FormError):
         GramForm("symmetric", QR, [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
     with pytest.raises(FormError):
-        GramForm("hermitian", QuadRing(F5), [[F5.one()]])  # real field rejected
+        GramForm("hermitian", F5, [[F5.one()]])  # real field rejected
 
 
 def test_adjoint_involution_identity_gram():
@@ -283,7 +283,7 @@ def test_etale_pair_isometry():
 
 
 def test_hermitian_imaginary_quadratic():
-    ring = QuadRing(Fi)
+    ring = Fi
     one = Fi.one()
     f = GramForm("hermitian", ring, [[one]])
     inv = invariants(f)
@@ -298,7 +298,7 @@ def test_hermitian_imaginary_quadratic():
 
 
 def test_hermitian_off_diagonal():
-    ring = QuadRing(Fi)
+    ring = Fi
     i_elem = Fi.sqrtD()
     g = [[Fi.from_rational(2), i_elem], [-i_elem, Fi.from_rational(3)]]
     f = GramForm("hermitian", ring, g)
@@ -333,7 +333,7 @@ def test_fourth_power_examples():
 
 
 def test_fourth_power_hermitian_imaginary():
-    ring = QuadRing(Fi)
+    ring = Fi
     f1 = GramForm("hermitian", ring, [[Fi.one()]])
     f2 = GramForm("hermitian", ring, [[Fi.from_rational(3)]])
     ok, cert = fourth_power_isometric(f1, f2)
@@ -405,7 +405,7 @@ def test_det_class_multiplicativity_and_sum_rule():
 
 
 def test_symmetric_real_quadratic_invariants_flagged():
-    ring = QuadRing(F5)
+    ring = F5
     q = F5.from_sqrt_coords(3, 1)  # totally positive
     f1 = GramForm("symmetric", ring, [[q]])
     f2 = GramForm("symmetric", ring, [[q * 4]])
@@ -420,7 +420,7 @@ def test_symmetric_real_quadratic_invariants_flagged():
 
 
 def test_fourth_power_symmetric_real_quadratic():
-    ring = QuadRing(F5)
+    ring = F5
     q1 = F5.from_sqrt_coords(3, 1)
     q2 = F5.from_rational(1)
     f1 = GramForm("symmetric", ring, [[q1]])
@@ -556,8 +556,8 @@ def test_isometry_search_rejects_other_forms():
 
 BASES = {
     "Q": ("symmetric", QR),
-    "real": ("symmetric", QuadRing(F5)),
-    "imag": ("hermitian", QuadRing(QuadField(-5))),
+    "real": ("symmetric", F5),
+    "imag": ("hermitian", QuadField(-5)),
     "quat": ("hermitian", QuaternionRing(QR, Fraction(-1), Fraction(-1))),
     "pair": ("hermitian", EtalePairRing()),
 }
@@ -580,7 +580,7 @@ def _rand_form(rng, kind, ring, n, signs):
     for sign in signs:
         if sign == 2:
             diag.append(F5.from_sqrt_coords(1, 1))
-        elif isinstance(ring, QuadRing) and ring.field.is_real and sign > 0:
+        elif isinstance(ring, QuadField) and ring.is_real and sign > 0:
             diag.append(F5.from_sqrt_coords(rng.randint(3, 5), rng.choice([-1, 0, 1])))
         else:
             diag.append(ring.coerce(sign * rng.randint(1, 4)))
@@ -591,19 +591,23 @@ def _rand_form(rng, kind, ring, n, signs):
 
 def _reference_trace_gram(f):
     """The rational Gram matrix of Tr(psi(v, v); D) on the Q-vector space
-    underlying the module, via the regular representation of the base."""
+    underlying the module, Tr(x) the trace sum_t coord_t(x e_t) of
+    left multiplication by x on the base, e_t its Q-basis."""
     ring = f.ring
     d = ring.dim_q
     n = f.dim
     basis = [ring.from_qcoords([Fraction(int(i == t)) for i in range(d)]) for t in range(d)]
+
+    def trace(x):
+        return sum((ring.to_qcoords(x * e)[t] for t, e in enumerate(basis)), Fraction(0))
+
     big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
     for i in range(n):
         for j in range(n):
             gij = f.gram[i][j]
             for s in range(d):
                 for u in range(d):
-                    val = f.entry_conj(basis[s]) * gij * basis[u]
-                    big[i * d + s][j * d + u] = ring.trace_q(val)
+                    big[i * d + s][j * d + u] = trace(f.entry_conj(basis[s]) * gij * basis[u])
     return big
 
 
@@ -632,7 +636,7 @@ def _reference_trace_form_positive(f) -> bool:
 def test_diagonal_positivity_agrees_with_trace_form(kind, ring):
     rng = random.Random(2026)
     seen = set()
-    choices = [1, 1, 1, -1, 0] + ([2] if isinstance(ring, QuadRing) and ring.field.is_real else [])
+    choices = [1, 1, 1, -1, 0] + ([2] if isinstance(ring, QuadField) and ring.is_real else [])
     for _ in range(60):
         n = rng.randint(0, 3)
         f = _rand_form(rng, kind, ring, n, [rng.choice(choices) for _ in range(n)])
@@ -852,9 +856,9 @@ def _p_adic_unit_inverse(p):
 # (kind, ring, largest dimension, pivot rule), one per base the elimination sees
 DIAGONALIZE_CASES = {
     "Q": ("symmetric", QR, 8, None),
-    "Q(sqrt5)": ("symmetric", QuadRing(F5), 4, None),
-    "Q(sqrt-1)": ("hermitian", QuadRing(Fi), 4, None),
-    "Q(sqrt-5)": ("hermitian", QuadRing(QuadField(-5)), 4, None),
+    "Q(sqrt5)": ("symmetric", F5, 4, None),
+    "Q(sqrt-1)": ("hermitian", Fi, 4, None),
+    "Q(sqrt-5)": ("hermitian", QuadField(-5), 4, None),
     "(-1,-1/Q)": ("hermitian", QuaternionRing(QR, Fraction(-1), Fraction(-1)), 3, None),
     "(1,1/Q) skew": ("quat-skew-hermitian", QuaternionRing(QR, Fraction(1), Fraction(1)), 3, None),
     "Q 3-adic": ("symmetric", QR, 6, 3),

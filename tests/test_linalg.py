@@ -10,10 +10,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy import primefactors
 
-from polarith.algebras import QuadRing, QuaternionRing
+from polarith.algebras import QuaternionRing
 from polarith.forms import EtalePairRing, PairElem
 from polarith.linalg import (
     QQ,
+    RationalRing,
     Ring,
     conj_transpose,
     det,
@@ -27,14 +28,15 @@ from polarith.linalg import (
     mat_to_qcoords,
     numerators,
     qbasis,
+    rational_of,
     regular_matrix,
     scalar_of,
     transpose,
 )
 from polarith.quadfield import QuadField
 
-REAL = QuadRing(QuadField(5))
-IMAG = QuadRing(QuadField(-3))
+REAL = QuadField(5)
+IMAG = QuadField(-3)
 QUAT_DIVISION = QuaternionRing(QQ, Fraction(-1), Fraction(-3))
 QUAT_SPLIT = QuaternionRing(QQ, Fraction(1), Fraction(1))
 PAIR = EtalePairRing()
@@ -65,7 +67,34 @@ def square_pairs(ring):
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_every_ring_descriptor_satisfies_the_protocol(ring):
+    """Each descriptor, a quadratic field itself included, is a `Ring`, and
+    none writes its own trace or rational test: those are read off the
+    Q-coordinates (`rational_of`, the trace of `regular_matrix`)."""
     assert isinstance(ring, Ring)
+    for name in ("trace_q", "is_rational", "as_rational"):
+        assert not hasattr(ring, name), name
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@PROPS
+@given(data=st.data())
+def test_rational_of_agrees_with_its_definition(ring, data):
+    """rational_of(x) is the c with x = c * 1, and None when there is none:
+    x = c * 1 exactly when left multiplication by x is c times the identity."""
+    x = data.draw(elements(ring))
+    assert rational_of(x, ring) == scalar_of(regular_matrix([[x]], ring))
+    c = data.draw(small)
+    assert rational_of(ring.coerce(c), ring) == c
+
+
+def test_rational_of_scales_by_the_coordinates_of_one():
+    """Q in a layout where 1 has the coordinates (2, 0): 3 reads as 6 / 2."""
+
+    class Doubled(RationalRing):
+        def to_qcoords(self, x):
+            return [2 * Fraction(x), Fraction(0)]
+
+    assert rational_of(Fraction(3), Doubled()) == 3
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
