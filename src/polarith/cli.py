@@ -52,6 +52,7 @@ from .lattices_local import (
     check_local_solve,
     complete_after_check,
     is_maximal,
+    require_odd,
     scale,
     solve_after_check,
 )
@@ -254,14 +255,16 @@ def cmd_fourth_power_check(doc, args):
     return run
 
 
-def _padic_context(doc, args) -> PadicContext:
-    """The `p` and `precision` fields; a p the context refuses (2, or not
-    prime) is `precondition:p`."""
+def _padic_context(doc, args, odd: bool = False) -> PadicContext:
+    """The `p` and `precision` fields; a p the context refuses (not prime),
+    or 2 where the verb needs p odd, is `precondition:p`."""
     if "p" not in doc:
         raise InputError("schema:missing-field", "p must be an integer prime")
     p = _int(doc["p"], "p")
     precision = _int(doc.get("precision", args.precision), "precision", least=1)
     try:
+        if odd:
+            require_odd(p)
         return PadicContext(p, precision)
     except LatticeError as exc:
         raise InputError("precondition:p", str(exc)) from None
@@ -289,7 +292,7 @@ def cmd_maximal_lattice(doc, args):
 
 
 def cmd_local_solve(doc, args):
-    ctx = _padic_context(doc, args)
+    ctx = _padic_context(doc, args, odd=True)
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a", len(q))
     m_prime = _rat(doc["m_prime"], "m_prime")

@@ -6,18 +6,18 @@ Fully implemented routes:
   * commutative quadratic-field case (ideal algorithm: local exponents,
     principalization, possibly after ramified twists, then the leftover
     unit u of b0^2 q = M u absorbed by the first twist w of
-    `quadfield.sqrt_twists` with u w a square, as the Hecke decision
-    absorbs its unit; over an imaginary field a root of unity t with
-    u t^2 rational).  Its real fallbacks to the oracle are a non-maximal
-    order and an imaginary leftover unit that no root of unity absorbs;
-    the exponent, principalization and unit steps cannot fail on a valid
-    instance, and raise internal errors if they do;
+    `quadfield.sqrt_twists` with u w a square, over every field, as the
+    Hecke decision absorbs its unit).  Its one real fallback to the
+    oracle is a non-maximal order; the exponent, principalization and
+    unit steps cannot fail on a valid instance, and raise internal errors
+    if they do;
   * split matrix case M_n(Q) with transpose involution (local maximal
-    lattices glued over the bad primes by Chinese remaindering, then the
-    resulting unimodular positive definite Gram u written as T^T T: u is
-    in the class of I_n exactly when a complete enumeration finds n pairs
-    of norm-1 vectors, so a Gram with an E8 summand, possible for n >= 8,
-    is a certified fallback);
+    lattices glued over the bad primes, 2 included, by Chinese
+    remaindering, then the resulting unimodular positive definite Gram u
+    written as T^T T: u is in the class of I_n exactly when a complete
+    enumeration finds n pairs of norm-1 vectors, so a Gram with an E8
+    summand, possible for n >= 8, is a certified fallback; the others are
+    a non-transpose involution and a q that is not positive definite);
   * a universal brute-force oracle over coordinate boxes.
 
 The achieved constant c = Nm(b) / Nm(q)^{d - 1/2} is reported, never
@@ -69,7 +69,6 @@ from .quadfield import (
     prime_exponents,
     principalize_with_ramified_twists,
     sqrt_twists,
-    torsion_units,
 )
 
 
@@ -205,10 +204,10 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     the rational ideal (M / m), so ideal_b is principal up to ramified
     twists (`principalize_with_ramified_twists`); (3) b0 then generates an
     ideal whose square is (M' / q), M' = M times the twist, so b0^2 q / M'
-    is exactly a unit.  Each of these failing raises an internal error.
-    The oracle answers instead only for a non-maximal order and when no
-    root of unity absorbs the leftover unit of an imaginary field; the
-    principality search may stop at its budget (ResourceError)."""
+    is exactly a unit, which a ramified twist absorbs (`_absorb_unit`).
+    Each of these failing raises an internal error.  The oracle answers
+    instead only for a non-maximal order; the principality search may
+    stop at its budget (ResourceError)."""
     inst.require_similitude()
     A = inst.algebra
     f0 = A.factors[0]
@@ -280,9 +279,7 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     u = value_elem / big_m
     if not u.is_unit():
         raise DegreeBoundError("internal: b0^2 q / M is not a unit")
-    b_elem, value = _absorb_unit(F, b0, u, big_m)
-    if b_elem is None:
-        return _oracle_fallback(inst, "no root of unity t makes the leftover unit u t^2 rational")
+    b_elem, value = _absorb_unit(b0, u, big_m)
     res = BoundResult(
         b=(b_elem,),
         value=int(value),
@@ -296,20 +293,14 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     return res
 
 
-def _absorb_unit(F: QuadField, b0: QuadElem, u: QuadElem, big_m: Fraction):
+def _absorb_unit(b0: QuadElem, u: QuadElem, big_m: Fraction):
     """Remove the unit u from b0^2 q = big_m * u: returns (b, value) with
-    value = b^2 q in Q, or (None, None) over an imaginary field whose roots
-    of unity cannot make u rational.  Over a real field, y^2 = u w for the
-    first twist w of `sqrt_twists` gives Nm(y)^2 = w^2, so b = b0 conj(y)
-    has b^2 q = big_m u conj(y)^2 = big_m w; b^2 q fixes |Nm b|, and the
-    ascending |w| makes it the least.  Such a w exists: q lies in Q^x F^x2,
-    so (y)^2 = (w) and every odd prime of w ramifies."""
-    if not F.is_real:
-        for t in torsion_units(F):
-            cand = u * t * t
-            if cand.is_rational():
-                return b0 * t, big_m * cand.as_rational()
-        return None, None
+    value = b^2 q in Q.  y^2 = u w for the first twist w of `sqrt_twists`
+    gives Nm(y)^2 = Nm(u) w^2, so Nm(u) = 1 and u conj(y)^2 = w, and
+    b = b0 conj(y) has b^2 q = big_m w; b^2 q fixes |Nm b|, and the
+    ascending |w| makes it the least.  Such a w exists over every field
+    (over Q(i), 2i = (1 + i)^2): q lies in Q^x F^x2, so (y)^2 = (w) and
+    every odd prime of w ramifies."""
     for w, y in sqrt_twists(u):
         return b0 * y.conj(), big_m * w
     raise DegreeBoundError("internal: no ramified twist makes the leftover unit a square")
@@ -346,10 +337,9 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
         raise DegreeBoundError("internal: det(q) is not an integer")
     bad = set(factorint(abs(int(detq))).keys())
     bad |= set(factorint(m.numerator * m.denominator).keys())
-    bad.discard(1)
     # choose m'' = m * s^2 with m'' q^{-1} integral and m'' a positive integer
     s = Fraction(1)
-    for p in sorted(bad | {2}):
+    for p in sorted(bad):
         kappa = max(0, -min((valuation(x, p) for row in qinv for x in row if x != 0), default=0))
         need = max(kappa, 0) - valuation(m, p)
         if need > 0:
@@ -359,15 +349,13 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     m2 = m * s * s
     if m2.denominator != 1 or m2 <= 0:
         raise DegreeBoundError("internal: m'' is not a positive integer")
-    # at each active odd prime, the maximal completion of m'' q^{-1} Z_p^n
+    # at each active prime, the maximal completion of m'' q^{-1} Z_p^n
     # is the local solution lattice; its integer rows span L_p, of index p^K
     # in Z^n at p.  L_p + p^K Z^n is L_p at p and Z^n at every other prime,
     # so the glued lattice, the intersection of these, is by Chinese
     # remaindering the sum of the e_p (L_p + p^K Z^n), e_p the product of
     # the other primes' p^K; every e_p p^K Z^n is E Z^n, E = prod p^K
-    active = sorted(
-        p for p in bad if p != 2 and (valuation(m2, p) > 0 or valuation(detq, p) != 0)
-    )
+    active = sorted(p for p in bad if valuation(m2, p) > 0 or valuation(detq, p) != 0)
     local = []
     for p in active:
         ctx = PadicContext(p, 12)
@@ -381,8 +369,12 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     )
     bstar = transpose(mat(glued))
     u = mat_scale(1 / m2, mat_mul(mat_mul(transpose(bstar), q), bstar))
+    # q / m'' is I_n over Q, so det u is a square, and each L_p is maximal
+    # with q / m'' integral on it: unimodular at odd p, as maximal lattices
+    # are isometric (O'Meara 91:2), and at p = 2 as [L^# : L] <= 2 (else
+    # some x in L^# - L has x^T (q / m'') x integral, and L + Z_2 x is too)
     if not all(x.denominator == 1 for row in u for x in row) or abs(det(u)) != 1:
-        return _oracle_fallback(inst, "glued Gram is not unimodular (dyadic obstruction)")
+        raise DegreeBoundError("internal: the glued Gram is not unimodular")
     t = identity_form_decomposition(u)
     if t is None:
         return _oracle_fallback(inst, "unimodular Gram is not in the class of I_n")

@@ -7,6 +7,8 @@ sufficient: if M strictly contains L with the same scale, pick v in M - L
 and the least k >= 1 with p^k v in L; then L + Z_p p^{k-1} v is an index-p
 superlattice of L inside M, and its scale is squeezed between the two equal
 scales.  So some index-p superlattice already witnesses non-maximality.
+Nothing of this inverts 2, so it holds at p = 2; the unimodular
+classification and the split-case solver need p odd (`require_odd`).
 
 Each candidate is tested in integers.  The index-p superlattice for a
 projective point v (v_i = 1 its first unit coordinate) replaces basis column
@@ -81,18 +83,24 @@ class LatticeError(ValueError):
 
 @dataclass(frozen=True)
 class PadicContext:
-    """Odd prime and working modulus p^precision for truncated witnesses."""
+    """Prime p, 2 included, and working modulus p^precision for truncated
+    witnesses."""
 
     p: int
     precision: int = 12
 
     def __post_init__(self):
-        if self.p == 2:
-            raise LatticeError("p = 2 is excluded (2 must be invertible)")
         if not isprime(self.p):
             raise LatticeError(f"{self.p} is not prime")
         if self.precision < 1:
             raise LatticeError("precision must be positive")
+
+
+def require_odd(p: int) -> None:
+    """Refuse p = 2 where the theory needs 2 invertible: Legendre symbols,
+    Hensel square roots and 2^-1 mod p^k."""
+    if p == 2:
+        raise LatticeError("p = 2 is excluded (2 must be invertible)")
 
 
 def _mat_min_valuation(m: Matrix, p: int) -> int:
@@ -306,6 +314,7 @@ def _reduce_to_standard(u: Matrix, ctx: PadicContext) -> Matrix:
     """T with T^T u T = diag(1, ..., 1, delta) mod p^precision, where delta
     is 1 or the canonical non-residue."""
     p, k = ctx.p, ctx.precision
+    require_odd(p)
     n = len(u)
     try:
         diag, t = diagonalize(
@@ -421,7 +430,8 @@ def _det_one_signed_permutations(n: int):
 def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[Matrix, Fraction]:
     """The preconditions of `split_local_solve`, in order, for rational
     matrices q, a and a rational m'; returns q^{-1} and sqrt(m'/m), which
-    the solver goes on with."""
+    the solver goes on with.  p must be odd."""
+    require_odd(p)
     if q != transpose(q):
         raise LatticeError("q must be symmetric")
     if not _mat_p_integral(q, p):
@@ -515,8 +525,9 @@ def solve_after_check(
 
 def unit_case_parity(q: Matrix, a: Matrix, ctx: PadicContext):
     """Dichotomy for unimodular q with a^T q a = m scalar: either v_p(m) is
-    even, or a finite-precision witness b with b^T q b = I exists."""
+    even, or a finite-precision witness b with b^T q b = I exists (p odd)."""
     p = ctx.p
+    require_odd(p)
     q = mat(q)
     a = mat(a)
     n = len(q)

@@ -535,21 +535,6 @@ def fundamental_unit(field: QuadField) -> QuadElem:
     return u
 
 
-def torsion_units(field: QuadField) -> list[QuadElem]:
-    """Roots of unity in the maximal order."""
-    one = field.one()
-    if field.is_real:
-        return [one, -one]
-    if field.D == -1:
-        i = field.sqrtD()
-        return [one, i, -one, -i]
-    if field.D == -3:
-        # zeta6 = (1 + sqrt(-3)) / 2
-        z = (field.one() + field.sqrtD()) / 2
-        return [z**k for k in range(6)]
-    return [one, -one]
-
-
 # ---------------------------------------------------------------------------
 # Principality
 

@@ -848,6 +848,9 @@ _TWO = [["2", "0"], ["0", "2"]]
         ("degree-bound", _matrix_factor({"type": "Q"}, 2, [["1"]]), "schema:bad-matrix"),
         ("hecke-classes", {"D": 5, "count": 700}, "resource:budget"),
         ("classify-form", {"form": form_q("symmetric", [["1e200000"]])}, "schema:bad-rational"),
+        # p = 2 passes the p check and reaches the lattice's own
+        ("maximal-lattice", {**_LOCAL_DOCS["maximal-lattice"], "p": 2, "target_scale": 2},
+         "precondition:LatticeError"),
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):
@@ -938,32 +941,47 @@ def test_matrix_factor_element_is_serialized_as_rationals(base, dim):
     assert got == (want if dim > 1 else [want[:2], want[2:]])
 
 
+# The degree-bound requests that the reference records as oracle fallbacks
+# and that now take a specialized route: the dyadic split-matrix requests
+# glue at 2, and the Q(i) requests absorb their unit +-i with the twist 2.
+_REROUTED = {
+    **{f"solve-{k:03d}": "ideal-algorithm" for k in (24, 25, 27)},
+    **{f"solve-{k:03d}": "lattice-glue" for k in (45, 53, 54, 58, 59)},
+}
+
+
 def test_solve_pool_matches_reference(tmp_path):
     """Every solve-pool request but the slowest answers the exit code, and a
-    degree-bound request the method, norm_b and oracle count, recorded in
-    the reference.  Left out, at seconds each: oracles that explored more
-    than 10,000 points and the n = 4 maximal lattices at p = 7 and 11."""
+    degree-bound request the norm_b, recorded in the reference, and the
+    method and oracle count too, except for the rerouted requests, which
+    take the method of `_REROUTED` and explore nothing.  No degree-bound
+    request falls back to the oracle.  Left out, at seconds each: the n = 4
+    maximal lattices at p = 7 and 11."""
     data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
     requests = json.loads((data / "solve.inputs.json").read_text())["requests"]
     reference = json.loads((data / "solve.reference.json").read_text())
     inp, out = tmp_path / "in.json", tmp_path / "out.json"
-    sent, mismatched = 0, []
+    sent, mismatched, methods = 0, [], []
     for req in requests:
         want = reference[req["id"]]
-        if want.get("explored", 0) > 10_000 or req["stratum"] in ("maximal-n4-p7", "maximal-n4-p11"):
+        if req["stratum"] in ("maximal-n4-p7", "maximal-n4-p11"):
             continue
+        if req["id"] in _REROUTED:
+            want = {"exit": want["exit"], "method": _REROUTED[req["id"]], "norm_b": want["norm_b"]}
         sent += 1
         inp.write_text(json.dumps(req["input"]))
         got = {"exit": main([req["verb"], str(inp), "-o", str(out), *req["args"]])}
         if req["verb"] == "degree-bound":
             res = json.loads(out.read_text())
             got.update(method=res.get("method"), norm_b=res.get("norm_b"))
+            methods.append(got["method"])
             if "explored" in res.get("notes", {}):
                 got["explored"] = res["notes"]["explored"]
         if got != want:
             mismatched.append(req["id"])
-    assert sent == 88
+    assert sent == 92
     assert mismatched == []
+    assert len(methods) == 64 and "oracle-fallback" not in methods
 
 
 def test_lattice_pool_responses_are_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -25,6 +26,7 @@ from polarith.lattices_local import (
     unimodular_isometric,
     unit_case_parity,
 )
+from polarith.cli import main
 from polarith.exact import lift_root, valuation
 from polarith.forms import diagonalize, symmetric_form_q
 from polarith.linalg import det, identity, kernel_mod_p, mat, mat_mul, mat_scale, transpose
@@ -55,11 +57,21 @@ def rand_unimodular_int_matrix(rng, n, bound=3):
     return m
 
 
-def test_ctx_rejects_two():
-    with pytest.raises(LatticeError):
-        PadicContext(2)
+def test_two_is_refused_only_where_the_theory_is_odd():
+    """The context takes p = 2 and refuses a non-prime; the routines that
+    need 2 invertible refuse p = 2 themselves."""
+    ctx = PadicContext(2)
     with pytest.raises(LatticeError):
         PadicContext(9)
+    q, a = identity(2), identity(2)
+    with pytest.raises(LatticeError, match="p = 2"):
+        split_local_solve(q, a, 1, ctx)
+    with pytest.raises(LatticeError, match="p = 2"):
+        unit_case_parity(q, a, ctx)
+    with pytest.raises(LatticeError):
+        unimodular_isometric(q, q, 2)
+    with pytest.raises(LatticeError, match="p = 2"):
+        _reduce_to_standard(q, ctx)
 
 
 def test_scale_examples():
@@ -470,7 +482,7 @@ def _lattices(draw, p):
     """A lattice in a nondegenerate rational form: Gram entries a p^k / d
     with d in {1, 2, p} (so the Gram has denominators, p among them), basis
     columns integral up to a power of p."""
-    n = draw(st.integers(1, 4 if p == 3 else 3))
+    n = draw(st.integers(1, 4 if p <= 3 else 3))
     entry = st.builds(
         lambda a, k, d: Fraction(a * p**k, d),
         st.integers(-4, 4),
@@ -493,14 +505,15 @@ def _lattices(draw, p):
     return lattice(p, basis, symmetric_form_q(g))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 @given(data=st.data(), drop=st.integers(0, 2))
 @settings(max_examples=25, deadline=None)
 def test_superlattice_scan_matches_reference(p, data, drop):
     """Same answer as the Fraction definition: the same maximality verdict
     and the same completed basis, for targets at and below the lattice's
-    own scale (negative and positive).  n = 4 only at p = 3, where the
-    Fraction reference stays fast."""
+    own scale (negative and positive).  The definition does not depend on
+    p, so p = 2 is tested alike.  n = 4 only at p <= 3, where the Fraction
+    reference stays fast."""
     L = data.draw(_lattices(p))
     assert is_maximal(L) == _reference_is_maximal(L)
     target = scale(L) - drop
@@ -540,6 +553,35 @@ def test_superlattice_scan_fixed_cases():
         out = maximal_completion(L, target)
         assert out.basis == _reference_maximal_completion(L, target).basis
         assert scale(out) >= target and is_maximal(out) and out.contains(L)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [["1", "0", "0"], ["0", "4", "0"], ["0", "0", "8"]],
+        [["2", "1"], ["1", "2"]],
+        [["8", "4", "0"], ["4", "6", "2"], ["0", "2", "12"]],
+    ],
+)
+def test_maximal_lattice_verb_answers_at_two(tmp_path, gram):
+    """`maximal-lattice` takes p = 2: it answers the Fraction reference
+    completion, and the reference scan finds no index-2 superlattice of the
+    same scale, as the verb's `maximal: true` says."""
+    n = len(gram)
+    doc = {
+        "p": 2,
+        "form": {"kind": "symmetric", "base": {"type": "Q"}, "gram": gram},
+        "basis": [[str(int(i == j)) for j in range(n)] for i in range(n)],
+    }
+    inp, out_path = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["maximal-lattice", str(inp), "-o", str(out_path)]) == 0
+    out = json.loads(out_path.read_text())
+    assert out["maximal"] is True and out["contains_input"] is True
+    form = symmetric_form_q([[Fraction(x) for x in row] for row in gram])
+    got = lattice(2, [[Fraction(x) for x in row] for row in out["basis"]], form)
+    assert got.basis == _reference_maximal_completion(lattice(2, identity(n), form), 0).basis
+    assert _reference_is_maximal(got) and scale(got) == out["scale"] >= 0
 
 
 @st.composite
