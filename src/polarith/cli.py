@@ -511,26 +511,35 @@ _PRECONDITION = (
     AlgebraError, DegreeBoundError, ExactError, FormError, HeckeError, LatticeError, QuadFieldError
 )
 _RESOURCE = (ResourceError, OracleBudgetError)
-_MAPPED = (InputError, KeyError, *_PRECONDITION, *_RESOURCE)
+_MAPPED = (InputError, KeyError, *_PRECONDITION, *_RESOURCE, ValueError)
 
 
 def _error(exc: Exception) -> dict:
     """The `{"code", "message"}` body of a failure, the same under a verb
-    and under `validate`.  `exc` is one of `_MAPPED`."""
+    and under `validate`.  `exc` is one of `_MAPPED`, a plain ValueError
+    only for an int past the interpreter's digit limit; others raise again."""
     if isinstance(exc, InputError):
         return {"code": exc.code, "message": str(exc)}
     if isinstance(exc, KeyError):
         return {"code": "schema:missing-field", "message": f"missing {exc}"}
     if isinstance(exc, _RESOURCE):
         return {"code": "resource:budget", "message": str(exc)}
-    return {"code": "precondition:" + type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, _PRECONDITION):
+        return {"code": "precondition:" + type(exc).__name__, "message": str(exc)}
+    if "integer string conversion" not in str(exc):
+        raise exc
+    return {"code": "resource:budget", "message": "an integer has more digits than the interpreter's limit "
+            f"of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"}
 
 
 def _emit(payload: dict, output: str, code: int) -> int:
     """Write `payload` to the `output` path ('-' for stdout) and return the
-    exit code `code`; a path that cannot be written answers `io:output` on
-    stdout with exit 1 instead."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    exit code `code`; an unwritable path answers `io:output` on stdout, an
+    int too long to write `resource:budget`, each with exit 1 instead."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:
+        return _emit({"error": _error(exc)}, output, 1)
     if output and output != "-":
         try:
             with open(output, "w") as fh:
@@ -577,7 +586,7 @@ def main(argv=None) -> int:
         else:
             with open(args.input) as fh:
                 doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
         return _emit({"error": {"code": "io:input", "message": str(exc)}}, args.output, 1)
     if not isinstance(doc, dict):
         return _emit({"error": {"code": "schema:bad-input", "message": "input must be a JSON object"}},

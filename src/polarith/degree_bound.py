@@ -65,7 +65,6 @@ from .quadfield import (
     QfIdeal,
     QuadElem,
     QuadField,
-    ResourceError,
     prime_exponents,
     principalize_with_ramified_twists,
     sqrt_twists,
@@ -74,12 +73,6 @@ from .quadfield import (
 
 class DegreeBoundError(ValueError):
     pass
-
-
-# Desk-scale cap on |disc(F)| for the `is_principal` search of the ideal
-# algorithm (its loop grows with sqrt(Nm) and, over a real field, with the
-# fundamental unit).
-MAX_PRINCIPAL_SEARCH_DISC = 10**6
 
 
 class OracleBudgetError(RuntimeError):
@@ -206,8 +199,8 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     ideal whose square is (M' / q), M' = M times the twist, so b0^2 q / M'
     is exactly a unit, which a ramified twist absorbs (`_absorb_unit`).
     Each of these failing raises an internal error.  The oracle answers
-    instead only for a non-maximal order; the principality search may
-    stop at its budget (ResourceError)."""
+    instead only for a non-maximal order; the walk on reduced forms may
+    stop at `quadfield.MAX_CYCLE_STEPS` (ResourceError)."""
     inst.require_similitude()
     A = inst.algebra
     f0 = A.factors[0]
@@ -260,8 +253,6 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     for pr, e in factors:
         ideal_b = ideal_b * pr**e
 
-    if abs(F.disc) > MAX_PRINCIPAL_SEARCH_DISC:
-        raise ResourceError(f"|disc| = {abs(F.disc)} exceeds the desk-scale bound")
     # a generator of ideal_b, possibly after multiplying by ramified primes
     # (which keeps b^dagger q b rational, scaled by their product)
     gen = principalize_with_ramified_twists(ideal_b)

@@ -10,9 +10,9 @@ equality, which makes ideals hashable and suitable for golden tests.
 
 A prime ideal (p, w - r) is written in row HNF in closed form, for a root
 r of w's minimal polynomial mod p taken from a square root mod p
-(`exact.sqrt_mod_p`).  The principality search runs on integers: it
-solves the norm equation in int, tests membership against the HNF rows,
-and builds a QuadElem only for the generator it returns.
+(`exact.sqrt_mod_p`).  Principality and the fundamental unit share one
+walk in int on reduced binary quadratic forms, of at most MAX_CYCLE_STEPS
+rho steps; a QuadElem is built only for the element returned.
 """
 
 from __future__ import annotations
@@ -379,10 +379,12 @@ class QfIdeal:
     def __pow__(self, e: int) -> "QfIdeal":
         if e == 0:
             return QfIdeal.unit_ideal(self.field)
-        base = self if e > 0 else self.inv()
-        out = QfIdeal.unit_ideal(self.field)
-        for _ in range(abs(e)):
-            out = out * base
+        # square and multiply, from base at the top bit of |e|
+        base = out = self if e > 0 else self.inv()
+        for bit in bin(abs(e))[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     def is_integral(self) -> bool:
@@ -494,115 +496,112 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
 
 
 # ---------------------------------------------------------------------------
-# Units
+# Reduced binary quadratic forms: units and principality
+
+
+# the most rho steps one walk on binary quadratic forms may take
+MAX_CYCLE_STEPS = 10**7
+
+
+def _reduced_forms(disc: int, A: int, B: int, C: int, x0: int, y0: int, x1: int, y1: int):
+    """Yield the reduced forms among f = A u^2 + B uv + C v^2 and its rho
+    images, each with the elements (int (1, w) coordinates) that (1, 0) and
+    (0, 1) stand for, x0 + y0 w and x1 + y1 w for f.  rho substitutes
+    (u, v) -> (-v, u + k v) for (C, r, (r^2 - disc) / 4C), r = 2 C k - B the
+    largest such r <= max(|C|, sqrt(disc)) (Cohen, GTM 138, 5.6.5)."""
+    s = isqrt(disc) if disc > 0 else -1
+    for _ in range(MAX_CYCLE_STEPS):
+        if (s - 2 * abs(A) < B <= s and 2 * abs(A) - B <= s) if disc > 0 else -A < B <= A <= C:
+            yield A, B, C, (x0, y0), (x1, y1)
+        c = abs(C)
+        top = c if c > s else s
+        r = top - (top + B) % (2 * c)
+        k = (r + B) // (2 * C)
+        A, B, C = C, r, (r * r - disc) // (4 * C)
+        x0, y0, x1, y1 = x1, y1, k * x1 - x0, k * y1 - y0
+    raise ResourceError(f"the walk on reduced forms stopped at the limit of {MAX_CYCLE_STEPS} steps")
 
 
 def fundamental_unit(field: QuadField) -> QuadElem:
     """Fundamental unit (> 1 under the first embedding) of the maximal order
-    of a real quadratic field, by the continued fraction of a reduced
-    quadratic irrational of discriminant disc."""
+    of a real quadratic field.  u -> u + k v takes the principal form
+    Nm(u + v w) to the reduced (1, B, C), B in (sqrt(disc) - 2, sqrt(disc)),
+    on the basis (1, w + k); at the next form (+-1, B, +-C) of its cycle,
+    (1, 0) stands for +-eps^+-1."""
     if not field.is_real:
         raise QuadFieldError("imaginary fields have no fundamental unit")
     disc = field.disc
-    s = isqrt(disc)
-    # reduced start: alpha0 = (P0 + sqrt(disc)) / 2 with P0 < sqrt(disc) < P0 + 2
-    P0 = s if (s % 2 == disc % 2) else s - 1
-    Q0 = 2
-    P, Q = P0, Q0
-    b_prev, b_cur = 1, 0  # B_{-2}, B_{-1}
-    l = 0
-    while True:
-        q = (P + s) // Q
-        b_prev, b_cur = b_cur, q * b_cur + b_prev
-        P = q * Q - P
-        Q = (disc - P * P) // Q
-        l += 1
-        if (P, Q) == (P0, Q0):
-            break
-        if l > 10**7:
-            raise ResourceError("continued fraction period too long")
-    # unit = B_{l-1} * alpha0 + B_{l-2}
-    Bl1, Bl2 = b_cur, b_prev
-    x = Fraction(Bl1 * (P0 - disc), 2) + Bl2
-    u = QuadElem(field, x, Fraction(Bl1))
-    if not u.is_unit():
-        raise QuadFieldError("internal: continued fraction did not produce a unit")
-    if u.sign_at(0) < 0:
-        u = -u
-    # u is positive at sigma_0 now: it is < 1 there iff u - 1 is negative
-    if (u - 1).sign_at(0) < 0:
-        u = u.inv()
-    return u
-
-
-# ---------------------------------------------------------------------------
-# Principality
-
-
-# the most values of |y| the generator search scans before it gives up
-MAX_GENERATOR_SEARCH_Y = 10**5
-
-
-def _generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
-    """An element of the integral ideal with |Nm| = Nm(ideal), or None.
-
-    Runs in int: the first x + y w with x^2 + t x y + nw y^2 = +-N, for
-    y = 0, 1, 2, ... (+N before -N, the larger root x first), that lies in
-    the span of the HNF rows [[a, b], [0, c]].  No y < 0 is tried: the
-    ideal is closed under negation and (-x, -y) solves the equation iff
-    (x, y) does, so y < 0 has a solution in the ideal only when -y has."""
-    field = ideal.field
-    if not ideal.is_integral():
-        raise QuadFieldError("internal: generator search needs an integral ideal")
-    (a, b), (_, c) = ideal.num
-    N = a * c
-    t, nw, disc = field.w_trace, field.w_norm, field.disc
-    if field.is_real:
-        if eps is None:
-            raise QuadFieldError("internal: a real field needs its fundamental unit")
-        # bound both embeddings by sqrt(N) * eps (up to unit normalization):
-        # |y| <= 2M / sqrt(disc) with M = (isqrt(N) + 1) (eps_0 + 1) and the
-        # integer overestimate 2 eps_0 <= 2 ex + ey (disc + isqrt(disc) + 1)
-        ex, ey = eps.x.numerator, eps.y.numerator
-        two_m = (isqrt(N) + 1) * (2 * ex + ey * (disc + isqrt(disc) + 1) + 2)
-        ymax = two_m // isqrt(disc) + 1
-        targets = (N, -N)
-    else:
-        ymax = 2 * isqrt(N // max(1, abs(disc) // 4)) + 2
-        targets = (N,)
-    # a generator often has a small |y| even when ymax is astronomical (a
-    # huge fundamental unit), so the cap counts the |y| scanned
-    for y in range(min(ymax, MAX_GENERATOR_SEARCH_Y) + 1):
-        ty, nyy = t * y, nw * y * y
-        for target in targets:
-            # x^2 + ty x + (nyy - target) = 0; r = ty mod 2 as r^2 = ty^2
-            # mod 4, so both roots (-ty +- r) / 2 are integers
-            d = ty * ty - 4 * (nyy - target)
-            if d < 0:
-                continue
-            r = isqrt(d)
-            if r * r != d:
-                continue
-            for x in ((r - ty) // 2, (-r - ty) // 2):
-                if x % a == 0 and (y - x // a * b) % c == 0:
-                    return QuadElem(field, Fraction(x), Fraction(y))
-    if ymax > MAX_GENERATOR_SEARCH_Y:
-        raise ResourceError(
-            f"principality search stopped after |y| = {MAX_GENERATOR_SEARCH_Y} without a generator"
-        )
-    return None
+    B = isqrt(disc)
+    B -= (B - disc) % 2
+    forms = _reduced_forms(disc, 1, B, (B * B - disc) // 4, 1, 0, (B - disc) // 2, 1)
+    next(forms)
+    A, _, _, (x, y), _ = next(f for f in forms if abs(f[0]) == 1)
+    if field.norm_form(x, y) != A:
+        raise QuadFieldError("internal: the cycle of the principal form did not produce a unit")
+    # of +-u and +-conj(u) = +-u^-1, the unit > 1 has a positive trace and y
+    if 2 * x + y * disc < 0:
+        x, y = -x, -y
+    if y < 0:
+        x, y = x + y * disc, -y
+    return QuadElem(field, Fraction(x), Fraction(y))
 
 
 def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None:
-    """A generator if the fractional ideal is principal, else None."""
+    """A generator if the fractional ideal is principal, else None: of the
+    generators x + y w with y >= 0, the one of least y, of norm +N before
+    -N, then of larger x.  Runs in int on num (den dropped), with HNF rows
+    [[a, b], [0, c]] and N = ac: f(u, v) = Nm(u (a + b w) + v c w) / N has
+    discriminant disc and takes +-1 exactly at the generators.  An
+    imaginary field's reduced form's A is the least value of f; a real
+    field's cycle of reduced forms holds one with |A| = 1 iff f takes +-1
+    (Cohen, GTM 138, 5.6-5.8; Buchmann and Vollmer, Binary Quadratic
+    Forms, ch. 5-6)."""
     field = ideal.field
-    if field.is_real and eps is None:
-        eps = fundamental_unit(field)
-    # num is already in row HNF: (1/den) num with the denominator dropped
-    g = _generator_in_ideal(QfIdeal(field, ideal.num, 1), eps)
-    if g is None:
-        return None
-    return g / ideal.den
+    t, nw, disc = field.w_trace, field.w_norm, field.disc
+    (a, b), (_, c) = ideal.num
+    A, B, C = (a * a + t * a * b + nw * b * b) // (a * c), t + 2 * nw * b // a, nw * c // a
+    if B * B - 4 * A * C != disc:
+        raise QuadFieldError("internal: the norm form of an ideal has the wrong discriminant")
+    forms = _reduced_forms(disc, A, B, C, a, b, 0, c)
+    A, B, C, z0, z1 = first = next(forms)
+    if disc < 0:
+        if A != 1:
+            return None
+        # u^2 + B uv + C v^2 with B in {0, 1} takes 1 at (1, 0), at (0, 1)
+        # when C = 1 (Q(i), Q(sqrt -3)), at (1, -1) when B = C = 1 (Q(sqrt -3))
+        cands = [(*z0, 1)] + [(*z1, 1)] * (C == 1) + [(z0[0] - z1[0], z0[1] - z1[1], 1)] * (B == C == 1)
+    else:
+        # the cycle closes at the first form again, up to the sign of A and C
+        while abs(A) != 1:
+            A, B, C, z0, z1 = next(forms)
+            if (abs(A), B, abs(C)) == (abs(first[0]), first[1], abs(first[2])):
+                return None
+        if eps is None:
+            eps = fundamental_unit(field)
+        ex, ey = eps.x.numerator, eps.y.numerator
+        # each generator is +-h eta^k: eta = eps, h = g if Nm eps = 1; eta =
+        # eps^2, h in {g, g eps} if Nm eps = -1.  As Nm eta = 1, |y(h eta^k)|
+        # is |h_1 eta^k - h_2 eta^-k| / sqrt(disc), which falls, then rises
+        # in k: walked from h by eta, then on by eta^-1, each while it strictly
+        # falls, it is least where a walk stops or one step past it (a tie)
+        x, y = z0
+        starts = [(x, y, A)]
+        if ex * ex + t * ex * ey + nw * ey * ey == -1:
+            starts.append((x * ex - y * ey * nw, x * ey + y * ex + y * ey * t, -A))
+            ex, ey = ex * ex - ey * ey * nw, 2 * ex * ey + ey * ey * t
+        cands = []
+        for x, y, n in starts:
+            for ux, uy in ((ex, ey), (ex + ey * t, -ey)):  # eta, eta^-1 = conj(eta)
+                while True:
+                    qx, qy = x * ux - y * uy * nw, x * uy + y * ux + y * uy * t
+                    if abs(qy) >= abs(y):
+                        break
+                    x, y = qx, qy
+                cands += [(x, y, n), (qx, qy, n)] if abs(qy) == abs(y) else [(x, y, n)]
+    # the sign of each candidate that gives y > 0, or y = 0 and x > 0
+    y, _, x = min((y, n < 0, -x) if (y, x) > (0, 0) else (-y, n < 0, x) for x, y, n in cands)
+    g = QuadElem(field, Fraction(-x), Fraction(y))
+    return g if ideal.den == 1 else g / ideal.den
 
 
 def principalize_with_ramified_twists(ideal: QfIdeal) -> tuple[QuadElem, int] | None:

@@ -11,6 +11,8 @@ import pytest
 
 import polarith
 from polarith.cli import VERBS, main, parse_instance, serialize_element
+from polarith.degree_bound import BoundResult, verify_result
+from polarith.quadfield import QuadElem
 
 
 def run_cli(tmp_path, verb, doc, *extra):
@@ -285,15 +287,17 @@ def test_general_algebra_quaternion(tmp_path):
 
 
 def test_degree_bound_desk_scale_bound(tmp_path):
-    """The ideal algorithm refuses a field beyond the desk-scale bound on
-    |disc| with a stated limit, not an unbounded principality search."""
-    doc = {"instance": {"algebra": {"type": "quadfield", "D": 1000003}, "q": ["1", "0"], "a": ["1", "0"]}}
+    """Q(sqrt(1000003)) lies past the former desk-scale bound on |disc|: the
+    ideal algorithm answers there, and the answer passes `verify_result`."""
+    doc = {"instance": {"algebra": {"type": "quadfield", "D": 1000003},
+                        "q": ["84000511000777", "-28000084"], "a": ["0", "1"]}}
     code, out = run_cli(tmp_path, "degree-bound", doc)
-    assert code == 1
-    assert out["error"] == {
-        "code": "resource:budget",
-        "message": "|disc| = 4000012 exceeds the desk-scale bound",
-    }
+    assert code == 0 and out["method"] == "ideal-algorithm"
+    inst = parse_instance(doc["instance"], "instance")
+    F = inst.algebra.factors[0].ring
+    b = (QuadElem(F, Fraction(out["b"][0]), Fraction(out["b"][1])),)
+    verify_result(inst, BoundResult(b, out["value"], Fraction(out["norm_b"]), Fraction(out["norm_q"]),
+                                    inst.d, out["method"]))
 
 
 def _run_child(tmp_path, launcher, verb, doc):
@@ -522,17 +526,44 @@ def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
     assert len(calls) == 45
 
 
-def test_hecke_classes_principality_search_limit(tmp_path):
-    """D = 22841030009 has a fundamental unit of about 2 * 10^5 bits, so the
-    generator search's bound on |y| is astronomical: it stops at its stated
-    limit with a `resource:budget` body, not a traceback or an endless
-    loop."""
-    code, out = run_cli(tmp_path, "hecke-classes", {"D": 22841030009, "count": 2})
+def _main_on_text(tmp_path, verb, text):
+    """`main` on an input file holding `text`: its exit code and JSON body."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(text)
+    code = main([verb, str(inp), "-o", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_input_int_past_the_digit_limit(tmp_path):
+    """A JSON integer of 5000 digits, past the interpreter's limit on int
+    conversion, answers `io:input`, not a traceback."""
+    code, out = _main_on_text(tmp_path, "hecke-classes", '{"D": ' + "7" * 5000 + ', "count": 2}')
+    assert code == 1 and out["error"]["code"] == "io:input"
+
+
+def test_input_nested_too_deep(tmp_path):
+    """JSON nested 100000 deep answers `io:input`, not a RecursionError."""
+    code, out = _main_on_text(tmp_path, "hecke-classes", '{"D": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert code == 1 and out["error"]["code"] == "io:input"
+
+
+def test_output_int_past_the_digit_limit(tmp_path):
+    """Over Q(sqrt(10000303)) the second representative has coordinates of
+    about 830 digits; under the interpreter's least digit limit, 640, the
+    answer is a `resource:budget` body naming the limit, not a traceback."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(tmp_path, "hecke-classes", {"D": 10000303, "count": 2})
+    finally:
+        sys.set_int_max_str_digits(old)
     assert code == 1
     assert out["error"] == {
         "code": "resource:budget",
-        "message": "principality search stopped after |y| = 100000 without a generator",
+        "message": "an integer has more digits than the interpreter's limit of 640 (sys.get_int_max_str_digits())",
     }
+    code, out = run_cli(tmp_path, "hecke-classes", {"D": 10000303, "count": 2})
+    assert code == 0 and len(out["representatives"][1]["coords"][0]) > 640
 
 
 def _over_budget(count, height, points):

@@ -15,7 +15,6 @@ from polarith.quadfield import (
     QuadField,
     QuadFieldError,
     ResourceError,
-    _generator_in_ideal,
     fundamental_unit,
     is_principal,
     is_square_in_field,
@@ -466,8 +465,12 @@ def test_roots_mod_p_and_prime_above_match_brute_force(D):
     assert kinds == {"split", "ramified"}
 
 
+# the most values of |y| the reference search scans before it gives up
+_REFERENCE_CAP = 10**5
+
+
 def _reference_generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadElem | None:
-    """`_generator_in_ideal` as it was in Fraction arithmetic, y before -y:
+    """The |y| search for a generator in Fraction arithmetic, y before -y:
     an element of the integral ideal with |Nm| = Nm(ideal), or None."""
     field = ideal.field
     N = ideal.norm()
@@ -506,7 +509,7 @@ def _reference_generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadE
     else:
         ymax = 2 * isqrt(N // max(1, abs(field.disc) // 4)) + 2
         targets = (N,)
-    cap = qf.MAX_GENERATOR_SEARCH_Y
+    cap = _REFERENCE_CAP
     for y in range(min(ymax, cap) + 1):
         for yy in ((y,) if y == 0 else (y, -y)):
             for target in targets:
@@ -546,6 +549,15 @@ _PRIMES_OF = {D: _prime_ideals(D) for D in _PRIME_IDEAL_DS}
 _EPS_OF = {D: fundamental_unit(QuadField(D)) if D > 0 else None for D in _PRIME_IDEAL_DS}
 
 
+def _assert_matches_reference(got, want, ideal):
+    """`got` is the reference search's answer `want`; where the search
+    stopped at its cap, a generator `got` generates the ideal."""
+    if isinstance(want, tuple) and want[0] == "ResourceError":
+        assert got is None or QfIdeal.principal(got) == ideal
+    else:
+        assert got == want
+
+
 @seed(1917)
 @given(
     D=st.sampled_from(_PRIME_IDEAL_DS),
@@ -556,10 +568,10 @@ _EPS_OF = {D: fundamental_unit(QuadField(D)) if D > 0 else None for D in _PRIME_
 )
 @settings(max_examples=400, deadline=None)
 def test_generator_search_matches_reference(D, kind, picks, xy, den):
-    """The integer generator search returns the element, None or the error
-    of the Fraction search, over real and imaginary fields: prime ideals,
-    products of two or three of them, and principal ideals; `is_principal`
-    agrees on the same ideals scaled by 1/den."""
+    """`is_principal` returns the element, None or the error of the Fraction
+    |y| search, over real and imaginary fields: prime ideals, products of
+    two or three of them, and principal ideals, and the same ideals scaled
+    by 1/den."""
     F, primes, eps = QuadField(D), _PRIMES_OF[D], _EPS_OF[D]
     if kind == "principal":
         g = QuadElem(F, Fraction(xy[0]), Fraction(xy[1]))
@@ -570,31 +582,57 @@ def test_generator_search_matches_reference(D, kind, picks, xy, den):
         ideal = primes[picks[0] % len(primes)]
         for i in picks[1:] if kind == "product" else []:
             ideal = ideal * primes[i % len(primes)]
-    got = _outcome(_generator_in_ideal, ideal, eps)
-    assert got == _outcome(_reference_generator_in_ideal, ideal, eps)
+    got = _outcome(is_principal, ideal, eps)
+    _assert_matches_reference(got, _outcome(_reference_generator_in_ideal, ideal, eps), ideal)
     if kind == "principal":
         assert isinstance(got, QuadElem) and QfIdeal.principal(got) == ideal
     fractional = ideal * Fraction(1, den)
-    assert _outcome(is_principal, fractional, eps) == _outcome(_reference_is_principal, fractional, eps)
+    want = _outcome(_reference_is_principal, fractional, eps)
+    _assert_matches_reference(_outcome(is_principal, fractional, eps), want, fractional)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 5])
-def test_generator_search_limit_matches_reference(monkeypatch, cap):
-    """Under a small |y| cap the integer search stops where the Fraction
-    search stops, with the same ResourceError message, and finds the same
-    generators below it; the errors of a fractional ideal and of a real
-    field without its unit are the reference's too."""
-    monkeypatch.setattr(qf, "MAX_GENERATOR_SEARCH_Y", cap)
-    outcomes = []
-    for D in _PRIME_IDEAL_DS:
-        for ideal in _PRIMES_OF[D][:8]:
-            for I in (ideal, ideal * ideal):
-                got = _outcome(_generator_in_ideal, I, _EPS_OF[D])
-                assert got == _outcome(_reference_generator_in_ideal, I, _EPS_OF[D])
-                outcomes.append(type(got))
-    if cap < 5:
-        assert tuple in outcomes and QuadElem in outcomes
-    half = QfIdeal.unit_ideal(F5) * Fraction(1, 2)
-    for I, eps in ((half, fundamental_unit(F5)), (QfIdeal.unit_ideal(F5), None)):
-        got = _outcome(_generator_in_ideal, I, eps)
-        assert got[0] == "QuadFieldError" and got == _outcome(_reference_generator_in_ideal, I, eps)
+def test_cycle_step_limit(monkeypatch, cap):
+    """Every walk on reduced forms stops at MAX_CYCLE_STEPS rho steps with
+    a ResourceError naming the limit: the unit's walk round the principal
+    cycle of Q(sqrt(106)), and the walk round the cycle of its
+    non-principal prime above 3 (unit given), each about 10 steps long."""
+    F = QuadField(106)
+    eps, P3 = fundamental_unit(F), primes_above(F, 3)[0]
+    assert is_principal(P3, eps) is None
+    monkeypatch.setattr(qf, "MAX_CYCLE_STEPS", cap)
+    message = f"the walk on reduced forms stopped at the limit of {cap} steps"
+    with pytest.raises(ResourceError, match=message):
+        fundamental_unit(F)
+    with pytest.raises(ResourceError, match=message):
+        is_principal(P3, eps)
+
+
+def test_principality_past_the_search_cap():
+    """Ideals on which a |y| search with a cap of 10^5 gave up.  Over
+    Q(sqrt(106)) (h = 2) the prime P3 above 3 is not principal and P3^2
+    is, so P3^9 and P3^11 are not; over Q(sqrt(151)) P5^7 and P7^5 are
+    principal, with generators that generate them."""
+    F106 = QuadField(106)
+    assert _reference_class_number(F106) == 2
+    P3 = primes_above(F106, 3)[0]
+    assert is_principal(P3) is None
+    assert QfIdeal.principal(is_principal(P3**2)) == P3**2
+    assert is_principal(P3**9) is None and is_principal(P3**11) is None
+    F151 = QuadField(151)
+    for p, k in ((5, 7), (7, 5)):
+        I = primes_above(F151, p)[0] ** k
+        g = is_principal(I)
+        assert abs(g.norm()) == I.norm() and QfIdeal.principal(g) == I
+
+
+def test_principality_with_a_huge_fundamental_unit():
+    """The fundamental unit of Q(sqrt(22841030009)) has about 2 * 10^5 bits;
+    the cycle of reduced forms still decides the prime above 2 (principal)
+    and returns a generator of it."""
+    F = QuadField(22841030009)
+    eps = fundamental_unit(F)
+    assert eps.is_unit() and eps.y.numerator.bit_length() > 190_000
+    P = primes_above(F, 2)[0]
+    g = is_principal(P, eps)
+    assert abs(g.norm()) == 2 and QfIdeal.principal(g) == P

@@ -186,10 +186,8 @@ LARGE_LITERAL_SITES = {
     ("cli.py", "cmd_hecke_classes"),  # the --height prime cap
     ("hecke_classes.py", "generate_classes"),  # the prime cap
     ("hecke_classes.py", "MAX_CONFIRMATION_POINTS"),
-    ("degree_bound.py", "MAX_PRINCIPAL_SEARCH_DISC"),
     ("degree_bound.py", "brute_force_oracle"),  # the oracle budget
-    ("quadfield.py", "fundamental_unit"),  # the continued-fraction guard
-    ("quadfield.py", "MAX_GENERATOR_SEARCH_Y"),
+    ("quadfield.py", "MAX_CYCLE_STEPS"),  # the walk on reduced forms
     ("exact.py", "MILLER_RABIN_BOUNDS"),  # proven bounds, not a cap
     ("exact.py", "MAX_RHO_STEPS"),  # the factorint budget
 }
