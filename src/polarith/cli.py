@@ -578,7 +578,12 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except InputError as exc:
-        return _emit({"error": _error(exc)}, "-", 1)
+        # `input` is optional, so parse_args binds it before any flag and
+        # leaves a path after one over: gather positionals from anywhere
+        try:
+            args = _PARSER.parse_intermixed_args(argv)
+        except InputError:
+            return _emit({"error": _error(exc)}, "-", 1)
 
     try:
         if args.input in (None, "-"):

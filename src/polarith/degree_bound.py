@@ -3,14 +3,12 @@ a^dagger q a rational, produce b in R with b^dagger q b a nonzero integer
 and controlled norm.
 
 Fully implemented routes:
-  * commutative quadratic-field case (ideal algorithm: local exponents,
-    principalization, possibly after ramified twists, then the leftover
-    unit u of b0^2 q = M u absorbed by the first twist w of
-    `quadfield.sqrt_twists` with u w a square, over every field, as the
-    Hecke decision absorbs its unit).  Its one real fallback to the
-    oracle is a non-maximal order; the exponent, principalization and
-    unit steps cannot fail on a valid instance, and raise internal errors
-    if they do;
+  * commutative quadratic-field case (ideal algorithm: q = m / a^2 lies
+    in Q^x F^x2, and `quadfield.square_root_up_to_rational`, which the
+    Hecke decision calls too, gives an integral b with b^2 q rational).
+    Its one real fallback to the oracle is a non-maximal order; the
+    square root cannot fail on a valid instance, and raises an internal
+    error if it does;
   * split matrix case M_n(Q) with transpose involution (local maximal
     lattices glued over the bad primes, 2 included, by Chinese
     remaindering, then the resulting unimodular positive definite Gram u
@@ -61,14 +59,7 @@ from .linalg import (
     rational_of,
     transpose,
 )
-from .quadfield import (
-    QfIdeal,
-    QuadElem,
-    QuadField,
-    prime_exponents,
-    principalize_with_ramified_twists,
-    sqrt_twists,
-)
+from .quadfield import QuadElem, QuadField, square_root_up_to_rational
 
 
 class DegreeBoundError(ValueError):
@@ -188,19 +179,12 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     """The ideal algorithm over a quadratic field (or Q).
 
     Over a maximal order with the identity involution, q = m / a^2 lies in
-    Q^x F^x2, so (q) = (r) J^2 for a rational r and an ideal J.  Hence
-    (1) the exponents k_i of q at the primes above a split p share a
-    parity and a ramified exponent is even, so the least t with
-    t e >= k_i (e the ramification index) makes every beta_i =
-    (t e - k_i) / 2 an integer, the exponent of ideal_b; (2)
-    ideal_b^2 = (M / q), M the product of the p^t, makes (ideal_b / (a))^2
-    the rational ideal (M / m), so ideal_b is principal up to ramified
-    twists (`principalize_with_ramified_twists`); (3) b0 then generates an
-    ideal whose square is (M' / q), M' = M times the twist, so b0^2 q / M'
-    is exactly a unit, which a ramified twist absorbs (`_absorb_unit`).
-    Each of these failing raises an internal error.  The oracle answers
-    instead only for a non-maximal order; the walk on reduced forms may
-    stop at `quadfield.MAX_CYCLE_STEPS` (ResourceError)."""
+    Q^x F^x2, so `quadfield.square_root_up_to_rational` answers b with
+    b^2 q a nonzero rational, |Nm b| least over its twists, and the
+    square-root ideal J before them, whose norm the notes report.  Its
+    None raises an internal error.  The oracle answers instead only for a
+    non-maximal order; the walk on reduced forms may stop at
+    `quadfield.MAX_CYCLE_STEPS` (ResourceError)."""
     inst.require_similitude()
     A = inst.algebra
     f0 = A.factors[0]
@@ -240,37 +224,10 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     nq = inst.norm_q()
     if nq.denominator != 1:
         raise DegreeBoundError("internal: Nm(q) is not an integer")
-    factors: list[tuple[QfIdeal, int]] = []
-    big_m = Fraction(1)
-    for p, kind, exps in prime_exponents(q):
-        e = 2 if kind == "ramified" else 1
-        t = max(-(-k // e) for _, k in exps)
-        if any((t * e - k) % 2 for _, k in exps):
-            raise DegreeBoundError(f"internal: the exponents of q at p = {p} leave t e - k odd")
-        big_m *= Fraction(p) ** t
-        factors += [(pr, (t * e - k) // 2) for pr, k in exps if t * e > k]
-    ideal_b = QfIdeal.unit_ideal(F)
-    for pr, e in factors:
-        ideal_b = ideal_b * pr**e
-
-    # a generator of ideal_b, possibly after multiplying by ramified primes
-    # (which keeps b^dagger q b rational, scaled by their product)
-    gen = principalize_with_ramified_twists(ideal_b)
-    notes = {
-        "ideal_norm": str(ideal_b.norm()),
-        "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
-    }
-    if gen is None:
-        raise DegreeBoundError("internal: no ramified twist makes ideal_b principal")
-    b0, twist = gen
-    big_m *= twist
-
-    # value-side unit cleanup
-    value_elem = b0 * b0 * q  # identity involution
-    u = value_elem / big_m
-    if not u.is_unit():
-        raise DegreeBoundError("internal: b0^2 q / M is not a unit")
-    b_elem, value = _absorb_unit(b0, u, big_m)
+    root = square_root_up_to_rational(q)
+    if root is None:
+        raise DegreeBoundError("internal: q = m / a^2 is not in Q^x F^x2")
+    b_elem, value, ideal_b = root
     res = BoundResult(
         b=(b_elem,),
         value=int(value),
@@ -278,23 +235,13 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
         norm_q=nq,
         d=inst.d,
         method="ideal-algorithm",
-        notes=notes,
+        notes={
+            "ideal_norm": str(ideal_b.norm()),
+            "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
+        },
     )
     verify_result(inst, res)
     return res
-
-
-def _absorb_unit(b0: QuadElem, u: QuadElem, big_m: Fraction):
-    """Remove the unit u from b0^2 q = big_m * u: returns (b, value) with
-    value = b^2 q in Q.  y^2 = u w for the first twist w of `sqrt_twists`
-    gives Nm(y)^2 = Nm(u) w^2, so Nm(u) = 1 and u conj(y)^2 = w, and
-    b = b0 conj(y) has b^2 q = big_m w; b^2 q fixes |Nm b|, and the
-    ascending |w| makes it the least.  Such a w exists over every field
-    (over Q(i), 2i = (1 + i)^2): q lies in Q^x F^x2, so (y)^2 = (w) and
-    every odd prime of w ramifies."""
-    for w, y in sqrt_twists(u):
-        return b0 * y.conj(), big_m * w
-    raise DegreeBoundError("internal: no ramified twist makes the leftover unit a square")
 
 
 # ---------------------------------------------------------------------------

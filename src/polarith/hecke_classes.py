@@ -4,14 +4,11 @@ maximal order of a real quadratic field, modulo the equivalence
 q ~ r  iff  q/r lies in Q^x * F^x2.
 
 The equivalence test is a genuine decision procedure, not a search:
-Nm(q/r) must be a rational square, which makes every ramified exponent of
-the ideal of q/r even and the two exponents at each split prime congruent
-mod 2; the square-root ideal must be principal up to ramified twists
-(`quadfield.principalize_with_ramified_twists`), and the leftover unit
-must be a square up to a rational factor supported on -1 and the ramified
-primes (`quadfield.sqrt_twists`).  The degree-bound solver shares both
-steps: the square-root ideal and the unit step.  A positive answer always
-carries an exact witness (n, u) with n q = u^2 r; a negative answer can be
+q/r is in Q^x F^x2 exactly when Nm(q/r) = n^2 for a rational n, since
+then (q/r) / n has norm 1 and is z / conj(z) = z^2 / Nm(z) for some z
+(Hilbert 90).  A positive answer carries an exact witness (n, u) with
+n q = u^2 r, built by `quadfield.square_root_up_to_rational`, the routine
+that gives the degree-bound solver its b; a negative answer can be
 cross-checked by the exhaustive bounded witness search below.
 
 `generate_classes` keeps a representative only once it is decided
@@ -27,7 +24,6 @@ from math import lcm
 
 from .exact import is_rational_square, primerange
 from .quadfield import (
-    QfIdeal,
     QuadElem,
     QuadField,
     ResourceError,
@@ -35,11 +31,9 @@ from .quadfield import (
     is_principal,
     is_totally_positive,
     kronecker_splitting,
-    prime_exponents,
     prime_above,
-    principalize_with_ramified_twists,
     roots_mod_p,
-    sqrt_twists,
+    square_root_up_to_rational,
 )
 
 
@@ -74,7 +68,8 @@ def rosati_transport_check(q: QuadElem, r: QuadElem, u: QuadElem, n) -> bool:
 
 def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None:
     """(n, u) with n q = u^2 r, n a nonzero integer and u integral, when
-    q/r is in Q^x F^x2; None otherwise."""
+    q/r is in Q^x F^x2, that is when Nm(q/r) is a rational square; None
+    otherwise."""
     if q.field != r.field:
         raise HeckeError("elements of different fields")
     F = q.field
@@ -85,49 +80,16 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     # Nm(q) by m^2, so integer coordinates keep the square test
     if not is_rational_square(F.norm_form(*_integer_coords(q)) * F.norm_form(*_integer_coords(r))):
         return None
-    s = q / r
-    # v_p(Nm s) is even at every p: a ramified exponent is even and the two
-    # exponents at a split p agree mod 2, so the square root of (s c0) is an
-    # ideal once c0 takes each p with an odd inert or split exponent
-    c0 = Fraction(1)
-    ideal_c = QfIdeal.unit_ideal(F)
-    for p, _, exps in prime_exponents(s):
-        odd = exps[0][1] % 2
-        c0 *= p**odd
-        for pr, e in exps:
-            ideal_c = ideal_c * pr ** ((e + odd) // 2)
-    if ideal_c * ideal_c != QfIdeal.principal(s * c0):
-        raise HeckeError("internal: the square-root ideal does not square to (s c0)")
-    # s n = u^2 with n rational makes (u) the square-root ideal times
-    # ramified primes and a rational: with no principal twist, s is not in
-    # Q^x F^x2
-    gen = principalize_with_ramified_twists(ideal_c)
-    if gen is None:
-        return None
-    x0, twist = gen
-    c0 *= twist
-    u0 = s * c0 / (x0 * x0)
-    if not u0.is_unit():
-        raise HeckeError("internal: unit bookkeeping failed")
-    # try to absorb the unit: u0 * w must be a square for a rational w
-    # supported on -1 and the ramified primes
-    for w, y in sqrt_twists(u0):
-        # s * (c0 w) = (x0 y)^2
-        u = x0 * y
-        n = c0 * w
-        # clear denominators: n q = u^2 r with integer n, integral u
-        t = lcm(u.x.denominator, u.y.denominator)
-        t_n = Fraction(n * t * t)
-        u_int = u * t
-        extra = t_n.denominator
-        u_int = u_int * extra
-        n_int = t_n * extra * extra
-        if n_int.denominator != 1:
-            raise HeckeError("internal: witness scale is not an integer")
-        if rosati_transport_check(q, r, u_int, n_int):
-            return int(n_int), u_int
+    # b^2 r = m q; t the denominator of m clears it: n = m t^2, u = b t
+    root = square_root_up_to_rational(r / q)
+    if root is None:
+        raise HeckeError("internal: a quotient of square norm is not in Q^x F^x2")
+    b, m, _ = root
+    t = m.denominator
+    n, u = m * t * t, b * t
+    if not rosati_transport_check(q, r, u, n):
         raise HeckeError("internal: witness failed verification")
-    return None
+    return int(n), u
 
 
 def equivalent(q: PolClassRep | QuadElem, r: PolClassRep | QuadElem) -> bool:

@@ -1,6 +1,6 @@
 """Real and imaginary quadratic fields: maximal orders, fractional ideals,
 the prime exponents of an element, principality (up to ramified twists),
-units, total positivity.
+square roots up to a rational factor, units, total positivity.
 
 Elements are stored in the canonical integral basis (1, w) with
 w = (disc + sqrt(disc)) / 2, so the maximal order is exactly the set of
@@ -343,10 +343,6 @@ class QfIdeal:
         return cls.from_rows(field, rows, den)
 
     @classmethod
-    def principal(cls, g: QuadElem) -> "QfIdeal":
-        return cls.from_generators([g])
-
-    @classmethod
     def unit_ideal(cls, field: QuadField) -> "QfIdeal":
         return cls.from_rows(field, [[1, 0], [0, 1]], 1)
 
@@ -389,16 +385,6 @@ class QfIdeal:
 
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def contains(self, e: QuadElem) -> bool:
-        """e in (1/den) (Z (a, b) + Z (0, c)), by integer division against the
-        HNF rows [[a, b], [0, c]]."""
-        (a, b), (_, c) = self.num
-        x, y = e.x * self.den, e.y * self.den
-        if x.denominator != 1 or y.denominator != 1:
-            return False
-        s, r = divmod(x.numerator, a)
-        return r == 0 and (y.numerator - s * b) % c == 0
 
     def __repr__(self):
         return f"Ideal({self.num}, den={self.den} | D={self.field.D})"
@@ -621,4 +607,43 @@ def principalize_with_ramified_twists(ideal: QfIdeal) -> tuple[QuadElem, int] | 
             g = is_principal(twisted, eps)
             if g is not None:
                 return g, prod(combo)
+    return None
+
+
+def square_root_up_to_rational(q: QuadElem) -> tuple[QuadElem, Fraction, QfIdeal] | None:
+    """(b, m, J) with b integral, m a nonzero rational and b^2 q = m when q
+    is in Q^x F^x2, else None; J is the square-root ideal before twists.
+    (1) When the exponents k_i of q at the primes above p share a parity
+    and a ramified one is even, the least t with t e >= k_i (e the
+    ramification index) makes every (t e - k_i) / 2 an integer, the
+    exponent of J, and J^2 (q) = (M), M the product of the p^t.  (2) A
+    generator b0 of J P_1 ... P_k, P_i ramified above p_i
+    (`principalize_with_ramified_twists`), gives b0^2 q = M' u, u a unit
+    and M' = M p_1 ... p_k.  (3) y^2 = u w for the first twist w of
+    `sqrt_twists` gives Nm(y)^2 = Nm(u) w^2, so Nm(u) = 1 and
+    u conj(y)^2 = w: b = b0 conj(y) has b^2 q = M' w, and the ascending |w|
+    makes |Nm b| the least.  If q = r x^2, then (x J)^2 = (M r) makes x J a
+    rational times ramified primes, and u, in Q^x F^x2 too, is a square
+    times a w supported on -1 and the ramified primes (over Q(i),
+    2i = (1 + i)^2): every step succeeds."""
+    big_m, J = Fraction(1), QfIdeal.unit_ideal(q.field)
+    for p, kind, exps in prime_exponents(q):
+        e = 2 if kind == "ramified" else 1
+        t = max(-(-k // e) for _, k in exps)
+        if any((t * e - k) % 2 for _, k in exps):
+            return None
+        big_m *= Fraction(p) ** t
+        for pr, k in exps:
+            if t * e > k:
+                J = J * pr ** ((t * e - k) // 2)
+    gen = principalize_with_ramified_twists(J)
+    if gen is None:
+        return None
+    b0, twist = gen
+    big_m *= twist
+    u = b0 * b0 * q / big_m
+    if not u.is_unit():
+        raise QuadFieldError("internal: b0^2 q / M is not a unit")
+    for w, y in sqrt_twists(u):
+        return b0 * y.conj(), big_m * w, J
     return None

@@ -64,6 +64,35 @@ def test_bad_flag_answers_schema_error(tmp_path, capsys, verb):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: polarith")
 
 
+def _flag_order_request(verb):
+    """An input document and flags for `verb`: the first benchmark-pool
+    request of the verb, or a small document for the two with none."""
+    if verb == "measure-constant":
+        return {"instances": [{"algebra": {"type": "quadfield", "D": 5}, "q": ["-2", "2"], "a": ["-3", "1"]}]}, []
+    if verb == "validate":
+        return {"D": 5, "count": 2}, ["--validate-verb", "hecke-classes", "--height", "2"]
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    for path in sorted(data.glob("*.inputs.json")):
+        for req in json.loads(path.read_text())["requests"]:
+            if req["verb"] == verb:
+                return req["input"], req["args"]
+
+
+@pytest.mark.parametrize("verb", [*VERBS, "validate"])
+def test_flags_before_the_input_path(tmp_path, verb):
+    """Flags given before the input path answer the same exit code and
+    bytes as after it."""
+    doc, flags = _flag_order_request(verb)
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps(doc))
+    flags = [*flags, "--seed", "1", "-o", str(out)]
+    answers = []
+    for argv in ([verb, str(inp), *flags], [verb, *flags, str(inp)]):
+        answers.append((main(argv), out.read_bytes()))
+        out.unlink()
+    assert answers[0] == answers[1] and "error" not in json.loads(answers[0][1])
+
+
 @pytest.mark.parametrize("verb", [*VERBS, "validate"])
 def test_unwritable_output_answers_io_error(tmp_path, capsys, verb):
     """An -o path that cannot be opened answers exit 1 with an `io:output`
@@ -1015,23 +1044,40 @@ def test_solve_pool_matches_reference(tmp_path):
     assert len(methods) == 64 and "oracle-fallback" not in methods
 
 
+def _solve_pool_digests(tmp_path, verbs, pinned):
+    """The exit code and sha256 of the output bytes of every solve-pool
+    request of `verbs`, and the digests pinned in `data/<pinned>`."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    requests = json.loads((data / "solve.inputs.json").read_text())["requests"]
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    got = {}
+    for req in requests:
+        if req["verb"] in verbs:
+            inp.write_text(json.dumps(req["input"]))
+            code = main([req["verb"], str(inp), "-o", str(out), *req["args"]])
+            got[req["id"]] = {"exit": code, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+    return got, json.loads((Path(__file__).parent / "data" / pinned).read_text())
+
+
 def test_lattice_pool_responses_are_pinned(tmp_path):
     """Every maximal-lattice and local-solve request of the solve pool, the
     n = 4 lattices at p = 7 and 11 included, answers the exit code and the
     sha256 of the output bytes in `data/solve_lattice_sha256.json`,
     recorded when the superlattice scan still tested every projective
     point.  A scan that picks another maximal lattice fails here."""
-    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-    requests = json.loads((data / "solve.inputs.json").read_text())["requests"]
-    pinned = json.loads((Path(__file__).parent / "data" / "solve_lattice_sha256.json").read_text())
-    inp, out = tmp_path / "in.json", tmp_path / "out.json"
-    got = {}
-    for req in requests:
-        if req["verb"] in ("maximal-lattice", "local-solve"):
-            inp.write_text(json.dumps(req["input"]))
-            code = main([req["verb"], str(inp), "-o", str(out), *req["args"]])
-            got[req["id"]] = {"exit": code, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+    got, pinned = _solve_pool_digests(tmp_path, ("maximal-lattice", "local-solve"), "solve_lattice_sha256.json")
     assert len(got) == 32
+    assert got == pinned
+
+
+def test_degree_bound_pool_responses_are_pinned(tmp_path):
+    """Every degree-bound request of the solve pool answers the exit code
+    and the sha256 of the output bytes in
+    `data/solve_degree_bound_sha256.json`, recorded before the ideal
+    algorithm and the Hecke decision shared one square-root routine: the
+    same b, value and notes, byte for byte."""
+    got, pinned = _solve_pool_digests(tmp_path, ("degree-bound",), "solve_degree_bound_sha256.json")
+    assert len(got) == 64
     assert got == pinned
 
 

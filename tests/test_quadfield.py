@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import factorint, primerange
 
 import polarith.quadfield as qf
+from polarith.exact import rational_sqrt
 from polarith.quadfield import (
     QfIdeal,
     QuadElem,
@@ -27,6 +28,7 @@ from polarith.quadfield import (
     principalize_with_ramified_twists,
     roots_mod_p,
     sqrt_in_field,
+    square_root_up_to_rational,
 )
 
 F5 = QuadField(5)
@@ -38,6 +40,11 @@ Fm5 = QuadField(-5)
 
 def elem(field, s, t):
     return field.from_sqrt_coords(Fraction(s), Fraction(t))
+
+
+def _contains(ideal, e):
+    """e in the ideal: adding e to its basis leaves the ideal unchanged."""
+    return QfIdeal.from_generators(ideal.basis_elements() + [e]) == ideal
 
 
 def pell_fundamental_unit(field):
@@ -191,7 +198,7 @@ def test_prime_exponents_split_11():
     g = is_principal(p1)
     assert g is not None and abs(g.norm()) == 11
     # the known generator 4+sqrt5
-    assert p1.contains(elem(F5, 4, 1)) or p2.contains(elem(F5, 4, 1))
+    assert _contains(p1, elem(F5, 4, 1)) or _contains(p2, elem(F5, 4, 1))
 
 
 def test_prime_exponents_unit_and_ramified():
@@ -201,7 +208,7 @@ def test_prime_exponents_unit_and_ramified():
     assert len(fac) == 1
     pr, e = fac[0]
     assert e == 2 and pr.norm() == 5
-    assert pr.contains(F5.sqrtD())
+    assert _contains(pr, F5.sqrtD())
 
 
 def test_prime_exponents_fractional_roundtrip():
@@ -210,7 +217,7 @@ def test_prime_exponents_fractional_roundtrip():
     acc = QfIdeal.unit_ideal(F5)
     for pr, e in fac:
         acc = acc * pr**e
-    assert acc == QfIdeal.principal(x)
+    assert acc == QfIdeal.from_generators([x])
     assert any(e < 0 for _, e in fac)
 
 
@@ -218,7 +225,7 @@ def _reference_valuation(P, a):
     """v_P(a) for a nonzero integral a, by its definition: the largest k
     with a in P^k."""
     k, Pk = 0, P
-    while Pk.contains(a):
+    while _contains(Pk, a):
         k, Pk = k + 1, Pk * P
     return k
 
@@ -259,7 +266,7 @@ def test_ideal_norm_multiplicative(xs, ys):
     b = QuadElem(F5, Fraction(ys[0]), Fraction(ys[1]))
     if a.is_zero() or b.is_zero():
         return
-    Ia, Ib = QfIdeal.principal(a), QfIdeal.principal(b)
+    Ia, Ib = QfIdeal.from_generators([a]), QfIdeal.from_generators([b])
     assert (Ia * Ib).norm() == Ia.norm() * Ib.norm()
     assert Ia.norm() == abs(a.norm())
 
@@ -354,8 +361,8 @@ def test_class_groups():
 def test_principalize():
     """`is_principal` finds a generator of a principal ideal and answers
     None on the non-principal prime above 2 in Q(sqrt(-5))."""
-    I = QfIdeal.principal(elem(F5, 4, 1))
-    assert QfIdeal.principal(is_principal(I)) == I
+    I = QfIdeal.from_generators([elem(F5, 4, 1)])
+    assert QfIdeal.from_generators([is_principal(I)]) == I
     g1 = is_principal(QfIdeal.unit_ideal(F5))
     assert g1.is_unit()
 
@@ -366,7 +373,7 @@ def test_principalize():
 def test_ideal_equality_and_hnf_canonical():
     # same ideal generated differently
     a = elem(F5, 4, 1)
-    I1 = QfIdeal.principal(a)
+    I1 = QfIdeal.from_generators([a])
     I2 = QfIdeal.from_generators([a * elem(F5, 2, 1), a * F5.from_rational(3)])
     # (2+sqrt5, 3) generate the unit ideal: Nm(2+sqrt5) = -1... use coprime pair
     assert I1 == QfIdeal.from_generators([a, a * F5.omega()])
@@ -389,10 +396,45 @@ def test_principalize_with_ramified_twists():
     P2 = primes_above(F10, 2)[0]
     assert is_principal(P2) is None
     g, c = principalize_with_ramified_twists(P2)
-    assert c == 2 and QfIdeal.principal(g) == P2 * P2
-    I = QfIdeal.principal(elem(F5, Fraction(7, 3), Fraction(1, 2)))
+    assert c == 2 and QfIdeal.from_generators([g]) == P2 * P2
+    I = QfIdeal.from_generators([elem(F5, Fraction(7, 3), Fraction(1, 2))])
     g, c = principalize_with_ramified_twists(I)
-    assert c == 1 and QfIdeal.principal(g) == I
+    assert c == 1 and QfIdeal.from_generators([g]) == I
+
+
+@pytest.mark.parametrize("D", [-1, -3, -5, -23, 2, 3, 5, 10, 15, 82])
+def test_square_root_up_to_rational(D):
+    """b^2 q = m with b integral and m a nonzero rational, for seeded
+    q = c s^2 over real and imaginary fields, Q(i) and Q(sqrt(-3)) with
+    their extra units among them; J is integral and J^2 (q) a rational
+    ideal.  Over Q(sqrt(-5)), Q(sqrt(10)), Q(sqrt(15)) and Q(sqrt(82)) the
+    square-root ideal J of some q is not principal, so only a ramified
+    twist makes it so; over Q(sqrt(-23)), class number 3, J always is."""
+    F = QuadField(D)
+    rng = random.Random(D)
+    nonprincipal = 0
+    for _ in range(40):
+        s = QuadElem(F, Fraction(rng.randint(-9, 9), rng.randint(1, 3)), Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+        q = s * s * Fraction(rng.choice([-10, -6, -3, -2, -1, 1, 2, 3, 5, 7]), rng.randint(1, 4))
+        b, m, J = square_root_up_to_rational(q)
+        assert b.is_integral() and m != 0 and b * b * q == F.from_rational(m)
+        JJq = J * J * q
+        assert J.is_integral() and JJq == QfIdeal.from_generators([F.from_rational(rational_sqrt(JJq.norm()))])
+        nonprincipal += is_principal(J) is None
+    assert (nonprincipal > 0) == (D in (-5, 10, 15, 82))
+
+
+@pytest.mark.parametrize(
+    "D, s, t",
+    [(5, 4, 1), (5, 0, 1), (2, 1, 1)],
+    ids=["split-parity", "odd-ramified", "norm-minus-one-unit"],
+)
+def test_square_root_up_to_rational_refuses(D, s, t):
+    """None off Q^x F^x2: 4 + sqrt(5) (norm 11) has exponents 1 and 0 at the
+    two primes above 11, sqrt(5) exponent 1 at the ramified prime, and the
+    unit 1 + sqrt(2) of norm -1 is a square times no rational."""
+    F = QuadField(D)
+    assert square_root_up_to_rational(elem(F, s, t)) is None
 
 
 def test_real_class_group_nontrivial():
@@ -495,7 +537,7 @@ def _reference_generator_in_ideal(ideal: QfIdeal, eps: QuadElem | None) -> QuadE
             if num % 2 == 0:
                 x = num // 2
                 cand = QuadElem(field, Fraction(x), Fraction(y))
-                if ideal.contains(cand):
+                if _contains(ideal, cand):
                     return cand
         return None
 
@@ -553,7 +595,7 @@ def _assert_matches_reference(got, want, ideal):
     """`got` is the reference search's answer `want`; where the search
     stopped at its cap, a generator `got` generates the ideal."""
     if isinstance(want, tuple) and want[0] == "ResourceError":
-        assert got is None or QfIdeal.principal(got) == ideal
+        assert got is None or QfIdeal.from_generators([got]) == ideal
     else:
         assert got == want
 
@@ -577,7 +619,7 @@ def test_generator_search_matches_reference(D, kind, picks, xy, den):
         g = QuadElem(F, Fraction(xy[0]), Fraction(xy[1]))
         if g.is_zero():
             return
-        ideal = QfIdeal.principal(g)
+        ideal = QfIdeal.from_generators([g])
     else:
         ideal = primes[picks[0] % len(primes)]
         for i in picks[1:] if kind == "product" else []:
@@ -585,7 +627,7 @@ def test_generator_search_matches_reference(D, kind, picks, xy, den):
     got = _outcome(is_principal, ideal, eps)
     _assert_matches_reference(got, _outcome(_reference_generator_in_ideal, ideal, eps), ideal)
     if kind == "principal":
-        assert isinstance(got, QuadElem) and QfIdeal.principal(got) == ideal
+        assert isinstance(got, QuadElem) and QfIdeal.from_generators([got]) == ideal
     fractional = ideal * Fraction(1, den)
     want = _outcome(_reference_is_principal, fractional, eps)
     _assert_matches_reference(_outcome(is_principal, fractional, eps), want, fractional)
@@ -617,13 +659,13 @@ def test_principality_past_the_search_cap():
     assert _reference_class_number(F106) == 2
     P3 = primes_above(F106, 3)[0]
     assert is_principal(P3) is None
-    assert QfIdeal.principal(is_principal(P3**2)) == P3**2
+    assert QfIdeal.from_generators([is_principal(P3**2)]) == P3**2
     assert is_principal(P3**9) is None and is_principal(P3**11) is None
     F151 = QuadField(151)
     for p, k in ((5, 7), (7, 5)):
         I = primes_above(F151, p)[0] ** k
         g = is_principal(I)
-        assert abs(g.norm()) == I.norm() and QfIdeal.principal(g) == I
+        assert abs(g.norm()) == I.norm() and QfIdeal.from_generators([g]) == I
 
 
 def test_principality_with_a_huge_fundamental_unit():
@@ -635,4 +677,4 @@ def test_principality_with_a_huge_fundamental_unit():
     assert eps.is_unit() and eps.y.numerator.bit_length() > 190_000
     P = primes_above(F, 2)[0]
     g = is_principal(P, eps)
-    assert abs(g.norm()) == 2 and QfIdeal.principal(g) == P
+    assert abs(g.norm()) == 2 and QfIdeal.from_generators([g]) == P
