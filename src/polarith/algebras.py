@@ -37,7 +37,6 @@ from .linalg import (
     mat_from_qcoords,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_to_qcoords,
     numerators,
     qbasis,
@@ -290,11 +289,6 @@ class SimpleFactor:
             return mat_add(x, y)
         return x + y
 
-    def sub(self, x, y):
-        if self.matrix_size:
-            return mat_sub(x, y)
-        return x - y
-
     def mul(self, x, y):
         if self.matrix_size:
             return mat_mul(x, y, self.ring)
@@ -408,9 +402,6 @@ class AlgebraWithInvolution:
 
     def add(self, x, y):
         return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
-
-    def sub(self, x, y):
-        return tuple(f.sub(a, b) for f, a, b in zip(self.factors, x, y))
 
     def mul(self, x, y):
         return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))

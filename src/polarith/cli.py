@@ -35,7 +35,7 @@ from .degree_bound import (
     rational_instance,
     solve,
 )
-from .exact import ExactError, valuation
+from .exact import REAL_PLACE, ExactError, valuation
 from .forms import (
     EtalePairRing,
     FormError,
@@ -203,7 +203,7 @@ def parse_form(doc, where: str = "form") -> GramForm:
 def serialize_invariants(inv) -> dict:
     out: dict = {"kind": inv.kind, "base": inv.base, "dim": inv.dim, "complete": inv.complete}
     if inv.det_class is not None:
-        out["det_square_class"] = inv.det_class.representative
+        out["det_square_class"] = inv.det_class
     if inv.det_element is not None:
         if hasattr(inv.det_element, "x"):
             out["det_element"] = [str(inv.det_element.x), str(inv.det_element.y)]
@@ -212,9 +212,7 @@ def serialize_invariants(inv) -> dict:
     if inv.det_is_norm is not None:
         out["det_is_norm"] = inv.det_is_norm
     if inv.hasse is not None:
-        out["hasse_minus_one_places"] = [
-            "oo" if v.is_real else v.p for v in inv.hasse_minus_places()
-        ]
+        out["hasse_minus_one_places"] = ["oo" if v == REAL_PLACE else v for v in inv.hasse_minus_places()]
     if inv.signatures is not None:
         out["signatures"] = [list(s) for s in inv.signatures]
     return out

@@ -713,6 +713,6 @@ def torus_conductor(order: OrderR, x: tuple) -> int:
         raise DegreeBoundError("degenerate (non-etale) subalgebra")
     # disc(Z[x]) = f^2 d_K with d_K the discriminant of the maximal order of
     # L (1 when L = Q x Q), read off the squarefree part of disc(Z[x])
-    s = square_class(dzx).representative
+    s = square_class(dzx)
     d_k = s if s % 4 == 1 else 4 * s
     return isqrt(dzx // d_k)

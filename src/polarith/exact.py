@@ -10,13 +10,15 @@ Conventions
   the literature (i < j versus i <= j); this package uses i < j, which is
   the one compatible with the direct-sum rule
   s(f + g) = s(f) s(g) sigma(det f, det g).
+* A place of Q is an int: a finite place is its prime p and the real place
+  is REAL_PLACE = 0, as in PARI/GP's hilbert(x, y, 0).  A square class of
+  Q^x is its squarefree integer representative, sign included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -240,59 +242,7 @@ def factorint(n: int) -> dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class LocalPlace:
-    """A place of Q: a finite prime p, or the real place (p is None)."""
-
-    p: int | None
-
-    def __post_init__(self):
-        if self.p is not None and not isprime(self.p):
-            raise ExactError(f"{self.p} is not prime")
-
-    @classmethod
-    def finite(cls, p: int) -> "LocalPlace":
-        return cls(p)
-
-    @property
-    def is_real(self) -> bool:
-        return self.p is None
-
-    def __repr__(self):
-        return "oo" if self.p is None else f"p{self.p}"
-
-    def __lt__(self, other):  # real place sorts last
-        if self.p is None:
-            return False
-        if other.p is None:
-            return True
-        return self.p < other.p
-
-
-REAL_PLACE = LocalPlace(None)
-
-
-@dataclass(frozen=True)
-class SquareClassQ:
-    """A class in Q^x / (Q^x)^2, stored as its squarefree integer
-    representative (sign included)."""
-
-    representative: int
-
-    def __post_init__(self):
-        if self.representative == 0:
-            raise ExactError("zero has no square class")
-        n = abs(self.representative)
-        for q, e in factorint(n).items():
-            if e >= 2:
-                raise ExactError(f"{self.representative} is not squarefree")
-
-    def __mul__(self, other: "SquareClassQ") -> "SquareClassQ":
-        return square_class(Fraction(self.representative * other.representative))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.representative == 1
+REAL_PLACE = 0
 
 
 def _local_data(x, p: int) -> tuple[int, int]:
@@ -333,7 +283,7 @@ def unit_residue(x: Fraction | int, p: int, modulus: int | None = None) -> int:
     return u.numerator * pow(u.denominator, -1, modulus) % modulus
 
 
-def square_class(x: Fraction | int) -> SquareClassQ:
+def square_class(x: Fraction | int) -> int:
     """Squarefree representative of x modulo rational squares."""
     x = Fraction(x)
     if x == 0:
@@ -343,7 +293,7 @@ def square_class(x: Fraction | int) -> SquareClassQ:
     for q, e in factorint(abs(n)).items():
         if e % 2:
             rep *= q
-    return SquareClassQ(rep)
+    return rep
 
 
 def rational_sqrt(x: Fraction | int) -> Fraction | None:
@@ -435,17 +385,19 @@ def _hilbert_local(alpha: int, u: int, beta: int, w: int, p: int) -> int:
     return s
 
 
-def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: LocalPlace) -> int:
+def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: int) -> int:
     """sigma(a, b) at the place v, by the standard closed formulas."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ExactError("hilbert symbol needs nonzero arguments")
-    if v.is_real:
+    if v == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    return _hilbert_local(*_local_data(a, v.p), *_local_data(b, v.p), v.p)
+    if not isprime(v):
+        raise ExactError(f"{v} is not a place of Q")
+    return _hilbert_local(*_local_data(a, v), *_local_data(b, v), v)
 
 
-def hasse_invariant(diag: list[Fraction | int], v: LocalPlace) -> int:
+def hasse_invariant(diag: list[Fraction | int], v: int) -> int:
     """prod_{i<j} sigma(a_i, a_j) at v for a diagonalized form <a_1, ..., a_n>.
 
     By bimultiplicativity this is prod_j sigma(a_1 ... a_{j-1}, a_j), so one
@@ -455,22 +407,24 @@ def hasse_invariant(diag: list[Fraction | int], v: LocalPlace) -> int:
     negative entries."""
     if any(x == 0 for x in diag):
         raise ExactError("singular form: zero diagonal entry")
-    if v.is_real:
+    if v == REAL_PLACE:
         k = sum(1 for x in diag if x < 0)
         return -1 if k * (k - 1) // 2 % 2 else 1
-    p = v.p
-    m = 8 if p == 2 else p
+    if not isprime(v):
+        raise ExactError(f"{v} is not a place of Q")
+    m = 8 if v == 2 else v
     s, alpha, u = 1, 0, 1
     for x in diag:
-        beta, w = _local_data(x, p)
-        s *= _hilbert_local(alpha, u, beta, w, p)
+        beta, w = _local_data(x, v)
+        s *= _hilbert_local(alpha, u, beta, w, v)
         alpha, u = alpha + beta, u * w % m
     return s
 
 
-def support_places(*values: Fraction | int) -> list[LocalPlace]:
+def support_places(*values: Fraction | int) -> list[int]:
     """Finite primes dividing any value's numerator or denominator, plus 2,
-    plus the real place.  Hilbert symbols of the values are +1 elsewhere."""
+    ascending, then the real place.  Hilbert symbols of the values are +1
+    elsewhere."""
     primes = {2}
     for x in set(values):
         x = Fraction(x)
@@ -478,6 +432,4 @@ def support_places(*values: Fraction | int) -> list[LocalPlace]:
             raise ExactError("support of zero")
         for n in (abs(x.numerator), x.denominator):
             primes.update(factorint(n).keys())
-    places = [LocalPlace.finite(p) for p in sorted(primes)]
-    places.append(REAL_PLACE)
-    return places
+    return [*sorted(primes), REAL_PLACE]

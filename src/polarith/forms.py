@@ -31,8 +31,7 @@ from math import lcm, prod
 
 from .algebras import QuaternionRing
 from .exact import (
-    LocalPlace,
-    SquareClassQ,
+    REAL_PLACE,
     hasse_invariant,
     hilbert_symbol,
     square_class,
@@ -542,18 +541,18 @@ class FormInvariants:
     kind: str
     base: str
     dim: int
-    det_class: SquareClassQ | None = None
+    det_class: int | None = None  # the squarefree representative
     det_element: object | None = None
     det_field: QuadField | None = None  # set when det compares modulo Nm(F^x)
     det_is_norm: bool | None = None
-    hasse: dict | None = None
+    hasse: dict[int, int] | None = None  # place -> invariant, in support_places order
     signatures: list[tuple[int, int]] | None = None
     complete: bool = True
 
-    def hasse_minus_places(self) -> list[LocalPlace]:
+    def hasse_minus_places(self) -> list[int]:
         if self.hasse is None:
             return []
-        return sorted([v for v, s in self.hasse.items() if s == -1])
+        return [v for v, s in self.hasse.items() if s == -1]
 
     def same_as(self, other: "FormInvariants") -> tuple[bool, str]:
         if self.kind != other.kind or self.base != other.base:
@@ -561,10 +560,7 @@ class FormInvariants:
         if self.dim != other.dim:
             return False, f"dimension mismatch: {self.dim} vs {other.dim}"
         if self.det_class is not None and self.det_class != other.det_class:
-            return False, (
-                f"det_class mismatch: {self.det_class.representative} vs "
-                f"{other.det_class.representative}"
-            )
+            return False, f"det_class mismatch: {self.det_class} vs {other.det_class}"
         if self.det_field is not None:
             ratio = frac(self.det_element) / frac(other.det_element)
             if not is_norm(ratio, self.det_field):
@@ -576,10 +572,10 @@ class FormInvariants:
             if not _det_elements_square_ratio(self.det_element, other.det_element):
                 return False, "field determinant classes differ"
         if self.hasse is not None:
-            if self.hasse_minus_places() != other.hasse_minus_places():
-                return False, (
-                    f"hasse mismatch at {self.hasse_minus_places()} vs {other.hasse_minus_places()}"
-                )
+            mine, theirs = self.hasse_minus_places(), other.hasse_minus_places()
+            if mine != theirs:
+                labels = (", ".join("oo" if v == REAL_PLACE else f"p{v}" for v in vs) for vs in (mine, theirs))
+                return False, "hasse mismatch at [{}] vs [{}]".format(*labels)
         if self.signatures is not None and self.signatures != other.signatures:
             return False, f"signature mismatch: {self.signatures} vs {other.signatures}"
         return True, "invariants agree"
@@ -590,7 +586,7 @@ def _det_elements_square_ratio(a, b) -> bool:
         return a is None and b is None
     if isinstance(a, QuadElem):
         return is_square_in_field(a * b.inv())
-    return square_class(frac(a) / frac(b)).is_trivial
+    return square_class(frac(a) / frac(b)) == 1
 
 
 def is_norm(m, F: QuadField) -> bool:
@@ -893,7 +889,7 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
         "signatures": [i1.signatures, i2.signatures],
     }
     if f1.kind == "symmetric" and isinstance(f1.ring, RationalRing):
-        if not (i1.det_class.is_trivial and i2.det_class.is_trivial):
+        if not (i1.det_class == 1 and i2.det_class == 1):
             raise FormError("internal: fourth-power determinant must be a square")
         if i1.hasse_minus_places() or i2.hasse_minus_places():
             raise FormError(
@@ -907,7 +903,7 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
             rule = s2 * s2 * hilbert_symbol(det2, det2, v)
             if rule != hasse_invariant(d1 + d1, v):
                 raise FormError("internal: sum rule violated")
-        cert["det_classes"] = [i1.det_class.representative, i2.det_class.representative]
+        cert["det_classes"] = [i1.det_class, i2.det_class]
         cert["hasse_trivial"] = True
         cert["sum_rule_checked"] = True
     elif f1.kind == "symmetric":

@@ -66,19 +66,26 @@ def rosati_transport_check(q: QuadElem, r: QuadElem, u: QuadElem, n) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None:
-    """(n, u) with n q = u^2 r, n a nonzero integer and u integral, when
-    q/r is in Q^x F^x2, that is when Nm(q/r) is a rational square; None
-    otherwise."""
+def equivalent(q: PolClassRep | QuadElem, r: PolClassRep | QuadElem) -> bool:
+    """q/r in Q^x F^x2, decided exactly: by Hilbert 90 (see the module
+    docstring), exactly when Nm(q/r) is a rational square."""
+    q = q.q if isinstance(q, PolClassRep) else q
+    r = r.q if isinstance(r, PolClassRep) else r
     if q.field != r.field:
         raise HeckeError("elements of different fields")
-    F = q.field
     if q.is_zero() or r.is_zero():
         raise HeckeError("zero element")
-    # Nm(q/r) = Nm(q)/Nm(r) is a square iff Nm(q)*Nm(r) is: most pairs
-    # are rejected here, before any division, in int: scaling q by m scales
-    # Nm(q) by m^2, so integer coordinates keep the square test
-    if not is_rational_square(F.norm_form(*_integer_coords(q)) * F.norm_form(*_integer_coords(r))):
+    # Nm(q/r) = Nm(q)/Nm(r) is a square iff Nm(q)*Nm(r) is, tested before
+    # any division, in int: scaling q by m scales Nm(q) by m^2, so integer
+    # coordinates keep the square test
+    F = q.field
+    return is_rational_square(F.norm_form(*_integer_coords(q)) * F.norm_form(*_integer_coords(r)))
+
+
+def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None:
+    """(n, u) with n q = u^2 r, n a nonzero integer and u integral, when
+    q/r is in Q^x F^x2 (`equivalent`); None otherwise."""
+    if not equivalent(q, r):
         return None
     # b^2 r = m q; t the denominator of m clears it: n = m t^2, u = b t
     root = square_root_up_to_rational(r / q)
@@ -90,13 +97,6 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     if not rosati_transport_check(q, r, u, n):
         raise HeckeError("internal: witness failed verification")
     return int(n), u
-
-
-def equivalent(q: PolClassRep | QuadElem, r: PolClassRep | QuadElem) -> bool:
-    """q/r in Q^x F^x2, decided exactly."""
-    qe = q.q if isinstance(q, PolClassRep) else q
-    re_ = r.q if isinstance(r, PolClassRep) else r
-    return equivalence_witness(qe, re_) is not None
 
 
 def exhaustive_witness_search(

@@ -49,6 +49,28 @@ def test_isometric_negative_exit_2(tmp_path):
     assert "det_class mismatch" in out["reason"]
 
 
+def test_isometric_hasse_mismatch_names_the_places(tmp_path):
+    """<1,1> and <3,3> share determinant class and signature and differ
+    only in their Hasse invariants, at 2 and 3."""
+    doc = {
+        "form1": form_q("symmetric", [["1", "0"], ["0", "1"]]),
+        "form2": form_q("symmetric", [["3", "0"], ["0", "3"]]),
+    }
+    code, out = run_cli(tmp_path, "isometric", doc)
+    assert code == 2
+    assert out["reason"] == "hasse mismatch at [] vs [p2, p3]"
+
+
+def test_classify_form_lists_the_real_place_last(tmp_path):
+    code, out = run_cli(
+        tmp_path, "classify-form", {"form": form_q("symmetric", [["-1", "0"], ["0", "-3"]])}
+    )
+    assert code == 0
+    inv = out["invariants"]
+    assert inv["det_square_class"] == 3
+    assert inv["hasse_minus_one_places"] == [3, "oo"]
+
+
 @pytest.mark.parametrize("verb", [*VERBS, "validate"])
 def test_bad_flag_answers_schema_error(tmp_path, capsys, verb):
     """A command-line usage error answers exit 1 with a JSON body on
@@ -542,14 +564,14 @@ def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
     not again for the matrix, which is the identity by construction."""
     from polarith import hecke_classes
 
-    real = hecke_classes.equivalence_witness
+    real = hecke_classes.equivalent
     calls = []
 
     def counting(q, r):
         calls.append((q, r))
         return real(q, r)
 
-    monkeypatch.setattr(hecke_classes, "equivalence_witness", counting)
+    monkeypatch.setattr(hecke_classes, "equivalent", counting)
     code, _ = run_cli(tmp_path, "hecke-classes", {"D": 5, "count": 10}, "--height", "0")
     assert code == 0
     assert len(calls) == 45

@@ -13,7 +13,6 @@ from polarith import exact
 
 from polarith.exact import (
     ExactError,
-    LocalPlace,
     REAL_PLACE,
     hasse_invariant,
     hilbert_symbol,
@@ -33,18 +32,18 @@ nonzero_small = st.fractions(
 ).filter(lambda x: x != 0)
 
 
-def hilbert_by_enumeration(a: Fraction, b: Fraction, v: LocalPlace) -> int:
+def hilbert_by_enumeration(a: Fraction, b: Fraction, v: int) -> int:
     """Independent oracle: exhaustive search for primitive solutions of
     z^2 = a x^2 + b y^2 modulo p^K, keeping only Hensel-liftable ones.
 
     With a, b squarefree integers, any p-adic zero has gradient valuation
     at most G = v_p(2) + 1, so working modulo p^{2G+1} is conclusive.
     """
-    a = Fraction(square_class(a).representative)
-    b = Fraction(square_class(b).representative)
-    if v.is_real:
+    a = Fraction(square_class(a))
+    b = Fraction(square_class(b))
+    if v == REAL_PLACE:
         return 1 if (a > 0 or b > 0) else -1
-    p = v.p
+    p = v
     G = (1 if p != 2 else 2) + 1
     K = 2 * G - 1
     mod = p**K
@@ -89,11 +88,11 @@ def test_valuation_examples():
 
 
 def test_square_class_examples():
-    assert square_class(4).representative == 1
-    assert square_class(18).representative == 2
-    assert square_class(-50).representative == -2
-    assert square_class(Fraction(3, 4)).representative == 3
-    assert square_class(Fraction(2, 3)).representative == 6
+    assert square_class(4) == 1
+    assert square_class(18) == 2
+    assert square_class(-50) == -2
+    assert square_class(Fraction(3, 4)) == 3
+    assert square_class(Fraction(2, 3)) == 6
     with pytest.raises(ExactError):
         square_class(0)
 
@@ -105,32 +104,31 @@ def test_is_rational_square():
 
 
 def test_hilbert_trivial_first_argument_one():
-    for v in [REAL_PLACE, LocalPlace.finite(2), LocalPlace.finite(5)]:
+    for v in [REAL_PLACE, 2, 5]:
         for b in [2, -3, Fraction(7, 5)]:
             assert hilbert_symbol(1, b, v) == 1
 
 
 def test_hilbert_minus_one_minus_one():
-    assert hilbert_symbol(-1, -1, LocalPlace.finite(2)) == -1
+    assert hilbert_symbol(-1, -1, 2) == -1
     assert hilbert_symbol(-1, -1, REAL_PLACE) == -1
     for p in (3, 5, 7, 11, 13):
-        assert hilbert_symbol(-1, -1, LocalPlace.finite(p)) == 1
+        assert hilbert_symbol(-1, -1, p) == 1
 
 
 def test_hilbert_2_3_at_3():
-    assert hilbert_symbol(2, 3, LocalPlace.finite(3)) == -1
+    assert hilbert_symbol(2, 3, 3) == -1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hilbert_against_enumeration_oracle(p):
-    v = LocalPlace.finite(p)
     rng = random.Random(p)
     values = [-1, 1, 2, 3, 5, 6, -2, -3, -5, p, -p, 2 * p]
     pairs = [(a, b) for a in values for b in values]
     rng.shuffle(pairs)
     for a, b in pairs[:40]:
-        assert hilbert_symbol(a, b, v) == hilbert_by_enumeration(
-            Fraction(a), Fraction(b), v
+        assert hilbert_symbol(a, b, p) == hilbert_by_enumeration(
+            Fraction(a), Fraction(b), p
         ), (a, b, p)
 
 
@@ -168,7 +166,7 @@ def test_hilbert_a_minus_a(a):
 
 
 def test_hasse_examples():
-    v2 = LocalPlace.finite(2)
+    v2 = 2
     assert hasse_invariant([1, 1, 1, 1], v2) == 1
     assert hasse_invariant([1, 1, 1, 1], REAL_PLACE) == 1
     assert hasse_invariant([-1, -1], v2) == -1
@@ -224,21 +222,31 @@ def test_hilbert_rejects_zero():
     with pytest.raises(ExactError):
         hilbert_symbol(0, 3, REAL_PLACE)
     with pytest.raises(ExactError):
-        hilbert_symbol(2, 0, LocalPlace.finite(3))
+        hilbert_symbol(2, 0, 3)
+
+
+@pytest.mark.parametrize("v", [4, 9, 1, -3])
+def test_places_must_be_prime_or_real(v):
+    """A place is a prime or REAL_PLACE = 0; anything else raises (not an
+    assert, so `python -O` refuses it too)."""
+    with pytest.raises(ExactError, match="not a place"):
+        hilbert_symbol(1, 1, v)
+    with pytest.raises(ExactError, match="not a place"):
+        hasse_invariant([1, 1], v)
 
 
 # ---------------------------------------------------------------------------
 # The integer kernels against the Fraction bodies they replaced
 
 
-def _reference_hilbert_symbol(a, b, v: LocalPlace) -> int:
+def _reference_hilbert_symbol(a, b, v: int) -> int:
     """The former Fraction-based body of `hilbert_symbol`."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ExactError("hilbert symbol needs nonzero arguments")
-    if v.is_real:
+    if v == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    p = v.p
+    p = v
     alpha, beta = valuation(a, p), valuation(b, p)
     if p != 2:
         u = unit_residue(a, p)
@@ -261,7 +269,7 @@ def _reference_hilbert_symbol(a, b, v: LocalPlace) -> int:
     return -1 if e % 2 else 1
 
 
-def _reference_hasse_invariant(diag, v: LocalPlace) -> int:
+def _reference_hasse_invariant(diag, v: int) -> int:
     """The former O(n^2) body of `hasse_invariant`."""
     entries = [Fraction(x) for x in diag]
     if any(x == 0 for x in entries):
@@ -273,7 +281,7 @@ def _reference_hasse_invariant(diag, v: LocalPlace) -> int:
     return s
 
 
-KERNEL_PLACES = [LocalPlace.finite(p) for p in (2, 3, 5, 7, 11)] + [REAL_PLACE]
+KERNEL_PLACES = [2, 3, 5, 7, 11, REAL_PLACE]
 
 # sign * unit * prod p^e over the kernel primes, e in [-3, 3]: negative
 # valuations, units of every class mod 8 and mod the odd primes
@@ -308,7 +316,7 @@ def test_hasse_invariant_matches_reference(diag):
 
 def test_hasse_invariant_units_of_every_class_mod_8():
     """Every pair of odd units and every power of 2 up to 2^3 at p = 2."""
-    v2 = LocalPlace.finite(2)
+    v2 = 2
     values = [u * Fraction(2) ** e for u in (1, 3, 5, 7, -1, -3, -5, -7) for e in (-3, -1, 0, 1, 2)]
     for a in values:
         for b in values:

@@ -243,6 +243,39 @@ def test_decision_finds_every_bounded_witness():
     assert hits > 200
 
 
+def test_equivalent_agrees_with_the_witness():
+    """`equivalent` (the norm test alone) says yes exactly when
+    `equivalence_witness` builds a witness: seeded pairs over real fields,
+    r = c q u^2, r = c q z / conj(z), r = c q or free, with c rational."""
+    rng = random.Random(28)
+    positives = negatives = 0
+    for _ in range(400):
+        F = QuadField(rng.choice([2, 3, 5, 6, 7, 10, 13, 15, 21, 33, 82]))
+        q, z, free = (QuadElem(F, Fraction(rng.randint(-k, k)), Fraction(rng.randint(-k, k))) for k in (5, 3, 5))
+        c = Fraction(rng.choice([1, -1, 2, 3, -5, 6]), rng.choice([1, 2, 7]))
+        mode = rng.choice(["square", "hilbert90", "rational", "free"])
+        if q.is_zero() or z.is_zero():
+            continue
+        if mode == "square":
+            r = q * z * z * c
+        elif mode == "hilbert90":
+            r = q * z / z.conj() * c
+        elif mode == "rational":
+            r = q * c
+        else:
+            r = free
+        if r.is_zero():
+            continue
+        w = equivalence_witness(q, r)
+        assert equivalent(q, r) == (w is not None), (F, q, r)
+        if w is None:
+            negatives += 1
+        else:
+            positives += 1
+            assert rosati_transport_check(q, r, w[1], w[0])
+    assert positives > 200 and negatives > 20
+
+
 def _reference_witness_search(q, r, height):
     """`exhaustive_witness_search` by its definition, in QuadElem
     arithmetic: the first u in x-then-y order with u^2 r / q rational and

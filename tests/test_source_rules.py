@@ -70,16 +70,26 @@ def _overrides_external_hook(module: str, cls: str, method: str) -> bool:
     return any(method in vars(base) for base in obj.__mro__[1:] if not base.__module__.startswith("polarith"))
 
 
+def _attribute_reads(node, function: str | None = None):
+    """Each `x.name` under `node`, leaving out those read inside a function
+    of the same name: methods that only call each other by that name, as a
+    product's `sub` calls each factor's `sub`, are no use of it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    elif isinstance(node, ast.Attribute) and node.attr != function:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, function)
+
+
 def test_every_method_is_used():
     """A method (dunders aside) is reached as an attribute, `x.name`, so a
     name read nowhere as one marks dead code even when the same word
-    occurs elsewhere as a variable or a parameter.  An override of an
-    outside base class's hook is reached through that base."""
+    occurs elsewhere as a variable or a parameter.  A read inside a
+    function of the same name does not count.  An override of an outside
+    base class's hook is reached through that base."""
     attrs = Counter(
-        node.attr
-        for path in _sources("src", "scripts", "tests")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute)
+        attr for path in _sources("src", "scripts", "tests") for attr in _attribute_reads(ast.parse(path.read_text()))
     )
     unused = [
         f"{name}:{cls.name}.{node.name}"
