@@ -3,10 +3,11 @@
 dagger-stable orders, and norms with per-factor exponents.
 
 A factor's norm is |Nm_{F/Q}(Nrd x)| over its centre F: |x| on Q,
-|Nm_{F/Q}(x)| on a quadratic field and |det x| on M_n(Q).  Every other
-factor reads it off the determinant over Q of v -> x v
-(`linalg.regular_matrix`), which is Nm_{F/Q}(Nrd x) on M_n of a quadratic
-field and Nm_{F/Q}(Nrd x)^2 over a quaternion base.
+|Nm_{F/Q}(x)| on a quadratic field, |Nm_{F/Q}(nrd x)| on a quaternion
+algebra (a, b / F), nrd x = x0^2 - a x1^2 - b x2^2 + ab x3^2, and |det x|
+on M_n(Q).  Every other matrix factor reads it off the determinant over Q
+of v -> x v (`linalg.regular_matrix`), which is Nm_{F/Q}(Nrd x) on M_n of
+a quadratic field and Nm_{F/Q}(Nrd x)^2 over a quaternion base.
 
 Elements are tuples of per-factor components.  Component arithmetic is
 dispatched through ring descriptors (the `linalg.Ring` protocol), so that
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from operator import mul
 
@@ -42,7 +44,7 @@ from .linalg import (
     qbasis,
     regular_matrix,
 )
-from .quadfield import QuadField
+from .quadfield import QuadElem, QuadField
 
 
 class AlgebraError(ValueError):
@@ -107,7 +109,10 @@ class QuatElem:
         return QuatElem(self.alg, (x0, -x1, -x2, -x3))
 
     def nrd(self):
-        return (self * self.conj()).coords[0]
+        """x0^2 - a x1^2 - b x2^2 + ab x3^2, the coordinate 0 of x conj(x)."""
+        a, b = self.alg.a, self.alg.b
+        x0, x1, x2, x3 = self.coords
+        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
     def __repr__(self):
         return f"QuatElem{self.coords}"
@@ -234,21 +239,14 @@ class SimpleFactor:
     def z_matrix(self):
         return [list(r) for r in self.z] if self.z is not None else None
 
-    def _z_is_identity(self) -> bool:
-        cached = getattr(self, "_z_id_flag", None)
-        if cached is None:
-            zm = self.z_matrix()
-            cached = mat_eq(zm, identity(self.matrix_size, self.ring), self.ring)
-            object.__setattr__(self, "_z_id_flag", cached)
-        return cached
+    @cached_property
+    def z_is_identity(self) -> bool:
+        return mat_eq(self.z_matrix(), identity(self.matrix_size, self.ring), self.ring)
 
-    def _z_cached(self):
-        cached = getattr(self, "_z_pair", None)
-        if cached is None:
-            zm = self.z_matrix()
-            cached = (zm, inverse(zm, self.ring))
-            object.__setattr__(self, "_z_pair", cached)
-        return cached
+    @cached_property
+    def _z_pair(self):
+        zm = self.z_matrix()
+        return zm, inverse(zm, self.ring)
 
     # --- element plumbing -------------------------------------------------
     @property
@@ -307,9 +305,9 @@ class SimpleFactor:
     def involve(self, x):
         if self.matrix_size:
             xct = conj_transpose(x, self.ring)
-            if self._z_is_identity():
+            if self.z_is_identity:
                 return xct
-            zm, zinv = self._z_cached()
+            zm, zinv = self._z_pair
             return mat_mul(mat_mul(zinv, xct, self.ring), zm, self.ring)
         if self.involution == "identity":
             return x
@@ -338,11 +336,12 @@ class SimpleFactor:
     def abs_norm(self, x) -> Fraction:
         """|Nm_{F/Q}(Nrd x)|, F the centre (see the module docstring)."""
         quaternion = isinstance(self.ring, QuaternionRing)
-        if not (self.matrix_size or quaternion):
-            return abs(x.norm() if isinstance(self.ring, QuadField) else frac(x))
+        if not self.matrix_size:
+            c = x.nrd() if quaternion else x
+            return abs(c.norm() if isinstance(c, QuadElem) else frac(c))
         if isinstance(self.ring, RationalRing):
             return abs(det(x))
-        reg = det(regular_matrix(x if self.matrix_size else [[x]], self.ring))
+        reg = det(regular_matrix(x, self.ring))
         if not quaternion:
             return abs(reg)
         root = rational_sqrt(reg) if reg else reg

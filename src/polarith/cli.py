@@ -59,6 +59,7 @@ from .lattices_local import (
 from .linalg import QQ, RationalRing, det, frac, mat, qbasis
 from .quadfield import QuadField, QuadFieldError, ResourceError
 from .hecke_classes import (
+    PRIME_CAP,
     HeckeError,
     check_confirmation_budget,
     exhaustive_witness_search,
@@ -455,7 +456,7 @@ def cmd_hecke_classes(doc, args):
     count = _int(doc["count"], "count", least=1)
     if args.height < 0:
         raise HeckeError("height must be >= 0")
-    prime_cap = _int(doc.get("prime_cap", 10_000), "prime_cap", least=2)
+    prime_cap = _int(doc.get("prime_cap", PRIME_CAP), "prime_cap", least=2)
     if not field.is_real:
         raise HeckeError("the construction needs a real quadratic field")
     check_confirmation_budget(count, args.height)

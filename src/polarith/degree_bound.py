@@ -50,7 +50,6 @@ from .linalg import (
     det,
     frac,
     hnf,
-    identity,
     inverse,
     mat,
     mat_mul,
@@ -143,6 +142,14 @@ def verify_result(inst: BoundInstance, res: BoundResult) -> None:
         raise DegreeBoundError("reported norm mismatch")
 
 
+def _verified(inst: BoundInstance, method: str, b, value, norm_b, notes=None) -> BoundResult:
+    """The one place a route's answer is built, and checked by
+    `verify_result` before it is returned."""
+    res = BoundResult(b, int(value), norm_b, inst.norm_q(), inst.d, method, dict(notes or {}))
+    verify_result(inst, res)
+    return res
+
+
 # ---------------------------------------------------------------------------
 # Instance constructors
 
@@ -189,17 +196,7 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     A = inst.algebra
     f0 = A.factors[0]
     if isinstance(f0.ring, RationalRing) and not f0.matrix_size:
-        qv = frac(inst.q[0])
-        res = BoundResult(
-            b=A.one(),
-            value=int(qv),
-            norm_b=Fraction(1),
-            norm_q=inst.norm_q(),
-            d=inst.d,
-            method="rank-one",
-        )
-        verify_result(inst, res)
-        return res
+        return _verified(inst, "rank-one", A.one(), frac(inst.q[0]), Fraction(1))
     F = f0.ring
     if not isinstance(F, QuadField) or f0.matrix_size:
         raise DegreeBoundError("commutative solver needs a quadratic field algebra")
@@ -209,17 +206,7 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
 
     if f0.involution == "conjugation":
         # symmetric elements for conjugation are rational: q in Z, b = 1
-        qv = q.as_rational()
-        res = BoundResult(
-            b=A.one(),
-            value=int(qv),
-            norm_b=Fraction(1),
-            norm_q=inst.norm_q(),
-            d=inst.d,
-            method="conjugation-trivial",
-        )
-        verify_result(inst, res)
-        return res
+        return _verified(inst, "conjugation-trivial", A.one(), q.as_rational(), Fraction(1))
 
     nq = inst.norm_q()
     if nq.denominator != 1:
@@ -228,20 +215,11 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     if root is None:
         raise DegreeBoundError("internal: q = m / a^2 is not in Q^x F^x2")
     b_elem, value, ideal_b = root
-    res = BoundResult(
-        b=(b_elem,),
-        value=int(value),
-        norm_b=abs(b_elem.norm()),
-        norm_q=nq,
-        d=inst.d,
-        method="ideal-algorithm",
-        notes={
-            "ideal_norm": str(ideal_b.norm()),
-            "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
-        },
-    )
-    verify_result(inst, res)
-    return res
+    notes = {
+        "ideal_norm": str(ideal_b.norm()),
+        "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
+    }
+    return _verified(inst, "ideal-algorithm", (b_elem,), value, abs(b_elem.norm()), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +238,9 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     f0 = A.factors[0]
     if not (isinstance(f0.ring, RationalRing) and f0.matrix_size):
         raise DegreeBoundError("split solver needs a rational matrix algebra")
-    if f0.z_matrix() != identity(f0.matrix_size):
+    if not f0.z_is_identity:
         return _oracle_fallback(inst, "non-transpose involutions route to the oracle")
     n = f0.matrix_size
-    gamma = inst.spec.gammas[0]
     q = inst.q[0]
     m = inst.require_similitude()
     qform = symmetric_form_q(q)
@@ -317,17 +294,8 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     if t is None:
         return _oracle_fallback(inst, "unimodular Gram is not in the class of I_n")
     b = mat_mul(bstar, inverse(t))
-    res = BoundResult(
-        b=(b,),
-        value=int(m2),
-        norm_b=abs(det(b)) ** gamma,
-        norm_q=inst.norm_q(),
-        d=inst.d,
-        method="lattice-glue",
-        notes={"m2": str(m2), "active_primes": active},
-    )
-    verify_result(inst, res)
-    return res
+    notes = {"m2": str(m2), "active_primes": active}
+    return _verified(inst, "lattice-glue", (b,), m2, abs(det(b)) ** inst.spec.gammas[0], notes)
 
 
 def _rows_of_integer_lattice(basis) -> list[list[int]]:
@@ -499,17 +467,7 @@ def brute_force_oracle(
             break
     if best is None:
         return None
-    res = BoundResult(
-        b=best[1],
-        value=best[2],
-        norm_b=best[0][0],
-        norm_q=inst.norm_q(),
-        d=inst.d,
-        method="oracle",
-        notes={"explored": explored},
-    )
-    verify_result(inst, res)
-    return res
+    return _verified(inst, "oracle", best[1], best[2], best[0][0], {"explored": explored})
 
 
 def _rational_scalar_forms(inst: BoundInstance) -> list[list[tuple]]:
@@ -572,19 +530,11 @@ def _cleared_similitude_result(inst: BoundInstance) -> BoundResult | None:
     if inst.a is None:
         return None
     t = numerators([inst.order.coordinates(inst.a)])[1]
-    A = inst.algebra
-    b = A.scale(Fraction(t), inst.a)
+    b = inst.algebra.scale(Fraction(t), inst.a)
     val = inst.m * t * t
     if val.denominator != 1:
         return None
-    return BoundResult(
-        b=b,
-        value=int(val),
-        norm_b=norm(A, b, inst.spec),
-        norm_q=inst.norm_q(),
-        d=inst.d,
-        method="cleared-similitude",
-    )
+    return _verified(inst, "cleared-similitude", b, val, norm(inst.algebra, b, inst.spec))
 
 
 def _oracle_fallback(inst: BoundInstance, reason: str) -> BoundResult:
@@ -594,15 +544,12 @@ def _oracle_fallback(inst: BoundInstance, reason: str) -> BoundResult:
         res = brute_force_oracle(inst, cap)
     except OracleBudgetError:
         res = None
-    if res is None:
-        res = direct
-    elif direct is not None and direct.norm_b < res.norm_b:
+    if res is None or (direct is not None and direct.norm_b < res.norm_b):
         res = direct
     if res is None:
         raise DegreeBoundError(f"{reason}; oracle found no solution either")
     res.method = res.method if res.method == "cleared-similitude" else "oracle-fallback"
     res.notes["fallback_reason"] = reason
-    verify_result(inst, res)
     return res
 
 

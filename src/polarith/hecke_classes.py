@@ -140,6 +140,9 @@ def exhaustive_witness_search(
     return None
 
 
+# the default bound on the split primes `generate_classes` tries
+PRIME_CAP = 10_000
+
 # the most points `exhaustive_witness_search` may test for one hecke-classes
 # request: (2 height + 1)^2 per pair, about 2 s of search at the limit
 MAX_CONFIRMATION_POINTS = 10**7
@@ -164,9 +167,7 @@ def _integer_coords(e: QuadElem) -> tuple[int, int]:
     return e.x.numerator * (m // e.x.denominator), e.y.numerator * (m // e.y.denominator)
 
 
-def generate_classes(
-    field: QuadField, count: int, prime_cap: int = 10_000
-) -> list[PolClassRep]:
+def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -> list[PolClassRep]:
     """`count` pairwise-inequivalent totally positive representatives:
     the class of 1, then one class per split rational prime with a
     principal, totally-positive-adjustable prime above it, kept only if

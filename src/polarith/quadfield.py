@@ -23,16 +23,22 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
-from .exact import ResourceError, factorint, isprime, legendre, lift_root, rational_sqrt, sqrt_mod_p, valuation
+from .exact import (
+    ResourceError,
+    factorint,
+    isprime,
+    legendre,
+    lift_root,
+    rational_sqrt,
+    sqrt_mod_p,
+    square_class,
+    valuation,
+)
 from .linalg import frac, hnf, numerators
 
 
 class QuadFieldError(ValueError):
     pass
-
-
-def _squarefree(n: int) -> bool:
-    return all(e < 2 for e in factorint(abs(n)).values())
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,7 @@ class QuadField:
     dim_q = 2
 
     def __post_init__(self):
-        if self.D in (0, 1) or not _squarefree(self.D):
+        if self.D in (0, 1) or square_class(self.D) != self.D:
             raise QuadFieldError(f"D = {self.D} must be squarefree and != 0, 1")
 
     # disc, w_trace and w_norm are read by every element operation: each is

@@ -21,7 +21,8 @@ from polarith.algebras import (
     quadfield_algebra,
     rational_algebra,
 )
-from polarith.linalg import RationalRing, identity, inverse, mat_mul, qbasis, rational_of
+from polarith.exact import rational_sqrt
+from polarith.linalg import RationalRing, det, identity, inverse, mat_mul, qbasis, rational_of, regular_matrix
 from polarith.quadfield import QuadField
 
 F5 = QuadField(5)
@@ -255,6 +256,28 @@ def test_quaternion_base_norm_seeded(name, size):
         assert norm(A, (t,), spec) == expected
     if "(1,1)" in name or size == 2:
         assert zeros > 0
+
+
+@pytest.mark.parametrize(
+    "name, ring",
+    [
+        ("Q(-1,-3)", QuaternionRing(RationalRing(), Fraction(-1), Fraction(-3))),
+        *QUATERNION_BASES.items(),
+    ],
+    ids=["Q(-1,-3)", *QUATERNION_BASES],
+)
+def test_quaternion_norm_against_the_regular_matrix(name, ring):
+    """On 50 seeded elements x of a quaternion algebra B: nrd x, read off
+    the coordinates, is the coordinate 0 of x conj(x), and the norm of the
+    factor B is the square root of det(v -> x v) over Q, the determinant of
+    `regular_matrix([[x]])`, which is Nm(nrd x)^2."""
+    f = SimpleFactor(ring, involution="canonical")
+    rng = random.Random(name)
+    for _ in range(50):
+        x = ring.from_qcoords([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(ring.dim_q)])
+        assert x.nrd() == (x * x.conj()).coords[0]
+        reg = det(regular_matrix([[x]], ring))
+        assert f.abs_norm(x) == (rational_sqrt(reg) if reg else 0)
 
 
 def test_quaternion_norm_spec():

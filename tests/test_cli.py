@@ -351,6 +351,49 @@ def test_degree_bound_desk_scale_bound(tmp_path):
                                     inst.d, out["method"]))
 
 
+_QUATERNION_I2 = [str(int(k == 0 and i == j)) for i in range(2) for j in range(2) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "instance, want",
+    [
+        (
+            {"algebra": {"type": "rational"}, "q": "6", "a": "1/2"},
+            {"b": "1", "value": 6, "norm_b": "1", "norm_q": "6", "rank_d": 1,
+             "achieved_ratio_squared": "1/6", "method": "rank-one", "notes": {}},
+        ),
+        (
+            {"algebra": {"type": "quadfield", "D": -1, "involution": "conjugation"}, "q": ["3", "0"],
+             "a": ["1", "1"]},
+            {"b": ["1", "0"], "value": 3, "norm_b": "1", "norm_q": "9", "rank_d": 2,
+             "achieved_ratio_squared": "1/729", "method": "conjugation-trivial", "notes": {}},
+        ),
+        (
+            {"algebra": {"type": "general", "factors": [{"kind": "quaternion", "a": "-1", "b": "-1"}]},
+             "q": ["2", "0", "0", "0"], "a": ["1", "0", "0", "0"]},
+            {"b": ["-1", "0", "0", "0"], "value": 2, "norm_b": "1", "norm_q": "4", "rank_d": 2,
+             "achieved_ratio_squared": "1/64", "method": "oracle-fallback",
+             "notes": {"explored": 2400, "fallback_reason": "no specialized route for this algebra"}},
+        ),
+        (
+            {"algebra": {"type": "general", "factors": [
+                {"kind": "matrix", "n": 2, "base": {"type": "quaternion", "a": "-1", "b": "-1"}}]},
+             "q": _QUATERNION_I2, "a": _QUATERNION_I2},
+            {"b": _QUATERNION_I2, "value": 1, "norm_b": "1", "norm_q": "1", "rank_d": 4,
+             "achieved_ratio_squared": "1", "method": "cleared-similitude",
+             "notes": {"fallback_reason": "no specialized route for this algebra"}},
+        ),
+    ],
+    ids=["rank-one", "conjugation-trivial", "oracle-fallback", "cleared-similitude"],
+)
+def test_degree_bound_route_payloads_are_pinned(tmp_path, instance, want):
+    """The routes the solve pool does not reach answer their whole payload,
+    notes included: Q, a quadratic field under conjugation, a quaternion
+    algebra (the oracle) and M_2 of one (the cleared similitude a, which
+    the oracle's budget cannot beat)."""
+    assert run_cli(tmp_path, "degree-bound", {"instance": instance}) == (0, want)
+
+
 def _run_child(tmp_path, launcher, verb, doc):
     """Run polarith in a fresh interpreter from `tmp_path`, importing the same
     `polarith` package as this process; also run `main` in process on the

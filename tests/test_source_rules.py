@@ -2,10 +2,8 @@
 
 import ast
 import importlib
-import io
 import re
 import sys
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -33,19 +31,16 @@ def _sources(*tops: str) -> list[Path]:
 
 
 def _name_references(paths) -> Counter:
-    """How often each identifier occurs in `paths` as code (not in comments
-    or strings), leaving out the name a `def` or `class` statement
-    defines."""
+    """How often each identifier is read or written in `paths` as a name
+    `x` or an attribute `y.x`, f-string fields included on every Python
+    version; the name a `def` or `class` statement defines is neither."""
     refs: Counter = Counter()
     for path in paths:
-        prev = None
-        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-            if tok.type == tokenize.NAME:
-                if prev not in ("def", "class"):
-                    refs[tok.string] += 1
-                prev = tok.string
-            elif tok.type not in (tokenize.NL, tokenize.COMMENT):
-                prev = None
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
     return refs
 
 
@@ -193,8 +188,7 @@ def test_src_imports_only_the_standard_library():
 # search cap or budget; each sits at one of these (module, site) pairs,
 # where the site is the top-level function or the module-level constant.
 LARGE_LITERAL_SITES = {
-    ("cli.py", "cmd_hecke_classes"),  # the --height prime cap
-    ("hecke_classes.py", "generate_classes"),  # the prime cap
+    ("hecke_classes.py", "PRIME_CAP"),
     ("hecke_classes.py", "MAX_CONFIRMATION_POINTS"),
     ("degree_bound.py", "brute_force_oracle"),  # the oracle budget
     ("quadfield.py", "MAX_CYCLE_STEPS"),  # the walk on reduced forms
