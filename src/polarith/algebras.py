@@ -224,8 +224,9 @@ class SimpleFactor:
         else:
             if self.involution != "conjugate_transpose":
                 raise AlgebraError("matrix factors use conjugate_transpose involutions")
-            if self.z is None:
+            if self.z is None:  # I is symmetric and invertible
                 object.__setattr__(self, "z", _freeze(identity(self.matrix_size, self.ring)))
+                return
             zm = self.z_matrix()
             zct = conj_transpose(zm, self.ring)
             zneg = [[-x for x in row] for row in zm]
@@ -484,11 +485,13 @@ def local_norm(algebra: AlgebraWithInvolution, x, p: int, spec: NormSpec) -> Fra
 
 @dataclass(frozen=True)
 class OrderR:
-    """A dagger-stable order, given by a Z-basis.  Closure under
-    multiplication, stability under the involution, presence of 1 and full
-    rank are verified at construction.  The inverse basis matrix is kept as
-    integer numerators over one denominator, so membership is a
-    divisibility test on integers."""
+    """A dagger-stable order, given by a Z-basis.  The constructor checks
+    full rank, presence of 1, stability under the involution and closure
+    under multiplication; every basis from outside the program goes
+    through it.  `OrderR.standard` builds Z, O_F or M_n(Z) on the Q-basis
+    with no check, since a theorem makes each of them an order.  The
+    inverse basis matrix is kept as integer numerators over one
+    denominator, so membership is a divisibility test on integers."""
 
     algebra: AlgebraWithInvolution
     basis_elements: tuple
@@ -513,6 +516,29 @@ class OrderR:
             for b2 in self.basis_elements:
                 if not self.contains(self.algebra.mul(b1, b2)):
                     raise AlgebraError("order is not closed under multiplication")
+
+    @classmethod
+    def standard(cls, algebra: AlgebraWithInvolution) -> OrderR:
+        """The order on `qbasis(algebra)`, whose basis matrix is the
+        identity, for three kinds of algebra, each an order stable under
+        the involution by a theorem (Reiner, *Maximal Orders*):
+        Z in Q; O_F = Z[w] in a quadratic field F, the integral closure of
+        Z in F, which every automorphism of F maps to itself, so Galois
+        conjugation too; M_n(Z) = End_Z(Z^n) in M_n(Q), which contains I
+        and is closed under transposition, the involution when z = I."""
+        f, *rest = algebra.factors
+        if f.matrix_size:
+            known = isinstance(f.ring, RationalRing) and f.z_is_identity
+        else:
+            known = isinstance(f.ring, (RationalRing, QuadField))
+        if rest or not known:
+            raise AlgebraError(f"no standard order for {algebra}")
+        order = object.__new__(cls)
+        object.__setattr__(order, "algebra", algebra)
+        object.__setattr__(order, "basis_elements", tuple(qbasis(algebra)))
+        n = algebra.dim_q
+        object.__setattr__(order, "_minv", ([tuple(int(i == j) for j in range(n)) for i in range(n)], 1))
+        return order
 
     def basis_matrix_is_identity(self) -> bool:
         cols, den = self._minv
@@ -569,18 +595,3 @@ def matrix_algebra_q(n: int, z=None) -> AlgebraWithInvolution:
     return AlgebraWithInvolution(
         (SimpleFactor(RationalRing(), matrix_size=n, involution="conjugate_transpose", z=zt),)
     )
-
-
-def maximal_order_quadfield(algebra: AlgebraWithInvolution) -> OrderR:
-    f = algebra.factors[0]
-    field = f.ring
-    if not isinstance(field, QuadField):
-        raise AlgebraError("internal: maximal_order_quadfield needs a quadratic field")
-    return OrderR(algebra, (
-        (field.one(),),
-        (field.omega(),),
-    ))
-
-
-def matrix_order_z(algebra: AlgebraWithInvolution) -> OrderR:
-    return OrderR(algebra, tuple(qbasis(algebra)))

@@ -36,8 +36,6 @@ from .algebras import (
     NormSpec,
     OrderR,
     matrix_algebra_q,
-    matrix_order_z,
-    maximal_order_quadfield,
     norm,
     quadfield_algebra,
     rational_algebra,
@@ -158,7 +156,7 @@ def quadfield_instance(D: int | QuadField, q_coords, a_coords, involution: str =
     F = D if isinstance(D, QuadField) else QuadField(D)
     A = quadfield_algebra(F, involution)
     spec = NormSpec(A, (1,))
-    order = maximal_order_quadfield(A)
+    order = OrderR.standard(A)
     q = (QuadElem(F, frac(q_coords[0]), frac(q_coords[1])),)
     a = (QuadElem(F, frac(a_coords[0]), frac(a_coords[1])),)
     return BoundInstance(A, spec, order, q, a)
@@ -167,14 +165,14 @@ def quadfield_instance(D: int | QuadField, q_coords, a_coords, involution: str =
 def rational_instance(q: int | Fraction, a=1) -> BoundInstance:
     A = rational_algebra()
     spec = NormSpec(A, (1,))
-    order = OrderR(A, (A.one(),))
+    order = OrderR.standard(A)
     return BoundInstance(A, spec, order, (frac(q),), (frac(a),))
 
 
 def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
     A = matrix_algebra_q(n)
     spec = NormSpec(A, (gamma,))
-    order = matrix_order_z(A)
+    order = OrderR.standard(A)
     return BoundInstance(A, spec, order, (mat(q_rows),), (mat(a_rows),))
 
 

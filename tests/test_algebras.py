@@ -14,8 +14,6 @@ from polarith.algebras import (
     SimpleFactor,
     local_norm,
     matrix_algebra_q,
-    matrix_order_z,
-    maximal_order_quadfield,
     norm,
     norm_times_inverse,
     quadfield_algebra,
@@ -103,7 +101,7 @@ def test_norm_examples():
 def test_norm_multiplicative_and_units():
     A = quadfield_algebra(F5)
     spec = NormSpec(A, (1,))
-    order = maximal_order_quadfield(A)
+    order = OrderR.standard(A)
     rng = random.Random(3)
     for _ in range(20):
         x = (F5.from_rational(0),)
@@ -119,7 +117,7 @@ def test_norm_multiplicative_and_units():
 def test_norm_times_inverse_examples():
     B = quadfield_algebra(F5)
     specB = NormSpec(B, (1,))
-    orderB = maximal_order_quadfield(B)
+    orderB = OrderR.standard(B)
     x = (F5.from_sqrt_coords(1, 1),)  # 1 + sqrt5
     out = norm_times_inverse(orderB, x, specB)
     assert out[0] == F5.from_sqrt_coords(-1, 1)  # sqrt5 - 1
@@ -131,7 +129,7 @@ def test_norm_times_inverse_examples():
 
     C = matrix_algebra_q(2)
     specC = NormSpec(C, (2,))
-    orderC = matrix_order_z(C)
+    orderC = OrderR.standard(C)
     d = ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],)
     out = norm_times_inverse(orderC, d, specC)
     assert out[0] == [[Fraction(4), Fraction(0)], [Fraction(0), Fraction(2)]]
@@ -301,7 +299,7 @@ def test_order_validation_rejects_bad():
 
 def test_order_membership():
     A = quadfield_algebra(F5)
-    order = maximal_order_quadfield(A)
+    order = OrderR.standard(A)
     assert order.contains((F5.omega(),))
     assert not order.contains((F5.omega() / 2,))
 
@@ -376,8 +374,53 @@ def test_order_coordinates_and_membership_match_a_fraction_reference():
                 got = order.coordinates(x)
                 assert got == expected and all(type(c) is Fraction for c in got), name
                 assert order.contains(x) == all(c.denominator == 1 for c in expected), name
-    assert matrix_order_z(matrix_algebra_q(2)).basis_matrix_is_identity()
-    assert maximal_order_quadfield(quadfield_algebra(F5)).basis_matrix_is_identity()
+    assert OrderR.standard(matrix_algebra_q(2)).basis_matrix_is_identity()
+    assert OrderR.standard(quadfield_algebra(F5)).basis_matrix_is_identity()
+
+
+def _standard_algebras():
+    """The algebras `OrderR.standard` accepts: Q, Q(sqrt D) under both
+    involutions, and M_n(Q) under the transpose, n = 1..4."""
+    yield "Z", rational_algebra()
+    for D in (-23, -5, -3, -1, 2, 5, 13, 401):
+        for involution in ("identity", "conjugation"):
+            yield f"O_F D={D} {involution}", quadfield_algebra(QuadField(D), involution)
+    for n in range(1, 5):
+        yield f"M_{n}(Z)", matrix_algebra_q(n)
+
+
+_STANDARD = list(_standard_algebras())
+
+
+@pytest.mark.parametrize("name, A", _STANDARD, ids=[name for name, _ in _STANDARD])
+def test_standard_orders_pass_the_checked_constructor(name, A):
+    """The checked constructor accepts the basis the standard order takes
+    on trust, and the two agree on coordinates and membership of seeded
+    elements, integral or with small denominators."""
+    checked, standard = OrderR(A, tuple(qbasis(A))), OrderR.standard(A)
+    assert [A.to_qcoords(b) for b in standard.basis_elements] == identity(A.dim_q)
+    assert checked.basis_matrix_is_identity() and standard.basis_matrix_is_identity()
+    rng = random.Random(A.dim_q)
+    for _ in range(20):
+        x = A.from_qcoords([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(A.dim_q)])
+        assert standard.coordinates(x) == checked.coordinates(x), name
+        assert standard.contains(x) == checked.contains(x), name
+
+
+def test_standard_order_refuses_other_algebras():
+    """No standard order for a quaternion algebra, M_2(Q) under a twisted
+    transpose (z != I), M_2 of a quadratic field, or two factors."""
+    twisted = matrix_algebra_q(2, [[1, 0], [0, 2]])
+    assert not twisted.factors[0].z_is_identity
+    algebras = [
+        quaternion_algebra_q(-1, -1),
+        twisted,
+        AlgebraWithInvolution((SimpleFactor(F5, matrix_size=2, involution="conjugate_transpose"),)),
+        AlgebraWithInvolution((SimpleFactor(RationalRing()), SimpleFactor(RationalRing()))),
+    ]
+    for A in algebras:
+        with pytest.raises(AlgebraError, match="^no standard order for "):
+            OrderR.standard(A)
 
 
 def test_non_orders_are_refused_with_their_reason():

@@ -237,22 +237,94 @@ def test_split_matrix_verified_random():
     assert done >= 10
 
 
-def _similitude_draw(rng):
-    """n in 2..4, q = u^T diag(d s_i^2) u and a = u^-1 diag(1 / s_i) for a
-    unimodular u, d in {1, 2, 3, 5, 6, 10} and s_i in 1..4: a^T q a = d I,
-    and 2 divides det q or d in most draws."""
-    n = rng.randint(2, 4)
+def _unimodular(rng, n):
+    """A seeded u in GL_n(Z), from 2n column operations."""
     u = identity(n)
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.randint(-2, 2))
         for r in range(n):
             u[r][i] += c * u[r][j]
-    d = rng.choice([1, 2, 3, 5, 6, 10])
-    s = [rng.randint(1, 4) for _ in range(n)]
+    return u
+
+
+def _similitude(u, d, s):
+    """q = u^T diag(d s_i^2) u and a = u^-1 diag(1 / s_i): a^T q a = d I."""
+    n = len(u)
     q = mat_mul(mat_mul(transpose(u), mat([[d * s[i] ** 2 * (i == j) for j in range(n)] for i in range(n)])), u)
     a = mat_mul(inverse(u), mat([[Fraction(int(i == j), s[i]) for j in range(n)] for i in range(n)]))
-    return n, q, a
+    return q, a
+
+
+def _similitude_draw(rng):
+    """n in 2..4, `_similitude` for a unimodular u, d in {1, 2, 3, 5, 6, 10}
+    and s_i in 1..4, so 2 divides det q or d in most draws."""
+    n = rng.randint(2, 4)
+    u = _unimodular(rng, n)
+    d = rng.choice([1, 2, 3, 5, 6, 10])
+    s = [rng.randint(1, 4) for _ in range(n)]
+    return (n, *_similitude(u, d, s))
+
+
+def test_standard_instances_prove_nothing_about_their_order(monkeypatch):
+    """Building an instance over M_6(Q) or a quadratic field takes its order
+    on trust: the only algebra products are the two of a^dagger q a, and no
+    matrix is inverted (a closure check takes 36^2 products)."""
+    import sys
+
+    from polarith import linalg
+
+    rng = random.Random(6)
+    q, a = _similitude(_unimodular(rng, 6), 1, [rng.choice([1, 2, 3]) for _ in range(6)])
+    products, inverses = [], []
+    real_mul, real_inverse = AlgebraWithInvolution.mul, linalg.inverse
+
+    def counting_mul(self, x, y):
+        products.append(x)
+        return real_mul(self, x, y)
+
+    def counting_inverse(*args, **kwargs):
+        inverses.append(args)
+        return real_inverse(*args, **kwargs)
+
+    monkeypatch.setattr(AlgebraWithInvolution, "mul", counting_mul)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polarith") and getattr(module, "inverse", None) is real_inverse:
+            monkeypatch.setattr(module, "inverse", counting_inverse)
+    F = QuadField(5)
+    w_bar = F.omega().conj()  # w^2 w_bar^2 = Nm(w)^2
+    builds = [
+        (lambda: matrix_instance(6, q, a), 1),
+        (lambda: quadfield_instance(F, F.to_qcoords(w_bar * w_bar), [0, 1]), F.omega().norm() ** 2),
+    ]
+    for build, m in builds:
+        products.clear()
+        assert build().m == m
+        assert len(products) <= 2 and inverses == []
+
+
+def test_degree_bound_matrix_at_n_10(tmp_path):
+    """`degree-bound` through `cli.main` over M_10(Q), with s_i in {1, 2, 3}:
+    the lattice glue answers within 5 s (about 0.1 s on a shared 2-vCPU
+    host), and the answer passes `verify_result`."""
+    import json
+
+    from polarith.cli import main, parse_instance
+
+    rng = random.Random(10)
+    q, a = _similitude(_unimodular(rng, 10), 1, [rng.choice([1, 2, 3]) for _ in range(10)])
+    doc = {"algebra": {"type": "matrix", "n": 10},
+           "q": [[str(x) for x in row] for row in q], "a": [[str(x) for x in row] for row in a]}
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps({"instance": doc}))
+    start = time.perf_counter()
+    assert main(["degree-bound", str(inp), "-o", str(out)]) == 0
+    assert time.perf_counter() - start < 5
+    res = json.loads(out.read_text())
+    assert res["method"] == "lattice-glue"
+    inst = parse_instance(doc)
+    verify_result(inst, BoundResult((mat(res["b"]),), res["value"], Fraction(res["norm_b"]),
+                                    Fraction(res["norm_q"]), inst.d, res["method"]))
 
 
 def test_split_matrix_glues_at_two():
