@@ -23,7 +23,7 @@ def main():
     ap.add_argument("D", type=int, help="squarefree D > 0")
     ap.add_argument("--count", type=int, default=10)
     ap.add_argument("--confirm-height", type=int, default=0,
-                    help="re-confirm inequivalences by exhaustive search at this height")
+                    help="re-confirm inequivalences by the witness search at this height")
     args = ap.parse_args()
 
     field = QuadField(args.D)

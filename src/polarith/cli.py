@@ -61,7 +61,6 @@ from .quadfield import QuadField, QuadFieldError, ResourceError
 from .hecke_classes import (
     PRIME_CAP,
     HeckeError,
-    check_confirmation_budget,
     exhaustive_witness_search,
     generate_classes,
 )
@@ -459,7 +458,6 @@ def cmd_hecke_classes(doc, args):
     prime_cap = _int(doc.get("prime_cap", PRIME_CAP), "prime_cap", least=2)
     if not field.is_real:
         raise HeckeError("the construction needs a real quadratic field")
-    check_confirmation_budget(count, args.height)
 
     def run():
         # generate_classes decided every pair inequivalent: the matrix is the

@@ -8,8 +8,8 @@ q/r is in Q^x F^x2 exactly when Nm(q/r) = n^2 for a rational n, since
 then (q/r) / n has norm 1 and is z / conj(z) = z^2 / Nm(z) for some z
 (Hilbert 90).  A positive answer carries an exact witness (n, u) with
 n q = u^2 r, built by `quadfield.square_root_up_to_rational`, the routine
-that gives the degree-bound solver its b; a negative answer can be
-cross-checked by the exhaustive bounded witness search below.
+that gives the degree-bound solver its b; `exhaustive_witness_search`
+re-derives a negative answer by another route, in closed form.
 
 `generate_classes` keeps a representative only once it is decided
 inequivalent to every earlier one, so each pair of its classes is decided
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .exact import is_rational_square, primerange
+from .exact import is_rational_square, primerange, rational_sqrt
 from .quadfield import (
     QuadElem,
     QuadField,
@@ -102,16 +102,20 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
 def exhaustive_witness_search(
     q: QuadElem, r: QuadElem, height: int
 ) -> tuple[Fraction, QuadElem] | None:
-    """Independent bounded check: u over integral coordinates with
-    |coords| <= height, n = u^2 r / q rational.  Returns the first witness
-    or None; used to confirm negative `equivalent` answers.
+    """Independent bounded check: the first u in x-then-y order over
+    integral coordinates with |coords| <= height such that n = u^2 r / q
+    is rational and nonzero, or None.
 
     Since 1/q = conj(q) / Nm(q) with Nm(q) rational, u^2 r / q is rational
     iff the w-coordinate of u^2 s vanishes, s = r conj(q).  Scaling q and r
     to integer coordinates scales s to c + d w by a positive integer, and
     for u = x + y w that w-coordinate is the binary form
-    d x^2 + 2 (c + t d) x y + (t (c + t d) - nw d) y^2: one integer test per
-    point."""
+    d x^2 + 2 (c + t d) x y + (t (c + t d) - nw d) y^2, whose zeros lie on
+    at most two rational lines: O(1) per pair at any height.  Some height
+    has a witness exactly when `equivalent` says yes, so on a negative pair
+    only a bug can make this disagree; what it checks independently is the
+    route (integer coordinates, the form, a witness verified as u^2 r / q),
+    not the square test of the norm product."""
     if height < 0:
         raise HeckeError("height must be >= 0")
     if q.is_zero():
@@ -127,37 +131,30 @@ def exhaustive_witness_search(
     if c == 0 and d == 0:
         return None
     ctd = c + t * d
-    xy_coef, yy_coef = 2 * ctd, t * ctd - nw * d
-    for x in range(-height, height + 1):
-        xx_term, xy_x = d * x * x, xy_coef * x
-        for y in range(-height, height + 1):
-            if xx_term + (xy_x + yy_coef * y) * y == 0 and (x or y):
-                u = QuadElem(F, Fraction(x), Fraction(y))
-                cand = u * u * r / q
-                if not cand.is_rational() or cand.is_zero():
-                    raise HeckeError("internal: integer witness test disagrees with u^2 r / q")
-                return cand.as_rational(), u
-    return None
+    # B^2 - 4 A C = 4 ctd^2 - 4 d (t ctd - nw d) = 4 Nm(s): the form splits
+    # into rational lines iff Nm(s) = n^2, x d = (+-n - ctd) y or c y (2 x + t y)
+    root = rational_sqrt(F.norm_form(c, d))
+    if root is None:
+        return None
+    lines = [(e * root.numerator - ctd, d) for e in (1, -1)] if d else [(1, 0), (-t, 2)]
+    points = []
+    for a, b in lines:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        k = height // max(abs(a), abs(b))
+        points += [(k * a, k * b), (-k * a, -k * b)] if k else []
+    if not points:
+        return None
+    x, y = min(points)
+    u = QuadElem(F, Fraction(x), Fraction(y))
+    cand = u * u * r / q
+    if not cand.is_rational() or cand.is_zero():
+        raise HeckeError("internal: integer witness test disagrees with u^2 r / q")
+    return cand.as_rational(), u
 
 
 # the default bound on the split primes `generate_classes` tries
 PRIME_CAP = 10_000
-
-# the most points `exhaustive_witness_search` may test for one hecke-classes
-# request: (2 height + 1)^2 per pair, about 2 s of search at the limit
-MAX_CONFIRMATION_POINTS = 10**7
-
-
-def check_confirmation_budget(count: int, height: int) -> None:
-    """Refuse, before any search, a negative confirmation of the
-    count (count - 1) / 2 pairs of `count` classes at `height` that would
-    test more than MAX_CONFIRMATION_POINTS points."""
-    points = count * (count - 1) // 2 * (2 * height + 1) ** 2 if height else 0
-    if points > MAX_CONFIRMATION_POINTS:
-        raise ResourceError(
-            f"confirming {count} classes at height {height} tests {points} points, "
-            f"above the limit of {MAX_CONFIRMATION_POINTS} points"
-        )
 
 
 def _integer_coords(e: QuadElem) -> tuple[int, int]:

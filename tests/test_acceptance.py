@@ -342,8 +342,9 @@ def test_criterion_6_local_bound_cp_one():
 
 def test_criterion_7_hecke_separation():
     """10 pairwise-inequivalent totally positive representatives in Q(sqrt5)
-    and Q(sqrt2); negatives confirmed by exhaustive height-20 search,
-    positives carry verified witnesses; < 60 s."""
+    and Q(sqrt2); negatives confirmed at height 20 by the witness search,
+    which reads the zero lines of its binary form instead of testing the
+    box, positives carry verified witnesses; < 60 s."""
     t0 = time.monotonic()
     from polarith.hecke_classes import (
         equivalence_witness,

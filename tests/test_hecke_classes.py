@@ -173,7 +173,7 @@ def test_exhaustive_search_agrees_on_positive():
     assert (q * n - u * u * r).is_zero()
 
 
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 
@@ -304,6 +304,16 @@ _coord = st.fractions(min_value=-6, max_value=6, max_denominator=3)
     c=_coord,
     height=st.integers(0, 6),
 )
+# r = 2 q: s is rational, d = 0, and the zero lines are (1, 0) and (-t, 2)
+@example(D=5, qc=(Fraction(3), Fraction(1)), rc=(Fraction(0), Fraction(0)), mode="hit", u0c=(1, 0),
+         c=Fraction(2), height=3)
+# q = -3 + w = 1 + sqrt2, r = 1 over Q(sqrt2): Nm(s) = -1, the form is definite
+@example(D=2, qc=(Fraction(-3), Fraction(1)), rc=(Fraction(1), Fraction(0)), mode="free", u0c=(0, 0),
+         c=Fraction(0), height=6)
+# r = 1 / u0^2 with u0 = 4 + 3w over Q(sqrt5): equivalent, but the primitive
+# line vectors, u0 and u0 sqrt5 = -50 + 23w, both lie past height 3
+@example(D=5, qc=(Fraction(1), Fraction(0)), rc=(Fraction(0), Fraction(0)), mode="hit", u0c=(4, 3),
+         c=Fraction(1), height=3)
 @settings(max_examples=250, deadline=None)
 def test_witness_search_matches_reference(D, qc, rc, mode, u0c, c, height):
     """The integer kernel returns exactly what the definition returns, first
@@ -321,6 +331,35 @@ def test_witness_search_matches_reference(D, qc, rc, mode, u0c, c, height):
     else:
         r = QuadElem(F, *rc)
     assert exhaustive_witness_search(q, r, height) == _reference_witness_search(q, r, height)
+
+
+def test_witness_search_at_a_huge_height_is_the_decision():
+    """The form's discriminant is 4 Nm(s), so it has a nonzero integer zero
+    exactly when Nm(q) Nm(r) is a square: at a height past every primitive
+    line vector (10^12 here), the search finds a witness exactly when
+    `equivalent` says yes.  Seeded pairs over real and imaginary fields, r
+    free, a rational multiple of q, or q c / u0^2."""
+    rng = random.Random(31)
+    found = missed = 0
+    for _ in range(600):
+        F = QuadField(rng.choice([2, 3, 5, 13, 82, -1, -2, -3, -5, -23]))
+        q, u0, free = (QuadElem(F, Fraction(rng.randint(-k, k), rng.choice([1, 2, 3])), Fraction(rng.randint(-k, k)))
+                       for k in (5, 4, 5))
+        c = Fraction(rng.choice([1, -1, 2, 3, -5, 6]), rng.choice([1, 2, 7]))
+        mode = rng.choice(["free", "rational", "square"])
+        if q.is_zero() or u0.is_zero():
+            continue
+        r = {"free": free, "rational": q * c, "square": q * c / (u0 * u0)}[mode]
+        if r.is_zero():
+            continue
+        got = exhaustive_witness_search(q, r, 10**12)
+        assert (got is not None) == equivalent(q, r), (F, q, r)
+        if got is None:
+            missed += 1
+        else:
+            found += 1
+            assert rosati_transport_check(q, r, got[1], got[0])
+    assert found > 200 and missed > 50
 
 
 def test_witness_search_rejects_bad_input():

@@ -189,7 +189,6 @@ def test_src_imports_only_the_standard_library():
 # where the site is the top-level function or the module-level constant.
 LARGE_LITERAL_SITES = {
     ("hecke_classes.py", "PRIME_CAP"),
-    ("hecke_classes.py", "MAX_CONFIRMATION_POINTS"),
     ("degree_bound.py", "brute_force_oracle"),  # the oracle budget
     ("quadfield.py", "MAX_CYCLE_STEPS"),  # the walk on reduced forms
     ("exact.py", "MILLER_RABIN_BOUNDS"),  # proven bounds, not a cap
