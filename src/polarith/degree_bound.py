@@ -3,12 +3,12 @@ a^dagger q a rational, produce b in R with b^dagger q b a nonzero integer
 and controlled norm.
 
 Fully implemented routes:
-  * commutative quadratic-field case (ideal algorithm: q = m / a^2 lies
-    in Q^x F^x2, and `quadfield.square_root_up_to_rational`, which the
-    Hecke decision calls too, gives an integral b with b^2 q rational).
-    Its one real fallback to the oracle is a non-maximal order; the
-    square root cannot fail on a valid instance, and raises an internal
-    error if it does;
+  * a quadratic field under the identity (ideal algorithm: q = m / a^2
+    lies in Q^x F^x2, and `quadfield.square_root_up_to_rational`, which
+    the Hecke decision calls too, gives an integral b with b^2 q
+    rational).  Its one real fallback to the oracle is a non-maximal
+    order; the square root cannot fail on a valid instance, and raises
+    an internal error if it does;
   * split matrix case M_n(Q) with transpose involution (local maximal
     lattices glued over the bad primes, 2 included, by Chinese
     remaindering, then the resulting unimodular positive definite Gram u
@@ -16,6 +16,8 @@ Fully implemented routes:
     enumeration finds n pairs of norm-1 vectors, so a Gram with an E8
     summand, possible for n >= 8, is a certified fallback; the others are
     a non-transpose involution and a q that is not positive definite);
+  * a rational scalar q (Q, a field under conjugation, a quaternion
+    algebra, Q x Q swapped, q = c I): b = 1, of least norm 1, no search;
   * a universal brute-force oracle over coordinate boxes.
 
 The achieved constant c = Nm(b) / Nm(q)^{d - 1/2} is reported, never
@@ -181,11 +183,10 @@ def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
 
 
 def solve_commutative(inst: BoundInstance) -> BoundResult:
-    """The ideal algorithm over a quadratic field (or Q).
-
-    Over a maximal order with the identity involution, q = m / a^2 lies in
-    Q^x F^x2, so `quadfield.square_root_up_to_rational` answers b with
-    b^2 q a nonzero rational, |Nm b| least over its twists, and the
+    """The ideal algorithm over one quadratic field under the identity;
+    every other algebra is refused.  Over a maximal order, q = m / a^2
+    lies in Q^x F^x2, so `quadfield.square_root_up_to_rational` answers b
+    with b^2 q a nonzero rational, |Nm b| least over its twists, and the
     square-root ideal J before them, whose norm the notes report.  Its
     None raises an internal error.  The oracle answers instead only for a
     non-maximal order; the walk on reduced forms may stop at
@@ -193,19 +194,12 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
     inst.require_similitude()
     A = inst.algebra
     f0 = A.factors[0]
-    if isinstance(f0.ring, RationalRing) and not f0.matrix_size:
-        return _verified(inst, "rank-one", A.one(), frac(inst.q[0]), Fraction(1))
     F = f0.ring
-    if not isinstance(F, QuadField) or f0.matrix_size:
-        raise DegreeBoundError("commutative solver needs a quadratic field algebra")
+    if len(A.factors) != 1 or not isinstance(F, QuadField) or f0.involution != "identity":
+        raise DegreeBoundError("commutative solver needs a quadratic field under the identity")
     if not inst.order.contains((F.omega(),)):
         return _oracle_fallback(inst, "non-maximal order: ideal algorithm unavailable")
     q = inst.q[0]
-
-    if f0.involution == "conjugation":
-        # symmetric elements for conjugation are rational: q in Z, b = 1
-        return _verified(inst, "conjugation-trivial", A.one(), q.as_rational(), Fraction(1))
-
     nq = inst.norm_q()
     if nq.denominator != 1:
         raise DegreeBoundError("internal: Nm(q) is not an integer")
@@ -536,10 +530,15 @@ def _cleared_similitude_result(inst: BoundInstance) -> BoundResult | None:
 
 
 def _oracle_fallback(inst: BoundInstance, reason: str) -> BoundResult:
+    # q = c 1 lies in R, so c is an integer, and b = 1 is optimal: any b
+    # with b^dagger q b a nonzero scalar is invertible in E, so every
+    # Nrd(b_i) is a nonzero algebraic integer and Nm(b) >= 1
+    if c := rational_of(inst.q, inst.algebra):
+        return _verified(inst, "scalar", inst.algebra.one(), c, Fraction(1))
     direct = _cleared_similitude_result(inst)
     cap = direct.norm_b if direct is not None else inst.norm_q() ** (2 * inst.d)
     try:
-        res = brute_force_oracle(inst, cap)
+        res = None if direct is not None and direct.norm_b == 1 else brute_force_oracle(inst, cap)
     except OracleBudgetError:
         res = None
     if res is None or (direct is not None and direct.norm_b < res.norm_b):
@@ -552,14 +551,14 @@ def _oracle_fallback(inst: BoundInstance, reason: str) -> BoundResult:
 
 
 def solve(inst: BoundInstance) -> BoundResult:
-    """Dispatch: commutative fields to the ideal algorithm, rational matrix
-    algebras to the lattice glue, everything else to the oracle."""
+    """Dispatch: a quadratic field under the identity to the ideal
+    algorithm, M_n(Q) to the lattice glue, all else (Q and conjugation
+    too) to `_oracle_fallback`, which answers a scalar q with b = 1."""
     f0 = inst.algebra.factors[0]
-    if len(inst.algebra.factors) == 1 and not f0.matrix_size and isinstance(
-        f0.ring, (RationalRing, QuadField)
-    ):
+    single = len(inst.algebra.factors) == 1
+    if single and isinstance(f0.ring, QuadField) and f0.involution == "identity":
         return solve_commutative(inst)
-    if len(inst.algebra.factors) == 1 and f0.matrix_size and isinstance(f0.ring, RationalRing):
+    if single and f0.matrix_size and isinstance(f0.ring, RationalRing):
         return solve_split_matrix(inst)
     return _oracle_fallback(inst, "no specialized route for this algebra")
 

@@ -111,7 +111,7 @@ def _mat_min_valuation(m: Matrix, p: int) -> int:
 
 
 def _mat_p_integral(m: Matrix, p: int) -> bool:
-    return all(x == 0 or valuation(x, p) >= 0 for row in m for x in row)
+    return all(x.denominator % p for row in m for x in row)
 
 
 @dataclass

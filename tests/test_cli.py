@@ -300,8 +300,9 @@ def test_quadfield_form_roundtrip(tmp_path):
 
 
 def test_general_algebra_descriptor(tmp_path):
-    """Factor-list algebra descriptor: an etale swap pair solved by the
-    oracle route."""
+    """Factor-list algebra descriptor: an etale swap pair, where every
+    symmetric element of Q x Q under the swap is a rational scalar, so the
+    scalar route answers b = 1."""
     doc = {
         "instance": {
             "algebra": {
@@ -317,7 +318,7 @@ def test_general_algebra_descriptor(tmp_path):
     code, out = run_cli(tmp_path, "degree-bound", doc)
     assert code == 0
     assert out["value"] == 2
-    assert out["method"].startswith("oracle")
+    assert out["method"] == "scalar" and out["b"] == ["1", "1"] and out["norm_b"] == "1"
 
 
 def test_general_algebra_quaternion(tmp_path):
@@ -351,7 +352,14 @@ def test_degree_bound_desk_scale_bound(tmp_path):
                                     inst.d, out["method"]))
 
 
-_QUATERNION_I2 = [str(int(k == 0 and i == j)) for i in range(2) for j in range(2) for k in range(4)]
+def _quaternion_matrix(*entries):
+    """M_2 over a quaternion algebra as coordinates: four entries, row by
+    row, each a list of (basis index, coefficient)."""
+    coords = [["0"] * 4 for _ in range(4)]
+    for entry, terms in zip(coords, entries):
+        for k, c in terms:
+            entry[k] = str(c)
+    return [x for entry in coords for x in entry]
 
 
 @pytest.mark.parametrize(
@@ -360,37 +368,46 @@ _QUATERNION_I2 = [str(int(k == 0 and i == j)) for i in range(2) for j in range(2
         (
             {"algebra": {"type": "rational"}, "q": "6", "a": "1/2"},
             {"b": "1", "value": 6, "norm_b": "1", "norm_q": "6", "rank_d": 1,
-             "achieved_ratio_squared": "1/6", "method": "rank-one", "notes": {}},
+             "achieved_ratio_squared": "1/6", "method": "scalar", "notes": {}},
         ),
         (
             {"algebra": {"type": "quadfield", "D": -1, "involution": "conjugation"}, "q": ["3", "0"],
              "a": ["1", "1"]},
             {"b": ["1", "0"], "value": 3, "norm_b": "1", "norm_q": "9", "rank_d": 2,
-             "achieved_ratio_squared": "1/729", "method": "conjugation-trivial", "notes": {}},
+             "achieved_ratio_squared": "1/729", "method": "scalar", "notes": {}},
         ),
         (
             {"algebra": {"type": "general", "factors": [{"kind": "quaternion", "a": "-1", "b": "-1"}]},
              "q": ["2", "0", "0", "0"], "a": ["1", "0", "0", "0"]},
-            {"b": ["-1", "0", "0", "0"], "value": 2, "norm_b": "1", "norm_q": "4", "rank_d": 2,
-             "achieved_ratio_squared": "1/64", "method": "oracle-fallback",
-             "notes": {"explored": 2400, "fallback_reason": "no specialized route for this algebra"}},
+            {"b": ["1", "0", "0", "0"], "value": 2, "norm_b": "1", "norm_q": "4", "rank_d": 2,
+             "achieved_ratio_squared": "1/64", "method": "scalar", "notes": {}},
+        ),
+        (
+            {"algebra": {"type": "matrix", "n": 2}, "q": [["-1", "0"], ["0", "-4"]],
+             "a": [["2", "0"], ["0", "1"]]},
+            {"b": [["-2", "0"], ["0", "-1"]], "value": -4, "norm_b": "2", "norm_q": "4", "rank_d": 2,
+             "achieved_ratio_squared": "1/16", "method": "oracle-fallback",
+             "notes": {"explored": 6560, "fallback_reason": "q is not positive definite"}},
         ),
         (
             {"algebra": {"type": "general", "factors": [
                 {"kind": "matrix", "n": 2, "base": {"type": "quaternion", "a": "-1", "b": "-1"}}]},
-             "q": _QUATERNION_I2, "a": _QUATERNION_I2},
-            {"b": _QUATERNION_I2, "value": 1, "norm_b": "1", "norm_q": "1", "rank_d": 4,
-             "achieved_ratio_squared": "1", "method": "cleared-similitude",
+             "q": _quaternion_matrix([(0, 1)], [(1, -1)], [(1, 1)], [(0, 2)]),
+             "a": _quaternion_matrix([(0, 1)], [(1, 1)], [], [(0, 1)])},
+            {"b": _quaternion_matrix([(0, 1)], [(1, 1)], [], [(0, 1)]), "value": 1, "norm_b": "1",
+             "norm_q": "1", "rank_d": 4, "achieved_ratio_squared": "1", "method": "cleared-similitude",
              "notes": {"fallback_reason": "no specialized route for this algebra"}},
         ),
     ],
-    ids=["rank-one", "conjugation-trivial", "oracle-fallback", "cleared-similitude"],
+    ids=["scalar-rational", "scalar-conjugation", "scalar-quaternion", "oracle-fallback", "cleared-similitude"],
 )
 def test_degree_bound_route_payloads_are_pinned(tmp_path, instance, want):
     """The routes the solve pool does not reach answer their whole payload,
-    notes included: Q, a quadratic field under conjugation, a quaternion
-    algebra (the oracle) and M_2 of one (the cleared similitude a, which
-    the oracle's budget cannot beat)."""
+    notes included: a scalar q over Q, a quadratic field under conjugation
+    and a quaternion algebra (b = 1, no search), a q that is not positive
+    definite in M_2(Q) (the oracle) and M_2 over a quaternion algebra with
+    a non-scalar q (the cleared similitude a: its norm is 1, so the box is
+    skipped)."""
     assert run_cli(tmp_path, "degree-bound", {"instance": instance}) == (0, want)
 
 

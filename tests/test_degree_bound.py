@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
+from polarith import degree_bound
 from polarith.degree_bound import (
     BoundInstance,
     BoundResult,
@@ -45,7 +46,8 @@ from polarith.quadfield import QuadField, QuadElem, fundamental_unit, is_totally
 
 def test_rank_one_case():
     inst = rational_instance(7)
-    res = solve_commutative(inst)
+    res = solve(inst)
+    assert res.method == "scalar"
     assert res.value == 7 and res.norm_b == 1
 
 
@@ -111,7 +113,8 @@ def test_commutative_various_instances_verified():
 
 def test_commutative_imaginary_conjugation():
     inst = quadfield_instance(-1, (5, 0), (1, 0), involution="conjugation")
-    res = solve_commutative(inst)
+    res = solve(inst)
+    assert res.method == "scalar"
     assert res.value == 5 and res.norm_b == 1
 
 
@@ -192,11 +195,92 @@ def test_split_matrix_scalar_q():
 
 
 def test_split_matrix_negative_definite_q_falls_back():
-    minus_one = [[-x for x in row] for row in identity(2)]
-    res = solve_split_matrix(matrix_instance(2, minus_one, identity(2)))
+    res = solve_split_matrix(matrix_instance(2, [[-1, 0], [0, -4]], [[2, 0], [0, 1]]))
     assert res.method == "oracle-fallback"
     assert res.notes["fallback_reason"] == "q is not positive definite"
-    assert res.value == -1
+    assert res.value == -4 and res.norm_b == 2
+
+
+def test_cleared_similitude_of_norm_one_skips_the_box(monkeypatch):
+    """Under x -> z^-1 x^T z with z = diag(1, -1), q = [[1, 1], [-1, 0]] is
+    symmetric and not scalar, and a = [[-1, -1], [0, 1]] gives a^dagger q a
+    = 1 with Nm(a) = 1, which no b beats: the fallback answers a without
+    calling the oracle."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(degree_bound, "brute_force_oracle", no_search)
+    z = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
+    A = AlgebraWithInvolution((SimpleFactor(RationalRing(), 2, "conjugate_transpose", z),))
+    a = (mat([[-1, -1], [0, 1]]),)
+    inst = BoundInstance(A, NormSpec(A, (1,)), OrderR(A, tuple(qbasis(A))), (mat([[1, 1], [-1, 0]]),), a)
+    res = solve(inst)
+    assert res.method == "cleared-similitude" and res.b == a
+    assert res.norm_b == 1 and res.value == 1
+    assert res.notes == {"fallback_reason": "non-transpose involutions route to the oracle"}
+
+
+def _scalar_q_instances(rng):
+    """Seeded (instance, c) with q = c 1 over Q, Q(sqrt D) under
+    conjugation (D < 0), (alpha, beta / Q) definite (alpha, beta < 0) and
+    indefinite (beta > 0), Q x Q under the swap, products of two of these,
+    M_3(Q) and M_2(B) with q = c I; every algebra but the last two has
+    only rational scalars as symmetric elements.  a is random over a
+    single field or quaternion factor, and a rational t 1 otherwise."""
+    Q = SimpleFactor(RationalRing())
+    fields = [-1, -2, -3, -5, -7, -11]
+
+    def conj(D):
+        return SimpleFactor(QuadField(D), involution="conjugation")
+
+    def quaternion(definite):
+        alpha = -rng.randint(1, 5) if definite else rng.choice([-1, 1]) * rng.randint(1, 5)
+        beta = rng.randint(1, 5) * (-1 if definite else 1)
+        ring = QuaternionRing(RationalRing(), Fraction(alpha), Fraction(beta))
+        return SimpleFactor(ring, involution="canonical")
+
+    base = QuaternionRing(RationalRing(), Fraction(-1), Fraction(-1))
+    algebras = [
+        AlgebraWithInvolution((Q,)),
+        AlgebraWithInvolution((Q, Q), ((0, 1),)),
+        *(AlgebraWithInvolution((conj(D),)) for D in rng.sample(fields, 3)),
+        *(AlgebraWithInvolution((quaternion(definite),)) for definite in (True, True, False, False)),
+        AlgebraWithInvolution((conj(rng.choice(fields)), quaternion(True))),
+        AlgebraWithInvolution((Q, quaternion(False))),
+        matrix_algebra_q(3),
+        AlgebraWithInvolution((SimpleFactor(base, 2, "conjugate_transpose"),)),
+    ]
+    for A in algebras:
+        spec = NormSpec(A, (1,) * len(A.factors))
+        c = rng.choice([x for x in range(-9, 10) if x])
+        if A.factors[0].matrix_size and isinstance(A.factors[0].ring, RationalRing):
+            c = -abs(c)  # a positive definite q = c I takes the lattice glue
+        a = A.scale(Fraction(rng.randint(1, 3)), A.one())
+        while len(A.factors) == 1 and not A.factors[0].matrix_size:
+            a = A.from_qcoords([Fraction(rng.randint(-2, 2)) for _ in range(A.dim_q)])
+            if norm(A, a, spec):
+                break
+        q = A.scale(Fraction(c), A.one())
+        yield BoundInstance(A, spec, OrderR(A, tuple(qbasis(A))), q, a), c
+
+
+def test_scalar_q_answers_b_one():
+    """A scalar q = c 1 gets b = 1, value c and Nm(b) = 1 from `solve`,
+    which no b can beat, with no box search: well under 50 ms each, where
+    a quaternion box explores 2,400 points.  Where dim_Q E <= 4 the oracle
+    confirms that norm 1 is reached."""
+    rng = random.Random(3232)
+    for inst, c in _scalar_q_instances(rng):
+        t0 = time.perf_counter()
+        res = solve(inst)
+        elapsed = time.perf_counter() - t0
+        assert res.method == "scalar" and res.b == inst.algebra.one()
+        assert res.value == c and res.norm_b == 1
+        assert elapsed < 0.05, (inst.algebra, elapsed)
+        if inst.algebra.dim_q <= 4:
+            oracle = brute_force_oracle(inst, Fraction(1))
+            assert oracle is not None and oracle.norm_b == 1
 
 
 def test_split_matrix_verified_random():

@@ -223,3 +223,21 @@ def test_large_literals_sit_at_listed_caps():
             if any(_is_large_literal(node) for node in ast.walk(top)):
                 sites.add((path.name, site))
     assert sites == LARGE_LITERAL_SITES
+
+
+def test_readme_route_list_is_the_verified_methods():
+    """The backticked names in the README's "Every `degree-bound` route
+    (...)" bullet are exactly the method strings that `degree_bound` hands
+    to `_verified`, so the route list cannot drift from the code."""
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"Every `degree-bound` route \(([^)]*)\)", readme)
+    assert listed is not None
+    methods = {
+        node.args[1].value
+        for node in ast.walk(ast.parse((PACKAGE / "degree_bound.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_verified"
+        and isinstance(node.args[1], ast.Constant)
+    }
+    assert set(re.findall(r"`([^`]+)`", listed.group(1))) == methods
