@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .exact import rational_sqrt, valuation
@@ -55,22 +55,44 @@ class AlgebraError(ValueError):
 # Ring descriptors
 
 
-@dataclass(frozen=True)
-class QuatElem:
-    """Element c0 + c1 i + c2 j + c3 ij of a quaternion algebra; the
-    coordinates live in the centre (Fraction or QuadElem)."""
+def _over(n, m: int):
+    """The centre element n / m of a numerator n: a Fraction when n is an
+    int, n itself over a quadratic centre, where m = 1."""
+    return Fraction(n, m) if isinstance(n, int) else n
 
-    alg: "QuaternionRing"
-    coords: tuple
+
+class QuatElem:
+    """The element (n0 + n1 i + n2 j + n3 ij) / den of a quaternion algebra
+    (a, b / F).  Over F = Q the numerators are ints, den > 0 and
+    gcd(n0, ..., n3, den) = 1; over a quadratic F they are elements of F,
+    which carry their own denominators, and den = 1.  Either way equal
+    elements have equal (num, den), which `==` and `hash` compare, and a
+    product is one formula on the numerators, with the structure constants
+    cleared of denominators (`QuaternionRing.scaled`).  `coords` are the
+    coordinates in the centre."""
+
+    __slots__ = ("alg", "num", "den")
+
+    def __init__(self, alg: "QuaternionRing", num: tuple, den: int = 1):
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = tuple(n // g for n in num), den // g
+        self.alg, self.num, self.den = alg, num, den
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(_over(n, self.den) for n in self.num)
 
     def __add__(self, other):
         other = self.alg.coerce(other)
-        return QuatElem(self.alg, tuple(x + y for x, y in zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        return QuatElem(self.alg, tuple(x * e + y * d for x, y in zip(self.num, other.num)), d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuatElem(self.alg, tuple(-x for x in self.coords))
+        return QuatElem(self.alg, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self.alg.coerce(other))
@@ -80,17 +102,18 @@ class QuatElem:
 
     def __mul__(self, other):
         other = self.alg.coerce(other)
-        a, b = self.alg.a, self.alg.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
+        s, a, b, ab = self.alg.scaled
+        x0, x1, x2, x3 = self.num
+        y0, y1, y2, y3 = other.num
         return QuatElem(
             self.alg,
             (
-                x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-                x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-                x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+                s * (x0 * y0) + a * (x1 * y1) + b * (x2 * y2) - ab * (x3 * y3),
+                s * (x0 * y1 + x1 * y0) + b * (x3 * y2 - x2 * y3),
+                s * (x0 * y2 + x2 * y0) + a * (x1 * y3 - x3 * y1),
+                s * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1),
             ),
+            self.den * other.den * s,
         )
 
     def __rmul__(self, other):
@@ -99,20 +122,20 @@ class QuatElem:
     def __eq__(self, other):
         if not isinstance(other, QuatElem):
             other = self.alg.coerce(other)
-        return self.alg == other.alg and self.coords == other.coords
+        return self.num == other.num and self.den == other.den and (self.alg is other.alg or self.alg == other.alg)
 
     def __hash__(self):
-        return hash((self.alg, self.coords))
+        return hash((self.alg, self.num, self.den))
 
     def conj(self):
-        x0, x1, x2, x3 = self.coords
-        return QuatElem(self.alg, (x0, -x1, -x2, -x3))
+        x0, x1, x2, x3 = self.num
+        return QuatElem(self.alg, (x0, -x1, -x2, -x3), self.den)
 
     def nrd(self):
         """x0^2 - a x1^2 - b x2^2 + ab x3^2, the coordinate 0 of x conj(x)."""
-        a, b = self.alg.a, self.alg.b
-        x0, x1, x2, x3 = self.coords
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        s, a, b, ab = self.alg.scaled
+        x0, x1, x2, x3 = self.num
+        return _over(s * (x0 * x0) - a * (x1 * x1) - b * (x2 * x2) + ab * (x3 * x3), s * self.den * self.den)
 
     def __repr__(self):
         return f"QuatElem{self.coords}"
@@ -132,37 +155,55 @@ class QuaternionRing:
         if self.center.is_zero(self.a) or self.center.is_zero(self.b):
             raise AlgebraError("structure constants must be nonzero")
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(s, s a, s b, s ab) for s the product of the denominators of a
+        and b over Q, so that all four are ints and a product of numerators
+        stays in int; s = 1 over a quadratic centre."""
+        if isinstance(self.center, RationalRing):
+            a, b = frac(self.a), frac(self.b)
+            s = a.denominator * b.denominator
+            return s, a.numerator * b.denominator, b.numerator * a.denominator, a.numerator * b.numerator
+        return 1, self.a, self.b, self.a * self.b
+
     @property
     def dim_q(self):
         return 4 * self.center.dim_q
 
+    def from_coords(self, coords) -> QuatElem:
+        """The element with the given coordinates in the centre."""
+        if isinstance(self.center, RationalRing):
+            (num,), den = numerators([coords])
+            return QuatElem(self, tuple(num), den)
+        return QuatElem(self, tuple(coords))
+
     def coerce(self, x):
         if isinstance(x, QuatElem):
             return x
-        if isinstance(x, (int, Fraction)):
-            x = self.center.coerce(x)
-        return QuatElem(self, (x, self._cz(), self._cz(), self._cz()))
-
-    def _cz(self):
-        return self.center.zero()
+        z = self.center.zero()
+        return self.from_coords((self.center.coerce(x), z, z, z))
 
     def one(self):
         return self.coerce(1)
 
     def zero(self):
-        return QuatElem(self, (self._cz(), self._cz(), self._cz(), self._cz()))
+        return self.coerce(0)
+
+    def _unit(self, t: int):
+        z, one = self.center.zero(), self.center.one()
+        return self.from_coords(tuple(one if s == t else z for s in range(4)))
 
     def i(self):
-        return QuatElem(self, (self._cz(), self.center.one(), self._cz(), self._cz()))
+        return self._unit(1)
 
     def j(self):
-        return QuatElem(self, (self._cz(), self._cz(), self.center.one(), self._cz()))
+        return self._unit(2)
 
     def k(self):
-        return QuatElem(self, (self._cz(), self._cz(), self._cz(), self.center.one()))
+        return self._unit(3)
 
     def is_zero(self, x):
-        return all(self.center.is_zero(c) for c in x.coords)
+        return all(self.center.is_zero(n) for n in x.num)
 
     def conj(self, x):
         return x.conj()
@@ -171,17 +212,14 @@ class QuaternionRing:
         n = x.nrd()
         if self.center.is_zero(n):
             raise ZeroDivisionError("non-invertible quaternion")
-        ninv = self.center.inv(n)
-        xc = x.conj()
-        return QuatElem(self, tuple(c * ninv for c in xc.coords))
+        return self.coerce(self.center.inv(n)) * x.conj()
 
     def to_qcoords(self, x):
         return [q for c in x.coords for q in self.center.to_qcoords(c)]
 
     def from_qcoords(self, coords):
         d = self.center.dim_q
-        comps = tuple(self.center.from_qcoords(list(coords[i * d : (i + 1) * d])) for i in range(4))
-        return QuatElem(self, comps)
+        return self.from_coords([self.center.from_qcoords(list(coords[i * d : (i + 1) * d])) for i in range(4)])
 
     def __repr__(self):
         return f"({self.a},{self.b} / {self.center})"

@@ -83,6 +83,9 @@ def _rat(v, where: str) -> Fraction:
         if "e" in v or "E" in v:
             raise InputError("schema:bad-rational", f"{where}: {v!r} (exponent notation is not accepted)")
         try:
+            # an ASCII decimal integer skips the Fraction string parser
+            if v.isascii() and v.removeprefix("-").isdigit():
+                return Fraction(int(v))
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError("schema:bad-rational", f"{where}: {v!r} ({exc})") from None

@@ -67,10 +67,19 @@ KINDS = ("symmetric", "skew", "hermitian", "quat-skew-hermitian")
 # The etale pair Q x Q with the swap involution
 
 
-@dataclass(frozen=True)
 class PairElem:
-    x: Fraction
-    y: Fraction
+    """The element (x, y) of Q x Q, two Fractions."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Fraction, y: Fraction):
+        self.x, self.y = x, y
+
+    def __eq__(self, other):
+        return isinstance(other, PairElem) and self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __add__(self, other):
         other = _pair(other)
@@ -187,7 +196,7 @@ class GramForm:
             for j in range(i, n):
                 lhs = _entry_conj(self.kind, self.ring, self.gram[j][i])
                 rhs = self.gram[i][j] if sign == 1 else -self.gram[i][j]
-                if not self.ring.is_zero(lhs - rhs):
+                if lhs != rhs:
                     raise FormError("gram matrix does not match the declared kind")
 
     def _validate_base(self):

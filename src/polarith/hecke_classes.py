@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exact import is_rational_square, primerange, rational_sqrt
 from .quadfield import (
@@ -76,10 +76,10 @@ def equivalent(q: PolClassRep | QuadElem, r: PolClassRep | QuadElem) -> bool:
     if q.is_zero() or r.is_zero():
         raise HeckeError("zero element")
     # Nm(q/r) = Nm(q)/Nm(r) is a square iff Nm(q)*Nm(r) is, tested before
-    # any division, in int: scaling q by m scales Nm(q) by m^2, so integer
-    # coordinates keep the square test
+    # any division, in int: (a, b) are the coordinates of d q, and scaling
+    # q by d scales Nm(q) by d^2, which keeps the square test
     F = q.field
-    return is_rational_square(F.norm_form(*_integer_coords(q)) * F.norm_form(*_integer_coords(r)))
+    return is_rational_square(F.norm_form(q.a, q.b) * F.norm_form(r.a, r.b))
 
 
 def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None:
@@ -122,8 +122,7 @@ def exhaustive_witness_search(
         raise HeckeError("zero element")
     F = q.field
     t, nw = F.w_trace, F.w_norm
-    qa, qb = _integer_coords(q)
-    ra, rb = _integer_coords(r)
+    qa, qb, ra, rb = q.a, q.b, r.a, r.b
     # s = r * conj(q), conj(qa + qb w) = (qa + t qb) - qb w
     qc = qa + t * qb
     c = ra * qc + rb * qb * nw
@@ -146,7 +145,7 @@ def exhaustive_witness_search(
     if not points:
         return None
     x, y = min(points)
-    u = QuadElem(F, Fraction(x), Fraction(y))
+    u = QuadElem(F, x, y)
     cand = u * u * r / q
     if not cand.is_rational() or cand.is_zero():
         raise HeckeError("internal: integer witness test disagrees with u^2 r / q")
@@ -155,13 +154,6 @@ def exhaustive_witness_search(
 
 # the default bound on the split primes `generate_classes` tries
 PRIME_CAP = 10_000
-
-
-def _integer_coords(e: QuadElem) -> tuple[int, int]:
-    """The coordinates of m e for the least positive integer m that makes
-    them integers."""
-    m = lcm(e.x.denominator, e.y.denominator)
-    return e.x.numerator * (m // e.x.denominator), e.y.numerator * (m // e.y.denominator)
 
 
 def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -> list[PolClassRep]:
@@ -211,12 +203,12 @@ def _make_totally_positive(g: QuadElem, eps: QuadElem) -> QuadElem | None:
         return None
     F = g.field
     t, nw = F.w_trace, F.w_norm
-    x, y = g.x.numerator, g.y.numerator
+    x, y = g.a, g.b
     if F.norm_form(x, y) < 0:
-        ex, ey = eps.x.numerator, eps.y.numerator
+        ex, ey = eps.a, eps.b
         x, y = x * ex - y * ey * nw, x * ey + y * ex + y * ey * t
         if F.norm_form(x, y) < 0:
             return None
     if 2 * x + t * y < 0:
         x, y = -x, -y
-    return QuadElem(F, Fraction(x), Fraction(y))
+    return QuadElem(F, x, y)

@@ -2,11 +2,13 @@
 the prime exponents of an element, principality (up to ramified twists),
 square roots up to a rational factor, units, total positivity.
 
-Elements are stored in the canonical integral basis (1, w) with
-w = (disc + sqrt(disc)) / 2, so the maximal order is exactly the set of
-elements with integer coordinates.  Ideals are stored as a 2x2 integer
-row-HNF basis over a positive denominator; equality is normalized basis
-equality, which makes ideals hashable and suitable for golden tests.
+An element is (a + b w) / d in the canonical integral basis (1, w),
+w = (disc + sqrt(disc)) / 2, held as three ints with d > 0 and
+gcd(a, b, d) = 1: arithmetic runs in int and ends with one gcd, equal
+elements have equal triples, and the maximal order is exactly the set of
+elements with d = 1.  Ideals are stored as a 2x2 integer row-HNF basis
+over a positive denominator; equality is normalized basis equality, which
+makes ideals hashable and suitable for golden tests.
 
 A prime ideal (p, w - r) is written in row HNF in closed form, for a root
 r of w's minimal polynomial mod p taken from a square root mod p
@@ -34,7 +36,7 @@ from .exact import (
     square_class,
     valuation,
 )
-from .linalg import frac, hnf, numerators
+from .linalg import frac, hnf
 
 
 class QuadFieldError(ValueError):
@@ -85,26 +87,26 @@ class QuadField:
         return x * x + self.w_trace * x * y + self.w_norm * y * y
 
     def one(self) -> "QuadElem":
-        return QuadElem(self, Fraction(1), Fraction(0))
+        return _elem(self, 1, 0, 1)
 
     def zero(self) -> "QuadElem":
-        return QuadElem(self, Fraction(0), Fraction(0))
+        return _elem(self, 0, 0, 1)
 
     def omega(self) -> "QuadElem":
-        return QuadElem(self, Fraction(0), Fraction(1))
+        return _elem(self, 0, 1, 1)
 
     def sqrtD(self) -> "QuadElem":
         """The element sqrt(D) in (1, w) coordinates."""
         if self.D % 4 == 1:
-            return QuadElem(self, Fraction(-self.D), Fraction(2))
-        return QuadElem(self, Fraction(-2 * self.D), Fraction(1))
+            return _elem(self, -self.D, 2, 1)
+        return _elem(self, -2 * self.D, 1, 1)
 
     def from_rational(self, x) -> "QuadElem":
-        return QuadElem(self, frac(x), Fraction(0))
+        return QuadElem(self, x, 0)
 
     def from_sqrt_coords(self, s, t) -> "QuadElem":
         """The element s + t*sqrt(D)."""
-        return self.from_rational(s) + self.sqrtD() * frac(t)
+        return self.from_rational(frac(s)) + self.sqrtD() * frac(t)
 
     def is_zero(self, x: "QuadElem") -> bool:
         return x.is_zero()
@@ -128,30 +130,69 @@ class QuadField:
         return f"Q(sqrt({self.D}))"
 
 
-@dataclass(frozen=True)
+def _elem(field: QuadField, a: int, b: int, d: int) -> "QuadElem":
+    """The element (a + b w) / d of `field`, d > 0, in lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    e = object.__new__(QuadElem)
+    e.field, e.a, e.b, e.d = field, a, b, d
+    return e
+
+
 class QuadElem:
-    field: QuadField
-    x: Fraction
-    y: Fraction
+    """The element (a + b w) / d of a quadratic field, held as three ints
+    with d > 0 and gcd(a, b, d) = 1.  So equal elements have equal triples,
+    which `==` and `hash` compare, and d is the least positive integer that
+    makes d e integral.  Every operation works on the ints and reduces its
+    result with one gcd; `x` = a / d and `y` = b / d are the coordinates as
+    Fractions.  QuadElem(field, x, y) is x + y w for int or Fraction x, y."""
+
+    __slots__ = ("field", "a", "b", "d")
+
+    def __init__(self, field: QuadField, x, y):
+        # x and y in lowest terms over the lcm of their denominators: no gcd
+        xd, yd = x.denominator, y.denominator
+        d = lcm(xd, yd)
+        self.field, self.a, self.b, self.d = field, x.numerator * (d // xd), y.numerator * (d // yd), d
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def _check(self, other: "QuadElem"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise QuadFieldError("elements of different fields")
 
+    def __eq__(self, other):
+        if not isinstance(other, QuadElem):
+            return NotImplemented
+        if self.a != other.a or self.b != other.b or self.d != other.d:
+            return False
+        return self.field is other.field or self.field == other.field
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b, self.d))
+
     def __add__(self, other):
+        d = self.d
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+            n, m = other.numerator, other.denominator
+            return _elem(self.field, self.a * m + n * d, self.b * m, d * m)
         self._check(other)
-        return QuadElem(self.field, self.x + other.x, self.y + other.y)
+        e = other.d
+        return _elem(self.field, self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem(self.field, -self.x, -self.y)
+        return _elem(self.field, -self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -159,52 +200,48 @@ class QuadElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, self.x * other, self.y * other)
+            n = other.numerator
+            return _elem(self.field, self.a * n, self.b * n, self.d * other.denominator)
         self._check(other)
-        # w^2 = disc*w - (disc^2-disc)/4
-        t, nw = self.field.w_trace, self.field.w_norm
-        yy = self.y * other.y
-        return QuadElem(
-            self.field,
-            self.x * other.x - yy * nw,
-            self.x * other.y + self.y * other.x + yy * t,
-        )
+        # w^2 = t w - nw
+        F, a, b, c, e = self.field, self.a, self.b, other.a, other.b
+        be = b * e
+        return _elem(F, a * c - be * F.w_norm, a * e + b * c + be * F.w_trace, self.d * other.d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadElem":
-        return QuadElem(self.field, self.x + self.y * self.field.w_trace, -self.y)
+        return _elem(self.field, self.a + self.b * self.field.w_trace, -self.b, self.d)
 
     def norm(self) -> Fraction:
-        x, y, F = self.x, self.y, self.field
-        if x.denominator == 1 and y.denominator == 1:
-            # integral: the same formula in int, one Fraction at the end
-            return Fraction(F.norm_form(x.numerator, y.numerator))
-        return x * x + x * y * F.w_trace + y * y * F.w_norm
+        return Fraction(self.field.norm_form(self.a, self.b), self.d * self.d)
 
     def trace(self) -> Fraction:
-        return 2 * self.x + self.y * self.field.w_trace
+        return Fraction(2 * self.a + self.b * self.field.w_trace, self.d)
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self.a == 0 and self.b == 0
 
     def is_rational(self) -> bool:
-        return self.y == 0
+        return self.b == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise QuadFieldError(f"{self} is not rational")
-        return self.x
+        return Fraction(self.a, self.d)
 
     def inv(self) -> "QuadElem":
-        n = self.norm()
+        # 1 / ((a + b w) / d) = d conj(a + b w) / Nm(a + b w)
+        F, a, b = self.field, self.a, self.b
+        n = F.norm_form(a, b)
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.conj() * (1 / n)
+        d = self.d if n > 0 else -self.d
+        return _elem(F, (a + b * F.w_trace) * d, -b * d, abs(n))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, self.x / other, self.y / other)
+            return self * Fraction(other.denominator, other.numerator)
         self._check(other)
         return self * other.inv()
 
@@ -221,10 +258,10 @@ class QuadElem:
         return out
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.d == 1
 
     def is_unit(self) -> bool:
-        return self.is_integral() and abs(self.norm()) == 1
+        return self.d == 1 and abs(self.field.norm_form(self.a, self.b)) == 1
 
     def sign_at(self, embedding: int) -> int:
         """Sign of the image under the two real embeddings (0: w -> (disc+sqrt)/2,
@@ -233,9 +270,9 @@ class QuadElem:
             raise QuadFieldError("real embeddings need a real field")
         if self.is_zero():
             return 0
-        # value = (A + B*sqrt(disc)) / 2 with A = 2x + y*disc, B = +-y
-        A = 2 * self.x + self.y * self.field.disc
-        B = self.y if embedding == 0 else -self.y
+        # value = (A + B*sqrt(disc)) / 2d with A = 2a + b*disc, B = +-b, d > 0
+        A = 2 * self.a + self.b * self.field.disc
+        B = self.b if embedding == 0 else -self.b
         if B == 0:
             return 1 if A > 0 else -1
         if A == 0:
@@ -345,18 +382,15 @@ class QfIdeal:
         for g in gens:
             closure.append(g)
             closure.append(g * field.omega())
-        rows, den = numerators([[g.x, g.y] for g in closure])
-        return cls.from_rows(field, rows, den)
+        den = lcm(*(g.d for g in closure))
+        return cls.from_rows(field, [[g.a * (den // g.d), g.b * (den // g.d)] for g in closure], den)
 
     @classmethod
     def unit_ideal(cls, field: QuadField) -> "QfIdeal":
         return cls.from_rows(field, [[1, 0], [0, 1]], 1)
 
     def basis_elements(self) -> list[QuadElem]:
-        return [
-            QuadElem(self.field, Fraction(r[0], self.den), Fraction(r[1], self.den))
-            for r in self.num
-        ]
+        return [_elem(self.field, r[0], r[1], self.den) for r in self.num]
 
     def norm(self) -> Fraction:
         d = self.num[0][0] * self.num[1][1] - self.num[0][1] * self.num[1][0]
@@ -461,7 +495,7 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
         raise QuadFieldError("valuation of zero")
     field = e.field
     n = e.norm()
-    den = factorint(lcm(e.x.denominator, e.y.denominator))
+    den = factorint(e.d)
     out = []
     for p in sorted(set(factorint(abs(n.numerator))) | set(den)):
         kind = prime_splitting(field, p)
@@ -473,13 +507,14 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
         elif kind == "ramified":
             vals = [vn]
         else:
-            # v_P(e) lies in [-v_p(den), vn + v_p(den)] and v_p(y) >= -v_p(den):
-            # at this precision x + y r has the valuation of the P-adic image
-            prec = max(vn, 0) + 2 * den.get(p, 0) + 4
+            # v_P(e) lies in [-vd, vn + vd], vd = v_p(d): at this precision
+            # a + b r = d (x + y r) has the valuation of the P-adic image of d e
+            vd = den.get(p, 0)
+            prec = max(vn, 0) + 2 * vd + 4
             t, nw = field.w_trace, field.w_norm
-            s = [e.x + e.y * lift_root(t, nw, r, p, prec) for r in roots_mod_p(field, p)]
+            s = [e.a + e.b * lift_root(t, nw, r, p, prec) for r in roots_mod_p(field, p)]
             # s = 0 exactly: the other prime carries the norm's valuation
-            vals = [valuation(si, p) if si else vn - valuation(s[1 - i], p) for i, si in enumerate(s)]
+            vals = [valuation(si, p) - vd if si else vn + vd - valuation(s[1 - i], p) for i, si in enumerate(s)]
             if vals[0] + vals[1] != vn:
                 raise QuadFieldError("internal: split valuations do not add up to v_p(Nm)")
         if any(vals):
@@ -535,7 +570,7 @@ def fundamental_unit(field: QuadField) -> QuadElem:
         x, y = -x, -y
     if y < 0:
         x, y = x + y * disc, -y
-    return QuadElem(field, Fraction(x), Fraction(y))
+    return _elem(field, x, y, 1)
 
 
 def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None:
@@ -570,7 +605,7 @@ def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None
                 return None
         if eps is None:
             eps = fundamental_unit(field)
-        ex, ey = eps.x.numerator, eps.y.numerator
+        ex, ey = eps.a, eps.b
         # each generator is +-h eta^k: eta = eps, h = g if Nm eps = 1; eta =
         # eps^2, h in {g, g eps} if Nm eps = -1.  As Nm eta = 1, |y(h eta^k)|
         # is |h_1 eta^k - h_2 eta^-k| / sqrt(disc), which falls, then rises
@@ -592,8 +627,7 @@ def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None
                 cands += [(x, y, n), (qx, qy, n)] if abs(qy) == abs(y) else [(x, y, n)]
     # the sign of each candidate that gives y > 0, or y = 0 and x > 0
     y, _, x = min((y, n < 0, -x) if (y, x) > (0, 0) else (-y, n < 0, x) for x, y, n in cands)
-    g = QuadElem(field, Fraction(-x), Fraction(y))
-    return g if ideal.den == 1 else g / ideal.den
+    return _elem(field, -x, y, ideal.den)
 
 
 def principalize_with_ramified_twists(ideal: QfIdeal) -> tuple[QuadElem, int] | None:

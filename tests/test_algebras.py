@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -521,3 +522,69 @@ def test_matrix_over_quadratic_field():
     md = A.involve(m)
     # conjugate-transpose: sqrt5 bar = -sqrt5
     assert f.eq(md[0], [[-s5, F5.zero()], [F5.zero(), F5.one()]])
+
+
+def _ref_quat_mul(ring, x, y):
+    """The product of two coordinate tuples over the centre, by the
+    textbook formula (i^2 = a, j^2 = b, ij = -ji)."""
+    a, b = ring.a, ring.b
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+def _assert_quat_agrees(x, coords):
+    """x has the centre coordinates `coords`, in its normal form: over Q,
+    int numerators over a den > 0 with gcd(num, den) = 1; over a quadratic
+    centre, den = 1."""
+    assert tuple(x.coords) == tuple(coords)
+    if isinstance(x.alg.center, RationalRing):
+        assert all(type(n) is int for n in x.num) and x.den > 0 and gcd(x.den, *x.num) == 1
+    else:
+        assert x.den == 1
+
+
+@pytest.mark.parametrize(
+    "name, ring",
+    [
+        ("Q(-1,-3)", QuaternionRing(RationalRing(), Fraction(-1), Fraction(-3))),
+        ("Q(1/2,-5/3)", QuaternionRing(RationalRing(), Fraction(1, 2), Fraction(-5, 3))),
+        *QUATERNION_BASES.items(),
+    ],
+    ids=["Q(-1,-3)", "Q(1/2,-5/3)", *QUATERNION_BASES],
+)
+def test_quaternion_elements_agree_with_centre_coordinates(name, ring):
+    """Seeded: on elements with mixed denominators and zero coordinates,
+    +, -, *, scalar products, conj, nrd, inv, == and hash of `QuatElem`
+    agree with the textbook formulas on centre coordinates, and every
+    result is in normal form."""
+    rng = random.Random(name)
+    values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]
+    for _ in range(60):
+        qx, qy = ([rng.choice(values) for _ in range(ring.dim_q)] for _ in range(2))
+        x, y = ring.from_qcoords(qx), ring.from_qcoords(qy)
+        cx, cy = x.coords, y.coords
+        assert ring.to_qcoords(x) == qx
+        c = rng.choice(values[1:])
+        _assert_quat_agrees(x + y, [s + t for s, t in zip(cx, cy)])
+        _assert_quat_agrees(x - y, [s - t for s, t in zip(cx, cy)])
+        _assert_quat_agrees(x * y, _ref_quat_mul(ring, cx, cy))
+        _assert_quat_agrees(x * c, [s * c for s in cx])
+        _assert_quat_agrees(c * x, [s * c for s in cx])
+        _assert_quat_agrees(x.conj(), [cx[0], -cx[1], -cx[2], -cx[3]])
+        n = x.nrd()
+        assert n == _ref_quat_mul(ring, cx, x.conj().coords)[0]
+        assert (x == y) == (cx == cy) and ring.is_zero(x) == (set(qx) == {0})
+        if ring.center.is_zero(n):
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(x)
+            continue
+        inv = ring.inv(x)
+        _assert_quat_agrees(inv, [s / n for s in x.conj().coords])
+        back = y * x * inv
+        assert back == y and hash(back) == hash(y)

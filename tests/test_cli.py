@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polarith
-from polarith.cli import VERBS, main, parse_instance, serialize_element
+from polarith.cli import VERBS, InputError, _rat, main, parse_instance, serialize_element
 from polarith.degree_bound import BoundResult, verify_result
 from polarith.quadfield import QuadElem
 
@@ -1017,6 +1017,34 @@ def test_exponent_rational_is_refused_at_once(tmp_path, entry):
     assert code == 1
     assert out["error"] == {"code": "schema:bad-rational",
                             "message": f"form.gram[0][0]: {entry!r} (exponent notation is not accepted)"}
+
+
+# what a split on "/" gets wrong ("3/-7", "3/0"), what int() and the
+# Fraction parser read differently ("٣", "²", "1_000", " 5", "+4"),
+# empty and sign-only strings, and an integer past int()'s digit limit
+_RATIONAL_CORPUS = ["3/-7", "3/0", "+4", " 5", "1_000", "٣", "²", "-0", "--3", "3 /7", "", "-",
+                    "12", "-45", "7/21", "-6/4", "9" * 5000, "1e5"]
+
+
+@pytest.mark.parametrize("text", _RATIONAL_CORPUS)
+def test_rational_strings_read_as_fraction_reads_them(text):
+    """`_rat` reads an ASCII decimal integer without the Fraction parser;
+    on every string it accepts what `Fraction(str)` accepts, with the same
+    value, and answers the rest `schema:bad-rational`, exponent notation
+    included."""
+    try:
+        want = None if "e" in text else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is None:
+        with pytest.raises(InputError) as exc:
+            _rat(text, "v")
+        assert exc.value.code == "schema:bad-rational"
+        if "e" in text:
+            assert "exponent notation" in str(exc.value)
+    else:
+        got = _rat(text, "v")
+        assert type(got) is Fraction and got == want
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -678,3 +679,104 @@ def test_principality_with_a_huge_fundamental_unit():
     P = primes_above(F, 2)[0]
     g = is_principal(P, eps)
     assert abs(g.norm()) == 2 and QfIdeal.from_generators([g]) == P
+
+
+class _RefQuad:
+    """x + y w with Fraction coordinates and the textbook formulas (w^2 =
+    t w - nw, conj w = t - w): an oracle for the integer `QuadElem`."""
+
+    def __init__(self, F, x, y):
+        self.F, self.x, self.y = F, Fraction(x), Fraction(y)
+
+    def __add__(self, o):
+        return _RefQuad(self.F, self.x + o.x, self.y + o.y)
+
+    def __sub__(self, o):
+        return _RefQuad(self.F, self.x - o.x, self.y - o.y)
+
+    def __mul__(self, o):
+        if isinstance(o, Fraction):
+            return _RefQuad(self.F, self.x * o, self.y * o)
+        yy = self.y * o.y
+        return _RefQuad(self.F, self.x * o.x - yy * self.F.w_norm, self.x * o.y + self.y * o.x + yy * self.F.w_trace)
+
+    def conj(self):
+        return _RefQuad(self.F, self.x + self.y * self.F.w_trace, -self.y)
+
+    def norm(self):
+        return self.x * self.x + self.x * self.y * self.F.w_trace + self.y * self.y * self.F.w_norm
+
+    def trace(self):
+        return 2 * self.x + self.y * self.F.w_trace
+
+    def inv(self):
+        return self.conj() * (1 / self.norm())
+
+    def sign_at(self, embedding):
+        """The sign of x + y (disc +- sqrt(disc)) / 2, at 60 digits."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = Decimal(self.F.disc).sqrt()
+            w = (self.F.disc + (root if embedding == 0 else -root)) / 2
+            value = Decimal(self.x.numerator) / self.x.denominator + Decimal(self.y.numerator) / self.y.denominator * w
+        return (value > 0) - (value < 0)
+
+
+_COORDS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(7), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+           Fraction(-9, 10), Fraction(4, 9), Fraction(11, 12)]
+
+
+def _assert_agrees(e, ref):
+    """e has ref's coordinates, and its triple is normalized: d > 0 and
+    gcd(a, b, d) = 1, on which `==` and `hash` rely."""
+    assert e.d > 0 and gcd(e.a, e.b, e.d) == 1
+    assert (e.x, e.y) == (ref.x, ref.y)
+
+
+@pytest.mark.parametrize("D", [-1, -3, -7, -15, 2, 3, 5, 13])
+def test_integer_elements_agree_with_fraction_coordinates(D):
+    """Seeded: on pairs with mixed denominators and zero, every operation of
+    `QuadElem` agrees with the Fraction-coordinate oracle, and every result
+    is normalized."""
+    F = QuadField(D)
+    rng = random.Random(D)
+    for _ in range(300):
+        xs = [rng.choice(_COORDS) for _ in range(4)]
+        p, q = QuadElem(F, xs[0], xs[1]), QuadElem(F, xs[2], xs[3])
+        rp, rq = _RefQuad(F, xs[0], xs[1]), _RefQuad(F, xs[2], xs[3])
+        c = rng.choice(_COORDS[1:])
+        _assert_agrees(p, rp)
+        _assert_agrees(p + q, rp + rq)
+        _assert_agrees(p - q, rp - rq)
+        _assert_agrees(-p, _RefQuad(F, 0, 0) - rp)
+        _assert_agrees(p * q, rp * rq)
+        _assert_agrees(p + c, rp + _RefQuad(F, c, 0))
+        _assert_agrees(c - p, _RefQuad(F, c, 0) - rp)
+        _assert_agrees(p * c, rp * c)
+        _assert_agrees(c * p, rp * c)
+        _assert_agrees(p / c, rp * (1 / c))
+        _assert_agrees(p.conj(), rp.conj())
+        assert p.norm() == rp.norm() and p.trace() == rp.trace()
+        assert p.is_integral() == (rp.x.denominator == rp.y.denominator == 1)
+        assert p.is_unit() == (p.is_integral() and abs(rp.norm()) == 1)
+        assert (p == q) == ((rp.x, rp.y) == (rq.x, rq.y))
+        if F.is_real:
+            for embedding in (0, 1):
+                assert p.sign_at(embedding) == rp.sign_at(embedding)
+        if q.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                q.inv()
+            continue
+        _assert_agrees(q.inv(), rq.inv())
+        _assert_agrees(p / q, rp * rq.inv())
+        _assert_agrees(q**-2, rq.inv() * rq.inv())
+        _assert_agrees(q**3, rq * rq * rq)
+        # the same element reached by two routes is equal, with one hash
+        back = p * q / q
+        assert back == p and hash(back) == hash(p)
+    G = QuadField(7 if D != 7 else 11)
+    one, other = F.one(), G.one()
+    assert one != other
+    for op in (lambda: one + other, lambda: one - other, lambda: one * other, lambda: one / other):
+        with pytest.raises(QuadFieldError):
+            op()

@@ -143,6 +143,31 @@ def test_every_import_is_read():
     assert unread == []
 
 
+def test_no_fraction_rebuilt_from_element_coordinates():
+    """`e.x.numerator`, `e.y.denominator` and the like build a Fraction that
+    a `QuadElem` already holds as the ints a, b and d; outside the class
+    itself, src/ reads those ints."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {
+            id(node)
+            for cls in tree.body
+            if path.name == "quadfield.py" and isinstance(cls, ast.ClassDef) and cls.name == "QuadElem"
+            for node in ast.walk(cls)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("numerator", "denominator")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("x", "y")
+            and id(node) not in own
+        ]
+    assert found == []
+
+
 def test_sympy_imports_are_the_traced_names():
     """src/ takes from sympy only the functions that perfbench/spans.py
     wraps (`SYMPY_NAMES`), under their own names, so every sympy call
