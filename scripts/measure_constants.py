@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from polarith.degree_bound import (
     BoundInstance,
+    DegreeBoundError,
     matrix_instance,
     measure_constant,
     quadfield_instance,
@@ -39,8 +40,8 @@ def commutative_batch(D, count, seed, norm_bound):
         if not q.is_integral() or abs(q.norm()) > norm_bound:
             continue
         try:
-            out.append(BoundInstance(base.algebra, base.spec, base.order, (q,), (z.inv(),)))
-        except Exception:
+            out.append(BoundInstance(base.order, (q,), (z.inv(),)))
+        except DegreeBoundError:
             continue
     return out
 
@@ -64,7 +65,7 @@ def matrix_batch(count, seed):
         a = mat_mul(inverse(u), mat([[1, 0], [0, Fraction(1, k)]]))
         try:
             out.append(matrix_instance(2, q, a))
-        except Exception:
+        except DegreeBoundError:
             continue
     return out
 

@@ -1,6 +1,6 @@
 """Semisimple Q-algebras with involution over concrete simple factors
 (Q, quadratic field, quaternion algebra, matrix algebras over these),
-dagger-stable orders, and norms with per-factor exponents.
+each carrying the exponents of its norm, and dagger-stable orders.
 
 A factor's norm is |Nm_{F/Q}(Nrd x)| over its centre F: |x| on Q,
 |Nm_{F/Q}(x)| on a quadratic field, |Nm_{F/Q}(nrd x)| on a quaternion
@@ -265,6 +265,9 @@ class SimpleFactor:
             if self.z is None:  # I is symmetric and invertible
                 object.__setattr__(self, "z", _freeze(identity(self.matrix_size, self.ring)))
                 return
+            n = self.matrix_size
+            if len(self.z) != n or any(len(row) != n for row in self.z):
+                raise AlgebraError(f"conjugator must be {n} x {n}")
             zm = self.z_matrix()
             zct = conj_transpose(zm, self.ring)
             zneg = [[-x for x in row] for row in zm]
@@ -350,11 +353,7 @@ class SimpleFactor:
             return mat_mul(mat_mul(zinv, xct, self.ring), zm, self.ring)
         if self.involution == "identity":
             return x
-        if self.involution == "conjugation":
-            return x.conj()
-        if self.involution == "canonical":
-            return x.conj()
-        raise AlgebraError("bad involution")
+        return x.conj()  # conjugation or canonical, by __post_init__
 
     def to_qcoords(self, x) -> list[Fraction]:
         if self.matrix_size:
@@ -404,8 +403,14 @@ def _freeze(m):
 
 @dataclass(frozen=True)
 class AlgebraWithInvolution:
+    """Simple factors, the involution on each (a swap pair exchanges two
+    factors) and the norm Nm(x) = prod_i |Nm_{F_i/Q}(Nrd x_i)|^{gamma_i}:
+    one gamma_i >= 1 per factor, all 1 by default, equal on swapped
+    factors (dagger-compatibility).  Its rank is `rank_d`."""
+
     factors: tuple[SimpleFactor, ...]
     swap_pairs: tuple[tuple[int, int], ...] = ()
+    gammas: tuple[int, ...] | None = None
 
     def __post_init__(self):
         seen = set()
@@ -420,6 +425,19 @@ class AlgebraWithInvolution:
                 raise AlgebraError("swap pairs are supported for etale (field) factors")
             if type(fi.ring) is not type(fj.ring):
                 raise AlgebraError("swap pairs must join matching kinds")
+        gammas = (1,) * len(self.factors) if self.gammas is None else tuple(self.gammas)
+        object.__setattr__(self, "gammas", gammas)
+        if len(gammas) != len(self.factors):
+            raise AlgebraError("one gamma per factor")
+        if any(g < 1 for g in gammas):
+            raise AlgebraError("gammas must be positive")
+        for i, j in self.swap_pairs:
+            if gammas[i] != gammas[j]:
+                raise AlgebraError("dagger-compatibility requires equal gammas on swapped factors")
+
+    @property
+    def rank_d(self) -> int:
+        return sum(g * f.rank_contribution for g, f in zip(self.gammas, self.factors))
 
     @property
     def swapped_indices(self) -> set[int]:
@@ -481,39 +499,16 @@ class AlgebraWithInvolution:
         return " x ".join(repr(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Exponents gamma_i per factor and the rank d of the norm they force."""
-
-    algebra: AlgebraWithInvolution
-    gammas: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.gammas) != len(self.algebra.factors):
-            raise AlgebraError("one gamma per factor")
-        if any(g < 1 for g in self.gammas):
-            raise AlgebraError("gammas must be positive")
-        for i, j in self.algebra.swap_pairs:
-            if self.gammas[i] != self.gammas[j]:
-                raise AlgebraError("dagger-compatibility requires equal gammas on swapped factors")
-
-    @property
-    def rank_d(self) -> int:
-        return sum(g * f.rank_contribution for g, f in zip(self.gammas, self.algebra.factors))
-
-
-def norm(algebra: AlgebraWithInvolution, x, spec: NormSpec) -> Fraction:
+def norm(algebra: AlgebraWithInvolution, x) -> Fraction:
     """Nm_E(x) = prod_i |Nm_{F_i/Q}(Nrd(x_i))|^{gamma_i}."""
-    if spec.algebra is not algebra and spec.algebra != algebra:
-        raise AlgebraError("norm spec belongs to a different algebra")
-    parts = zip(algebra.factors, x, spec.gammas)
+    parts = zip(algebra.factors, x, algebra.gammas)
     return prod((f.abs_norm(a) ** g for f, a, g in parts), start=Fraction(1))
 
 
-def local_norm(algebra: AlgebraWithInvolution, x, p: int, spec: NormSpec) -> Fraction:
+def local_norm(algebra: AlgebraWithInvolution, x, p: int) -> Fraction:
     """Nm_{E_p}(x) = prod_i |Nm(Nrd(x_i))|_p^{-gamma_i}, a power of p."""
     out = Fraction(1)
-    for f, a, g in zip(algebra.factors, x, spec.gammas):
+    for f, a, g in zip(algebra.factors, x, algebra.gammas):
         q = f.abs_norm(a)
         if q == 0:
             raise AlgebraError("local norm of a non-invertible element")
@@ -604,10 +599,10 @@ class OrderR:
         return acc
 
 
-def norm_times_inverse(order: OrderR, x, spec: NormSpec):
+def norm_times_inverse(order: OrderR, x):
     """Nm_E(x) * x^{-1}, asserted to lie in the order."""
     algebra = order.algebra
-    n = norm(algebra, x, spec)
+    n = norm(algebra, x)
     if n == 0:
         raise AlgebraError("element is not invertible")
     out = algebra.scale(n, algebra.inv(x))

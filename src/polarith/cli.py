@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebras import (
     AlgebraError,
     AlgebraWithInvolution,
-    NormSpec,
     OrderR,
     QuaternionRing,
     SimpleFactor,
@@ -354,18 +354,18 @@ def _parse_general_algebra(alg, where: str):
         raise InputError(
             "schema:bad-algebra", f"{where}.swap_pairs: expected pairs of factor indices"
         )
+    # errors in this order: swap pairs, the gammas schema, then gamma count
+    # and dagger-compatibility
     A = AlgebraWithInvolution(tuple(factors), tuple(tuple(p) for p in swap_pairs))
     gammas = alg.get("gammas", [1] * len(factors))
     if not isinstance(gammas, list):
         raise InputError("schema:bad-field", f"{where}.gammas: expected a list")
-    gammas = tuple(_int(g, f"{where}.gammas", least=1) for g in gammas)
-    spec = NormSpec(A, gammas)
-    return A, spec
+    return replace(A, gammas=tuple(_int(g, f"{where}.gammas", least=1) for g in gammas))
 
 
 def _general_instance(doc, where: str) -> BoundInstance:
     try:
-        A, spec = _parse_general_algebra(doc["algebra"], where)
+        A = _parse_general_algebra(doc["algebra"], where)
         n = A.dim_q
         basis_doc = doc.get("order_basis")
         if basis_doc is None:
@@ -379,7 +379,7 @@ def _general_instance(doc, where: str) -> BoundInstance:
         order = OrderR(A, basis)
         q = A.from_qcoords(_coords(doc["q"], n, f"{where}.q"))
         a = A.from_qcoords(_coords(doc["a"], n, f"{where}.a"))
-        return BoundInstance(A, spec, order, q, a)
+        return BoundInstance(order, q, a)
     except (AlgebraError, QuadFieldError) as exc:
         raise InputError("precondition:algebra", f"{where}: {exc}") from None
 

@@ -28,14 +28,13 @@ Nm(ideal) <= Nm(q)^{(3d-1)/2}; the result records what was achieved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm, prod
 
 from .algebras import (
     AlgebraWithInvolution,
-    NormSpec,
     OrderR,
     matrix_algebra_q,
     norm,
@@ -73,12 +72,12 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass
 class BoundInstance:
-    """(algebra, norm, order, q, a) with q symmetric in R and a^dagger q a a
-    nonzero rational scalar (checked).  a = None builds an oracle-only
-    instance with no similitude hypothesis (the solvers reject it)."""
+    """(R, q, a) with q symmetric in the order R and a^dagger q a a nonzero
+    rational scalar (checked).  The algebra, its involution and its norm
+    exponents are those of R (`algebra` reads `order.algebra`).  a = None
+    builds an oracle-only instance with no similitude hypothesis (the
+    solvers reject it)."""
 
-    algebra: AlgebraWithInvolution
-    spec: NormSpec
     order: OrderR
     q: tuple
     a: tuple | None
@@ -103,11 +102,15 @@ class BoundInstance:
         return self.m
 
     @property
+    def algebra(self) -> AlgebraWithInvolution:
+        return self.order.algebra
+
+    @property
     def d(self) -> int:
-        return self.spec.rank_d
+        return self.algebra.rank_d
 
     def norm_q(self) -> Fraction:
-        return norm(self.algebra, self.q, self.spec)
+        return norm(self.algebra, self.q)
 
 
 @dataclass
@@ -138,7 +141,7 @@ def verify_result(inst: BoundInstance, res: BoundResult) -> None:
         raise DegreeBoundError("b^dagger q b is not a nonzero rational integer")
     if val != res.value:
         raise DegreeBoundError("reported value mismatch")
-    if norm(A, res.b, inst.spec) != res.norm_b:
+    if norm(A, res.b) != res.norm_b:
         raise DegreeBoundError("reported norm mismatch")
 
 
@@ -156,26 +159,19 @@ def _verified(inst: BoundInstance, method: str, b, value, norm_b, notes=None) ->
 
 def quadfield_instance(D: int | QuadField, q_coords, a_coords, involution: str = "identity") -> BoundInstance:
     F = D if isinstance(D, QuadField) else QuadField(D)
-    A = quadfield_algebra(F, involution)
-    spec = NormSpec(A, (1,))
-    order = OrderR.standard(A)
+    order = OrderR.standard(quadfield_algebra(F, involution))
     q = (QuadElem(F, frac(q_coords[0]), frac(q_coords[1])),)
     a = (QuadElem(F, frac(a_coords[0]), frac(a_coords[1])),)
-    return BoundInstance(A, spec, order, q, a)
+    return BoundInstance(order, q, a)
 
 
 def rational_instance(q: int | Fraction, a=1) -> BoundInstance:
-    A = rational_algebra()
-    spec = NormSpec(A, (1,))
-    order = OrderR.standard(A)
-    return BoundInstance(A, spec, order, (frac(q),), (frac(a),))
+    return BoundInstance(OrderR.standard(rational_algebra()), (frac(q),), (frac(a),))
 
 
 def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
-    A = matrix_algebra_q(n)
-    spec = NormSpec(A, (gamma,))
-    order = OrderR.standard(A)
-    return BoundInstance(A, spec, order, (mat(q_rows),), (mat(a_rows),))
+    A = replace(matrix_algebra_q(n), gammas=(gamma,))
+    return BoundInstance(OrderR.standard(A), (mat(q_rows),), (mat(a_rows),))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
         return _oracle_fallback(inst, "unimodular Gram is not in the class of I_n")
     b = mat_mul(bstar, inverse(t))
     notes = {"m2": str(m2), "active_primes": active}
-    return _verified(inst, "lattice-glue", (b,), m2, abs(det(b)) ** inst.spec.gammas[0], notes)
+    return _verified(inst, "lattice-glue", (b,), m2, abs(det(b)) ** inst.algebra.gammas[0], notes)
 
 
 def _rows_of_integer_lattice(basis) -> list[list[int]]:
@@ -447,7 +443,7 @@ def brute_force_oracle(
                 raise DegreeBoundError("internal: integer forms disagree with b^dagger q b")
             if val == 0 or val.denominator != 1:
                 continue
-            nb = norm(A, b, inst.spec)
+            nb = norm(A, b)
             if nb > norm_cap:
                 continue
             key = (nb, coords)
@@ -526,7 +522,7 @@ def _cleared_similitude_result(inst: BoundInstance) -> BoundResult | None:
     val = inst.m * t * t
     if val.denominator != 1:
         return None
-    return _verified(inst, "cleared-similitude", b, val, norm(inst.algebra, b, inst.spec))
+    return _verified(inst, "cleared-similitude", b, val, norm(inst.algebra, b))
 
 
 def _oracle_fallback(inst: BoundInstance, reason: str) -> BoundResult:
@@ -584,8 +580,8 @@ def check_measure_constant(instances: list[BoundInstance]) -> None:
     (R, dagger, Nm)."""
     if not instances:
         raise DegreeBoundError("empty batch")
-    ref = (instances[0].algebra, instances[0].spec.gammas)
-    if any((inst.algebra, inst.spec.gammas) != ref for inst in instances):
+    ref = instances[0].algebra
+    if any(inst.algebra != ref for inst in instances):
         raise DegreeBoundError("instances must share (R, dagger, Nm)")
 
 

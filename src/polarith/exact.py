@@ -245,9 +245,10 @@ def factorint(n: int) -> dict[int, int]:
 REAL_PLACE = 0
 
 
-def _local_data(x, p: int) -> tuple[int, int]:
-    """(v_p(x), residue of the unit part of x mod p, or mod 8 at p = 2) for
-    a nonzero int or Fraction x.  p must already be known to be prime."""
+def _local_data(x, p: int, modulus: int | None = None) -> tuple[int, int]:
+    """(v_p(x), residue of the unit part of x mod `modulus`, by default p,
+    or 8 at p = 2) for a nonzero int or Fraction x.  p must already be
+    known to be prime."""
     n, d = x.numerator, x.denominator
     v = 0
     while n % p == 0:
@@ -256,7 +257,7 @@ def _local_data(x, p: int) -> tuple[int, int]:
     while d % p == 0:
         d //= p
         v -= 1
-    m = 8 if p == 2 else p
+    m = modulus or (8 if p == 2 else p)
     return v, (n if d == 1 else n * pow(d, -1, m)) % m
 
 
@@ -270,17 +271,11 @@ def valuation(x: Fraction | int, p: int) -> int:
     return _local_data(x, p)[0]
 
 
-def unit_part(x: Fraction | int, p: int) -> Fraction:
-    """x / p^{v_p(x)}."""
-    return Fraction(x) / Fraction(p) ** valuation(x, p)
-
-
 def unit_residue(x: Fraction | int, p: int, modulus: int | None = None) -> int:
     """The residue of the p-adic unit part of x modulo `modulus` (default p)."""
-    if modulus is None:
-        modulus = p
-    u = unit_part(x, p)
-    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+    x = Fraction(x)
+    valuation(x, p)  # refuses zero and a non-prime p
+    return _local_data(x, p, modulus or p)[1]
 
 
 def square_class(x: Fraction | int) -> int:

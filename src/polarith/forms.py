@@ -457,8 +457,7 @@ class MatrixInvolution:
 
     kind: str
     ring: object
-    n: int
-    z: list
+    z: list  # n x n
 
     def apply(self, a: list) -> list:
         act = _kind_conj_transpose(self.kind, self.ring, a)
@@ -468,7 +467,7 @@ class MatrixInvolution:
     def same_as(self, other: "MatrixInvolution") -> bool:
         """Equality of involutions: conjugators agree up to a central
         involution-fixed scalar."""
-        if self.kind != other.kind or self.ring != other.ring or self.n != other.n:
+        if self.kind != other.kind or self.ring != other.ring or len(self.z) != len(other.z):
             return False
         zinv = inverse(self.z, self.ring)
         # z^{-1} z' must be a central iota-fixed scalar matrix
@@ -482,7 +481,7 @@ def adjoint_involution(f: GramForm) -> MatrixInvolution:
     """The adjoint involution a -> G^{-1} a^{iota T} G of the form."""
     if not f.is_nonsingular():
         raise FormError("singular form has no adjoint involution")
-    return MatrixInvolution(f.kind, f.ring, f.dim, [row[:] for row in f.gram])
+    return MatrixInvolution(f.kind, f.ring, [row[:] for row in f.gram])
 
 
 def is_positive_involution(inv: MatrixInvolution) -> bool:
@@ -490,7 +489,7 @@ def is_positive_involution(inv: MatrixInvolution) -> bool:
     positive definite, Tr the trace over Q of v -> x x^dagger v on base^n,
     that is of `regular_matrix`."""
     ring = inv.ring
-    n = inv.n
+    n = len(inv.z)
     elems = qbasis(ring, n)
     dim = len(elems)
     dag = [inv.apply(e) for e in elems]
@@ -509,7 +508,7 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
     ring = inv.ring
     if not isinstance(ring, (RationalRing, QuadField)):
         raise FormError("involution_to_form supports matrix algebras over Q or a quadratic field")
-    n = inv.n
+    n = len(inv.z)
     z = [row[:] for row in inv.z]
     zct = _kind_conj_transpose(inv.kind, ring, z)
     if mat_eq(zct, z, ring):
@@ -904,13 +903,15 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
             raise FormError(
                 "internal: hasse invariant of a positive definite fourth power must be trivial"
             )
-        # independent route: the direct-sum rule with square determinants
+        # independent route: the direct-sum rule with square determinants,
+        # against the invariants of d1 + d1 = diag1 * 4 the certificate holds
+        # (the places of d1 and det2 are those of diag1)
         d1 = diag1 * 2
         det2 = prod(d1, start=Fraction(1))
         for v in support_places(*(d1 + [det2])):
             s2 = hasse_invariant(d1, v)
             rule = s2 * s2 * hilbert_symbol(det2, det2, v)
-            if rule != hasse_invariant(d1 + d1, v):
+            if rule != i1.hasse[v]:
                 raise FormError("internal: sum rule violated")
         cert["det_classes"] = [i1.det_class, i2.det_class]
         cert["hasse_trivial"] = True

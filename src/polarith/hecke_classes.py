@@ -44,9 +44,8 @@ class HeckeError(ValueError):
 @dataclass(frozen=True)
 class PolClassRep:
     """A totally positive element of the maximal order, tagged with the
-    split prime that produced it (when any)."""
+    split prime that produced it (when any); its field is `q.field`."""
 
-    field: QuadField
     q: QuadElem
     source_prime: int | None = None
 
@@ -165,7 +164,7 @@ def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -
         raise HeckeError("count must be >= 1")
     if not field.is_real:
         raise HeckeError("the construction needs a real quadratic field")
-    reps = [PolClassRep(field, field.one(), None)]
+    reps = [PolClassRep(field.one(), None)]
     if count == 1:
         return reps
     eps = fundamental_unit(field)
@@ -181,7 +180,7 @@ def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -
         g_pos = _make_totally_positive(g, eps)
         if g_pos is None:
             continue
-        rep = PolClassRep(field, g_pos, p)
+        rep = PolClassRep(g_pos, p)
         if any(equivalent(rep, old) for old in reps):
             continue
         reps.append(rep)

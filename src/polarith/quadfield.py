@@ -400,9 +400,7 @@ class QfIdeal:
         return QfIdeal.from_generators([e.conj() for e in self.basis_elements()])
 
     def __mul__(self, other):
-        if isinstance(other, QuadElem):
-            return QfIdeal.from_generators([e * other for e in self.basis_elements()])
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (QuadElem, int, Fraction)):
             return QfIdeal.from_generators([e * other for e in self.basis_elements()])
         if self.field != other.field:
             raise QuadFieldError("ideals of different fields")

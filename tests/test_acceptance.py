@@ -281,7 +281,7 @@ def test_criterion_5_degree_bound_commutative():
                 continue
             base = quadfield_instance(D, (1, 0), (1, 0))
             try:
-                inst = BoundInstance(base.algebra, base.spec, base.order, (q,), (z.inv(),))
+                inst = BoundInstance(base.order, (q,), (z.inv(),))
             except Exception:
                 continue
             res = solve_commutative(inst)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from polarith.algebras import (
     AlgebraError,
     AlgebraWithInvolution,
-    NormSpec,
     OrderR,
     QuaternionRing,
     SimpleFactor,
+    _freeze,
     local_norm,
     matrix_algebra_q,
     norm,
@@ -82,87 +83,77 @@ def test_involution_axioms_random():
 
 def test_norm_examples():
     A = rational_algebra()
-    spec = NormSpec(A, (1,))
-    assert spec.rank_d == 1
-    assert norm(A, A.from_rational(2), spec) == 2
+    assert A.rank_d == 1
+    assert norm(A, A.from_rational(2)) == 2
 
     B = quadfield_algebra(F5)
-    specB = NormSpec(B, (1,))
-    assert specB.rank_d == 2
+    assert B.rank_d == 2
     x = (F5.from_sqrt_coords(3, 1),)  # 3 + sqrt5
-    assert norm(B, x, specB) == 4
+    assert norm(B, x) == 4
 
-    C = matrix_algebra_q(2)
-    specC = NormSpec(C, (2,))
-    assert specC.rank_d == 4
+    C = replace(matrix_algebra_q(2), gammas=(2,))
+    assert C.rank_d == 4
     d = ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],)
-    assert norm(C, d, specC) == 4
+    assert norm(C, d) == 4
 
 
 def test_norm_multiplicative_and_units():
     A = quadfield_algebra(F5)
-    spec = NormSpec(A, (1,))
     order = OrderR.standard(A)
     rng = random.Random(3)
     for _ in range(20):
         x = (F5.from_rational(0),)
-        while norm(A, x, spec) == 0:
+        while norm(A, x) == 0:
             x = A.from_qcoords([Fraction(rng.randint(-9, 9)) for _ in range(2)])
         y = A.from_qcoords([Fraction(rng.randint(-9, 9)) for _ in range(2)])
-        assert norm(A, A.mul(x, y), spec) == norm(A, x, spec) * norm(A, y, spec)
-        assert order.contains(x) and norm(A, x, spec).denominator == 1
+        assert norm(A, A.mul(x, y)) == norm(A, x) * norm(A, y)
+        assert order.contains(x) and norm(A, x).denominator == 1
     u = (F5.from_sqrt_coords(Fraction(1, 2), Fraction(1, 2)),)  # fundamental unit
-    assert norm(A, u, spec) == 1
+    assert norm(A, u) == 1
 
 
 def test_norm_times_inverse_examples():
     B = quadfield_algebra(F5)
-    specB = NormSpec(B, (1,))
     orderB = OrderR.standard(B)
     x = (F5.from_sqrt_coords(1, 1),)  # 1 + sqrt5
-    out = norm_times_inverse(orderB, x, specB)
+    out = norm_times_inverse(orderB, x)
     assert out[0] == F5.from_sqrt_coords(-1, 1)  # sqrt5 - 1
 
     A = rational_algebra()
-    specA = NormSpec(A, (1,))
     orderA = OrderR(A, (A.one(),))
-    assert norm_times_inverse(orderA, A.from_rational(2), specA)[0] == 1
+    assert norm_times_inverse(orderA, A.from_rational(2))[0] == 1
 
-    C = matrix_algebra_q(2)
-    specC = NormSpec(C, (2,))
+    C = replace(matrix_algebra_q(2), gammas=(2,))
     orderC = OrderR.standard(C)
     d = ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],)
-    out = norm_times_inverse(orderC, d, specC)
+    out = norm_times_inverse(orderC, d)
     assert out[0] == [[Fraction(4), Fraction(0)], [Fraction(0), Fraction(2)]]
 
 
 def test_local_norm_examples():
     A = rational_algebra()
-    spec = NormSpec(A, (1,))
-    assert local_norm(A, A.from_rational(12), 2, spec) == 4
-    assert local_norm(A, A.from_rational(12), 5, spec) == 1
+    assert local_norm(A, A.from_rational(12), 2) == 4
+    assert local_norm(A, A.from_rational(12), 5) == 1
 
     B = quadfield_algebra(F5)
-    specB = NormSpec(B, (1,))
     x = (F5.from_sqrt_coords(3, 1),)
-    assert local_norm(B, x, 2, specB) == 4
-    assert local_norm(B, x, 3, specB) == 1
+    assert local_norm(B, x, 2) == 4
+    assert local_norm(B, x, 3) == 1
 
 
 @given(coords=st.lists(st.integers(-6, 6), min_size=2, max_size=2))
 @settings(max_examples=40, deadline=None)
 def test_local_global_norm_factorization(coords):
     B = quadfield_algebra(F5)
-    spec = NormSpec(B, (1,))
     x = B.from_qcoords([Fraction(c) for c in coords])
-    n = norm(B, x, spec)
+    n = norm(B, x)
     if n == 0:
         return
     prod = Fraction(1)
     from sympy import factorint
 
     for p in factorint(n.numerator * n.denominator):
-        prod *= local_norm(B, x, p, spec)
+        prod *= local_norm(B, x, p)
     assert prod == n
 
 
@@ -216,7 +207,6 @@ def test_quaternion_base_norm_seeded(name, size):
     involution = "conjugate_transpose" if size else "canonical"
     f = SimpleFactor(ring, matrix_size=size, involution=involution)
     A = AlgebraWithInvolution((f,))
-    spec = NormSpec(A, (1,))
     rng = random.Random(size * 100 + list(bases).index(name))
     n = max(size, 1)
 
@@ -235,8 +225,8 @@ def test_quaternion_base_norm_seeded(name, size):
     zeros = 0
     for _ in range(12):
         x, y = (draw(),), (draw(),)
-        nx = norm(A, x, spec)
-        assert norm(A, A.mul(x, y), spec) == nx * norm(A, y, spec)
+        nx = norm(A, x)
+        assert norm(A, A.mul(x, y)) == nx * norm(A, y)
         try:
             A.inv(x)
             invertible = True
@@ -252,7 +242,7 @@ def test_quaternion_base_norm_seeded(name, size):
         expected = Fraction(1)
         for d in diag:
             expected *= _abs_center_norm(d.nrd() if name in QUATERNION_BASES else d)
-        assert norm(A, (t,), spec) == expected
+        assert norm(A, (t,)) == expected
     if "(1,1)" in name or size == 2:
         assert zeros > 0
 
@@ -281,11 +271,10 @@ def test_quaternion_norm_against_the_regular_matrix(name, ring):
 
 def test_quaternion_norm_spec():
     A = quaternion_algebra_q(-1, -1)
-    spec = NormSpec(A, (1,))
-    assert spec.rank_d == 2
+    assert A.rank_d == 2
     ring = A.factors[0].ring
     x = (ring.coerce(1) + ring.i(),)
-    assert norm(A, x, spec) == 2
+    assert norm(A, x) == 2
 
 
 def test_order_validation_rejects_bad():
@@ -447,12 +436,57 @@ def test_swap_pair_norm_compat():
         swap_pairs=((0, 1),),
     )
     with pytest.raises(AlgebraError):
-        NormSpec(A, (1, 2))
-    spec = NormSpec(A, (2, 2))
-    assert spec.rank_d == 4
+        replace(A, gammas=(1, 2))
+    A2 = replace(A, gammas=(2, 2))
+    assert A2.rank_d == 4
     x = (Fraction(3), Fraction(5))
-    assert norm(A, x, spec) == 15**2
+    assert norm(A2, x) == 15**2
     assert A.involve(x) == (Fraction(5), Fraction(3))
+
+
+def test_gammas_default_to_one_and_are_checked_on_the_algebra():
+    """The norm exponents are a field of the algebra: all 1 by default, an
+    explicit all-ones tuple (or list) is the same algebra, and the three
+    checks a norm needs refuse at construction."""
+    Q = SimpleFactor(RationalRing())
+    for fs in ((Q,), (Q, SimpleFactor(F5)), (Q, Q, SimpleFactor(F5, involution="conjugation"))):
+        A = AlgebraWithInvolution(fs)
+        assert A.gammas == (1,) * len(fs)
+        assert A == AlgebraWithInvolution(fs, gammas=(1,) * len(fs))
+        assert A == AlgebraWithInvolution(fs, gammas=[1] * len(fs))
+        assert hash(A) == hash(AlgebraWithInvolution(fs, gammas=(1,) * len(fs)))
+        assert A != AlgebraWithInvolution(fs, gammas=(2,) + (1,) * (len(fs) - 1))
+    swapped = AlgebraWithInvolution((Q, Q, SimpleFactor(F5)), ((0, 1),), gammas=(3, 3, 2))
+    assert swapped.rank_d == 3 + 3 + 2 * 2
+    cases = [
+        ((Q, Q), ((0, 1),), (1, 2), "dagger-compatibility requires equal gammas on swapped factors"),
+        ((Q, Q), (), (1,), "one gamma per factor"),
+        ((Q,), (), (1, 1), "one gamma per factor"),
+        ((Q, Q), (), (1, 0), "gammas must be positive"),
+        ((Q,), (), (-2,), "gammas must be positive"),
+    ]
+    for fs, pairs, gammas, message in cases:
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            AlgebraWithInvolution(fs, pairs, gammas)
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            replace(AlgebraWithInvolution(fs, pairs), gammas=gammas)
+
+
+def test_conjugator_must_match_the_matrix_size():
+    """A conjugator of another size, or with a row of another length, is
+    refused; `involve` of an n x n matrix stays n x n."""
+    z3 = _freeze([[Fraction(int(i == j)) for j in range(3)] for i in range(3)])
+    bad = [z3, ((Fraction(1), Fraction(0)), (Fraction(0),)), ((Fraction(1),),)]
+    for z in bad:
+        with pytest.raises(AlgebraError, match="^conjugator must be 2 x 2$"):
+            SimpleFactor(RationalRing(), matrix_size=2, involution="conjugate_transpose", z=z)
+    with pytest.raises(AlgebraError, match="^conjugator must be 2 x 2$"):
+        matrix_algebra_q(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(AlgebraError, match="^conjugator must be 2 x 2$"):
+        SimpleFactor(F5, matrix_size=2, involution="conjugate_transpose", z=((F5.one(),),))
+    A = matrix_algebra_q(2, [[1, 0], [0, 2]])
+    x = A.from_qcoords([Fraction(c) for c in (1, 2, 3, 4)])
+    assert [len(row) for row in A.involve(x)[0]] == [2, 2]
 
 
 def _coordinate_spaces():
@@ -495,15 +529,14 @@ def test_rational_scalar_detection():
 def test_quaternion_over_quadratic_center():
     ring = QuaternionRing(F5, F5.from_rational(-1), F5.from_rational(-1))
     A = AlgebraWithInvolution((SimpleFactor(ring, involution="canonical"),))
-    spec = NormSpec(A, (1,))
-    assert spec.rank_d == 4
+    assert A.rank_d == 4
     i = ring.i()
     x = (ring.coerce(1) + i,)
     # Nrd(1 + i) = 2 in F; Nm_{F/Q}(2) = 4
-    assert norm(A, x, spec) == 4
+    assert norm(A, x) == 4
     y = (ring.coerce(F5.from_sqrt_coords(0, 1)),)  # scalar sqrt5
     # Nrd = 5 as an F-element is (sqrt5)^2: Nm_{F/Q}((sqrt5)^2) = 25
-    assert norm(A, y, spec) == 25
+    assert norm(A, y) == 25
     # involution axioms
     xd = A.involve(x)
     assert A.eq(A.involve(xd), x)
@@ -513,12 +546,11 @@ def test_matrix_over_quadratic_field():
     ring = F5
     f = SimpleFactor(ring, matrix_size=2, involution="conjugate_transpose")
     A = AlgebraWithInvolution((f,))
-    spec = NormSpec(A, (1,))
-    assert spec.rank_d == 4
+    assert A.rank_d == 4
     s5 = F5.sqrtD()
     m = ([[s5, F5.zero()], [F5.zero(), F5.one()]],)
     # Nrd = det = sqrt5; Nm_{F/Q} = -5; absolute value 5
-    assert norm(A, m, spec) == 5
+    assert norm(A, m) == 5
     md = A.involve(m)
     # conjugate-transpose: sqrt5 bar = -sqrt5
     assert f.eq(md[0], [[-s5, F5.zero()], [F5.zero(), F5.one()]])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -18,6 +19,7 @@ from polarith.degree_bound import (
     _rational_scalar_forms,
     _shell,
     brute_force_oracle,
+    check_measure_constant,
     identity_form_decomposition,
     matrix_instance,
     measure_constant,
@@ -31,7 +33,6 @@ from polarith.degree_bound import (
 )
 from polarith.algebras import (
     AlgebraWithInvolution,
-    NormSpec,
     OrderR,
     QuaternionRing,
     SimpleFactor,
@@ -94,8 +95,6 @@ def test_commutative_various_instances_verified():
         q = z * z * n0
         a_elem = z.inv()
         inst = BoundInstance(
-            quadfield_instance(5, (1, 0), (1, 0)).algebra,
-            quadfield_instance(5, (1, 0), (1, 0)).spec,
             quadfield_instance(5, (1, 0), (1, 0)).order,
             (q,),
             (a_elem,),
@@ -131,7 +130,7 @@ def test_rational_scalar_forms_are_distinct():
     coordinates (0, 1) and (1, 0) of M_2(Q) give one form, kept once: the
     off-diagonal entry and the difference of the diagonal entries."""
     A = matrix_algebra_q(2)
-    inst = BoundInstance(A, NormSpec(A, (1,)), OrderR(A, tuple(qbasis(A))), (mat([[2, 1], [1, 3]]),), None)
+    inst = BoundInstance(OrderR(A, tuple(qbasis(A))), (mat([[2, 1], [1, 3]]),), None)
     forms = _rational_scalar_forms(inst)
     assert len(forms) == 2 and forms[0] != forms[1]
     for x in _shell(4, 2):
@@ -150,8 +149,8 @@ def test_oracle_none_when_obstructed():
     base = quadfield_instance(5, (1, 0), (1, 0))
     with pytest.raises(DegreeBoundError):
         # a = 1 gives a^dagger q a = q, which is not a rational scalar
-        BoundInstance(base.algebra, base.spec, base.order, (q,), (F.one(),))
-    inst = BoundInstance(base.algebra, base.spec, base.order, (q,), None)
+        BoundInstance(base.order, (q,), (F.one(),))
+    inst = BoundInstance(base.order, (q,), None)
     assert brute_force_oracle(inst, Fraction(10**6), max_radius=10) is None
     with pytest.raises(DegreeBoundError):
         solve_commutative(inst)
@@ -214,7 +213,7 @@ def test_cleared_similitude_of_norm_one_skips_the_box(monkeypatch):
     z = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
     A = AlgebraWithInvolution((SimpleFactor(RationalRing(), 2, "conjugate_transpose", z),))
     a = (mat([[-1, -1], [0, 1]]),)
-    inst = BoundInstance(A, NormSpec(A, (1,)), OrderR(A, tuple(qbasis(A))), (mat([[1, 1], [-1, 0]]),), a)
+    inst = BoundInstance(OrderR(A, tuple(qbasis(A))), (mat([[1, 1], [-1, 0]]),), a)
     res = solve(inst)
     assert res.method == "cleared-similitude" and res.b == a
     assert res.norm_b == 1 and res.value == 1
@@ -252,17 +251,16 @@ def _scalar_q_instances(rng):
         AlgebraWithInvolution((SimpleFactor(base, 2, "conjugate_transpose"),)),
     ]
     for A in algebras:
-        spec = NormSpec(A, (1,) * len(A.factors))
         c = rng.choice([x for x in range(-9, 10) if x])
         if A.factors[0].matrix_size and isinstance(A.factors[0].ring, RationalRing):
             c = -abs(c)  # a positive definite q = c I takes the lattice glue
         a = A.scale(Fraction(rng.randint(1, 3)), A.one())
         while len(A.factors) == 1 and not A.factors[0].matrix_size:
             a = A.from_qcoords([Fraction(rng.randint(-2, 2)) for _ in range(A.dim_q)])
-            if norm(A, a, spec):
+            if norm(A, a):
                 break
         q = A.scale(Fraction(c), A.one())
-        yield BoundInstance(A, spec, OrderR(A, tuple(qbasis(A))), q, a), c
+        yield BoundInstance(OrderR(A, tuple(qbasis(A))), q, a), c
 
 
 def test_scalar_q_answers_b_one():
@@ -536,6 +534,22 @@ def test_measure_constant_rejects_mixed():
         measure_constant([quadfield_instance(5, (1, 0), (1, 0)), quadfield_instance(2, (1, 0), (1, 0))])
 
 
+def test_instance_is_order_q_a():
+    """An instance names its order once: the algebra, involution and norm
+    exponents are the order's, so no second algebra can disagree with it,
+    and batches that differ in their gammas alone are refused."""
+    assert [f.name for f in dataclasses.fields(BoundInstance)] == ["order", "q", "a"]
+    inst = matrix_instance(2, [[2, 0], [0, 2]], [[1, 0], [0, 1]], gamma=3)
+    assert inst.algebra is inst.order.algebra
+    assert inst.algebra.gammas == (3,) and inst.d == 6
+    assert inst.norm_q() == 4**3
+    plain = matrix_instance(2, [[2, 0], [0, 2]], [[1, 0], [0, 1]])
+    assert plain.algebra.gammas == (1,) and plain.d == 2
+    with pytest.raises(DegreeBoundError, match=r"^instances must share \(R, dagger, Nm\)$"):
+        check_measure_constant([plain, inst])
+    check_measure_constant([plain, matrix_instance(2, [[1, 0], [0, 1]], [[1, 0], [0, 1]])])
+
+
 def test_torus_conductor_lemma():
     """x^2 in R_p implies (conductor * x) in R_p, on quadratic-field and
     matrix instances."""
@@ -647,7 +661,7 @@ def test_commutative_negative_value():
     z = QuadElem(F, Fraction(2), Fraction(1))
     q = z * z * (-3)
     base = quadfield_instance(5, (1, 0), (1, 0))
-    inst = BoundInstance(base.algebra, base.spec, base.order, (q,), (z.inv(),))
+    inst = BoundInstance(base.order, (q,), (z.inv(),))
     res = solve_commutative(inst)
     verify_result(inst, res)
     assert res.value < 0
@@ -664,7 +678,7 @@ def test_commutative_ramified_twist_path():
     delta = F.from_sqrt_coords(-4, 1)  # Nm 6, generates p3 * p2
     q = delta * delta
     base = quadfield_instance(10, (1, 0), (1, 0))
-    inst = BoundInstance(base.algebra, base.spec, base.order, (q,), (delta.inv(),))
+    inst = BoundInstance(base.order, (q,), (delta.inv(),))
     res = solve_commutative(inst)
     verify_result(inst, res)
     assert res.method == "ideal-algorithm"
@@ -777,7 +791,7 @@ def _reference_oracle(inst, norm_cap, max_radius=24, budget=2_000_000, extra_she
             val = rational_of(A.mul(A.mul(A.involve(b), inst.q), b), A)
             if val is None or val == 0 or val.denominator != 1:
                 continue
-            nb = norm(A, b, inst.spec)
+            nb = norm(A, b)
             if nb > norm_cap:
                 continue
             key = (nb, coords)
@@ -839,7 +853,7 @@ def _oracle_instances(draw, kind):
             q = A.scale(Fraction(draw(_small)), A.mul(A.involve(g), g))[0]
             if not OrderR(A, basis).contains((q,)):
                 q = mat_mul(mat([[2, 0], [0, 2]]), q)
-        return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (mat(q),), None)
+        return BoundInstance(OrderR(A, basis), (mat(q),), None)
     if kind == "quadfield":
         D = draw(st.sampled_from([5, 2, 3, -1, -3, -7, 13]))
         A = quadfield_algebra(QuadField(D), draw(st.sampled_from(["identity", "conjugation"])))
@@ -855,7 +869,7 @@ def _oracle_instances(draw, kind):
             q = g * g * draw(_small) * 4
         if A.factors[0].involution == "conjugation":
             q = F.from_rational(draw(_small))
-        return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), (q,), None)
+        return BoundInstance(OrderR(A, basis), (q,), None)
     if kind == "quaternion":
         ring = QuaternionRing(RationalRing(), Fraction(-1), Fraction(-3))
         A = AlgebraWithInvolution((SimpleFactor(ring, involution="canonical"),))
@@ -865,7 +879,7 @@ def _oracle_instances(draw, kind):
         else:
             basis = (one, i, j, k)
         q = A.from_rational(draw(_small))
-        return BoundInstance(A, NormSpec(A, (1,)), OrderR(A, basis), q, None)
+        return BoundInstance(OrderR(A, basis), q, None)
     factors = (SimpleFactor(RationalRing()), SimpleFactor(RationalRing()))
     F5 = QuadField(5)
     c = Fraction(draw(_small))
@@ -874,8 +888,7 @@ def _oracle_instances(draw, kind):
         factors += (SimpleFactor(F5),)
         q += (QuadElem(F5, Fraction(draw(_small)), Fraction(draw(_small))),)
     A = AlgebraWithInvolution(factors, ((0, 1),))
-    spec = NormSpec(A, (1,) * len(factors))
-    return BoundInstance(A, spec, OrderR(A, tuple(qbasis(A))), q, None)
+    return BoundInstance(OrderR(A, tuple(qbasis(A))), q, None)
 
 
 @pytest.mark.parametrize("kind", ["m2", "quadfield", "quaternion", "pair"])

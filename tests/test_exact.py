@@ -218,6 +218,37 @@ def valuation_free_residue():
     return 2
 
 
+def _reference_unit_residue(x, p: int, modulus: int) -> int:
+    """The unit part u = x / p^{v_p(x)} as a Fraction, read mod `modulus`."""
+    u = Fraction(x) / Fraction(p) ** valuation(x, p)
+    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_unit_residue_matches_the_fraction_formula(p):
+    """Seeded ints and Fractions, signs and powers of p in numerator and
+    denominator, read mod p (the default), p^k and 8; a denominator not
+    prime to the modulus raises ValueError on both routes."""
+    rng = random.Random(p)
+    for _ in range(300):
+        n = rng.choice([-1, 1]) * rng.randint(1, 10**6) * p ** rng.randint(0, 4)
+        d = rng.randint(1, 10**4) * p ** rng.randint(0, 4)
+        for x in (n, Fraction(n, d)):
+            assert unit_residue(x, p) == _reference_unit_residue(x, p, p)
+            for modulus in (p ** rng.randint(1, 6), 8):
+                try:
+                    want = _reference_unit_residue(x, p, modulus)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        unit_residue(x, p, modulus)
+                    continue
+                assert unit_residue(x, p, modulus) == want
+    with pytest.raises(ExactError):
+        unit_residue(0, p)
+    with pytest.raises(ExactError):
+        unit_residue(5, p * p)
+
+
 def test_hilbert_rejects_zero():
     with pytest.raises(ExactError):
         hilbert_symbol(0, 3, REAL_PLACE)

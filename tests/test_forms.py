@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -144,14 +145,14 @@ def test_adjoint_involution_scale_invariance():
 
 
 def test_involution_to_form_transpose():
-    inv = MatrixInvolution("symmetric", QR, 2, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    inv = MatrixInvolution("symmetric", QR, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     f = involution_to_form(inv, want_positive=True)
     assert is_positive_definite(f)
     assert adjoint_involution(f).same_as(inv)
 
 
 def test_involution_to_form_conjugated():
-    inv = MatrixInvolution("symmetric", QR, 2, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+    inv = MatrixInvolution("symmetric", QR, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
     f = involution_to_form(inv, want_positive=True)
     assert is_positive_definite(f)
     assert adjoint_involution(f).same_as(inv)
@@ -171,17 +172,26 @@ def test_involution_to_form_roundtrip_random():
 
 def test_involution_to_form_symplectic_rejects_positive():
     z = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
-    inv = MatrixInvolution("symmetric", QR, 2, z)
+    inv = MatrixInvolution("symmetric", QR, z)
     with pytest.raises(FormError):
         involution_to_form(inv, want_positive=True)
     f = involution_to_form(inv, want_positive=False)
     assert f.kind == "skew"
 
 
+def test_matrix_involution_reads_its_size_off_z():
+    assert [f.name for f in dataclasses.fields(MatrixInvolution)] == ["kind", "ring", "z"]
+    two = adjoint_involution(diagonal_form_q([1, 1]))
+    three = adjoint_involution(diagonal_form_q([1, 1, 1]))
+    assert two.same_as(two) and three.same_as(three)
+    assert not two.same_as(three) and not three.same_as(two)
+    assert involution_to_form(three, want_positive=True).dim == 3
+
+
 def test_positive_involution_test():
     assert is_positive_involution(adjoint_involution(diagonal_form_q([1, 1])))
     assert not is_positive_involution(
-        MatrixInvolution("symmetric", QR, 2, [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
+        MatrixInvolution("symmetric", QR, [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,12 +24,19 @@ def sq5(s, t):
     return F5.from_sqrt_coords(s, t)
 
 
+def test_rep_is_q_and_source_prime():
+    assert [f.name for f in dataclasses.fields(PolClassRep)] == ["q", "source_prime"]
+    rep = PolClassRep(sq5(3, 1), 11)
+    assert rep.q.field == F5 and rep.source_prime == 11
+    assert PolClassRep(F5.one()).source_prime is None
+
+
 def test_rep_validation():
     with pytest.raises(HeckeError):
-        PolClassRep(F5, sq5(1, 1))  # not totally positive
+        PolClassRep(sq5(1, 1))  # not totally positive
     with pytest.raises(HeckeError):
-        PolClassRep(F5, sq5(Fraction(1, 2), 0))  # not integral
-    PolClassRep(F5, sq5(3, 1), 11)
+        PolClassRep(sq5(Fraction(1, 2), 0))  # not integral
+    PolClassRep(sq5(3, 1), 11)
 
 
 def test_equivalent_spec_examples():
@@ -143,7 +151,7 @@ def test_equivalent_is_symmetric_on_representatives():
     """`equivalent` answers each pair the same in both orders, also when
     some representatives are equivalent."""
     reps = generate_classes(F5, 4)
-    reps += [PolClassRep(F5, reps[1].q * 4), PolClassRep(F5, reps[2].q * 3)]
+    reps += [PolClassRep(reps[1].q * 4), PolClassRep(reps[2].q * 3)]
     m = [[equivalent(a, b) for b in reps] for a in reps]
     assert all(m[i][j] == m[j][i] for i in range(6) for j in range(6))
     assert m[1][4] and m[4][1] and m[2][5] and m[5][2]
