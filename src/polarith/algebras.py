@@ -413,6 +413,8 @@ class AlgebraWithInvolution:
     gammas: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not self.factors:
+            raise AlgebraError("an algebra needs at least one simple factor")
         seen = set()
         for i, j in self.swap_pairs:
             if i == j or i in seen or j in seen:

@@ -46,13 +46,12 @@ from .forms import (
 )
 from .lattices_local import (
     LatticeError,
-    PadicContext,
     PadicLattice,
     check_completion,
     check_local_solve,
+    check_prime,
     complete_after_check,
     is_maximal,
-    require_odd,
     scale,
     solve_after_check,
 )
@@ -256,27 +255,25 @@ def cmd_fourth_power_check(doc, args):
     return run
 
 
-def _padic_context(doc, args, odd: bool = False) -> PadicContext:
-    """The `p` and `precision` fields; a p the context refuses (not prime),
-    or 2 where the verb needs p odd, is `precondition:p`."""
+def _prime(doc, odd: bool = False) -> int:
+    """The `p` field; a p that is not prime, or 2 where the verb needs p
+    odd, is `precondition:p`."""
     if "p" not in doc:
         raise InputError("schema:missing-field", "p must be an integer prime")
     p = _int(doc["p"], "p")
-    precision = _int(doc.get("precision", args.precision), "precision", least=1)
     try:
-        if odd:
-            require_odd(p)
-        return PadicContext(p, precision)
+        check_prime(p, odd)
     except LatticeError as exc:
         raise InputError("precondition:p", str(exc)) from None
+    return p
 
 
 def cmd_maximal_lattice(doc, args):
-    ctx = _padic_context(doc, args)
+    p = _prime(doc)
     form = parse_form(doc["form"], "form")
     basis = _matrix(doc["basis"], "basis")
     target = _int(doc.get("target_scale", 0), "target_scale")
-    L = PadicLattice(ctx, basis, form)
+    L = PadicLattice(p, basis, form)
     check_completion(L, target)
 
     def run():
@@ -293,18 +290,19 @@ def cmd_maximal_lattice(doc, args):
 
 
 def cmd_local_solve(doc, args):
-    ctx = _padic_context(doc, args, odd=True)
+    p = _prime(doc, odd=True)
+    precision = _int(doc.get("precision", args.precision), "precision", least=1)
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a", len(q))
     m_prime = _rat(doc["m_prime"], "m_prime")
-    qinv, s = check_local_solve(q, a, m_prime, ctx.p)
+    qinv, s = check_local_solve(q, a, m_prime, p)
 
     def run():
-        b = solve_after_check(q, a, m_prime, ctx, qinv, s)
+        b = solve_after_check(q, a, m_prime, p, precision, qinv, s)
         return 0, {
             "b": _serialize_matrix(b),
             "value": str(m_prime),
-            "local_norm_exponent_of_det": valuation(det(mat(b)), ctx.p),
+            "local_norm_exponent_of_det": valuation(det(mat(b)), p),
         }
 
     return run
@@ -318,6 +316,8 @@ def _parse_general_algebra(alg, where: str):
     raw = alg.get("factors", [])
     if not isinstance(raw, list):
         raise InputError("schema:bad-input", f"{where}.factors: expected a list")
+    if not raw:
+        raise InputError("schema:bad-algebra", f"{where}.factors: expected at least one factor")
     for i, fd in enumerate(raw):
         w = f"{where}.factors[{i}]"
         if not isinstance(fd, dict):
@@ -568,7 +568,6 @@ _PARSER.add_argument("verb", choices=list(VERBS) + ["validate"])
 _PARSER.add_argument("input", nargs="?", help="input JSON file ('-' for stdin)")
 _PARSER.add_argument("--validate-verb", help="verb whose schema `validate` checks")
 _PARSER.add_argument("-o", "--output", default="-")
-_PARSER.add_argument("--seed", type=int, default=0)
 _PARSER.add_argument("--precision", type=int, default=12)
 _PARSER.add_argument("--norm-cap", default=None)
 _PARSER.add_argument("--height", type=int, default=3)

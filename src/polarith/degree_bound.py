@@ -43,7 +43,7 @@ from .algebras import (
 )
 from .exact import factorint, square_class, valuation
 from .forms import is_positive_definite, symmetric_form_q
-from .lattices_local import PadicContext, PadicLattice, maximal_completion
+from .lattices_local import PadicLattice, maximal_completion
 from .linalg import (
     RationalRing,
     det,
@@ -261,8 +261,7 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     active = sorted(p for p in bad if valuation(m2, p) > 0 or valuation(detq, p) != 0)
     local = []
     for p in active:
-        ctx = PadicContext(p, 12)
-        lam0 = PadicLattice(ctx, mat_scale(m2, qinv), qform)
+        lam0 = PadicLattice(p, mat_scale(m2, qinv), qform)
         lam = maximal_completion(lam0, valuation(m2, p))
         local.append((p ** valuation(det(lam.basis), p), _rows_of_integer_lattice(lam.basis)))
     big_e = prod(pk for pk, _ in local)

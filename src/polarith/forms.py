@@ -311,9 +311,17 @@ def _positive_diagonal(f: GramForm) -> list | None:
         return None
     if isinstance(ring, QuadField) and ring.is_real:
         positive = all(is_totally_positive(x) for x in diag)
-    else:  # involution-fixed entries, hence rational
-        positive = all(rational_of(x, ring) > 0 for x in diag)
+    else:  # involution-fixed entries, hence rational: returned as such
+        diag = _fixed_rationals(ring, diag)
+        positive = all(x > 0 for x in diag)
     return diag if positive else None
+
+
+def _fixed_rationals(ring, diag: list) -> list:
+    """The involution-fixed entries of a diagonal, as the rationals they are."""
+    if isinstance(ring, QuadField):
+        return [x.as_rational() for x in diag]
+    return [rational_of(x, ring) for x in diag]
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +645,15 @@ def invariants(f: GramForm) -> FormInvariants:
             if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
                 raise
             raise FormError("singular forms have no invariants") from None
+        if f.kind == "hermitian":
+            diag = _fixed_rationals(ring, diag)
     return _diagonal_invariants(f.kind, ring, diag)
 
 
 def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
     """The invariants of the nonsingular diagonal form <diag> of the given
-    (non-skew) kind over `ring`."""
+    (non-skew) kind over `ring`; a hermitian diagonal over a CM field or a
+    quaternion algebra is given by its rational entries."""
     dim = len(diag)
     if kind == "quat-skew-hermitian":
         return FormInvariants(
@@ -676,9 +687,8 @@ def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
             complete=False,
         )
     if kind == "hermitian" and isinstance(ring, QuadField):
-        dets = [x.as_rational() for x in diag]  # conj-fixed, hence rational
-        det = prod(dets, start=Fraction(1))
-        pos = sum(1 for x in dets if x > 0)
+        det = prod(diag, start=Fraction(1))
+        pos = sum(1 for x in diag if x > 0)
         return FormInvariants(
             kind="hermitian",
             base=f"Q(sqrt{ring.D})",
@@ -690,8 +700,7 @@ def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
             complete=True,
         )
     if kind == "hermitian" and isinstance(ring, QuaternionRing):
-        dets = [rational_of(x, ring) for x in diag]  # canonical-fixed: rational
-        pos = sum(1 for x in dets if x > 0)
+        pos = sum(1 for x in diag if x > 0)
         return FormInvariants(
             kind="hermitian",
             base=f"quat({ring.a},{ring.b})",

@@ -8,7 +8,7 @@ and the least k >= 1 with p^k v in L; then L + Z_p p^{k-1} v is an index-p
 superlattice of L inside M, and its scale is squeezed between the two equal
 scales.  So some index-p superlattice already witnesses non-maximality.
 Nothing of this inverts 2, so it holds at p = 2; the unimodular
-classification and the split-case solver need p odd (`require_odd`).
+classification and the split-case solver need p odd (`check_prime`).
 
 Each candidate is tested in integers.  The index-p superlattice for a
 projective point v (v_i = 1 its first unit coordinate) replaces basis column
@@ -35,10 +35,10 @@ P^{n-1}(F_p) and picks the same superlattice.  The winner's Gram is carried
 (only row and column i change), and the completed lattice's Gram is
 checked once against B^T F B.
 
-Isometry witnesses between unimodular forms are constructed modulo
-p^precision (square-root lifts are truncated), but every certificate that
-the solver returns is re-verified in exact rational arithmetic: the final
-b of split_local_solve satisfies b^T q b = m' * I as an identity in Q.
+Only isometry witnesses between unimodular forms truncate (modulo p^k, k
+passed next to p), but every certificate that the solver returns is
+re-verified in exact rational arithmetic: the final b of split_local_solve
+satisfies b^T q b = m' * I as an identity in Q.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .exact import (
 from .forms import FormError, GramForm, diagonalize, symmetric_form_q
 from .linalg import (
     Matrix,
+    RationalRing,
     det,
     frac,
     identity,
@@ -81,25 +82,13 @@ class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """Prime p, 2 included, and working modulus p^precision for truncated
-    witnesses."""
-
-    p: int
-    precision: int = 12
-
-    def __post_init__(self):
-        if not isprime(self.p):
-            raise LatticeError(f"{self.p} is not prime")
-        if self.precision < 1:
-            raise LatticeError("precision must be positive")
-
-
-def require_odd(p: int) -> None:
-    """Refuse p = 2 where the theory needs 2 invertible: Legendre symbols,
-    Hensel square roots and 2^-1 mod p^k."""
-    if p == 2:
+def check_prime(p: int, odd: bool = False) -> None:
+    """Refuse a p that is not prime, and p = 2 when `odd`: where the theory
+    needs 2 invertible (Legendre symbols, Hensel square roots and 2^-1 mod
+    p^k)."""
+    if not isprime(p):
+        raise LatticeError(f"{p} is not prime")
+    if odd and p == 2:
         raise LatticeError("p = 2 is excluded (2 must be invertible)")
 
 
@@ -116,18 +105,19 @@ def _mat_p_integral(m: Matrix, p: int) -> bool:
 
 @dataclass
 class PadicLattice:
-    """Columns of `basis` span the lattice over Z_p; `form` is a symmetric
-    rational Gram form read p-adically.  The Gram B^T F B is computed once,
-    unless `carried_gram` hands it over (the superlattice scan builds its
-    winner's Gram from its integer test; `maximal_completion` re-checks the
-    Gram of the lattice it returns)."""
+    """Columns of `basis` span the lattice over Z_p, p prime; `form` is a
+    symmetric Gram form over Q read p-adically.  The Gram B^T F B is
+    computed once, unless `carried_gram` hands it over (the superlattice
+    scan builds its winner's Gram from its integer test;
+    `maximal_completion` re-checks the Gram of the lattice it returns)."""
 
-    ctx: PadicContext
+    p: int
     basis: Matrix
     form: GramForm
     carried_gram: Matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        check_prime(self.p)
         self.basis = mat(self.basis)
         if det(self.basis) == 0:
             raise LatticeError("lattice basis is singular")
@@ -135,6 +125,8 @@ class PadicLattice:
             raise LatticeError("form and basis dimensions differ")
         if self.form.kind != "symmetric":
             raise LatticeError("p-adic lattices are implemented for symmetric forms")
+        if not isinstance(self.form.ring, RationalRing):
+            raise LatticeError("p-adic lattices are implemented for forms over Q")
         if self.carried_gram is None:
             self.carried_gram = self.exact_gram()
 
@@ -151,7 +143,7 @@ class PadicLattice:
     def contains(self, other: "PadicLattice") -> bool:
         """other subseteq self, p-locally."""
         coords = mat_mul(inverse(self.basis), other.basis)
-        return _mat_p_integral(coords, self.ctx.p)
+        return _mat_p_integral(coords, self.p)
 
     def equals(self, other: "PadicLattice") -> bool:
         return self.contains(other) and other.contains(self)
@@ -159,7 +151,7 @@ class PadicLattice:
 
 def scale(L: PadicLattice) -> int:
     """Exponent s with scale ideal p^s: min valuation over the Gram."""
-    return _mat_min_valuation(L.gram(), L.ctx.p)
+    return _mat_min_valuation(L.gram(), L.p)
 
 
 def _kernel_points(rows: list[list[int]], p: int):
@@ -182,7 +174,7 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
     there is none.  Requires scale(L) >= t.  Only points of the kernel of
     G' mod p can win (module docstring); each is one integer test, and the
     winner carries its Gram, whose scale is re-checked."""
-    p, n = L.ctx.p, L.dim
+    p, n = L.p, L.dim
     gram = L.gram()
     g, den = numerators(gram)
     e = valuation(den, p)
@@ -205,7 +197,7 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
             new_basis[r][i] = sum(L.basis[r][k] * v[k] for k in range(n)) / p
             new_gram[r][i] = new_gram[i][r] = Fraction(gv[r], p * den)
         new_gram[i][i] = Fraction(vgv, p * p * den)
-        sup = PadicLattice(L.ctx, new_basis, L.form, new_gram)
+        sup = PadicLattice(L.p, new_basis, L.form, new_gram)
         if scale(sup) < t:
             raise LatticeError("internal: integer superlattice test disagrees with the Gram")
         return sup
@@ -255,8 +247,7 @@ def unimodular_isometric(g1: Matrix, g2: Matrix, p: int) -> bool:
     """Classification of unimodular symmetric forms over Z_p, p odd: equal
     dimension and determinant ratio a square unit.  Each Gram must be
     p-integral with a unit determinant."""
-    if p == 2 or not isprime(p):
-        raise LatticeError("p must be an odd prime")
+    check_prime(p, odd=True)
     g1, g2 = mat(g1), mat(g2)
     d1, d2 = det(g1), det(g2)
     for g, d in ((g1, d1), (g2, d2)):
@@ -283,14 +274,13 @@ def _sqrt_mod_pk(u: int, p: int, k: int) -> int:
     return lift_root(0, -u, x, p, k)
 
 
-def unimodular_congruence_witness(u1: Matrix, u2: Matrix, ctx: PadicContext) -> Matrix:
-    """A p-integral rational matrix T with T^T u1 T = u2 modulo
-    p^precision, for unimodular-isometric symmetric u1, u2 (p odd)."""
-    p, k = ctx.p, ctx.precision
+def unimodular_congruence_witness(u1: Matrix, u2: Matrix, p: int, k: int) -> Matrix:
+    """A p-integral rational matrix T with T^T u1 T = u2 modulo p^k, for
+    unimodular-isometric symmetric u1, u2 (p odd)."""
     if not unimodular_isometric(u1, u2, p):
         raise LatticeError("forms are not unimodular-isometric")
-    t1 = _reduce_to_standard(mat(u1), ctx)
-    t2 = _reduce_to_standard(mat(u2), ctx)
+    t1 = _reduce_to_standard(mat(u1), p, k)
+    t2 = _reduce_to_standard(mat(u2), p, k)
     t = mat_mul(t1, inverse(t2))
     return _entries_mod_pk(t, p, k)
 
@@ -310,11 +300,12 @@ def _entries_mod_pk(m: Matrix, p: int, k: int) -> Matrix:
     return out
 
 
-def _reduce_to_standard(u: Matrix, ctx: PadicContext) -> Matrix:
-    """T with T^T u T = diag(1, ..., 1, delta) mod p^precision, where delta
+def _reduce_to_standard(u: Matrix, p: int, k: int) -> Matrix:
+    """T with T^T u T = diag(1, ..., 1, delta) mod p^k, k >= 1, where delta
     is 1 or the canonical non-residue."""
-    p, k = ctx.p, ctx.precision
-    require_odd(p)
+    check_prime(p, odd=True)
+    if k < 1:
+        raise LatticeError("precision must be positive")
     n = len(u)
     try:
         diag, t = diagonalize(
@@ -379,12 +370,11 @@ def _represent_one(u: int, v: int, p: int, k: int) -> tuple[int, int]:
 # The split-case solver
 
 
-def _cayley_orthogonal_round(h: Matrix, ctx: PadicContext) -> Matrix:
+def _cayley_orthogonal_round(h: Matrix, p: int, k: int) -> Matrix:
     """Round an approximately orthogonal p-adic matrix to an exactly
-    orthogonal rational matrix congruent to it (Cayley transform of the
-    skew-symmetrized parameter)."""
+    orthogonal rational matrix congruent to it modulo p^k (Cayley transform
+    of the skew-symmetrized parameter)."""
     n = len(h)
-    p, k = ctx.p, ctx.precision
     eye = identity(n)
 
     twists = _det_one_signed_permutations(n)
@@ -430,8 +420,8 @@ def _det_one_signed_permutations(n: int):
 def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[Matrix, Fraction]:
     """The preconditions of `split_local_solve`, in order, for rational
     matrices q, a and a rational m'; returns q^{-1} and sqrt(m'/m), which
-    the solver goes on with.  p must be odd."""
-    require_odd(p)
+    the solver goes on with.  p must be an odd prime."""
+    check_prime(p, odd=True)
     if q != transpose(q):
         raise LatticeError("q must be symmetric")
     if not _mat_p_integral(q, p):
@@ -455,7 +445,7 @@ def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[
 
 
 def split_local_solve(
-    q: Matrix, a: Matrix, m_prime: Fraction | int, ctx: PadicContext
+    q: Matrix, a: Matrix, m_prime: Fraction | int, p: int, precision: int = 12
 ) -> Matrix:
     """b with p-integral entries and b^T q b = m' * I exactly.
 
@@ -468,20 +458,20 @@ def split_local_solve(
 
     Construction: scale a to b0 = sqrt(m'/m) a (exact Gram m' * I); when b0
     is not p-integral, transport it onto the maximal completion of
-    m' q^{-1} Z_p^n by a finite-precision unimodular isometry and round the
+    m' q^{-1} Z_p^n by a unimodular isometry mod p^precision and round the
     correction to an exact orthogonal matrix through the Cayley transform.
     """
     q, a, m_prime = mat(q), mat(a), frac(m_prime)
-    qinv, s = check_local_solve(q, a, m_prime, ctx.p)
-    return solve_after_check(q, a, m_prime, ctx, qinv, s)
+    qinv, s = check_local_solve(q, a, m_prime, p)
+    return solve_after_check(q, a, m_prime, p, precision, qinv, s)
 
 
 def solve_after_check(
-    q: Matrix, a: Matrix, m_prime: Fraction, ctx: PadicContext, qinv: Matrix, s: Fraction
+    q: Matrix, a: Matrix, m_prime: Fraction, p: int, k: int, qinv: Matrix, s: Fraction
 ) -> Matrix:
-    """`split_local_solve` for rational arguments that `check_local_solve`
-    passed, returning (qinv, s)."""
-    p = ctx.p
+    """`split_local_solve` at precision k for rational arguments that
+    `check_local_solve` passed, returning (qinv, s); each of the five
+    roundings that fail doubles k."""
     n = len(q)
     b0 = mat_scale(s, a)
     if _mat_p_integral(b0, p):
@@ -489,7 +479,7 @@ def solve_after_check(
 
     target = valuation(m_prime, p)
     form = symmetric_form_q(q)
-    lam0 = PadicLattice(ctx, mat_scale(m_prime, qinv), form)
+    lam0 = PadicLattice(p, mat_scale(m_prime, qinv), form)
     # check_completion holds: det q != 0, scale = v(m') + min v(m' q^-1) >= target
     lam_max = complete_after_check(lam0, target)
     bprime = lam_max.basis
@@ -497,10 +487,8 @@ def solve_after_check(
     if _mat_min_valuation(uprime, p) < 0 or valuation(det(uprime), p) != 0:
         raise LatticeError("maximal completion did not reach a unimodular Gram")
 
-    attempts = 0
-    cur_ctx = ctx
-    while attempts < 5:
-        t = unimodular_congruence_witness(uprime, identity(n), cur_ctx)
+    for _ in range(5):
+        t = unimodular_congruence_witness(uprime, identity(n), p, k)
         bp = mat_mul(bprime, t)
         h = mat_mul(inverse(b0), bp)
         d = det(h)
@@ -511,23 +499,21 @@ def solve_after_check(
             flip[n - 1][n - 1] = Fraction(-1)
             h = mat_mul(h, flip)
         try:
-            hstar = _cayley_orthogonal_round(h, cur_ctx)
+            hstar = _cayley_orthogonal_round(h, p, k)
             b = mat_mul(b0, hstar)
             check = mat_mul(mat_mul(transpose(b), q), b)
             if scalar_of(check) == m_prime and _mat_p_integral(b, p):
                 return b
         except LatticeError:
             pass
-        attempts += 1
-        cur_ctx = PadicContext(p, cur_ctx.precision * 2)
+        k *= 2
     raise LatticeError("orthogonal rounding failed at all precisions")
 
 
-def unit_case_parity(q: Matrix, a: Matrix, ctx: PadicContext):
+def unit_case_parity(q: Matrix, a: Matrix, p: int, k: int):
     """Dichotomy for unimodular q with a^T q a = m scalar: either v_p(m) is
-    even, or a finite-precision witness b with b^T q b = I exists (p odd)."""
-    p = ctx.p
-    require_odd(p)
+    even, or a witness b with b^T q b = I mod p^k exists (p an odd prime)."""
+    check_prime(p, odd=True)
     q = mat(q)
     a = mat(a)
     n = len(q)
@@ -548,5 +534,5 @@ def unit_case_parity(q: Matrix, a: Matrix, ctx: PadicContext):
         raise LatticeError(
             "odd valuation forces det q to be a square unit; inconsistent input"
         )
-    b = unimodular_congruence_witness(q, identity(n), ctx)
+    b = unimodular_congruence_witness(q, identity(n), p, k)
     return ("isometry-witness", b)

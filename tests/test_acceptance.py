@@ -36,7 +36,6 @@ from polarith.forms import (
     symmetric_form_q,
 )
 from polarith.lattices_local import (
-    PadicContext,
     PadicLattice,
     is_maximal,
     maximal_completion,
@@ -235,13 +234,12 @@ def test_criterion_4_maximal_lattices():
             u,
         )
         form = symmetric_form_q(g)
-        ctx = PadicContext(p, 8)
         completions = []
         for _ in range(2):
             s = _rand_unimodular(rng, n)
             dd = mat([[p ** rng.randint(0, 2) if i == j else 0 for j in range(n)] for i in range(n)])
             sub = mat_mul(s, dd)
-            L = PadicLattice(ctx, sub, form)
+            L = PadicLattice(p, sub, form)
             out = maximal_completion(L, 0)
             assert out.contains(L), "completion must contain its input"
             assert is_maximal(out), "completion must be maximal"
@@ -325,8 +323,7 @@ def test_criterion_6_local_bound_cp_one():
                 aqa = mat_mul(mat_mul(transpose(a), q), a)
                 assert aqa == identity(2)
                 m_prime = p ** (2 * k)
-                ctx = PadicContext(p, 12)
-                b = split_local_solve(q, a, m_prime, ctx)
+                b = split_local_solve(q, a, m_prime, p, 12)
                 prod_b = mat_mul(mat_mul(transpose(b), q), b)
                 assert prod_b == mat([[m_prime, 0], [0, m_prime]])
                 assert all(x == 0 or valuation(x, p) >= 0 for row in b for x in row)

@@ -472,6 +472,12 @@ def test_gammas_default_to_one_and_are_checked_on_the_algebra():
             replace(AlgebraWithInvolution(fs, pairs), gammas=gammas)
 
 
+def test_an_algebra_needs_a_factor():
+    """No factors would be the zero-dimensional algebra: refused."""
+    with pytest.raises(AlgebraError, match="^an algebra needs at least one simple factor$"):
+        AlgebraWithInvolution(())
+
+
 def test_conjugator_must_match_the_matrix_size():
     """A conjugator of another size, or with a row of another length, is
     refused; `involve` of an n x n matrix stays n x n."""

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polarith.lattices_local import (
     LatticeError,
-    PadicContext,
     PadicLattice,
     _det_one_signed_permutations,
     _first_superlattice,
@@ -39,8 +38,8 @@ def diag_form(*entries):
     )
 
 
-def lattice(p, basis, form, precision=8):
-    return PadicLattice(PadicContext(p, precision), mat(basis), form)
+def lattice(p, basis, form):
+    return PadicLattice(p, mat(basis), form)
 
 
 def rand_unimodular_int_matrix(rng, n, bound=3):
@@ -58,20 +57,20 @@ def rand_unimodular_int_matrix(rng, n, bound=3):
 
 
 def test_two_is_refused_only_where_the_theory_is_odd():
-    """The context takes p = 2 and refuses a non-prime; the routines that
+    """A lattice takes p = 2 and refuses a non-prime; the routines that
     need 2 invertible refuse p = 2 themselves."""
-    ctx = PadicContext(2)
+    lattice(2, identity(2), diag_form(1, 1))
     with pytest.raises(LatticeError):
-        PadicContext(9)
+        lattice(9, identity(2), diag_form(1, 1))
     q, a = identity(2), identity(2)
     with pytest.raises(LatticeError, match="p = 2"):
-        split_local_solve(q, a, 1, ctx)
+        split_local_solve(q, a, 1, 2)
     with pytest.raises(LatticeError, match="p = 2"):
-        unit_case_parity(q, a, ctx)
+        unit_case_parity(q, a, 2, 12)
     with pytest.raises(LatticeError):
         unimodular_isometric(q, q, 2)
     with pytest.raises(LatticeError, match="p = 2"):
-        _reduce_to_standard(q, ctx)
+        _reduce_to_standard(q, 2, 12)
 
 
 def test_scale_examples():
@@ -128,10 +127,9 @@ def test_unimodular_isometric_examples():
 
 
 def test_unimodular_congruence_witness():
-    ctx = PadicContext(3, 8)
     u1 = mat([[1, 0], [0, 1]])
     u2 = mat([[2, 0], [0, 2]])
-    t = unimodular_congruence_witness(u1, u2, ctx)
+    t = unimodular_congruence_witness(u1, u2, 3, 8)
     prod = mat_mul(mat_mul(transpose(t), u1), t)
     diff = [[prod[i][j] - u2[i][j] for j in range(2)] for i in range(2)]
     for row in diff:
@@ -140,12 +138,11 @@ def test_unimodular_congruence_witness():
 
 
 def test_unimodular_congruence_witness_offdiag():
-    ctx = PadicContext(5, 6)
     u1 = mat([[2, 1], [1, 3]])  # det 5... not unimodular at 5; use det unit
     u1 = mat([[2, 1], [1, 4]])  # det 7, unit at 5
     u2 = mat([[1, 0], [0, 7]])
     assert unimodular_isometric(u1, u2, 5)
-    t = unimodular_congruence_witness(u1, u2, ctx)
+    t = unimodular_congruence_witness(u1, u2, 5, 6)
     prod = mat_mul(mat_mul(transpose(t), u1), t)
     for i in range(2):
         for j in range(2):
@@ -165,7 +162,6 @@ def test_lemma_completion_isometry_random():
             diag = [rng.choice([x for x in range(1, 9) if x % p]) for _ in range(n)]
             g = mat_mul(mat_mul(transpose(u), mat([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])), u)
             form = symmetric_form_q(g)
-            ctx = PadicContext(p, 8)
             subs = []
             for _ in range(2):
                 s = rand_unimodular_int_matrix(rng, n)
@@ -173,10 +169,10 @@ def test_lemma_completion_isometry_random():
                 subs.append(mat_mul(s, mat(dd)))
             outs = []
             for sub in subs:
-                L = PadicLattice(ctx, sub, form)
+                L = PadicLattice(p, sub, form)
                 out = maximal_completion(L, 0)
                 assert is_maximal(out)
-                assert out.contains(PadicLattice(ctx, sub, form))
+                assert out.contains(PadicLattice(p, sub, form))
                 outs.append(out)
             g1, g2 = outs[0].gram(), outs[1].gram()
             s1, s2 = scale(outs[0]), scale(outs[1])
@@ -205,10 +201,9 @@ def test_lemma_stabilizer_maximal():
 
 
 def test_split_local_solve_spec_example():
-    ctx = PadicContext(3, 10)
     q = [[1, 0], [0, 9]]
     a = [[Fraction(1), 0], [0, Fraction(1, 3)]]
-    b = split_local_solve(q, a, 9, ctx)
+    b = split_local_solve(q, a, 9, 3, 10)
     prod = mat_mul(mat_mul(transpose(b), mat(q)), b)
     assert prod == mat([[9, 0], [0, 9]])
     for row in b:
@@ -219,28 +214,25 @@ def test_split_local_solve_spec_example():
 
 
 def test_split_local_solve_identity():
-    ctx = PadicContext(5, 8)
-    b = split_local_solve(identity(2), identity(2), 1, ctx)
+    b = split_local_solve(identity(2), identity(2), 1, 5, 8)
     assert b == identity(2)
 
 
 def test_split_local_solve_q_scalar():
-    ctx = PadicContext(5, 8)
     q = [[2, 0], [0, 2]]
-    b = split_local_solve(q, identity(2), 2, ctx)
+    b = split_local_solve(q, identity(2), 2, 5, 8)
     assert b == identity(2)
 
 
 def test_split_local_solve_nontrivial_transport():
     """A case where s*a is not p-integral and the lattice transport runs."""
-    ctx = PadicContext(3, 10)
     q = mat([[1, 0], [0, 9]])
     # a = diag(1, 1/3) * rotation-ish: a^T q a = I still
     rot = mat([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
     a = mat_mul(mat([[Fraction(1), 0], [0, Fraction(1, 3)]]), rot)
     aqa = mat_mul(mat_mul(transpose(a), q), a)
     assert aqa == identity(2)
-    b = split_local_solve(q, a, 9, ctx)
+    b = split_local_solve(q, a, 9, 3, 10)
     prod = mat_mul(mat_mul(transpose(b), q), b)
     assert prod == mat_scale(9, identity(2))
     for row in b:
@@ -269,37 +261,33 @@ def test_signed_permutations_in_sorted_order(n):
 
 
 def test_split_local_solve_rejects_nonsquare_ratio():
-    ctx = PadicContext(3, 8)
     with pytest.raises(LatticeError):
-        split_local_solve(identity(2), identity(2), 7, ctx)
+        split_local_solve(identity(2), identity(2), 7, 3, 8)
 
 
 def test_unit_case_parity_examples():
-    ctx = PadicContext(3, 8)
-    case, _ = unit_case_parity(identity(2), mat_scale(3, identity(2)), ctx)
+    case, _ = unit_case_parity(identity(2), mat_scale(3, identity(2)), 3, 8)
     assert case == "even-valuation"
-    case2, b = unit_case_parity(mat([[1, 0], [0, 1]]), identity(2), ctx)
+    case2, b = unit_case_parity(mat([[1, 0], [0, 1]]), identity(2), 3, 8)
     assert case2 == "even-valuation"
     # odd valuation forces a witness path: a^T q a = 3 * I with q ~ I
     # q = diag(1, 1), a = antidiagonal sqrt-3-ish is impossible rationally;
     # instead check the dichotomy on q = diag(2,2), m = 2 (v odd at 2? no: use p=5)
-    ctx5 = PadicContext(5, 8)
     q = mat([[5, 0], [0, 5]])
     # q not unimodular: rejected
     with pytest.raises(LatticeError):
-        unit_case_parity(q, identity(2), ctx5)
+        unit_case_parity(q, identity(2), 5, 8)
 
 
 def test_unit_case_parity_witness_branch():
     # p = 5: q = diag(2, 2): det 4 square unit; a with a^T q a = 10*I:
     # v_5(10) odd -> witness branch must produce b with b^T q b = I mod 5^k
-    ctx = PadicContext(5, 8)
     q = mat([[2, 0], [0, 2]])
     # a = sqrt(5) * rotation is irrational; use a = [[1,2],[-2,1]] -> a^T q a = 10 I
     a = mat([[1, 2], [-2, 1]])
     aqa = mat_mul(mat_mul(transpose(a), q), a)
     assert aqa == mat_scale(10, identity(2))
-    case, b = unit_case_parity(q, a, ctx)
+    case, b = unit_case_parity(q, a, 5, 8)
     assert case == "isometry-witness"
     prod = mat_mul(mat_mul(transpose(b), q), b)
     for i in range(2):
@@ -325,7 +313,6 @@ def test_unit_case_parity_matches_square_class_analysis():
                     d = aqa[0][0]
                     if d != 0 and aqa == mat_scale(d, identity(2)):
                         raise AssertionError(f"obstruction violated by {a}")
-    ctx = PadicContext(3, 6)
     q = mat([[2, 0], [0, 2]])
     found = 0
     for x in range(-3, 4):
@@ -336,7 +323,7 @@ def test_unit_case_parity_matches_square_class_analysis():
             if d != 0 and aqa == mat_scale(d, identity(2)):
                 found += 1
                 assert valuation(d, 3) % 2 == 0
-                case, _ = unit_case_parity(q, a, ctx)
+                case, _ = unit_case_parity(q, a, 3, 6)
                 assert case == "even-valuation"
     assert found > 10
 
@@ -346,7 +333,6 @@ def test_unimodular_congruence_witness_3x3_nonresidues():
     non-residue normalization."""
     rng = random.Random(11)
     for p in (3, 5, 7):
-        ctx = PadicContext(p, 7)
         for _ in range(6):
             u = rand_unimodular_int_matrix(rng, 3)
             diag = [rng.choice([x for x in range(1, 12) if x % p]) for _ in range(3)]
@@ -364,7 +350,7 @@ def test_unimodular_congruence_witness_3x3_nonresidues():
                 target[2] = nu
             g2 = mat([[target[i] if i == j else 0 for j in range(3)] for i in range(3)])
             assert unimodular_isometric(g1, g2, p)
-            t = unimodular_congruence_witness(g1, g2, ctx)
+            t = unimodular_congruence_witness(g1, g2, p, 7)
             prod = mat_mul(mat_mul(transpose(t), g1), t)
             for i in range(3):
                 for j in range(3):
@@ -375,7 +361,6 @@ def test_unimodular_congruence_witness_3x3_nonresidues():
 def test_split_local_solve_nondiagonal_q():
     rng = random.Random(5)
     p = 3
-    ctx = PadicContext(p, 10)
     for _ in range(5):
         u = rand_unimodular_int_matrix(rng, 2)
         from polarith.linalg import inverse
@@ -384,7 +369,7 @@ def test_split_local_solve_nondiagonal_q():
         a = mat_mul(inverse(u), mat([[1, 0], [0, Fraction(1, p)]]))
         aqa = mat_mul(mat_mul(transpose(a), q), a)
         assert aqa == identity(2)
-        b = split_local_solve(q, a, p**2, ctx)
+        b = split_local_solve(q, a, p**2, p, 10)
         prod = mat_mul(mat_mul(transpose(b), q), b)
         assert prod == mat_scale(p**2, identity(2))
         for row in b:
@@ -446,14 +431,14 @@ def _reference_projective_points(p, n):
 def _reference_superlattices(L):
     """Every index-p superlattice of L as a Fraction lattice, in
     lexicographic order of the residue projective point that defines it."""
-    p, n = L.ctx.p, L.dim
+    p, n = L.p, L.dim
     for v in _reference_projective_points(p, n):
         i = next(k for k in range(n) if v[k] % p != 0)
         new_basis = [row[:] for row in L.basis]
         w = [sum(L.basis[r][k] * v[k] for k in range(n)) / p for r in range(n)]
         for r in range(n):
             new_basis[r][i] = w[r]
-        yield PadicLattice(L.ctx, new_basis, L.form)
+        yield PadicLattice(L.p, new_basis, L.form)
 
 
 def _reference_first_superlattice(L, t):
@@ -659,10 +644,9 @@ def test_kernel_points_fixed_cases():
 # The shared unit-pivot diagonalization against the p-adic body it replaced
 
 
-def _reference_p_adic_diagonalize(g, ctx):
+def _reference_p_adic_diagonalize(g, p):
     """(diag, t) with t^T g t = diag, t p-integral with unit determinant,
     for a p-unimodular symmetric g.  Exact rational arithmetic."""
-    p = ctx.p
     n = len(g)
     a = [row[:] for row in g]
     t = identity(n)
@@ -716,7 +700,7 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _diagonalization_in_reduce(g, ctx):
+def _diagonalization_in_reduce(g, p, k):
     """The (diag, t) that `_reduce_to_standard` takes from the shared
     diagonalization for g, or the message of its refusal."""
     seen = []
@@ -726,7 +710,7 @@ def _diagonalization_in_reduce(g, ctx):
         return seen[-1]
 
     with mock.patch("polarith.lattices_local.diagonalize", spy):
-        refusal = _outcome(_reduce_to_standard, g, ctx)
+        refusal = _outcome(_reduce_to_standard, g, p, k)
     return seen[0] if seen else refusal
 
 
@@ -754,9 +738,8 @@ def test_unit_pivot_diagonalization_matches_reference(p, data):
     """Same (diag, t), or the same refusal, as the p-adic body that
     `lattices_local` carried before it called `forms.diagonalize`."""
     g = data.draw(_p_integral_symmetric(p))
-    ctx = PadicContext(p, 6)
-    ref = _outcome(_reference_p_adic_diagonalize, g, ctx)
-    assert _diagonalization_in_reduce(g, ctx) == ref
+    ref = _outcome(_reference_p_adic_diagonalize, g, p)
+    assert _diagonalization_in_reduce(g, p, 6) == ref
     if isinstance(ref, tuple):
         n = len(g)
         diag, t = ref
@@ -773,17 +756,16 @@ def test_non_integral_unit_determinant_is_refused():
     matrix before that, instead of calling it unimodular from its
     determinant."""
     g = mat([[Fraction(1, 3), 1], [1, 6]])
-    ctx = PadicContext(3)
     with pytest.raises(StopIteration):
-        _reference_p_adic_diagonalize(g, ctx)
+        _reference_p_adic_diagonalize(g, 3)
     with pytest.raises(LatticeError, match="^form is not unimodular at p$"):
-        _reduce_to_standard(g, ctx)
+        _reduce_to_standard(g, 3, 12)
     unimodular = r"^forms must be unimodular \(p-integral, unit determinant\)$"
     for pair in ((g, identity(2)), (identity(2), g)):
         with pytest.raises(LatticeError, match=unimodular):
             unimodular_isometric(*pair, 3)
         with pytest.raises(LatticeError, match=unimodular):
-            unimodular_congruence_witness(*pair, ctx)
+            unimodular_congruence_witness(*pair, 3, 12)
 
 
 @given(
