@@ -425,8 +425,8 @@ class AlgebraWithInvolution:
                 fi.ring, (RationalRing, QuadField)
             ):
                 raise AlgebraError("swap pairs are supported for etale (field) factors")
-            if type(fi.ring) is not type(fj.ring):
-                raise AlgebraError("swap pairs must join matching kinds")
+            if fi.ring != fj.ring:
+                raise AlgebraError("swap pairs must join equal factors")
         gammas = (1,) * len(self.factors) if self.gammas is None else tuple(self.gammas)
         object.__setattr__(self, "gammas", gammas)
         if len(gammas) != len(self.factors):
@@ -522,58 +522,56 @@ def local_norm(algebra: AlgebraWithInvolution, x, p: int) -> Fraction:
 class OrderR:
     """A dagger-stable order, given by a Z-basis.  The constructor checks
     full rank, presence of 1, stability under the involution and closure
-    under multiplication; every basis from outside the program goes
-    through it.  `OrderR.standard` builds Z, O_F or M_n(Z) on the Q-basis
-    with no check, since a theorem makes each of them an order.  The
-    inverse basis matrix is kept as integer numerators over one
-    denominator, so membership is a divisibility test on integers."""
+    under multiplication.  With no basis it takes `qbasis(algebra)`, and
+    skips the checks for three kinds of algebra, where a theorem makes that
+    basis an order stable under the involution (Reiner, *Maximal Orders*):
+    Z in Q; O_F = Z[w] in a quadratic field F, the integral closure of Z in
+    F, which every automorphism of F maps to itself, so Galois conjugation
+    too; M_n(Z) = End_Z(Z^n) in M_n(Q), which contains I and is closed
+    under transposition, the involution when z = I.  The inverse basis
+    matrix is kept as integer numerators over one denominator, so
+    membership is a divisibility test on integers."""
 
     algebra: AlgebraWithInvolution
-    basis_elements: tuple
+    basis_elements: tuple | None = None
 
     def __post_init__(self):
-        n = self.algebra.dim_q
+        A = self.algebra
+        n = A.dim_q
+        if self.basis_elements is None:
+            object.__setattr__(self, "basis_elements", tuple(qbasis(A)))
+            f, *rest = A.factors
+            if f.matrix_size:
+                theorem = isinstance(f.ring, RationalRing) and f.z_is_identity
+            else:
+                theorem = isinstance(f.ring, (RationalRing, QuadField))
+            if theorem and not rest:
+                object.__setattr__(self, "_minv", ([tuple(int(i == j) for j in range(n)) for i in range(n)], 1))
+                return
         if len(self.basis_elements) != n:
             raise AlgebraError("order basis must have full rank")
-        rows = [self.algebra.to_qcoords(b) for b in self.basis_elements]
+        rows = [A.to_qcoords(b) for b in self.basis_elements]
         try:
             minv = inverse(rows)
         except ZeroDivisionError:
             raise AlgebraError("order basis is singular") from None
         num, den = numerators(minv)
         object.__setattr__(self, "_minv", (list(zip(*num)), den))
-        if not self.contains(self.algebra.one()):
+        if not self.contains(A.one()):
             raise AlgebraError("order must contain 1")
         for b in self.basis_elements:
-            if not self.contains(self.algebra.involve(b)):
+            if not self.contains(A.involve(b)):
                 raise AlgebraError("order is not dagger-stable")
         for b1 in self.basis_elements:
             for b2 in self.basis_elements:
-                if not self.contains(self.algebra.mul(b1, b2)):
+                if not self.contains(A.mul(b1, b2)):
                     raise AlgebraError("order is not closed under multiplication")
 
-    @classmethod
-    def standard(cls, algebra: AlgebraWithInvolution) -> OrderR:
-        """The order on `qbasis(algebra)`, whose basis matrix is the
-        identity, for three kinds of algebra, each an order stable under
-        the involution by a theorem (Reiner, *Maximal Orders*):
-        Z in Q; O_F = Z[w] in a quadratic field F, the integral closure of
-        Z in F, which every automorphism of F maps to itself, so Galois
-        conjugation too; M_n(Z) = End_Z(Z^n) in M_n(Q), which contains I
-        and is closed under transposition, the involution when z = I."""
-        f, *rest = algebra.factors
-        if f.matrix_size:
-            known = isinstance(f.ring, RationalRing) and f.z_is_identity
-        else:
-            known = isinstance(f.ring, (RationalRing, QuadField))
-        if rest or not known:
-            raise AlgebraError(f"no standard order for {algebra}")
-        order = object.__new__(cls)
-        object.__setattr__(order, "algebra", algebra)
-        object.__setattr__(order, "basis_elements", tuple(qbasis(algebra)))
-        n = algebra.dim_q
-        object.__setattr__(order, "_minv", ([tuple(int(i == j) for j in range(n)) for i in range(n)], 1))
-        return order
+    def contains_qbasis(self) -> bool:
+        """Whether `qbasis(algebra)` lies in the order.  Its coordinates are
+        the rows of the inverse basis matrix, so this holds exactly when
+        their one denominator is 1."""
+        return self._minv[1] == 1
 
     def basis_matrix_is_identity(self) -> bool:
         cols, den = self._minv

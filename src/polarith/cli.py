@@ -45,6 +45,7 @@ from .forms import (
     isometric,
 )
 from .lattices_local import (
+    PRECISION,
     LatticeError,
     PadicLattice,
     check_completion,
@@ -55,7 +56,7 @@ from .lattices_local import (
     scale,
     solve_after_check,
 )
-from .linalg import QQ, RationalRing, det, frac, mat, qbasis
+from .linalg import QQ, RationalRing, det, frac, mat
 from .quadfield import QuadField, QuadFieldError, ResourceError
 from .hecke_classes import (
     PRIME_CAP,
@@ -291,7 +292,7 @@ def cmd_maximal_lattice(doc, args):
 
 def cmd_local_solve(doc, args):
     p = _prime(doc, odd=True)
-    precision = _int(doc.get("precision", args.precision), "precision", least=1)
+    precision = _int(doc.get("precision", PRECISION), "precision", least=1)
     q = _matrix(doc["q"], "q")
     a = _matrix(doc["a"], "a", len(q))
     m_prime = _rat(doc["m_prime"], "m_prime")
@@ -369,7 +370,7 @@ def _general_instance(doc, where: str) -> BoundInstance:
         n = A.dim_q
         basis_doc = doc.get("order_basis")
         if basis_doc is None:
-            basis = tuple(qbasis(A))
+            basis = None
         elif isinstance(basis_doc, list):
             basis = tuple(
                 A.from_qcoords(_coords(row, n, f"{where}.order_basis")) for row in basis_doc
@@ -568,7 +569,6 @@ _PARSER.add_argument("verb", choices=list(VERBS) + ["validate"])
 _PARSER.add_argument("input", nargs="?", help="input JSON file ('-' for stdin)")
 _PARSER.add_argument("--validate-verb", help="verb whose schema `validate` checks")
 _PARSER.add_argument("-o", "--output", default="-")
-_PARSER.add_argument("--precision", type=int, default=12)
 _PARSER.add_argument("--norm-cap", default=None)
 _PARSER.add_argument("--height", type=int, default=3)
 

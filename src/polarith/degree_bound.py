@@ -159,19 +159,19 @@ def _verified(inst: BoundInstance, method: str, b, value, norm_b, notes=None) ->
 
 def quadfield_instance(D: int | QuadField, q_coords, a_coords, involution: str = "identity") -> BoundInstance:
     F = D if isinstance(D, QuadField) else QuadField(D)
-    order = OrderR.standard(quadfield_algebra(F, involution))
+    order = OrderR(quadfield_algebra(F, involution))
     q = (QuadElem(F, frac(q_coords[0]), frac(q_coords[1])),)
     a = (QuadElem(F, frac(a_coords[0]), frac(a_coords[1])),)
     return BoundInstance(order, q, a)
 
 
 def rational_instance(q: int | Fraction, a=1) -> BoundInstance:
-    return BoundInstance(OrderR.standard(rational_algebra()), (frac(q),), (frac(a),))
+    return BoundInstance(OrderR(rational_algebra()), (frac(q),), (frac(a),))
 
 
 def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
     A = replace(matrix_algebra_q(n), gammas=(gamma,))
-    return BoundInstance(OrderR.standard(A), (mat(q_rows),), (mat(a_rows),))
+    return BoundInstance(OrderR(A), (mat(q_rows),), (mat(a_rows),))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,9 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
         raise DegreeBoundError("split solver needs a rational matrix algebra")
     if not f0.z_is_identity:
         return _oracle_fallback(inst, "non-transpose involutions route to the oracle")
+    # R holds every matrix unit, so R = M_n(Z), a maximal order
+    if not inst.order.contains_qbasis():
+        return _oracle_fallback(inst, "order is not M_n(Z): lattice glue unavailable")
     n = f0.matrix_size
     q = inst.q[0]
     m = inst.require_similitude()
@@ -244,11 +247,9 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     s = Fraction(1)
     for p in sorted(bad):
         kappa = max(0, -min((valuation(x, p) for row in qinv for x in row if x != 0), default=0))
-        need = max(kappa, 0) - valuation(m, p)
+        need = kappa - valuation(m, p)
         if need > 0:
             s *= Fraction(p) ** ((need + 1) // 2)
-        elif valuation(m, p) < 0:
-            s *= Fraction(p) ** ((-valuation(m, p) + 1) // 2)
     m2 = m * s * s
     if m2.denominator != 1 or m2 <= 0:
         raise DegreeBoundError("internal: m'' is not a positive integer")

@@ -53,7 +53,7 @@ from .linalg import (
     scalar_of,
     transpose,
 )
-from .quadfield import QuadElem, QuadField, is_square_in_field, is_totally_positive
+from .quadfield import QuadField, is_square_in_field, is_totally_positive
 
 
 class FormError(ValueError):
@@ -517,6 +517,8 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
     if not isinstance(ring, (RationalRing, QuadField)):
         raise FormError("involution_to_form supports matrix algebras over Q or a quadratic field")
     n = len(inv.z)
+    if not n:
+        raise FormError("involution_to_form needs n >= 1")
     z = [row[:] for row in inv.z]
     zct = _kind_conj_transpose(inv.kind, ring, z)
     if mat_eq(zct, z, ring):
@@ -530,19 +532,14 @@ def involution_to_form(inv: MatrixInvolution, want_positive: bool) -> GramForm:
         return form
     if kind == "skew":
         raise FormError("symplectic-type involutions admit no positive definite form")
-    # find v0 with phi(v0, v0) != 0 and rescale by its inverse
-    e = identity(n, ring)
-    pairs = [[x + y for x, y in zip(e[i], e[j])] for i in range(n) for j in range(i + 1, n)]
-    for v0 in e + pairs:
-        s = form.evaluate(v0, v0)
-        if ring.is_zero(s):
-            continue
-        rescaled = form.scale(ring.inv(s))
+    # the involution is positive exactly when phi is definite at every real
+    # place; then z_11 = phi(e_1, e_1) has phi's sign at each place and
+    # phi / z_11 is positive definite.  Else no scalar multiple is: it
+    # would have to be a totally positive multiple of phi / z_11
+    if not ring.is_zero(z[0][0]):
+        rescaled = form.scale(ring.inv(z[0][0]))
         if is_positive_definite(rescaled):
             return rescaled
-        rescaled_neg = form.scale(-ring.inv(s))
-        if is_positive_definite(rescaled_neg):
-            return rescaled_neg
     if is_positive_involution(inv):
         raise FormError("internal: a positive involution must admit a positive definite form")
     raise FormError("involution is not positive: no positive definite form exists")
@@ -584,9 +581,9 @@ class FormInvariants:
                     f"determinant norm-class mismatch: {self.det_element} vs "
                     f"{other.det_element} modulo Nm(F^x)"
                 )
-        elif self.det_element is not None or other.det_element is not None:
-            if not _det_elements_square_ratio(self.det_element, other.det_element):
-                return False, "field determinant classes differ"
+        elif self.det_element is not None and not is_square_in_field(self.det_element * other.det_element.inv()):
+            # a symmetric form over a quadratic field: its det is a QuadElem
+            return False, "field determinant classes differ"
         if self.hasse is not None:
             mine, theirs = self.hasse_minus_places(), other.hasse_minus_places()
             if mine != theirs:
@@ -595,14 +592,6 @@ class FormInvariants:
         if self.signatures is not None and self.signatures != other.signatures:
             return False, f"signature mismatch: {self.signatures} vs {other.signatures}"
         return True, "invariants agree"
-
-
-def _det_elements_square_ratio(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, QuadElem):
-        return is_square_in_field(a * b.inv())
-    return square_class(frac(a) / frac(b)) == 1
 
 
 def is_norm(m, F: QuadField) -> bool:

@@ -444,8 +444,12 @@ def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[
     return qinv, s
 
 
+# the p-adic working precision k of `split_local_solve` and `local-solve`
+PRECISION = 12
+
+
 def split_local_solve(
-    q: Matrix, a: Matrix, m_prime: Fraction | int, p: int, precision: int = 12
+    q: Matrix, a: Matrix, m_prime: Fraction | int, p: int, precision: int = PRECISION
 ) -> Matrix:
     """b with p-integral entries and b^T q b = m' * I exactly.
 
@@ -494,7 +498,7 @@ def solve_after_check(
         d = det(h)
         if d == 0:
             raise LatticeError("degenerate approximate isometry")
-        if valuation(d + 1, p) > 0:
+        if (d + 1).numerator % p == 0:
             flip = identity(n)
             flip[n - 1][n - 1] = Fraction(-1)
             h = mat_mul(h, flip)

@@ -99,7 +99,7 @@ def test_norm_examples():
 
 def test_norm_multiplicative_and_units():
     A = quadfield_algebra(F5)
-    order = OrderR.standard(A)
+    order = OrderR(A)
     rng = random.Random(3)
     for _ in range(20):
         x = (F5.from_rational(0),)
@@ -114,7 +114,7 @@ def test_norm_multiplicative_and_units():
 
 def test_norm_times_inverse_examples():
     B = quadfield_algebra(F5)
-    orderB = OrderR.standard(B)
+    orderB = OrderR(B)
     x = (F5.from_sqrt_coords(1, 1),)  # 1 + sqrt5
     out = norm_times_inverse(orderB, x)
     assert out[0] == F5.from_sqrt_coords(-1, 1)  # sqrt5 - 1
@@ -124,7 +124,7 @@ def test_norm_times_inverse_examples():
     assert norm_times_inverse(orderA, A.from_rational(2))[0] == 1
 
     C = replace(matrix_algebra_q(2), gammas=(2,))
-    orderC = OrderR.standard(C)
+    orderC = OrderR(C)
     d = ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],)
     out = norm_times_inverse(orderC, d)
     assert out[0] == [[Fraction(4), Fraction(0)], [Fraction(0), Fraction(2)]]
@@ -289,7 +289,7 @@ def test_order_validation_rejects_bad():
 
 def test_order_membership():
     A = quadfield_algebra(F5)
-    order = OrderR.standard(A)
+    order = OrderR(A)
     assert order.contains((F5.omega(),))
     assert not order.contains((F5.omega() / 2,))
 
@@ -364,13 +364,14 @@ def test_order_coordinates_and_membership_match_a_fraction_reference():
                 got = order.coordinates(x)
                 assert got == expected and all(type(c) is Fraction for c in got), name
                 assert order.contains(x) == all(c.denominator == 1 for c in expected), name
-    assert OrderR.standard(matrix_algebra_q(2)).basis_matrix_is_identity()
-    assert OrderR.standard(quadfield_algebra(F5)).basis_matrix_is_identity()
+    assert OrderR(matrix_algebra_q(2)).basis_matrix_is_identity()
+    assert OrderR(quadfield_algebra(F5)).basis_matrix_is_identity()
 
 
 def _standard_algebras():
-    """The algebras `OrderR.standard` accepts: Q, Q(sqrt D) under both
-    involutions, and M_n(Q) under the transpose, n = 1..4."""
+    """The algebras whose Q-basis `OrderR(algebra)` takes on a theorem's
+    word: Q, Q(sqrt D) under both involutions, and M_n(Q) under the
+    transpose, n = 1..4."""
     yield "Z", rational_algebra()
     for D in (-23, -5, -3, -1, 2, 5, 13, 401):
         for involution in ("identity", "conjugation"):
@@ -382,14 +383,34 @@ def _standard_algebras():
 _STANDARD = list(_standard_algebras())
 
 
+def _count_products(monkeypatch):
+    """A list that grows by one for each `AlgebraWithInvolution.mul` call."""
+    calls = []
+    mul = AlgebraWithInvolution.mul
+
+    def counted(self, x, y):
+        calls.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(AlgebraWithInvolution, "mul", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name, A", _STANDARD, ids=[name for name, _ in _STANDARD])
-def test_standard_orders_pass_the_checked_constructor(name, A):
-    """The checked constructor accepts the basis the standard order takes
-    on trust, and the two agree on coordinates and membership of seeded
-    elements, integral or with small denominators."""
-    checked, standard = OrderR(A, tuple(qbasis(A))), OrderR.standard(A)
+def test_standard_orders_pass_the_checked_constructor(name, A, monkeypatch):
+    """The checked constructor accepts the basis that `OrderR(A)` takes on
+    trust, without a product, and the two are equal and agree on
+    coordinates and membership of seeded elements, integral or with small
+    denominators."""
+    calls = _count_products(monkeypatch)
+    standard = OrderR(A)
+    assert calls == []
+    checked = OrderR(A, tuple(qbasis(A)))
+    assert len(calls) == A.dim_q**2
+    assert standard == checked
     assert [A.to_qcoords(b) for b in standard.basis_elements] == identity(A.dim_q)
     assert checked.basis_matrix_is_identity() and standard.basis_matrix_is_identity()
+    assert checked.contains_qbasis() and standard.contains_qbasis()
     rng = random.Random(A.dim_q)
     for _ in range(20):
         x = A.from_qcoords([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(A.dim_q)])
@@ -397,20 +418,46 @@ def test_standard_orders_pass_the_checked_constructor(name, A):
         assert standard.contains(x) == checked.contains(x), name
 
 
-def test_standard_order_refuses_other_algebras():
-    """No standard order for a quaternion algebra, M_2(Q) under a twisted
-    transpose (z != I), M_2 of a quadratic field, or two factors."""
+def test_qbasis_order_off_the_theorem_list_runs_the_checks(monkeypatch):
+    """Off the theorem list, `OrderR(A)` checks the Q-basis like any other
+    basis: M_2(Q) under a twisted transpose (z != I) is refused as not
+    dagger-stable, while a quaternion algebra, M_2 of a quadratic field
+    and Q x Q pass, each equal to the explicitly checked order, after
+    dim^2 products."""
     twisted = matrix_algebra_q(2, [[1, 0], [0, 2]])
     assert not twisted.factors[0].z_is_identity
+    with pytest.raises(AlgebraError, match="^order is not dagger-stable$"):
+        OrderR(twisted)
     algebras = [
         quaternion_algebra_q(-1, -1),
-        twisted,
         AlgebraWithInvolution((SimpleFactor(F5, matrix_size=2, involution="conjugate_transpose"),)),
         AlgebraWithInvolution((SimpleFactor(RationalRing()), SimpleFactor(RationalRing()))),
     ]
     for A in algebras:
-        with pytest.raises(AlgebraError, match="^no standard order for "):
-            OrderR.standard(A)
+        calls = _count_products(monkeypatch)
+        order = OrderR(A)
+        assert len(calls) == A.dim_q**2, A
+        assert order == OrderR(A, tuple(qbasis(A))), A
+
+
+def test_swap_pairs_are_refused_with_their_reason():
+    """The three swap-pair refusals; a swap of Q(sqrt 2) with Q(sqrt 3)
+    would put an element of one field in the other's slot."""
+    Q, F2, F3 = (SimpleFactor(r) for r in (RationalRing(), QuadField(2), QuadField(3)))
+    quat = SimpleFactor(QuaternionRing(RationalRing(), Fraction(-1), Fraction(-1)), involution="canonical")
+    cases = [
+        ((Q, Q), ((0, 0),), "swap pairs must be disjoint and non-trivial"),
+        ((Q, Q, Q), ((0, 1), (1, 2)), "swap pairs must be disjoint and non-trivial"),
+        ((quat, quat), ((0, 1),), "swap pairs are supported for etale \\(field\\) factors"),
+        ((F2, F3), ((0, 1),), "swap pairs must join equal factors"),
+        ((Q, F2), ((0, 1),), "swap pairs must join equal factors"),
+    ]
+    for factors, pairs, message in cases:
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            AlgebraWithInvolution(factors, pairs)
+    A = AlgebraWithInvolution((F3, F3), ((0, 1),))
+    x = (QuadField(3).from_sqrt_coords(1, 2), QuadField(3).one())
+    assert A.involve(x) == (x[1], x[0])
 
 
 def test_non_orders_are_refused_with_their_reason():

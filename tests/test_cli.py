@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import polarith
+from polarith.algebras import AlgebraWithInvolution
 from polarith.cli import VERBS, InputError, _rat, main, parse_instance, serialize_element
 from polarith.degree_bound import BoundResult, verify_result
+from polarith.linalg import mat
 from polarith.quadfield import QuadElem
 
 
@@ -77,7 +80,10 @@ def test_bad_flag_answers_schema_error(tmp_path, capsys, verb):
     stdout, not argparse's exit 2, which means a computed negative."""
     inp = tmp_path / "in.json"
     inp.write_text("{}")
-    usage_errors = ((["--height", "abc"], "abc"), (["--bogus"], "--bogus"), (["--seed", "1"], "--seed"))
+    usage_errors = (
+        (["--height", "abc"], "abc"), (["--bogus"], "--bogus"), (["--seed", "1"], "--seed"),
+        (["--precision", "12"], "--precision"),
+    )
     for flags, word in usage_errors:
         assert main([verb, str(inp), *flags]) == 1
         err = json.loads(capsys.readouterr().out)["error"]
@@ -108,7 +114,7 @@ def test_flags_before_the_input_path(tmp_path, verb):
     doc, flags = _flag_order_request(verb)
     inp, out = tmp_path / "in.json", tmp_path / "out.json"
     inp.write_text(json.dumps(doc))
-    flags = [*flags, "--precision", "12", "-o", str(out)]
+    flags = [*flags, "--height", "3", "-o", str(out)]
     answers = []
     for argv in ([verb, str(inp), *flags], [verb, *flags, str(inp)]):
         answers.append((main(argv), out.read_bytes()))
@@ -187,6 +193,21 @@ def test_local_solve_block_rotations_n6(tmp_path):
     assert [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
         [int(i == j) for j in range(n)] for i in range(n)
     ]
+
+
+@pytest.mark.parametrize("p, x, y", [(5, 3, 4), (13, 5, 12), (17, 8, 15), (29, 20, 21)])
+def test_local_solve_improper_rotations(tmp_path, p, x, y):
+    """a = [[x/p, y/p], [y/p, -x/p]] with x^2 + y^2 = p^2 is an orthogonal
+    reflection, det a = -1 exactly: the verb answers a p-integral b with
+    b^T b = I, and `validate` calls the input valid."""
+    a = [[f"{x}/{p}", f"{y}/{p}"], [f"{y}/{p}", f"-{x}/{p}"]]
+    doc = {"p": p, "q": [["1", "0"], ["0", "1"]], "a": a, "m_prime": "1"}
+    code, out = run_cli(tmp_path, "local-solve", doc)
+    assert code == 0
+    b = [[Fraction(v) for v in row] for row in out["b"]]
+    assert [[sum(b[k][i] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)] == [[1, 0], [0, 1]]
+    assert all(v.denominator % p for row in b for v in row)
+    assert run_cli(tmp_path, "validate", doc, "--validate-verb", "local-solve") == (0, {"valid": True, "errors": []})
 
 
 def test_degree_bound_quadfield(tmp_path):
@@ -339,6 +360,80 @@ def test_general_algebra_quaternion(tmp_path):
     assert out["value"] == 3
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_general_matrix_algebra_takes_the_theorem_like_matrix(tmp_path, monkeypatch, n):
+    """M_n(Q) spelt as a `general` algebra without `order_basis` builds
+    M_n(Z) as the `matrix` descriptor does, with no product of basis
+    elements (the two products counted are those of a^T q a), and answers
+    the same bytes."""
+    q = [[str(2 * (i == j)) for j in range(n)] for i in range(n)]
+    a = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    spelt = {
+        "matrix": {"algebra": {"type": "matrix", "n": n}, "q": q, "a": a},
+        "general": {"algebra": {"type": "general", "factors": [{"kind": "matrix", "n": n}]},
+                    "q": [x for row in q for x in row], "a": [x for row in a for x in row]},
+    }
+    mul = AlgebraWithInvolution.mul
+    answers = {}
+    for name, instance in spelt.items():
+        calls = []
+        monkeypatch.setattr(AlgebraWithInvolution, "mul", lambda self, x, y: calls.append(None) or mul(self, x, y))
+        assert parse_instance(instance).order.basis_matrix_is_identity()
+        monkeypatch.undo()
+        assert len(calls) == 2, name
+        answers[name] = run_cli(tmp_path, "degree-bound", {"instance": instance})
+    assert answers["general"] == answers["matrix"] and answers["matrix"][0] == 0
+
+
+def test_swap_pair_of_unequal_fields_is_refused(tmp_path):
+    doc = {"instance": {"algebra": {"type": "general", "factors": [{"kind": "quadfield", "D": 2},
+                                                                   {"kind": "quadfield", "D": 3}],
+                                    "swap_pairs": [[0, 1]]},
+                        "q": [1, 0, 1, 0], "a": [1, 0, 1, 0]}}
+    want = {"code": "precondition:algebra", "message": "instance: swap pairs must join equal factors"}
+    assert run_cli(tmp_path, "degree-bound", doc) == (1, {"error": want})
+
+
+def _index_two_instances(seed, count):
+    """Seeded instances over R = {[[a, 2b], [2c, d]]}, an order of M_2(Q)
+    stable under the transpose and strictly inside M_2(Z): q = c g^T g with
+    an even off-diagonal, and a = g^-1, so a^T q a = c I."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+        d = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        c = rng.choice([1, 2, 3, 5])
+        q = [[c * (g[0][i] * g[0][j] + g[1][i] * g[1][j]) for j in range(2)] for i in range(2)]
+        if d == 0 or q[0][1] % 2:
+            continue
+        a = [Fraction(g[1][1], d), Fraction(-g[0][1], d), Fraction(-g[1][0], d), Fraction(g[0][0], d)]
+        out.append({"algebra": {"type": "general", "factors": [{"kind": "matrix", "n": 2}]},
+                    "order_basis": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
+                    "q": [q[0][0], q[0][1], q[1][0], q[1][1]], "a": [str(x) for x in a]})
+    return out
+
+
+def test_orders_other_than_mnz_answer_from_the_fallback(tmp_path):
+    """The lattice glue builds b in M_2(Z), which need not lie in a smaller
+    order: on index-2 orders every instance answers exit 0 with a b of R
+    that passes `verify_result`, and a non-scalar q goes to the oracle
+    with the stated reason.  `measure-constant` answers on a batch too."""
+    instances = _index_two_instances(36, 12)
+    for instance in instances:
+        code, out = run_cli(tmp_path, "degree-bound", {"instance": instance})
+        assert code == 0, instance
+        inst = parse_instance(instance)
+        b = (mat(out["b"]),)
+        assert inst.order.contains(b) and b[0][0][1] % 2 == 0 == b[0][1][0] % 2
+        verify_result(inst, BoundResult(b, out["value"], Fraction(out["norm_b"]), Fraction(out["norm_q"]),
+                                        inst.d, out["method"]))
+        if out["method"] != "scalar":
+            assert out["notes"]["fallback_reason"] == "order is not M_n(Z): lattice glue unavailable"
+    code, out = run_cli(tmp_path, "measure-constant", {"instances": instances[:3]})
+    assert code == 0 and len(out["entries"]) == 3
+
+
 def test_degree_bound_desk_scale_bound(tmp_path):
     """Q(sqrt(1000003)) lies past the former desk-scale bound on |disc|: the
     ideal algorithm answers there, and the answer passes `verify_result`."""
@@ -399,8 +494,16 @@ def _quaternion_matrix(*entries):
              "norm_q": "1", "rank_d": 4, "achieved_ratio_squared": "1", "method": "cleared-similitude",
              "notes": {"fallback_reason": "no specialized route for this algebra"}},
         ),
+        (
+            {"algebra": {"type": "general", "factors": [{"kind": "quadfield", "D": 5}]},
+             "order_basis": [[1, 0], [-1, 2]], "q": [-2, 2], "a": [-3, 1]},
+            {"b": ["-6", "2"], "value": 8, "norm_b": "4", "norm_q": "4", "rank_d": 2,
+             "achieved_ratio_squared": "1/4", "method": "oracle-fallback",
+             "notes": {"explored": 224, "fallback_reason": "non-maximal order: ideal algorithm unavailable"}},
+        ),
     ],
-    ids=["scalar-rational", "scalar-conjugation", "scalar-quaternion", "oracle-fallback", "cleared-similitude"],
+    ids=["scalar-rational", "scalar-conjugation", "scalar-quaternion", "oracle-fallback", "cleared-similitude",
+         "non-maximal-order"],
 )
 def test_degree_bound_route_payloads_are_pinned(tmp_path, instance, want):
     """The routes the solve pool does not reach answer their whole payload,

@@ -179,6 +179,19 @@ def test_involution_to_form_symplectic_rejects_positive():
     assert f.kind == "skew"
 
 
+def test_involution_to_form_refuses_indefinite_conjugators():
+    """An indefinite z gives an involution that is not positive, whatever
+    entry z_11 holds (1 or 0); the empty conjugator is refused."""
+    for z in ([[1, 0], [0, -1]], [[0, 1], [1, 0]]):
+        inv = MatrixInvolution("symmetric", QR, [[Fraction(x) for x in row] for row in z])
+        assert not is_positive_involution(inv)
+        with pytest.raises(FormError, match="^involution is not positive: no positive definite form exists$"):
+            involution_to_form(inv, want_positive=True)
+        assert involution_to_form(inv, want_positive=False).gram == inv.z
+    with pytest.raises(FormError, match="^involution_to_form needs n >= 1$"):
+        involution_to_form(MatrixInvolution("symmetric", QR, []), want_positive=True)
+
+
 def test_matrix_involution_reads_its_size_off_z():
     assert [f.name for f in dataclasses.fields(MatrixInvolution)] == ["kind", "ring", "z"]
     two = adjoint_involution(diagonal_form_q([1, 1]))
@@ -282,6 +295,33 @@ def test_isometric_skew_dimension_only():
     assert isometric(j2, j2b)
     s = skew_standard_witness(j2b)
     assert s is not None
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_skew_standard_witness_on_seeded_forms(n):
+    """Seeded skew forms with entries in [-3, 3]: for every nonsingular one
+    the witness S has S^T G S = J, the standard symplectic Gram (at n >= 4
+    the rest of the space is projected against each hyperbolic pair), and
+    a singular one is refused."""
+    rng = random.Random(n)
+    j = [[Fraction((i == j - 1) - (i == j + 1)) if i // 2 == j // 2 else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    seen = 0
+    for _ in range(40):
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(i + 1, n):
+                g[i][k] = Fraction(rng.randint(-3, 3))
+                g[k][i] = -g[i][k]
+        f = GramForm("skew", QR, g)
+        if not f.is_nonsingular():
+            with pytest.raises(FormError, match="^singular skew form$"):
+                skew_standard_witness(f)
+            continue
+        seen += 1
+        s = skew_standard_witness(f)
+        assert mat_mul(mat_mul(transpose(s), g), s) == j
+    assert seen >= 30
 
 
 def test_etale_pair_isometry():

@@ -17,14 +17,17 @@ from polarith.lattices_local import (
     _reduce_to_standard,
     _represent_one,
     _sqrt_mod_pk,
+    check_local_solve,
     is_maximal,
     maximal_completion,
     scale,
+    solve_after_check,
     split_local_solve,
     unimodular_congruence_witness,
     unimodular_isometric,
     unit_case_parity,
 )
+from polarith import lattices_local
 from polarith.cli import main
 from polarith.exact import lift_root, valuation
 from polarith.forms import diagonalize, symmetric_form_q
@@ -238,6 +241,21 @@ def test_split_local_solve_nontrivial_transport():
     for row in b:
         for x in row:
             assert x == 0 or valuation(x, 3) >= 0
+
+
+def test_solve_after_check_doubles_the_precision_until_the_rounding_holds():
+    """At k = 1 and k = 2 the Cayley rounding of this rotation by 5^-2
+    misses an exact p-integral isometry, so the loop doubles k and answers
+    at k = 4 with b^T b = I, b 5-integral."""
+    q = identity(2)
+    a = mat([["-7/25", "24/25"], ["-24/25", "-7/25"]])
+    qinv, s = check_local_solve(q, a, Fraction(1), 5)
+    with mock.patch.object(lattices_local, "_cayley_orthogonal_round",
+                           wraps=lattices_local._cayley_orthogonal_round) as rounding:
+        b = solve_after_check(q, a, Fraction(1), 5, 1, qinv, s)
+    assert [c.args[2] for c in rounding.call_args_list] == [1, 2, 4]
+    assert mat_mul(transpose(b), b) == identity(2)
+    assert all(x == 0 or valuation(x, 5) >= 0 for row in b for x in row)
 
 
 def _reference_signed_permutations(n):

@@ -250,6 +250,32 @@ def test_large_literals_sit_at_listed_caps():
     assert sites == LARGE_LITERAL_SITES
 
 
+# `object.__new__` builds an instance past its class's constructor and the
+# checks there; each use sits at one of these (module, top-level function)
+# pairs.
+OBJECT_NEW_SITES = {
+    ("quadfield.py", "_elem"),  # the element fast path: ints already reduced
+}
+
+
+def test_object_new_only_at_listed_sites():
+    """Every class has one way in, its constructor: a new back door has to
+    be listed here."""
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            site = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else f"line {top.lineno}"
+            if any(
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+                for node in ast.walk(top)
+            ):
+                sites.add((path.name, site))
+    assert sites == OBJECT_NEW_SITES
+
+
 def test_readme_route_list_is_the_verified_methods():
     """The backticked names in the README's "Every `degree-bound` route
     (...)" bullet are exactly the method strings that `degree_bound` hands
