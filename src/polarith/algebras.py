@@ -131,6 +131,15 @@ class QuatElem:
         x0, x1, x2, x3 = self.num
         return QuatElem(self.alg, (x0, -x1, -x2, -x3), self.den)
 
+    def as_rational(self) -> Fraction | None:
+        """The rational c with x = c * 1, read off the numerators, None
+        otherwise (where `QuadElem.as_rational` raises)."""
+        n0, *rest = self.num
+        if isinstance(n0, int):
+            return None if any(rest) else Fraction(n0, self.den)
+        central = all(map(self.alg.center.is_zero, rest))  # over a quadratic centre, den = 1
+        return n0.as_rational() if central and n0.is_rational() else None
+
     def nrd(self):
         """x0^2 - a x1^2 - b x2^2 + ab x3^2, the coordinate 0 of x conj(x)."""
         s, a, b, ab = self.alg.scaled

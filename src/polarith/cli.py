@@ -194,9 +194,11 @@ def parse_form(doc, where: str = "form") -> GramForm:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("schema:bad-matrix", f"{where}.gram: must be square")
-    gram = [
-        [_entry(rows[i][j], ring, f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)
-    ]
+    try:
+        gram = [[_entry(x, ring, where) for x in row] for row in rows]
+    except InputError:
+        # parse again with each entry's path, which only an error names
+        gram = [[_entry(rows[i][j], ring, f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)]
     try:
         return GramForm(doc["kind"], ring, gram)
     except FormError as exc:

@@ -245,11 +245,10 @@ def factorint(n: int) -> dict[int, int]:
 REAL_PLACE = 0
 
 
-def _local_data(x, p: int, modulus: int | None = None) -> tuple[int, int]:
+def _local_data(n: int, d: int, p: int, modulus: int | None = None) -> tuple[int, int]:
     """(v_p(x), residue of the unit part of x mod `modulus`, by default p,
-    or 8 at p = 2) for a nonzero int or Fraction x.  p must already be
-    known to be prime."""
-    n, d = x.numerator, x.denominator
+    or 8 at p = 2) for the nonzero rational x = n / d, d > 0.  p must
+    already be known to be prime."""
     v = 0
     while n % p == 0:
         n //= p
@@ -268,14 +267,14 @@ def valuation(x: Fraction | int, p: int) -> int:
         raise ExactError("valuation of zero is undefined")
     if not isprime(p):
         raise ExactError(f"{p} is not prime")
-    return _local_data(x, p)[0]
+    return _local_data(*x.as_integer_ratio(), p)[0]
 
 
 def unit_residue(x: Fraction | int, p: int, modulus: int | None = None) -> int:
     """The residue of the p-adic unit part of x modulo `modulus` (default p)."""
     x = Fraction(x)
     valuation(x, p)  # refuses zero and a non-prime p
-    return _local_data(x, p, modulus or p)[1]
+    return _local_data(*x.as_integer_ratio(), p, modulus or p)[1]
 
 
 def square_class(x: Fraction | int) -> int:
@@ -389,17 +388,31 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: int) -> int:
         return -1 if (a < 0 and b < 0) else 1
     if not isprime(v):
         raise ExactError(f"{v} is not a place of Q")
-    return _hilbert_local(*_local_data(a, v), *_local_data(b, v), v)
+    return _hilbert_local(*_local_data(*a.as_integer_ratio(), v), *_local_data(*b.as_integer_ratio(), v), v)
+
+
+def fold_column(column: list[tuple[int, int]], p: int) -> tuple[int, int, int]:
+    """(prod_{i<j} sigma(a_i, a_j), sum of the v_p(a_i), product of the unit
+    residues) at the prime p for entries a_i given by their column of
+    `local_table`.  By bimultiplicativity the first is
+    prod_j sigma(a_1 ... a_{j-1}, a_j), so one pass suffices, with the
+    prefix a_1 ... a_{j-1} carried as its valuation sum and residue
+    product; of a pair <a, b> it is sigma(a, b)."""
+    m = 8 if p == 2 else p
+    s, alpha, u = 1, 0, 1
+    for beta, w in column:
+        if p == 2 or (alpha | beta) & 1:  # at odd p, two even valuations give +1
+            s *= _hilbert_local(alpha, u, beta, w, p)
+        alpha, u = alpha + beta, u * w % m
+    return s, alpha, u
 
 
 def hasse_invariant(diag: list[Fraction | int], v: int) -> int:
-    """prod_{i<j} sigma(a_i, a_j) at v for a diagonalized form <a_1, ..., a_n>.
-
-    By bimultiplicativity this is prod_j sigma(a_1 ... a_{j-1}, a_j), so one
-    pass suffices: each entry's valuation and unit residue are taken once,
-    and the prefix a_1 ... a_{j-1} is carried as its valuation sum and
-    residue product.  At the real place it is -1 to the number of pairs of
-    negative entries."""
+    """prod_{i<j} sigma(a_i, a_j) at v for a diagonalized form <a_1, ..., a_n>:
+    at a prime, `fold_column` over the entries' valuations and unit
+    residues at v; at the real place, -1 to the number of pairs of negative
+    entries.  For every place at once, fold the columns of one
+    `local_table`, which factors each entry once."""
     if any(x == 0 for x in diag):
         raise ExactError("singular form: zero diagonal entry")
     if v == REAL_PLACE:
@@ -407,24 +420,30 @@ def hasse_invariant(diag: list[Fraction | int], v: int) -> int:
         return -1 if k * (k - 1) // 2 % 2 else 1
     if not isprime(v):
         raise ExactError(f"{v} is not a place of Q")
-    m = 8 if v == 2 else v
-    s, alpha, u = 1, 0, 1
-    for x in diag:
-        beta, w = _local_data(x, v)
-        s *= _hilbert_local(alpha, u, beta, w, v)
-        alpha, u = alpha + beta, u * w % m
-    return s
+    return fold_column([_local_data(*x.as_integer_ratio(), v) for x in diag], v)[0]
+
+
+def local_table(values: list[Fraction | int]) -> dict[int, list[tuple[int, int]]]:
+    """{p: [(v_p(x), residue of the unit part of x mod p, or mod 8 at p = 2)
+    for x in values]} over the finite support places of the nonzero
+    rationals `values`: 2, then the primes dividing a numerator or a
+    denominator, ascending, as in `support_places`.  Each distinct numerator
+    and denominator is factored once, and each distinct value localized once
+    per place, so one table carries a diagonal's invariants at every prime."""
+    pairs = [x.as_integer_ratio() for x in values]  # hash faster than Fractions
+    if any(n == 0 for n, _ in pairs):
+        raise ExactError("support of zero")
+    distinct = set(pairs)
+    primes = {2}.union(*(factorint(n) for n in {abs(k) for pair in distinct for k in pair} - {1}))
+    table = {}
+    for p in sorted(primes):
+        local = {pair: _local_data(*pair, p) for pair in distinct}
+        table[p] = [local[pair] for pair in pairs]
+    return table
 
 
 def support_places(*values: Fraction | int) -> list[int]:
     """Finite primes dividing any value's numerator or denominator, plus 2,
     ascending, then the real place.  Hilbert symbols of the values are +1
     elsewhere."""
-    primes = {2}
-    for x in set(values):
-        x = Fraction(x)
-        if x == 0:
-            raise ExactError("support of zero")
-        for n in (abs(x.numerator), x.denominator):
-            primes.update(factorint(n).keys())
-    return [*sorted(primes), REAL_PLACE]
+    return [*local_table([Fraction(x) for x in values]), REAL_PLACE]

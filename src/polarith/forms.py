@@ -32,10 +32,11 @@ from math import lcm, prod
 from .algebras import QuaternionRing
 from .exact import (
     REAL_PLACE,
+    fold_column,
     hasse_invariant,
     hilbert_symbol,
+    local_table,
     square_class,
-    support_places,
 )
 from .linalg import (
     RationalRing,
@@ -312,16 +313,10 @@ def _positive_diagonal(f: GramForm) -> list | None:
     if isinstance(ring, QuadField) and ring.is_real:
         positive = all(is_totally_positive(x) for x in diag)
     else:  # involution-fixed entries, hence rational: returned as such
-        diag = _fixed_rationals(ring, diag)
+        if not isinstance(ring, RationalRing):
+            diag = [x.as_rational() for x in diag]
         positive = all(x > 0 for x in diag)
     return diag if positive else None
-
-
-def _fixed_rationals(ring, diag: list) -> list:
-    """The involution-fixed entries of a diagonal, as the rationals they are."""
-    if isinstance(ring, QuadField):
-        return [x.as_rational() for x in diag]
-    return [rational_of(x, ring) for x in diag]
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +597,8 @@ def is_norm(m, F: QuadField) -> bool:
         raise FormError("zero is not a unit")
     if F.is_real:
         raise FormError("norm-class determinants need a CM (imaginary) field")
-    for v in support_places(m, Fraction(F.D)):
-        if hilbert_symbol(m, Fraction(F.D), v) != 1:
-            return False
-    return True
+    # (m, D) with D < 0: the sign of m at the real place, at a prime the Hasse invariant of <m, D>
+    return m > 0 and all(fold_column(col, p)[0] == 1 for p, col in local_table([m, F.D]).items())
 
 
 def invariants(f: GramForm) -> FormInvariants:
@@ -634,15 +627,17 @@ def invariants(f: GramForm) -> FormInvariants:
             if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
                 raise
             raise FormError("singular forms have no invariants") from None
-        if f.kind == "hermitian":
-            diag = _fixed_rationals(ring, diag)
+        if f.kind == "hermitian":  # involution-fixed entries, hence rational
+            diag = [x.as_rational() for x in diag]
     return _diagonal_invariants(f.kind, ring, diag)
 
 
-def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
+def _diagonal_invariants(kind: str, ring, diag: list, table: dict | None = None) -> FormInvariants:
     """The invariants of the nonsingular diagonal form <diag> of the given
     (non-skew) kind over `ring`; a hermitian diagonal over a CM field or a
-    quaternion algebra is given by its rational entries."""
+    quaternion algebra is given by its rational entries.  Over Q, the fold
+    of each column of `table`, the `local_table` of diag (built unless
+    given), gives the Hasse invariant and the parity of v_p(det)."""
     dim = len(diag)
     if kind == "quat-skew-hermitian":
         return FormInvariants(
@@ -653,14 +648,14 @@ def _diagonal_invariants(kind: str, ring, diag: list) -> FormInvariants:
             complete=False,
         )
     if kind == "symmetric" and isinstance(ring, RationalRing):
-        hasse = {v: hasse_invariant(diag, v) for v in support_places(*diag)}
+        folds = {p: fold_column(col, p) for p, col in (table or local_table(diag)).items()}
         pos = sum(1 for x in diag if x > 0)
         return FormInvariants(
             kind="symmetric",
             base="Q",
             dim=dim,
-            det_class=square_class(prod(diag, start=Fraction(1))),
-            hasse=hasse,
+            det_class=prod((p for p, (_, alpha, _) in folds.items() if alpha % 2), start=(-1) ** (dim - pos)),
+            hasse={p: s for p, (s, _, _) in folds.items()} | {REAL_PLACE: hasse_invariant(diag, REAL_PLACE)},
             signatures=[(pos, dim - pos)],
             complete=True,
         )
@@ -877,7 +872,9 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
 
     Each form is diagonalized once at its own size; the diagonal of a
     direct sum is the concatenation of the diagonals, so the invariants of
-    psi^4 come from `diag * 4` and the sum-rule check from `diag * 2`."""
+    psi^4 come from `diag * 4` and the sum-rule check from `diag * 2`.
+    Over Q each form's diagonal is factored once, into one `local_table`
+    whose columns, repeated, are those of psi^4 and psi^2."""
     if f1.kind != f2.kind or f1.ring != f2.ring:
         raise FormError("fourth-power check needs matching kind and base")
     if f1.dim != f2.dim:
@@ -887,30 +884,33 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
     diag1, diag2 = _positive_diagonal(f1), _positive_diagonal(f2)
     if diag1 is None or diag2 is None:
         raise FormError("fourth-power check needs positive definite forms")
-    i1 = _diagonal_invariants(f1.kind, f1.ring, diag1 * 4)
-    i2 = _diagonal_invariants(f2.kind, f2.ring, diag2 * 4)
+    rational = f1.kind == "symmetric" and isinstance(f1.ring, RationalRing)
+    t1, t2 = (local_table(d) if rational else {} for d in (diag1, diag2))
+    i1 = _diagonal_invariants(f1.kind, f1.ring, diag1 * 4, {p: col * 4 for p, col in t1.items()})
+    i2 = _diagonal_invariants(f2.kind, f2.ring, diag2 * 4, {p: col * 4 for p, col in t2.items()})
     cert: dict = {
         "dim": i1.dim,
         "kind": f1.kind,
         "signatures": [i1.signatures, i2.signatures],
     }
-    if f1.kind == "symmetric" and isinstance(f1.ring, RationalRing):
+    if rational:
         if not (i1.det_class == 1 and i2.det_class == 1):
             raise FormError("internal: fourth-power determinant must be a square")
         if i1.hasse_minus_places() or i2.hasse_minus_places():
             raise FormError(
                 "internal: hasse invariant of a positive definite fourth power must be trivial"
             )
-        # independent route: the direct-sum rule with square determinants,
-        # against the invariants of d1 + d1 = diag1 * 4 the certificate holds
-        # (the places of d1 and det2 are those of diag1)
-        d1 = diag1 * 2
-        det2 = prod(d1, start=Fraction(1))
-        for v in support_places(*(d1 + [det2])):
-            s2 = hasse_invariant(d1, v)
-            rule = s2 * s2 * hilbert_symbol(det2, det2, v)
-            if rule != i1.hasse[v]:
-                raise FormError("internal: sum rule violated")
+        # independent route: s(d1 + d1) = s(d1)^2 (det2, det2) for d1 = diag1 * 2
+        # of determinant det2, against the invariants of diag1 * 4; at a prime
+        # (det2, det2) is the Hasse invariant of <det2, det2>, from d1's fold
+        rules = {}
+        for p, col in t1.items():
+            s2, alpha, u = fold_column(col * 2, p)
+            rules[p] = s2 * s2 * fold_column([(alpha, u)] * 2, p)[0]
+        det2 = prod(diag1, start=Fraction(1)) ** 2
+        rules[REAL_PLACE] = hasse_invariant(diag1 * 2, REAL_PLACE) ** 2 * hilbert_symbol(det2, det2, REAL_PLACE)
+        if rules != i1.hasse:
+            raise FormError("internal: sum rule violated")
         cert["det_classes"] = [i1.det_class, i2.det_class]
         cert["hasse_trivial"] = True
         cert["sum_rule_checked"] = True

@@ -269,6 +269,22 @@ def test_quaternion_norm_against_the_regular_matrix(name, ring):
         assert f.abs_norm(x) == (rational_sqrt(reg) if reg else 0)
 
 
+@pytest.mark.parametrize("name", list(QUATERNION_BASES))
+def test_quaternion_as_rational_matches_rational_of(name):
+    """On seeded elements, some central, some rational, some neither:
+    `as_rational` answers what `linalg.rational_of` reads off the
+    Q-coordinates, over the centre Q and over Q(sqrt5)."""
+    ring = QUATERNION_BASES[name]
+    rng = random.Random(name)
+    for _ in range(60):
+        coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 6))) for _ in range(ring.dim_q)]
+        for k in range(rng.choice((1, 2, ring.dim_q)), ring.dim_q):
+            coords[k] = Fraction(0)
+        x = ring.from_qcoords(coords)
+        assert x.as_rational() == rational_of(x, ring)
+    assert ring.coerce(Fraction(-5, 6)).as_rational() == Fraction(-5, 6)
+
+
 def test_quaternion_norm_spec():
     A = quaternion_algebra_q(-1, -1)
     assert A.rank_d == 2

@@ -14,12 +14,14 @@ from polarith import exact
 from polarith.exact import (
     ExactError,
     REAL_PLACE,
+    fold_column,
     hasse_invariant,
     hilbert_symbol,
     is_rational_square,
     least_nonresidue,
     legendre,
     lift_root,
+    local_table,
     sqrt_mod_p,
     square_class,
     support_places,
@@ -201,6 +203,52 @@ def test_hasse_permutation_invariance(diag, seed):
     rng.shuffle(perm)
     for v in support_places(*diag):
         assert hasse_invariant(diag, v) == hasse_invariant(perm, v)
+
+
+def _table_diagonal(rng: random.Random) -> list:
+    """A diagonal drawn with repeated entries, negative entries, primes in
+    the denominators and numerators divisible by 2, 4 and 8; an entry with
+    denominator 1 is sometimes an int."""
+    pool = []
+    for _ in range(rng.randint(1, 5)):
+        num = rng.choice([-1, 1]) * rng.choice([1, 2, 4, 8, 16]) * rng.choice([1, 3, 5, 7, 11, 15, 21, 1009])
+        x = Fraction(num, rng.choice([1, 1, 2, 3, 4, 5, 9, 25, 77, 1013]))
+        pool.append(int(x) if x.denominator == 1 and rng.random() < 0.5 else x)
+    return [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+
+
+def test_local_table_carries_every_invariant_of_a_diagonal():
+    """On seeded diagonals: the table's places are `support_places` less
+    the real one (and, independently, 2 and the primes sympy finds); each
+    column holds the entries' valuations and unit residues; the fold of a
+    column is the Hasse invariant as a product of Hilbert symbols, and the
+    primes of odd valuation sum with the sign give the determinant's square
+    class.  Off the table every Hilbert symbol is +1."""
+    rng = random.Random(3701)
+    for _ in range(300):
+        diag = _table_diagonal(rng)
+        table = local_table(diag)
+        assert [*table, REAL_PLACE] == support_places(*diag)
+        primes = {p for x in map(Fraction, diag) for n in (abs(x.numerator), x.denominator) for p in factorint(n)}
+        assert list(table) == sorted(primes | {2})
+        det = prod(map(Fraction, diag))
+        odd = []
+        for p, col in table.items():
+            m = 8 if p == 2 else p
+            assert col == [(valuation(x, p), unit_residue(x, p, m)) for x in diag]
+            s, alpha, _ = fold_column(col, p)
+            pairs = [hilbert_symbol(a, b, p) for i, a in enumerate(diag) for b in diag[i + 1 :]]
+            assert s == prod(pairs) == hasse_invariant(diag, p), (diag, p)
+            odd += [p] if alpha % 2 else []
+        assert prod(odd, start=-1 if det < 0 else 1) == square_class(det)
+        off = nextprime(max(table))
+        assert all(hilbert_symbol(a, b, off) == 1 for a in diag for b in diag)
+
+
+def test_local_table_refuses_zero():
+    with pytest.raises(ExactError, match="support of zero"):
+        local_table([3, Fraction(0), 5])
+    assert local_table([]) == {2: []}
 
 
 def test_hasse_rejects_singular():

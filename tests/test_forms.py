@@ -382,6 +382,27 @@ def test_fourth_power_examples():
         fourth_power_isometric(diagonal_form_q([1, -1]), f1)
 
 
+def test_fourth_power_factors_each_entry_once(monkeypatch):
+    """Over Q, `fourth_power_isometric` factors each distinct numerator and
+    denominator of each form's diagonal once, into one local table per
+    form, and never a product of entries such as a determinant."""
+    from polarith import exact
+
+    factored = []
+
+    def counting(n):
+        factored.append(n)
+        return real(n)
+
+    real = exact.factorint
+    monkeypatch.setattr(exact, "factorint", counting)
+    f1 = diagonal_form_q([Fraction(1, 3), 5, Fraction(7, 2), 12])
+    f2 = diagonal_form_q([2, Fraction(3, 5), 11, Fraction(6, 7)])
+    ok, cert = fourth_power_isometric(f1, f2)
+    assert ok and cert["hasse_trivial"] and cert["sum_rule_checked"]
+    assert sorted(factored) == sorted([2, 3, 5, 7, 12] + [2, 3, 5, 6, 7, 11])
+
+
 def test_fourth_power_hermitian_imaginary():
     ring = Fi
     f1 = GramForm("hermitian", ring, [[Fi.one()]])
