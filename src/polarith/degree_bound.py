@@ -75,8 +75,9 @@ class BoundInstance:
     """(R, q, a) with q symmetric in the order R and a^dagger q a a nonzero
     rational scalar (checked).  The algebra, its involution and its norm
     exponents are those of R (`algebra` reads `order.algebra`).  a = None
-    builds an oracle-only instance with no similitude hypothesis (the
-    solvers reject it)."""
+    builds an instance with no similitude hypothesis: the ideal algorithm
+    and the M_n(Z) lattice glue refuse it (`require_similitude`), and the
+    oracle fallback takes it, answering a scalar q by b = 1."""
 
     order: OrderR
     q: tuple
@@ -513,16 +514,14 @@ def _shell(dim: int, radius: int):
 
 
 def _cleared_similitude_result(inst: BoundInstance) -> BoundResult | None:
-    """The paper's trivial candidate: clear denominators of a; then
-    (t a)^dagger q (t a) = t^2 m is a nonzero integer and t a is in R."""
+    """The paper's trivial candidate: clear denominators of a; then t a is
+    in R, and (t a)^dagger q (t a) = t^2 m lies in R (dagger-stable) and in
+    Q, so in Z: R is a finitely generated Z-module that holds 1."""
     if inst.a is None:
         return None
     t = numerators([inst.order.coordinates(inst.a)])[1]
     b = inst.algebra.scale(Fraction(t), inst.a)
-    val = inst.m * t * t
-    if val.denominator != 1:
-        return None
-    return _verified(inst, "cleared-similitude", b, val, norm(inst.algebra, b))
+    return _verified(inst, "cleared-similitude", b, inst.m * t * t, norm(inst.algebra, b))
 
 
 def _oracle_fallback(inst: BoundInstance, reason: str) -> BoundResult:

@@ -11,8 +11,9 @@ Supported (kind, base) combinations:
                        involution), or over the etale pair Q x Q (swap)
   quat-skew-hermitian  over a quaternion algebra over Q (canonical)
 
-Isometry over Q (symmetric), over imaginary quadratic fields (hermitian),
-for skew forms and for etale-pair forms is decided by complete invariants.
+Isometry over Q (symmetric), over imaginary quadratic fields and definite
+quaternion algebras (hermitian: the latter by dimension and signature), for
+skew forms and for etale-pair forms is decided by complete invariants.
 For quaternionic skew-hermitian forms only the local invariants (dimension
 and reduced-norm determinant class) are compared and the decision carries
 an explicit completeness flag: the global isometry class is genuinely not
@@ -40,7 +41,6 @@ from .exact import (
 )
 from .linalg import (
     RationalRing,
-    conj_transpose,
     det,
     frac,
     identity,
@@ -52,7 +52,6 @@ from .linalg import (
     rational_of,
     regular_matrix,
     scalar_of,
-    transpose,
 )
 from .quadfield import QuadField, is_square_in_field, is_totally_positive
 
@@ -167,9 +166,7 @@ def _entry_conj(kind: str, ring, x):
 
 def _kind_conj_transpose(kind: str, ring, a: list) -> list:
     """a^{iota T}, with iota the entrywise involution of the form kind."""
-    if kind in ("symmetric", "skew"):
-        return transpose(a)
-    return conj_transpose(a, ring)
+    return [[_entry_conj(kind, ring, x) for x in col] for col in zip(*a)]
 
 
 @dataclass
@@ -604,97 +601,67 @@ def is_norm(m, F: QuadField) -> bool:
 def invariants(f: GramForm) -> FormInvariants:
     """The full invariant vector appropriate to the form's kind and base.
 
-    A completed diagonalization (unit pivots) proves the form nonsingular.
-    When the pivot search fails, a quaternionic skew-hermitian form is
-    tested on the whole matrix: over a split quaternion algebra the failed
-    search alone proves nothing.  Skew and etale-pair forms are tested on
-    the whole matrix."""
+    The dimension classifies nonsingular skew (`skew_standard_witness`) and
+    etale-pair forms (`etale_pair_witness`), tested on the whole matrix.
+    Otherwise a completed diagonalization (unit pivots) proves the form
+    nonsingular; when the pivot search fails, a quaternionic skew-hermitian
+    form is tested on the whole matrix: over a split quaternion algebra the
+    failed search alone proves nothing."""
     ring = f.ring
     if f.kind == "skew" or isinstance(ring, EtalePairRing):
         if not f.is_nonsingular():
             raise FormError("singular forms have no invariants")
-        if f.kind == "skew":
-            if f.dim % 2:
-                raise FormError("nonsingular skew forms have even dimension")
-            return FormInvariants(kind="skew", base="Q", dim=f.dim, complete=True)
-        # every nonsingular etale-pair form is isometric to <1, ..., 1>
-        # (etale_pair_witness)
-        diag = [ring.one()] * f.dim
-    else:
-        try:
-            diag = diagonal(f)
-        except FormError:
-            if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
-                raise
-            raise FormError("singular forms have no invariants") from None
-        if f.kind == "hermitian":  # involution-fixed entries, hence rational
-            diag = [x.as_rational() for x in diag]
+        if f.kind == "skew" and f.dim % 2:
+            raise FormError("nonsingular skew forms have even dimension")
+        return FormInvariants(f.kind, _base_label(ring), f.dim)
+    try:
+        diag = diagonal(f)
+    except FormError:
+        if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
+            raise
+        raise FormError("singular forms have no invariants") from None
+    if f.kind == "hermitian":  # involution-fixed entries, hence rational
+        diag = [x.as_rational() for x in diag]
     return _diagonal_invariants(f.kind, ring, diag)
 
 
+def _base_label(ring) -> str:
+    if isinstance(ring, QuadField):
+        return f"Q(sqrt{ring.D})"
+    if isinstance(ring, QuaternionRing):
+        return f"quat({ring.a},{ring.b})"
+    return "QxQ" if isinstance(ring, EtalePairRing) else "Q"
+
+
 def _diagonal_invariants(kind: str, ring, diag: list, table: dict | None = None) -> FormInvariants:
-    """The invariants of the nonsingular diagonal form <diag> of the given
-    (non-skew) kind over `ring`; a hermitian diagonal over a CM field or a
-    quaternion algebra is given by its rational entries.  Over Q, the fold
-    of each column of `table`, the `local_table` of diag (built unless
-    given), gives the Hasse invariant and the parity of v_p(det)."""
+    """The invariants of the nonsingular diagonal form <diag>: symmetric
+    over Q or a real quadratic field, hermitian over a CM field or a
+    definite quaternion algebra (given by its rational entries), or
+    quaternionic skew-hermitian.  Over Q, the fold of each column of
+    `table`, the `local_table` of diag (built unless given), gives the
+    Hasse invariant and the parity of v_p(det)."""
     dim = len(diag)
+    inv = FormInvariants(kind, _base_label(ring), dim)
     if kind == "quat-skew-hermitian":
-        return FormInvariants(
-            kind="quat-skew-hermitian",
-            base=f"quat({ring.a},{ring.b})",
-            dim=dim,
-            det_class=square_class(prod((x.nrd() for x in diag), start=Fraction(1))),
-            complete=False,
-        )
-    if kind == "symmetric" and isinstance(ring, RationalRing):
-        folds = {p: fold_column(col, p) for p, col in (table or local_table(diag)).items()}
+        inv.det_class = square_class(prod((x.nrd() for x in diag), start=Fraction(1)))
+        inv.complete = False
+    elif isinstance(ring, QuadField) and ring.is_real:  # symmetric: no Hasse data over the field
+        inv.det_element = prod(diag, start=ring.one())
+        counts = [sum(1 for x in diag if x.sign_at(v) > 0) for v in (0, 1)]
+        inv.signatures = [(c, dim - c) for c in counts]
+        inv.complete = False
+    else:  # rational entries
         pos = sum(1 for x in diag if x > 0)
-        return FormInvariants(
-            kind="symmetric",
-            base="Q",
-            dim=dim,
-            det_class=prod((p for p, (_, alpha, _) in folds.items() if alpha % 2), start=(-1) ** (dim - pos)),
-            hasse={p: s for p, (s, _, _) in folds.items()} | {REAL_PLACE: hasse_invariant(diag, REAL_PLACE)},
-            signatures=[(pos, dim - pos)],
-            complete=True,
-        )
-    if kind == "symmetric" and isinstance(ring, QuadField):
-        sig0 = sum(1 for x in diag if x.sign_at(0) > 0)
-        sig1 = sum(1 for x in diag if x.sign_at(1) > 0)
-        return FormInvariants(
-            kind="symmetric",
-            base=f"Q(sqrt{ring.D})",
-            dim=dim,
-            det_element=prod(diag, start=ring.one()),
-            signatures=[(sig0, dim - sig0), (sig1, dim - sig1)],
-            complete=False,
-        )
-    if kind == "hermitian" and isinstance(ring, QuadField):
-        det = prod(diag, start=Fraction(1))
-        pos = sum(1 for x in diag if x > 0)
-        return FormInvariants(
-            kind="hermitian",
-            base=f"Q(sqrt{ring.D})",
-            dim=dim,
-            det_element=det,
-            det_field=ring,
-            det_is_norm=is_norm(det, ring),
-            signatures=[(pos, dim - pos)],
-            complete=True,
-        )
-    if kind == "hermitian" and isinstance(ring, QuaternionRing):
-        pos = sum(1 for x in diag if x > 0)
-        return FormInvariants(
-            kind="hermitian",
-            base=f"quat({ring.a},{ring.b})",
-            dim=dim,
-            signatures=[(pos, dim - pos)],
-            complete=True,
-        )
-    if kind == "hermitian" and isinstance(ring, EtalePairRing):
-        return FormInvariants(kind="hermitian", base="QxQ", dim=dim, complete=True)
-    raise FormError("unsupported kind/base")
+        inv.signatures = [(pos, dim - pos)]
+        if isinstance(ring, RationalRing):
+            folds = {p: fold_column(col, p) for p, col in (table or local_table(diag)).items()}
+            inv.det_class = prod((p for p, (_, alpha, _) in folds.items() if alpha % 2), start=(-1) ** (dim - pos))
+            inv.hasse = {p: s for p, (s, _, _) in folds.items()} | {REAL_PLACE: hasse_invariant(diag, REAL_PLACE)}
+        elif isinstance(ring, QuadField):
+            inv.det_element = prod(diag, start=Fraction(1))
+            inv.det_field = ring
+            inv.det_is_norm = is_norm(inv.det_element, ring)
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ j != i.  Then v^T G v = (Gv)_i + sum over j > i of v_j (Gv)_j, so the
 diagonal test forces (G'v)_i = 0 mod p too: v lies in the kernel of G'
 mod p.  When s < 0, the row modulus is 1 and every point passes the row
 test: that is the kernel of the zero matrix.  The scan therefore walks the
-projective points of that kernel only.  With a basis of the kernel in
+projective points of that kernel only, and makes only the diagonal test:
+the row test holds there by construction.  With a basis of the kernel in
 reduced row echelon form, the points with lead index c_m (the pivot of row
 m) are row m plus the combinations of the later rows, and their
 lexicographic order is that of the coefficient vectors, because each later
@@ -179,15 +180,12 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
     g, den = numerators(gram)
     e = valuation(den, p)
     s = t + e
-    row_mod = p ** max(0, s + 1)
     diag_mod = p ** max(0, s + 2)
-    # G' = G / p^s mod p; every point passes the row test when s < 0
+    # G' = G / p^s mod p, and the zero matrix when s < 0 (the row modulus is 1)
     g_mod_p = [[x // p**s % p if s >= 0 else 0 for x in row] for row in g]
     for v in _kernel_points(kernel_mod_p(g_mod_p, p), p):
         i = v.index(1)
         gv = [sum(g[j][k] * v[k] for k in range(i, n)) for j in range(n)]
-        if any(gv[j] % row_mod for j in range(n) if j != i):
-            continue
         vgv = sum(v[k] * gv[k] for k in range(i, n))
         if vgv % diag_mod:
             continue

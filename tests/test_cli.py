@@ -795,6 +795,45 @@ def test_form_verbs_answer_every_kind_and_base(tmp_path, verb):
         assert (rc, out["valid"]) in ((0, True), (1, False)) and len(out["errors"]) == rc, form
 
 
+def _sweep_partners(form):
+    """Forms to compare `form` with: itself, its (1, 1) entry times 3 and
+    times -1, and its direct sum with itself, so that each kind meets the
+    reasons its invariants can differ by."""
+    gram = form["gram"]
+
+    def times(x, c):
+        return str(c * Fraction(x)) if isinstance(x, str) else [str(c * Fraction(y)) for y in x]
+
+    zero = times(gram[0][1], 0)
+    doubled = [row + [zero] * 2 for row in gram] + [[zero] * 2 + row for row in gram]
+    partners = [gram, doubled]
+    for c in (3, -1):
+        scaled = [row[:] for row in gram]
+        scaled[1][1] = times(gram[1][1], c)
+        partners.append(scaled)
+    return [dict(form, gram=g) for g in partners]
+
+
+def test_form_verbs_sweep_is_pinned(tmp_path):
+    """classify-form, isometric and fourth-power-check answer every kind
+    over every sweep base, each form against its `_sweep_partners`, with
+    the exit codes and output bytes whose sha256 is pinned here: the
+    invariant vectors, the certificates and every mismatch reason."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    digest, count = hashlib.sha256(), 0
+    for form in _sweep_forms():
+        docs = [("classify-form", {"form": form})]
+        for partner in _sweep_partners(form):
+            docs += [(verb, {"form1": form, "form2": partner}) for verb in ("isometric", "fourth-power-check")]
+        for verb, doc in docs:
+            inp.write_text(json.dumps(doc))
+            code = main([verb, str(inp), "-o", str(out)])
+            digest.update(json.dumps([verb, code, out.read_text()]).encode())
+            count += 1
+    assert count == 216
+    assert digest.hexdigest() == "9f93ac7268f0aa06a1a26afe70e175e121d37e5885d30a8514de68a89377dad9"
+
+
 def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
     """count 10: the 45 pairs are decided while generating the classes and
     not again for the matrix, which is the identity by construction."""
