@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .exact import rational_sqrt, valuation
@@ -306,32 +306,17 @@ class SimpleFactor:
         return n * n * self.ring.dim_q
 
     @property
-    def center_ring(self):
-        if isinstance(self.ring, QuaternionRing):
-            return self.ring.center
-        return self.ring
-
-    @property
-    def reduced_degree(self) -> int:
-        """Degree over the centre: n for M_n(field), 2n for M_n(quaternion)."""
-        n = max(self.matrix_size, 1)
-        return n * (2 if isinstance(self.ring, QuaternionRing) else 1)
-
-    @property
     def rank_contribution(self) -> int:
-        """Degree of Nm_{F/Q} o Nrd restricted to Q: [F:Q] * reduced_degree."""
-        return self.center_ring.dim_q * self.reduced_degree
+        """[F:Q] deg, the degree of Nm_{F/Q} o Nrd on Q, for F the centre and
+        deg the degree over F.  A central simple F-algebra has dimension deg^2
+        over F (Reiner, *Maximal Orders*), so [F:Q] deg = sqrt(dim_Q [F:Q])."""
+        centre = self.ring.center if isinstance(self.ring, QuaternionRing) else self.ring
+        return isqrt(self.dim_q * centre.dim_q)
 
     def one(self):
         if self.matrix_size:
             return identity(self.matrix_size, self.ring)
         return self.ring.one()
-
-    def zero(self):
-        if self.matrix_size:
-            n = self.matrix_size
-            return [[self.ring.zero() for _ in range(n)] for _ in range(n)]
-        return self.ring.zero()
 
     def add(self, x, y):
         if self.matrix_size:
@@ -451,21 +436,11 @@ class AlgebraWithInvolution:
         return sum(g * f.rank_contribution for g, f in zip(self.gammas, self.factors))
 
     @property
-    def swapped_indices(self) -> set[int]:
-        out = set()
-        for i, j in self.swap_pairs:
-            out.update((i, j))
-        return out
-
-    @property
     def dim_q(self) -> int:
         return sum(f.dim_q for f in self.factors)
 
     def one(self):
         return tuple(f.one() for f in self.factors)
-
-    def zero(self):
-        return tuple(f.zero() for f in self.factors)
 
     def add(self, x, y):
         return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
@@ -483,11 +458,7 @@ class AlgebraWithInvolution:
         return tuple(f.inv_elem(a) for f, a in zip(self.factors, x))
 
     def involve(self, x):
-        out = list(x)
-        swapped = self.swapped_indices
-        for idx, (f, a) in enumerate(zip(self.factors, x)):
-            if idx not in swapped:
-                out[idx] = f.involve(a)
+        out = [f.involve(a) for f, a in zip(self.factors, x)]
         for i, j in self.swap_pairs:
             out[i], out[j] = x[j], x[i]
         return tuple(out)
@@ -559,9 +530,8 @@ class OrderR:
                 return
         if len(self.basis_elements) != n:
             raise AlgebraError("order basis must have full rank")
-        rows = [A.to_qcoords(b) for b in self.basis_elements]
         try:
-            minv = inverse(rows)
+            minv = inverse(self.rows)
         except ZeroDivisionError:
             raise AlgebraError("order basis is singular") from None
         num, den = numerators(minv)
@@ -575,6 +545,12 @@ class OrderR:
             for b2 in self.basis_elements:
                 if not self.contains(A.mul(b1, b2)):
                     raise AlgebraError("order is not closed under multiplication")
+
+    @cached_property
+    def rows(self) -> list[list[Fraction]]:
+        """The Q-coordinates of the basis elements, one row each: the
+        identity for the default basis."""
+        return [self.algebra.to_qcoords(b) for b in self.basis_elements]
 
     def contains_qbasis(self) -> bool:
         """Whether `qbasis(algebra)` lies in the order.  Its coordinates are
@@ -602,10 +578,8 @@ class OrderR:
         return all(v % t == 0 for v in s)
 
     def element_from_coordinates(self, coords):
-        acc = self.algebra.zero()
-        for c, b in zip(coords, self.basis_elements):
-            acc = self.algebra.add(acc, self.algebra.scale(frac(c), b))
-        return acc
+        """sum_i coords[i] basis[i], read off its Q-coordinates coords . rows."""
+        return self.algebra.from_qcoords([sum(map(mul, coords, col)) for col in zip(*self.rows)])
 
 
 def norm_times_inverse(order: OrderR, x):

@@ -466,8 +466,8 @@ def cmd_hecke_classes(doc, args):
         raise HeckeError("the construction needs a real quadratic field")
 
     def run():
-        # generate_classes decided every pair inequivalent: the matrix is the
-        # identity and no pair has a witness
+        # generate_classes's norms make every pair inequivalent: the matrix is
+        # the identity and no pair has a witness
         reps = generate_classes(field, count, prime_cap=prime_cap)
         n = len(reps)
         payload = {

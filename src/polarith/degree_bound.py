@@ -412,7 +412,6 @@ def brute_force_oracle(
     order = inst.order
     dim = A.dim_q
     norm_cap = frac(norm_cap)
-    canonical = order.basis_matrix_is_identity()
     forms = _rational_scalar_forms(inst)
     best: tuple | None = None
     explored = 0
@@ -435,10 +434,7 @@ def brute_force_oracle(
                 raise OracleBudgetError(radius)
             if any(sum(c * coords[i] * coords[j] for i, j, c in f) for f in forms):
                 continue
-            if canonical:
-                b = A.from_qcoords([Fraction(c) for c in coords])
-            else:
-                b = order.element_from_coordinates([Fraction(c) for c in coords])
+            b = order.element_from_coordinates(coords)
             val = rational_of(A.mul(A.mul(A.involve(b), inst.q), b), A)
             if val is None:
                 raise DegreeBoundError("internal: integer forms disagree with b^dagger q b")

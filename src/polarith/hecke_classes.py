@@ -11,9 +11,11 @@ n q = u^2 r, built by `quadfield.square_root_up_to_rational`, the routine
 that gives the degree-bound solver its b; `exhaustive_witness_search`
 re-derives a negative answer by another route, in closed form.
 
-`generate_classes` keeps a representative only once it is decided
-inequivalent to every earlier one, so each pair of its classes is decided
-once, there, and their equivalence matrix is the identity by construction.
+`generate_classes` tests no pair: each representative after the class of
+1 is totally positive and generates a prime above its own split prime p,
+so its norm is p, and the class of 1 has norm 1.  A norm product of two is
+p or p p' with p != p', never a square, so no two are equivalent and the
+equivalence matrix is the identity by construction.
 """
 
 from __future__ import annotations
@@ -158,8 +160,8 @@ PRIME_CAP = 10_000
 def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -> list[PolClassRep]:
     """`count` pairwise-inequivalent totally positive representatives:
     the class of 1, then one class per split rational prime with a
-    principal, totally-positive-adjustable prime above it, kept only if
-    `equivalent` rejects it against every earlier representative."""
+    principal, totally-positive-adjustable prime above it, inequivalent
+    by their norms (see the module docstring)."""
     if count < 1:
         raise HeckeError("count must be >= 1")
     if not field.is_real:
@@ -180,10 +182,7 @@ def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -
         g_pos = _make_totally_positive(g, eps)
         if g_pos is None:
             continue
-        rep = PolClassRep(g_pos, p)
-        if any(equivalent(rep, old) for old in reps):
-            continue
-        reps.append(rep)
+        reps.append(PolClassRep(g_pos, p))
         if len(reps) == count:
             return reps
     raise ResourceError(

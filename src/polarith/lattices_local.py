@@ -490,7 +490,9 @@ def solve_after_check(
         raise LatticeError("maximal completion did not reach a unimodular Gram")
 
     for _ in range(5):
-        t = unimodular_congruence_witness(uprime, identity(n), p, k)
+        # U' is unimodular with det (det B' / det a)^2 s^(-2n), a square, so
+        # it is isometric to I, and reducing I gives I: T^T U' T = I mod p^k
+        t = _reduce_to_standard(uprime, p, k)
         bp = mat_mul(bprime, t)
         h = mat_mul(inverse(b0), bp)
         d = det(h)

@@ -270,22 +270,11 @@ class QuadElem:
             raise QuadFieldError("real embeddings need a real field")
         if self.is_zero():
             return 0
-        # value = (A + B*sqrt(disc)) / 2d with A = 2a + b*disc, B = +-b, d > 0
+        # value = (A + B*sqrt(disc)) / 2d with A = 2a + b*disc, B = +-b, d > 0;
+        # disc is not a square, so the terms never cancel and the larger sets the sign
         A = 2 * self.a + self.b * self.field.disc
         B = self.b if embedding == 0 else -self.b
-        if B == 0:
-            return 1 if A > 0 else -1
-        if A == 0:
-            return 1 if B > 0 else -1
-        if A > 0 and B > 0:
-            return 1
-        if A < 0 and B < 0:
-            return -1
-        # opposite signs: compare A^2 vs B^2 * disc
-        lhs, rhs = A * A, B * B * self.field.disc
-        if A > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return 1 if (A if A * A > B * B * self.field.disc else B) > 0 else -1
 
     def __repr__(self):
         return f"({self.x} + {self.y}*w | D={self.field.D})"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from polarith.lattices_local import (
     LatticeError,
     PadicLattice,
+    _cayley_orthogonal_round,
     _det_one_signed_permutations,
     _first_superlattice,
     _kernel_points,
@@ -256,6 +257,17 @@ def test_solve_after_check_doubles_the_precision_until_the_rounding_holds():
     assert [c.args[2] for c in rounding.call_args_list] == [1, 2, 4]
     assert mat_mul(transpose(b), b) == identity(2)
     assert all(x == 0 or valuation(x, 5) >= 0 for row in b for x in row)
+
+
+@pytest.mark.parametrize("h, p", [
+    (mat([[-1, 0], [0, -1]]), 5),
+    (mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]), 3),
+])
+def test_cayley_round_searches_past_the_identity_chart(h, p):
+    """An exactly orthogonal h with eigenvalue -1 makes I + h singular, so
+    the identity chart is skipped; the search reaches the chart j = h^-1,
+    where h j = I, which rounds h to itself."""
+    assert _cayley_orthogonal_round(h, p, 4) == h
 
 
 def _reference_signed_permutations(n):
