@@ -198,8 +198,6 @@ def solve_commutative(inst: BoundInstance) -> BoundResult:
         return _oracle_fallback(inst, "non-maximal order: ideal algorithm unavailable")
     q = inst.q[0]
     nq = inst.norm_q()
-    if nq.denominator != 1:
-        raise DegreeBoundError("internal: Nm(q) is not an integer")
     root = square_root_up_to_rational(q)
     if root is None:
         raise DegreeBoundError("internal: q = m / a^2 is not in Q^x F^x2")
@@ -239,12 +237,11 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     if not is_positive_definite(qform):
         return _oracle_fallback(inst, "q is not positive definite")
     qinv = inverse(q)
-    detq = det(q)
-    if detq.denominator != 1:
-        raise DegreeBoundError("internal: det(q) is not an integer")
+    detq = det(q)  # an integer: q lies in R = M_n(Z)
     bad = set(factorint(abs(int(detq))).keys())
     bad |= set(factorint(m.numerator * m.denominator).keys())
-    # choose m'' = m * s^2 with m'' q^{-1} integral and m'' a positive integer
+    # choose m'' = m * s^2 with m'' q^{-1} integral; m'' is a positive integer:
+    # m > 0 (q is positive definite), v_p(m'') >= kappa >= 0 at each bad prime
     s = Fraction(1)
     for p in sorted(bad):
         kappa = max(0, -min((valuation(x, p) for row in qinv for x in row if x != 0), default=0))
@@ -252,8 +249,6 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
         if need > 0:
             s *= Fraction(p) ** ((need + 1) // 2)
     m2 = m * s * s
-    if m2.denominator != 1 or m2 <= 0:
-        raise DegreeBoundError("internal: m'' is not a positive integer")
     # at each active prime, the maximal completion of m'' q^{-1} Z_p^n
     # is the local solution lattice; its integer rows span L_p, of index p^K
     # in Z^n at p.  L_p + p^K Z^n is L_p at p and Z^n at every other prime,

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from .exact import (
     ExactError,
@@ -371,15 +371,14 @@ def _represent_one(u: int, v: int, p: int, k: int) -> tuple[int, int]:
 def _cayley_orthogonal_round(h: Matrix, p: int, k: int) -> Matrix:
     """Round an approximately orthogonal p-adic matrix to an exactly
     orthogonal rational matrix congruent to it modulo p^k (Cayley transform
-    of the skew-symmetrized parameter)."""
+    of the skew-symmetrized parameter, in the first sign chart where the
+    parameter is p-integral).  The rounded parameter xs is skew, so
+    det(I + xs) is a product of factors 1 + lambda^2 > 0."""
     n = len(h)
     eye = identity(n)
-
-    twists = _det_one_signed_permutations(n)
-    for j in twists:
+    for j in _sign_charts(n):
         hj = mat_mul(h, j)
-        d = det(mat_add(eye, hj))
-        if d == 0:
+        if det(mat_add(eye, hj)) == 0:
             continue
         x = mat_mul(mat_sub(eye, hj), inverse(mat_add(eye, hj)))
         if not _mat_p_integral(x, p):
@@ -388,31 +387,26 @@ def _cayley_orthogonal_round(h: Matrix, p: int, k: int) -> Matrix:
         # per-entry modular reduction does not commute with transposition)
         xr = _entries_mod_pk(x, p, k)
         xs = mat_scale(Fraction(1, 2), mat_sub(xr, transpose(xr)))
-        dstar = det(mat_add(eye, xs))
-        if dstar == 0:
-            continue
         hstar = mat_mul(mat_sub(eye, xs), inverse(mat_add(eye, xs)))
-        return mat_mul(hstar, inverse(j))
+        return mat_mul(hstar, j)
     raise LatticeError("no Cayley chart found for the orthogonal rounding")
 
 
-def _det_one_signed_permutations(n: int):
-    """Signed permutation matrices of determinant +1, identity first: by
-    the number k of columns that differ from the identity's, and for each k
-    in permutation-then-sign order.  Yielded lazily: there are n! 2^(n-1)
-    of them, and the caller usually stops at one of the first few."""
-    for k in range(n + 1):
-        for perm in permutations(range(n)):
-            if sum(pi != i for i, pi in enumerate(perm)) > k:
-                continue
-            for signs in product((1, -1), repeat=n):
-                if sum(pi != i or s < 0 for i, (pi, s) in enumerate(zip(perm, signs))) != k:
-                    continue
-                m = [[Fraction(0)] * n for _ in range(n)]
-                for i, pi in enumerate(perm):
-                    m[pi][i] = Fraction(signs[i])
-                if det(m) == 1:
-                    yield m
+def _sign_charts(n: int):
+    """The 2^(n-1) diagonal sign matrices of determinant +1, each its own
+    inverse, identity first: by the number of -1 entries, then in `product`
+    order.  They suffice for p odd and h p-integral: X = (I - hj)(I + hj)^-1
+    is p-integral exactly when det(I + hj) is a p-unit, as (I + X)(I + hj)
+    = 2I.  With h mod p in SO_n(F_p) (`solve_after_check` flips a column so
+    that det h = 1 mod p), f(d) = det(I + h diag(d)) is affine in each d_i
+    with d_1...d_n coefficient det h = 1, so the sum over d in {+-1}^n of
+    (prod d_i) f(d) is 2^n.  An orthogonal m with det m = -1 has
+    det(I + m) = 0, so the terms with prod d_i = -1 vanish, and some
+    det-one chart has f(d) != 0 mod p."""
+    for k in range(0, n + 1, 2):
+        for signs in product((1, -1), repeat=n):
+            if signs.count(-1) == k:
+                yield mat([[s if i == c else 0 for c in range(n)] for i, s in enumerate(signs)])
 
 
 def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[Matrix, Fraction]:
@@ -495,10 +489,7 @@ def solve_after_check(
         t = _reduce_to_standard(uprime, p, k)
         bp = mat_mul(bprime, t)
         h = mat_mul(inverse(b0), bp)
-        d = det(h)
-        if d == 0:
-            raise LatticeError("degenerate approximate isometry")
-        if (d + 1).numerator % p == 0:
+        if (det(h) + 1).numerator % p == 0:
             flip = identity(n)
             flip[n - 1][n - 1] = Fraction(-1)
             h = mat_mul(h, flip)
@@ -530,13 +521,6 @@ def unit_case_parity(q: Matrix, a: Matrix, p: int, k: int):
         raise LatticeError("a^T q a must be a nonzero rational scalar")
     if valuation(m, p) % 2 == 0:
         return ("even-valuation", None)
-    if n % 2 == 1:
-        raise LatticeError(
-            "odd valuation with odd dimension contradicts the unimodular classification"
-        )
-    if not unimodular_isometric(q, identity(n), p):
-        raise LatticeError(
-            "odd valuation forces det q to be a square unit; inconsistent input"
-        )
+    # det(a)^2 det q = m^n: n is even, det q a square unit (the witness re-checks)
     b = unimodular_congruence_witness(q, identity(n), p, k)
     return ("isometry-witness", b)

@@ -488,9 +488,7 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
         kind = prime_splitting(field, p)
         vn = valuation(n, p)
         if kind == "inert":
-            if vn % 2:
-                raise QuadFieldError("internal: odd norm valuation at an inert prime")
-            vals = [vn // 2]
+            vals = [vn // 2]  # v_p(Nm e) = 2 v_P(e)
         elif kind == "ramified":
             vals = [vn]
         else:

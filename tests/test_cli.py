@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -181,7 +182,7 @@ def test_local_solve(tmp_path):
 
 def test_local_solve_block_rotations_n6(tmp_path):
     """Three rotation blocks [[3/5, 4/5], [-4/5, 3/5]] at p = 5: the Cayley
-    rounding tries signed permutations lazily, so n = 6 answers at once."""
+    rounding tries only the 2^(n-1) sign charts, so n = 6 answers at once."""
     n = 6
     a = [["0"] * n for _ in range(n)]
     for k in range(0, n, 2):
@@ -193,6 +194,25 @@ def test_local_solve_block_rotations_n6(tmp_path):
     assert [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
         [int(i == j) for j in range(n)] for i in range(n)
     ]
+
+
+def test_local_solve_n8_past_the_identity_chart(tmp_path):
+    """a = -I_6 (+) [[3/5, 4/5], [-4/5, 3/5]] at p = 5, q = I_8: the
+    rounding needs a sign chart past the identity and answers at once with
+    a 5-integral b, b^T b = I_8."""
+    n = 8
+    a = [["-1" if i == j else "0" for j in range(n)] for i in range(n)]
+    a[6][6], a[6][7], a[7][6], a[7][7] = "3/5", "4/5", "-4/5", "3/5"
+    q = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "local-solve", {"p": 5, "q": q, "a": a, "m_prime": 1})
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    b = [[Fraction(x) for x in row] for row in out["b"]]
+    assert [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [int(i == j) for j in range(n)] for i in range(n)
+    ]
+    assert all(x.denominator % 5 for row in b for x in row)
 
 
 @pytest.mark.parametrize("p, x, y", [(5, 3, 4), (13, 5, 12), (17, 8, 15), (29, 20, 21)])
@@ -747,6 +767,19 @@ def _error_body(code, message):
 
 _QUADFIELD_FACTOR = {"kind": "quadfield", "D": 5}
 
+_IDENTITY_FORM_DOC = {"p": 3, "form": form_q("symmetric", [["1", "0"], ["0", "1"]])}
+
+# input checks that answer the same body under the verb and under `validate`
+_PRECONDITION_BODIES = [
+    ("maximal-lattice", {**_IDENTITY_FORM_DOC, "basis": [["1", "2"], ["2", "4"]]},
+     _error_body("precondition:LatticeError", "lattice basis is singular")),
+    ("maximal-lattice", {**_IDENTITY_FORM_DOC, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+     _error_body("precondition:LatticeError", "form and basis dimensions differ")),
+    ("degree-bound", {"instance": {"algebra": {"type": "matrix", "n": 2}, "q": [["1", "2"], ["3", "4"]],
+                                   "a": [["1", "0"], ["0", "1"]]}},
+     _error_body("precondition:instance", "instance: q must be symmetric under the involution")),
+]
+
 
 @pytest.mark.parametrize(
     "verb, doc, want",
@@ -786,6 +819,7 @@ _QUADFIELD_FACTOR = {"kind": "quadfield", "D": 5}
              "precondition:algebra",
              "instance: conjugator must be symmetric or skew under the base involution",
          )),
+        *_PRECONDITION_BODIES,
     ],
 )
 def test_schema_errors_answer_exit_1_with_their_body(tmp_path, verb, doc, want):
@@ -919,6 +953,17 @@ def _main_on_text(tmp_path, verb, text):
     inp.write_text(text)
     code = main([verb, str(inp), "-o", str(out)])
     return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("path", [[], ["-"]])
+def test_input_from_stdin(tmp_path, monkeypatch, capsys, path):
+    """With no input path, or with '-', the verb reads its JSON from stdin
+    and answers on stdout what it answers for the same file."""
+    doc = _LOCAL_DOCS["local-solve"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main(["local-solve", *path])
+    assert (code, json.loads(capsys.readouterr().out)) == run_cli(tmp_path, "local-solve", doc)
+    assert code == 0
 
 
 def test_input_int_past_the_digit_limit(tmp_path):
@@ -1276,6 +1321,7 @@ _TWO = [["2", "0"], ["0", "2"]]
             "kind": "symmetric", "base": {"type": "quadfield", "D": 5},
             "gram": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}},
          "precondition:LatticeError"),
+        *[(verb, doc, body["error"]["code"]) for verb, doc, body in _PRECONDITION_BODIES],
     ],
 )
 def test_validate_agrees_with_verb(tmp_path, verb, doc, code):

@@ -529,6 +529,21 @@ def test_measure_constant_batch():
         assert e["oracle_found_leq"]
 
 
+def test_exhausted_oracle_budget(monkeypatch):
+    """When the oracle's budget dies, the fallback answers the cleared
+    similitude b = 2a (Nm b = 2, value 4), and `measure_constant` reports
+    that the oracle found nothing."""
+    def exhausted(inst, cap):
+        raise OracleBudgetError(0)
+
+    monkeypatch.setattr(degree_bound, "brute_force_oracle", exhausted)
+    inst = matrix_instance(2, [[1, 0], [0, 4]], [[1, 0], [0, Fraction(1, 2)]])
+    res = degree_bound._oracle_fallback(inst, "r")
+    assert (res.method, res.norm_b, res.value, res.notes) == ("cleared-similitude", 2, 4, {"fallback_reason": "r"})
+    (entry,) = measure_constant([inst]).entries
+    assert entry["oracle_found_leq"] is False and entry["oracle_norm_b"] is None
+
+
 def test_measure_constant_rejects_mixed():
     with pytest.raises(DegreeBoundError):
         measure_constant([quadfield_instance(5, (1, 0), (1, 0)), quadfield_instance(2, (1, 0), (1, 0))])

@@ -12,11 +12,11 @@ from polarith.lattices_local import (
     LatticeError,
     PadicLattice,
     _cayley_orthogonal_round,
-    _det_one_signed_permutations,
     _first_superlattice,
     _kernel_points,
     _reduce_to_standard,
     _represent_one,
+    _sign_charts,
     _sqrt_mod_pk,
     check_local_solve,
     is_maximal,
@@ -32,7 +32,7 @@ from polarith import lattices_local
 from polarith.cli import main
 from polarith.exact import lift_root, valuation
 from polarith.forms import diagonalize, symmetric_form_q
-from polarith.linalg import det, identity, kernel_mod_p, mat, mat_mul, mat_scale, transpose
+from polarith.linalg import det, identity, kernel_mod_p, mat, mat_add, mat_mul, mat_scale, transpose
 
 
 def diag_form(*entries):
@@ -285,9 +285,47 @@ def _reference_signed_permutations(n):
     return out
 
 
+def _is_diagonal(m):
+    return all(x == 0 for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_signed_permutations_in_sorted_order(n):
-    assert list(_det_one_signed_permutations(n)) == _reference_signed_permutations(n)
+def test_sign_charts_are_the_diagonal_signed_permutations_in_order(n):
+    assert list(_sign_charts(n)) == [m for m in _reference_signed_permutations(n) if _is_diagonal(m)]
+
+
+def _special_orthogonal_mod_p(n, p):
+    """Every h in SO_n(F_p) for the form I_n, as integer matrices: columns
+    of norm 1, pairwise orthogonal mod p, then det h = 1 mod p."""
+    units = [v for v in product(range(p), repeat=n) if sum(x * x for x in v) % p == 1]
+
+    def extend(cols):
+        if len(cols) == n:
+            yield [[cols[c][r] for c in range(n)] for r in range(n)]
+            return
+        for v in units:
+            if all(sum(x * y for x, y in zip(v, c)) % p == 0 for c in cols):
+                yield from extend(cols + [v])
+
+    for h in extend([]):
+        if (det(mat(h)) - 1) % p == 0:
+            yield h
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 5), (4, 3)])
+def test_sign_charts_suffice_on_special_orthogonal_group(n, p):
+    """For every h in SO_n(F_p), the first det-one signed permutation j,
+    in the reference order, with det(I + h j) a unit mod p is a sign
+    chart: some sign chart is admissible, and it is the one the search
+    over all signed permutations would pick."""
+    reference = _reference_signed_permutations(n)
+    eye = identity(n)
+    seen = 0
+    for h in _special_orthogonal_mod_p(n, p):
+        seen += 1
+        first = next(j for j in reference if det(mat_add(eye, mat_mul(h, j))) % p)
+        assert _is_diagonal(first)
+    assert seen == {(2, 5): 4, (3, 5): 120, (4, 3): 576}[(n, p)]
 
 
 def test_split_local_solve_rejects_nonsquare_ratio():
