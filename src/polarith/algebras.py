@@ -97,9 +97,6 @@ class QuatElem:
     def __sub__(self, other):
         return self + (-self.alg.coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self.alg.coerce(other)
         s, a, b, ab = self.alg.scaled
@@ -381,11 +378,6 @@ class SimpleFactor:
             raise AlgebraError(f"internal: regular determinant {reg} is not a square")
         return root
 
-    def __repr__(self):
-        if self.matrix_size:
-            return f"M_{self.matrix_size}({self.ring})"
-        return f"{self.ring}[{self.involution}]"
-
 
 def _freeze(m):
     return tuple(tuple(row) for row in m)
@@ -476,9 +468,6 @@ class AlgebraWithInvolution:
 
     def from_rational(self, c: Fraction):
         return self.scale(frac(c), self.one())
-
-    def __repr__(self):
-        return " x ".join(repr(f) for f in self.factors)
 
 
 def norm(algebra: AlgebraWithInvolution, x) -> Fraction:

@@ -636,8 +636,7 @@ def torus_conductor(order: OrderR, x: tuple) -> int:
     rhs = [alpha * cx + beta * co for cx, co in zip(coords_x, coords_one)]
     if coords_x2 != rhs:
         raise DegreeBoundError("x does not generate a quadratic subalgebra")
-    if alpha.denominator != 1 or beta.denominator != 1:
-        raise DegreeBoundError("x must be integral over Z")
+    # alpha, beta are integers: an element of an order is integral over Z
     dzx = int(alpha * alpha + 4 * beta)  # disc of Z[x] for x^2 = alpha x + beta
     if dzx == 0:
         raise DegreeBoundError("degenerate (non-etale) subalgebra")

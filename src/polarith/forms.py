@@ -15,11 +15,12 @@ Isometry over Q (symmetric), over imaginary quadratic fields and definite
 quaternion algebras (hermitian: the latter by dimension and signature), for
 skew forms and for etale-pair forms is decided by complete invariants.
 For quaternionic skew-hermitian forms only the local invariants (dimension
-and reduced-norm determinant class) are compared and the decision carries
-an explicit completeness flag: the global isometry class is genuinely not
-determined by localizations.  Symmetric forms over a real quadratic field
-compare determinant and signatures only (no Hasse data over the field) and
-are flagged the same way.
+and reduced-norm determinant class) are compared: the global isometry
+class is genuinely not determined by localizations.  Symmetric forms over
+a real quadratic field compare determinant and signatures only (no Hasse
+data over the field).  Their invariants carry `complete = False`: a
+mismatch still decides, with that flag, but `isometric` refuses to call
+agreeing incomplete invariants an isometry and raises FormError.
 """
 
 from __future__ import annotations
@@ -78,9 +79,6 @@ class PairElem:
     def __eq__(self, other):
         return isinstance(other, PairElem) and self.x == other.x and self.y == other.y
 
-    def __hash__(self):
-        return hash((self.x, self.y))
-
     def __add__(self, other):
         other = _pair(other)
         return PairElem(self.x + other.x, self.y + other.y)
@@ -92,9 +90,6 @@ class PairElem:
 
     def __sub__(self, other):
         return self + (-_pair(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = _pair(other)
@@ -145,9 +140,6 @@ class EtalePairRing:
 
     def __eq__(self, other):
         return isinstance(other, EtalePairRing)
-
-    def __hash__(self):
-        return hash("EtalePairRing")
 
     def __repr__(self):
         return "QxQ"
@@ -555,13 +547,12 @@ class FormInvariants:
     complete: bool = True
 
     def hasse_minus_places(self) -> list[int]:
-        if self.hasse is None:
-            return []
+        # read only where hasse is set: over Q (same_as compares equal kinds and bases)
         return [v for v, s in self.hasse.items() if s == -1]
 
     def same_as(self, other: "FormInvariants") -> tuple[bool, str]:
-        if self.kind != other.kind or self.base != other.base:
-            return False, f"kind/base mismatch: {self.kind}/{self.base} vs {other.kind}/{other.base}"
+        """Compare with the invariants of a form of the same kind and base
+        (both callers refuse any other pair first)."""
         if self.dim != other.dim:
             return False, f"dimension mismatch: {self.dim} vs {other.dim}"
         if self.det_class is not None and self.det_class != other.det_class:
@@ -589,9 +580,7 @@ class FormInvariants:
 def is_norm(m, F: QuadField) -> bool:
     """m in Nm_{F/Q}(F^x) for an imaginary quadratic field F, by Hilbert
     symbols: m is a norm iff (m, D)_v = +1 at every place."""
-    m = frac(m)
-    if m == 0:
-        raise FormError("zero is not a unit")
+    m = frac(m)  # nonzero from every caller; m = 0 would answer False (m > 0)
     if F.is_real:
         raise FormError("norm-class determinants need a CM (imaginary) field")
     # (m, D) with D < 0: the sign of m at the real place, at a prime the Hasse invariant of <m, D>
@@ -611,8 +600,7 @@ def invariants(f: GramForm) -> FormInvariants:
     if f.kind == "skew" or isinstance(ring, EtalePairRing):
         if not f.is_nonsingular():
             raise FormError("singular forms have no invariants")
-        if f.kind == "skew" and f.dim % 2:
-            raise FormError("nonsingular skew forms have even dimension")
+        # an odd skew form is singular: det A = det(-A^T) = -det A
         return FormInvariants(f.kind, _base_label(ring), f.dim)
     try:
         diag = diagonal(f)
@@ -680,12 +668,17 @@ class IsometryDecision:
 
 def isometric(f1: GramForm, f2: GramForm) -> IsometryDecision:
     """Isometry decision by invariant comparison.  `complete` records
-    whether the invariants are a complete system for the kind/base."""
+    whether the invariants are a complete system for the kind/base.  A
+    mismatch proves the forms not isometric, complete or not; agreeing
+    invariants that are not complete decide nothing, and raise FormError."""
     if f1.kind != f2.kind or f1.ring != f2.ring:
         raise FormError("isometry needs matching kind and base")
     inv1, inv2 = invariants(f1), invariants(f2)
     ok, reason = inv1.same_as(inv2)
-    return IsometryDecision(ok, inv1.complete and inv2.complete, reason)
+    complete = inv1.complete and inv2.complete
+    if ok and not complete:
+        raise FormError("isometry is open: the invariants agree but are not complete for this kind and base")
+    return IsometryDecision(ok, complete, reason)
 
 
 def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
@@ -774,13 +767,9 @@ def skew_standard_witness(f: GramForm) -> list:
     pairs = []
     while remaining:
         e = remaining.pop(0)
-        mate_idx = None
-        for idx, w in enumerate(remaining):
-            if pairing(e, w) != 0:
-                mate_idx = idx
-                break
-        if mate_idx is None:
-            raise FormError("skew form is singular on the remaining space")
+        # e has a mate: the complement of the hyperbolic pairs so far is
+        # nonsingular, and e pairs to 0 with itself
+        mate_idx = next(idx for idx, w in enumerate(remaining) if pairing(e, w) != 0)
         fvec = remaining.pop(mate_idx)
         c = pairing(e, fvec)
         fvec = [x / c for x in fvec]

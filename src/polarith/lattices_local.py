@@ -285,17 +285,12 @@ def unimodular_congruence_witness(u1: Matrix, u2: Matrix, p: int, k: int) -> Mat
 
 def _entries_mod_pk(m: Matrix, p: int, k: int) -> Matrix:
     """Reduce p-integral rational entries to their integer representatives
-    modulo p^k (keeps the congruence, shrinks the entries)."""
+    modulo p^k (keeps the congruence, shrinks the entries).  Every caller
+    passes a p-integral m: `_cayley_orthogonal_round` tests it first, and
+    the T of `_reduce_to_standard` and `unimodular_congruence_witness` is
+    built from unit pivots."""
     mod = p**k
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            if x.denominator % p == 0:
-                raise LatticeError("entry is not p-integral")
-            new.append(Fraction(x.numerator * pow(x.denominator, -1, mod) % mod))
-        out.append(new)
-    return out
+    return [[Fraction(x.numerator * pow(x.denominator, -1, mod) % mod) for x in row] for row in m]
 
 
 def _reduce_to_standard(u: Matrix, p: int, k: int) -> Matrix:
@@ -353,7 +348,9 @@ def _reduce_to_standard(u: Matrix, p: int, k: int) -> Matrix:
 def _represent_one(u: int, v: int, p: int, k: int) -> tuple[int, int]:
     """(x, y) with u x^2 + v y^2 = 1 mod p^k, x or y a unit: the first x
     mod p with (1 - u x^2) / v a square mod p, and the unit coordinate
-    lifted by `_sqrt_mod_pk` (x itself when y = 0 mod p)."""
+    lifted by `_sqrt_mod_pk` (x itself when y = 0 mod p).  Some x exists:
+    for p odd every nondegenerate binary form over F_p represents 1 (Serre,
+    *A Course in Arithmetic*, ch. IV 1.7)."""
     mod = p**k
     for x in range(p):
         target = (1 - u * x * x) * pow(v, -1, mod) % mod
@@ -361,7 +358,6 @@ def _represent_one(u: int, v: int, p: int, k: int) -> tuple[int, int]:
             return _sqrt_mod_pk(pow(u, -1, mod), p, k), 0
         if legendre(target, p) == 1:
             return x, _sqrt_mod_pk(target, p, k)
-    raise LatticeError("binary unit form fails to represent 1 mod p")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +398,10 @@ def _sign_charts(n: int):
     with d_1...d_n coefficient det h = 1, so the sum over d in {+-1}^n of
     (prod d_i) f(d) is 2^n.  An orthogonal m with det m = -1 has
     det(I + m) = 0, so the terms with prod d_i = -1 vanish, and some
-    det-one chart has f(d) != 0 mod p."""
+    det-one chart has f(d) != 0 mod p.  The h of `solve_after_check` is not
+    p-integral, so this does not cover it: with b0^T q b0 = m' I, h =
+    b0^-1 b' p-integral would put m' q^-1 Z_p^n, inside the lattice of b',
+    in that of b0, so b0^T = b0^-1 m' q^-1 would be p-integral, and b0 too."""
     for k in range(0, n + 1, 2):
         for signs in product((1, -1), repeat=n):
             if signs.count(-1) == k:

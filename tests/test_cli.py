@@ -778,7 +778,15 @@ _PRECONDITION_BODIES = [
     ("degree-bound", {"instance": {"algebra": {"type": "matrix", "n": 2}, "q": [["1", "2"], ["3", "4"]],
                                    "a": [["1", "0"], ["0", "1"]]}},
      _error_body("precondition:instance", "instance: q must be symmetric under the involution")),
+    ("classify-form", _form_doc(kind="bogus"),
+     _error_body("invariant:gram", "form: invariant violation: unknown form kind bogus")),
+    ("classify-form", {"form": {"kind": "hermitian", "base": {"type": "etale-pair"}, "gram": [["1"]]}},
+     _error_body("schema:bad-entry", "form.gram[0][0]: entries over QxQ are lists of 2 rationals")),
 ]
+
+# a rational symmetric form against a hermitian form over Q(i)
+_MIXED_PAIR = {"form1": form_q("symmetric", [["1"]]),
+               "form2": {"kind": "hermitian", "base": {"type": "quadfield", "D": -1}, "gram": [[["1", "0"]]]}}
 
 
 @pytest.mark.parametrize(
@@ -820,6 +828,10 @@ _PRECONDITION_BODIES = [
              "instance: conjugator must be symmetric or skew under the base involution",
          )),
         *_PRECONDITION_BODIES,
+        # checked once the verb computes, so `validate` passes these pairs
+        ("isometric", _MIXED_PAIR, _error_body("precondition:FormError", "isometry needs matching kind and base")),
+        ("fourth-power-check", _MIXED_PAIR,
+         _error_body("precondition:FormError", "fourth-power check needs matching kind and base")),
     ],
 )
 def test_schema_errors_answer_exit_1_with_their_body(tmp_path, verb, doc, want):
@@ -926,7 +938,7 @@ def test_form_verbs_sweep_is_pinned(tmp_path):
             digest.update(json.dumps([verb, code, out.read_text()]).encode())
             count += 1
     assert count == 216
-    assert digest.hexdigest() == "9f93ac7268f0aa06a1a26afe70e175e121d37e5885d30a8514de68a89377dad9"
+    assert digest.hexdigest() == "847035b3ae765b83b32705ddbaa260ce1e7ed65e2007c902430ec0130a4cfeef"
 
 
 def test_hecke_classes_decides_each_pair_once(tmp_path, monkeypatch):
@@ -1190,7 +1202,8 @@ def test_pool_is_byte_identical_to_reference(tmp_path, pool):
 def test_split_quaternion_skew_form_classifies(tmp_path):
     """The (0, 0) entry of this nonsingular form over (1,1/Q) is a zero
     divisor; the diagonalization pivots on a unit instead, so both verbs
-    answer."""
+    get as far as the invariants.  These are not complete, so `isometric`
+    of the form with itself answers that the decision is open."""
     form = {
         "kind": "quat-skew-hermitian",
         "base": {"type": "quaternion", "a": "1", "b": "1"},
@@ -1204,8 +1217,38 @@ def test_split_quaternion_skew_form_classifies(tmp_path):
     assert out["invariants"] == {"base": "quat(1,1)", "complete": False, "det_square_class": -2,
                                  "dim": 2, "kind": "quat-skew-hermitian"}
     code, out = run_cli(tmp_path, "isometric", {"form1": form, "form2": form})
-    assert code == 0
-    assert out == {"complete": False, "isometric": True, "reason": "invariants agree"}
+    assert (code, out) == (1, _OPEN_ISOMETRY)
+
+
+_OPEN_ISOMETRY = _error_body(
+    "precondition:FormError",
+    "isometry is open: the invariants agree but are not complete for this kind and base",
+)
+
+
+def _diagonal_gram(entries, zero):
+    return [[x if i == j else zero for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+@pytest.mark.parametrize(
+    "base, first, second, zero",
+    [
+        # <1, 1> and <11, 11> over Q(sqrt5): equal det class and signatures,
+        # unequal Hasse data over the field, which is not computed
+        ({"type": "quadfield", "D": 5}, [["1", "0"]] * 2, [["11", "0"]] * 2, ["0", "0"]),
+        # <i> and <3i> over (-1, -1 / Q): equal reduced-norm det class
+        ({"type": "quaternion", "a": "-1", "b": "-1"}, [["0", "1", "0", "0"]], [["0", "3", "0", "0"]],
+         ["0", "0", "0", "0"]),
+    ],
+    ids=["real-quadratic", "quaternion-skew"],
+)
+def test_isometric_refuses_agreeing_incomplete_invariants(tmp_path, base, first, second, zero):
+    """Forms that are not isometric but whose computed invariants agree:
+    `isometric` answers that the decision is open, not exit 0."""
+    kind = "symmetric" if base["type"] == "quadfield" else "quat-skew-hermitian"
+    doc = {name: {"kind": kind, "base": base, "gram": _diagonal_gram(entries, zero)}
+           for name, entries in (("form1", first), ("form2", second))}
+    assert run_cli(tmp_path, "isometric", doc) == (1, _OPEN_ISOMETRY)
 
 
 def _rational(q):

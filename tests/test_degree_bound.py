@@ -925,3 +925,20 @@ def test_oracle_matches_reference(kind, data, norm_cap, max_radius, budget, extr
     assert _oracle_outcome(brute_force_oracle, inst, *args) == _oracle_outcome(
         _reference_oracle, inst, *args
     )
+
+
+@pytest.mark.parametrize(
+    "n, x, message",
+    [
+        (2, [["1/2", "0"], ["0", "0"]], "x must lie in the order"),
+        (2, [["2", "0"], ["0", "2"]], "x is rational"),
+        (3, [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]], "does not generate a quadratic subalgebra"),
+        (2, [["0", "1"], ["0", "0"]], "degenerate"),
+    ],
+)
+def test_torus_conductor_refuses(n, x, message):
+    """The preconditions of the lemma in M_n(Z): x in the order, x not
+    rational, Q[x] quadratic and etale (a nilpotent x has disc 0)."""
+    order = matrix_instance(n, identity(n), identity(n)).order
+    with pytest.raises(DegreeBoundError, match=message):
+        torus_conductor(order, (mat(x),))

@@ -480,11 +480,14 @@ def test_symmetric_real_quadratic_invariants_flagged():
     q = F5.from_sqrt_coords(3, 1)  # totally positive
     f1 = GramForm("symmetric", ring, [[q]])
     f2 = GramForm("symmetric", ring, [[q * 4]])
-    dec = isometric(f1, f2)
-    assert dec and not dec.complete  # det ratio 4 is a square; flagged incomplete
+    # det ratio 4 is a square, but these invariants are not complete: the
+    # pair is isometric (scale by 2), and no decision is claimed
+    assert not invariants(f1).complete
+    with pytest.raises(FormError, match="isometry is open"):
+        isometric(f1, f2)
     f3 = GramForm("symmetric", ring, [[F5.from_rational(1)]])
     dec2 = isometric(f1, f3)
-    assert not dec2  # (3+sqrt5) is not a square times 1 in F
+    assert not dec2 and not dec2.complete  # (3+sqrt5) is not a square times 1 in F
     # signature separation
     f4 = GramForm("symmetric", ring, [[F5.from_sqrt_coords(1, 1)]])  # mixed signs
     assert not isometric(f1, f4)
@@ -1058,3 +1061,131 @@ def test_diagonalize_matches_reference_on_pivot_searches(gram, kind, ring, unit_
     got = _diagonalize_outcome(diagonalize, f, unit_inverse)
     assert got[0] != "FormError"
     assert got == _diagonalize_outcome(_reference_diagonalize, f, unit_inverse)
+
+
+# ---------------------------------------------------------------------------
+# Library preconditions, and the guards on another routine's answer
+
+
+def test_etale_pair_inverse_is_componentwise():
+    pair = EtalePairRing()
+    assert pair.inv(PairElem(Fraction(2), Fraction(-3))) == PairElem(Fraction(1, 2), Fraction(-1, 3))
+    with pytest.raises(ZeroDivisionError):
+        pair.inv(PairElem(Fraction(2), Fraction(0)))
+
+
+_SKEW_PLANE = GramForm("skew", QR, [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
+_DEFINITE = QuaternionRing(QR, Fraction(-1), Fraction(-1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GramForm("symmetric", QR, [[Fraction(1), Fraction(0)]]), "gram matrix must be square"),
+        (lambda: GramForm("hermitian", QuaternionRing(F5, F5.from_rational(-1), F5.from_rational(-1)), [[1]]),
+         "quaternion bases are supported over Q"),
+        (lambda: diagonal_form_q([1]).direct_sum(GramForm("skew", QR, [[Fraction(0)]])),
+         "direct sum needs matching kind and base"),
+        (lambda: diagonal(_SKEW_PLANE), "skew forms do not diagonalize"),
+        (lambda: diagonalize(_SKEW_PLANE), "skew forms do not diagonalize"),
+        (lambda: adjoint_involution(diagonal_form_q([1, 0])), "singular form has no adjoint involution"),
+        (lambda: involution_to_form(MatrixInvolution("hermitian", _DEFINITE, [[1]]), False),
+         "supports matrix algebras over Q or a quadratic field"),
+        (lambda: involution_to_form(MatrixInvolution("symmetric", QR, [[1, 2], [3, 4]]), False),
+         "conjugator is neither symmetric nor skew"),
+        (lambda: skew_standard_witness(diagonal_form_q([1, 1])), "needs a skew form"),
+        (lambda: etale_pair_witness(diagonal_form_q([1]), diagonal_form_q([1])), "needs etale-pair forms"),
+    ],
+    ids=["non-square", "quaternion-over-F", "direct-sum", "diagonal", "diagonalize", "adjoint", "to-form-base",
+         "to-form-conjugator", "symplectic", "etale-pair"],
+)
+def test_library_preconditions_refuse(call, message):
+    """Preconditions of library entry points that the CLI never reaches:
+    its parsers build square, matching, Q-based forms only."""
+    with pytest.raises(FormError, match=message):
+        call()
+
+
+def test_involutions_differ_by_a_non_central_scalar():
+    """Over (-1, -1 / Q) the conjugators 1 and i differ by the scalar i,
+    which is not central: the involutions differ."""
+    i = _DEFINITE.from_coords((0, 1, 0, 0))
+    one = MatrixInvolution("hermitian", _DEFINITE, [[_DEFINITE.one()]])
+    assert not one.same_as(MatrixInvolution("hermitian", _DEFINITE, [[i]]))
+
+
+def test_involution_to_form_checks_the_positivity_test(monkeypatch):
+    """<1, -1> has no positive definite rescaling; a positivity test that
+    calls its involution positive contradicts that, and the guard fires."""
+    from polarith import forms
+
+    monkeypatch.setattr(forms, "is_positive_involution", lambda inv: True)
+    inv = MatrixInvolution("symmetric", QR, diagonal_form_q([1, -1]).gram)
+    with pytest.raises(FormError, match="internal: a positive involution must admit"):
+        involution_to_form(inv, True)
+
+
+def test_odd_skew_form_is_singular():
+    """det A = det(-A^T) = -det A in odd dimension, so the singularity test
+    refuses every odd skew form."""
+    with pytest.raises(FormError, match="singular forms have no invariants"):
+        invariants(GramForm("skew", QR, [[Fraction(0)]]))
+
+
+def test_split_quaternion_skew_form_without_a_unit_pivot():
+    """Over (2, -1 / Q), which is split, this nonsingular form has nilpotent
+    diagonal entries -i + 2j -+ k, and no v_i += v_j lam over the Q-basis
+    makes a diagonal entry a unit: the pivot search fails on a nonsingular
+    form, and `invariants` says so rather than call the form singular."""
+    B = QuaternionRing(QR, Fraction(2), Fraction(-1))
+    g = [[B.from_coords(c) for c in row] for row in [[(0, -1, 2, -1), (0, 0, 0, 1)], [(0, 0, 0, 1), (0, -1, 2, 1)]]]
+    f = GramForm("quat-skew-hermitian", B, g)
+    assert f.is_nonsingular()
+    with pytest.raises(FormError, match="cannot diagonalize: no unit pivot"):
+        invariants(f)
+
+
+def test_witness_search_edge_cases():
+    assert search_isometry_witness(diagonal_form_q([1]), diagonal_form_q([1, 1]), 2) is None
+    assert search_isometry_witness(diagonal_form_q([]), diagonal_form_q([]), 1) == []
+
+
+def test_witness_search_checks_the_integer_search(monkeypatch):
+    """Numerators doubled: the search finds u = 1 with u^T (2) u = 2, which
+    is no isometry <1> -> <2>, and the exact check refuses it."""
+    from polarith import forms
+
+    real = forms.numerators
+
+    def doubled(m):
+        g, d = real(m)
+        return [[2 * x for x in row] for row in g], d
+
+    monkeypatch.setattr(forms, "numerators", doubled)
+    with pytest.raises(FormError, match="internal: integer search returned a non-isometry"):
+        search_isometry_witness(diagonal_form_q([1]), diagonal_form_q([2]), 1)
+
+
+def test_skew_standard_witness_checks_its_basis(monkeypatch):
+    from polarith import forms
+
+    real = forms._standard_symplectic
+    monkeypatch.setattr(forms, "_standard_symplectic", lambda n: [[-x for x in row] for row in real(n)])
+    f = GramForm("skew", QR, real(2))
+    with pytest.raises(FormError, match="internal: symplectic reduction failed verification"):
+        skew_standard_witness(f)
+
+
+def test_etale_pair_witness_declines():
+    one, two = etale_pair_form([[1]]), etale_pair_form([[1, 0], [0, 1]])
+    assert etale_pair_witness(one, two) is None
+    assert etale_pair_witness(one, etale_pair_form([[0]])) is None
+
+
+def test_etale_pair_witness_checks_its_answer(monkeypatch):
+    from polarith import forms
+
+    real = forms.inverse
+    monkeypatch.setattr(forms, "inverse", lambda m, *ring: [[2 * x for x in row] for row in real(m, *ring)])
+    with pytest.raises(FormError, match="internal: etale-pair witness failed verification"):
+        etale_pair_witness(etale_pair_form([[1]]), etale_pair_form([[3]]))

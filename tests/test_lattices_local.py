@@ -877,3 +877,112 @@ def test_sqrt_mod_pk_matches_residue_scan():
                 else:
                     assert _sqrt_mod_pk(u, p, k) == want
 
+
+
+# ---------------------------------------------------------------------------
+# Library preconditions, and the guards on another routine's answer
+
+
+def test_superlattice_scan_checks_the_kernel(monkeypatch):
+    """A kernel routine that answers the whole space lets the point (1, 2)
+    pass the diagonal test of diag(1, 2) at 3 (1 + 2 * 4 = 9) though it
+    fails the row test; the re-checked scale catches it."""
+    monkeypatch.setattr(lattices_local, "kernel_mod_p", lambda g, p: identity(len(g)))
+    L = PadicLattice(3, identity(2), symmetric_form_q([[1, 0], [0, 2]]))
+    with pytest.raises(LatticeError, match="internal: integer superlattice test disagrees"):
+        _first_superlattice(L, 0)
+
+
+def test_completion_checks_the_carried_gram(monkeypatch):
+    """A superlattice that carries its parent's Gram (a stale update) is
+    caught by the final check against B^T F B."""
+    real, steps = lattices_local._first_superlattice, []
+
+    def stale(L, t):
+        if steps:
+            return None
+        steps.append(L)
+        sup = real(L, t)
+        return PadicLattice(sup.p, sup.basis, sup.form, L.gram())
+
+    monkeypatch.setattr(lattices_local, "_first_superlattice", stale)
+    L = PadicLattice(3, identity(2), symmetric_form_q([[9, 0], [0, 1]]))
+    with pytest.raises(LatticeError, match="internal: the carried Gram disagrees"):
+        maximal_completion(L, 0)
+
+
+def test_unimodular_isometric_needs_equal_dimensions():
+    assert unimodular_isometric(identity(1), identity(2), 3) is False
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: scale(PadicLattice(3, identity(2), symmetric_form_q([[0, 0], [0, 0]]))),
+         "zero matrix has no scale"),
+        # 2 is no square mod 3
+        (lambda: unimodular_congruence_witness(mat([[1]]), mat([[2]]), 3, 2), "forms are not unimodular-isometric"),
+        (lambda: unimodular_congruence_witness(mat([[1]]), mat([[1]]), 3, 0), "precision must be positive"),
+        (lambda: unit_case_parity(identity(2), mat([[1, 1], [0, 1]]), 3, 2),
+         "a\\^T q a must be a nonzero rational scalar"),
+    ],
+    ids=["zero-scale", "not-isometric", "precision", "not-scalar"],
+)
+def test_library_preconditions_refuse(call, message):
+    """Preconditions of library entry points that the CLI checks before
+    it calls them, or never reaches."""
+    with pytest.raises(LatticeError, match=message):
+        call()
+
+
+def test_cayley_round_refuses_when_no_chart_is_integral():
+    """h = diag(2, -2) at 3 (h^T h = 4 I = I mod 3, det h = -1 mod 3): I + h
+    and I - h both have the non-unit determinant -3, so neither det-one
+    chart gives a 3-integral Cayley parameter."""
+    with pytest.raises(LatticeError, match="no Cayley chart found"):
+        _cayley_orthogonal_round(mat([[2, 0], [0, -2]]), 3, 1)
+
+
+_ROTATION_25 = mat([["-7/25", "24/25"], ["-24/25", "-7/25"]])
+
+
+def test_solve_after_check_needs_a_unimodular_completion(monkeypatch):
+    """A completion that answers 5 * Lambda_0 (Gram 25 I) is refused."""
+    monkeypatch.setattr(lattices_local, "complete_after_check",
+                        lambda L, t: PadicLattice(L.p, mat_scale(5, L.basis), L.form))
+    q = identity(2)
+    qinv, s = check_local_solve(q, _ROTATION_25, Fraction(1), 5)
+    with pytest.raises(LatticeError, match="maximal completion did not reach a unimodular Gram"):
+        solve_after_check(q, _ROTATION_25, Fraction(1), 5, 4, qinv, s)
+
+
+def test_solve_after_check_doubles_k_when_no_chart_rounds(monkeypatch):
+    """A rounding that finds no chart at k = 4 sends the loop on to k = 8,
+    which answers."""
+    real, calls = lattices_local._cayley_orthogonal_round, []
+
+    def first_fails(h, p, k):
+        calls.append(k)
+        if len(calls) == 1:
+            raise LatticeError("no Cayley chart found for the orthogonal rounding")
+        return real(h, p, k)
+
+    monkeypatch.setattr(lattices_local, "_cayley_orthogonal_round", first_fails)
+    q = identity(2)
+    qinv, s = check_local_solve(q, _ROTATION_25, Fraction(1), 5)
+    b = solve_after_check(q, _ROTATION_25, Fraction(1), 5, 4, qinv, s)
+    assert calls == [4, 8]
+    assert mat_mul(transpose(b), b) == identity(2)
+    assert all(x == 0 or valuation(x, 5) >= 0 for row in b for x in row)
+
+
+def test_split_local_solve_gives_up_after_five_doublings():
+    """The rotation by ((3 + 4i) / 5)^18 needs more than k = 16 for its
+    rounding to be 5-integral: from precision 1 the five tries 1, 2, 4, 8,
+    16 all miss, and the solver says so."""
+    x, y = 1, 0
+    for _ in range(18):
+        x, y = 3 * x - 4 * y, 4 * x + 3 * y
+    c, s = Fraction(x, 5**18), Fraction(y, 5**18)
+    with pytest.raises(LatticeError, match="orthogonal rounding failed at all precisions"):
+        split_local_solve(identity(2), [[c, -s], [s, c]], 1, 5, precision=1)
