@@ -118,7 +118,7 @@ class QuatElem:
 
     def __eq__(self, other):
         if not isinstance(other, QuatElem):
-            other = self.alg.coerce(other)
+            return NotImplemented
         return self.num == other.num and self.den == other.den and (self.alg is other.alg or self.alg == other.alg)
 
     def __hash__(self):
@@ -142,9 +142,6 @@ class QuatElem:
         s, a, b, ab = self.alg.scaled
         x0, x1, x2, x3 = self.num
         return _over(s * (x0 * x0) - a * (x1 * x1) - b * (x2 * x2) + ab * (x3 * x3), s * self.den * self.den)
-
-    def __repr__(self):
-        return f"QuatElem{self.coords}"
 
 
 @dataclass(frozen=True)
@@ -373,10 +370,8 @@ class SimpleFactor:
         reg = det(regular_matrix(x, self.ring))
         if not quaternion:
             return abs(reg)
-        root = rational_sqrt(reg) if reg else reg
-        if root is None:
-            raise AlgebraError(f"internal: regular determinant {reg} is not a square")
-        return root
+        # over a quaternion base reg is Nm_{F/Q}(Nrd x)^2, a rational square
+        return rational_sqrt(reg) if reg else reg
 
 
 def _freeze(m):

@@ -40,6 +40,7 @@ from .forms import (
     EtalePairRing,
     FormError,
     GramForm,
+    check_form_pair,
     fourth_power_isometric,
     invariants,
     isometric,
@@ -61,6 +62,7 @@ from .quadfield import QuadField, QuadFieldError, ResourceError
 from .hecke_classes import (
     PRIME_CAP,
     HeckeError,
+    check_generate_classes,
     exhaustive_witness_search,
     generate_classes,
 )
@@ -234,8 +236,12 @@ def cmd_classify_form(doc, args):
     return lambda: (0, {"invariants": serialize_invariants(invariants(f))})
 
 
-def _form_pair(doc) -> tuple[GramForm, GramForm]:
-    return parse_form(doc["form1"], "form1"), parse_form(doc["form2"], "form2")
+def _form_pair(doc, fourth_power: bool = False) -> tuple[GramForm, GramForm]:
+    """The two forms of a pair verb, parsed and checked as a pair
+    (`forms.check_form_pair`)."""
+    f1, f2 = parse_form(doc["form1"], "form1"), parse_form(doc["form2"], "form2")
+    check_form_pair(f1, f2, fourth_power)
+    return f1, f2
 
 
 def cmd_isometric(doc, args):
@@ -249,7 +255,7 @@ def cmd_isometric(doc, args):
 
 
 def cmd_fourth_power_check(doc, args):
-    f1, f2 = _form_pair(doc)
+    f1, f2 = _form_pair(doc, fourth_power=True)
 
     def run():
         ok, cert = fourth_power_isometric(f1, f2)
@@ -462,8 +468,7 @@ def cmd_hecke_classes(doc, args):
     if args.height < 0:
         raise HeckeError("height must be >= 0")
     prime_cap = _int(doc.get("prime_cap", PRIME_CAP), "prime_cap", least=2)
-    if not field.is_real:
-        raise HeckeError("the construction needs a real quadratic field")
+    check_generate_classes(field, count)
 
     def run():
         # generate_classes's norms make every pair inequivalent: the matrix is
@@ -618,7 +623,3 @@ def main(argv=None) -> int:
     except _MAPPED as exc:
         errors.append(_error(exc))
     return _emit({"valid": not errors, "errors": errors}, args.output, 1 if errors else 0)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

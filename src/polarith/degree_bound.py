@@ -6,9 +6,8 @@ Fully implemented routes:
   * a quadratic field under the identity (ideal algorithm: q = m / a^2
     lies in Q^x F^x2, and `quadfield.square_root_up_to_rational`, which
     the Hecke decision calls too, gives an integral b with b^2 q
-    rational).  Its one real fallback to the oracle is a non-maximal
-    order; the square root cannot fail on a valid instance, and raises
-    an internal error if it does;
+    rational).  Its one fallback to the oracle is a non-maximal order;
+    the square root cannot fail on a valid instance;
   * split matrix case M_n(Q) with transpose involution (local maximal
     lattices glued over the bad primes, 2 included, by Chinese
     remaindering, then the resulting unimodular positive definite Gram u
@@ -180,28 +179,22 @@ def matrix_instance(n: int, q_rows, a_rows, gamma: int = 1) -> BoundInstance:
 
 
 def solve_commutative(inst: BoundInstance) -> BoundResult:
-    """The ideal algorithm over one quadratic field under the identity;
-    every other algebra is refused.  Over a maximal order, q = m / a^2
-    lies in Q^x F^x2, so `quadfield.square_root_up_to_rational` answers b
-    with b^2 q a nonzero rational, |Nm b| least over its twists, and the
-    square-root ideal J before them, whose norm the notes report.  Its
-    None raises an internal error.  The oracle answers instead only for a
-    non-maximal order; the walk on reduced forms may stop at
-    `quadfield.MAX_CYCLE_STEPS` (ResourceError)."""
+    """The ideal algorithm over one quadratic field under the identity, the
+    only algebra `solve` sends here.  Over a maximal order, q = m / a^2
+    lies in Q^x F^x2 (a q a = m under the identity), so
+    `quadfield.square_root_up_to_rational` answers b with b^2 q a nonzero
+    rational, |Nm b| least over its twists, and the square-root ideal J
+    before them, whose norm the notes report: it succeeds on such q (its
+    docstring).  The oracle answers instead only for a non-maximal order;
+    the walk on reduced forms may stop at `quadfield.MAX_CYCLE_STEPS`
+    (ResourceError)."""
     inst.require_similitude()
-    A = inst.algebra
-    f0 = A.factors[0]
-    F = f0.ring
-    if len(A.factors) != 1 or not isinstance(F, QuadField) or f0.involution != "identity":
-        raise DegreeBoundError("commutative solver needs a quadratic field under the identity")
+    F = inst.algebra.factors[0].ring
     if not inst.order.contains((F.omega(),)):
         return _oracle_fallback(inst, "non-maximal order: ideal algorithm unavailable")
     q = inst.q[0]
     nq = inst.norm_q()
-    root = square_root_up_to_rational(q)
-    if root is None:
-        raise DegreeBoundError("internal: q = m / a^2 is not in Q^x F^x2")
-    b_elem, value, ideal_b = root
+    b_elem, value, ideal_b = square_root_up_to_rational(q)
     notes = {
         "ideal_norm": str(ideal_b.norm()),
         "ideal_bound_ok": ideal_b.norm() ** 2 <= nq ** (3 * inst.d - 1),
@@ -219,12 +212,10 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     then split the resulting unimodular positive definite Gram u as T^T T,
     which exists exactly when u has n pairs of norm-1 vectors (see
     `identity_form_decomposition`; for n >= 8 an E8 summand can leave
-    fewer, and that fallback reason is then a proof).  Positive definite q
-    only; everything else routes to the oracle."""
-    A = inst.algebra
-    f0 = A.factors[0]
-    if not (isinstance(f0.ring, RationalRing) and f0.matrix_size):
-        raise DegreeBoundError("split solver needs a rational matrix algebra")
+    fewer, and that fallback reason is then a proof).  `solve` sends only
+    M_n(Q) here.  Positive definite q only; everything else routes to the
+    oracle."""
+    f0 = inst.algebra.factors[0]
     if not f0.z_is_identity:
         return _oracle_fallback(inst, "non-transpose involutions route to the oracle")
     # R holds every matrix unit, so R = M_n(Z), a maximal order
@@ -251,7 +242,9 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     m2 = m * s * s
     # at each active prime, the maximal completion of m'' q^{-1} Z_p^n
     # is the local solution lattice; its integer rows span L_p, of index p^K
-    # in Z^n at p.  L_p + p^K Z^n is L_p at p and Z^n at every other prime,
+    # in Z^n at p.  (Its basis is integral: each step divides by p, and L_p,
+    # integral under q / m'', lies in its own dual, inside the dual Z_p^n of
+    # m'' q^{-1} Z_p^n.)  L_p + p^K Z^n is L_p at p and Z^n at every other prime,
     # so the glued lattice, the intersection of these, is by Chinese
     # remaindering the sum of the e_p (L_p + p^K Z^n), e_p the product of
     # the other primes' p^K; every e_p p^K Z^n is E Z^n, E = prod p^K
@@ -260,7 +253,8 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     for p in active:
         lam0 = PadicLattice(p, mat_scale(m2, qinv), qform)
         lam = maximal_completion(lam0, valuation(m2, p))
-        local.append((p ** valuation(det(lam.basis), p), _rows_of_integer_lattice(lam.basis)))
+        rows = hnf([[int(x) for x in row] for row in transpose(lam.basis)])
+        local.append((p ** valuation(det(lam.basis), p), rows))
     big_e = prod(pk for pk, _ in local)
     glued = hnf(
         [[big_e * (i == j) for j in range(n)] for i in range(n)]
@@ -280,15 +274,6 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     b = mat_mul(bstar, inverse(t))
     notes = {"m2": str(m2), "active_primes": active}
     return _verified(inst, "lattice-glue", (b,), m2, abs(det(b)) ** inst.algebra.gammas[0], notes)
-
-
-def _rows_of_integer_lattice(basis) -> list[list[int]]:
-    rows = transpose(basis)
-    for row in rows:
-        for x in row:
-            if x.denominator != 1:
-                raise DegreeBoundError("glued lattice is not integral")
-    return hnf([[int(x) for x in row] for row in rows])
 
 
 def identity_form_decomposition(u) -> list | None:
@@ -323,10 +308,8 @@ def identity_form_decomposition(u) -> list | None:
             cols.append(col)
     if len(cols) != n:
         return None
-    t = inverse(transpose(mat(sorted(cols, reverse=True))))
-    if mat_mul(transpose(t), t) != mat(u):
-        return None
-    return t
+    # v^T u v = I_n, so u = T^T T, and det(v)^2 det(u) = 1 puts T in GL_n(Z)
+    return inverse(transpose(mat(sorted(cols, reverse=True))))
 
 
 def _lll(mu, r, basis) -> None:
@@ -430,9 +413,8 @@ def brute_force_oracle(
             if any(sum(c * coords[i] * coords[j] for i, j, c in f) for f in forms):
                 continue
             b = order.element_from_coordinates(coords)
+            # every form vanishes, so b^dagger q b is rational
             val = rational_of(A.mul(A.mul(A.involve(b), inst.q), b), A)
-            if val is None:
-                raise DegreeBoundError("internal: integer forms disagree with b^dagger q b")
             if val == 0 or val.denominator != 1:
                 continue
             nb = norm(A, b)

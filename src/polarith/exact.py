@@ -308,10 +308,8 @@ def is_rational_square(x: Fraction | int) -> bool:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p, a coprime to p."""
-    a %= p
-    if a == 0:
-        raise ExactError("legendre symbol needs a unit")
+    """Legendre symbol (a|p) for odd prime p, a coprime to p: every caller
+    passes a unit residue, or tests a % p first."""
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 

@@ -552,7 +552,7 @@ class FormInvariants:
 
     def same_as(self, other: "FormInvariants") -> tuple[bool, str]:
         """Compare with the invariants of a form of the same kind and base
-        (both callers refuse any other pair first)."""
+        (both callers refuse any other pair first, by `check_form_pair`)."""
         if self.dim != other.dim:
             return False, f"dimension mismatch: {self.dim} vs {other.dim}"
         if self.det_class is not None and self.det_class != other.det_class:
@@ -666,13 +666,28 @@ class IsometryDecision:
         return self.value
 
 
+def check_form_pair(f1: GramForm, f2: GramForm, fourth_power: bool = False) -> None:
+    """The checks on a pair that need no diagonalization, made by
+    `isometric`, or with `fourth_power` by `fourth_power_isometric`, and by
+    the CLI's parse step: matching kind and base, and for the fourth-power
+    check equal dimensions and a hermitian kind.  Positive definiteness
+    needs a diagonalization, so `fourth_power_isometric` checks it itself."""
+    if f1.kind != f2.kind or f1.ring != f2.ring:
+        raise FormError(("fourth-power check" if fourth_power else "isometry") + " needs matching kind and base")
+    if not fourth_power:
+        return
+    if f1.dim != f2.dim:
+        raise FormError("fourth-power check needs equal dimensions")
+    if f1.kind in ("skew", "quat-skew-hermitian"):
+        raise FormError("positive definiteness requires a hermitian kind")
+
+
 def isometric(f1: GramForm, f2: GramForm) -> IsometryDecision:
     """Isometry decision by invariant comparison.  `complete` records
     whether the invariants are a complete system for the kind/base.  A
     mismatch proves the forms not isometric, complete or not; agreeing
     invariants that are not complete decide nothing, and raise FormError."""
-    if f1.kind != f2.kind or f1.ring != f2.ring:
-        raise FormError("isometry needs matching kind and base")
+    check_form_pair(f1, f2)
     inv1, inv2 = invariants(f1), invariants(f2)
     ok, reason = inv1.same_as(inv2)
     complete = inv1.complete and inv2.complete
@@ -831,12 +846,7 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
     psi^4 come from `diag * 4` and the sum-rule check from `diag * 2`.
     Over Q each form's diagonal is factored once, into one `local_table`
     whose columns, repeated, are those of psi^4 and psi^2."""
-    if f1.kind != f2.kind or f1.ring != f2.ring:
-        raise FormError("fourth-power check needs matching kind and base")
-    if f1.dim != f2.dim:
-        raise FormError("fourth-power check needs equal dimensions")
-    if f1.kind in ("skew", "quat-skew-hermitian"):
-        raise FormError("positive definiteness requires a hermitian kind")
+    check_form_pair(f1, f2, fourth_power=True)
     diag1, diag2 = _positive_diagonal(f1), _positive_diagonal(f2)
     if diag1 is None or diag2 is None:
         raise FormError("fourth-power check needs positive definite forms")

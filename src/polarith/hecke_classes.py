@@ -69,13 +69,12 @@ def rosati_transport_check(q: QuadElem, r: QuadElem, u: QuadElem, n) -> bool:
 
 def equivalent(q: PolClassRep | QuadElem, r: PolClassRep | QuadElem) -> bool:
     """q/r in Q^x F^x2, decided exactly: by Hilbert 90 (see the module
-    docstring), exactly when Nm(q/r) is a rational square."""
+    docstring), exactly when Nm(q/r) is a rational square.  A zero q or r
+    is in no class: the norm product 0 is not a square."""
     q = q.q if isinstance(q, PolClassRep) else q
     r = r.q if isinstance(r, PolClassRep) else r
     if q.field != r.field:
         raise HeckeError("elements of different fields")
-    if q.is_zero() or r.is_zero():
-        raise HeckeError("zero element")
     # Nm(q/r) = Nm(q)/Nm(r) is a square iff Nm(q)*Nm(r) is, tested before
     # any division, in int: (a, b) are the coordinates of d q, and scaling
     # q by d scales Nm(q) by d^2, which keeps the square test
@@ -88,11 +87,9 @@ def equivalence_witness(q: QuadElem, r: QuadElem) -> tuple[int, QuadElem] | None
     q/r is in Q^x F^x2 (`equivalent`); None otherwise."""
     if not equivalent(q, r):
         return None
+    # r / q is in Q^x F^x2 (Hilbert 90), where the square root succeeds:
     # b^2 r = m q; t the denominator of m clears it: n = m t^2, u = b t
-    root = square_root_up_to_rational(r / q)
-    if root is None:
-        raise HeckeError("internal: a quotient of square norm is not in Q^x F^x2")
-    b, m, _ = root
+    b, m, _ = square_root_up_to_rational(r / q)
     t = m.denominator
     n, u = m * t * t, b * t
     if not rosati_transport_check(q, r, u, n):
@@ -147,14 +144,22 @@ def exhaustive_witness_search(
         return None
     x, y = min(points)
     u = QuadElem(F, x, y)
-    cand = u * u * r / q
-    if not cand.is_rational() or cand.is_zero():
-        raise HeckeError("internal: integer witness test disagrees with u^2 r / q")
-    return cand.as_rational(), u
+    # u != 0 lies on a zero line of the form, and r != 0 (else s = 0 above):
+    # u^2 r / q is rational and nonzero
+    return (u * u * r / q).as_rational(), u
 
 
 # the default bound on the split primes `generate_classes` tries
 PRIME_CAP = 10_000
+
+
+def check_generate_classes(field: QuadField, count: int) -> None:
+    """The preconditions of `generate_classes`: count >= 1 and a real
+    field."""
+    if count < 1:
+        raise HeckeError("count must be >= 1")
+    if not field.is_real:
+        raise HeckeError("the construction needs a real quadratic field")
 
 
 def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -> list[PolClassRep]:
@@ -162,10 +167,7 @@ def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -
     the class of 1, then one class per split rational prime with a
     principal, totally-positive-adjustable prime above it, inequivalent
     by their norms (see the module docstring)."""
-    if count < 1:
-        raise HeckeError("count must be >= 1")
-    if not field.is_real:
-        raise HeckeError("the construction needs a real quadratic field")
+    check_generate_classes(field, count)
     reps = [PolClassRep(field.one(), None)]
     if count == 1:
         return reps

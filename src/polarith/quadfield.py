@@ -226,8 +226,8 @@ class QuadElem:
         return self.b == 0
 
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise QuadFieldError(f"{self} is not rational")
+        """a / d for a rational element (b = 0): every caller tests
+        `is_rational` first or holds an involution-fixed element."""
         return Fraction(self.a, self.d)
 
     def inv(self) -> "QuadElem":
@@ -265,9 +265,8 @@ class QuadElem:
 
     def sign_at(self, embedding: int) -> int:
         """Sign of the image under the two real embeddings (0: w -> (disc+sqrt)/2,
-        1: w -> (disc-sqrt)/2).  Real fields only."""
-        if not self.field.is_real:
-            raise QuadFieldError("real embeddings need a real field")
+        1: w -> (disc-sqrt)/2).  Real fields only: its one caller reads the
+        signatures of a form over a real field."""
         if self.is_zero():
             return 0
         # value = (A + B*sqrt(disc)) / 2d with A = 2a + b*disc, B = +-b, d > 0;
@@ -276,30 +275,24 @@ class QuadElem:
         B = self.b if embedding == 0 else -self.b
         return 1 if (A if A * A > B * B * self.field.disc else B) > 0 else -1
 
-    def __repr__(self):
-        return f"({self.x} + {self.y}*w | D={self.field.D})"
-
 
 def is_totally_positive(x: QuadElem) -> bool:
     """True iff both real embeddings of x are positive (real fields): the
     embeddings have the same sign iff Nm(x) > 0, and then that sign is the
-    sign of Tr(x)."""
+    sign of Tr(x).  Zero, of norm 0, is not."""
     if not x.field.is_real:
         raise QuadFieldError("total positivity is about real fields")
-    if x.is_zero():
-        raise QuadFieldError("zero is not totally positive")
     return x.norm() > 0 and x.trace() > 0
 
 
 def is_square_in_field(x: QuadElem) -> bool:
-    """Exact test for x in F^x2 (or x = 0)."""
+    """Exact test for x in F^x2, x != 0."""
     return sqrt_in_field(x) is not None
 
 
 def sqrt_in_field(x: QuadElem) -> QuadElem | None:
-    """A square root of x in F, or None."""
-    if x.is_zero():
-        return x.field.zero()
+    """A square root of the nonzero x in F, or None.  Every caller passes
+    a determinant ratio or a unit times a twist, never 0."""
     if x.is_rational():
         c = x.as_rational()
         r = rational_sqrt(c)
@@ -349,9 +342,9 @@ class QfIdeal:
 
     @classmethod
     def from_rows(cls, field: QuadField, rows: list[list[int]], den: int) -> "QfIdeal":
+        # rank 2: the callers pass (p, 0), (0, p), the identity, or g, g w for
+        # nonzero g, Q-independent as w is irrational
         h = hnf(rows)
-        if len(h) != 2:
-            raise QuadFieldError("ideal basis must have rank 2")
         g = 0
         for row in h:
             for x in row:
@@ -391,8 +384,7 @@ class QfIdeal:
     def __mul__(self, other):
         if isinstance(other, (QuadElem, int, Fraction)):
             return QfIdeal.from_generators([e * other for e in self.basis_elements()])
-        if self.field != other.field:
-            raise QuadFieldError("ideals of different fields")
+        # elements of different fields refuse their product (QuadElem._check)
         gens = [a * b for a in self.basis_elements() for b in other.basis_elements()]
         return QfIdeal.from_generators(gens)
 
@@ -412,9 +404,6 @@ class QfIdeal:
 
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def __repr__(self):
-        return f"Ideal({self.num}, den={self.den} | D={self.field.D})"
 
 
 def prime_splitting(field: QuadField, p: int) -> str:
@@ -477,9 +466,7 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
     primes_above(field, p)]).  Such a p divides Nm(e) or the denominator of
     e.  An inert or ramified exponent is read off v_p(Nm e); at a split p,
     v_P(x + y w) = v_p(x + y r) for the root r of the minimal polynomial of
-    w that P = (p, w - r) lifts, and v_P + v_P' = v_p(Nm e) is checked."""
-    if e.is_zero():
-        raise QuadFieldError("valuation of zero")
+    w that P = (p, w - r) lifts.  e != 0: `factorint` refuses Nm(0) = 0."""
     field = e.field
     n = e.norm()
     den = factorint(e.d)
@@ -492,16 +479,13 @@ def prime_exponents(e: QuadElem) -> list[tuple[int, str, list[tuple[QfIdeal, int
         elif kind == "ramified":
             vals = [vn]
         else:
-            # v_P(e) lies in [-vd, vn + vd], vd = v_p(d): at this precision
-            # a + b r = d (x + y r) has the valuation of the P-adic image of d e
+            # vd = v_p(d): 0 <= v_P(d e) <= v_p(Nm(d e)) = vn + 2 vd < prec, so
+            # a + b r = d (x + y r), r the root to precision prec, is nonzero with
+            # the valuation v_P(d e), and the two values add up to vn
             vd = den.get(p, 0)
             prec = max(vn, 0) + 2 * vd + 4
             t, nw = field.w_trace, field.w_norm
-            s = [e.a + e.b * lift_root(t, nw, r, p, prec) for r in roots_mod_p(field, p)]
-            # s = 0 exactly: the other prime carries the norm's valuation
-            vals = [valuation(si, p) - vd if si else vn + vd - valuation(s[1 - i], p) for i, si in enumerate(s)]
-            if vals[0] + vals[1] != vn:
-                raise QuadFieldError("internal: split valuations do not add up to v_p(Nm)")
+            vals = [valuation(e.a + e.b * lift_root(t, nw, r, p, prec), p) - vd for r in roots_mod_p(field, p)]
         if any(vals):
             out.append((p, kind, list(zip(primes_above(field, p), vals))))
     return out
@@ -547,15 +531,11 @@ def fundamental_unit(field: QuadField) -> QuadElem:
     B -= (B - disc) % 2
     forms = _reduced_forms(disc, 1, B, (B * B - disc) // 4, 1, 0, (B - disc) // 2, 1)
     next(forms)
-    A, _, _, (x, y), _ = next(f for f in forms if abs(f[0]) == 1)
-    if field.norm_form(x, y) != A:
-        raise QuadFieldError("internal: the cycle of the principal form did not produce a unit")
-    # of +-u and +-conj(u) = +-u^-1, the unit > 1 has a positive trace and y
-    if 2 * x + y * disc < 0:
-        x, y = -x, -y
-    if y < 0:
-        x, y = x + y * disc, -y
-    return _elem(field, x, y, 1)
+    # each form is Nm(u z0 + v z1) (rho substitutes in SL_2(Z)), so A = Nm(z0) = +-1
+    _, _, _, (x, y), _ = next(f for f in forms if abs(f[0]) == 1)
+    # of +-u and +-conj(u) = +-u^-1, (tr, y) = (+-T, +-Y): the unit > 1 has both positive
+    trace, y = abs(2 * x + y * disc), abs(y)
+    return _elem(field, (trace - y * disc) // 2, y, 1)
 
 
 def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None:
@@ -571,9 +551,9 @@ def is_principal(ideal: QfIdeal, eps: QuadElem | None = None) -> QuadElem | None
     field = ideal.field
     t, nw, disc = field.w_trace, field.w_norm, field.disc
     (a, b), (_, c) = ideal.num
+    # B^2 - 4 A C = t^2 - 4 nw = disc identically; the divisions are exact, as
+    # N divides the norm of each element of the ideal
     A, B, C = (a * a + t * a * b + nw * b * b) // (a * c), t + 2 * nw * b // a, nw * c // a
-    if B * B - 4 * A * C != disc:
-        raise QuadFieldError("internal: the norm form of an ideal has the wrong discriminant")
     forms = _reduced_forms(disc, A, B, C, a, b, 0, c)
     A, B, C, z0, z1 = first = next(forms)
     if disc < 0:

@@ -130,6 +130,16 @@ def test_norm_times_inverse_examples():
     assert out[0] == [[Fraction(4), Fraction(0)], [Fraction(0), Fraction(2)]]
 
 
+def test_norm_times_inverse_refuses_what_it_cannot_answer():
+    """0 has no inverse; x = I / 2 lies outside M_2(Z), and Nm(x) x^-1 =
+    (1/4)(2 I) = I / 2 does too, which the membership check catches."""
+    order = OrderR(matrix_algebra_q(2))
+    with pytest.raises(AlgebraError, match="element is not invertible"):
+        norm_times_inverse(order, ([[Fraction(0)] * 2] * 2,))
+    with pytest.raises(AlgebraError, match="norm-times-inverse fell outside the order"):
+        norm_times_inverse(order, ([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]],))
+
+
 def test_local_norm_examples():
     A = rational_algebra()
     assert local_norm(A, A.from_rational(12), 2) == 4
@@ -139,6 +149,8 @@ def test_local_norm_examples():
     x = (F5.from_sqrt_coords(3, 1),)
     assert local_norm(B, x, 2) == 4
     assert local_norm(B, x, 3) == 1
+    with pytest.raises(AlgebraError, match="local norm of a non-invertible element"):
+        local_norm(B, (F5.zero(),), 2)
 
 
 @given(coords=st.lists(st.integers(-6, 6), min_size=2, max_size=2))
@@ -533,6 +545,31 @@ def test_gammas_default_to_one_and_are_checked_on_the_algebra():
             AlgebraWithInvolution(fs, pairs, gammas)
         with pytest.raises(AlgebraError, match=f"^{message}$"):
             replace(AlgebraWithInvolution(fs, pairs), gammas=gammas)
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        (lambda: SimpleFactor(QuaternionRing(RationalRing(), -1, -1)),
+         "identity is not an involution of a quaternion algebra"),
+        (lambda: SimpleFactor(RationalRing(), involution="conjugation"), "conjugation needs a quadratic field"),
+        (lambda: SimpleFactor(RationalRing(), matrix_size=2, involution="canonical"),
+         "matrix factors use conjugate_transpose involutions"),
+    ],
+    ids=["identity-on-quaternions", "conjugation-on-Q", "canonical-on-a-matrix-factor"],
+)
+def test_factor_refuses_an_involution_its_ring_lacks(factor, message):
+    """The CLI fixes the involution of quaternion and matrix factors; the
+    library constructor still refuses each pairing that is no involution."""
+    with pytest.raises(AlgebraError, match=message):
+        factor()
+
+
+def test_elements_compare_equal_only_to_elements():
+    """`QuadElem` and `QuatElem` give a scalar `NotImplemented`, so `==`
+    with one falls back to identity and answers False."""
+    quat = QuaternionRing(RationalRing(), -1, -1)
+    assert F5.one().__eq__(1) is quat.one().__eq__(1) is NotImplemented and F5.one() != 1 and quat.one() != 1
 
 
 def test_an_algebra_needs_a_factor():

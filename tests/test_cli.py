@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 
 import polarith
 from polarith.algebras import AlgebraWithInvolution
-from polarith.cli import VERBS, InputError, _rat, main, parse_instance, serialize_element
+from polarith.cli import VERBS, InputError, _emit, _rat, main, parse_instance, serialize_element
 from polarith.degree_bound import BoundResult, verify_result
 from polarith.linalg import mat
 from polarith.quadfield import QuadElem
@@ -589,6 +590,30 @@ def test_python_dash_m(tmp_path):
     assert proc.stdout == expected
 
 
+def test_main_module_runs_in_process(tmp_path, monkeypatch, capsys):
+    """`polarith/__main__.py`, run in this process as `python -m polarith`
+    runs it, exits with `main()`'s code and writes the reference bytes of a
+    pool request."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    req = json.loads((data / "hecke.inputs.json").read_text())["requests"][0]
+    want = json.loads((data / "hecke.reference.json").read_text())[req["id"]]
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(req["input"]))
+    monkeypatch.setattr(sys, "argv", ["polarith", req["verb"], str(inp), *req["args"]])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("polarith", run_name="__main__")
+    assert (exc.value.code, capsys.readouterr().out) == (want["exit"], want["stdout"])
+
+
+def test_an_int_past_the_digit_limit_is_written_as_resource_budget(capsys):
+    """`json.dumps` cannot write an int past `sys.get_int_max_str_digits()`
+    digits; `_emit` answers `resource:budget` with exit 1 instead."""
+    limit = sys.get_int_max_str_digits()
+    assert _emit({"value": 10**limit}, "-", 0) == 1
+    message = f"an integer has more digits than the interpreter's limit of {limit} (sys.get_int_max_str_digits())"
+    assert json.loads(capsys.readouterr().out) == {"error": {"code": "resource:budget", "message": message}}
+
+
 def test_golden_output_format(tmp_path):
     """Pin the serialization format (exact strings, sorted keys)."""
     doc = {
@@ -769,6 +794,10 @@ _QUADFIELD_FACTOR = {"kind": "quadfield", "D": 5}
 
 _IDENTITY_FORM_DOC = {"p": 3, "form": form_q("symmetric", [["1", "0"], ["0", "1"]])}
 
+# a rational symmetric form against a hermitian form over Q(i)
+_MIXED_PAIR = {"form1": form_q("symmetric", [["1"]]),
+               "form2": {"kind": "hermitian", "base": {"type": "quadfield", "D": -1}, "gram": [[["1", "0"]]]}}
+
 # input checks that answer the same body under the verb and under `validate`
 _PRECONDITION_BODIES = [
     ("maximal-lattice", {**_IDENTITY_FORM_DOC, "basis": [["1", "2"], ["2", "4"]]},
@@ -782,11 +811,15 @@ _PRECONDITION_BODIES = [
      _error_body("invariant:gram", "form: invariant violation: unknown form kind bogus")),
     ("classify-form", {"form": {"kind": "hermitian", "base": {"type": "etale-pair"}, "gram": [["1"]]}},
      _error_body("schema:bad-entry", "form.gram[0][0]: entries over QxQ are lists of 2 rationals")),
+    ("isometric", _MIXED_PAIR, _error_body("precondition:FormError", "isometry needs matching kind and base")),
+    ("fourth-power-check", _MIXED_PAIR,
+     _error_body("precondition:FormError", "fourth-power check needs matching kind and base")),
+    ("fourth-power-check", {"form1": form_q("symmetric", [["1"]]), "form2": form_q("symmetric", [["1", "0"], ["0", "1"]])},
+     _error_body("precondition:FormError", "fourth-power check needs equal dimensions")),
+    ("fourth-power-check", {"form1": form_q("skew", [["0", "1"], ["-1", "0"]]),
+                            "form2": form_q("skew", [["0", "1"], ["-1", "0"]])},
+     _error_body("precondition:FormError", "positive definiteness requires a hermitian kind")),
 ]
-
-# a rational symmetric form against a hermitian form over Q(i)
-_MIXED_PAIR = {"form1": form_q("symmetric", [["1"]]),
-               "form2": {"kind": "hermitian", "base": {"type": "quadfield", "D": -1}, "gram": [[["1", "0"]]]}}
 
 
 @pytest.mark.parametrize(
@@ -828,10 +861,6 @@ _MIXED_PAIR = {"form1": form_q("symmetric", [["1"]]),
              "instance: conjugator must be symmetric or skew under the base involution",
          )),
         *_PRECONDITION_BODIES,
-        # checked once the verb computes, so `validate` passes these pairs
-        ("isometric", _MIXED_PAIR, _error_body("precondition:FormError", "isometry needs matching kind and base")),
-        ("fourth-power-check", _MIXED_PAIR,
-         _error_body("precondition:FormError", "fourth-power check needs matching kind and base")),
     ],
 )
 def test_schema_errors_answer_exit_1_with_their_body(tmp_path, verb, doc, want):

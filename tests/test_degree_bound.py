@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -198,6 +199,60 @@ def test_split_matrix_negative_definite_q_falls_back():
     assert res.method == "oracle-fallback"
     assert res.notes["fallback_reason"] == "q is not positive definite"
     assert res.value == -4 and res.norm_b == 2
+
+
+_GLUE_EXAMPLE = ([[1, 0], [0, 9]], [[1, 0], [0, Fraction(1, 3)]])
+
+
+def test_split_matrix_without_an_identity_decomposition_falls_back(monkeypatch):
+    """A glued Gram outside the class of I_n (an E8 summand, n >= 8) leaves
+    the answer to the fallback, which names that reason."""
+    monkeypatch.setattr(degree_bound, "identity_form_decomposition", lambda u: None)
+    res = solve_split_matrix(matrix_instance(2, *_GLUE_EXAMPLE))
+    assert res.notes["fallback_reason"] == "unimodular Gram is not in the class of I_n"
+    verify_result(matrix_instance(2, *_GLUE_EXAMPLE), res)
+
+
+def test_glued_gram_must_be_unimodular(monkeypatch):
+    """The maximal completions make the glued Gram unimodular; left at the
+    starting lattice 9 q^-1 Z^2, the Gram is diag(9, 1), which the check
+    refuses."""
+    monkeypatch.setattr(degree_bound, "maximal_completion", lambda lattice, target: lattice)
+    with pytest.raises(DegreeBoundError, match="internal: the glued Gram is not unimodular"):
+        solve_split_matrix(matrix_instance(2, *_GLUE_EXAMPLE))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda F, res: {"b": (F.from_rational(Fraction(1, 2)),)}, "result b is not in the order"),
+        (lambda F, res: {"b": (F.zero(),)}, "b^dagger q b is not a nonzero rational integer"),
+        (lambda F, res: {"value": res.value + 1}, "reported value mismatch"),
+        (lambda F, res: {"norm_b": res.norm_b + 1}, "reported norm mismatch"),
+    ],
+    ids=["b-outside-R", "value-zero", "wrong-value", "wrong-norm"],
+)
+def test_verify_result_refuses_a_corrupted_answer(change, message):
+    """Each of the four facts `verify_result` re-checks fails on an answer
+    corrupted in that fact alone."""
+    inst = quadfield_instance(5, (-2, 2), (-3, 1))
+    res = solve(inst)
+    with pytest.raises(DegreeBoundError, match=re.escape(message)):
+        verify_result(inst, dataclasses.replace(res, **change(inst.algebra.factors[0].ring, res)))
+
+
+def test_fallback_without_a_similitude_has_only_the_oracle():
+    """With a = None there is no cleared similitude, so over Q x Q (no
+    swap) the oracle answers alone: on q = (2, 8), b = (2, 1) gives (8, 8)
+    at norm 2, the least; on q = (1, 2), b^dagger q b = (x^2, 2 y^2) is
+    never a nonzero scalar, and the fallback fails."""
+    Q = SimpleFactor(RationalRing())
+    order = OrderR(AlgebraWithInvolution((Q, Q)))
+    res = solve(BoundInstance(order, (Fraction(2), Fraction(8)), None))
+    assert (res.method, res.value, res.norm_b) == ("oracle-fallback", 8, 2)
+    assert res.notes["fallback_reason"] == "no specialized route for this algebra"
+    with pytest.raises(DegreeBoundError, match="no specialized route for this algebra; oracle found no solution either"):
+        solve(BoundInstance(order, (Fraction(1), Fraction(2)), None))
 
 
 def test_cleared_similitude_of_norm_one_skips_the_box(monkeypatch):
@@ -547,6 +602,8 @@ def test_exhausted_oracle_budget(monkeypatch):
 def test_measure_constant_rejects_mixed():
     with pytest.raises(DegreeBoundError):
         measure_constant([quadfield_instance(5, (1, 0), (1, 0)), quadfield_instance(2, (1, 0), (1, 0))])
+    with pytest.raises(DegreeBoundError, match="empty batch"):
+        measure_constant([])
 
 
 def test_instance_is_order_q_a():

@@ -610,6 +610,23 @@ def test_strong_lucas_test_agrees_with_sympy():
         assert exact._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
 
+def test_strong_lucas_test_refuses_squares(monkeypatch):
+    """A square reaches the Lucas test only as a base-2 strong pseudoprime,
+    p^2 for a Wieferich prime p: 1093^2 and 3511^2 pass base 2.  The square
+    test refuses them before Selfridge's D search, which finds no D with
+    (D|n) = -1 on a square and stops only at D = +-p, after about p / 2
+    Jacobi symbols."""
+    monkeypatch.setattr(exact, "_jacobi", None)  # the D search is never entered
+    for p in (1093, 3511):
+        assert exact._strong_probable_prime(p * p, 2) and not exact._strong_lucas_probable_prime(p * p)
+
+
+def test_perfect_power_gives_up_past_the_small_primes():
+    """Above 10 * 1021 bits every prime exponent below 2^10 is tried, and a
+    number that is no power (2^10300 + 1, by Mihailescu) answers None."""
+    assert exact._perfect_power((1 << 10300) + 1) is None
+
+
 def test_primerange_agrees_with_sympy():
     rng = random.Random(2307)
     ranges = [(0, 0), (5, 3), (0, 2), (2, 2), (-10, 3), (2, 3), (1023, 1025), (4000, 4200)]

@@ -1121,7 +1121,7 @@ def test_involution_to_form_checks_the_positivity_test(monkeypatch):
 
     monkeypatch.setattr(forms, "is_positive_involution", lambda inv: True)
     inv = MatrixInvolution("symmetric", QR, diagonal_form_q([1, -1]).gram)
-    with pytest.raises(FormError, match="internal: a positive involution must admit"):
+    with pytest.raises(FormError, match="internal: a positive involution must admit a positive definite form"):
         involution_to_form(inv, True)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarith import hecke_classes
 from polarith.hecke_classes import (
     HeckeError,
     PolClassRep,
@@ -54,6 +55,17 @@ def test_equivalent_spec_examples():
     assert exhaustive_witness_search(q2, r2, 20) is None
 
     assert equivalent(q, q)
+    assert not equivalent(q, F5.zero())
+    with pytest.raises(HeckeError, match="elements of different fields"):
+        equivalent(q, F2.one())
+
+
+def test_equivalence_witness_checks_the_square_root(monkeypatch):
+    """The witness n q = u^2 r is verified: a square root that answers
+    b = 1, m = 1 for a pair it does not fit is caught."""
+    monkeypatch.setattr(hecke_classes, "square_root_up_to_rational", lambda x: (x.field.one(), Fraction(1), None))
+    with pytest.raises(HeckeError, match="internal: witness failed verification"):
+        equivalence_witness(sq5(3, 1), F5.from_rational(2))
 
 
 def test_rosati_transport_examples():
@@ -62,6 +74,7 @@ def test_rosati_transport_examples():
     u = sq5(Fraction(1, 2), Fraction(1, 2))  # (1+sqrt5)/2
     assert rosati_transport_check(q, r, u, 1)
     assert rosati_transport_check(q, q, F5.one(), 1)
+    assert not rosati_transport_check(q, q, F5.zero(), 0)  # 0 q = 0^2 q proves nothing
     # q = 4+sqrt5, r = 1: no small witness
     q2 = sq5(4, 1)
     for x in range(-10, 11):
@@ -161,6 +174,10 @@ def test_equivalent_is_symmetric_on_representatives():
 def test_generate_classes_count_one():
     reps = generate_classes(F5, 1)
     assert len(reps) == 1 and (reps[0].q - 1).is_zero()
+    with pytest.raises(HeckeError, match="count must be >= 1"):
+        generate_classes(F5, 0)
+    with pytest.raises(HeckeError, match="the construction needs a real quadratic field"):
+        generate_classes(QuadField(-5), 1)
 
 
 def test_negative_pairs_have_no_bounded_witness():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from unittest import mock
@@ -889,7 +890,7 @@ def test_superlattice_scan_checks_the_kernel(monkeypatch):
     fails the row test; the re-checked scale catches it."""
     monkeypatch.setattr(lattices_local, "kernel_mod_p", lambda g, p: identity(len(g)))
     L = PadicLattice(3, identity(2), symmetric_form_q([[1, 0], [0, 2]]))
-    with pytest.raises(LatticeError, match="internal: integer superlattice test disagrees"):
+    with pytest.raises(LatticeError, match="internal: integer superlattice test disagrees with the Gram"):
         _first_superlattice(L, 0)
 
 
@@ -907,7 +908,7 @@ def test_completion_checks_the_carried_gram(monkeypatch):
 
     monkeypatch.setattr(lattices_local, "_first_superlattice", stale)
     L = PadicLattice(3, identity(2), symmetric_form_q([[9, 0], [0, 1]]))
-    with pytest.raises(LatticeError, match="internal: the carried Gram disagrees"):
+    with pytest.raises(LatticeError, match=re.escape("internal: the carried Gram disagrees with B^T F B")):
         maximal_completion(L, 0)
 
 

@@ -18,6 +18,7 @@ from polarith.linalg import (
     Ring,
     conj_transpose,
     det,
+    hnf,
     identity,
     inverse,
     kernel_mod_p,
@@ -239,6 +240,14 @@ def test_kernel_mod_p_is_the_kernel_in_reduced_echelon_form(p, data):
     for v, j in zip(kernel, leads):
         assert v[j] == 1 and all(w[j] == 0 for w in kernel if w is not v)
     assert cols - len(kernel) == rows - len(kernel_mod_p(transpose(a), p))
+
+
+def test_integer_helpers_on_empty_and_pivotless_input():
+    """No rows give no kernel rows and no HNF rows; a column with no
+    nonzero entry below the current row is skipped."""
+    assert kernel_mod_p([], 3) == [] and hnf([]) == []
+    assert hnf([[0, 1], [0, 2]]) == [[0, 1]]
+    assert hnf([[0, 2, 1], [0, 4, 3]]) == [[0, 2, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)

@@ -1,4 +1,5 @@
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -427,15 +428,38 @@ def test_square_root_up_to_rational(D):
 
 @pytest.mark.parametrize(
     "D, s, t",
-    [(5, 4, 1), (5, 0, 1), (2, 1, 1)],
-    ids=["split-parity", "odd-ramified", "norm-minus-one-unit"],
+    [(5, 4, 1), (5, 0, 1), (2, 1, 1), (34, 5, 1)],
+    ids=["split-parity", "odd-ramified", "norm-minus-one-unit", "unramified-order-two-class"],
 )
 def test_square_root_up_to_rational_refuses(D, s, t):
     """None off Q^x F^x2: 4 + sqrt(5) (norm 11) has exponents 1 and 0 at the
     two primes above 11, sqrt(5) exponent 1 at the ramified prime, and the
-    unit 1 + sqrt(2) of norm -1 is a square times no rational."""
+    unit 1 + sqrt(2) of norm -1 is a square times no rational.  5 + sqrt(34)
+    has norm -9 < 0, so it is no r x^2, and generates P^2 for a prime P
+    above 3: the square-root ideal is its conjugate, of order 2 in the class
+    group of Q(sqrt(34)) (h = 2, Nm eps = +1), where both ramified primes
+    are principal, so no ramified twist makes it principal."""
     F = QuadField(D)
     assert square_root_up_to_rational(elem(F, s, t)) is None
+    if D == 34:
+        P, P_conj = primes_above(F, 3)
+        assert QfIdeal.from_generators([elem(F, s, t)]) == P * P
+        assert principalize_with_ramified_twists(P_conj) is None
+
+
+def test_square_root_checks_the_generator_it_is_given(monkeypatch):
+    """b0^2 q / M is a unit for every generator b0 of the twisted ideal; a
+    generator search that answers twice a generator is caught."""
+    search = qf.is_principal
+    monkeypatch.setattr(qf, "is_principal", lambda ideal, eps=None: search(ideal, eps) * 2)
+    with pytest.raises(QuadFieldError, match=re.escape("internal: b0^2 q / M is not a unit")):
+        square_root_up_to_rational(F5.from_rational(11))
+
+
+def test_zero_ideal_is_refused():
+    for gens in ([], [F5.zero()]):
+        with pytest.raises(QuadFieldError, match="zero ideal"):
+            QfIdeal.from_generators(gens)
 
 
 def test_real_class_group_nontrivial():

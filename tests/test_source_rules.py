@@ -292,3 +292,35 @@ def test_readme_route_list_is_the_verified_methods():
         and isinstance(node.args[1], ast.Constant)
     }
     assert set(re.findall(r"`([^`]+)`", listed.group(1))) == methods
+
+
+# The internal guards of `fourth_power_isometric` (five raises, two with one
+# text), which no valid input reaches: ROADMAP item 2 replaces them with a
+# certificate that can fail, or with none.
+UNEXERCISED_INTERNAL_GUARDS = {
+    "internal: fourth-power determinant must be a square",
+    "internal: hasse invariant of a positive definite fourth power must be trivial",
+    "internal: sum rule violated",
+    "internal: fourth-power determinant must be a norm",
+}
+
+
+def _internal_messages():
+    """The text of each `raise E("internal: ...")` in src/: the whole string,
+    or of an f-string the literal text before its first field."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            arg = node.exc.args[0]
+            if isinstance(arg, ast.JoinedStr) and arg.values:
+                arg = arg.values[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value.startswith("internal:"):
+                yield arg.value
+
+
+def test_every_internal_guard_is_exercised():
+    """A guard on another routine's output stays only with a test that makes
+    it fire, which names its message; this file's own list does not count."""
+    tests = "".join(p.read_text() for p in _sources("tests") if p.name != Path(__file__).name)
+    assert {m for m in _internal_messages() if m not in tests} == UNEXERCISED_INTERNAL_GUARDS
