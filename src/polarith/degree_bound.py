@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, product
-from math import isqrt, lcm, prod
+from itertools import chain, combinations, product
+from math import gcd, isqrt, lcm, prod
 
 from .algebras import (
     AlgebraWithInvolution,
@@ -48,10 +48,10 @@ from .linalg import (
     det,
     frac,
     hnf,
+    int_mat_mul,
     inverse,
     mat,
     mat_mul,
-    mat_scale,
     numerators,
     rational_of,
     transpose,
@@ -227,15 +227,18 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     qform = symmetric_form_q(q)
     if not is_positive_definite(qform):
         return _oracle_fallback(inst, "q is not positive definite")
-    qinv = inverse(q)
+    qinv, qden = numerators(inverse(q))
     detq = det(q)  # an integer: q lies in R = M_n(Z)
     bad = set(factorint(abs(int(detq))).keys())
     bad |= set(factorint(m.numerator * m.denominator).keys())
     # choose m'' = m * s^2 with m'' q^{-1} integral; m'' is a positive integer:
-    # m > 0 (q is positive definite), v_p(m'') >= kappa >= 0 at each bad prime
+    # m > 0 (q is positive definite), v_p(m'') >= kappa >= 0 at each bad prime.
+    # kappa = -min v_p of an entry of q^{-1} = qinv / qden, the v_p of its
+    # content gcd(qinv) / qden, as v_p of a gcd is the least v_p of its arguments
+    content = Fraction(gcd(*chain.from_iterable(qinv)), qden)
     s = Fraction(1)
     for p in sorted(bad):
-        kappa = max(0, -min((valuation(x, p) for row in qinv for x in row if x != 0), default=0))
+        kappa = max(0, -valuation(content, p))
         need = kappa - valuation(m, p)
         if need > 0:
             s *= Fraction(p) ** ((need + 1) // 2)
@@ -249,29 +252,32 @@ def solve_split_matrix(inst: BoundInstance) -> BoundResult:
     # remaindering the sum of the e_p (L_p + p^K Z^n), e_p the product of
     # the other primes' p^K; every e_p p^K Z^n is E Z^n, E = prod p^K
     active = sorted(p for p in bad if valuation(m2, p) > 0 or valuation(detq, p) != 0)
+    lam_basis = ([[m2.numerator * x for x in row] for row in qinv], qden * m2.denominator)
     local = []
     for p in active:
-        lam0 = PadicLattice(p, mat_scale(m2, qinv), qform)
-        lam = maximal_completion(lam0, valuation(m2, p))
-        rows = hnf([[int(x) for x in row] for row in transpose(lam.basis)])
-        local.append((p ** valuation(det(lam.basis), p), rows))
+        lam = maximal_completion(PadicLattice(p, lam_basis, qform), valuation(m2, p))
+        # the integral basis N / d of L_p, one row per column
+        rows = hnf([[x // lam.den for x in col] for col in zip(*lam.num)])
+        local.append((p ** valuation(det(rows), p), rows))
     big_e = prod(pk for pk, _ in local)
     glued = hnf(
         [[big_e * (i == j) for j in range(n)] for i in range(n)]
         + [[big_e // pk * x for x in row] for pk, rows in local for row in rows]
     )
-    bstar = transpose(mat(glued))
-    u = mat_scale(1 / m2, mat_mul(mat_mul(transpose(bstar), q), bstar))
-    # q / m'' is I_n over Q, so det u is a square, and each L_p is maximal
-    # with q / m'' integral on it: unimodular at odd p, as maximal lattices
-    # are isometric (O'Meara 91:2), and at p = 2 as [L^# : L] <= 2 (else
-    # some x in L^# - L has x^T (q / m'') x integral, and L + Z_2 x is too)
-    if not all(x.denominator == 1 for row in u for x in row) or abs(det(u)) != 1:
+    # the rows of `glued` are the columns of b*, and u = b*^T q b* / m'' is
+    # w / m'' on integers (q lies in R = M_n(Z)).  q / m'' is I_n over Q,
+    # so det u is a square, and each L_p is maximal with q / m'' integral
+    # on it: unimodular at odd p, as maximal lattices are isometric
+    # (O'Meara 91:2), and at p = 2 as [L^# : L] <= 2 (else some x in
+    # L^# - L has x^T (q / m'') x integral, and L + Z_2 x is too)
+    w = int_mat_mul(int_mat_mul(glued, numerators(q)[0]), transpose(glued))
+    mi = m2.numerator
+    if any(x % mi for row in w for x in row) or abs(det(w)) != mi**n:
         raise DegreeBoundError("internal: the glued Gram is not unimodular")
-    t = identity_form_decomposition(u)
+    t = identity_form_decomposition([[x // mi for x in row] for row in w])
     if t is None:
         return _oracle_fallback(inst, "unimodular Gram is not in the class of I_n")
-    b = mat_mul(bstar, inverse(t))
+    b = mat_mul(transpose(glued), inverse(t))
     notes = {"m2": str(m2), "active_primes": active}
     return _verified(inst, "lattice-glue", (b,), m2, abs(det(b)) ** inst.algebra.gammas[0], notes)
 

@@ -10,6 +10,13 @@ scales.  So some index-p superlattice already witnesses non-maximality.
 Nothing of this inverts 2, so it holds at p = 2; the unimodular
 classification and the split-case solver need p odd (`check_prime`).
 
+A lattice holds integers: its basis B as numerators over one denominator,
+B = N / d, and its Gram as G / D with G integral, both built once and
+neither in lowest terms.  Its scale is then one gcd, v_p(gcd G) - v_p(D):
+v_p of a gcd is the least v_p of its arguments, so this is the least
+valuation of an entry of G / D.  Containment is one fraction-free solve
+and the same gcd argument.
+
 Each candidate is tested in integers.  The index-p superlattice for a
 projective point v (v_i = 1 its first unit coordinate) replaces basis column
 i by w = Bv/p and keeps every other column, so in its Gram only row and
@@ -32,9 +39,14 @@ m) are row m plus the combinations of the later rows, and their
 lexicographic order is that of the coefficient vectors, because each later
 row's coefficient is the point's coordinate at that row's pivot.  So the
 scan visits the winning candidates in the order of the full scan over
-P^{n-1}(F_p) and picks the same superlattice.  The winner's Gram is carried
-(only row and column i change), and the completed lattice's Gram is
-checked once against B^T F B.
+P^{n-1}(F_p) and picks the same superlattice.  Its pairs are written from
+the integers the test computed: (N, d) becomes (p N, d p) with N v in
+column i, and (G, D) becomes (p^2 G, D p^2) with p G v in row and column i
+and v^T G v at (i, i).  Which pair (G, D) stands for the Gram does not
+change the kernel: G' is p^-t G_L times the unit part of D, so two pairs
+give matrices G' that differ by a p-adic unit factor.  The completed
+lattice's Gram is checked once against B^T F B, by cross-multiplied
+integers.
 
 Only isometry witnesses between unimodular forms truncate (modulo p^k, k
 passed next to p), but every certificate that the solver returns is
@@ -44,9 +56,10 @@ satisfies b^T q b = m' * I as an identity in Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import chain, count, product
+from math import gcd
 
 from .exact import (
     ExactError,
@@ -63,9 +76,11 @@ from .forms import FormError, GramForm, diagonalize, symmetric_form_q
 from .linalg import (
     Matrix,
     RationalRing,
+    bareiss_solve,
     det,
     frac,
     identity,
+    int_mat_mul,
     inverse,
     kernel_mod_p,
     mat,
@@ -93,66 +108,89 @@ def check_prime(p: int, odd: bool = False) -> None:
         raise LatticeError("p = 2 is excluded (2 must be invertible)")
 
 
-def _mat_min_valuation(m: Matrix, p: int) -> int:
-    vals = [valuation(x, p) for row in m for x in row if x != 0]
-    if not vals:
+def _vp(n: int, p: int) -> int:
+    """v_p of the nonzero integer n, p prime."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _least_valuation(num: list[list[int]], den: int, p: int) -> int:
+    """The least v_p of an entry of the nonzero matrix num / den (num
+    integral): v_p(gcd num) - v_p(den), as v_p of a gcd is the least v_p of
+    its arguments."""
+    g = gcd(*chain.from_iterable(num))
+    if g == 0:
         raise LatticeError("zero matrix has no scale")
-    return min(vals)
+    return _vp(g, p) - _vp(den, p)
 
 
 def _mat_p_integral(m: Matrix, p: int) -> bool:
     return all(x.denominator % p for row in m for x in row)
 
 
-@dataclass
 class PadicLattice:
-    """Columns of `basis` span the lattice over Z_p, p prime; `form` is a
-    symmetric Gram form over Q read p-adically.  The Gram B^T F B is
-    computed once, unless `carried_gram` hands it over (the superlattice
-    scan builds its winner's Gram from its integer test;
-    `maximal_completion` re-checks the Gram of the lattice it returns)."""
+    """The Z_p-span of the columns of the basis B, p prime, in `form`, a
+    symmetric Gram form F over Q read p-adically.
 
-    p: int
-    basis: Matrix
-    form: GramForm
-    carried_gram: Matrix | None = field(default=None, repr=False, compare=False)
+    B is held as integer numerators over one denominator, B = N / d, and
+    its Gram B^T F B as G / D, G integral; neither pair need be in lowest
+    terms.  `basis` is a rational matrix (a list of rows) or its pair
+    (N, d).  The Gram is built once, N^T F' N / (d^2 f) for F = F' / f,
+    unless `carried_gram` hands over (G, D): the superlattice scan writes
+    its winner's from its integer test, and `maximal_completion` checks the
+    Gram of the lattice it returns.  So `scale` is one gcd: v_p(gcd G) -
+    v_p(D) is the least v_p of an entry of G / D, as v_p of a gcd is the
+    least v_p of its arguments.  `basis` and `gram()` read the pairs as
+    rational matrices."""
 
-    def __post_init__(self):
-        check_prime(self.p)
-        self.basis = mat(self.basis)
-        if det(self.basis) == 0:
+    def __init__(self, p: int, basis, form: GramForm, carried_gram: tuple | None = None):
+        check_prime(p)
+        self.p, self.form = p, form
+        self.num, self.den = basis if isinstance(basis, tuple) else numerators(mat(basis))
+        if det(self.num) == 0:
             raise LatticeError("lattice basis is singular")
-        if self.form.dim != len(self.basis):
+        if form.dim != len(self.num):
             raise LatticeError("form and basis dimensions differ")
-        if self.form.kind != "symmetric":
+        if form.kind != "symmetric":
             raise LatticeError("p-adic lattices are implemented for symmetric forms")
-        if not isinstance(self.form.ring, RationalRing):
+        if not isinstance(form.ring, RationalRing):
             raise LatticeError("p-adic lattices are implemented for forms over Q")
-        if self.carried_gram is None:
-            self.carried_gram = self.exact_gram()
+        self.gram_num, self.gram_den = carried_gram or self.exact_gram()
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.num)
 
-    def exact_gram(self) -> Matrix:
-        return mat_mul(mat_mul(transpose(self.basis), self.form.gram), self.basis)
+    @cached_property
+    def basis(self) -> Matrix:
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
+
+    def exact_gram(self) -> tuple[list[list[int]], int]:
+        """B^T F B as (N^T F' N, d^2 f), for F = F' / f."""
+        f, fden = numerators(self.form.gram)
+        return int_mat_mul(int_mat_mul(transpose(self.num), f), self.num), self.den**2 * fden
 
     def gram(self) -> Matrix:
-        return self.carried_gram
+        return [[Fraction(x, self.gram_den) for x in row] for row in self.gram_num]
 
     def contains(self, other: "PadicLattice") -> bool:
-        """other subseteq self, p-locally."""
-        coords = mat_mul(inverse(self.basis), other.basis)
-        return _mat_p_integral(coords, self.p)
+        """other subseteq self, p-locally: the coordinates (N / d)^-1 (M / e)
+        = d X / (c e), with N X = c M (`bareiss_solve`, c != 0), are
+        p-integral, that is d gcd(X) / (c e) is."""
+        c, x = bareiss_solve(self.num, other.num)
+        return Fraction(self.den * gcd(*chain.from_iterable(x)), c * other.den).denominator % self.p != 0
 
     def equals(self, other: "PadicLattice") -> bool:
         return self.contains(other) and other.contains(self)
 
 
 def scale(L: PadicLattice) -> int:
-    """Exponent s with scale ideal p^s: min valuation over the Gram."""
-    return _mat_min_valuation(L.gram(), L.p)
+    """Exponent s with scale ideal p^s: the least valuation of an entry of
+    the Gram G / D, v_p(gcd G) - v_p(D)."""
+    return _least_valuation(L.gram_num, L.gram_den, L.p)
 
 
 def _kernel_points(rows: list[list[int]], p: int):
@@ -176,10 +214,8 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
     G' mod p can win (module docstring); each is one integer test, and the
     winner carries its Gram, whose scale is re-checked."""
     p, n = L.p, L.dim
-    gram = L.gram()
-    g, den = numerators(gram)
-    e = valuation(den, p)
-    s = t + e
+    g, den = L.gram_num, L.gram_den
+    s = t + _vp(den, p)
     diag_mod = p ** max(0, s + 2)
     # G' = G / p^s mod p, and the zero matrix when s < 0 (the row modulus is 1)
     g_mod_p = [[x // p**s % p if s >= 0 else 0 for x in row] for row in g]
@@ -189,13 +225,13 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
         vgv = sum(v[k] * gv[k] for k in range(i, n))
         if vgv % diag_mod:
             continue
-        new_basis = [row[:] for row in L.basis]
-        new_gram = [row[:] for row in gram]
+        num = [[x * p for x in row] for row in L.num]
+        gram = [[x * p * p for x in row] for row in g]
         for r in range(n):
-            new_basis[r][i] = sum(L.basis[r][k] * v[k] for k in range(n)) / p
-            new_gram[r][i] = new_gram[i][r] = Fraction(gv[r], p * den)
-        new_gram[i][i] = Fraction(vgv, p * p * den)
-        sup = PadicLattice(L.p, new_basis, L.form, new_gram)
+            num[r][i] = sum(L.num[r][k] * v[k] for k in range(i, n))
+            gram[r][i] = gram[i][r] = gv[r] * p
+        gram[i][i] = vgv
+        sup = PadicLattice(p, (num, L.den * p), L.form, (gram, den * p * p))
         if scale(sup) < t:
             raise LatticeError("internal: integer superlattice test disagrees with the Gram")
         return sup
@@ -215,10 +251,8 @@ def check_completion(L: PadicLattice, target_scale: int) -> None:
     scale), so it is refused; so is a target above the scale of L."""
     if det(L.form.gram) == 0:
         raise LatticeError("the form is degenerate: it has no maximal lattice")
-    if scale(L) < target_scale:
-        raise LatticeError(
-            f"scale {scale(L)} is below the requested target {target_scale}"
-        )
+    if (s := scale(L)) < target_scale:
+        raise LatticeError(f"scale {s} is below the requested target {target_scale}")
 
 
 def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
@@ -236,7 +270,9 @@ def complete_after_check(L: PadicLattice, target_scale: int) -> PadicLattice:
     current = L
     while (enlarged := _first_superlattice(current, target_scale)) is not None:
         current = enlarged
-    if current.gram() != current.exact_gram():
+    g, d = current.exact_gram()
+    gd = current.gram_den
+    if any(x * d != y * gd for row, exact in zip(current.gram_num, g) for x, y in zip(row, exact)):
         raise LatticeError("internal: the carried Gram disagrees with B^T F B")
     return current
 
@@ -465,8 +501,11 @@ def solve_after_check(
     q: Matrix, a: Matrix, m_prime: Fraction, p: int, k: int, qinv: Matrix, s: Fraction
 ) -> Matrix:
     """`split_local_solve` at precision k for rational arguments that
-    `check_local_solve` passed, returning (qinv, s); each of the five
-    roundings that fail doubles k."""
+    `check_local_solve` passed, returning (qinv, s).  A rounding that fails
+    doubles k: the tries are k, 2k, 4k, 8k and 16k, and go on while k is
+    below the bound -min v_p(s a), the exponent of p in the denominators of
+    b0 = s a (at 5, the rounding of the rotation by ((3 + 4i) / 5)^e first
+    holds at k = e, for e = 18, 50 and 200)."""
     n = len(q)
     b0 = mat_scale(s, a)
     if _mat_p_integral(b0, p):
@@ -477,12 +516,15 @@ def solve_after_check(
     lam0 = PadicLattice(p, mat_scale(m_prime, qinv), form)
     # check_completion holds: det q != 0, scale = v(m') + min v(m' q^-1) >= target
     lam_max = complete_after_check(lam0, target)
+    # U' = Gram / m' is unimodular: scale(U') = scale - target >= 0, and
+    # v_p(det U') = v_p(det G) - n v_p(D) - n target = 0
+    g, d = lam_max.gram_num, lam_max.gram_den
+    if scale(lam_max) < target or _vp(det(g).numerator, p) != n * (_vp(d, p) + target):
+        raise LatticeError("maximal completion did not reach a unimodular Gram")
     bprime = lam_max.basis
     uprime = mat_scale(1 / m_prime, lam_max.gram())
-    if _mat_min_valuation(uprime, p) < 0 or valuation(det(uprime), p) != 0:
-        raise LatticeError("maximal completion did not reach a unimodular Gram")
 
-    for _ in range(5):
+    for tries in count(1):
         # U' is unimodular with det (det B' / det a)^2 s^(-2n), a square, so
         # it is isometric to I, and reducing I gives I: T^T U' T = I mod p^k
         t = _reduce_to_standard(uprime, p, k)
@@ -500,8 +542,12 @@ def solve_after_check(
                 return b
         except LatticeError:
             pass
+        if tries >= 5 and k >= (bound := -_least_valuation(*numerators(b0), p)):
+            raise LatticeError(
+                f"orthogonal rounding failed at all precisions up to {k} "
+                f"(the bound -min v_p(s a) is {bound})"
+            )
         k *= 2
-    raise LatticeError("orthogonal rounding failed at all precisions")
 
 
 def unit_case_parity(q: Matrix, a: Matrix, p: int, k: int):

@@ -160,11 +160,16 @@ def mat_mul(a: list, b: list, ring: Ring = QQ) -> list:
         na, da = numerators(a)
         nb, db = numerators(b)
         d = da * db
-        bt = list(zip(*nb))
-        return [[Fraction(sum(map(mul, row, col)), d) for col in bt] for row in na]
+        return [[Fraction(x, d) for x in row] for row in int_mat_mul(na, nb)]
     zero = ring.zero()
     bt = list(zip(*b))
     return [[sum(map(mul, row, col), zero) for col in bt] for row in a]
+
+
+def int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of integer matrices: `mat_mul` over Q runs on it."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_eq(a: list, b: list, ring: Ring = QQ) -> bool:
@@ -189,7 +194,7 @@ def _bareiss(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int]:
     `jordan`) to (p_k m_i - m_ik m_k) / p_(k-1) on the columns after k.
     By Sylvester's identity the entries stay minors of order k + 1 of the
     row-permuted m (Bareiss, Math. Comp. 22, 1968), so every division is
-    exact.  Gauss-Jordan on [N | I] thus ends at [p I | p N^-1]; columns
+    exact.  Gauss-Jordan on [N | R] thus ends at [p I | p N^-1 R]; columns
     up to k are stale afterwards and never read again."""
     sign, prev = 1, 1
     for k in range(n):
@@ -229,12 +234,22 @@ def inverse(a: list, ring: Ring = QQ) -> list:
                 out[i][j] = ring.from_qcoords(x[i * d : (i + 1) * d])
         return out
     num, d = numerators(a)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
-    pivot, _ = _bareiss(m, n, jordan=True)
+    pivot, x = bareiss_solve(num, [[int(i == j) for j in range(n)] for i in range(n)])
     if pivot == 0:
         raise ZeroDivisionError("matrix not invertible")
     # a^-1 = d N^-1 = d (p N^-1) / p
-    return [[Fraction(d * x, pivot) for x in row[n:]] for row in m]
+    return [[Fraction(d * v, pivot) for v in row] for row in x]
+
+
+def bareiss_solve(num: list[list[int]], rhs: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(p, X) with num X = p rhs, for a square integer matrix num and
+    integer columns rhs, by fraction-free Gauss-Jordan on [num | rhs], which
+    ends at [p I | p num^-1 rhs] (`_bareiss`): p is +-det num, and 0 when
+    num is singular (X is then meaningless)."""
+    n = len(num)
+    m = [row + r for row, r in zip(num, rhs)]
+    pivot, _ = _bareiss(m, n, jordan=True)
+    return pivot, [row[n:] for row in m]
 
 
 def regular_matrix(a: list, ring: Ring) -> Matrix:

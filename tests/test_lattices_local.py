@@ -33,7 +33,18 @@ from polarith import lattices_local
 from polarith.cli import main
 from polarith.exact import lift_root, valuation
 from polarith.forms import diagonalize, symmetric_form_q
-from polarith.linalg import det, identity, kernel_mod_p, mat, mat_add, mat_mul, mat_scale, transpose
+from polarith.linalg import (
+    det,
+    identity,
+    inverse,
+    kernel_mod_p,
+    mat,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    numerators,
+    transpose,
+)
 
 
 def diag_form(*entries):
@@ -488,6 +499,105 @@ def test_unimodular_classification_against_modp_oracle():
 # The integer superlattice scan against its definition
 
 
+def _reference_scale(gram, p):
+    """The scale exponent of a rational Gram, entry by entry: the least
+    valuation of a nonzero entry."""
+    vals = [valuation(x, p) for row in gram for x in row if x != 0]
+    if not vals:
+        raise LatticeError("zero matrix has no scale")
+    return min(vals)
+
+
+def _reference_exact_gram(basis, form):
+    """B^T F B in Fractions."""
+    return mat_mul(mat_mul(transpose(basis), form.gram), basis)
+
+
+def _reference_contains(basis, other, p):
+    """The span of the columns of `other` lies in that of `basis` over Z_p:
+    the coordinates basis^-1 other are p-integral, in Fractions."""
+    return all(x.denominator % p for row in mat_mul(inverse(basis), other) for x in row)
+
+
+def _reference_superlattice_step(basis, form, p, t):
+    """The kernel scan on Fractions: (basis, Gram) of the first index-p
+    superlattice of scale >= t, or None; the Gram's numerators over their
+    least common denominator, the winner's column and Gram as Fractions."""
+    n = len(basis)
+    gram = _reference_exact_gram(basis, form)
+    g, den = numerators(gram)
+    s = t + valuation(den, p)
+    diag_mod = p ** max(0, s + 2)
+    g_mod_p = [[x // p**s % p if s >= 0 else 0 for x in row] for row in g]
+    for v in _kernel_points(kernel_mod_p(g_mod_p, p), p):
+        i = v.index(1)
+        gv = [sum(g[j][k] * v[k] for k in range(i, n)) for j in range(n)]
+        vgv = sum(v[k] * gv[k] for k in range(i, n))
+        if vgv % diag_mod:
+            continue
+        new_basis = [row[:] for row in basis]
+        new_gram = [row[:] for row in gram]
+        for r in range(n):
+            new_basis[r][i] = sum(basis[r][k] * v[k] for k in range(n)) / p
+            new_gram[r][i] = new_gram[i][r] = Fraction(gv[r], p * den)
+        new_gram[i][i] = Fraction(vgv, p * p * den)
+        return new_basis, new_gram
+    return None
+
+
+def _reference_lattice_scale(L):
+    """The scale of L off B^T F B in Fractions."""
+    return _reference_scale(_reference_exact_gram(L.basis, L.form), L.p)
+
+
+@st.composite
+def _rational_lattice_pair(draw, p):
+    """Two lattices L, M in one nondegenerate rational form, n <= 4: Gram
+    and basis entries a p^k / d with k in -2..2 and d in {1, 2, p}, so
+    entries of positive and negative valuation and denominators divisible
+    by p; M is L's basis times such a matrix, so M lies in L in some
+    draws."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(
+        lambda a, k, d: Fraction(a * Fraction(p) ** k, d),
+        st.integers(-4, 4),
+        st.integers(-2, 2),
+        st.sampled_from([1, 2, p]),
+    )
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    assume(det(g) != 0)
+    basis = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    assume(det(basis) != 0)
+    change = [[draw(st.sampled_from([0, 1, -1, p, Fraction(1, p)])) for _ in range(n)] for _ in range(n)]
+    assume(det(change) != 0)
+    form = symmetric_form_q(g)
+    return PadicLattice(p, basis, form), PadicLattice(p, mat_mul(basis, change), form)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data(), drop=st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_integer_lattice_agrees_with_the_fraction_definitions(p, data, drop):
+    """scale, exact_gram, contains and one superlattice step on (N, d) and
+    (G, D) agree with the same definitions on Fraction matrices."""
+    L, M = data.draw(_rational_lattice_pair(p))
+    gram = _reference_exact_gram(L.basis, L.form)
+    g, d = L.exact_gram()
+    assert [[Fraction(x, d) for x in row] for row in g] == L.gram() == gram
+    assert scale(L) == _reference_scale(gram, p)
+    assert L.contains(M) == _reference_contains(L.basis, M.basis, p)
+    assert M.contains(L) == _reference_contains(M.basis, L.basis, p)
+    t = scale(L) - drop
+    got, want = _first_superlattice(L, t), _reference_superlattice_step(L.basis, L.form, p, t)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.basis, got.gram()) == want
+        assert scale(got) == _reference_scale(want[1], p) >= t
+
+
 def _reference_projective_points(p, n):
     """Representatives of P^{n-1}(F_p), first unit coordinate normalized to
     one, in lexicographic order: every point the scan visited before it
@@ -511,20 +621,20 @@ def _reference_superlattices(L):
 
 
 def _reference_first_superlattice(L, t):
-    return next((sup for sup in _reference_superlattices(L) if scale(sup) >= t), None)
+    return next((sup for sup in _reference_superlattices(L) if _reference_lattice_scale(sup) >= t), None)
 
 
 def _reference_is_maximal(L):
-    s = scale(L)
+    s = _reference_lattice_scale(L)
     for sup in _reference_superlattices(L):
-        if scale(sup) == s:
+        if _reference_lattice_scale(sup) == s:
             return False
     return True
 
 
 def _reference_maximal_completion(L, target_scale):
-    if scale(L) < target_scale:
-        raise LatticeError(f"scale {scale(L)} is below the requested target {target_scale}")
+    if _reference_lattice_scale(L) < target_scale:
+        raise LatticeError(f"scale {_reference_lattice_scale(L)} is below the requested target {target_scale}")
     current = L
     while (enlarged := _reference_first_superlattice(current, target_scale)) is not None:
         current = enlarged
@@ -696,7 +806,8 @@ def test_first_superlattice_matches_projective_scan(p, data, drop):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.basis == want.basis
-        assert got.gram() == want.gram() == got.exact_gram()
+        g, d = got.exact_gram()
+        assert got.gram() == want.gram() == [[Fraction(x, d) for x in row] for row in g]
 
 
 def test_kernel_points_fixed_cases():
@@ -888,14 +999,15 @@ def test_superlattice_scan_checks_the_kernel(monkeypatch):
     """A kernel routine that answers the whole space lets the point (1, 2)
     pass the diagonal test of diag(1, 2) at 3 (1 + 2 * 4 = 9) though it
     fails the row test; the re-checked scale catches it."""
-    monkeypatch.setattr(lattices_local, "kernel_mod_p", lambda g, p: identity(len(g)))
+    monkeypatch.setattr(lattices_local, "kernel_mod_p",
+                        lambda g, p: [[int(i == j) for j in range(len(g))] for i in range(len(g))])
     L = PadicLattice(3, identity(2), symmetric_form_q([[1, 0], [0, 2]]))
     with pytest.raises(LatticeError, match="internal: integer superlattice test disagrees with the Gram"):
         _first_superlattice(L, 0)
 
 
 def test_completion_checks_the_carried_gram(monkeypatch):
-    """A superlattice that carries its parent's Gram (a stale update) is
+    """A superlattice that carries its parent's (G, D) (a stale update) is
     caught by the final check against B^T F B."""
     real, steps = lattices_local._first_superlattice, []
 
@@ -904,7 +1016,7 @@ def test_completion_checks_the_carried_gram(monkeypatch):
             return None
         steps.append(L)
         sup = real(L, t)
-        return PadicLattice(sup.p, sup.basis, sup.form, L.gram())
+        return PadicLattice(sup.p, (sup.num, sup.den), sup.form, (L.gram_num, L.gram_den))
 
     monkeypatch.setattr(lattices_local, "_first_superlattice", stale)
     L = PadicLattice(3, identity(2), symmetric_form_q([[9, 0], [0, 1]]))
@@ -977,13 +1089,44 @@ def test_solve_after_check_doubles_k_when_no_chart_rounds(monkeypatch):
     assert all(x == 0 or valuation(x, 5) >= 0 for row in b for x in row)
 
 
-def test_split_local_solve_gives_up_after_five_doublings():
-    """The rotation by ((3 + 4i) / 5)^18 needs more than k = 16 for its
-    rounding to be 5-integral: from precision 1 the five tries 1, 2, 4, 8,
-    16 all miss, and the solver says so."""
+def test_split_local_solve_gives_up_after_five_doublings(monkeypatch):
+    """A rounding that always fails is tried at 1, 2, 4, 8 and 16 on the
+    rotation by 5^-2, whose bound -min v_5(s a) = 2 the last try passes,
+    and the solver says so, naming the bound."""
+    calls = []
+
+    def never(h, p, k):
+        calls.append(k)
+        raise LatticeError("no Cayley chart found for the orthogonal rounding")
+
+    monkeypatch.setattr(lattices_local, "_cayley_orthogonal_round", never)
+    message = "orthogonal rounding failed at all precisions up to 16 (the bound -min v_p(s a) is 2)"
+    with pytest.raises(LatticeError, match=re.escape(message)):
+        split_local_solve(identity(2), _ROTATION_25, 1, 5, precision=1)
+    assert calls == [1, 2, 4, 8, 16]
+
+
+def _rotation(e):
+    """The rotation by ((3 + 4i) / 5)^e: orthogonal, with -v_5 of its
+    entries e."""
     x, y = 1, 0
-    for _ in range(18):
+    for _ in range(e):
         x, y = 3 * x - 4 * y, 4 * x + 3 * y
-    c, s = Fraction(x, 5**18), Fraction(y, 5**18)
-    with pytest.raises(LatticeError, match="orthogonal rounding failed at all precisions"):
-        split_local_solve(identity(2), [[c, -s], [s, c]], 1, 5, precision=1)
+    c, s = Fraction(x, 5**e), Fraction(y, 5**e)
+    return [[c, -s], [s, c]]
+
+
+@pytest.mark.parametrize("e, precision, tries", [
+    (18, 1, [1, 2, 4, 8, 16, 32]),
+    (200, 12, [12, 24, 48, 96, 192, 384]),
+])
+def test_split_local_solve_doubles_past_five_tries_up_to_the_bound(e, precision, tries):
+    """The rounding of the rotation by ((3 + 4i) / 5)^e holds from k = e on:
+    below the bound -min v_5(s a) = e after five tries, the solver doubles
+    k once more and answers a 5-integral b with b^T b = I."""
+    with mock.patch.object(lattices_local, "_cayley_orthogonal_round",
+                           wraps=lattices_local._cayley_orthogonal_round) as rounding:
+        b = split_local_solve(identity(2), _rotation(e), 1, 5, precision=precision)
+    assert [c.args[2] for c in rounding.call_args_list] == tries
+    assert mat_mul(transpose(b), b) == identity(2)
+    assert all(x == 0 or valuation(x, 5) >= 0 for row in b for x in row)
