@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebras import (
     AlgebraError,
@@ -287,11 +288,13 @@ def cmd_maximal_lattice(doc, args):
 
     def run():
         out = complete_after_check(L, target)
+        # at s == target, the completion's last, empty scan was `is_maximal`'s
+        s = scale(out)
         return 0, {
             "basis": _serialize_matrix(out.basis),
             "gram": _serialize_matrix(out.gram()),
-            "scale": scale(out),
-            "maximal": is_maximal(out),
+            "scale": s,
+            "maximal": s == target or is_maximal(out),
             "contains_input": out.contains(L),
         }
 
@@ -472,12 +475,12 @@ def cmd_hecke_classes(doc, args):
 
     def run():
         # generate_classes's norms make every pair inequivalent: the matrix is
-        # the identity and no pair has a witness
+        # the identity and no pair has a witness.  Each is integral: d = 1
         reps = generate_classes(field, count, prime_cap=prime_cap)
         n = len(reps)
         payload = {
             "representatives": [
-                {"coords": [str(r.q.x), str(r.q.y)], "norm": str(r.q.norm()),
+                {"coords": [str(r.q.a), str(r.q.b)], "norm": str(field.norm_form(r.q.a, r.q.b)),
                  "source_prime": r.source_prime}
                 for r in reps
             ],
@@ -540,12 +543,36 @@ def _error(exc: Exception) -> dict:
             f"of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"}
 
 
+def _json(v, pad: str = "\n") -> str:
+    """`json.dumps(v, sort_keys=True, indent=2)` byte for byte, for str,
+    bool, None, int, list, tuple and dict with str keys; any other raises
+    TypeError, and an int past the digit limit ValueError, as there."""
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        items = [_json(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(v, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v[k], inner) for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, output: str, code: int) -> int:
     """Write `payload` to the `output` path ('-' for stdout) and return the
     exit code `code`; an unwritable path answers `io:output` on stdout, an
-    int too long to write `resource:budget`, each with exit 1 instead."""
+    int too long to write `resource:budget`, each with exit 1 instead.  The
+    text is that of `json.dumps(payload, sort_keys=True, indent=2)` byte for
+    byte, from `_json`, which skips that encoder's pure-Python indent path."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json(payload) + "\n"
     except ValueError as exc:
         return _emit({"error": _error(exc)}, output, 1)
     if output and output != "-":

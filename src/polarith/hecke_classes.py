@@ -16,6 +16,14 @@ re-derives a negative answer by another route, in closed form.
 so its norm is p, and the class of 1 has norm 1.  A norm product of two is
 p or p p' with p != p', never a square, so no two are equivalent and the
 equivalence matrix is the identity by construction.
+
+Norm p rules out most split primes before any ideal is built (Gauss's
+genus condition; Cox, Primes of the Form x^2 + ny^2, section 3): with
+t = Tr(w), 4 Nm(x + y w) = (2x + t y)^2 - disc y^2, so p is a square mod
+each odd prime q | disc (p != q, as p splits), and the 2-adic character
+follows, as the product of all genus characters is chi_disc(p) = 1.  The
+later steps would reject each prime it rules out, and it is not
+sufficient, so both stay.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import is_rational_square, primerange, rational_sqrt
+from .exact import is_rational_square, legendre, primerange, rational_sqrt
 from .quadfield import (
     QuadElem,
     QuadField,
@@ -172,10 +180,15 @@ def generate_classes(field: QuadField, count: int, prime_cap: int = PRIME_CAP) -
     if count == 1:
         return reps
     eps = fundamental_unit(field)
+    odd_ramified = [q for q in field.ramified_primes if q != 2]
     last_p = None
     for p in primerange(2, prime_cap):
         last_p = p
         if kronecker_splitting(field, p) != "split":  # primerange yields primes
+            continue
+        # the norm condition of the module docstring: a representative has
+        # norm p, so p is a square mod each odd q | disc
+        if any(legendre(p, q) != 1 for q in odd_ramified):
             continue
         pr = prime_above(field, p, roots_mod_p(field, p)[0])
         g = is_principal(pr, eps)

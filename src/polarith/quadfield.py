@@ -279,10 +279,10 @@ class QuadElem:
 def is_totally_positive(x: QuadElem) -> bool:
     """True iff both real embeddings of x are positive (real fields): the
     embeddings have the same sign iff Nm(x) > 0, and then that sign is the
-    sign of Tr(x).  Zero, of norm 0, is not."""
+    sign of Tr(x).  Zero, of norm 0, is not.  Both are read in int, times d^2 and d."""
     if not x.field.is_real:
         raise QuadFieldError("total positivity is about real fields")
-    return x.norm() > 0 and x.trace() > 0
+    return x.field.norm_form(x.a, x.b) > 0 and 2 * x.a + x.b * x.field.w_trace > 0
 
 
 def is_square_in_field(x: QuadElem) -> bool:

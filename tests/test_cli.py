@@ -14,7 +14,7 @@ import pytest
 
 import polarith
 from polarith.algebras import AlgebraWithInvolution
-from polarith.cli import VERBS, InputError, _emit, _rat, main, parse_instance, serialize_element
+from polarith.cli import VERBS, InputError, _emit, _json, _rat, main, parse_instance, serialize_element
 from polarith.degree_bound import BoundResult, verify_result
 from polarith.linalg import mat
 from polarith.quadfield import QuadElem
@@ -167,6 +167,36 @@ def test_maximal_lattice(tmp_path):
     code, out = run_cli(tmp_path, "maximal-lattice", doc)
     assert code == 0
     assert out["maximal"] and out["contains_input"] and out["scale"] == 0
+
+
+@pytest.mark.parametrize("gram, target, scans", [
+    # the completion ends at the target: its last, empty scan answers "maximal"
+    ([["1", "0"], ["0", "9"]], 0, [(0, False), (0, True)]),
+    # it ends at scale -2 above the target -3: `is_maximal` scans at -2
+    ([["1", "0"], ["0", "1"]], -3, [(-3, False), (-3, False), (-3, True), (-2, True)]),
+])
+def test_maximal_lattice_repeats_no_kernel_scan(tmp_path, monkeypatch, gram, target, scans):
+    """`maximal-lattice` scans for a superlattice once per step of the
+    completion and once more only when the completed scale is above the
+    target; the answer is that of `is_maximal` on the completed lattice."""
+    from polarith import lattices_local
+    from polarith.cli import parse_form
+
+    doc = {"p": 3, "basis": [["1", "0"], ["0", "1"]], "form": form_q("symmetric", gram), "target_scale": target}
+    L = lattices_local.PadicLattice(3, mat(doc["basis"]), parse_form(doc["form"], "form"))
+    want = lattices_local.is_maximal(lattices_local.maximal_completion(L, target))
+    seen = []
+    scan = lattices_local._first_superlattice
+
+    def counted(lattice, t):
+        found = scan(lattice, t)
+        seen.append((t, found is None))
+        return found
+
+    monkeypatch.setattr(lattices_local, "_first_superlattice", counted)
+    code, out = run_cli(tmp_path, "maximal-lattice", doc)
+    assert (code, out["maximal"], want) == (0, True, True)
+    assert seen == scans
 
 
 def test_local_solve(tmp_path):
@@ -632,6 +662,42 @@ def test_golden_output_format(tmp_path):
         '  "reason": "det_class mismatch: 1 vs 3"\n'
         '}\n'
     )
+
+
+_TRICKY_STRINGS = ["", 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "na\u00efve \u2028", "\U0001f600", "\ud800"]
+
+
+def _random_tree(rng, depth):
+    """A JSON-shaped value: tricky strings, bools, None, small, negative and
+    4,000-digit ints, and below `depth` nested lists, tuples and dicts,
+    empty ones included."""
+    kind = rng.randrange(7 if depth else 4)
+    if kind == 0:
+        return rng.choice(_TRICKY_STRINGS) + chr(rng.randrange(0x110000))
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.randint(-10**6, 10**6)
+    if kind == 3:
+        return rng.choice([-1, 1]) * rng.randrange(10**3999, 10**4000)
+    items = [_random_tree(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {rng.choice(_TRICKY_STRINGS) + str(i): x for i, x in enumerate(items)}
+
+
+def test_the_writer_gives_the_bytes_of_json_dumps():
+    """`_emit`'s writer matches `json.dumps(v, sort_keys=True, indent=2)` on
+    seeded trees of every type a payload holds, and refuses a Fraction with
+    TypeError, as json.dumps does."""
+    rng = random.Random(17)
+    for _ in range(400):
+        tree = {"root": _random_tree(rng, 4), "empty": [{}, [], ()]}
+        assert _json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        _json({"value": [Fraction(1, 2)]})
 
 
 def test_norm_cap_flag_runs_oracle(tmp_path):

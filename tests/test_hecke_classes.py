@@ -15,7 +15,17 @@ from polarith.hecke_classes import (
     generate_classes,
     rosati_transport_check,
 )
-from polarith.quadfield import QuadElem, QuadField, fundamental_unit, is_totally_positive
+from polarith.exact import legendre, primerange, square_class
+from polarith.quadfield import (
+    QuadElem,
+    QuadField,
+    fundamental_unit,
+    is_principal,
+    is_totally_positive,
+    kronecker_splitting,
+    prime_above,
+    roots_mod_p,
+)
 
 F5 = QuadField(5)
 F2 = QuadField(2)
@@ -427,3 +437,67 @@ def test_make_totally_positive_matches_reference(D, gc, unit_power):
     if got is not None:
         assert got.is_integral() and is_totally_positive(got)
 
+
+
+def _unfiltered_generate_classes(field, count):
+    """`generate_classes` without the norm condition: every split prime goes
+    to `is_principal`."""
+    reps = [PolClassRep(field.one(), None)]
+    eps = fundamental_unit(field)
+    for p in primerange(2, hecke_classes.PRIME_CAP):
+        if len(reps) == count:
+            return reps
+        if kronecker_splitting(field, p) != "split":
+            continue
+        g = is_principal(prime_above(field, p, roots_mod_p(field, p)[0]), eps)
+        g_pos = None if g is None else _make_totally_positive(g, eps)
+        if g_pos is not None:
+            reps.append(PolClassRep(g_pos, p))
+    raise AssertionError(f"fewer than {count} classes over {field}")
+
+
+def test_the_norm_condition_changes_no_answer(monkeypatch):
+    """Over every real field Q(sqrt D), D squarefree in [2, 400), the
+    representatives are those of the loop that tries every split prime, and
+    no prime that fails the norm condition reaches `is_principal`."""
+    seen = []
+
+    def spy(ideal, eps):
+        seen.append(int(ideal.norm()))
+        return is_principal(ideal, eps)
+
+    monkeypatch.setattr(hecke_classes, "is_principal", spy)
+    fields = [QuadField(D) for D in range(2, 400) if square_class(D) == D]
+    for F in fields:
+        seen.clear()
+        want = _unfiltered_generate_classes(F, 12)
+        assert generate_classes(F, 12) == want, F
+        odd = [q for q in F.ramified_primes if q != 2]
+        assert seen and all(legendre(p, q) == 1 for p in seen for q in odd), F
+        assert all(legendre(r.source_prime, q) == 1 for r in want[1:] for q in odd), F
+    assert len(fields) == 242
+
+
+@pytest.mark.parametrize("D, principal_misses, positive_misses", [(79, 25, 0), (34, 0, 10)])
+def test_primes_past_the_norm_condition_can_still_fail(monkeypatch, D, principal_misses, positive_misses):
+    """The norm condition is necessary, not sufficient, so both rejections
+    stay: with count 10, over Q(sqrt 79) (class number 3) 25 split primes
+    pass it and are not principal; over Q(sqrt 34) (a unit of norm +1) 10
+    principal primes pass it whose generators all have norm -p."""
+    misses = {"principal": 0, "positive": 0}
+
+    def count_principal(ideal, eps):
+        g = is_principal(ideal, eps)
+        misses["principal"] += g is None
+        return g
+
+    def count_positive(g, eps):
+        g_pos = _make_totally_positive(g, eps)
+        misses["positive"] += g_pos is None
+        return g_pos
+
+    monkeypatch.setattr(hecke_classes, "is_principal", count_principal)
+    monkeypatch.setattr(hecke_classes, "_make_totally_positive", count_positive)
+    F = QuadField(D)
+    assert len(generate_classes(F, 10)) == 10
+    assert misses == {"principal": principal_misses, "positive": positive_misses}
