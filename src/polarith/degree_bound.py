@@ -289,91 +289,90 @@ def identity_form_decomposition(u) -> list | None:
     Two distinct norm-1 vectors x != -y of an integral lattice are
     orthogonal (Cauchy-Schwarz gives |x^T u y| < 1), so u is in the class
     of I_n iff it has n pairs +-x of norm-1 vectors, and then the matrix v
-    with one x of each pair as columns has v^T u v = I_n, i.e. T = v^-1.
-    The pairs are listed completely: LLL reduction (Lenstra, Lenstra and
-    Lovasz 1982), then Fincke-Pohst enumeration on the reduced basis's
-    exact Gram-Schmidt data (Cohen, GTM 138, 2.6-2.7).  The columns of v
-    each have a positive first nonzero entry and stand in decreasing
-    lexicographic order, so u = I_n gives T = I_n."""
+    with one x of each pair as columns has v^T u v = I_n, i.e. T = v^-1 =
+    v^T u.  The pairs are listed completely, in integers from start to
+    end.  The Gram-Schmidt data of the basis are d[i], the leading minor
+    of order i of u (d[0] = 1), and the integers lam[i][j] = d[j+1] mu_ij;
+    the squared lengths are r_j = d[j+1] / d[j], so u is positive definite
+    iff every d[i] is positive (Sylvester).  Integral LLL reduction
+    (Lenstra, Lenstra and Lovasz 1982; Cohen, GTM 138, Alg. 2.6.7) and
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) run on these.  The
+    columns of v each have a positive first nonzero entry and stand in
+    decreasing lexicographic order, so u = I_n gives T = I_n."""
     n = len(u)
-    # u = L D L^T over Q: mu below the diagonal of L, r the diagonal of D
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    r = [Fraction(0)] * n
+    u = [[int(x) for x in row] for row in u]
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            mu[i][j] = (Fraction(u[i][j]) - sum(mu[i][k] * mu[j][k] * r[k] for k in range(j))) / r[j]
-        r[i] = Fraction(u[i][i]) - sum(mu[i][k] ** 2 * r[k] for k in range(i))
-        if r[i] <= 0:
+        for j in range(i + 1):
+            x = u[i][j]
+            for k in range(j):
+                x = (d[k + 1] * x - lam[i][k] * lam[j][k]) // d[k]
+            lam[i][j] = x
+        d[i + 1] = lam[i][i]
+        if d[i + 1] <= 0:
             return None
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    _lll(mu, r, basis)
-    cols = []
-    for x in _norm_one_vectors(mu, r):
-        col = [sum(x[i] * basis[i][c] for i in range(n)) for c in range(n)]
-        if next(v for v in col if v) > 0:
-            cols.append(col)
-    if len(cols) != n:
-        return None
-    # v^T u v = I_n, so u = T^T T, and det(v)^2 det(u) = 1 puts T in GL_n(Z)
-    return inverse(transpose(mat(sorted(cols, reverse=True))))
+    _lll(d, lam, basis)
+    vectors = int_mat_mul(list(_norm_one_vectors(d, lam, [0] * n, n - 1, 0)), basis)
+    cols = [col for col in vectors if next(v for v in col if v) > 0]
+    return int_mat_mul(sorted(cols, reverse=True), u) if len(cols) == n else None
 
 
-def _lll(mu, r, basis) -> None:
-    """LLL-reduce the rows of `basis` in place (delta = 3/4), with their
-    Gram-Schmidt coefficients mu and squared lengths r (Cohen, GTM 138,
-    Alg. 2.6.3, every mu known from the start)."""
-    n = len(r)
+def _lll(d, lam, basis) -> None:
+    """LLL-reduce the rows of `basis` in place (delta = 3/4) on their
+    integral Gram-Schmidt data d, lam (Cohen, GTM 138, Alg. 2.6.7, every
+    lam known from the start).  The test r_k >= (3/4 - mu^2) r_{k-1} is
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2, and each division is
+    exact."""
+    n = len(basis)
 
     def size_reduce(k, l):
-        q = round(mu[k][l])
-        if q:
+        if q := (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1]):
             basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
             for i in range(l):
-                mu[k][i] -= q * mu[l][i]
-            mu[k][l] -= q
+                lam[k][i] -= q * lam[l][i]
+            lam[k][l] -= q * d[l + 1]
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        m = mu[k][k - 1]
-        if r[k] >= (Fraction(3, 4) - m * m) * r[k - 1]:
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
             continue
         basis[k - 1], basis[k] = basis[k], basis[k - 1]
-        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
-        b = r[k] + m * m * r[k - 1]
-        mu[k][k - 1] = m * r[k - 1] / b
-        r[k - 1], r[k] = b, r[k - 1] * r[k] / b
-        for row in mu[k + 1 :]:
+        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for row in lam[k + 1 :]:
             t = row[k]
-            row[k] = row[k - 1] - m * t
-            row[k - 1] = t + mu[k][k - 1] * row[k]
+            row[k] = (d[k + 1] * row[k - 1] - m * t) // d[k]
+            row[k - 1] = (b * t + m * row[k]) // d[k + 1]
+        d[k] = b
         k = max(k - 1, 1)
 
 
-def _norm_one_vectors(mu, r) -> list:
-    """Every nonzero integer x with sum_j r_j (x_j + sum_{i>j} mu_ij x_i)^2
-    <= 1, which for an integral Gram L D L^T is norm exactly 1.  With x_i
-    fixed for i > j, the admissible x_j form an interval around
-    c = -sum_{i>j} mu_ij x_i, walked outward from round(c) (Fincke-Pohst)."""
-    n = len(r)
-    x = [0] * n
-
-    def walk(j, room):
-        if j < 0:
-            if any(x):
-                yield list(x)
-            return
-        c = -sum(mu[i][j] * x[i] for i in range(j + 1, n))
-        for v, step in ((round(c), 1), (round(c) - 1, -1)):
-            while (left := room - r[j] * (v - c) ** 2) >= 0:
-                x[j] = v
-                yield from walk(j - 1, left)
-                v += step
-
-    return list(walk(n - 1, Fraction(1)))
+def _norm_one_vectors(d, lam, x, j, e):
+    """Every nonzero integer x with sum_j (d[j+1] x_j + c_j)^2 / (d[j+1]
+    d[j]) <= 1, c_j = sum_{i>j} lam_ij x_i, which for an integral Gram is
+    norm exactly 1, yielded from x_i fixed for i > j (Fincke-Pohst).  The
+    terms after j sum to the squared length P of the projection orthogonal
+    to the first j + 1 basis vectors, and e = d[j+1] P is an integer (the
+    projection is y - B G^-1 B^T y, G their Gram, of determinant d[j+1]).
+    So the admissible t = d[j+1] x_j + c_j are those with t^2 <= d[j]
+    (d[j+1] - e), an interval from one isqrt, and e becomes (d[j] e + t^2)
+    / d[j+1]."""
+    if j < 0:
+        if any(x):
+            yield list(x)
+        return
+    c = sum(lam[i][j] * x[i] for i in range(j + 1, len(x)))
+    s = isqrt(d[j] * (d[j + 1] - e))
+    for v in range(-((s + c) // d[j + 1]), (s - c) // d[j + 1] + 1):
+        x[j] = v
+        t = d[j + 1] * v + c
+        yield from _norm_one_vectors(d, lam, x, j - 1, (d[j] * e + t * t) // d[j + 1])
 
 
 # ---------------------------------------------------------------------------

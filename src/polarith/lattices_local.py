@@ -138,15 +138,15 @@ class PadicLattice:
     B is held as integer numerators over one denominator, B = N / d, and
     its Gram B^T F B as G / D, G integral; neither pair need be in lowest
     terms.  `basis` is a rational matrix (a list of rows) or its pair
-    (N, d).  The Gram is built once, N^T F' N / (d^2 f) for F = F' / f,
-    unless `carried_gram` hands over (G, D): the superlattice scan writes
-    its winner's from its integer test, and `maximal_completion` checks the
+    (N, d).  The Gram is built once, N^T F' N / (d^2 f) for F = F' / f;
+    a winner of the superlattice scan, built past this constructor, carries
+    the (G, D) of its integer test, and `maximal_completion` checks the
     Gram of the lattice it returns.  So `scale` is one gcd: v_p(gcd G) -
     v_p(D) is the least v_p of an entry of G / D, as v_p of a gcd is the
     least v_p of its arguments.  `basis` and `gram()` read the pairs as
     rational matrices."""
 
-    def __init__(self, p: int, basis, form: GramForm, carried_gram: tuple | None = None):
+    def __init__(self, p: int, basis, form: GramForm):
         check_prime(p)
         self.p, self.form = p, form
         self.num, self.den = basis if isinstance(basis, tuple) else numerators(mat(basis))
@@ -158,7 +158,7 @@ class PadicLattice:
             raise LatticeError("p-adic lattices are implemented for symmetric forms")
         if not isinstance(form.ring, RationalRing):
             raise LatticeError("p-adic lattices are implemented for forms over Q")
-        self.gram_num, self.gram_den = carried_gram or self.exact_gram()
+        self.gram_num, self.gram_den = self.exact_gram()
 
     @property
     def dim(self) -> int:
@@ -212,7 +212,11 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
     residue projective point that defines it, whose scale is >= t; None if
     there is none.  Requires scale(L) >= t.  Only points of the kernel of
     G' mod p can win (module docstring); each is one integer test, and the
-    winner carries its Gram, whose scale is re-checked."""
+    winner carries its Gram, whose scale is re-checked.  The winner is
+    built past the checks of `PadicLattice.__init__`, which hold for it:
+    its prime and form are L's, and its basis N' (column i is N v, v_i =
+    1, every other column p times N's) has det N' = p^(n-1) det N != 0.
+    Its carried Gram is checked against B^T F B by `complete_after_check`."""
     p, n = L.p, L.dim
     g, den = L.gram_num, L.gram_den
     s = t + _vp(den, p)
@@ -231,7 +235,9 @@ def _first_superlattice(L: PadicLattice, t: int) -> PadicLattice | None:
             num[r][i] = sum(L.num[r][k] * v[k] for k in range(i, n))
             gram[r][i] = gram[i][r] = gv[r] * p
         gram[i][i] = vgv
-        sup = PadicLattice(p, (num, L.den * p), L.form, (gram, den * p * p))
+        sup = object.__new__(PadicLattice)
+        sup.p, sup.form, sup.num, sup.den = p, L.form, num, L.den * p
+        sup.gram_num, sup.gram_den = gram, den * p * p
         if scale(sup) < t:
             raise LatticeError("internal: integer superlattice test disagrees with the Gram")
         return sup

@@ -636,8 +636,9 @@ def test_main_module_runs_in_process(tmp_path, monkeypatch, capsys):
 
 
 def test_an_int_past_the_digit_limit_is_written_as_resource_budget(capsys):
-    """`json.dumps` cannot write an int past `sys.get_int_max_str_digits()`
-    digits; `_emit` answers `resource:budget` with exit 1 instead."""
+    """`cli._json` cannot write an int past `sys.get_int_max_str_digits()`
+    digits (`int.__repr__` raises ValueError); `_emit` answers
+    `resource:budget` with exit 1 instead."""
     limit = sys.get_int_max_str_digits()
     assert _emit({"value": 10**limit}, "-", 0) == 1
     message = f"an integer has more digits than the interpreter's limit of {limit} (sys.get_int_max_str_digits())"

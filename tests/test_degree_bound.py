@@ -403,6 +403,22 @@ def _similitude_draw(rng):
     return (n, *_similitude(u, d, s))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_split_matrix_glues_scaled_unimodular_forms(n):
+    """q = u^T (d I) u for seeded u in GL_n(Z) and a = u^-1, so a^T q a =
+    d I: every answer takes the lattice glue and passes `verify_result`."""
+    rng = random.Random(45 + n)
+    for _ in range(12):
+        d = rng.choice([1, 2, 3, 5, 6, 7, 10, 12])
+        u = _unimodular(rng, n)
+        q, a = _similitude(u, d, [1] * n)
+        assert a == inverse(u)
+        inst = matrix_instance(n, q, a)
+        res = solve(inst)
+        verify_result(inst, res)
+        assert res.method == "lattice-glue", (q, a, res.notes)
+
+
 def test_standard_instances_prove_nothing_about_their_order(monkeypatch):
     """Building an instance over M_6(Q) or a quadratic field takes its order
     on trust: the only algebra products are the two of a^dagger q a, and no
@@ -569,6 +585,144 @@ def test_identity_form_decomposition_random_t(n, ops, signs):
                 row[i] += c * row[j]
     u = mat(mat_mul(transpose(mat(t)), mat(t)))
     _check_decomposition(u, identity_form_decomposition(u))
+
+
+# ---------------------------------------------------------------------------
+# The integral decomposition against the Fraction one
+
+
+def _reference_identity_form_decomposition(u):
+    """`identity_form_decomposition` on Fractions: u = L D L^T, LLL on the
+    rational mu and r (Cohen, GTM 138, Alg. 2.6.3), and Fincke-Pohst with
+    the intervals walked outward from round(c)."""
+    n = len(u)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    r = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (Fraction(u[i][j]) - sum(mu[i][k] * mu[j][k] * r[k] for k in range(j))) / r[j]
+        r[i] = Fraction(u[i][i]) - sum(mu[i][k] ** 2 * r[k] for k in range(i))
+        if r[i] <= 0:
+            return None
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def size_reduce(k, l):
+        q = round(mu[k][l])
+        if q:
+            basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
+            mu[k][l] -= q
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if r[k] >= (Fraction(3, 4) - m * m) * r[k - 1]:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+        b = r[k] + m * m * r[k - 1]
+        mu[k][k - 1] = m * r[k - 1] / b
+        r[k - 1], r[k] = b, r[k - 1] * r[k] / b
+        for row in mu[k + 1 :]:
+            t = row[k]
+            row[k] = row[k - 1] - m * t
+            row[k - 1] = t + mu[k][k - 1] * row[k]
+        k = max(k - 1, 1)
+    x = [0] * n
+
+    def walk(j, room):
+        if j < 0:
+            if any(x):
+                yield list(x)
+            return
+        c = -sum(mu[i][j] * x[i] for i in range(j + 1, n))
+        for v, step in ((round(c), 1), (round(c) - 1, -1)):
+            while (left := room - r[j] * (v - c) ** 2) >= 0:
+                x[j] = v
+                yield from walk(j - 1, left)
+                v += step
+
+    cols = []
+    for x_ in list(walk(n - 1, Fraction(1))):
+        col = [sum(x_[i] * basis[i][c] for i in range(n)) for c in range(n)]
+        if next(v for v in col if v) > 0:
+            cols.append(col)
+    if len(cols) != n:
+        return None
+    return inverse(transpose(mat(sorted(cols, reverse=True))))
+
+
+def _assert_agrees(u):
+    got, want = identity_form_decomposition(u), _reference_identity_form_decomposition(u)
+    assert got == want, u
+    if got is not None:
+        assert all(type(x) is int for row in got for x in row)
+
+
+@seed(4501)
+@given(
+    n=st.integers(1, 8),
+    ops=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-3, 3)), max_size=40),
+    signs=st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_identity_form_decomposition_matches_reference(n, ops, signs):
+    """On u = T^T T, T in GL_n(Z), the integral decomposition returns the
+    Fraction one's T, entry for entry, as ints."""
+    t = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i % n != j % n:
+            for row in t:
+                row[i % n] += c * row[j % n]
+    u = [[sum(row[i] * row[j] for row in t) for j in range(n)] for i in range(n)]
+    _assert_agrees(u)
+    _assert_agrees(mat(u))
+
+
+def _orthogonal_sum(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+_OUTSIDE_THE_CLASS = {
+    **{f"I{k}+E8": _orthogonal_sum(identity(k), _E8) for k in range(3)},
+    "E8+I1": _orthogonal_sum(_E8, identity(1)),
+    "A2": [[2, 1], [1, 2]],
+    "diag(1,2)": [[1, 0], [0, 2]],
+    "det5": [[3, 1, 0], [1, 2, 0], [0, 0, 1]],
+    "2": [[2]],
+    "hyperbolic": [[0, 1], [1, 0]],
+    "diag(1,-1)": [[1, 0], [0, -1]],
+    "indefinite-2": [[1, 2], [2, 1]],
+    "-1": [[-1]],
+    "indefinite-3": [[1, 0, 0], [0, 1, 3], [0, 3, 1]],
+    "0": [[0]],
+    "singular-2": [[1, 1], [1, 1]],
+    "singular-3": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+    "singular-zero-minor": [[2, 2, 0], [2, 2, 0], [0, 0, 5]],
+}
+
+
+@pytest.mark.parametrize("u", _OUTSIDE_THE_CLASS.values(), ids=_OUTSIDE_THE_CLASS.keys())
+def test_identity_form_decomposition_outside_the_class_matches_reference(u):
+    """Positive definite Grams outside the class of I_n, indefinite and
+    singular ones: None from both."""
+    assert identity_form_decomposition(mat(u)) is None
+    _assert_agrees(mat(u))
+
+
+@given(data=st.data(), n=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_identity_form_decomposition_matches_reference_on_any_symmetric_gram(data, n):
+    """Any small symmetric integral Gram, definite or not: the same T or
+    None from both."""
+    entries = data.draw(st.lists(st.integers(-4, 6), min_size=n * n, max_size=n * n))
+    u = [[entries[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    _assert_agrees(u)
 
 
 def test_measure_constant_batch():

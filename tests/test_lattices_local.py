@@ -687,6 +687,40 @@ def test_superlattice_scan_matches_reference(p, data, drop):
     assert is_maximal(out)
 
 
+def _check_winners(L, t):
+    """Every winner of the completion of L to scale >= t, built past
+    `PadicLattice.__init__`, has its parent's prime and form, det N' =
+    p^(n-1) det N, and the num, den, gram_num, gram_den and scale of the
+    lattice that the constructor builds from its (N, d): the carried Gram
+    is the exact one's pair.  Returns the number of winners."""
+    steps = 0
+    while (win := _first_superlattice(L, t)) is not None:
+        built = PadicLattice(L.p, (win.num, win.den), L.form)
+        assert win.p == L.p and win.form is L.form
+        assert det(win.num) == L.p ** (L.dim - 1) * det(L.num) != 0
+        assert (win.num, win.den, win.gram_num, win.gram_den, scale(win)) == (
+            built.num, built.den, built.gram_num, built.gram_den, scale(built))
+        L, steps = win, steps + 1
+    return steps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data(), drop=st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_superlattice_winner_is_the_constructed_lattice(p, data, drop):
+    """`_check_winners` on drawn lattices, n <= 4 (n <= 3 at p >= 5)."""
+    L = data.draw(_lattices(p))
+    _check_winners(L, scale(L) - drop)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_superlattice_winner_is_the_constructed_lattice_at_n_4(p):
+    """`_check_winners` at n = 4 for the primes the drawn lattices keep to
+    n <= 3, on a Gram with p up to p^3 on its diagonal."""
+    L = lattice(p, identity(4), diag_form(1, p, p * p, p**3))
+    assert _check_winners(L, 0) >= 2
+
+
 def test_superlattice_scan_fixed_cases():
     """Hand-picked cases for each branch: a positive target, a negative
     scale, a Gram with p in its denominators, n = 1, n = 4 at p = 5, and
@@ -1016,7 +1050,8 @@ def test_completion_checks_the_carried_gram(monkeypatch):
             return None
         steps.append(L)
         sup = real(L, t)
-        return PadicLattice(sup.p, (sup.num, sup.den), sup.form, (L.gram_num, L.gram_den))
+        sup.gram_num, sup.gram_den = L.gram_num, L.gram_den
+        return sup
 
     monkeypatch.setattr(lattices_local, "_first_superlattice", stale)
     L = PadicLattice(3, identity(2), symmetric_form_q([[9, 0], [0, 1]]))

@@ -255,6 +255,7 @@ def test_large_literals_sit_at_listed_caps():
 # pairs.
 OBJECT_NEW_SITES = {
     ("quadfield.py", "_elem"),  # the element fast path: ints already reduced
+    ("lattices_local.py", "_first_superlattice"),  # the winner: L's prime and form, det p^(n-1) det N
 }
 
 
