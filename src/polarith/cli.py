@@ -75,24 +75,29 @@ class InputError(ValueError):
         self.code = code
 
 
-def _rat(v, where: str) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise InputError("schema:not-exact", f"{where}: floats are not accepted")
-    if isinstance(v, int):
-        return Fraction(v)
+def _number(v, where: str) -> int | Fraction:
+    """A rational field: a JSON integer, or a string that `Fraction` reads,
+    exponent notation excepted; never a float or a bool.  An int for a
+    JSON integer and an ASCII decimal integer string, which skips the
+    Fraction string parser; a Fraction otherwise."""
     if isinstance(v, str):
         # "1e200000" would build a 200,001-digit integer; without exponents
         # every parsed integer is bounded by the length of the string
         if "e" in v or "E" in v:
             raise InputError("schema:bad-rational", f"{where}: {v!r} (exponent notation is not accepted)")
         try:
-            # an ASCII decimal integer skips the Fraction string parser
-            if v.isascii() and v.removeprefix("-").isdigit():
-                return Fraction(int(v))
-            return Fraction(v)
+            return int(v) if v.isascii() and v.removeprefix("-").isdigit() else Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError("schema:bad-rational", f"{where}: {v!r} ({exc})") from None
+    if isinstance(v, bool) or isinstance(v, float):
+        raise InputError("schema:not-exact", f"{where}: floats are not accepted")
+    if isinstance(v, int):
+        return v
     raise InputError("schema:bad-rational", f"{where}: expected int or fraction string")
+
+
+def _rat(v, where: str) -> Fraction:
+    return frac(_number(v, where))
 
 
 def _int(v, where: str, least: int | None = None) -> int:
@@ -197,11 +202,13 @@ def parse_form(doc, where: str = "form") -> GramForm:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("schema:bad-matrix", f"{where}.gram: must be square")
+    # over Q an int unless written as a fraction; the form keeps its (N, d)
+    entry = _number if isinstance(ring, RationalRing) else lambda x, w: _entry(x, ring, w)
     try:
-        gram = [[_entry(x, ring, where) for x in row] for row in rows]
+        gram = [[entry(x, where) for x in row] for row in rows]
     except InputError:
         # parse again with each entry's path, which only an error names
-        gram = [[_entry(rows[i][j], ring, f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)]
+        gram = [[entry(rows[i][j], f"{where}.gram[{i}][{j}]") for j in range(n)] for i in range(n)]
     try:
         return GramForm(doc["kind"], ring, gram)
     except FormError as exc:

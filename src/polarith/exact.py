@@ -13,6 +13,20 @@ Conventions
 * A place of Q is an int: a finite place is its prime p and the real place
   is REAL_PLACE = 0, as in PARI/GP's hilbert(x, y, 0).  A square class of
   Q^x is its squarefree integer representative, sign included.
+* At an odd prime p, with units w, w' and eps = (p - 1)/2,
+  sigma(p^a w, p^b w') = (-1)^(eps a b) chi(w)^b chi(w')^a, chi the
+  Legendre symbol (Serre, A Course in Arithmetic, ch. III, Thm. 1).
+  Multiplied over the pairs i < j of a diagonal <p^(v_1) w_1, ...>, it
+  gives the sparse fold of `diagonal_folds`: with S the entries of odd
+  v_i, c = |S| and u the unit part of the determinant,
+  s_p = (-1)^(eps c(c-1)/2) prod_{i in S} chi(w_i) chi(u)^[c odd],
+  since only pairs in S meet the sign, and w_i is raised to
+  sum_{j != i} v_j = v_p(det) - v_i: odd for i in S when c is even, and
+  for i outside S when c is odd, where prod_{i not in S} chi(w_i) =
+  chi(u) prod_{i in S} chi(w_i) (Cassels, Rational Quadratic Forms).
+  The form repeated r times has rc odd entries and the r-th powers of
+  the units, so psi^4 costs what psi does.  At p = 2 the pairs are
+  folded one by one (`fold_column`).
 """
 
 from __future__ import annotations
@@ -392,7 +406,8 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: int) -> int:
 def fold_column(column: list[tuple[int, int]], p: int) -> tuple[int, int, int]:
     """(prod_{i<j} sigma(a_i, a_j), sum of the v_p(a_i), product of the unit
     residues) at the prime p for entries a_i given by their column of
-    `local_table`.  By bimultiplicativity the first is
+    (v_p, unit residue mod p, or mod 8 at p = 2) pairs.  By
+    bimultiplicativity the first is
     prod_j sigma(a_1 ... a_{j-1}, a_j), so one pass suffices, with the
     prefix a_1 ... a_{j-1} carried as its valuation sum and residue
     product; of a pair <a, b> it is sigma(a, b)."""
@@ -409,8 +424,8 @@ def hasse_invariant(diag: list[Fraction | int], v: int) -> int:
     """prod_{i<j} sigma(a_i, a_j) at v for a diagonalized form <a_1, ..., a_n>:
     at a prime, `fold_column` over the entries' valuations and unit
     residues at v; at the real place, -1 to the number of pairs of negative
-    entries.  For every place at once, fold the columns of one
-    `local_table`, which factors each entry once."""
+    entries.  For every place at once, `diagonal_folds` factors each entry
+    once."""
     if any(x == 0 for x in diag):
         raise ExactError("singular form: zero diagonal entry")
     if v == REAL_PLACE:
@@ -421,27 +436,42 @@ def hasse_invariant(diag: list[Fraction | int], v: int) -> int:
     return fold_column([_local_data(*x.as_integer_ratio(), v) for x in diag], v)[0]
 
 
-def local_table(values: list[Fraction | int]) -> dict[int, list[tuple[int, int]]]:
-    """{p: [(v_p(x), residue of the unit part of x mod p, or mod 8 at p = 2)
-    for x in values]} over the finite support places of the nonzero
-    rationals `values`: 2, then the primes dividing a numerator or a
-    denominator, ascending, as in `support_places`.  Each distinct numerator
-    and denominator is factored once, and each distinct value localized once
-    per place, so one table carries a diagonal's invariants at every prime."""
-    pairs = [x.as_integer_ratio() for x in values]  # hash faster than Fractions
-    if any(n == 0 for n, _ in pairs):
-        raise ExactError("support of zero")
-    distinct = set(pairs)
-    primes = {2}.union(*(factorint(n) for n in {abs(k) for pair in distinct for k in pair} - {1}))
-    table = {}
-    for p in sorted(primes):
-        local = {pair: _local_data(*pair, p) for pair in distinct}
-        table[p] = [local[pair] for pair in pairs]
-    return table
+def diagonal_folds(entries: list[tuple[int, int]], rs: tuple[int, ...] = (1,)) -> list[dict[int, tuple[int, int, int]]]:
+    """For each r in rs, {p: the `fold_column` triple (s_p, v_p(det), unit
+    residue of det)} of the diagonal form <a_1, ..., a_n> repeated r times,
+    for a_i = n_i / e_i given as coprime int pairs with n_i != 0 < e_i
+    (`factorint` refuses a zero), at 2 and at each prime dividing some n_i
+    or e_i, ascending: the finite places of `support_places`; elsewhere
+    every Hilbert symbol of the entries is +1.
+
+    Each distinct |n_i| and e_i is factored once, and the v_p(a_i) are
+    read off the factorizations.  At p = 2 the column of (v_2, unit
+    residue mod 8) pairs is folded, r times over.  At an odd p the sparse
+    fold of the module docstring needs one Legendre symbol, of
+    prod_{i in S} w_i^r times u^r when rc is odd (of 1 when c = 0);
+    chi(w_i) is that of n_i e_i / p^|v_i|, the unit w_i times the square
+    e_i^2."""
+    factors = {k: factorint(k) for k in {abs(k) for pair in set(entries) for k in pair} - {1}}
+    places: dict[int, dict[int, int]] = {2: {}}  # p -> {i: v_p(a_i) != 0}
+    for i, (n, e) in enumerate(entries):
+        for k, side in ((abs(n), 1), (e, -1)):
+            for p, v in factors.get(k, {}).items():
+                places.setdefault(p, {})[i] = side * v
+    num, den = prod(n for n, _ in entries), prod(e for _, e in entries)
+    column = [_local_data(n, e, 2) for n, e in entries]
+    folds = [{2: fold_column(column * r, 2)} for r in rs]
+    for p in sorted(places)[1:]:
+        alpha, u = _local_data(num, den, p)
+        odd = [entries[i][0] * entries[i][1] // p ** abs(v) for i, v in places[p].items() if v & 1]
+        for fold, r in zip(folds, rs):
+            c = r * len(odd)
+            sign = -1 if p % 4 == 3 and c * (c - 1) // 2 % 2 else 1
+            fold[p] = (sign * legendre(pow(prod(odd), r, p) * u ** (c & 1) % p, p), r * alpha, pow(u, r, p))
+    return folds
 
 
 def support_places(*values: Fraction | int) -> list[int]:
     """Finite primes dividing any value's numerator or denominator, plus 2,
     ascending, then the real place.  Hilbert symbols of the values are +1
     elsewhere."""
-    return [*local_table([Fraction(x) for x in values]), REAL_PLACE]
+    return [*diagonal_folds([Fraction(x).as_integer_ratio() for x in values])[0], REAL_PLACE]

@@ -28,16 +28,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .algebras import QuaternionRing
 from .exact import (
     REAL_PLACE,
+    diagonal_folds,
     fold_column,
     hasse_invariant,
     hilbert_symbol,
-    local_table,
     square_class,
 )
 from .linalg import (
@@ -161,75 +162,67 @@ def _kind_conj_transpose(kind: str, ring, a: list) -> list:
     return [[_entry_conj(kind, ring, x) for x in col] for col in zip(*a)]
 
 
-@dataclass
 class GramForm:
     """A form given by its Gram matrix over a supported base.
 
     Column convention: psi(v, w) = sum_i,j iota(v_i) G_ij w_j, so an
     endomorphism u transforms the Gram matrix as u^{iota T} G u.
+
+    Over Q the form is its integer numerators over one denominator,
+    G = num / den (`linalg.numerators`), read off int and Fraction
+    entries: the kind is checked on num, `diagonal` and `invariants` read
+    it, and `gram` builds the Fraction matrix only when it is read.
     """
 
-    kind: str
-    ring: object
-    gram: list
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise FormError(f"unknown form kind {self.kind}")
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+    def __init__(self, kind: str, ring, gram):
+        self.kind, self.ring = kind, ring
+        if kind not in KINDS:
+            raise FormError(f"unknown form kind {kind}")
+        if isinstance(ring, RationalRing):
+            self.num, self.den = numerators(gram)
+            rows = self.num
+        else:
+            self.gram = rows = gram
+        self.dim = n = len(rows)
+        if any(len(row) != n for row in rows):
             raise FormError("gram matrix must be square")
         self._validate_base()
-        sign = -1 if self.kind in ("skew", "quat-skew-hermitian") else 1
+        sign = -1 if kind in ("skew", "quat-skew-hermitian") else 1
         # the condition at (j, i) is the involution of the one at (i, j)
         for i in range(n):
             for j in range(i, n):
-                lhs = _entry_conj(self.kind, self.ring, self.gram[j][i])
-                rhs = self.gram[i][j] if sign == 1 else -self.gram[i][j]
+                lhs = _entry_conj(kind, ring, rows[j][i])
+                rhs = rows[i][j] if sign == 1 else -rows[i][j]
                 if lhs != rhs:
                     raise FormError("gram matrix does not match the declared kind")
 
-    def _validate_base(self):
-        r = self.ring
-        if self.kind == "symmetric":
-            if isinstance(r, RationalRing):
-                return
-            if isinstance(r, QuadField) and r.is_real:
-                return
-            raise FormError("symmetric forms live over Q or a real quadratic field")
-        if self.kind == "skew":
-            if isinstance(r, RationalRing):
-                return
-            raise FormError("skew forms live over Q")
-        if self.kind == "hermitian":
-            if isinstance(r, QuadField):
-                if r.is_real:
-                    raise FormError(
-                        "hermitian forms with conjugation need an imaginary "
-                        "quadratic field (the CM case); real quadratic bases "
-                        "carry the identity involution and symmetric forms"
-                    )
-                return
-            if isinstance(r, QuaternionRing):
-                if not isinstance(r.center, RationalRing):
-                    raise FormError("quaternion bases are supported over Q")
-                if not (r.a < 0 and r.b < 0):
-                    raise FormError(
-                        "hermitian forms over a quaternion base need a "
-                        "definite algebra (canonical involution positive)"
-                    )
-                return
-            if isinstance(r, EtalePairRing):
-                return
-            raise FormError("unsupported hermitian base")
-        if self.kind == "quat-skew-hermitian":
-            if isinstance(r, QuaternionRing) and isinstance(r.center, RationalRing):
-                return
-            raise FormError("quat-skew-hermitian forms live over a quaternion algebra over Q")
+    @cached_property
+    def gram(self) -> list:
+        """Over Q, num / den as Fractions, built when first read (over
+        another base `__init__` sets the attribute)."""
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
 
-    @property
-    def dim(self) -> int:
-        return len(self.gram)
+    def _validate_base(self):
+        r, kind = self.ring, self.kind
+        real = isinstance(r, QuadField) and r.is_real
+        quaternion_q = isinstance(r, QuaternionRing) and isinstance(r.center, RationalRing)
+        if kind == "symmetric" and not (isinstance(r, RationalRing) or real):
+            raise FormError("symmetric forms live over Q or a real quadratic field")
+        if kind == "skew" and not isinstance(r, RationalRing):
+            raise FormError("skew forms live over Q")
+        if kind == "quat-skew-hermitian" and not quaternion_q:
+            raise FormError("quat-skew-hermitian forms live over a quaternion algebra over Q")
+        if kind != "hermitian":
+            return
+        if real:
+            raise FormError("hermitian forms with conjugation need an imaginary quadratic field (the CM case); "
+                            "real quadratic bases carry the identity involution and symmetric forms")
+        if isinstance(r, QuaternionRing) and not quaternion_q:
+            raise FormError("quaternion bases are supported over Q")
+        if quaternion_q and not (r.a < 0 and r.b < 0):
+            raise FormError("hermitian forms over a quaternion base need a definite algebra (canonical involution positive)")
+        if not isinstance(r, (QuadField, QuaternionRing, EtalePairRing)):
+            raise FormError("unsupported hermitian base")
 
     def entry_conj(self, x):
         return _entry_conj(self.kind, self.ring, x)
@@ -290,20 +283,22 @@ def is_positive_definite(f: GramForm) -> bool:
 def _positive_diagonal(f: GramForm) -> list | None:
     """A diagonalization of the symmetric or hermitian form f whose entries
     are all positive at every real place, or None when there is none.  By
-    the law of inertia it exists exactly when f is positive definite."""
+    the law of inertia it exists exactly when f is positive definite.
+    Over Q it is given as the pairs of `_rational_entries`."""
     ring = f.ring
     # over Q x Q the trace form vanishes on the vectors (v, 0)
     if isinstance(ring, EtalePairRing) and f.dim:
         return None
     try:
-        diag = diagonal(f)
+        diag = _rational_entries(f) if isinstance(ring, RationalRing) else diagonal(f)
     except FormError:  # singular
         return None
     if isinstance(ring, QuadField) and ring.is_real:
         positive = all(is_totally_positive(x) for x in diag)
+    elif isinstance(ring, RationalRing):
+        positive = all(n > 0 for n, _ in diag)
     else:  # involution-fixed entries, hence rational: returned as such
-        if not isinstance(ring, RationalRing):
-            diag = [x.as_rational() for x in diag]
+        diag = [x.as_rational() for x in diag]
         positive = all(x > 0 for x in diag)
     return diag if positive else None
 
@@ -313,22 +308,27 @@ def _positive_diagonal(f: GramForm) -> list | None:
 
 
 def diagonal(f: GramForm) -> list:
-    """The diagonal of `diagonalize(f)`, with no transform built.
+    """The diagonal of `diagonalize(f)`, with no transform built; over Q
+    the Fractions of `_rational_entries`."""
+    if f.kind == "skew":
+        raise FormError("skew forms do not diagonalize")
+    if type(f.ring) is not RationalRing:
+        return _eliminate(f, None, [])
+    return [Fraction(n, e) for n, e in _rational_entries(f)]
 
-    Over Q, a symmetric fraction-free elimination on the integer numerators
-    (N, d) of the Gram matrix, with the pivot rule of `diagonalize`: the
+
+def _rational_entries(f: GramForm) -> list[tuple[int, int]]:
+    """The diagonal of a symmetric form over Q as coprime int pairs (n, e),
+    e > 0, by a symmetric fraction-free elimination on the numerators
+    (N, d) that the form carries, with the pivot rule of `diagonalize`: the
     first nonzero diagonal entry from k, or else v_i += v_j for the first
     i != j with m_ij != 0.  Step k updates the trailing block to
     m_rc = (p_k m_rc - m_rk m_kc) / p_(k-1), p_k the pivot of step k and
     p_(-1) = 1; the block stays p_(k-1) times the Schur complement of N
     (Sylvester's identity, as in `linalg._bareiss`), so every division is
-    exact and entry k of the diagonal is p_k / (p_(k-1) d)."""
-    if f.kind == "skew":
-        raise FormError("skew forms do not diagonalize")
-    if type(f.ring) is not RationalRing:
-        return _eliminate(f, None, [])
-    m, d = numerators(f.gram)
-    n = len(m)
+    exact and entry k is (p_k, p_(k-1) d) over their gcd, signed to give
+    e > 0."""
+    m, d, n = [row[:] for row in f.num], f.den, f.dim
     diag, prev = [], 1
     for k in range(n):
         i = next((i for i in range(k, n) if m[i][i]), None)
@@ -344,8 +344,9 @@ def diagonal(f: GramForm) -> list:
             for row in m:
                 row[k], row[i] = row[i], row[k]
             m[k], m[i] = m[i], m[k]
-        pk = m[k][k]
-        diag.append(Fraction(pk, prev * d))
+        pk, e = m[k][k], prev * d
+        g = gcd(pk, e) if e > 0 else -gcd(pk, e)
+        diag.append((pk // g, e // g))
         tail = m[k][k + 1 :]
         for row in m[k + 1 :]:
             x = row[k]
@@ -584,7 +585,7 @@ def is_norm(m, F: QuadField) -> bool:
     if F.is_real:
         raise FormError("norm-class determinants need a CM (imaginary) field")
     # (m, D) with D < 0: the sign of m at the real place, at a prime the Hasse invariant of <m, D>
-    return m > 0 and all(fold_column(col, p)[0] == 1 for p, col in local_table([m, F.D]).items())
+    return m > 0 and all(s == 1 for s, _, _ in diagonal_folds([m.as_integer_ratio(), (F.D, 1)])[0].values())
 
 
 def invariants(f: GramForm) -> FormInvariants:
@@ -602,15 +603,16 @@ def invariants(f: GramForm) -> FormInvariants:
             raise FormError("singular forms have no invariants")
         # an odd skew form is singular: det A = det(-A^T) = -det A
         return FormInvariants(f.kind, _base_label(ring), f.dim)
+    rational = isinstance(ring, RationalRing)
     try:
-        diag = diagonal(f)
+        diag = _rational_entries(f) if rational else diagonal(f)
     except FormError:
         if f.kind == "quat-skew-hermitian" and f.is_nonsingular():
             raise
         raise FormError("singular forms have no invariants") from None
     if f.kind == "hermitian":  # involution-fixed entries, hence rational
         diag = [x.as_rational() for x in diag]
-    return _diagonal_invariants(f.kind, ring, diag)
+    return _diagonal_invariants(f.kind, ring, diag, folds=diagonal_folds(diag)[0] if rational else None)
 
 
 def _base_label(ring) -> str:
@@ -621,32 +623,33 @@ def _base_label(ring) -> str:
     return "QxQ" if isinstance(ring, EtalePairRing) else "Q"
 
 
-def _diagonal_invariants(kind: str, ring, diag: list, table: dict | None = None) -> FormInvariants:
-    """The invariants of the nonsingular diagonal form <diag>: symmetric
-    over Q or a real quadratic field, hermitian over a CM field or a
-    definite quaternion algebra (given by its rational entries), or
-    quaternionic skew-hermitian.  Over Q, the fold of each column of
-    `table`, the `local_table` of diag (built unless given), gives the
-    Hasse invariant and the parity of v_p(det)."""
-    dim = len(diag)
+def _diagonal_invariants(kind: str, ring, diag: list, r: int = 1, folds: dict | None = None) -> FormInvariants:
+    """The invariants of the nonsingular diagonal form <diag> repeated r
+    times: symmetric over Q or a real quadratic field, hermitian over a CM
+    field or a definite quaternion algebra (given by its rational
+    entries), or quaternionic skew-hermitian.  Over Q, diag is the pairs
+    (n_i, e_i) of `_rational_entries` and `folds` their `diagonal_folds`
+    at r, which give the Hasse invariant and the parity of v_p(det) at
+    each prime; the signs are those of the n_i."""
+    dim = len(diag) * r
     inv = FormInvariants(kind, _base_label(ring), dim)
     if kind == "quat-skew-hermitian":
-        inv.det_class = square_class(prod((x.nrd() for x in diag), start=Fraction(1)))
+        inv.det_class = square_class(prod((x.nrd() for x in diag), start=Fraction(1)) ** r)
         inv.complete = False
     elif isinstance(ring, QuadField) and ring.is_real:  # symmetric: no Hasse data over the field
-        inv.det_element = prod(diag, start=ring.one())
-        counts = [sum(1 for x in diag if x.sign_at(v) > 0) for v in (0, 1)]
+        inv.det_element = prod(diag, start=ring.one()) ** r
+        counts = [r * sum(1 for x in diag if x.sign_at(v) > 0) for v in (0, 1)]
         inv.signatures = [(c, dim - c) for c in counts]
         inv.complete = False
     else:  # rational entries
-        pos = sum(1 for x in diag if x > 0)
+        signs = [n for n, _ in diag] if isinstance(ring, RationalRing) else diag
+        pos = r * sum(1 for x in signs if x > 0)
         inv.signatures = [(pos, dim - pos)]
         if isinstance(ring, RationalRing):
-            folds = {p: fold_column(col, p) for p, col in (table or local_table(diag)).items()}
             inv.det_class = prod((p for p, (_, alpha, _) in folds.items() if alpha % 2), start=(-1) ** (dim - pos))
-            inv.hasse = {p: s for p, (s, _, _) in folds.items()} | {REAL_PLACE: hasse_invariant(diag, REAL_PLACE)}
+            inv.hasse = {p: s for p, (s, _, _) in folds.items()} | {REAL_PLACE: hasse_invariant(signs * r, REAL_PLACE)}
         elif isinstance(ring, QuadField):
-            inv.det_element = prod(diag, start=Fraction(1))
+            inv.det_element = prod(diag, start=Fraction(1)) ** r
             inv.det_field = ring
             inv.det_is_norm = is_norm(inv.det_element, ring)
     return inv
@@ -702,7 +705,9 @@ def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
 
     Every entry num/den with num, den <= height is k/L for L = lcm(1..height),
     and G1 = G/M for an integer matrix G, so the columns are searched as
-    integer vectors k with k^T G k' = G2 L^2 M."""
+    integer vectors k with k^T G k' = G2 L^2 M.  No prime of d2 divides
+    every entry of N2, for G2 = N2 / d2 (`numerators`), so G2 L^2 M is
+    integral exactly when d2 divides L^2 M."""
     for f in (f1, f2):
         if f.kind != "symmetric" or not isinstance(f.ring, RationalRing):
             raise FormError("witness search is for rational symmetric forms")
@@ -714,11 +719,10 @@ def search_isometry_witness(f1: GramForm, f2: GramForm, height: int):
     if n == 0:
         return []
     L = lcm(*range(1, height + 1))
-    G, M = numerators(f1.gram)
-    scaled = [[x * (L * L * M) for x in row] for row in f2.gram]
-    if any(x.denominator != 1 for row in scaled for x in row):
+    G, M = f1.num, f1.den
+    if L * L * M % f2.den:
         return None  # no integer pairing can reach a non-integer target
-    target = [[int(x) for x in row] for row in scaled]
+    target = [[x * (L * L * M // f2.den) for x in row] for row in f2.num]
 
     nums = {0}
     for num in range(1, height + 1):
@@ -773,7 +777,6 @@ def skew_standard_witness(f: GramForm) -> list:
     if not f.is_nonsingular():
         raise FormError("singular skew form")
     n = f.dim
-    g = [row[:] for row in f.gram]
 
     def pairing(v, w):
         return sum(v[i] * f.gram[i][j] * w[j] for i in range(n) for j in range(n))
@@ -843,17 +846,16 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
 
     Each form is diagonalized once at its own size; the diagonal of a
     direct sum is the concatenation of the diagonals, so the invariants of
-    psi^4 come from `diag * 4` and the sum-rule check from `diag * 2`.
-    Over Q each form's diagonal is factored once, into one `local_table`
-    whose columns, repeated, are those of psi^4 and psi^2."""
+    psi^4 and psi^2 are those of the diagonal read with multiplicity 4
+    and 2.  Over Q each form's entries are factored once, and
+    `diagonal_folds` reads both multiplicities off the factorizations."""
     check_form_pair(f1, f2, fourth_power=True)
     diag1, diag2 = _positive_diagonal(f1), _positive_diagonal(f2)
     if diag1 is None or diag2 is None:
         raise FormError("fourth-power check needs positive definite forms")
-    rational = f1.kind == "symmetric" and isinstance(f1.ring, RationalRing)
-    t1, t2 = (local_table(d) if rational else {} for d in (diag1, diag2))
-    i1 = _diagonal_invariants(f1.kind, f1.ring, diag1 * 4, {p: col * 4 for p, col in t1.items()})
-    i2 = _diagonal_invariants(f2.kind, f2.ring, diag2 * 4, {p: col * 4 for p, col in t2.items()})
+    rational = isinstance(f1.ring, RationalRing)
+    folds = [diagonal_folds(d, (4, 2)) if rational else (None, None) for d in (diag1, diag2)]
+    i1, i2 = (_diagonal_invariants(f1.kind, f1.ring, d, 4, fold4) for d, (fold4, _) in zip((diag1, diag2), folds))
     cert: dict = {
         "dim": i1.dim,
         "kind": f1.kind,
@@ -863,20 +865,16 @@ def fourth_power_isometric(f1: GramForm, f2: GramForm) -> tuple[bool, dict]:
         if not (i1.det_class == 1 and i2.det_class == 1):
             raise FormError("internal: fourth-power determinant must be a square")
         if i1.hasse_minus_places() or i2.hasse_minus_places():
-            raise FormError(
-                "internal: hasse invariant of a positive definite fourth power must be trivial"
-            )
-        # independent route: s(d1 + d1) = s(d1)^2 (det2, det2) for d1 = diag1 * 2
-        # of determinant det2, against the invariants of diag1 * 4; at a prime
-        # (det2, det2) is the Hasse invariant of <det2, det2>, from d1's fold
-        rules = {}
-        for p, col in t1.items():
-            s2, alpha, u = fold_column(col * 2, p)
-            rules[p] = s2 * s2 * fold_column([(alpha, u)] * 2, p)[0]
-        det2 = prod(diag1, start=Fraction(1)) ** 2
-        rules[REAL_PLACE] = hasse_invariant(diag1 * 2, REAL_PLACE) ** 2 * hilbert_symbol(det2, det2, REAL_PLACE)
-        if rules != i1.hasse:
-            raise FormError("internal: sum rule violated")
+            raise FormError("internal: hasse invariant of a positive definite fourth power must be trivial")
+        # independent route, for each form: s(psi^2 + psi^2) = s(psi^2)^2
+        # (det2, det2) for det2 = det psi^2, against the invariants of psi^4;
+        # at a prime (det2, det2) is the Hasse invariant of <det2, det2>
+        for d, (_, fold2), inv in zip((diag1, diag2), folds, (i1, i2)):
+            half = _diagonal_invariants(f1.kind, f1.ring, d, 2, fold2)  # psi^2: det_class has det2's sign
+            rules = {p: s2 * s2 * fold_column([(alpha, u)] * 2, p)[0] for p, (s2, alpha, u) in fold2.items()}
+            rules[REAL_PLACE] = half.hasse[REAL_PLACE] ** 2 * hilbert_symbol(half.det_class, half.det_class, REAL_PLACE)
+            if rules != inv.hasse:
+                raise FormError("internal: sum rule violated")
         cert["det_classes"] = [i1.det_class, i2.det_class]
         cert["hasse_trivial"] = True
         cert["sum_rule_checked"] = True

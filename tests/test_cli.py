@@ -16,6 +16,8 @@ import polarith
 from polarith.algebras import AlgebraWithInvolution
 from polarith.cli import VERBS, InputError, _emit, _json, _rat, main, parse_instance, serialize_element
 from polarith.degree_bound import BoundResult, verify_result
+from polarith.exact import isprime
+from polarith.lattices_local import MAX_SCALE_GAP
 from polarith.linalg import mat
 from polarith.quadfield import QuadElem
 
@@ -886,6 +888,8 @@ _PRECONDITION_BODIES = [
     ("fourth-power-check", {"form1": form_q("skew", [["0", "1"], ["-1", "0"]]),
                             "form2": form_q("skew", [["0", "1"], ["-1", "0"]])},
      _error_body("precondition:FormError", "positive definiteness requires a hermitian kind")),
+    ("local-solve", {**_LOCAL_DOCS["local-solve"], "q": [["1", "1"], ["0", "9"]]},
+     _error_body("precondition:LatticeError", "q must be symmetric")),
 ]
 
 
@@ -1147,6 +1151,41 @@ def test_hecke_confirmation_answers_at_any_height(tmp_path, doc, height, want):
 # nextprime(10^25) * nextprime(3 * 10^25): both prime factors lie far past
 # the reach of factorint's rho budget
 _SEMIPRIME = 10000000000000000000000013 * 30000000000000000000000067
+
+
+def test_classify_form_factors_no_product_of_two_large_primes(tmp_path):
+    """diag(nextprime(10^25), nextprime(3 * 10^25)): each entry is factored
+    alone, never their 51-digit product, which `factorint` does not split
+    within MAX_RHO_STEPS, so the invariants come at once."""
+    p, q = 10000000000000000000000013, 30000000000000000000000067
+    assert isprime(p) and isprime(q) and not any(isprime(x) for x in range(10**25 + 1, p))
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "classify-form", {"form": form_q("symmetric", [[str(p), "0"], ["0", str(q)]])})
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == {"invariants": {"base": "Q", "complete": True, "det_square_class": _SEMIPRIME, "dim": 2,
+                                  "hasse_minus_one_places": [], "kind": "symmetric", "signatures": [[2, 0]]}}
+
+
+@pytest.mark.parametrize("gap", [MAX_SCALE_GAP, MAX_SCALE_GAP + 1, 10**30])
+def test_maximal_lattice_scale_gap_is_bounded(tmp_path, gap):
+    """scale(L) - target_scale is at most `MAX_SCALE_GAP`: at the limit the
+    completion answers, past it `resource:budget` names the limit, under
+    the verb and under `validate`, at once even for a gap of 10^30."""
+    doc = {"p": 5, "form": form_q("symmetric", [["7", "7"], ["7", "11"]]), "basis": [["1", "0"], ["0", "25"]],
+           "target_scale": -gap}  # scale(L) = v_5(7) = 0
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "maximal-lattice", doc)
+    rc, checked = run_cli(tmp_path, "validate", doc, "--validate-verb", "maximal-lattice")
+    assert time.perf_counter() - start < 1
+    if gap <= MAX_SCALE_GAP:
+        assert code == 0 and out["scale"] == -gap and out["maximal"] and out["contains_input"]
+        assert (rc, checked) == (0, {"valid": True, "errors": []})
+        return
+    want = {"code": "resource:budget", "message": f"scale 0 is {gap} above the target {-gap}, past the limit "
+            f"of {MAX_SCALE_GAP} (lattices_local.MAX_SCALE_GAP)"}
+    assert (code, out) == (1, {"error": want})
+    assert (rc, checked) == (1, {"valid": False, "errors": [want]})
 _FACTORING_BUDGET = {
     "code": "resource:budget",
     "message": f"factoring {_SEMIPRIME} stopped at the limit of 1048576 Pollard rho steps",
@@ -1483,6 +1522,74 @@ def test_exponent_rational_is_refused_at_once(tmp_path, entry):
     assert code == 1
     assert out["error"] == {"code": "schema:bad-rational",
                             "message": f"form.gram[0][0]: {entry!r} (exponent notation is not accepted)"}
+
+
+def _inv_body(det_class, minus_places, signature):
+    return {"invariants": {"base": "Q", "complete": True, "det_square_class": det_class, "dim": 2,
+                           "hasse_minus_one_places": minus_places, "kind": "symmetric",
+                           "signatures": [signature]}}
+
+
+_SHAPED_ENTRIES = [7, "1.5", "-3", "1/2", "2/4", " 3", "+3", "1_0", "١٢", "1e5", 1.5, True, "1/0", [1], None]
+_NOT_EXACT = _error_body("schema:not-exact", "{}: floats are not accepted")
+_NOT_RATIONAL = _error_body("schema:bad-rational", "{}: expected int or fraction string")
+
+
+def _at(body, where):
+    """`body` with its message's path filled in."""
+    if "error" not in body:
+        return body
+    return _error_body(body["error"]["code"], body["error"]["message"].format(where))
+
+
+# one classify-form body per Gram entry kind: x in [[2, 1], [1, x]] (x at
+# gram[1][1]) and in [[x, 1/3], [1/3, 5]] (x at gram[0][0], over d = 3)
+_Q_PARSE_BODIES = [
+    *zip(_SHAPED_ENTRIES, [
+        _inv_body(13, [2, 13], [2, 0]), _inv_body(2, [], [2, 0]), _inv_body(-7, [], [1, 1]),
+        _error_body("precondition:FormError", "singular forms have no invariants"),
+        _error_body("precondition:FormError", "singular forms have no invariants"),
+        _inv_body(5, [2, 5], [2, 0]), _inv_body(5, [2, 5], [2, 0]), _inv_body(19, [2, 19], [2, 0]),
+        _inv_body(23, [], [2, 0]),
+        _error_body("schema:bad-rational", "{}: '1e5' (exponent notation is not accepted)"),
+        _NOT_EXACT, _NOT_EXACT, _error_body("schema:bad-rational", "{}: '1/0' (Fraction(1, 0))"),
+        _NOT_RATIONAL, _NOT_RATIONAL,
+    ], ["gram[1][1]"] * len(_SHAPED_ENTRIES)),
+    *zip(_SHAPED_ENTRIES, [
+        _inv_body(314, [2, 157], [2, 0]), _inv_body(266, [2, 7], [2, 0]), _inv_body(-34, [2, 17], [1, 1]),
+        _inv_body(86, [2, 43], [2, 0]), _inv_body(86, [2, 43], [2, 0]), _inv_body(134, [2, 67], [2, 0]),
+        _inv_body(134, [2, 67], [2, 0]), _inv_body(449, [], [2, 0]), _inv_body(11, [], [2, 0]),
+        _error_body("schema:bad-rational", "{}: '1e5' (exponent notation is not accepted)"),
+        _NOT_EXACT, _NOT_EXACT, _error_body("schema:bad-rational", "{}: '1/0' (Fraction(1, 0))"),
+        _NOT_RATIONAL, _NOT_RATIONAL,
+    ], ["gram[0][0]"] * len(_SHAPED_ENTRIES)),
+]
+_NOT_OF_KIND = _error_body("invariant:gram", "form: invariant violation: gram matrix does not match the declared kind")
+
+
+@pytest.mark.parametrize(
+    "form, want",
+    [
+        *[(form_q("symmetric", [[2, 1], [1, x]] if at == "gram[1][1]" else [[x, "1/3"], ["1/3", 5]]),
+           _at(body, "form." + at)) for x, body, at in _Q_PARSE_BODIES],
+        (form_q("symmetric", [[1, 2], [3]]), _error_body("schema:bad-matrix", "form.gram: must be square")),
+        (form_q("symmetric", [[1, 2], [3, 4]]), _NOT_OF_KIND),
+        (form_q("skew", [[0, 1], [1, 0]]), _NOT_OF_KIND),
+        (form_q("skew", [[1, 0], [0, -1]]), _NOT_OF_KIND),
+        (form_q("skew", [[0, "1/2"], ["-1/2", 0]]),
+         {"invariants": {"base": "Q", "complete": True, "dim": 2, "kind": "skew"}}),
+    ],
+)
+def test_rational_gram_parse_contract(capsys, monkeypatch, form, want):
+    """The classify-form body of a rational Gram, byte for byte, for every
+    kind of JSON entry (an int, decimal and fraction strings, the strings
+    that int() and the Fraction parser read differently, exponents, floats,
+    bools, a zero denominator, a list and null), a non-square Gram, and
+    Grams that are not symmetric or not skew."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"form": form})))
+    code = main(["classify-form", "-"])
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert code == (0 if "invariants" in want else 1)
 
 
 # what a split on "/" gets wrong ("3/-7", "3/0"), what int() and the

@@ -14,6 +14,7 @@ from polarith import exact
 from polarith.exact import (
     ExactError,
     REAL_PLACE,
+    diagonal_folds,
     fold_column,
     hasse_invariant,
     hilbert_symbol,
@@ -21,7 +22,6 @@ from polarith.exact import (
     least_nonresidue,
     legendre,
     lift_root,
-    local_table,
     sqrt_mod_p,
     square_class,
     support_places,
@@ -217,38 +217,38 @@ def _table_diagonal(rng: random.Random) -> list:
     return [rng.choice(pool) for _ in range(rng.randint(1, 9))]
 
 
-def test_local_table_carries_every_invariant_of_a_diagonal():
-    """On seeded diagonals: the table's places are `support_places` less
-    the real one (and, independently, 2 and the primes sympy finds); each
-    column holds the entries' valuations and unit residues; the fold of a
-    column is the Hasse invariant as a product of Hilbert symbols, and the
-    primes of odd valuation sum with the sign give the determinant's square
-    class.  Off the table every Hilbert symbol is +1."""
+def test_diagonal_folds_carry_every_invariant_of_a_diagonal():
+    """On seeded diagonals: the folds' places are `support_places` less
+    the real one (and, independently, 2 and the primes sympy finds); at
+    each the triple is the Hasse invariant as a product of Hilbert
+    symbols, the determinant's valuation and its unit residue, and the
+    primes of odd valuation with the sign give the determinant's square
+    class.  Off the places every Hilbert symbol is +1."""
     rng = random.Random(3701)
     for _ in range(300):
         diag = _table_diagonal(rng)
-        table = local_table(diag)
-        assert [*table, REAL_PLACE] == support_places(*diag)
+        folds = diagonal_folds([Fraction(x).as_integer_ratio() for x in diag])[0]
+        assert [*folds, REAL_PLACE] == support_places(*diag)
         primes = {p for x in map(Fraction, diag) for n in (abs(x.numerator), x.denominator) for p in factorint(n)}
-        assert list(table) == sorted(primes | {2})
+        assert list(folds) == sorted(primes | {2})
         det = prod(map(Fraction, diag))
         odd = []
-        for p, col in table.items():
-            m = 8 if p == 2 else p
-            assert col == [(valuation(x, p), unit_residue(x, p, m)) for x in diag]
-            s, alpha, _ = fold_column(col, p)
+        for p, (s, alpha, u) in folds.items():
+            assert (alpha, u) == (valuation(det, p), unit_residue(det, p, 8 if p == 2 else p))
             pairs = [hilbert_symbol(a, b, p) for i, a in enumerate(diag) for b in diag[i + 1 :]]
             assert s == prod(pairs) == hasse_invariant(diag, p), (diag, p)
             odd += [p] if alpha % 2 else []
         assert prod(odd, start=-1 if det < 0 else 1) == square_class(det)
-        off = nextprime(max(table))
+        off = nextprime(max(folds))
         assert all(hilbert_symbol(a, b, off) == 1 for a in diag for b in diag)
 
 
-def test_local_table_refuses_zero():
-    with pytest.raises(ExactError, match="support of zero"):
-        local_table([3, Fraction(0), 5])
-    assert local_table([]) == {2: []}
+def test_diagonal_folds_refuse_zero():
+    with pytest.raises(ExactError, match="cannot factor 0"):
+        diagonal_folds([(3, 1), (0, 1), (5, 1)])
+    with pytest.raises(ExactError, match="cannot factor 0"):
+        support_places(3, 0)
+    assert diagonal_folds([], (1, 4)) == [{2: (1, 0, 1)}, {2: (1, 0, 1)}]
 
 
 def test_hasse_rejects_singular():

@@ -1,12 +1,15 @@
 import dataclasses
+import json
 import random
 import warnings
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from polarith.algebras import QuaternionRing
-from polarith.exact import REAL_PLACE, square_class
+from polarith.exact import REAL_PLACE, diagonal_folds, factorint, fold_column, square_class, unit_residue
 from polarith.forms import (
     EtalePairRing,
     FormError,
@@ -380,6 +383,71 @@ def test_fourth_power_examples():
 
     with pytest.raises(FormError):
         fourth_power_isometric(diagonal_form_q([1, -1]), f1)
+
+
+def _column_folds(diag, r):
+    """The former route, kept as the reference: at 2 and each prime of a
+    numerator or denominator of the Fraction diagonal, the column of the
+    entries' (v_p, unit residue mod p, or mod 8 at 2), repeated r times and
+    folded by `fold_column`."""
+    primes = {2}.union(*(factorint(k) for x in diag for k in (abs(x.numerator), x.denominator)))
+    return {
+        p: fold_column([(valuation(x, p), unit_residue(x, p, 8 if p == 2 else p)) for x in diag] * r, p)
+        for p in sorted(primes)
+    }
+
+
+def _fold_grams():
+    """Rational symmetric Grams: the Q forms of the `forms` benchmark pool,
+    then 600 seeded ones of n = 1-9 over d in {1, 2, 3, 6, 12}, with zero
+    diagonal entries (the v_i += v_j pivot) and entries of either sign; a
+    quarter are diagonally dominant, half of those negative definite."""
+    pool = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "forms.inputs.json"
+    for req in json.loads(pool.read_text())["requests"]:
+        for key in ("form", "form1", "form2"):
+            form = req["input"].get(key)
+            if form and form["base"]["type"] == "Q":
+                yield [[Fraction(x) for x in row] for row in form["gram"]]
+    rng = random.Random(4601)
+    for _ in range(600):
+        n, d = rng.randint(1, 9), rng.choice((1, 2, 3, 6, 12))
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.choice((0, rng.randint(-40, 40)))
+        dominant = rng.random() < 0.25
+        sign = rng.choice((1, -1))
+        for i in range(n):
+            if dominant:
+                m[i][i] = sign * (sum(map(abs, m[i])) + rng.randint(1, 30))
+            else:
+                m[i][i] = rng.choice((0, rng.randint(-60, 60), rng.randint(1, 60)))
+        yield [[Fraction(x, d) for x in row] for row in m]
+
+
+def test_sparse_fold_matches_the_column_fold():
+    """`diagonal_folds` at multiplicity 1, 2 and 4 gives the triples of the
+    column fold over the Fraction diagonal repeated as often, at every
+    place, on pool forms and seeded forms, definite, indefinite and
+    negative, and forms that need the v_i += v_j pivot; its entries are
+    the coprime pairs of `diagonal`."""
+    seen = {"checked": 0, "zero diagonal": 0, "indefinite": 0, "negative": 0}
+    for gram in _fold_grams():
+        f = symmetric_form_q(gram)
+        try:
+            diag = diagonal(f)
+        except FormError:  # singular
+            continue
+        entries = [x.as_integer_ratio() for x in diag]
+        assert all(e > 0 and gcd(n, e) == 1 for n, e in entries)
+        for r, fold in zip((1, 2, 4), diagonal_folds(entries, (1, 2, 4))):
+            assert fold == _column_folds(diag, r), (gram, r)
+        signs = {x > 0 for x in diag}
+        seen["checked"] += 1
+        seen["zero diagonal"] += any(gram[i][i] == 0 for i in range(len(gram)))
+        seen["indefinite"] += signs == {True, False}
+        seen["negative"] += signs == {False}
+    assert seen["checked"] > 600 and min(seen.values()) >= 40, seen
 
 
 def test_fourth_power_factors_each_entry_once(monkeypatch):
@@ -1150,20 +1218,15 @@ def test_witness_search_edge_cases():
     assert search_isometry_witness(diagonal_form_q([]), diagonal_form_q([]), 1) == []
 
 
-def test_witness_search_checks_the_integer_search(monkeypatch):
-    """Numerators doubled: the search finds u = 1 with u^T (2) u = 2, which
-    is no isometry <1> -> <2>, and the exact check refuses it."""
-    from polarith import forms
-
-    real = forms.numerators
-
-    def doubled(m):
-        g, d = real(m)
-        return [[2 * x for x in row] for row in g], d
-
-    monkeypatch.setattr(forms, "numerators", doubled)
+def test_witness_search_checks_the_integer_search():
+    """The numerators that the search reads doubled, past the Fraction Gram
+    that the exact check reads: the search finds u = 1 with u^T (2) u = 2,
+    which is no isometry <1> -> <2>, and the exact check refuses it."""
+    f1 = diagonal_form_q([1])
+    assert f1.gram == [[1]]  # built from the numerators before they change
+    f1.num = [[2]]
     with pytest.raises(FormError, match="internal: integer search returned a non-isometry"):
-        search_isometry_witness(diagonal_form_q([1]), diagonal_form_q([2]), 1)
+        search_isometry_witness(f1, diagonal_form_q([2]), 1)
 
 
 def test_skew_standard_witness_checks_its_basis(monkeypatch):
