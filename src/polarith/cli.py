@@ -47,6 +47,7 @@ from .forms import (
     isometric,
 )
 from .lattices_local import (
+    MAX_SCALE_GAP,
     PRECISION,
     LatticeError,
     PadicLattice,
@@ -292,6 +293,9 @@ def cmd_maximal_lattice(doc, args):
     target = _int(doc.get("target_scale", 0), "target_scale")
     L = PadicLattice(p, basis, form)
     check_completion(L, target)
+    if (gap := scale(L) - target) > MAX_SCALE_GAP:
+        raise ResourceError(f"scale {target + gap} is {gap} above the target {target}, "
+                            f"past the limit of {MAX_SCALE_GAP} (lattices_local.MAX_SCALE_GAP)")
 
     def run():
         out = complete_after_check(L, target)

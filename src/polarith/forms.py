@@ -203,26 +203,42 @@ class GramForm:
         return [[Fraction(x, self.den) for x in row] for row in self.num]
 
     def _validate_base(self):
-        r, kind = self.ring, self.kind
-        real = isinstance(r, QuadField) and r.is_real
-        quaternion_q = isinstance(r, QuaternionRing) and isinstance(r.center, RationalRing)
-        if kind == "symmetric" and not (isinstance(r, RationalRing) or real):
+        r = self.ring
+        if self.kind == "symmetric":
+            if isinstance(r, RationalRing):
+                return
+            if isinstance(r, QuadField) and r.is_real:
+                return
             raise FormError("symmetric forms live over Q or a real quadratic field")
-        if kind == "skew" and not isinstance(r, RationalRing):
+        if self.kind == "skew":
+            if isinstance(r, RationalRing):
+                return
             raise FormError("skew forms live over Q")
-        if kind == "quat-skew-hermitian" and not quaternion_q:
-            raise FormError("quat-skew-hermitian forms live over a quaternion algebra over Q")
-        if kind != "hermitian":
-            return
-        if real:
-            raise FormError("hermitian forms with conjugation need an imaginary quadratic field (the CM case); "
-                            "real quadratic bases carry the identity involution and symmetric forms")
-        if isinstance(r, QuaternionRing) and not quaternion_q:
-            raise FormError("quaternion bases are supported over Q")
-        if quaternion_q and not (r.a < 0 and r.b < 0):
-            raise FormError("hermitian forms over a quaternion base need a definite algebra (canonical involution positive)")
-        if not isinstance(r, (QuadField, QuaternionRing, EtalePairRing)):
+        if self.kind == "hermitian":
+            if isinstance(r, QuadField):
+                if r.is_real:
+                    raise FormError(
+                        "hermitian forms with conjugation need an imaginary "
+                        "quadratic field (the CM case); real quadratic bases "
+                        "carry the identity involution and symmetric forms"
+                    )
+                return
+            if isinstance(r, QuaternionRing):
+                if not isinstance(r.center, RationalRing):
+                    raise FormError("quaternion bases are supported over Q")
+                if not (r.a < 0 and r.b < 0):
+                    raise FormError(
+                        "hermitian forms over a quaternion base need a "
+                        "definite algebra (canonical involution positive)"
+                    )
+                return
+            if isinstance(r, EtalePairRing):
+                return
             raise FormError("unsupported hermitian base")
+        if self.kind == "quat-skew-hermitian":
+            if isinstance(r, QuaternionRing) and isinstance(r.center, RationalRing):
+                return
+            raise FormError("quat-skew-hermitian forms live over a quaternion algebra over Q")
 
     def entry_conj(self, x):
         return _entry_conj(self.kind, self.ring, x)

@@ -63,7 +63,6 @@ from math import gcd
 
 from .exact import (
     ExactError,
-    ResourceError,
     isprime,
     least_nonresidue,
     legendre,
@@ -255,24 +254,11 @@ def is_maximal(L: PadicLattice) -> bool:
 def check_completion(L: PadicLattice, target_scale: int) -> None:
     """The preconditions of `maximal_completion`.  A degenerate form has no
     maximal lattice (L grows along its radical without changing the
-    scale), so it is refused; so is a target above the scale of L.
-
-    A target more than MAX_SCALE_GAP below the scale is ResourceError.
-    Each superlattice step lowers the scale by at most one, and the
-    integers grow with the steps.  For n = 2, p = 5, basis diag(1, 25) and
-    Gram [[7, 7], [7, 11]] a gap of 64 took 3 ms, 256 took 32 ms and 1,000
-    took 1.6 s; for n = 8, p = 5, basis diag(1, 5, 25, 1, 5, 25, 1, 5)
-    and the Gram with 2 on the diagonal and 1 beside it, an even gap of 64
-    took 0.44 s, 128 took 1.1 s and 256 took 4.2 s (a shared 2-vCPU host).
-    An odd gap there ends in scans of the whole kernel, 7.5 s at a gap of
-    3: the limit bounds the steps, not the points that one step scans."""
+    scale), so it is refused; so is a target above the scale of L."""
     if det(L.form.num) == 0:
         raise LatticeError("the form is degenerate: it has no maximal lattice")
     if (s := scale(L)) < target_scale:
         raise LatticeError(f"scale {s} is below the requested target {target_scale}")
-    if s - target_scale > MAX_SCALE_GAP:
-        raise ResourceError(f"scale {s} is {s - target_scale} above the target {target_scale}, "
-                            f"past the limit of {MAX_SCALE_GAP} (lattices_local.MAX_SCALE_GAP)")
 
 
 def maximal_completion(L: PadicLattice, target_scale: int) -> PadicLattice:
@@ -493,7 +479,10 @@ def check_local_solve(q: Matrix, a: Matrix, m_prime: Fraction, p: int) -> tuple[
 
 # the p-adic working precision k of `split_local_solve` and `local-solve`
 PRECISION = 12
-MAX_SCALE_GAP = 64  # the largest scale(L) - target that `check_completion` accepts
+# the largest scale(L) - target_scale that the `maximal-lattice` verb accepts
+# (the lattice glue is not bounded by it): each step lowers the scale by at
+# most one and the integers grow; the measured cost table is in the README
+MAX_SCALE_GAP = 64
 
 
 def split_local_solve(

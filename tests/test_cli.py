@@ -1186,6 +1186,21 @@ def test_maximal_lattice_scale_gap_is_bounded(tmp_path, gap):
             f"of {MAX_SCALE_GAP} (lattices_local.MAX_SCALE_GAP)"}
     assert (code, out) == (1, {"error": want})
     assert (rc, checked) == (1, {"valid": False, "errors": [want]})
+
+
+def test_degree_bound_glue_is_not_bounded_by_the_scale_gap(tmp_path):
+    """`MAX_SCALE_GAP` bounds the `maximal-lattice` verb only: the lattice
+    glue of `degree-bound` completes at 3 from scale 158 to the target 80
+    (a gap of 78) and answers its whole payload."""
+    instance = {"algebra": {"type": "matrix", "n": 2}, "q": [["1", "0"], ["0", "9"]],
+                "a": [[str(3**40), "0"], ["0", str(3**39)]]}
+    want = {"achieved_ratio_squared": str(3**152), "b": [[str(3**40), "0"], ["0", str(3**39)]],
+            "method": "lattice-glue", "norm_b": str(3**79), "norm_q": "9",
+            "notes": {"active_primes": [3], "m2": str(3**80)}, "rank_d": 2, "value": 3**80}
+    assert 78 > MAX_SCALE_GAP
+    assert run_cli(tmp_path, "degree-bound", {"instance": instance}) == (0, want)
+
+
 _FACTORING_BUDGET = {
     "code": "resource:budget",
     "message": f"factoring {_SEMIPRIME} stopped at the limit of 1048576 Pollard rho steps",
